@@ -36,7 +36,7 @@ void AblateFixedBase() {
   }
   double without_table = timer.Seconds() / iterations;
 
-  TextTable table("Ablation 1 — fixed-base precomputation (radix-16 table)");
+  TextTable table("Ablation 1 — fixed-base precomputation (signed radix-16 table)");
   table.SetHeader({"Variant", "Per base-mult", "Speedup"});
   table.AddRow({"precomputed table", FormatSeconds(with_table), "1.0x"});
   table.AddRow({"generic 4-bit window", FormatSeconds(without_table),

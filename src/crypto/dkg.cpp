@@ -26,6 +26,7 @@ ElectionAuthority ElectionAuthority::Create(size_t n, Rng& rng) {
     authority.public_key_ = authority.public_key_ + m.public_share;
     authority.members_.push_back(std::move(m));
   }
+  RistrettoPoint::RegisterFixedBase(authority.public_key_);
   return authority;
 }
 
@@ -68,6 +69,7 @@ ElectionAuthority ElectionAuthority::CreateThreshold(size_t threshold, size_t n,
     m.proof_of_possession = kp.Sign(m.public_share_wire, rng);
     authority.members_.push_back(std::move(m));
   }
+  RistrettoPoint::RegisterFixedBase(authority.public_key_);
   return authority;
 }
 

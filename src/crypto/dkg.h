@@ -72,7 +72,9 @@ class ElectionAuthority {
   // members can decrypt; fewer learn nothing. 1 <= threshold <= n.
   static ElectionAuthority CreateThreshold(size_t threshold, size_t n, Rng& rng);
 
-  // The collective public key A_pk = sum of public shares.
+  // The collective public key A_pk = sum of public shares. Create and
+  // CreateThreshold register it as a fixed base, so every copy of it
+  // (encryption, re-encryption and proof keys) multiplies from a table.
   const RistrettoPoint& public_key() const { return public_key_; }
   size_t size() const { return members_.size(); }
   const AuthorityMember& member(size_t i) const { return members_.at(i); }

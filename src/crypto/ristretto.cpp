@@ -3,6 +3,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <mutex>
 #include <string_view>
 #include <vector>
 
@@ -428,7 +431,7 @@ RistrettoPoint RistrettoPoint::Double() const {
   return RistrettoPoint(FeMul(e, f), FeMul(g, h), FeMul(f, g), FeMul(e, h));
 }
 
-RistrettoPoint operator*(const Scalar& s, const RistrettoPoint& p) {
+RistrettoPoint RistrettoPoint::MulLadder(const Scalar& s, const RistrettoPoint& p) {
   // 4-bit fixed-window multiplication.
   RistrettoPoint table[16];
   table[0] = RistrettoPoint::Identity();
@@ -453,49 +456,203 @@ RistrettoPoint operator*(const Scalar& s, const RistrettoPoint& p) {
   return started ? acc : RistrettoPoint::Identity();
 }
 
-namespace {
+// --- Fixed-base tables -------------------------------------------------------
 
-// Precomputed fixed-base table: kBaseTable[i][j] = j * 16^i * B, so that
-// s*B = sum_i kBaseTable[i][nibble_i(s)] costs 64 additions and no doublings.
-struct BaseTable {
-  RistrettoPoint entry[64][16];
+// Precomputed multiples of one base P: row i holds j * 16^i * P for j = 1..8
+// in affine "cached" form (y+x, y-x, 2d*x*y). With s recoded into 64 signed
+// radix-16 digits e_i in [-8, 8), s*P = sum_i e_i * 16^i * P costs at most 64
+// mixed additions (7 multiplications each, a negative digit only swaps and
+// negates) and no doublings. 64 x 8 x 120 bytes = 60 KiB.
+class FixedBaseTable {
+ public:
+  explicit FixedBaseTable(const RistrettoPoint& base);
 
-  BaseTable() {
-    RistrettoPoint power = RistrettoPoint::Base();  // 16^i * B
-    for (int i = 0; i < 64; ++i) {
-      entry[i][0] = RistrettoPoint::Identity();
-      for (int j = 1; j < 16; ++j) {
-        entry[i][j] = entry[i][j - 1] + power;
-      }
-      if (i + 1 < 64) {
-        power = entry[i][8].Double();  // 16^(i+1) * B = 2 * (8 * 16^i * B)
-      }
-    }
+  // Exact representation: equal coordinates are the same point, so a match
+  // is always sound; an equal point represented differently just misses.
+  bool Matches(const RistrettoPoint& p) const {
+    return std::memcmp(&base_, &p, sizeof(RistrettoPoint)) == 0;
   }
+
+  RistrettoPoint Mul(const Scalar& s) const;
+
+ private:
+  struct Cached {
+    Fe25519 y_plus_x;
+    Fe25519 y_minus_x;
+    Fe25519 xy2d;
+  };
+  static constexpr size_t kRows = 64;
+  static constexpr size_t kDigits = 8;
+
+  // p + q (or p - q) for an affine cached q: madd-2008-hwcd-3, i.e.
+  // operator+ with Z2 = 1 and T2*2d precomputed.
+  static RistrettoPoint AddCached(const RistrettoPoint& p, const Cached& q, bool negate);
+
+  RistrettoPoint base_;
+  std::array<std::array<Cached, kDigits>, kRows> rows_;
 };
 
-const BaseTable& GetBaseTable() {
-  static const BaseTable kTable;
-  return kTable;
+static_assert(sizeof(RistrettoPoint) == 4 * sizeof(Fe25519),
+              "FixedBaseTable::Matches compares the coordinates bytewise");
+
+FixedBaseTable::FixedBaseTable(const RistrettoPoint& base) : base_(base) {
+  // Extended multiples by additions and doublings only, then one batched
+  // inversion brings all of them to Z = 1. Nothing here may reach the
+  // executor or operator*: tables are built inside static initializers and
+  // on pool threads.
+  std::vector<RistrettoPoint> multiples(kRows * kDigits);
+  RistrettoPoint row_base = base;  // 16^i * P
+  for (size_t i = 0; i < kRows; ++i) {
+    RistrettoPoint* row = &multiples[i * kDigits];
+    row[0] = row_base;
+    for (size_t j = 1; j < kDigits; ++j) {
+      row[j] = row[j - 1] + row_base;
+    }
+    row_base = row[kDigits - 1].Double();  // 16 * 16^i * P
+  }
+  std::vector<Fe25519> prefix(multiples.size());  // product of the earlier Z
+  Fe25519 acc = FeOne();
+  for (size_t k = 0; k < multiples.size(); ++k) {
+    prefix[k] = acc;
+    acc = FeMul(acc, multiples[k].z_);
+  }
+  Fe25519 inv = FeInvert(acc);  // Z is never zero for a group element
+  const Fe25519& d2 = Consts().d2;
+  for (size_t k = multiples.size(); k-- > 0;) {
+    const RistrettoPoint& m = multiples[k];
+    const Fe25519 z_inv = FeMul(inv, prefix[k]);
+    inv = FeMul(inv, m.z_);
+    const Fe25519 x = FeMul(m.x_, z_inv);
+    const Fe25519 y = FeMul(m.y_, z_inv);
+    rows_[k / kDigits][k % kDigits] = Cached{FeAdd(y, x), FeSub(y, x), FeMul(FeMul(x, y), d2)};
+  }
 }
 
-}  // namespace
+RistrettoPoint FixedBaseTable::AddCached(const RistrettoPoint& p, const Cached& q, bool negate) {
+  // -Q = (-x, y): y+x and y-x trade places and 2d*x*y changes sign.
+  const Fe25519& q_plus = negate ? q.y_minus_x : q.y_plus_x;
+  const Fe25519& q_minus = negate ? q.y_plus_x : q.y_minus_x;
+  const Fe25519 a = FeMul(FeSub(p.y_, p.x_), q_minus);
+  const Fe25519 b = FeMul(FeAdd(p.y_, p.x_), q_plus);
+  const Fe25519 c = FeMul(p.t_, q.xy2d);
+  const Fe25519 d = FeAdd(p.z_, p.z_);
+  const Fe25519 e = FeSub(b, a);
+  const Fe25519 f = negate ? FeAdd(d, c) : FeSub(d, c);
+  const Fe25519 g = negate ? FeSub(d, c) : FeAdd(d, c);
+  const Fe25519 h = FeAdd(b, a);
+  return RistrettoPoint(FeMul(e, f), FeMul(g, h), FeMul(f, g), FeMul(e, h));
+}
 
-RistrettoPoint RistrettoPoint::MulBase(const Scalar& s) {
-  const BaseTable& table = GetBaseTable();
-  auto bytes = s.ToBytes();
+RistrettoPoint FixedBaseTable::Mul(const Scalar& s) const {
+  const std::array<uint8_t, 32> bytes = s.ToBytes();
+  int digit[kRows];
+  for (size_t i = 0; i < 32; ++i) {
+    digit[2 * i] = bytes[i] & 0x0f;
+    digit[2 * i + 1] = bytes[i] >> 4;
+  }
+  // Recode into [-8, 8). s < l < 2^253, so the top nibble is at most 1 and
+  // the last carry leaves digit 63 in [0, 2].
+  for (size_t i = 0; i + 1 < kRows; ++i) {
+    const int carry = (digit[i] + 8) >> 4;
+    digit[i] -= carry << 4;
+    digit[i + 1] += carry;
+  }
   RistrettoPoint acc;
-  for (int i = 0; i < 64; ++i) {
-    uint8_t byte = bytes[static_cast<size_t>(i / 2)];
-    uint8_t nibble = (i % 2 == 1) ? (byte >> 4) : (byte & 0x0f);
-    if (nibble != 0) {
-      acc = acc + table.entry[i][nibble];
+  for (size_t i = 0; i < kRows; ++i) {
+    if (digit[i] > 0) {
+      acc = AddCached(acc, rows_[i][static_cast<size_t>(digit[i] - 1)], false);
+    } else if (digit[i] < 0) {
+      acc = AddCached(acc, rows_[i][static_cast<size_t>(-digit[i] - 1)], true);
     }
   }
   return acc;
 }
 
-RistrettoPoint RistrettoPoint::MulBaseSlow(const Scalar& s) { return s * Base(); }
+namespace {
+
+const FixedBaseTable& GeneratorTable() {
+  static const FixedBaseTable kTable(RistrettoPoint::Base());
+  return kTable;
+}
+
+// The registered bases: the kFixedBaseSlots most recent registrations, slots
+// overwritten in turn. Lookups take no lock: each thread keeps a copy of the
+// slots and refreshes it under the mutex only when `generation` has moved.
+// The shared_ptr copies keep an evicted table alive until every thread that
+// may still read it has refreshed (at its next lookup, or at thread exit).
+struct FixedBaseRegistry {
+  std::mutex mutex;
+  std::array<std::shared_ptr<const FixedBaseTable>, kFixedBaseSlots> slots;  // guarded by mutex
+  size_t next = 0;                      // guarded by mutex: the slot to overwrite
+  std::atomic<uint64_t> generation{0};  // bumped under mutex on every change
+};
+
+FixedBaseRegistry& Registry() {
+  // Never destroyed: pool threads may still multiply during static destruction.
+  static FixedBaseRegistry* registry = new FixedBaseRegistry();
+  return *registry;
+}
+
+struct RegistrySnapshot {
+  uint64_t generation = 0;
+  std::array<std::shared_ptr<const FixedBaseTable>, kFixedBaseSlots> tables;
+};
+
+// The table operator* reads for p, or null for the ladder. The pointer stays
+// valid until this thread's next lookup.
+const FixedBaseTable* FindFixedBaseTable(const RistrettoPoint& p) {
+  if (GeneratorTable().Matches(p)) {
+    return &GeneratorTable();
+  }
+  thread_local RegistrySnapshot snapshot;
+  FixedBaseRegistry& registry = Registry();
+  if (registry.generation.load() != snapshot.generation) {
+    std::lock_guard<std::mutex> lock(registry.mutex);
+    snapshot.tables = registry.slots;
+    snapshot.generation = registry.generation.load();
+  }
+  for (const auto& table : snapshot.tables) {
+    if (table != nullptr && table->Matches(p)) {
+      return table.get();
+    }
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+RistrettoPoint operator*(const Scalar& s, const RistrettoPoint& p) {
+  if (const FixedBaseTable* table = FindFixedBaseTable(p)) {
+    return table->Mul(s);
+  }
+  return RistrettoPoint::MulLadder(s, p);
+}
+
+RistrettoPoint RistrettoPoint::MulBase(const Scalar& s) { return GeneratorTable().Mul(s); }
+
+RistrettoPoint RistrettoPoint::MulBaseSlow(const Scalar& s) { return MulLadder(s, Base()); }
+
+void RistrettoPoint::RegisterFixedBase(const RistrettoPoint& base) {
+  if (FindFixedBaseTable(base) != nullptr) {
+    return;
+  }
+  // Built outside the lock: lookups that refresh meanwhile are not held up.
+  auto table = std::make_shared<const FixedBaseTable>(base);
+  FixedBaseRegistry& registry = Registry();
+  std::lock_guard<std::mutex> lock(registry.mutex);
+  for (const auto& slot : registry.slots) {
+    if (slot != nullptr && slot->Matches(base)) {
+      return;  // a concurrent registration of the same base won
+    }
+  }
+  registry.slots[registry.next] = std::move(table);
+  registry.next = (registry.next + 1) % kFixedBaseSlots;
+  registry.generation.fetch_add(1);
+}
+
+bool RistrettoPoint::HasFixedBaseTable(const RistrettoPoint& p) {
+  return FindFixedBaseTable(p) != nullptr;
+}
 
 // DoubleScalarMulBase is defined in src/crypto/msm.cpp on top of the
 // multi-scalar multiplication engine (shared-doubling wNAF ladder).

@@ -13,6 +13,7 @@
 #define SRC_CRYPTO_RISTRETTO_H_
 
 #include <array>
+#include <cstddef>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -21,6 +22,12 @@
 #include "src/crypto/scalar.h"
 
 namespace votegral {
+
+class FixedBaseTable;
+
+// How many registered fixed bases keep a precomputed table at once (see
+// RistrettoPoint::RegisterFixedBase): the most recent registrations win.
+inline constexpr size_t kFixedBaseSlots = 8;
 
 // An element of the ristretto255 group.
 class RistrettoPoint {
@@ -79,16 +86,32 @@ class RistrettoPoint {
   RistrettoPoint operator-() const;
   RistrettoPoint Double() const;
 
-  // Variable-base scalar multiplication (4-bit window).
+  // Scalar multiplication s*p. When p is the generator or a registered fixed
+  // base, recognized by its exact coordinates (so every copy of that point
+  // qualifies), this reads the base's precomputed table; otherwise it runs
+  // the variable-base ladder (4-bit window, 252 doublings). Both paths return
+  // the same group element.
   friend RistrettoPoint operator*(const Scalar& s, const RistrettoPoint& p);
 
-  // Fixed-base scalar multiplication s*B using a precomputed radix-16 table
-  // (~16x faster than the variable-base path; an ablation bench quantifies
-  // this, see bench/ablation_design_choices).
+  // s*B from the generator's precomputed table: at most 64 mixed additions
+  // and no doublings (bench/ablation_design_choices measures it against the
+  // ladder).
   static RistrettoPoint MulBase(const Scalar& s);
 
-  // Fixed-base multiplication without the precomputed table (ablation only).
+  // s*B through the variable-base ladder, bypassing every table: the
+  // reference the table path is measured and tested against.
   static RistrettoPoint MulBaseSlow(const Scalar& s);
+
+  // Gives a long-lived base (the election key) a precomputed table, so that
+  // operator* on this point or any copy of it skips the ladder. The table
+  // costs about four ladder multiplications to build and 60 KiB to keep; the
+  // process keeps the kFixedBaseSlots most recent registrations and older
+  // ones fall back to the ladder. Registering a base that already has a
+  // table does nothing. Thread-safe; never runs work on the executor.
+  static void RegisterFixedBase(const RistrettoPoint& base);
+
+  // True when operator* on p reads a precomputed table.
+  static bool HasFixedBaseTable(const RistrettoPoint& p);
 
   // a*P + b*Base, the Schnorr verification workhorse. Implemented on the MSM
   // engine (src/crypto/msm.h): one shared-doubling wNAF ladder with a
@@ -106,6 +129,11 @@ class RistrettoPoint {
  private:
   RistrettoPoint(const Fe25519& x, const Fe25519& y, const Fe25519& z, const Fe25519& t)
       : x_(x), y_(y), z_(z), t_(t) {}
+
+  friend class FixedBaseTable;
+
+  // The variable-base ladder behind operator* and MulBaseSlow.
+  static RistrettoPoint MulLadder(const Scalar& s, const RistrettoPoint& p);
 
   // One Elligator 2 evaluation (MAP of RFC 9496 §4.3.4).
   static RistrettoPoint ElligatorMap(const Fe25519& t);

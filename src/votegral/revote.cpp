@@ -15,21 +15,19 @@ struct CounterEntry {
 };
 
 // k -> (k*B, enc(k*B)) for k in [0, kRevoteCounterLimit). Built once via
-// incremental addition plus one batched encode; both the counter decode
-// table and the dummy fast path read it.
+// incremental addition and serial encodes (~2 ms); both the counter decode
+// table and the dummy fast path read it. The initializer must never wait on
+// the executor: the first call can come from a pool thread inside a parallel
+// stage, which would help the pool while holding this static's guard, run a
+// sibling task that reaches the guard, and block on itself
+// (tests/test_revote_first_touch.cpp).
 const std::vector<CounterEntry>& CounterEntries() {
   static const std::vector<CounterEntry> entries = [] {
-    std::vector<RistrettoPoint> points(kRevoteCounterLimit);
-    RistrettoPoint p = RistrettoPoint::MulBase(Scalar::Zero());
-    for (uint64_t k = 0; k < kRevoteCounterLimit; ++k) {
-      points[k] = p;
-      p = p + RistrettoPoint::Base();
-    }
-    std::vector<CompressedRistretto> wires(kRevoteCounterLimit);
-    BatchEncodePoints(points, wires);
     std::vector<CounterEntry> e(kRevoteCounterLimit);
+    RistrettoPoint p = RistrettoPoint::Identity();
     for (uint64_t k = 0; k < kRevoteCounterLimit; ++k) {
-      e[k] = CounterEntry{points[k], wires[k]};
+      e[k] = CounterEntry{p, p.Encode()};
+      p = p + RistrettoPoint::Base();
     }
     return e;
   }();

@@ -97,9 +97,11 @@ TaggingStep TaggingService::Apply(size_t member, const std::vector<ElGamalCipher
   // The commitment appears in every statement of the step: encode it once
   // here instead of once per ciphertext inside the challenge hash.
   const CompressedRistretto commitment_wire = commitments_[member].Encode();
-  // Each ciphertext costs two exponentiations plus a 3-element proof (three
-  // more scalar multiplications): the per-ballot hot loop of the tagging
-  // stage. Shards are fixed by input size; nonces come from forked streams.
+  // Each ciphertext costs two exponentiations plus a 3-element proof whose
+  // commitments are three more scalar multiplications. The y*B commitment
+  // reads the generator's table, so four of the five run the ladder: the
+  // per-ballot hot loop of the tagging stage. Shards are fixed by input
+  // size; nonces come from forked streams.
   auto shards = Executor::Shards(input.size(), Executor::kRngShards);
   auto seeds = ForkRngSeeds(rng, shards.size());
   executor.ParallelForEach(shards.size(), [&](size_t s) {
