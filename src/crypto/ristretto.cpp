@@ -1,8 +1,6 @@
 #include "src/crypto/ristretto.h"
 
 #include <atomic>
-#include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -12,7 +10,6 @@
 #include "src/common/bytes.h"
 #include "src/common/executor.h"
 #include "src/common/status.h"
-#include "src/crypto/fe25519_x4.h"
 #include "src/crypto/sha512.h"
 
 namespace votegral {
@@ -83,29 +80,23 @@ const RistrettoPoint& RistrettoPoint::Base() {
   return kBase;
 }
 
-bool RistrettoPoint::DecodePrepare(std::span<const uint8_t> bytes32, Fe25519& s, Fe25519& u1,
-                                   Fe25519& u2, Fe25519& v, Fe25519& input) {
+std::optional<RistrettoPoint> RistrettoPoint::Decode(std::span<const uint8_t> bytes32) {
+  g_decode_invocations.fetch_add(1, std::memory_order_relaxed);
   if (bytes32.size() != 32 || !FeBytesAreCanonical(bytes32)) {
-    return false;
+    return std::nullopt;
   }
-  s = FeFromBytes(bytes32);
+  Fe25519 s = FeFromBytes(bytes32);
   if (FeIsNegative(s)) {
-    return false;
+    return std::nullopt;
   }
   Fe25519 ss = FeSquare(s);
-  u1 = FeSub(FeOne(), ss);   // 1 - s^2
-  u2 = FeAdd(FeOne(), ss);   // 1 + s^2
+  Fe25519 u1 = FeSub(FeOne(), ss);   // 1 - s^2
+  Fe25519 u2 = FeAdd(FeOne(), ss);   // 1 + s^2
   Fe25519 u2_sqr = FeSquare(u2);
 
   // v = -(d * u1^2) - u2^2
-  v = FeSub(FeNeg(FeMul(Consts().d, FeSquare(u1))), u2_sqr);
-  input = FeMul(v, u2_sqr);
-  return true;
-}
-
-std::optional<RistrettoPoint> RistrettoPoint::DecodeFinish(const Fe25519& s, const Fe25519& u1,
-                                                           const Fe25519& u2, const Fe25519& v,
-                                                           const SqrtRatioResult& inv) {
+  Fe25519 v = FeSub(FeNeg(FeMul(Consts().d, FeSquare(u1))), u2_sqr);
+  SqrtRatioResult inv = FeInvSqrt(FeMul(v, u2_sqr));
   if (!inv.was_square) {
     return std::nullopt;
   }
@@ -122,53 +113,14 @@ std::optional<RistrettoPoint> RistrettoPoint::DecodeFinish(const Fe25519& s, con
   return RistrettoPoint(x, y, FeOne(), t);
 }
 
-std::optional<RistrettoPoint> RistrettoPoint::Decode(std::span<const uint8_t> bytes32) {
-  g_decode_invocations.fetch_add(1, std::memory_order_relaxed);
-  Fe25519 s, u1, u2, v, input;
-  if (!DecodePrepare(bytes32, s, u1, u2, v, input)) {
-    return std::nullopt;
-  }
-  return DecodeFinish(s, u1, u2, v, FeInvSqrt(input));
-}
-
-size_t RistrettoPoint::DecodeX4(const std::array<uint8_t, 32>* bytes, RistrettoPoint* out,
-                                uint8_t* ok) {
-  g_decode_invocations.fetch_add(4, std::memory_order_relaxed);
-  Fe25519 s[4], u1[4], u2[4], v[4], input[4];
-  bool prepared[4];
-  for (int k = 0; k < 4; ++k) {
-    prepared[k] = DecodePrepare(bytes[k], s[k], u1[k], u2[k], v[k], input[k]);
-    if (!prepared[k]) {
-      input[k] = FeOne();  // benign filler so the other lanes still batch
-    }
-  }
-  SqrtRatioResult inv[4];
-  FeInvSqrtX4(input, inv);
-  size_t failures = 0;
-  for (int k = 0; k < 4; ++k) {
-    std::optional<RistrettoPoint> point =
-        prepared[k] ? DecodeFinish(s[k], u1[k], u2[k], v[k], inv[k]) : std::nullopt;
-    if (point.has_value()) {
-      out[k] = *point;
-      ok[k] = 1;
-    } else {
-      out[k] = RistrettoPoint::Identity();
-      ok[k] = 0;
-      ++failures;
-    }
-  }
-  return failures;
-}
-
-Fe25519 RistrettoPoint::EncodePrepare(Fe25519& u1, Fe25519& u2) const {
-  u1 = FeMul(FeAdd(z_, y_), FeSub(z_, y_));  // (Z+Y)(Z-Y)
-  u2 = FeMul(x_, y_);
-  return FeMul(u1, FeSquare(u2));
-}
-
-std::array<uint8_t, 32> RistrettoPoint::EncodeFinish(const Fe25519& u1, const Fe25519& u2,
-                                                     const Fe25519& inv_root) const {
+std::array<uint8_t, 32> RistrettoPoint::Encode() const {
+  g_encode_invocations.fetch_add(1, std::memory_order_relaxed);
   const RistrettoConstants& c = Consts();
+  Fe25519 u1 = FeMul(FeAdd(z_, y_), FeSub(z_, y_));  // (Z+Y)(Z-Y)
+  Fe25519 u2 = FeMul(x_, y_);
+  // Every valid group element makes u1*u2^2 square-or-zero; was_square is
+  // deliberately ignored, matching the scalar SQRT_RATIO_M1 formulation.
+  Fe25519 inv_root = FeInvSqrt(FeMul(u1, FeSquare(u2))).root;
   Fe25519 den1 = FeMul(inv_root, u1);
   Fe25519 den2 = FeMul(inv_root, u2);
   Fe25519 z_inv = FeMul(FeMul(den1, den2), t_);
@@ -188,28 +140,6 @@ std::array<uint8_t, 32> RistrettoPoint::EncodeFinish(const Fe25519& u1, const Fe
   }
   Fe25519 s = FeAbs(FeMul(den_inv, FeSub(z_, y)));
   return FeToBytes(s);
-}
-
-std::array<uint8_t, 32> RistrettoPoint::Encode() const {
-  g_encode_invocations.fetch_add(1, std::memory_order_relaxed);
-  Fe25519 u1, u2;
-  Fe25519 input = EncodePrepare(u1, u2);
-  // Every valid group element makes this input square-or-zero; was_square is
-  // deliberately ignored, matching the scalar SQRT_RATIO_M1 formulation.
-  return EncodeFinish(u1, u2, FeInvSqrt(input).root);
-}
-
-void RistrettoPoint::EncodeX4(const RistrettoPoint* points, std::array<uint8_t, 32>* out) {
-  g_encode_invocations.fetch_add(4, std::memory_order_relaxed);
-  Fe25519 u1[4], u2[4], input[4];
-  for (int k = 0; k < 4; ++k) {
-    input[k] = points[k].EncodePrepare(u1[k], u2[k]);
-  }
-  SqrtRatioResult inv[4];
-  FeInvSqrtX4(input, inv);
-  for (int k = 0; k < 4; ++k) {
-    out[k] = points[k].EncodeFinish(u1[k], u2[k], inv[k].root);
-  }
 }
 
 RistrettoPoint RistrettoPoint::ElligatorMap(const Fe25519& t) {
@@ -264,150 +194,6 @@ RistrettoPoint RistrettoPoint::operator+(const RistrettoPoint& other) const {
   const Fe25519 g = FeAdd(dd, cc);
   const Fe25519 h = FeAdd(b, a);
   return RistrettoPoint(FeMul(e, f), FeMul(g, h), FeMul(f, g), FeMul(e, h));
-}
-
-namespace {
-
-// AddX4 route override: -1 auto (calibrate at first use), 0 scalar, 1 X4.
-std::atomic<int> g_addx4_mode{-1};
-
-// One-shot calibration: times kIters rounds of "four scalar additions"
-// against kIters rounds of one AddX4Kernels call on the same inputs and
-// keeps the faster route. The X4 route's 8 batched multiplications tie or
-// lose to 32 radix-51 ones on wide-mulx x86-64 cores (and its 12 layout
-// conversions are then pure overhead), while 4-lane NEON units come out
-// ahead — a property of the CPU, not the workload, so measuring once is
-// enough. Both routes compute identical residues mod p, so the choice is
-// unobservable beyond timing.
-bool MeasureAddX4Wins(void (*kernels)(const RistrettoPoint*, const RistrettoPoint*,
-                                      RistrettoPoint*)) {
-  if (const char* env = std::getenv("VOTEGRAL_X4_POINTS")) {
-    const std::string_view v(env);
-    if (v == "on" || v == "1") {
-      return true;
-    }
-    if (v == "off" || v == "0") {
-      return false;
-    }
-  }
-  RistrettoPoint a[4], b[4];
-  RistrettoPoint p = RistrettoPoint::Base();
-  for (int k = 0; k < 4; ++k) {
-    a[k] = p;
-    p = p.Double();
-    b[k] = p + RistrettoPoint::Base();
-  }
-  constexpr int kIters = 32;
-  auto best_of = [](auto&& body) {
-    uint64_t best = ~uint64_t{0};
-    for (int rep = 0; rep < 3; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      body();
-      const auto t1 = std::chrono::steady_clock::now();
-      const auto ns = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-      best = ns < best ? ns : best;
-    }
-    return best;
-  };
-  const uint64_t scalar_ns = best_of([&] {
-    RistrettoPoint c[4] = {a[0], a[1], a[2], a[3]};
-    for (int i = 0; i < kIters; ++i) {
-      for (int k = 0; k < 4; ++k) {
-        c[k] = c[k] + b[k];
-      }
-    }
-    asm volatile("" : : "r"(c) : "memory");
-  });
-  const uint64_t x4_ns = best_of([&] {
-    RistrettoPoint c[4] = {a[0], a[1], a[2], a[3]};
-    for (int i = 0; i < kIters; ++i) {
-      kernels(c, b, c);
-    }
-    asm volatile("" : : "r"(c) : "memory");
-  });
-  return x4_ns < scalar_ns;
-}
-
-}  // namespace
-
-int RistrettoPoint::SetAddX4ModeForTest(int mode) {
-  return g_addx4_mode.exchange(mode);
-}
-
-void RistrettoPoint::AddX4(const RistrettoPoint* a, const RistrettoPoint* b,
-                           RistrettoPoint* out) {
-  const int mode = g_addx4_mode.load(std::memory_order_relaxed);
-  bool use_kernels;
-  if (mode >= 0) {
-    use_kernels = mode != 0;
-  } else {
-    static const bool kMeasuredWin = MeasureAddX4Wins(&RistrettoPoint::AddX4Kernels);
-    use_kernels = kMeasuredWin;
-  }
-  if (!use_kernels) {
-    for (int k = 0; k < 4; ++k) {
-      out[k] = a[k] + b[k];
-    }
-    return;
-  }
-  AddX4Kernels(a, b, out);
-}
-
-void RistrettoPoint::AddX4Kernels(const RistrettoPoint* a, const RistrettoPoint* b,
-                                  RistrettoPoint* out) {
-  // add-2008-hwcd-3 across four lanes. Coordinates are gathered
-  // structure-of-arrays so every field operation is one X4 kernel call:
-  // 8 X4 multiplications replace 32 scalar ones.
-  Fe25519 lanes[4];
-  auto gather = [&lanes](const RistrettoPoint* p, Fe25519 RistrettoPoint::*coord) {
-    for (int k = 0; k < 4; ++k) {
-      lanes[k] = p[k].*coord;
-    }
-    return FeX4FromLanes(lanes);
-  };
-  const Fe25519X4 x1 = gather(a, &RistrettoPoint::x_);
-  const Fe25519X4 y1 = gather(a, &RistrettoPoint::y_);
-  const Fe25519X4 z1 = gather(a, &RistrettoPoint::z_);
-  const Fe25519X4 t1 = gather(a, &RistrettoPoint::t_);
-  const Fe25519X4 x2 = gather(b, &RistrettoPoint::x_);
-  const Fe25519X4 y2 = gather(b, &RistrettoPoint::y_);
-  const Fe25519X4 z2 = gather(b, &RistrettoPoint::z_);
-  const Fe25519X4 t2 = gather(b, &RistrettoPoint::t_);
-  const Fe25519X4 d2 = FeX4Splat(Consts().d2);
-
-  Fe25519X4 va, vb, vc, vd, tmp;
-  FeSubX4(va, y1, x1);
-  FeSubX4(tmp, y2, x2);
-  FeMulX4(va, va, tmp);  // A = (Y1-X1)(Y2-X2)
-  FeAddX4(vb, y1, x1);
-  FeAddX4(tmp, y2, x2);
-  FeMulX4(vb, vb, tmp);  // B = (Y1+X1)(Y2+X2)
-  FeMulX4(vc, t1, d2);
-  FeMulX4(vc, vc, t2);  // C = T1*d2*T2
-  FeAddX4(vd, z1, z1);
-  FeMulX4(vd, vd, z2);  // D = 2*Z1*Z2
-
-  Fe25519X4 e, f, g, h;
-  FeSubX4(e, vb, va);
-  FeSubX4(f, vd, vc);
-  FeAddX4(g, vd, vc);
-  FeAddX4(h, vb, va);
-
-  Fe25519X4 x3, y3, z3, t3;
-  FeMulX4(x3, e, f);
-  FeMulX4(y3, g, h);
-  FeMulX4(z3, f, g);
-  FeMulX4(t3, e, h);
-
-  Fe25519 ox[4], oy[4], oz[4], ot[4];
-  FeX4ToLanes(x3, ox);
-  FeX4ToLanes(y3, oy);
-  FeX4ToLanes(z3, oz);
-  FeX4ToLanes(t3, ot);
-  for (int k = 0; k < 4; ++k) {
-    out[k] = RistrettoPoint(ox[k], oy[k], oz[k], ot[k]);
-  }
 }
 
 RistrettoPoint RistrettoPoint::operator-() const {
@@ -666,11 +452,7 @@ void BatchEncodePoints(std::span<const RistrettoPoint> points,
                        std::span<CompressedRistretto> out) {
   Require(points.size() == out.size(), "BatchEncodePoints: size mismatch");
   Executor::Current().ParallelFor(points.size(), [&](size_t begin, size_t end) {
-    size_t i = begin;
-    for (; i + 4 <= end; i += 4) {
-      RistrettoPoint::EncodeX4(&points[i], &out[i]);
-    }
-    for (; i < end; ++i) {
+    for (size_t i = begin; i < end; ++i) {
       out[i] = points[i].Encode();
     }
   });
@@ -683,11 +465,7 @@ size_t BatchDecodePoints(std::span<const CompressedRistretto> bytes,
   std::atomic<size_t> failures{0};
   Executor::Current().ParallelFor(bytes.size(), [&](size_t begin, size_t end) {
     size_t chunk_failures = 0;
-    size_t i = begin;
-    for (; i + 4 <= end; i += 4) {
-      chunk_failures += RistrettoPoint::DecodeX4(&bytes[i], &out[i], &ok[i]);
-    }
-    for (; i < end; ++i) {
+    for (size_t i = begin; i < end; ++i) {
       auto point = RistrettoPoint::Decode(bytes[i]);
       if (point.has_value()) {
         out[i] = *point;

@@ -59,27 +59,6 @@ class RistrettoPoint {
   // Domain-separated hash-to-group via SHA-512.
   static RistrettoPoint HashToGroup(std::string_view domain, std::span<const uint8_t> data);
 
-  // Four independent additions in lock-step: out[k] = a[k] + b[k]. Same
-  // complete add-2008-hwcd-3 formula as operator+, so the resulting group
-  // elements are equal (the internal projective representative may differ,
-  // which no encoding or comparison can observe). This is the MSM engine's
-  // bucket-accumulation and table-build primitive; out may alias a or b.
-  //
-  // Whether the four additions run through the 4-way field kernels
-  // (src/crypto/fe25519_x4.h) or as four scalar additions is decided once
-  // per process by a ~100 µs micro-calibration: the X4 route trades 32
-  // radix-51 multiplications for 8 X4 multiplications plus 12 layout
-  // conversions, which wins on NEON-class cores but loses on wide-mulx
-  // x86-64 where a radix-51 multiply already saturates the multiplier.
-  // `VOTEGRAL_X4_POINTS=on|off` overrides the measurement. The choice can
-  // never reach a transcript — both routes compute the same residues mod p.
-  static void AddX4(const RistrettoPoint* a, const RistrettoPoint* b, RistrettoPoint* out);
-
-  // Test hook pinning AddX4's route: 1 = force X4 kernels, 0 = force scalar
-  // additions, -1 = auto (calibrate). Returns the previous mode. Not
-  // thread-safe against concurrent AddX4 calls.
-  static int SetAddX4ModeForTest(int mode);
-
   // Group operations.
   RistrettoPoint operator+(const RistrettoPoint& other) const;
   RistrettoPoint operator-(const RistrettoPoint& other) const;
@@ -138,37 +117,6 @@ class RistrettoPoint {
   // One Elligator 2 evaluation (MAP of RFC 9496 §4.3.4).
   static RistrettoPoint ElligatorMap(const Fe25519& t);
 
-  // AddX4's 4-way-kernel route, taken unconditionally (no calibration).
-  static void AddX4Kernels(const RistrettoPoint* a, const RistrettoPoint* b,
-                           RistrettoPoint* out);
-
-  // Encode() split around its inverse square root: Prepare returns the
-  // invsqrt input u1*u2^2 (writing u1, u2), Finish runs the closing
-  // arithmetic once the root is known. EncodeX4 drives four lanes through
-  // FeInvSqrtX4 between the two halves; outputs are byte-identical to four
-  // scalar Encode() calls because the X4 root is bit-identical.
-  Fe25519 EncodePrepare(Fe25519& u1, Fe25519& u2) const;
-  std::array<uint8_t, 32> EncodeFinish(const Fe25519& u1, const Fe25519& u2,
-                                       const Fe25519& inv_root) const;
-  static void EncodeX4(const RistrettoPoint* points, std::array<uint8_t, 32>* out);
-
-  // Decode() split the same way. Prepare performs the pre-root rejections
-  // (length, canonicality, negative s) and derives the invsqrt input; Finish
-  // applies the root and the post-root rejections. DecodeX4 substitutes a
-  // benign input for lanes Prepare already rejected so the other lanes still
-  // share the vectorized exponentiation.
-  static bool DecodePrepare(std::span<const uint8_t> bytes32, Fe25519& s, Fe25519& u1,
-                            Fe25519& u2, Fe25519& v, Fe25519& input);
-  static std::optional<RistrettoPoint> DecodeFinish(const Fe25519& s, const Fe25519& u1,
-                                                    const Fe25519& u2, const Fe25519& v,
-                                                    const SqrtRatioResult& inv);
-  static size_t DecodeX4(const std::array<uint8_t, 32>* bytes, RistrettoPoint* out,
-                         uint8_t* ok);
-
-  friend void BatchEncodePoints(std::span<const RistrettoPoint> points,
-                                std::span<std::array<uint8_t, 32>> out);
-  friend size_t BatchDecodePoints(std::span<const std::array<uint8_t, 32>> bytes,
-                                  std::span<RistrettoPoint> out, std::span<uint8_t> ok);
   friend size_t BatchValidateEncodings(std::span<const RistrettoPoint> points,
                                        std::span<const std::array<uint8_t, 32>> bytes,
                                        std::span<uint8_t> ok);
@@ -186,17 +134,14 @@ using CompressedRistretto = std::array<uint8_t, 32>;
 //
 // Both routines fan fixed-position shards out on Executor::Current() (the
 // pool bound by the enclosing protocol stage; serial under threads=1) and
-// run four elements at a time through the 4-way field backend
-// (src/crypto/fe25519_x4.h): the dominant cost — the ~250-squaring
-// inverse-square-root exponentiation — proceeds in lock-step across four
-// lanes, with per-element heads and tails kept scalar. The individual
-// inverse-square roots remain per-point — a Montgomery-style shared tree
-// recovers only the product of the roots, never the individual canonical
-// roots, and any "validation" built naively on a shared tree would accept
-// the encoding of -P for P (re-opening the challenge-grinding attack
-// wire-cache validation exists to stop; see docs/TRANSCRIPTS.md). The X4
-// root is bit-identical to FeInvSqrt per lane, so batched outputs are
-// byte-identical to element-wise Encode()/Decode() regardless of backend.
+// encode or decode one point at a time, so the outputs are byte-identical to
+// element-wise Encode()/Decode(). The dominant cost is each point's
+// ~250-squaring inverse square root, and it stays per point: a
+// Montgomery-style shared tree recovers only the product of the roots, never
+// the individual canonical roots, and any "validation" built naively on a
+// shared tree would accept the encoding of -P for P (re-opening the
+// challenge-grinding attack wire-cache validation exists to stop; see
+// docs/TRANSCRIPTS.md).
 
 // out[i] = points[i].Encode(). out.size() must equal points.size().
 void BatchEncodePoints(std::span<const RistrettoPoint> points,

@@ -1,6 +1,8 @@
 // Property and vector tests for the GF(2^255-19) field arithmetic.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/common/bytes.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/fe25519.h"
@@ -155,6 +157,36 @@ TEST(Fe25519, SqrtRatioZeroNumerator) {
   SqrtRatioResult r = FeSqrtRatioM1(FeZero(), FeOne());
   EXPECT_TRUE(r.was_square);
   EXPECT_TRUE(FeIsZero(r.root));
+}
+
+TEST(Fe25519, InvSqrtMatchesSqrtRatioWithUnitNumerator) {
+  // FeInvSqrt is FeSqrtRatioM1 specialized to u = 1; every ristretto encode
+  // and decode runs it, so the flag and the canonical root must agree with
+  // the general routine on edge values, random elements and random squares.
+  Fe25519 loose_extreme;  // every limb at the loose-reduction bound
+  for (uint64_t& limb : loose_extreme.limb) {
+    limb = (uint64_t{1} << 51) + (uint64_t{1} << 13) - 1;
+  }
+  std::vector<Fe25519> inputs = {
+      FeZero(), FeOne(), FeNeg(FeOne()), FeSqrtM1(),
+      FeFromBytes(HexDecode("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f")),
+      loose_extreme};
+  ChaChaRng rng(0xF8);
+  for (int iter = 0; iter < 200; ++iter) {
+    inputs.push_back(RandomFe(rng));
+    inputs.push_back(FeSquare(RandomFe(rng)));
+  }
+  int squares = 0;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    SqrtRatioResult got = FeInvSqrt(inputs[i]);
+    SqrtRatioResult expect = FeSqrtRatioM1(FeOne(), inputs[i]);
+    EXPECT_EQ(got.was_square, expect.was_square) << "input " << i;
+    EXPECT_EQ(FeToBytes(got.root), FeToBytes(expect.root)) << "input " << i;
+    squares += got.was_square ? 1 : 0;
+  }
+  // Every squared input is a square and about half of the random ones are.
+  EXPECT_GT(squares, 250);
+  EXPECT_LT(squares, static_cast<int>(inputs.size()));
 }
 
 TEST(Fe25519, PowMatchesRepeatedMultiplication) {

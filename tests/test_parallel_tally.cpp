@@ -6,7 +6,6 @@
 
 #include "src/common/bytes.h"
 #include "src/crypto/drbg.h"
-#include "src/crypto/fe25519_x4.h"
 #include "src/crypto/sha256.h"
 #include "src/votegral/election.h"
 #include "tests/transcript_digest.h"
@@ -83,23 +82,6 @@ TEST(ParallelTally, TranscriptByteIdenticalToPreWireSeed) {
   // bytes the transcript already contained, never new protocol state.
   TalliedElection serial = RunElection(1);
   EXPECT_EQ(HexEncode(serial.protocol_digest), kPreWireGoldenDigestHex);
-}
-
-TEST(ParallelTally, TranscriptByteIdenticalAcrossFieldBackends) {
-  // The SIMD field backends change internal limb schedules, never bytes:
-  // a full election run on the forced-scalar backend must pin the same
-  // golden digest (and the same wire-cache-extended digest) as whatever
-  // backend dispatch picked for this machine, serial and threaded alike.
-  TalliedElection native = RunElection(1);
-  FeSimdBackend previous = SetFeSimdBackendForTest(FeSimdBackend::kScalar);
-  TalliedElection scalar = RunElection(1);
-  TalliedElection scalar_mt = RunElection(8);
-  SetFeSimdBackendForTest(previous);
-  EXPECT_EQ(HexEncode(scalar.protocol_digest), kPreWireGoldenDigestHex);
-  EXPECT_EQ(scalar.digest, native.digest);
-  EXPECT_EQ(scalar_mt.digest, native.digest);
-  EXPECT_TRUE(scalar.verified);
-  EXPECT_TRUE(scalar_mt.verified);
 }
 
 TEST(ParallelTally, DataflowAndBarrierEnginesAreByteIdentical) {

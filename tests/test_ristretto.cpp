@@ -375,29 +375,6 @@ TEST(RistrettoBatch, ValidateEncodingsAgreesWithDecodeCompareOnArbitraryBytes) {
   }
 }
 
-TEST(RistrettoBatch, AddX4RoutesAgreeAndMatchScalarAdds) {
-  // AddX4 picks between the 4-way kernel route and four scalar additions by
-  // a startup calibration; both must produce the same group elements and the
-  // same encodings regardless of which one the calibration would pick here.
-  ChaChaRng rng(53);
-  RistrettoPoint a[4], b[4], via_x4[4], via_scalar[4];
-  for (int k = 0; k < 4; ++k) {
-    a[k] = RandomPoint(rng);
-    b[k] = RandomPoint(rng);
-  }
-  const int previous = RistrettoPoint::SetAddX4ModeForTest(1);
-  RistrettoPoint::AddX4(a, b, via_x4);
-  RistrettoPoint::SetAddX4ModeForTest(0);
-  RistrettoPoint::AddX4(a, b, via_scalar);
-  RistrettoPoint::SetAddX4ModeForTest(previous);
-  for (int k = 0; k < 4; ++k) {
-    EXPECT_EQ(via_x4[k], a[k] + b[k]) << "lane " << k;
-    EXPECT_EQ(via_scalar[k], a[k] + b[k]) << "lane " << k;
-    EXPECT_EQ(HexEncode(via_x4[k].Encode()), HexEncode(via_scalar[k].Encode()))
-        << "lane " << k;
-  }
-}
-
 TEST(RistrettoBatch, BaseWireIsTheBasepointEncoding) {
   EXPECT_EQ(HexEncode(RistrettoPoint::BaseWire()),
             "e2f2ae0a6abc4e71a884a961c500515f58e30b6aa582dd8db6a65945e08d2d76");
