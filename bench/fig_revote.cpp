@@ -324,8 +324,7 @@ TallyRow RunTally(size_t ballots, double rate, const Options& options, size_t in
 
   Executor executor(options.threads);
   TallyService service(fixture.authority, fixture.tagging, /*mix_pairs=*/2, executor,
-                       RetryPolicy(), TallyEngine::kDataflow,
-                       /*revoting=*/true, /*revote_padding=*/true);
+                       RetryPolicy(), /*revoting=*/true, /*revote_padding=*/true);
   TallyRunMetrics metrics;
   ChaChaRng tally_rng(0x57E1ABAD);
   WallTimer timer;
@@ -485,7 +484,7 @@ void Main(int argc, char** argv) {
                 static_cast<unsigned long long>(row.segments));
   }
 
-  TextTable tally_table("Full revote tallies — file-backed ledger, dataflow engine");
+  TextTable tally_table("Full revote tallies — file-backed ledger");
   tally_table.SetHeader({"Ballots", "Rate", "Padded", "Tally (s)", "Dedup (s)",
                          "Superseded", "Pinned KiB", "Replayed"});
   for (const TallyRow& row : tally_rows) {

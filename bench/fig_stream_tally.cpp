@@ -1,4 +1,4 @@
-// Streaming large-N tally: the chunk-granular dataflow engine over a
+// Streaming large-N tally: the chunk-granular dataflow tally over a
 // file-backed segmented ledger, at election scale.
 //
 // What this measures (and the paper property it backs):
@@ -6,10 +6,9 @@
 //    file-backed ledger — peak ledger-resident payload memory must stay
 //    O(one segment), not O(N) (the storage-backend contract of the ledger
 //    redesign; "1M ballots without 1M ballots of RAM").
-//  * Per-stage occupancy of the dataflow scheduler: busy/(wall*threads) per
-//    stage, showing stage overlap (a barrier pipeline pins each stage's
-//    occupancy to its own span; dataflow lets tag shards run while mix
-//    shards of the other chain are still in flight).
+//  * Per-stage occupancy of the task graph: busy/(wall*threads) per stage,
+//    showing stage overlap (tag shards run while mix shards of the other
+//    chain are still in flight).
 //  * Thread-sweep speedups, with the transcript-identity check that makes
 //    the sweep meaningful (same bytes at every thread count).
 //  * Work-stealing executor counters (tasks, steals, queue depth) per run.
@@ -26,6 +25,7 @@
 // too), --threads 1,2,4 (default 1,2,4,8), --segment E (entries per sealed
 // segment, default 1024). Emits BENCH_stream_tally.json next to the model
 // curves for VoteAgain / SwissPost at the same N for context.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -237,20 +237,16 @@ std::array<uint8_t, 32> Digest(const TallyOutput& output) {
 
 struct RunRow {
   size_t threads = 0;
-  TallyEngine engine = TallyEngine::kDataflow;
   double tally_s = 0.0;
   TallyRunMetrics metrics;
   std::array<uint8_t, 32> digest{};
-  uint64_t peak_pinned_bytes = 0;  // over this run alone
 };
 
-RunRow RunOnce(const Fixture& fixture, size_t threads, TallyEngine engine) {
+RunRow RunOnce(const Fixture& fixture, size_t threads) {
   RunRow row;
   row.threads = threads;
-  row.engine = engine;
   Executor executor(threads);
-  TallyService service(fixture.authority, fixture.tagging, /*mix_pairs=*/2,
-                       executor, RetryPolicy(), engine);
+  TallyService service(fixture.authority, fixture.tagging, /*mix_pairs=*/2, executor);
   // Same stream every run: the sweep's transcripts must match byte for byte.
   ChaChaRng tally_rng(0x57E1ABAD);
   WallTimer timer;
@@ -287,23 +283,18 @@ void Main(int argc, char** argv) {
               static_cast<unsigned long long>(store->SegmentCount()),
               fixture.ledger_bytes / (1024.0 * 1024.0));
 
-  // Thread sweep, dataflow engine. PeakPinnedBytes is monotone over the
-  // store's lifetime, so per-run peaks are isolated by reopening the log
-  // read-only would be overkill: the first run establishes the peak and the
-  // identity check makes later runs' peaks the same bound.
+  // Thread sweep. The store's PeakPinnedBytes is a high-water mark over its
+  // whole lifetime, so it is not split per run: the peak reported (and
+  // bounded below) covers the ingest and every run of the sweep together.
   std::vector<RunRow> rows;
   for (size_t threads : options.threads) {
-    std::printf("  tallying at %zu thread%s (dataflow)...\n", threads,
-                threads == 1 ? "" : "s");
-    rows.push_back(RunOnce(fixture, threads, TallyEngine::kDataflow));
+    std::printf("  tallying at %zu thread%s...\n", threads, threads == 1 ? "" : "s");
+    rows.push_back(RunOnce(fixture, threads));
   }
-  // One barrier-engine reference run at the largest thread count: the
-  // dataflow-vs-barrier wall-clock delta is the overlap win.
-  const size_t max_threads = rows.back().threads;
-  std::printf("  tallying at %zu threads (barrier reference)...\n", max_threads);
-  RunRow barrier = RunOnce(fixture, max_threads, TallyEngine::kBarrier);
+  const size_t max_threads =
+      *std::max_element(options.threads.begin(), options.threads.end());
 
-  bool identical = barrier.digest == rows[0].digest;
+  bool identical = true;
   for (const RunRow& row : rows) {
     identical = identical && row.digest == rows[0].digest;
   }
@@ -320,8 +311,7 @@ void Main(int argc, char** argv) {
 
   TextTable table("Streaming dataflow tally — " + std::to_string(options.ballots) +
                   " ballots off " + store->Describe());
-  table.SetHeader({"Threads", "Engine", "Tally (s)", "Speedup", "Occupancy",
-                   "Tasks", "Steals"});
+  table.SetHeader({"Threads", "Tally (s)", "Speedup", "Occupancy", "Tasks", "Steals"});
   auto occupancy = [](const RunRow& row) {
     double busy = 0.0;
     for (const TallyStageBusy& stage : row.metrics.stages) {
@@ -336,19 +326,16 @@ void Main(int argc, char** argv) {
     char speedup[32], occ[32];
     std::snprintf(speedup, sizeof(speedup), "%.2fx", base_s / row.tally_s);
     std::snprintf(occ, sizeof(occ), "%.0f%%", 100.0 * occupancy(row));
-    table.AddRow({std::to_string(row.threads),
-                  row.engine == TallyEngine::kDataflow ? "dataflow" : "barrier",
-                  FormatSeconds(row.tally_s), speedup, occ,
+    table.AddRow({std::to_string(row.threads), FormatSeconds(row.tally_s), speedup, occ,
                   std::to_string(b.tasks_executed - a.tasks_executed),
                   std::to_string(b.steals - a.steals)});
   };
   for (const RunRow& row : rows) {
     add_row(row, rows[0].tally_s);
   }
-  add_row(barrier, rows[0].tally_s);
   std::printf("%s", table.Format().c_str());
 
-  std::printf("Transcripts byte-identical across thread counts and engines: %s\n",
+  std::printf("Transcripts byte-identical across thread counts: %s\n",
               identical ? "yes" : "NO");
   std::printf("Peak pinned ledger payload: %.1f KiB (ingest %.1f KiB) — "
               "%.2f%% of the %.1f MiB ballot log; segment payload ~%.1f KiB\n",
@@ -356,10 +343,10 @@ void Main(int argc, char** argv) {
               fixture.ledger_bytes / (1024.0 * 1024.0),
               segment_payload_bytes / 1024.0);
 
-  // Per-stage occupancy of the *first* dataflow run (deeper sweeps repeat
-  // the same graph; one breakdown is representative).
+  // Per-stage occupancy of the *last* run of the sweep (every run builds the
+  // same graph; one breakdown is representative).
   const RunRow& detail = rows.back();
-  TextTable stage_table("Per-stage busy time — dataflow at " +
+  TextTable stage_table("Per-stage busy time at " +
                         std::to_string(detail.threads) + " threads");
   stage_table.SetHeader({"Stage", "Busy (s)", "Occupancy"});
   for (const TallyStageBusy& stage : detail.metrics.stages) {
@@ -416,13 +403,11 @@ void Main(int argc, char** argv) {
     const ExecutorStats& a = row.metrics.executor_start;
     const ExecutorStats& b = row.metrics.executor_end;
     std::fprintf(json,
-                 "    {\"threads\": %zu, \"engine\": \"%s\", \"tally_s\": %.6f, "
+                 "    {\"threads\": %zu, \"tally_s\": %.6f, "
                  "\"speedup\": %.3f, \"occupancy\": %.4f, \"tasks\": %llu, "
                  "\"steals\": %llu, \"steal_failures\": %llu, "
                  "\"max_queue_depth\": %llu, \"stages\": [",
-                 row.threads,
-                 row.engine == TallyEngine::kDataflow ? "dataflow" : "barrier",
-                 row.tally_s, rows[0].tally_s / row.tally_s, occupancy(row),
+                 row.threads, row.tally_s, rows[0].tally_s / row.tally_s, occupancy(row),
                  static_cast<unsigned long long>(b.tasks_executed - a.tasks_executed),
                  static_cast<unsigned long long>(b.steals - a.steals),
                  static_cast<unsigned long long>(b.steal_failures - a.steal_failures),
@@ -434,10 +419,9 @@ void Main(int argc, char** argv) {
     }
     std::fprintf(json, "]}%s\n", last ? "" : ",");
   };
-  for (const RunRow& row : rows) {
-    emit_row(row, false);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    emit_row(rows[i], i + 1 == rows.size());
   }
-  emit_row(barrier, true);
   std::fprintf(json,
                "  ],\n  \"baselines\": {\"voteagain_tally_s\": %.3f, "
                "\"swisspost_tally_s\": %.3f, \"extrapolated\": true}\n}\n",

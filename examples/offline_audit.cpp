@@ -14,6 +14,8 @@
 // counts — from public data alone.
 //
 //   $ ./offline_audit
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 
@@ -23,10 +25,38 @@
 
 using namespace votegral;
 
+namespace {
+
+// The on-disk ledger and the downloaded snapshot, removed on every exit
+// path. The pid suffix keeps concurrent runs (two build trees' test suites)
+// apart.
+struct TempPaths {
+  std::string ledger_dir;
+  std::string snapshot;
+
+  TempPaths() {
+    const std::filesystem::path base =
+        std::filesystem::temp_directory_path() /
+        ("votegral_offline_audit-" + std::to_string(static_cast<unsigned>(getpid())));
+    ledger_dir = base.string() + ".ledgerd";
+    snapshot = base.string() + ".ledger";
+    Remove();
+  }
+  ~TempPaths() { Remove(); }
+
+  void Remove() const {
+    std::error_code ignored;
+    std::filesystem::remove_all(ledger_dir, ignored);
+    std::filesystem::remove(snapshot, ignored);
+  }
+};
+
+}  // namespace
+
 int main() {
   ChaChaRng rng(777);
-  const std::string ledger_dir = "/tmp/votegral_offline_audit.ledgerd";
-  std::filesystem::remove_all(ledger_dir);
+  const TempPaths paths;
+  const std::string& ledger_dir = paths.ledger_dir;
 
   // --- Election side, on a segmented on-disk ledger ----------------------
   ElectionConfig config;
@@ -78,7 +108,7 @@ int main() {
   }
 
   // --- Auditor path 2: serialized snapshot download -----------------------
-  const std::string snapshot = "/tmp/votegral_offline_audit.ledger";
+  const std::string& snapshot = paths.snapshot;
   if (Status s = SavePublicLedger(election.ledger(), snapshot); !s.ok()) {
     std::printf("save failed: %s\n", s.reason().c_str());
     return 1;
@@ -96,14 +126,10 @@ int main() {
                                                          verdict.reason().c_str());
 
   // Demonstrate tamper-evidence at rest: flip one byte of the snapshot.
-  {
-    Bytes bytes = SerializePublicLedger(election.ledger());
-    bytes[bytes.size() / 2] ^= 1;
-    auto tampered = ParsePublicLedger(bytes);
-    std::printf("Tampered snapshot rejected on load: %s\n",
-                tampered.ok() ? "NO (bad!)" : tampered.status.reason().c_str());
-  }
-  std::remove(snapshot.c_str());
-  std::filesystem::remove_all(ledger_dir);
-  return verdict.ok() ? 0 : 1;
+  Bytes bytes = SerializePublicLedger(election.ledger());
+  bytes[bytes.size() / 2] ^= 1;
+  auto tampered = ParsePublicLedger(bytes);
+  std::printf("Tampered snapshot rejected on load: %s\n",
+              tampered.ok() ? "NO (bad!)" : tampered.status.reason().c_str());
+  return verdict.ok() && !tampered.ok() ? 0 : 1;
 }

@@ -1,7 +1,6 @@
 #include "src/votegral/tally.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "src/crypto/batch.h"
 #include "src/crypto/drbg.h"
@@ -196,67 +195,7 @@ Status DecryptBatchWithShares(const TallyService& service, const char* what,
   return FinalizeDecryptBatch(what, buffers, self_check, blame);
 }
 
-void JoinTags(TallyPipelineState& state) {
-  TallyTranscript& t = state.output.transcript;
-  TallyResult& result = state.output.result;
-  // Hash-join ballot tags against the roster tag multiset: at most one
-  // ballot counts per tag; a tag appearing k times means k voters'
-  // registrations point at the same credential (k > 1 only under the
-  // delegation extension, Appendix C.3). Sequential by design — the join is
-  // a cheap ordered map pass whose output order is part of the transcript.
-  for (size_t i = 0; i < t.ballot_tags.size(); ++i) {
-    auto it = state.roster_tag_counts.find(t.ballot_tags[i]);
-    if (it == state.roster_tag_counts.end()) {
-      ++result.discards.unmatched_tag;  // fake credential (or never registered)
-      continue;
-    }
-    if (it->second == 0) {
-      ++result.discards.duplicate_tag;  // tag already fully consumed
-      continue;
-    }
-    t.counted_indices.push_back(i);
-    t.counted_weights.push_back(it->second);
-    it->second = 0;  // consume all matching registrations at once
-  }
-  Release(state.roster_tag_counts);
-}
-
-void CountVotes(const CandidateList& candidates, TallyPipelineState& state) {
-  TallyTranscript& t = state.output.transcript;
-  TallyResult& result = state.output.result;
-  for (size_t c = 0; c < t.counted_indices.size(); ++c) {
-    uint64_t weight = t.counted_weights[c];
-    auto candidate = candidates.IndexOfEncoding(t.vote_points[c]);
-    if (!candidate.has_value()) {
-      ++result.discards.invalid_vote;
-      continue;
-    }
-    result.counts[candidates.name(*candidate)] += weight;
-    result.counted += weight;
-  }
-}
-
-void ReleaseGate(TallyPipelineState& state, Rng& rng) {
-  // Release gate: all decryption-share proofs produced above must verify as
-  // one batch. A failure here is an internal fault, not a verification
-  // result, hence Require rather than a Status — corrupted responses never
-  // reach this batch (they are rejected on arrival and their members
-  // excluded), so a failure here means *we* produced a bad proof.
-  Require(BatchVerifyDleq(state.share_self_check, rng).ok(),
-          "tally: produced decryption share failed batched self-check");
-  Release(state.share_self_check);
-}
-
 }  // namespace tally_internal
-
-using tally_internal::BallotMixItem;
-using tally_internal::DecryptBatchBuffers;
-using tally_internal::DecryptBatchWithShares;
-using tally_internal::DecryptShareShardRange;
-using tally_internal::FinalizeDecryptBatch;
-using tally_internal::ProbeStageFault;
-using tally_internal::Release;
-using tally_internal::TaggedWire;
 
 std::vector<std::optional<Ballot>> ValidateBallots(
     const PublicLedger& ledger, const std::set<CompressedRistretto>& authorized_kiosks,
@@ -321,256 +260,8 @@ std::vector<Ballot> ValidateAndDeduplicate(
 
 TallyService::TallyService(const ElectionAuthority& authority, const TaggingService& tagging,
                            size_t mix_pairs, Executor& executor, RetryPolicy retry_policy,
-                           TallyEngine engine, bool revoting, bool revote_padding)
+                           bool revoting, bool revote_padding)
     : authority_(authority), tagging_(tagging), mix_pairs_(mix_pairs), executor_(executor),
-      retry_policy_(retry_policy), engine_(engine), revoting_(revoting),
-      revote_padding_(revote_padding) {}
-
-namespace {
-
-using tally_internal::kEpochBallotTags;
-using tally_internal::kEpochRosterTags;
-using tally_internal::kEpochVotes;
-
-Status StageValidate(const TallyService& service, const PublicLedger& ledger,
-                     const CandidateList&, const std::set<CompressedRistretto>& kiosks, Rng&,
-                     TallyPipelineState& state) {
-  if (service.revoting()) {
-    // Revote mode: parse + binding-proof check (no kiosk certificate —
-    // eligibility is enforced by the tag join). Same shard/outcome shape as
-    // the legacy kernel.
-    const size_t n = ledger.BallotCount();
-    state.validated_revotes.assign(n, std::nullopt);
-    std::vector<uint8_t> outcome(n, tally_internal::kBallotOk);
-    auto shards = Executor::Shards(n, Executor::kRngShards);
-    const RistrettoPoint& pk = service.authority().public_key();
-    service.executor().ParallelForEach(shards.size(), [&](size_t s) {
-      RevoteValidateShard(ledger, pk, shards[s].first, shards[s].second,
-                          state.validated_revotes, outcome);
-    });
-    tally_internal::TallyValidationOutcomes(outcome, &state.output.result.discards);
-    return Status::Ok();
-  }
-  state.validated_ballots =
-      ValidateBallots(ledger, kiosks, &state.output.result.discards, service.executor());
-  return Status::Ok();
-}
-
-Status StageDedup(const TallyService& service, const PublicLedger&, const CandidateList&,
-                  const std::set<CompressedRistretto>&, Rng& rng, TallyPipelineState& state) {
-  if (service.revoting()) {
-    return tally_internal::RunRevoteDedup(service, rng, state);
-  }
-  if (Status fault = ProbeStageFault(faults::kTallyDedup, 0, "dedup"); !fault.ok()) {
-    return fault;
-  }
-  state.output.transcript.accepted_ballots =
-      DeduplicateBallots(state.validated_ballots, &state.output.result.discards);
-  Release(state.validated_ballots);
-  return Status::Ok();
-}
-
-Status StageMix(const TallyService& service, const PublicLedger& ledger, const CandidateList&,
-                const std::set<CompressedRistretto>&, Rng& rng, TallyPipelineState& state) {
-  TallyTranscript& t = state.output.transcript;
-  Executor& executor = service.executor();
-
-  if (Status fault = ProbeStageFault(faults::kMixShuffle, 0, "ballot mix"); !fault.ok()) {
-    return fault;
-  }
-  if (service.revoting()) {
-    // Revote mode: the dedup stage already produced re-randomized
-    // [Enc(vote), Enc(c_pk)] columns for the kept items.
-    t.ballot_mix_input = std::move(state.revote_kept);
-    Release(state.revote_kept);
-  } else {
-    // Ballot batch: [Enc(vote), Enc(c_pk)]; wire caches are filled in the
-    // same parallel pass that decodes the credential points, so every later
-    // hash of these batches is SHA-only.
-    t.ballot_mix_input.resize(t.accepted_ballots.size());
-    executor.ParallelForEach(t.accepted_ballots.size(), [&](size_t i) {
-      t.ballot_mix_input[i] = BallotMixItem(t.accepted_ballots[i]);
-    });
-  }
-  t.ballot_mix_output = RunRpcMixCascade(t.ballot_mix_input, service.authority().public_key(),
-                                         service.mix_pairs(), rng, &t.ballot_mix_proof,
-                                         executor);
-
-  // Roster batch: [c_pc].
-  if (Status fault = ProbeStageFault(faults::kMixShuffle, 1, "roster mix"); !fault.ok()) {
-    return fault;
-  }
-  std::vector<RegistrationRecord> roster = ledger.ActiveRegistrations();
-  t.roster_mix_input.resize(roster.size());
-  executor.ParallelForEach(roster.size(), [&](size_t i) {
-    MixItem item;
-    item.cts = {roster[i].public_credential};
-    item.EnsureWire();
-    t.roster_mix_input[i] = std::move(item);
-  });
-  t.roster_mix_output = RunRpcMixCascade(t.roster_mix_input, service.authority().public_key(),
-                                         service.mix_pairs(), rng, &t.roster_mix_proof,
-                                         executor);
-
-  // Hand the credential columns to the tag stage.
-  state.ballot_credentials = BatchColumn(t.ballot_mix_output, 1);
-  state.roster_credentials = BatchColumn(t.roster_mix_output, 0);
-  return Status::Ok();
-}
-
-Status StageTag(const TallyService& service, const PublicLedger&, const CandidateList&,
-                const std::set<CompressedRistretto>&, Rng& rng, TallyPipelineState& state) {
-  TallyTranscript& t = state.output.transcript;
-  if (Status fault = ProbeStageFault(faults::kTagApply, 0, "ballot tagging"); !fault.ok()) {
-    return fault;
-  }
-  // Thread the mix outputs' wire caches (filled at shuffle time) into the
-  // first tagging step's statements; each step then feeds the next, and the
-  // final step's bytes back the decrypt stage. The transcript bytes do not
-  // depend on this threading — only the encode count does.
-  state.ballot_tagged = service.tagging().ApplyAll(
-      state.ballot_credentials, &t.ballot_tag_steps, rng, service.executor(),
-      BatchColumnWire(t.ballot_mix_output, 1));
-  Release(state.ballot_credentials);
-  if (Status fault = ProbeStageFault(faults::kTagApply, 1, "roster tagging"); !fault.ok()) {
-    return fault;
-  }
-  state.roster_tagged = service.tagging().ApplyAll(
-      state.roster_credentials, &t.roster_tag_steps, rng, service.executor(),
-      BatchColumnWire(t.roster_mix_output, 0));
-  Release(state.roster_credentials);
-  return Status::Ok();
-}
-
-Status StageDecryptTags(const TallyService& service, const PublicLedger&, const CandidateList&,
-                        const std::set<CompressedRistretto>&, Rng& rng,
-                        TallyPipelineState& state) {
-  TallyTranscript& t = state.output.transcript;
-  // Roster side first (the stream order auditors replay), then ballots.
-  Status status = DecryptBatchWithShares(service, "roster tags", state.roster_tagged, rng,
-                                         kEpochRosterTags, &t.roster_tag_shares,
-                                         &t.roster_tags, &state.share_self_check,
-                                         &state.authority_blame,
-                                         TaggedWire(t.roster_tag_steps));
-  if (!status.ok()) {
-    return status;
-  }
-  Release(state.roster_tagged);
-  for (const CompressedRistretto& tag : t.roster_tags) {
-    state.roster_tag_counts[tag] += 1;
-  }
-  status = DecryptBatchWithShares(service, "ballot tags", state.ballot_tagged, rng,
-                                  kEpochBallotTags, &t.ballot_tag_shares, &t.ballot_tags,
-                                  &state.share_self_check, &state.authority_blame,
-                                  TaggedWire(t.ballot_tag_steps));
-  if (!status.ok()) {
-    return status;
-  }
-  Release(state.ballot_tagged);
-  return Status::Ok();
-}
-
-Status StageJoin(const TallyService&, const PublicLedger&, const CandidateList&,
-                 const std::set<CompressedRistretto>&, Rng&, TallyPipelineState& state) {
-  tally_internal::JoinTags(state);
-  return Status::Ok();
-}
-
-Status StageDecryptVotes(const TallyService& service, const PublicLedger&,
-                         const CandidateList& candidates,
-                         const std::set<CompressedRistretto>&, Rng& rng,
-                         TallyPipelineState& state) {
-  TallyTranscript& t = state.output.transcript;
-  std::vector<ElGamalCiphertext> counted_votes;
-  counted_votes.reserve(t.counted_indices.size());
-  for (uint64_t index : t.counted_indices) {
-    counted_votes.push_back(t.ballot_mix_output[index].cts.at(0));
-  }
-  // Vote ciphertexts are mix outputs: their wire caches (filled at shuffle
-  // time) back the decryption-share statements directly.
-  std::vector<ElGamalWire> counted_wire = BatchColumnWire(t.ballot_mix_output, 0);
-  std::vector<ElGamalWire> counted_votes_wire;
-  if (counted_wire.size() == t.ballot_mix_output.size()) {
-    counted_votes_wire.reserve(t.counted_indices.size());
-    for (uint64_t index : t.counted_indices) {
-      counted_votes_wire.push_back(counted_wire[index]);
-    }
-  }
-  Status status = DecryptBatchWithShares(service, "votes", counted_votes, rng, kEpochVotes,
-                                         &t.vote_shares, &t.vote_points,
-                                         &state.share_self_check, &state.authority_blame,
-                                         counted_votes_wire);
-  if (!status.ok()) {
-    return status;
-  }
-  tally_internal::CountVotes(candidates, state);
-  return Status::Ok();
-}
-
-Status StageReleaseGate(const TallyService&, const PublicLedger&, const CandidateList&,
-                        const std::set<CompressedRistretto>&, Rng& rng,
-                        TallyPipelineState& state) {
-  tally_internal::ReleaseGate(state, rng);
-  return Status::Ok();
-}
-
-constexpr TallyService::Stage kPipeline[] = {
-    {"validate", StageValidate},
-    {"dedup", StageDedup},
-    {"mix", StageMix},
-    {"tag", StageTag},
-    {"decrypt-tags", StageDecryptTags},
-    {"join", StageJoin},
-    {"decrypt-votes", StageDecryptVotes},
-    {"release-gate", StageReleaseGate},
-};
-
-}  // namespace
-
-std::span<const TallyService::Stage> TallyService::Pipeline() { return kPipeline; }
-
-Outcome<TallyOutput> TallyService::Run(const PublicLedger& ledger,
-                                       const CandidateList& candidates,
-                                       const std::set<CompressedRistretto>& authorized_kiosks,
-                                       Rng& rng, TallyRunMetrics* metrics) const {
-  if (engine_ == TallyEngine::kDataflow) {
-    return tally_internal::RunDataflowTally(*this, ledger, candidates, authorized_kiosks, rng,
-                                            metrics);
-  }
-  Executor::Scope scope(executor_);  // nested crypto kernels follow this pool
-  const auto run_start = std::chrono::steady_clock::now();
-  if (metrics != nullptr) {
-    *metrics = TallyRunMetrics{};
-    metrics->threads = executor_.threads();
-    metrics->executor_start = executor_.Stats();
-  }
-  TallyPipelineState state;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    state.output.result.counts[candidates.name(i)] = 0;
-  }
-  for (const Stage& stage : Pipeline()) {
-    const auto stage_start = std::chrono::steady_clock::now();
-    Status status = stage.run(*this, ledger, candidates, authorized_kiosks, rng, state);
-    if (metrics != nullptr) {
-      metrics->stages.push_back(TallyStageBusy{
-          stage.name,
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - stage_start)
-              .count()});
-    }
-    if (!status.ok()) {
-      return Outcome<TallyOutput>::Fail(
-          Status::Error(status.code(), std::string(stage.name) + " stage: " + status.reason()));
-    }
-  }
-  for (const auto& [member, status] : state.authority_blame) {
-    state.output.excluded_authorities.push_back(AuthorityBlame{member, status});
-  }
-  if (metrics != nullptr) {
-    metrics->wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - run_start).count();
-    metrics->executor_end = executor_.Stats();
-  }
-  return Outcome<TallyOutput>::Ok(std::move(state.output));
-}
+      retry_policy_(retry_policy), revoting_(revoting), revote_padding_(revote_padding) {}
 
 }  // namespace votegral

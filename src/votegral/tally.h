@@ -1,26 +1,27 @@
-// The Votegral tally pipeline (Fig. 3, Appendix M), restructured as an
-// explicit staged, sharded, parallel pipeline:
+// The Votegral tally pipeline (Fig. 3, Appendix M), run as one sharded,
+// parallel dataflow graph:
 //
 //   validate -> dedup -> mix -> tag -> decrypt-tags -> join -> decrypt-votes
 //                                                        (-> release gate)
 //
-// Stage/shard architecture:
-//  * Each stage consumes the previous stage's output as sharded chunks
-//    (Executor::Shards — boundaries fixed by the data size, never by the
-//    thread count) and fans per-ballot work (signature validation, mix
-//    re-encryption, tagging exponentiations, decryption shares) out across
-//    the work pool (src/common/executor.h).
-//  * Stages that consume randomness draw forked per-shard DRBG streams
-//    (ForkRngSeeds) from the caller's Rng, so the transcript is
+// Stage/shard architecture (src/votegral/tally_dataflow.cpp):
+//  * Each stage is split into per-shard graph nodes (Executor::Shards —
+//    boundaries fixed by the data size, never by the thread count) that run
+//    on the work pool (src/common/executor.h) the moment the shards they read
+//    are done, so a shard can be tagged while other shards are still mixing.
+//    Per-ballot work (signature validation, mix re-encryption, tagging
+//    exponentiations, decryption shares) runs inside those nodes.
+//  * Every randomness-consuming node draws from a forked DRBG stream
+//    (ForkRngSeeds) whose seed is taken from the caller's Rng, in a fixed
+//    order, before the node can run. The transcript is therefore
 //    byte-identical at any thread count — `threads=1` and `threads=64`
 //    produce the same election, bit for bit.
-//  * Intermediate shards are working state, released as soon as the next
-//    stage has consumed them; only what universal verification needs is
-//    retained in TallyTranscript. Ballots are streamed off the ledger's
-//    storage backend per shard (PublicLedger::BallotCursor — zero-copy
-//    segment views, never a wholesale copy), so the validate stage works
-//    unchanged against the in-memory store or a file-backed segmented log
-//    larger than RAM.
+//  * Intermediate buffers are working state, released as soon as they are
+//    consumed; only what universal verification needs is retained in
+//    TallyTranscript. Ballots are streamed off the ledger's storage backend
+//    per shard (PublicLedger::BallotCursor — zero-copy segment views, never
+//    a wholesale copy), so the validate stage works unchanged against the
+//    in-memory store or a file-backed segmented log larger than RAM.
 //
 // Everything needed for universal verification is collected in
 // TallyTranscript; see src/votegral/verifier.h.
@@ -30,7 +31,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -126,55 +126,10 @@ struct TallyOutput {
   std::vector<AuthorityBlame> excluded_authorities;
 };
 
-// Mutable state threaded through the stage pipeline: the output under
-// construction plus inter-stage working buffers (sharded chunks a stage
-// produces for the next one and that are released once consumed).
-struct TallyPipelineState {
-  TallyOutput output;
-
-  // validate -> dedup: per-ledger-index validation results (nullopt =
-  // discarded). Exactly one of the two vectors is populated, by mode.
-  std::vector<std::optional<Ballot>> validated_ballots;
-  std::vector<std::optional<RevoteBallot>> validated_revotes;
-  // revote dedup -> mix: the kept [Enc(vote), Enc(c_pk)] columns, already
-  // re-randomized by the revote mix; they become the ballot mix input.
-  MixBatch revote_kept;
-  // mix -> tag: the credential ciphertext columns of the mixed batches.
-  std::vector<ElGamalCiphertext> ballot_credentials;
-  std::vector<ElGamalCiphertext> roster_credentials;
-  // tag -> decrypt-tags: the fully tagged ciphertext lists. Their canonical
-  // wire bytes are NOT duplicated here: the decrypt stage reads the last
-  // tagging step's output_wire straight out of the transcript, which stays
-  // alive for the whole pipeline.
-  std::vector<ElGamalCiphertext> ballot_tagged;
-  std::vector<ElGamalCiphertext> roster_tagged;
-  // decrypt-tags -> join: roster tag multiset.
-  std::map<CompressedRistretto, uint64_t> roster_tag_counts;
-  // Accumulated self-check batch for the release gate.
-  std::vector<DleqBatchEntry> share_self_check;
-  // Degradation bookkeeping: member -> first coded failure (ciphertext
-  // order), folded into TallyOutput::excluded_authorities at the end.
-  std::map<size_t, Status> authority_blame;
-};
-
-// Which scheduler runs the pipeline. Both engines execute the same
-// per-shard kernels over the same shard boundaries and forked seeds, so
-// their transcripts are byte-identical; they differ only in when a shard
-// may start.
-enum class TallyEngine {
-  // Chunk-granular dataflow on a TaskGraph: stage i+1 starts on shard k the
-  // moment stage i finishes it (default — strictly more overlap).
-  kDataflow,
-  // The stage-wide barrier pipeline (Pipeline()): every stage fully
-  // completes before the next begins. Kept as the reference scheduler for
-  // the byte-compat tests and per-stage latency benchmarks.
-  kBarrier,
-};
-
-// Per-run scheduler observability, filled by Run() on request. Busy times
-// are summed node/stage execution seconds: for the dataflow engine,
-// busy/(wall*threads) per stage is the occupancy number the streaming bench
-// reports; for the barrier engine each stage's busy time is its wall time.
+// Per-run scheduler observability, filled by Run() on request. A stage's
+// busy time is the summed execution seconds of its graph nodes and
+// sequential steps; busy/(wall*threads) is the per-stage occupancy the
+// streaming bench reports.
 struct TallyStageBusy {
   std::string name;
   double busy_seconds = 0.0;
@@ -198,35 +153,25 @@ class TallyService {
   TallyService(const ElectionAuthority& authority, const TaggingService& tagging,
                size_t mix_pairs = 2, Executor& executor = Executor::Global(),
                RetryPolicy retry_policy = RetryPolicy(),
-               TallyEngine engine = TallyEngine::kDataflow,
                bool revoting = false, bool revote_padding = true);
 
-  // Runs the staged pipeline over the ledger's ballots and active roster.
+  // Runs the pipeline over the ledger's ballots and active roster.
   // Fails (coded, localized — never a wrong result) when fewer than
   // threshold() authorities deliver valid shares for some ciphertext, or
   // when a mix/tag stage faults; succeeds with any honest-and-live t-subset,
   // naming the excluded members in TallyOutput::excluded_authorities.
+  // `rng` is consumed in the fixed order set out in
+  // src/votegral/tally_dataflow.cpp, which the golden transcript digests pin.
   // `metrics`, when non-null, receives wall/busy/occupancy numbers.
   Outcome<TallyOutput> Run(const PublicLedger& ledger, const CandidateList& candidates,
                            const std::set<CompressedRistretto>& authorized_kiosks,
                            Rng& rng, TallyRunMetrics* metrics = nullptr) const;
-
-  // One named step of the pipeline; stages run in order, each fanning its
-  // per-chunk work out on the executor, and the first stage failure aborts
-  // the run. Exposed for tests and for the stage-latency benchmarks.
-  struct Stage {
-    const char* name;
-    Status (*run)(const TallyService&, const PublicLedger&, const CandidateList&,
-                  const std::set<CompressedRistretto>&, Rng&, TallyPipelineState&);
-  };
-  static std::span<const Stage> Pipeline();
 
   const ElectionAuthority& authority() const { return authority_; }
   const TaggingService& tagging() const { return tagging_; }
   size_t mix_pairs() const { return mix_pairs_; }
   Executor& executor() const { return executor_; }
   const RetryPolicy& retry_policy() const { return retry_policy_; }
-  TallyEngine engine() const { return engine_; }
   bool revoting() const { return revoting_; }
   bool revote_padding() const { return revote_padding_; }
 
@@ -236,7 +181,6 @@ class TallyService {
   size_t mix_pairs_;
   Executor& executor_;
   RetryPolicy retry_policy_;
-  TallyEngine engine_;
   bool revoting_;
   bool revote_padding_;
 };

@@ -1,5 +1,5 @@
-// The dataflow tally engine: TallyService::Pipeline()'s stages scheduled as
-// a chunk-granular task graph instead of stage-wide barriers.
+// The tally: TallyService::Run schedules the pipeline's stages as a
+// chunk-granular task graph.
 //
 // Scheduling shape (one flow per mixed list, ballots and roster, running
 // concurrently):
@@ -17,21 +17,32 @@
 //
 // Determinism (the reproducibility contract, made normative here): every
 // randomness-consuming node gets its forked DRBG seed assigned at
-// graph-BUILD time, drawn from the parent stream in exactly the order the
-// barrier engine draws them (cascade layers, then tagging members, then
-// decrypt batches — ballots before roster for mixing/tagging, roster before
-// ballots for decryption, matching Pipeline()); shard boundaries come from
-// Executor::Shards (data-size only); nodes commit results positionally.
-// Scheduling therefore decides only *when* a node runs, never what it
-// computes — transcripts are byte-identical to the barrier engine at every
-// thread count, which tests/test_parallel_tally.cpp pins against the golden
-// digest.
+// graph-BUILD time, drawn from the caller's stream in exactly this order:
+//   1. revote mode only: the whole dedup (RunRevoteDedup) — dummy-group
+//      openings, the width-3 cascade, the credential tagging chain, then
+//      the tag and the counter decrypt batches;
+//   2. the ballot cascade, then the roster cascade: per pair, layer A's
+//      permutation and shard seeds, then layer B's;
+//   3. the ballot tagging chain, then the roster one: per member, the
+//      shard seeds;
+//   4. the decrypt-tags shard seeds, roster batch first, then ballots;
+//   5. after the join, the decrypt-votes shard seeds;
+//   6. last, the release gate's batch-verification weights.
+// Shard boundaries come from Executor::Shards (data-size only); nodes commit
+// results positionally. Scheduling therefore decides only *when* a node
+// runs, never what it computes: transcripts are byte-identical at every
+// thread count, which tests/test_parallel_tally.cpp and tests/test_revote.cpp
+// pin against the two golden digests at 1, 2 and 8 threads.
 //
-// Failure parity: the four stage-level fault probes are pure PRF decisions,
-// evaluated at build time in the barrier engine's probe order (stopping at
-// the first failure, so injection counts match); decrypt shortfalls are
-// detected in the barrier's sequential finalize order (roster tags, ballot
-// tags, votes). A failed run reports the same coded status either way.
+// Failure order: the stage-level fault probes are pure PRF decisions,
+// evaluated at build time, each just before its step's draws, stopping at
+// the first failure (so injection counts are exact): tally.dedup (scope 0;
+// in revote mode followed by mix.shuffle and tag.apply at scope 2 inside
+// the dedup), then mix.shuffle scope 0 (ballot mix) and scope 1 (roster
+// mix), then tag.apply scope 0 (ballot tagging) and scope 1 (roster
+// tagging). Decrypt shortfalls are reported in the fixed finalize order
+// roster tags, ballot tags, votes. A failed run reports the same coded
+// status at any thread count.
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -117,8 +128,8 @@ struct ChainFlow {
   DecryptBatchBuffers buffers;
 };
 
-// Draws one chain's cascade randomness in the barrier engine's exact order:
-// per pair, layer A's permutation then its shard seeds, then layer B's.
+// Draws one chain's cascade randomness: per pair, layer A's permutation then
+// its shard seeds, then layer B's.
 void DrawCascadeRandomness(ChainFlow& flow, size_t pairs, Rng& rng) {
   flow.layers.resize(2 * pairs);
   flow.layer_seeds.resize(2 * pairs);
@@ -287,13 +298,68 @@ void SubmitChainNodes(TaskGraph& graph, const TallyService& service, ChainFlow& 
   }
 }
 
-}  // namespace
+void JoinTags(TallyPipelineState& state) {
+  TallyTranscript& t = state.output.transcript;
+  TallyResult& result = state.output.result;
+  // Hash-join ballot tags against the roster tag multiset: at most one
+  // ballot counts per tag; a tag appearing k times means k voters'
+  // registrations point at the same credential (k > 1 only under the
+  // delegation extension, Appendix C.3). Sequential by design — the join is
+  // a cheap ordered map pass whose output order is part of the transcript.
+  for (size_t i = 0; i < t.ballot_tags.size(); ++i) {
+    auto it = state.roster_tag_counts.find(t.ballot_tags[i]);
+    if (it == state.roster_tag_counts.end()) {
+      ++result.discards.unmatched_tag;  // fake credential (or never registered)
+      continue;
+    }
+    if (it->second == 0) {
+      ++result.discards.duplicate_tag;  // tag already fully consumed
+      continue;
+    }
+    t.counted_indices.push_back(i);
+    t.counted_weights.push_back(it->second);
+    it->second = 0;  // consume all matching registrations at once
+  }
+  Release(state.roster_tag_counts);
+}
 
-Outcome<TallyOutput> RunDataflowTally(const TallyService& service, const PublicLedger& ledger,
-                                      const CandidateList& candidates,
-                                      const std::set<CompressedRistretto>& authorized_kiosks,
-                                      Rng& rng, TallyRunMetrics* metrics) {
-  Executor& executor = service.executor();
+// Decrypt-votes close: folds the decrypted vote points into per-candidate
+// counts with the join weights.
+void CountVotes(const CandidateList& candidates, TallyPipelineState& state) {
+  TallyTranscript& t = state.output.transcript;
+  TallyResult& result = state.output.result;
+  for (size_t c = 0; c < t.counted_indices.size(); ++c) {
+    uint64_t weight = t.counted_weights[c];
+    auto candidate = candidates.IndexOfEncoding(t.vote_points[c]);
+    if (!candidate.has_value()) {
+      ++result.discards.invalid_vote;
+      continue;
+    }
+    result.counts[candidates.name(*candidate)] += weight;
+    result.counted += weight;
+  }
+}
+
+void ReleaseGate(TallyPipelineState& state, Rng& rng) {
+  // Release gate: all decryption-share proofs produced above must verify as
+  // one batch. A failure here is an internal fault, not a verification
+  // result, hence Require rather than a Status — corrupted responses never
+  // reach this batch (they are rejected on arrival and their members
+  // excluded), so a failure here means *we* produced a bad proof.
+  Require(BatchVerifyDleq(state.share_self_check, rng).ok(),
+          "tally: produced decryption share failed batched self-check");
+  Release(state.share_self_check);
+}
+
+}  // namespace
+}  // namespace tally_internal
+
+Outcome<TallyOutput> TallyService::Run(const PublicLedger& ledger,
+                                       const CandidateList& candidates,
+                                       const std::set<CompressedRistretto>& authorized_kiosks,
+                                       Rng& rng, TallyRunMetrics* metrics) const {
+  using namespace tally_internal;
+  Executor& executor = executor_;
   Executor::Scope scope(executor);  // nested crypto kernels follow this pool
   const auto run_start = std::chrono::steady_clock::now();
   ExecutorStats stats_start;
@@ -332,9 +398,9 @@ Outcome<TallyOutput> RunDataflowTally(const TallyService& service, const PublicL
   const size_t ledger_n = ledger.BallotCount();
   std::vector<uint8_t> validate_outcome(ledger_n, kBallotOk);
   const auto validate_shards = Executor::Shards(ledger_n, Executor::kRngShards);
-  if (service.revoting()) {
+  if (revoting_) {
     state.validated_revotes.assign(ledger_n, std::nullopt);
-    const RistrettoPoint& authority_pk = service.authority().public_key();
+    const RistrettoPoint& authority_pk = authority_.public_key();
     for (const auto& [begin, end] : validate_shards) {
       graph.Submit([&, begin = begin, end = end] {
         clock.Timed(kSValidate, [&] {
@@ -357,12 +423,12 @@ Outcome<TallyOutput> RunDataflowTally(const TallyService& service, const PublicL
   graph.Wait();
   clock.Timed(kSDedup,
               [&] { TallyValidationOutcomes(validate_outcome, &state.output.result.discards); });
-  if (service.revoting()) {
-    // The whole supersession pipeline runs at the dedup position, barrier
-    // style (it is internally sharded on the same executor); its rng draws
-    // land exactly where the barrier engine makes them.
+  if (revoting_) {
+    // The whole supersession pipeline runs at the dedup position as
+    // stage-wide parallel steps on the same executor; its rng draws are
+    // step 1 of the order at the top of this file.
     Status dedup_status = Status::Ok();
-    clock.Timed(kSDedup, [&] { dedup_status = RunRevoteDedup(service, rng, state); });
+    clock.Timed(kSDedup, [&] { dedup_status = RunRevoteDedup(*this, rng, state); });
     if (!dedup_status.ok()) {
       return finish(Outcome<TallyOutput>::Fail(WrapStage("dedup", dedup_status)));
     }
@@ -377,15 +443,14 @@ Outcome<TallyOutput> RunDataflowTally(const TallyService& service, const PublicL
     });
   }
 
-  // The roster is rng-free ledger state: fetching it before the mix draws
-  // is transcript-neutral (the barrier engine fetches it mid-mix-stage).
+  // The roster is rng-free ledger state, read once before the mix draws.
   const std::vector<RegistrationRecord> roster = ledger.ActiveRegistrations();
 
-  // ---- Build-time randomness + fault probes, in barrier order. ----
-  Require(service.mix_pairs() >= 1, "mixnet: need at least one pair");
+  // ---- Build-time randomness + fault probes (steps 2-4 of the order). ----
+  Require(mix_pairs_ >= 1, "mixnet: need at least one pair");
 
   ChainFlow ballots;
-  ballots.n = service.revoting() ? state.revote_kept.size() : t.accepted_ballots.size();
+  ballots.n = revoting_ ? state.revote_kept.size() : t.accepted_ballots.size();
   ballots.shards = Executor::Shards(ballots.n, Executor::kRngShards);
   ballots.input = &t.ballot_mix_input;
   ballots.proof = &t.ballot_mix_proof;
@@ -402,46 +467,45 @@ Outcome<TallyOutput> RunDataflowTally(const TallyService& service, const PublicL
   roster_flow.steps = &t.roster_tag_steps;
   roster_flow.epoch = kEpochRosterTags;
 
-  // Probe order matches the barrier stages exactly (the probes are the only
-  // fault points between the draws, and the PRF decisions are identical
-  // wherever they are evaluated).
+  // Each probe runs just before its step's draws; the first failure stops
+  // the run before any wave-2 node is submitted.
   if (Status fault = ProbeStageFault(faults::kMixShuffle, 0, "ballot mix"); !fault.ok()) {
     return finish(Outcome<TallyOutput>::Fail(WrapStage("mix", fault)));
   }
-  DrawCascadeRandomness(ballots, service.mix_pairs(), rng);
+  DrawCascadeRandomness(ballots, mix_pairs_, rng);
   if (Status fault = ProbeStageFault(faults::kMixShuffle, 1, "roster mix"); !fault.ok()) {
     return finish(Outcome<TallyOutput>::Fail(WrapStage("mix", fault)));
   }
-  DrawCascadeRandomness(roster_flow, service.mix_pairs(), rng);
+  DrawCascadeRandomness(roster_flow, mix_pairs_, rng);
   if (Status fault = ProbeStageFault(faults::kTagApply, 0, "ballot tagging"); !fault.ok()) {
     return finish(Outcome<TallyOutput>::Fail(WrapStage("tag", fault)));
   }
-  DrawTagRandomness(ballots, service.tagging(), rng);
+  DrawTagRandomness(ballots, tagging_, rng);
   if (Status fault = ProbeStageFault(faults::kTagApply, 1, "roster tagging"); !fault.ok()) {
     return finish(Outcome<TallyOutput>::Fail(WrapStage("tag", fault)));
   }
-  DrawTagRandomness(roster_flow, service.tagging(), rng);
-  // Decrypt-tags seeds: roster batch first, then ballots (Pipeline() order).
+  DrawTagRandomness(roster_flow, tagging_, rng);
+  // Decrypt-tags seeds: roster batch first, then ballots.
   roster_flow.decrypt_seeds = ForkRngSeeds(rng, roster_flow.shards.size());
   ballots.decrypt_seeds = ForkRngSeeds(rng, ballots.shards.size());
 
   t.ballot_mix_input.resize(ballots.n);
   t.roster_mix_input.resize(roster_flow.n);
-  roster_flow.buffers.Init(service.authority(), roster_flow.n, &t.roster_tag_shares,
+  roster_flow.buffers.Init(authority_, roster_flow.n, &t.roster_tag_shares,
                            &t.roster_tags);
-  ballots.buffers.Init(service.authority(), ballots.n, &t.ballot_tag_shares,
+  ballots.buffers.Init(authority_, ballots.n, &t.ballot_tag_shares,
                        &t.ballot_tags);
-  const AuthorityClient client(service.authority(), service.retry_policy());
+  const AuthorityClient client(authority_, retry_policy_);
 
   // ---- Wave 2: both chains, chunk-granular, fully concurrent. ----
-  SubmitChainNodes(graph, service, ballots, client, clock, [&](size_t i) {
-    if (service.revoting()) {
+  SubmitChainNodes(graph, *this, ballots, client, clock, [&](size_t i) {
+    if (revoting_) {
       t.ballot_mix_input[i] = std::move(state.revote_kept[i]);
     } else {
       t.ballot_mix_input[i] = BallotMixItem(t.accepted_ballots[i]);
     }
   });
-  SubmitChainNodes(graph, service, roster_flow, client, clock, [&](size_t i) {
+  SubmitChainNodes(graph, *this, roster_flow, client, clock, [&](size_t i) {
     MixItem item;
     item.cts = {roster[i].public_credential};
     item.EnsureWire();
@@ -449,8 +513,8 @@ Outcome<TallyOutput> RunDataflowTally(const TallyService& service, const PublicL
   });
   graph.Wait();
 
-  // Publish the final mixed batches (the barrier engine's cascade-return
-  // copies), then close the decrypt batches in its sequential order.
+  // Publish the final mixed batches, then close the decrypt batches in the
+  // fixed finalize order: roster tags, then ballot tags.
   clock.Timed(kSMix, [&] {
     t.ballot_mix_output = ballots.proof->pairs.back().out;
     t.roster_mix_output = roster_flow.proof->pairs.back().out;
@@ -497,15 +561,15 @@ Outcome<TallyOutput> RunDataflowTally(const TallyService& service, const PublicL
   const auto vote_shards = Executor::Shards(counted_votes.size(), Executor::kRngShards);
   const auto vote_seeds = ForkRngSeeds(rng, vote_shards.size());
   DecryptBatchBuffers vote_buffers;
-  vote_buffers.Init(service.authority(), counted_votes.size(), &t.vote_shares,
+  vote_buffers.Init(authority_, counted_votes.size(), &t.vote_shares,
                     &t.vote_points);
-  const AuthorityClient vote_client(service.authority(), service.retry_policy());
+  const AuthorityClient vote_client(authority_, retry_policy_);
   for (size_t s = 0; s < vote_shards.size(); ++s) {
     const auto [begin, end] = vote_shards[s];
     graph.Submit([&, s, begin, end] {
       clock.Timed(kSDecryptVotes, [&] {
         ChaChaRng child(vote_seeds[s]);
-        DecryptShareShardRange(service, vote_client, counted_votes, counted_votes_wire,
+        DecryptShareShardRange(*this, vote_client, counted_votes, counted_votes_wire,
                                kEpochVotes, begin, end, child, vote_buffers);
       });
     });
@@ -520,8 +584,7 @@ Outcome<TallyOutput> RunDataflowTally(const TallyService& service, const PublicL
   }
   clock.Timed(kSDecryptVotes, [&] { CountVotes(candidates, state); });
 
-  // ---- Release gate (consumes the parent stream last, as the barrier
-  // engine does). ----
+  // ---- Release gate (draws its batch weights from the parent stream last). ----
   clock.Timed(kSReleaseGate, [&] { ReleaseGate(state, rng); });
 
   for (const auto& [member, blame_status] : state.authority_blame) {
@@ -530,5 +593,4 @@ Outcome<TallyOutput> RunDataflowTally(const TallyService& service, const PublicL
   return finish(Outcome<TallyOutput>::Ok(std::move(state.output)));
 }
 
-}  // namespace tally_internal
 }  // namespace votegral

@@ -392,6 +392,28 @@ TEST(ThresholdTally, StageFaultsFailCodedInsteadOfProducingOutput) {
     EXPECT_NE(run.outcome.status.reason().find("tag.apply"), std::string::npos)
         << run.outcome.status.reason();
   }
+  // Roster scope: the ballot-side probe (scope 0) passes, the roster-side one
+  // fails the run with the stage-wrapped reason, and it fires exactly once.
+  {
+    FaultPlan plan(0xDB);
+    plan.Crash(faults::kMixShuffle, 1.0, /*scope=*/1);
+    FaultedRun run = fixture.Tally(&plan);
+    ASSERT_FALSE(run.outcome.ok());
+    EXPECT_EQ(run.outcome.status.code(), StatusCode::kUnavailable);
+    EXPECT_EQ(run.outcome.status.reason(),
+              "mix stage: roster mix: crash injected at mix.shuffle");
+    EXPECT_EQ(FaultInjector::Instance().InjectionCount(faults::kMixShuffle), 1u);
+  }
+  {
+    FaultPlan plan(0xDC);
+    plan.Corrupt(faults::kTagApply, 1.0, /*scope=*/1);
+    FaultedRun run = fixture.Tally(&plan);
+    ASSERT_FALSE(run.outcome.ok());
+    EXPECT_EQ(run.outcome.status.code(), StatusCode::kCorrupted);
+    EXPECT_EQ(run.outcome.status.reason(),
+              "tag stage: roster tagging: output integrity check failed at tag.apply");
+    EXPECT_EQ(FaultInjector::Instance().InjectionCount(faults::kTagApply), 1u);
+  }
 }
 
 TEST(ThresholdTally, DedupStageFaultsFailCodedInBothModes) {

@@ -23,14 +23,12 @@ struct TalliedElection {
   TallyResult result;
 };
 
-TalliedElection RunElection(size_t threads,
-                            TallyEngine engine = TallyEngine::kDataflow) {
+TalliedElection RunElection(size_t threads) {
   ChaChaRng rng(0x7A11E7);
   ElectionConfig config;
   config.roster = {"alice", "bob", "carol", "dave", "erin", "frank"};
   config.candidates = {"Alpha", "Beta", "Gamma"};
   config.threads = threads;
-  config.tally_engine = engine;
   Election election(config, rng);
   Vsd vsd = election.trip().MakeVsd();
   const char* choices[] = {"Alpha", "Alpha", "Beta", "Gamma", "Alpha", "Beta"};
@@ -79,26 +77,13 @@ TEST(ParallelTally, TranscriptByteIdenticalAcrossThreadCounts) {
 TEST(ParallelTally, TranscriptByteIdenticalToPreWireSeed) {
   // Every protocol byte — proofs, ciphertexts, tags, shares, mix wire — must
   // equal the pre-wire-byte-DLEQ output: the wire caches are a transport for
-  // bytes the transcript already contained, never new protocol state.
-  TalliedElection serial = RunElection(1);
-  EXPECT_EQ(HexEncode(serial.protocol_digest), kPreWireGoldenDigestHex);
-}
-
-TEST(ParallelTally, DataflowAndBarrierEnginesAreByteIdentical) {
-  // The two schedulers run the same per-shard kernels over the same shard
-  // boundaries and forked seeds; only *when* a shard runs differs. The
-  // transcript (wire caches included) must therefore match byte for byte at
-  // every thread count, and both must pin the golden protocol digest.
-  TalliedElection barrier = RunElection(1, TallyEngine::kBarrier);
-  EXPECT_TRUE(barrier.verified);
-  EXPECT_EQ(HexEncode(barrier.protocol_digest), kPreWireGoldenDigestHex);
+  // bytes the transcript already contained, never new protocol state. The
+  // graph assigns every seed before its node runs, so the digest holds at
+  // every thread count.
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    TalliedElection dataflow = RunElection(threads, TallyEngine::kDataflow);
-    EXPECT_EQ(dataflow.digest, barrier.digest) << "threads=" << threads;
-    EXPECT_EQ(dataflow.protocol_digest, barrier.protocol_digest)
-        << "threads=" << threads;
-    EXPECT_TRUE(dataflow.verified) << "threads=" << threads;
-    EXPECT_EQ(dataflow.result.counts, barrier.result.counts)
+    TalliedElection tallied = RunElection(threads);
+    EXPECT_TRUE(tallied.verified) << "threads=" << threads;
+    EXPECT_EQ(HexEncode(tallied.protocol_digest), kPreWireGoldenDigestHex)
         << "threads=" << threads;
   }
 }

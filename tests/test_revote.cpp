@@ -5,7 +5,7 @@
 //    quadratic last-write-wins reference byte for byte across seeds and
 //    sizes (the 10^5-item differential runs in bench/fig_revote).
 //  * Determinism: revote transcripts are byte-identical across thread
-//    counts and across both tally engines, pinned by a golden digest.
+//    counts, pinned by a golden digest.
 //  * Adversarial tallies: a transcript that drops a non-superseded ballot,
 //    keeps a superseded one, or miscounts its dummies is rejected by
 //    VerifyElection with the failure localized (exact ledger index /
@@ -188,13 +188,12 @@ TEST(RevoteSelection, TiedMaxCounterDropsTheWholeGroup) {
 
 // --- End-to-end revote elections ---------------------------------------------
 
-ElectionConfig RevoteConfig(size_t threads, TallyEngine engine) {
+ElectionConfig RevoteConfig(size_t threads) {
   ElectionConfig config;
   config.roster = {"alice", "bob", "carol", "dave"};
   config.candidates = {"Alpha", "Beta", "Gamma"};
   config.revoting = true;
   config.threads = threads;
-  config.tally_engine = engine;
   return config;
 }
 
@@ -207,9 +206,9 @@ struct RevoteTallied {
 
 // Fixed revote election: alice revotes once, carol twice, dave casts a decoy
 // with a fake credential; the ledger is identical across calls.
-RevoteTallied RunRevoteElection(size_t threads, TallyEngine engine) {
+RevoteTallied RunRevoteElection(size_t threads) {
   ChaChaRng rng(0x2EF07E);
-  Election election(RevoteConfig(threads, engine), rng);
+  Election election(RevoteConfig(threads), rng);
   Vsd vsd = election.trip().MakeVsd();
   auto alice = election.Register("alice", 1, vsd, rng);
   auto bob = election.Register("bob", 1, vsd, rng);
@@ -235,13 +234,13 @@ RevoteTallied RunRevoteElection(size_t threads, TallyEngine engine) {
 }
 
 // Golden protocol digest of the fixed revote election above (captured at the
-// introduction of revoting; serial barrier run). Any change to a revote
+// introduction of revoting, on a serial run). Any change to a revote
 // transcript byte shows up here.
 constexpr const char* kRevoteGoldenDigestHex =
     "7963fb1c74985888d079aff8988384732b0c69d0e3d98e67e0a4f2be927e8dbe";
 
 TEST(RevoteElection, LastVotePerCredentialCounts) {
-  RevoteTallied tallied = RunRevoteElection(0, TallyEngine::kDataflow);
+  RevoteTallied tallied = RunRevoteElection(0);
   EXPECT_TRUE(tallied.verified);
   EXPECT_EQ(tallied.result.counted, 4u);
   EXPECT_EQ(tallied.result.counts.at("Alpha"), 2u);  // bob, carol's final
@@ -257,18 +256,17 @@ TEST(RevoteElection, LastVotePerCredentialCounts) {
   EXPECT_EQ(tallied.result.discards.invalid_structure, 0u);
 }
 
-TEST(RevoteElection, TranscriptByteIdenticalAcrossThreadsAndEngines) {
-  RevoteTallied barrier = RunRevoteElection(1, TallyEngine::kBarrier);
-  EXPECT_TRUE(barrier.verified);
-  EXPECT_EQ(HexEncode(barrier.protocol_digest), kRevoteGoldenDigestHex);
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (TallyEngine engine : {TallyEngine::kBarrier, TallyEngine::kDataflow}) {
-      RevoteTallied other = RunRevoteElection(threads, engine);
-      EXPECT_EQ(other.digest, barrier.digest)
-          << "threads=" << threads << " engine=" << static_cast<int>(engine);
-      EXPECT_TRUE(other.verified) << "threads=" << threads;
-      EXPECT_EQ(other.result.counts, barrier.result.counts) << "threads=" << threads;
-    }
+TEST(RevoteElection, TranscriptByteIdenticalAcrossThreads) {
+  RevoteTallied serial = RunRevoteElection(1);
+  EXPECT_TRUE(serial.verified);
+  EXPECT_EQ(HexEncode(serial.protocol_digest), kRevoteGoldenDigestHex);
+  for (size_t threads : {size_t{2}, size_t{8}}) {
+    RevoteTallied other = RunRevoteElection(threads);
+    EXPECT_EQ(HexEncode(other.protocol_digest), kRevoteGoldenDigestHex)
+        << "threads=" << threads;
+    EXPECT_EQ(other.digest, serial.digest) << "threads=" << threads;
+    EXPECT_TRUE(other.verified) << "threads=" << threads;
+    EXPECT_EQ(other.result.counts, serial.result.counts) << "threads=" << threads;
   }
 }
 
@@ -277,7 +275,7 @@ TEST(RevoteElection, CoercerCounterIsOutlastedByASecretRevote) {
   // coercer casts with a counter of their choosing; the evader secretly
   // casts once more with a higher counter and their vote supersedes.
   ChaChaRng rng(0xC0E12CE);
-  Election election(RevoteConfig(0, TallyEngine::kDataflow), rng);
+  Election election(RevoteConfig(0), rng);
   Vsd vsd = election.trip().MakeVsd();
   auto evader = election.Register("alice", 1, vsd, rng);
   auto honest = election.Register("bob", 1, vsd, rng);
@@ -296,7 +294,7 @@ TEST(RevoteElection, CoercerCounterIsOutlastedByASecretRevote) {
 
 TEST(RevoteElection, CastRevoteRequiresRevotingMode) {
   ChaChaRng rng(0xC0E12CF);
-  ElectionConfig config = RevoteConfig(0, TallyEngine::kDataflow);
+  ElectionConfig config = RevoteConfig(0);
   config.revoting = false;
   Election election(config, rng);
   Vsd vsd = election.trip().MakeVsd();
@@ -312,7 +310,7 @@ TEST(RevoteElection, CastRevoteRequiresRevotingMode) {
 // A small tallied revote election the tampering tests mutate.
 struct AdversarialFixture {
   AdversarialFixture()
-      : rng(0xBADF00D), election(RevoteConfig(8, TallyEngine::kDataflow), rng),
+      : rng(0xBADF00D), election(RevoteConfig(8), rng),
         vsd(election.trip().MakeVsd()) {
     auto alice = election.Register("alice", 1, vsd, rng);
     auto bob = election.Register("bob", 1, vsd, rng);
@@ -411,7 +409,7 @@ TEST(RevoteAdversarial, UnpaddedBoardFailsTheEnvelopeCheck) {
   // verifier enforcing the envelope — run the tally with padding off, audit
   // with the published (padding-on) parameters.
   ChaChaRng rng(0xBADF00E);
-  ElectionConfig config = RevoteConfig(0, TallyEngine::kDataflow);
+  ElectionConfig config = RevoteConfig(0);
   config.revote_padding = false;
   Election election(config, rng);
   Vsd vsd = election.trip().MakeVsd();
