@@ -39,7 +39,7 @@ void AblateFixedBase() {
   TextTable table("Ablation 1 — fixed-base precomputation (signed radix-16 table)");
   table.SetHeader({"Variant", "Per base-mult", "Speedup"});
   table.AddRow({"precomputed table", FormatSeconds(with_table), "1.0x"});
-  table.AddRow({"generic 4-bit window", FormatSeconds(without_table),
+  table.AddRow({"variable-base ladder", FormatSeconds(without_table),
                 FormatDouble(without_table / with_table, 1) + "x slower"});
   std::printf("%s\n", table.Format().c_str());
 }

@@ -66,6 +66,30 @@ void BM_RistrettoVarMul(benchmark::State& state) {
 }
 BENCHMARK(BM_RistrettoVarMul);
 
+// One point addition through operator+ (the right operand's conversion to a
+// CachedPoint, then the 8-multiplication addition) and one doubling, each
+// timed as a dependent chain.
+void BM_RistrettoAdd(benchmark::State& state) {
+  ChaChaRng rng(28);
+  RistrettoPoint acc = RistrettoPoint::FromUniformBytes(rng.RandomBytes(64));
+  const RistrettoPoint q = RistrettoPoint::FromUniformBytes(rng.RandomBytes(64));
+  for (auto _ : state) {
+    acc = acc + q;
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_RistrettoAdd);
+
+void BM_RistrettoDouble(benchmark::State& state) {
+  ChaChaRng rng(29);
+  RistrettoPoint acc = RistrettoPoint::FromUniformBytes(rng.RandomBytes(64));
+  for (auto _ : state) {
+    acc = acc.Double();
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_RistrettoDouble);
+
 void BM_RistrettoEncodeDecode(benchmark::State& state) {
   ChaChaRng rng(6);
   RistrettoPoint p = RistrettoPoint::FromUniformBytes(rng.RandomBytes(64));

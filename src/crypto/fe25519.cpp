@@ -7,39 +7,8 @@ namespace votegral {
 
 namespace {
 
-using u128 = unsigned __int128;
-
-constexpr uint64_t kMask51 = (uint64_t{1} << 51) - 1;
-
-// Limbs of 2p in radix 2^51: subtracting b from a computes a + 2p - b so no
-// limb underflows for loosely reduced inputs.
-constexpr uint64_t kTwoP0 = 0xFFFFFFFFFFFDAULL;  // 2*(2^51 - 19)
-constexpr uint64_t kTwoP1234 = 0xFFFFFFFFFFFFEULL;  // 2*(2^51 - 1)
-
-// One pass of carry propagation; leaves each limb < 2^51 + 2^13 for any
-// input whose limbs are < 2^63.
-Fe25519 Carry(Fe25519 f) {
-  uint64_t c;
-  c = f.limb[0] >> 51;
-  f.limb[0] &= kMask51;
-  f.limb[1] += c;
-  c = f.limb[1] >> 51;
-  f.limb[1] &= kMask51;
-  f.limb[2] += c;
-  c = f.limb[2] >> 51;
-  f.limb[2] &= kMask51;
-  f.limb[3] += c;
-  c = f.limb[3] >> 51;
-  f.limb[3] &= kMask51;
-  f.limb[4] += c;
-  c = f.limb[4] >> 51;
-  f.limb[4] &= kMask51;
-  f.limb[0] += 19 * c;
-  c = f.limb[0] >> 51;
-  f.limb[0] &= kMask51;
-  f.limb[1] += c;
-  return f;
-}
+using fe25519_internal::Carry;
+using fe25519_internal::kMask51;
 
 // The exponent p - 2 = 2^255 - 21 as 32 little-endian bytes (for inversion).
 constexpr uint8_t kExpPMinus2[32] = {
@@ -61,10 +30,6 @@ constexpr uint8_t kExpP14[32] = {
     0xff, 0x1f};
 
 }  // namespace
-
-Fe25519 FeZero() { return Fe25519{{0, 0, 0, 0, 0}}; }
-
-Fe25519 FeOne() { return Fe25519{{1, 0, 0, 0, 0}}; }
 
 Fe25519 FeFromU64(uint64_t value) {
   Fe25519 f{{value & kMask51, value >> 51, 0, 0, 0}};
@@ -121,113 +86,6 @@ bool FeBytesAreCanonical(std::span<const uint8_t> bytes32) {
   }
   auto round_trip = FeToBytes(FeFromBytes(bytes32));
   return ConstantTimeEqual(round_trip, bytes32);
-}
-
-Fe25519 FeAdd(const Fe25519& a, const Fe25519& b) {
-  Fe25519 r;
-  for (int i = 0; i < 5; ++i) {
-    r.limb[i] = a.limb[i] + b.limb[i];
-  }
-  return Carry(r);
-}
-
-Fe25519 FeSub(const Fe25519& a, const Fe25519& b) {
-  Fe25519 r;
-  r.limb[0] = a.limb[0] + kTwoP0 - b.limb[0];
-  r.limb[1] = a.limb[1] + kTwoP1234 - b.limb[1];
-  r.limb[2] = a.limb[2] + kTwoP1234 - b.limb[2];
-  r.limb[3] = a.limb[3] + kTwoP1234 - b.limb[3];
-  r.limb[4] = a.limb[4] + kTwoP1234 - b.limb[4];
-  return Carry(r);
-}
-
-Fe25519 FeNeg(const Fe25519& a) { return FeSub(FeZero(), a); }
-
-Fe25519 FeMul(const Fe25519& a, const Fe25519& b) {
-  const uint64_t f0 = a.limb[0], f1 = a.limb[1], f2 = a.limb[2], f3 = a.limb[3], f4 = a.limb[4];
-  const uint64_t g0 = b.limb[0], g1 = b.limb[1], g2 = b.limb[2], g3 = b.limb[3], g4 = b.limb[4];
-
-  u128 t0 = (u128)f0 * g0 +
-            (u128)19 * ((u128)f1 * g4 + (u128)f2 * g3 + (u128)f3 * g2 + (u128)f4 * g1);
-  u128 t1 = (u128)f0 * g1 + (u128)f1 * g0 +
-            (u128)19 * ((u128)f2 * g4 + (u128)f3 * g3 + (u128)f4 * g2);
-  u128 t2 = (u128)f0 * g2 + (u128)f1 * g1 + (u128)f2 * g0 +
-            (u128)19 * ((u128)f3 * g4 + (u128)f4 * g3);
-  u128 t3 = (u128)f0 * g3 + (u128)f1 * g2 + (u128)f2 * g1 + (u128)f3 * g0 +
-            (u128)19 * ((u128)f4 * g4);
-  u128 t4 = (u128)f0 * g4 + (u128)f1 * g3 + (u128)f2 * g2 + (u128)f3 * g1 + (u128)f4 * g0;
-
-  Fe25519 r;
-  u128 c;
-  c = t0 >> 51;
-  r.limb[0] = (uint64_t)t0 & kMask51;
-  t1 += c;
-  c = t1 >> 51;
-  r.limb[1] = (uint64_t)t1 & kMask51;
-  t2 += c;
-  c = t2 >> 51;
-  r.limb[2] = (uint64_t)t2 & kMask51;
-  t3 += c;
-  c = t3 >> 51;
-  r.limb[3] = (uint64_t)t3 & kMask51;
-  t4 += c;
-  c = t4 >> 51;
-  r.limb[4] = (uint64_t)t4 & kMask51;
-  r.limb[0] += (uint64_t)c * 19;
-  r.limb[1] += r.limb[0] >> 51;
-  r.limb[0] &= kMask51;
-  return r;
-}
-
-Fe25519 FeSquare(const Fe25519& a) {
-  // Dedicated squaring: the 25 cross products of FeMul collapse to 15 by
-  // symmetry (f_i*f_j appears twice for i != j). Squarings dominate every
-  // doubling chain and every fixed-exponent power, so this is one of the
-  // highest-leverage field operations in the codebase.
-  const uint64_t f0 = a.limb[0], f1 = a.limb[1], f2 = a.limb[2], f3 = a.limb[3], f4 = a.limb[4];
-  const uint64_t d0 = 2 * f0;
-  const uint64_t d1 = 2 * f1;
-  const uint64_t f3_19 = 19 * f3;
-  const uint64_t f4_19 = 19 * f4;
-
-  u128 t0 = (u128)f0 * f0 + (u128)d1 * f4_19 + (u128)(2 * f2) * f3_19;
-  u128 t1 = (u128)d0 * f1 + (u128)(2 * f2) * f4_19 + (u128)f3 * f3_19;
-  u128 t2 = (u128)d0 * f2 + (u128)f1 * f1 + (u128)(2 * f3) * f4_19;
-  u128 t3 = (u128)d0 * f3 + (u128)d1 * f2 + (u128)f4 * f4_19;
-  u128 t4 = (u128)d0 * f4 + (u128)d1 * f3 + (u128)f2 * f2;
-
-  Fe25519 r;
-  u128 c;
-  c = t0 >> 51;
-  r.limb[0] = (uint64_t)t0 & kMask51;
-  t1 += c;
-  c = t1 >> 51;
-  r.limb[1] = (uint64_t)t1 & kMask51;
-  t2 += c;
-  c = t2 >> 51;
-  r.limb[2] = (uint64_t)t2 & kMask51;
-  t3 += c;
-  c = t3 >> 51;
-  r.limb[3] = (uint64_t)t3 & kMask51;
-  t4 += c;
-  c = t4 >> 51;
-  r.limb[4] = (uint64_t)t4 & kMask51;
-  r.limb[0] += (uint64_t)c * 19;
-  r.limb[1] += r.limb[0] >> 51;
-  r.limb[0] &= kMask51;
-  return r;
-}
-
-Fe25519 FeMulSmall(const Fe25519& a, uint32_t small) {
-  Fe25519 r;
-  u128 c = 0;
-  for (int i = 0; i < 5; ++i) {
-    u128 t = (u128)a.limb[i] * small + c;
-    r.limb[i] = (uint64_t)t & kMask51;
-    c = t >> 51;
-  }
-  r.limb[0] += (uint64_t)c * 19;
-  return Carry(r);
 }
 
 Fe25519 FePow(const Fe25519& f, std::span<const uint8_t> exponent32) {

@@ -66,20 +66,22 @@ size_t ComputeWnaf(const Scalar& s, int w, NafDigits& naf) {
   return used;
 }
 
-// Odd multiples P, 3P, 5P, ..., (2*Count - 1)P.
+// Odd multiples P, 3P, 5P, ..., (2*Count - 1)P, prepared as addends.
 template <size_t Count>
-std::array<RistrettoPoint, Count> OddMultiples(const RistrettoPoint& p) {
-  std::array<RistrettoPoint, Count> table;
-  table[0] = p;
-  const RistrettoPoint p2 = p.Double();
+std::array<CachedPoint, Count> OddMultiples(const RistrettoPoint& p) {
+  std::array<CachedPoint, Count> table;
+  table[0] = CachedPoint(p);
+  const CachedPoint p2(p.Double());
+  RistrettoPoint multiple = p;
   for (size_t i = 1; i < Count; ++i) {
-    table[i] = table[i - 1] + p2;
+    multiple = multiple + p2;
+    table[i] = CachedPoint(multiple);
   }
   return table;
 }
 
 // The per-point Straus table: odd multiples P, 3P, ..., 15P.
-using OddTable = std::array<RistrettoPoint, 8>;
+using OddTable = std::array<CachedPoint, 8>;
 
 // Fills `tables` with pointers to odd-multiple tables for every point whose
 // slot is still null, building them into `storage` (sized here once, so the
@@ -102,19 +104,24 @@ void BuildMissingTables(std::span<const RistrettoPoint> points,
 
 // Precomputed odd multiples of the basepoint for the width-8 fixed-base NAF:
 // B, 3B, ..., 127B. Built once per process.
-const std::array<RistrettoPoint, 64>& BaseOddMultiples() {
-  static const std::array<RistrettoPoint, 64> kTable =
-      OddMultiples<64>(RistrettoPoint::Base());
+const std::array<CachedPoint, 64>& BaseOddMultiples() {
+  static const std::array<CachedPoint, 64> kTable = OddMultiples<64>(RistrettoPoint::Base());
   return kTable;
 }
 
-// Adds the digit contribution d * (table of odd multiples) into `acc`.
+// Adds the digit contribution d * (table of odd multiples) into `acc`, first
+// paying the `owed` doublings of `acc` as one chain.
 template <size_t Count>
-void AddNafDigit(RistrettoPoint& acc, const std::array<RistrettoPoint, Count>& table,
+void AddNafDigit(RistrettoPoint& acc, unsigned& owed, const std::array<CachedPoint, Count>& table,
                  int8_t d) {
+  if (d == 0) {
+    return;
+  }
+  acc = acc.MulByPow2(owed);
+  owed = 0;
   if (d > 0) {
     acc = acc + table[static_cast<size_t>(d >> 1)];
-  } else if (d < 0) {
+  } else {
     acc = acc - table[static_cast<size_t>((-d) >> 1)];
   }
 }
@@ -135,17 +142,21 @@ RistrettoPoint StrausLadder(const Scalar* base_scalar, std::span<const Scalar> s
     height = std::max(height, ComputeWnaf(*base_scalar, 8, base_naf));
   }
 
+  // Each position owes one doubling, paid just before the next addition, so
+  // a run of positions without digits (most of them when n is small) is one
+  // doubling chain that computes T only at its end.
   RistrettoPoint acc;  // identity
+  unsigned owed = 0;
   for (size_t pos = height; pos-- > 0;) {
-    acc = acc.Double();
+    ++owed;
     for (size_t i = 0; i < n; ++i) {
-      AddNafDigit(acc, *tables[i], nafs[i][pos]);
+      AddNafDigit(acc, owed, *tables[i], nafs[i][pos]);
     }
     if (base_scalar != nullptr) {
-      AddNafDigit(acc, BaseOddMultiples(), base_naf[pos]);
+      AddNafDigit(acc, owed, BaseOddMultiples(), base_naf[pos]);
     }
   }
-  return acc;
+  return acc.MulByPow2(owed);
 }
 
 RistrettoPoint StrausMsm(const Scalar* base_scalar, std::span<const Scalar> scalars,
@@ -187,13 +198,17 @@ uint32_t ExtractWindow(const std::array<uint8_t, 32>& bytes, size_t bit, int w) 
 }
 
 // One window's bucket pass of Pippenger with *signed* radix-2^w digits
-// (signed recoding halves the bucket count; negative digits contribute the
-// negated point — negation is two field negations, essentially free). Terms
-// are sorted into buckets by |digit| with one addition per term, then the
-// buckets collapse with the running-suffix trick:
+// (signed recoding halves the bucket count; negative digits subtract the
+// point, which costs the same as adding it). Terms are sorted into buckets
+// by |digit| with one addition per term, then the buckets collapse with the
+// running-suffix trick:
 //   sum_d d * bucket[d] = sum over suffixes of (bucket[max] + ... + bucket[d]),
 // i.e. two additions per bucket instead of a multiplication per bucket.
-// Returns whether any digit was nonzero.
+// Terms are the caller's points as they are, so each addition converts its
+// point again (one multiplication): a prepared copy of all n points would
+// save that multiplication per window but costs a second n-point array,
+// which showed in the tally's peak memory. Returns whether any digit was
+// nonzero.
 bool PippengerWindowPass(std::span<const RistrettoPoint> points,
                          std::span<const int16_t> digits, size_t win, size_t nwindows,
                          size_t nbuckets, RistrettoPoint* window_total) {
@@ -272,9 +287,7 @@ RistrettoPoint PippengerMsm(std::span<const Scalar> scalars,
   bool started = false;
   for (size_t win = nwindows; win-- > 0;) {
     if (started) {
-      for (int d = 0; d < w; ++d) {
-        acc = acc.Double();
-      }
+      acc = acc.MulByPow2(static_cast<unsigned>(w));
     }
     if (window_any[win]) {
       acc = acc + window_totals[win];

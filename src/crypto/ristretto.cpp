@@ -183,72 +183,139 @@ RistrettoPoint RistrettoPoint::HashToGroup(std::string_view domain,
   return FromUniformBytes(digest);
 }
 
-RistrettoPoint RistrettoPoint::operator+(const RistrettoPoint& other) const {
-  // add-2008-hwcd-3 for a = -1 twisted Edwards curves.
-  const Fe25519 a = FeMul(FeSub(y_, x_), FeSub(other.y_, other.x_));
-  const Fe25519 b = FeMul(FeAdd(y_, x_), FeAdd(other.y_, other.x_));
-  const Fe25519 cc = FeMul(FeMul(t_, Consts().d2), other.t_);
-  const Fe25519 dd = FeMul(FeAdd(z_, z_), other.z_);
+CachedPoint::CachedPoint() : y_plus_x_(FeOne()), y_minus_x_(FeOne()), z_(FeOne()), t2d_(FeZero()) {}
+
+CachedPoint::CachedPoint(const RistrettoPoint& p)
+    : y_plus_x_(FeAdd(p.y_, p.x_)),
+      y_minus_x_(FeSub(p.y_, p.x_)),
+      z_(p.z_),
+      t2d_(FeMul(p.t_, Consts().d2)) {}
+
+RistrettoPoint RistrettoPoint::AddCached(const CachedPoint& q, bool negate) const {
+  // add-2008-hwcd-3 for a = -1 twisted Edwards curves. -Q = (-X, Y, Z, -T):
+  // Y+X and Y-X trade places and 2d*T changes sign.
+  const Fe25519& q_plus = negate ? q.y_minus_x_ : q.y_plus_x_;
+  const Fe25519& q_minus = negate ? q.y_plus_x_ : q.y_minus_x_;
+  const Fe25519 a = FeMul(FeSub(y_, x_), q_minus);
+  const Fe25519 b = FeMul(FeAdd(y_, x_), q_plus);
+  const Fe25519 c = FeMul(t_, q.t2d_);
+  const Fe25519 zz = FeMul(z_, q.z_);
+  const Fe25519 d = FeAdd(zz, zz);
   const Fe25519 e = FeSub(b, a);
-  const Fe25519 f = FeSub(dd, cc);
-  const Fe25519 g = FeAdd(dd, cc);
+  const Fe25519 f = negate ? FeAdd(d, c) : FeSub(d, c);
+  const Fe25519 g = negate ? FeSub(d, c) : FeAdd(d, c);
   const Fe25519 h = FeAdd(b, a);
   return RistrettoPoint(FeMul(e, f), FeMul(g, h), FeMul(f, g), FeMul(e, h));
+}
+
+RistrettoPoint RistrettoPoint::operator+(const CachedPoint& other) const {
+  return AddCached(other, false);
+}
+
+RistrettoPoint RistrettoPoint::operator-(const CachedPoint& other) const {
+  return AddCached(other, true);
+}
+
+RistrettoPoint RistrettoPoint::operator+(const RistrettoPoint& other) const {
+  return *this + CachedPoint(other);
+}
+
+RistrettoPoint RistrettoPoint::operator-(const RistrettoPoint& other) const {
+  return *this - CachedPoint(other);
 }
 
 RistrettoPoint RistrettoPoint::operator-() const {
   return RistrettoPoint(FeNeg(x_), y_, z_, FeNeg(t_));
 }
 
-RistrettoPoint RistrettoPoint::operator-(const RistrettoPoint& other) const {
-  return *this + (-other);
+RistrettoPoint RistrettoPoint::Double() const { return MulByPow2(1); }
+
+RistrettoPoint RistrettoPoint::MulByPow2(unsigned k) const {
+  if (k == 0) {
+    return *this;
+  }
+  // dbl-2008-hwcd for a = -1, in completed coordinates x = X'/Z', y = Y'/T':
+  //   X' = (X+Y)^2 - (Y^2+X^2), Y' = Y^2+X^2, Z' = Y^2-X^2, T' = 2Z^2 - Z'.
+  // A step reads only X, Y and Z, and its extended result is (X'T', Y'Z',
+  // Z'T', X'Y'); every step but the last skips X'Y'.
+  Fe25519 x = x_;
+  Fe25519 y = y_;
+  Fe25519 z = z_;
+  for (unsigned step = 1;; ++step) {
+    const Fe25519 xx = FeSquare(x);
+    const Fe25519 yy = FeSquare(y);
+    const Fe25519 zz = FeSquare(z);
+    const Fe25519 yy_plus_xx = FeAdd(yy, xx);
+    const Fe25519 yy_minus_xx = FeSub(yy, xx);
+    const Fe25519 cx = FeSub(FeSquare(FeAdd(x, y)), yy_plus_xx);
+    const Fe25519 ct = FeSub(FeAdd(zz, zz), yy_minus_xx);
+    x = FeMul(cx, ct);
+    y = FeMul(yy_plus_xx, yy_minus_xx);
+    z = FeMul(yy_minus_xx, ct);
+    if (step == k) {
+      return RistrettoPoint(x, y, z, FeMul(cx, yy_plus_xx));
+    }
+  }
 }
 
-RistrettoPoint RistrettoPoint::Double() const {
-  // dbl-2008-hwcd for a = -1.
-  const Fe25519 a = FeSquare(x_);
-  const Fe25519 b = FeSquare(y_);
-  const Fe25519 c = FeMulSmall(FeSquare(z_), 2);
-  const Fe25519 neg_a = FeNeg(a);  // D = a*A with a = -1
-  const Fe25519 e = FeSub(FeSub(FeSquare(FeAdd(x_, y_)), a), b);
-  const Fe25519 g = FeAdd(neg_a, b);
-  const Fe25519 f = FeSub(g, c);
-  const Fe25519 h = FeSub(neg_a, b);
-  return RistrettoPoint(FeMul(e, f), FeMul(g, h), FeMul(f, g), FeMul(e, h));
+namespace {
+
+// s as 64 signed radix-16 digits e_i in [-8, 8), s = sum_i e_i * 16^i. s <
+// l < 2^253, so the top nibble is at most 1 and the last carry leaves e_63 in
+// [0, 2].
+std::array<int8_t, 64> SignedRadix16(const Scalar& s) {
+  const std::array<uint8_t, 32> bytes = s.ToBytes();
+  std::array<int8_t, 64> digit;
+  for (size_t i = 0; i < 32; ++i) {
+    digit[2 * i] = static_cast<int8_t>(bytes[i] & 0x0f);
+    digit[2 * i + 1] = static_cast<int8_t>(bytes[i] >> 4);
+  }
+  for (size_t i = 0; i + 1 < digit.size(); ++i) {
+    const int8_t carry = static_cast<int8_t>((digit[i] + 8) >> 4);
+    digit[i] = static_cast<int8_t>(digit[i] - (carry << 4));
+    digit[i + 1] = static_cast<int8_t>(digit[i + 1] + carry);
+  }
+  return digit;
 }
+
+}  // namespace
 
 RistrettoPoint RistrettoPoint::MulLadder(const Scalar& s, const RistrettoPoint& p) {
-  // 4-bit fixed-window multiplication.
-  RistrettoPoint table[16];
-  table[0] = RistrettoPoint::Identity();
-  table[1] = p;
-  for (int i = 2; i < 16; ++i) {
-    table[i] = table[i - 1] + p;
+  // Signed radix 16 over a table of P..8P: a negative digit subtracts.
+  std::array<CachedPoint, 8> table;
+  table[0] = CachedPoint(p);
+  RistrettoPoint multiple = p;
+  for (size_t j = 1; j < table.size(); ++j) {
+    multiple = multiple + table[0];
+    table[j] = CachedPoint(multiple);
   }
-  auto bytes = s.ToBytes();
+  const std::array<int8_t, 64> digit = SignedRadix16(s);
+  size_t top = digit.size();
+  while (top > 0 && digit[top - 1] == 0) {
+    --top;
+  }
   RistrettoPoint acc;
-  bool started = false;
-  for (int i = 63; i >= 0; --i) {
-    if (started) {
-      acc = acc.Double().Double().Double().Double();
+  for (size_t i = top; i-- > 0;) {
+    if (i + 1 < top) {
+      acc = acc.MulByPow2(4);
     }
-    uint8_t byte = bytes[static_cast<size_t>(i / 2)];
-    uint8_t nibble = (i % 2 == 1) ? (byte >> 4) : (byte & 0x0f);
-    if (nibble != 0) {
-      acc = started ? acc + table[nibble] : table[nibble];
-      started = true;
+    if (digit[i] > 0) {
+      acc = acc + table[static_cast<size_t>(digit[i] - 1)];
+    } else if (digit[i] < 0) {
+      acc = acc - table[static_cast<size_t>(-digit[i] - 1)];
     }
   }
-  return started ? acc : RistrettoPoint::Identity();
+  return acc;
 }
 
 // --- Fixed-base tables -------------------------------------------------------
 
 // Precomputed multiples of one base P: row i holds j * 16^i * P for j = 1..8
-// in affine "cached" form (y+x, y-x, 2d*x*y). With s recoded into 64 signed
+// as affine addends (y+x, y-x, 2d*x*y). With s recoded into 64 signed
 // radix-16 digits e_i in [-8, 8), s*P = sum_i e_i * 16^i * P costs at most 64
-// mixed additions (7 multiplications each, a negative digit only swaps and
-// negates) and no doublings. 64 x 8 x 120 bytes = 60 KiB.
+// mixed additions (7 multiplications each, one fewer than a CachedPoint
+// addition because Z = 1; a negative digit only swaps and negates) and no
+// doublings. 64 x 8 x 120 bytes = 60 KiB.
 class FixedBaseTable {
  public:
   explicit FixedBaseTable(const RistrettoPoint& base);
@@ -262,7 +329,7 @@ class FixedBaseTable {
   RistrettoPoint Mul(const Scalar& s) const;
 
  private:
-  struct Cached {
+  struct AffineAddend {
     Fe25519 y_plus_x;
     Fe25519 y_minus_x;
     Fe25519 xy2d;
@@ -270,12 +337,12 @@ class FixedBaseTable {
   static constexpr size_t kRows = 64;
   static constexpr size_t kDigits = 8;
 
-  // p + q (or p - q) for an affine cached q: madd-2008-hwcd-3, i.e.
-  // operator+ with Z2 = 1 and T2*2d precomputed.
-  static RistrettoPoint AddCached(const RistrettoPoint& p, const Cached& q, bool negate);
+  // p + q (or p - q) for an affine q: madd-2008-hwcd-3, i.e. the
+  // CachedPoint addition with Z2 = 1, seven multiplications instead of eight.
+  static RistrettoPoint AddAffine(const RistrettoPoint& p, const AffineAddend& q, bool negate);
 
   RistrettoPoint base_;
-  std::array<std::array<Cached, kDigits>, kRows> rows_;
+  std::array<std::array<AffineAddend, kDigits>, kRows> rows_;
 };
 
 static_assert(sizeof(RistrettoPoint) == 4 * sizeof(Fe25519),
@@ -291,8 +358,9 @@ FixedBaseTable::FixedBaseTable(const RistrettoPoint& base) : base_(base) {
   for (size_t i = 0; i < kRows; ++i) {
     RistrettoPoint* row = &multiples[i * kDigits];
     row[0] = row_base;
+    const CachedPoint addend(row_base);
     for (size_t j = 1; j < kDigits; ++j) {
-      row[j] = row[j - 1] + row_base;
+      row[j] = row[j - 1] + addend;
     }
     row_base = row[kDigits - 1].Double();  // 16 * 16^i * P
   }
@@ -310,11 +378,13 @@ FixedBaseTable::FixedBaseTable(const RistrettoPoint& base) : base_(base) {
     inv = FeMul(inv, m.z_);
     const Fe25519 x = FeMul(m.x_, z_inv);
     const Fe25519 y = FeMul(m.y_, z_inv);
-    rows_[k / kDigits][k % kDigits] = Cached{FeAdd(y, x), FeSub(y, x), FeMul(FeMul(x, y), d2)};
+    rows_[k / kDigits][k % kDigits] =
+        AffineAddend{FeAdd(y, x), FeSub(y, x), FeMul(FeMul(x, y), d2)};
   }
 }
 
-RistrettoPoint FixedBaseTable::AddCached(const RistrettoPoint& p, const Cached& q, bool negate) {
+RistrettoPoint FixedBaseTable::AddAffine(const RistrettoPoint& p, const AffineAddend& q,
+                                         bool negate) {
   // -Q = (-x, y): y+x and y-x trade places and 2d*x*y changes sign.
   const Fe25519& q_plus = negate ? q.y_minus_x : q.y_plus_x;
   const Fe25519& q_minus = negate ? q.y_plus_x : q.y_minus_x;
@@ -330,25 +400,13 @@ RistrettoPoint FixedBaseTable::AddCached(const RistrettoPoint& p, const Cached& 
 }
 
 RistrettoPoint FixedBaseTable::Mul(const Scalar& s) const {
-  const std::array<uint8_t, 32> bytes = s.ToBytes();
-  int digit[kRows];
-  for (size_t i = 0; i < 32; ++i) {
-    digit[2 * i] = bytes[i] & 0x0f;
-    digit[2 * i + 1] = bytes[i] >> 4;
-  }
-  // Recode into [-8, 8). s < l < 2^253, so the top nibble is at most 1 and
-  // the last carry leaves digit 63 in [0, 2].
-  for (size_t i = 0; i + 1 < kRows; ++i) {
-    const int carry = (digit[i] + 8) >> 4;
-    digit[i] -= carry << 4;
-    digit[i + 1] += carry;
-  }
+  const std::array<int8_t, kRows> digit = SignedRadix16(s);
   RistrettoPoint acc;
   for (size_t i = 0; i < kRows; ++i) {
     if (digit[i] > 0) {
-      acc = AddCached(acc, rows_[i][static_cast<size_t>(digit[i] - 1)], false);
+      acc = AddAffine(acc, rows_[i][static_cast<size_t>(digit[i] - 1)], false);
     } else if (digit[i] < 0) {
-      acc = AddCached(acc, rows_[i][static_cast<size_t>(-digit[i] - 1)], true);
+      acc = AddAffine(acc, rows_[i][static_cast<size_t>(-digit[i] - 1)], true);
     }
   }
   return acc;

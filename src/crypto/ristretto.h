@@ -23,6 +23,7 @@
 
 namespace votegral {
 
+class CachedPoint;
 class FixedBaseTable;
 
 // How many registered fixed bases keep a precomputed table at once (see
@@ -59,17 +60,25 @@ class RistrettoPoint {
   // Domain-separated hash-to-group via SHA-512.
   static RistrettoPoint HashToGroup(std::string_view domain, std::span<const uint8_t> data);
 
-  // Group operations.
+  // Group operations. The point operands convert the right-hand side to a
+  // CachedPoint (one field multiplication) and add that (eight more).
   RistrettoPoint operator+(const RistrettoPoint& other) const;
   RistrettoPoint operator-(const RistrettoPoint& other) const;
+  RistrettoPoint operator+(const CachedPoint& other) const;
+  RistrettoPoint operator-(const CachedPoint& other) const;
   RistrettoPoint operator-() const;
   RistrettoPoint Double() const;
+
+  // 2^k * p by k doublings. A doubling never reads T, so only the last one
+  // computes it: every earlier step saves one field multiplication.
+  RistrettoPoint MulByPow2(unsigned k) const;
 
   // Scalar multiplication s*p. When p is the generator or a registered fixed
   // base, recognized by its exact coordinates (so every copy of that point
   // qualifies), this reads the base's precomputed table; otherwise it runs
-  // the variable-base ladder (4-bit window, 252 doublings). Both paths return
-  // the same group element.
+  // the variable-base ladder (signed radix 16: a table of P..8P, then per
+  // digit four doublings and at most one addition). Both paths return the
+  // same group element.
   friend RistrettoPoint operator*(const Scalar& s, const RistrettoPoint& p);
 
   // s*B from the generator's precomputed table: at most 64 mixed additions
@@ -109,7 +118,11 @@ class RistrettoPoint {
   RistrettoPoint(const Fe25519& x, const Fe25519& y, const Fe25519& z, const Fe25519& t)
       : x_(x), y_(y), z_(z), t_(t) {}
 
+  friend class CachedPoint;
   friend class FixedBaseTable;
+
+  // p + q, or p - q when `negate`.
+  RistrettoPoint AddCached(const CachedPoint& q, bool negate) const;
 
   // The variable-base ladder behind operator* and MulBaseSlow.
   static RistrettoPoint MulLadder(const Scalar& s, const RistrettoPoint& p);
@@ -125,6 +138,26 @@ class RistrettoPoint {
   Fe25519 y_;
   Fe25519 z_;
   Fe25519 t_;
+};
+
+// A point prepared as a right-hand addend: (Y+X, Y-X, Z, 2d*T). Preparing
+// costs one field multiplication, and adding or subtracting the prepared
+// point then costs eight (add-2008-hwcd-3 with 2d*T precomputed). Tables of
+// multiples (the ladder's, the MSM engine's) hold this form, so each entry
+// pays its conversion once however often it is added.
+class CachedPoint {
+ public:
+  // The identity.
+  CachedPoint();
+  explicit CachedPoint(const RistrettoPoint& p);
+
+ private:
+  friend class RistrettoPoint;
+
+  Fe25519 y_plus_x_;
+  Fe25519 y_minus_x_;
+  Fe25519 z_;
+  Fe25519 t2d_;
 };
 
 // Convenience alias used by protocol signatures.

@@ -16,6 +16,29 @@ Fe25519 RandomFe(Rng& rng) {
   return FeFromBytes(b);
 }
 
+constexpr uint64_t kLooseBound = (uint64_t{1} << 51) + (uint64_t{1} << 13);
+
+// Every limb at the loose-reduction bound: the largest input any operation
+// may receive.
+Fe25519 LooseExtreme() {
+  Fe25519 f;
+  for (uint64_t& limb : f.limb) {
+    limb = kLooseBound - 1;
+  }
+  return f;
+}
+
+Fe25519 Canonical(const Fe25519& f) { return FeFromBytes(FeToBytes(f)); }
+
+bool LooselyReduced(const Fe25519& f) {
+  for (uint64_t limb : f.limb) {
+    if (limb >= kLooseBound) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(Fe25519, ZeroAndOneRoundTrip) {
   EXPECT_EQ(HexEncode(FeToBytes(FeZero())),
             "0000000000000000000000000000000000000000000000000000000000000000");
@@ -82,11 +105,42 @@ TEST(Fe25519, MultiplicationProperties) {
   }
 }
 
-TEST(Fe25519, MulSmallMatchesMul) {
-  ChaChaRng rng(3);
-  for (uint32_t small : {0u, 1u, 2u, 19u, 121665u, 121666u}) {
-    Fe25519 a = RandomFe(rng);
-    EXPECT_TRUE(FeEqual(FeMulSmall(a, small), FeMul(a, FeFromU64(small))));
+TEST(Fe25519, OperationsAtTheLooseReductionBound) {
+  // The multiplication folds 19 into 64-bit limbs before multiplying, and
+  // every carry is 64-bit; both are sound only while inputs stay below the
+  // loose bound. On inputs at the bound each operation must agree with the
+  // same operation on the canonical form of its inputs, and must hand back
+  // loosely reduced limbs.
+  Fe25519 low_limb_full = LooseExtreme();
+  low_limb_full.limb[0] = (uint64_t{1} << 51) - 1;
+  std::vector<Fe25519> inputs = {
+      FeZero(), FeOne(), LooseExtreme(), low_limb_full,
+      FeFromBytes(HexDecode("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"))};
+  ChaChaRng rng(9);
+  for (int i = 0; i < 50; ++i) {
+    inputs.push_back(RandomFe(rng));
+  }
+  for (const Fe25519& a : inputs) {
+    const Fe25519 ca = Canonical(a);
+    for (const Fe25519& b : inputs) {
+      const Fe25519 cb = Canonical(b);
+      const Fe25519 mul = FeMul(a, b);
+      const Fe25519 add = FeAdd(a, b);
+      const Fe25519 sub = FeSub(a, b);
+      ASSERT_EQ(FeToBytes(mul), FeToBytes(FeMul(ca, cb)));
+      ASSERT_EQ(FeToBytes(add), FeToBytes(FeAdd(ca, cb)));
+      ASSERT_EQ(FeToBytes(sub), FeToBytes(FeSub(ca, cb)));
+      ASSERT_TRUE(LooselyReduced(mul));
+      ASSERT_TRUE(LooselyReduced(add));
+      ASSERT_TRUE(LooselyReduced(sub));
+    }
+    const Fe25519 square = FeSquare(a);
+    const Fe25519 neg = FeNeg(a);
+    ASSERT_EQ(FeToBytes(square), FeToBytes(FeSquare(ca)));
+    ASSERT_EQ(FeToBytes(square), FeToBytes(FeMul(ca, ca)));
+    ASSERT_EQ(FeToBytes(neg), FeToBytes(FeNeg(ca)));
+    ASSERT_TRUE(LooselyReduced(square));
+    ASSERT_TRUE(LooselyReduced(neg));
   }
 }
 
@@ -163,14 +217,10 @@ TEST(Fe25519, InvSqrtMatchesSqrtRatioWithUnitNumerator) {
   // FeInvSqrt is FeSqrtRatioM1 specialized to u = 1; every ristretto encode
   // and decode runs it, so the flag and the canonical root must agree with
   // the general routine on edge values, random elements and random squares.
-  Fe25519 loose_extreme;  // every limb at the loose-reduction bound
-  for (uint64_t& limb : loose_extreme.limb) {
-    limb = (uint64_t{1} << 51) + (uint64_t{1} << 13) - 1;
-  }
   std::vector<Fe25519> inputs = {
       FeZero(), FeOne(), FeNeg(FeOne()), FeSqrtM1(),
       FeFromBytes(HexDecode("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f")),
-      loose_extreme};
+      LooseExtreme()};
   ChaChaRng rng(0xF8);
   for (int iter = 0; iter < 200; ++iter) {
     inputs.push_back(RandomFe(rng));

@@ -124,8 +124,8 @@ TEST(FixedBase, UnregisteredPointTakesTheLadder) {
   for (const Scalar& s : EdgeScalars()) {
     ASSERT_EQ((s * p).Encode(), DoubleAndAdd(s, p).Encode()) << HexEncode(s.ToBytes());
   }
-  for (const Scalar& s : RandomScalars(16, rng)) {
-    ASSERT_EQ((s * p).Encode(), DoubleAndAdd(s, p).Encode());
+  for (const Scalar& s : RandomScalars(1024, rng)) {
+    ASSERT_EQ((s * p).Encode(), DoubleAndAdd(s, p).Encode()) << HexEncode(s.ToBytes());
   }
   // The generator and an equal point in other coordinates are not confused:
   // the match is on representation, and only the generator's copy has one.

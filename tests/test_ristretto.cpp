@@ -32,21 +32,34 @@ TEST(Ristretto, BasepointMatchesRfc9496) {
 }
 
 TEST(Ristretto, SmallMultiplesMatchRfc9496) {
-  // The first entries of the RFC 9496 small-multiples table.
+  // The RFC 9496 Appendix A.1 table, B[0..15]: repeated addition, the
+  // generator's table and the ladder must each reproduce it. From 8 on the
+  // ladder recodes i as 1 * 16 + (i - 16), two signed digits.
   const char* expected[] = {
       "0000000000000000000000000000000000000000000000000000000000000000",
       "e2f2ae0a6abc4e71a884a961c500515f58e30b6aa582dd8db6a65945e08d2d76",
       "6a493210f7499cd17fecb510ae0cea23a110e8d5b901f8acadd3095c73a3b919",
       "94741f5d5d52755ece4f23f044ee27d5d1ea1e2bd196b462166b16152a9d0259",
       "da80862773358b466ffadfe0b3293ab3d9fd53c5ea6c955358f568322daf6a57",
+      "e882b131016b52c1d3337080187cf768423efccbb517bb495ab812c4160ff44e",
+      "f64746d3c92b13050ed8d80236a7f0007c3b3f962f5ba793d19a601ebb1df403",
+      "44f53520926ec81fbd5a387845beb7df85a96a24ece18738bdcfa6a7822a176d",
+      "903293d8f2287ebe10e2374dc1a53e0bc887e592699f02d077d5263cdd55601c",
+      "02622ace8f7303a31cafc63f8fc48fdc16e1c8c8d234b2f0d6685282a9076031",
+      "20706fd788b2720a1ed2a5dad4952b01f413bcf0e7564de8cdc816689e2db95f",
+      "bce83f8ba5dd2fa572864c24ba1810f9522bc6004afe95877ac73241cafdab42",
+      "e4549ee16b9aa03099ca208c67adafcafa4c3f3e4e5303de6026e3ca8ff84460",
+      "aa52e000df2e16f55fb1032fc33bc42742dad6bd5a8fc0be0167436c5948501f",
+      "46376b80f409b29dc2b5f6f0c52591990896e5716f41477cd30085ab7f10301e",
+      "e0c418f7c8d9c4cdd7395b93ea124f3ad99021bb681dfc3302a9d99a2e53e64e",
   };
   RistrettoPoint p = RistrettoPoint::Identity();
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < 16; ++i) {
+    const Scalar s = Scalar::FromU64(static_cast<uint64_t>(i));
     EXPECT_EQ(HexEncode(p.Encode()), expected[i]) << "multiple " << i;
-    EXPECT_EQ(HexEncode(RistrettoPoint::MulBase(Scalar::FromU64(static_cast<uint64_t>(i)))
-                            .Encode()),
-              expected[i])
-        << "MulBase " << i;
+    EXPECT_EQ(HexEncode(RistrettoPoint::MulBase(s).Encode()), expected[i]) << "MulBase " << i;
+    EXPECT_EQ(HexEncode(RistrettoPoint::MulBaseSlow(s).Encode()), expected[i])
+        << "MulBaseSlow " << i;
     p = p + RistrettoPoint::Base();
   }
 }
@@ -109,6 +122,17 @@ TEST(Ristretto, GroupLaws) {
     EXPECT_TRUE(p - p == RistrettoPoint::Identity());
     EXPECT_TRUE(p.Double() == p + p);
     EXPECT_TRUE(-(-p) == p);
+  }
+  // The k-fold doubling skips T on all but its last step; it must still equal
+  // k single doublings, from Z = 1, from Z != 1 and from the identity.
+  const RistrettoPoint p = RandomPoint(rng);
+  const RistrettoPoint z_not_one = p + RistrettoPoint::Identity();
+  for (const RistrettoPoint& start : {p, z_not_one, RistrettoPoint::Identity()}) {
+    RistrettoPoint doubled = start;
+    for (unsigned k = 1; k <= 8; ++k) {
+      doubled = doubled.Double();
+      EXPECT_EQ(start.MulByPow2(k).Encode(), doubled.Encode()) << "k=" << k;
+    }
   }
 }
 
