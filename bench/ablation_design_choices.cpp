@@ -1,4 +1,4 @@
-// Ablations for the design choices DESIGN.md calls out:
+// Ablations for the system's main design choices:
 //  1. fixed-base precomputation on/off (MulBase vs generic multiplication),
 //  2. RPC mix-pair count vs per-item cheat-escape probability and cost,
 //  3. envelope-symbol count vs accidental wrong-symbol picks (the §4.4
@@ -156,7 +156,7 @@ void AblateBatchVerification() {
 }  // namespace votegral
 
 int main() {
-  std::printf("=== Ablation benches for DESIGN.md design choices ===\n\n");
+  std::printf("=== Ablation benches for the main design choices ===\n\n");
   votegral::AblateFixedBase();
   votegral::AblateMixPairs();
   votegral::AblateSymbols();

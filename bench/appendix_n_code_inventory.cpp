@@ -54,17 +54,17 @@ Counts CountDir(const fs::path& dir) {
   return counts;
 }
 
+// Walks up from the CWD (benches run from the build tree or the repo root)
+// to the directory holding both CMakeLists.txt and src/; empty if none.
 fs::path FindRepoRoot() {
-  // Walk up from the CWD until DESIGN.md is found (benches run from the
-  // build tree or the repo root).
-  fs::path current = fs::current_path();
-  for (int i = 0; i < 6; ++i) {
-    if (fs::exists(current / "DESIGN.md") && fs::exists(current / "src")) {
+  for (fs::path current = fs::current_path();; current = current.parent_path()) {
+    if (fs::exists(current / "CMakeLists.txt") && fs::is_directory(current / "src")) {
       return current;
     }
-    current = current.parent_path();
+    if (current == current.root_path()) {
+      return {};
+    }
   }
-  return fs::current_path();
 }
 
 }  // namespace
@@ -72,7 +72,12 @@ fs::path FindRepoRoot() {
 
 int main() {
   using namespace votegral;
-  fs::path root = FindRepoRoot();
+  const fs::path root = FindRepoRoot();
+  if (root.empty()) {
+    std::fprintf(stderr, "no repository root (CMakeLists.txt + src/) above %s\n",
+                 fs::current_path().string().c_str());
+    return 1;
+  }
   std::printf("=== Appendix N analogue: repository code inventory ===\n");
   std::printf("(paper's prototype: 9,182 lines of Go total; TRIP 2,633)\n\n");
 
@@ -80,7 +85,9 @@ int main() {
       {"common utilities", root / "src/common"},
       {"crypto (ristretto, sigs, ElGamal, DLEQ, DKG, modp)", root / "src/crypto"},
       {"tamper-evident ledger", root / "src/ledger"},
+      {"framed transport (loopback and AF_UNIX)", root / "src/net"},
       {"peripheral models (QR, printer, scanner)", root / "src/peripherals"},
+      {"board replication (leader and follower)", root / "src/replica"},
       {"TRIP registration protocol", root / "src/trip"},
       {"Votegral pipeline (mix, tag, tally, verify, ext.)", root / "src/votegral"},
       {"baselines (Civitas, SwissPost, VoteAgain)", root / "src/baselines"},

@@ -3,8 +3,8 @@
 // four hardware platforms of §7.1, plus the §7.2 headline claims.
 //
 // Protocol work and QR encode/decode run live (scaled per profile); printer
-// and scanner mechanics are modeled — see DESIGN.md §2 and
-// src/peripherals/devices.cpp for the calibration against the paper's
+// and scanner mechanics are modeled — see src/peripherals/devices.cpp for
+// the calibration against the paper's
 // reported component medians.
 //
 // Workload: 10 scripted registrations of 1 real + 1 fake credential,

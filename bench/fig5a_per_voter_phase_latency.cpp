@@ -2,7 +2,7 @@
 // Voting and Tally phases for SwissPost, VoteAgain, TRIP-Core and Civitas,
 // from 10^2 to 10^6 voters.
 //
-// Methodology (DESIGN.md §3): every system's cryptographic path runs for
+// Methodology: every system's cryptographic path runs for
 // real at sizes feasible on this machine; larger sizes are extrapolated
 // along each phase's complexity and flagged with '*' — the paper itself
 // extrapolates Civitas beyond 10^4. Absolute numbers differ from the paper's

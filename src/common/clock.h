@@ -5,7 +5,7 @@
 //  * CPU time of real computation, split user/system (CpuTimer),
 //  * *simulated* time of mechanical peripherals — printing and scanning QR
 //    codes on kiosk hardware we do not have (VirtualClock; see
-//    src/peripherals and DESIGN.md §2 for the substitution rationale).
+//    src/peripherals/devices.h for the substitution rationale).
 #ifndef SRC_COMMON_CLOCK_H_
 #define SRC_COMMON_CLOCK_H_
 

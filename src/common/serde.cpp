@@ -1,5 +1,7 @@
 #include "src/common/serde.h"
 
+#include <algorithm>
+
 namespace votegral {
 
 void ByteWriter::U16(uint16_t v) {
@@ -31,43 +33,68 @@ void ByteWriter::Var(std::span<const uint8_t> data) {
 
 void ByteWriter::Str(std::string_view s) { Var(AsBytes(s)); }
 
-std::span<const uint8_t> ByteReader::Need(size_t n) {
-  Require(pos_ + n <= data_.size(), "ByteReader: truncated message");
+std::span<const uint8_t> ByteReader::View(size_t n) {
+  if (!ok()) {
+    return {};
+  }
+  field_ = pos_;
+  if (n > data_.size() - pos_) {
+    Fail("truncated field");
+    return {};
+  }
   auto out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
 }
 
-uint8_t ByteReader::U8() { return Need(1)[0]; }
+void ByteReader::Fail(std::string_view why, StatusCode code) {
+  if (ok()) {
+    status_ = Status::Error(code, std::string(message_) + ": " + std::string(why) +
+                                      " at offset " + std::to_string(field_));
+  }
+}
+
+void ByteReader::FailNested(const Status& nested) {
+  if (ok()) {
+    status_ = Status::Error(nested.code(), std::string(message_) + ": field at offset " +
+                                               std::to_string(field_) + ": " +
+                                               nested.reason());
+  }
+}
+
+uint8_t ByteReader::U8() {
+  auto s = View(1);
+  return s.empty() ? 0 : s[0];
+}
 
 uint16_t ByteReader::U16() {
-  auto s = Need(2);
-  return static_cast<uint16_t>(s[0] | (s[1] << 8));
+  auto s = View(2);
+  return s.empty() ? 0 : static_cast<uint16_t>(s[0] | (s[1] << 8));
 }
 
 uint32_t ByteReader::U32() {
-  auto s = Need(4);
-  return LoadLe32(s.data());
+  auto s = View(4);
+  return s.empty() ? 0 : LoadLe32(s.data());
 }
 
 uint64_t ByteReader::U64() {
-  auto s = Need(8);
-  return LoadLe64(s.data());
+  auto s = View(8);
+  return s.empty() ? 0 : LoadLe64(s.data());
 }
 
-Bytes ByteReader::Fixed(size_t n) {
-  auto s = Need(n);
-  return Bytes(s.begin(), s.end());
+void ByteReader::Fixed(std::span<uint8_t> out) {
+  auto s = View(out.size());
+  std::copy(s.begin(), s.end(), out.begin());
 }
 
-Bytes ByteReader::Var() {
+std::span<const uint8_t> ByteReader::Var() {
   uint32_t n = U32();
-  return Fixed(n);
+  return View(n);
 }
 
 std::string ByteReader::Str() {
-  Bytes b = Var();
-  return std::string(b.begin(), b.end());
+  auto s = Var();
+  return std::string(s.begin(), s.end());
 }
 
 }  // namespace votegral

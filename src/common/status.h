@@ -1,10 +1,11 @@
 // Status/error types used across the Votegral codebase.
 //
-// Convention (see DESIGN.md §4): *verification failures are values*, because
-// rejecting a forged proof or a tampered ledger entry is expected behaviour
-// that callers must branch on. Programming errors and protocol misuse (e.g.
-// deserializing a truncated receipt where the caller promised a full one)
-// throw ProtocolError.
+// Convention (docs/ROBUSTNESS.md §Status codes): *verification failures are
+// values*, because rejecting a forged proof or a tampered ledger entry is
+// expected behaviour that callers must branch on. So is rejecting malformed
+// outside bytes: every decoder of them returns Outcome<T> (docs/TRANSCRIPTS.md
+// §Conventions). Programming errors and protocol misuse (e.g. encoding a
+// payload too large for its QR symbol) throw ProtocolError.
 #ifndef SRC_COMMON_STATUS_H_
 #define SRC_COMMON_STATUS_H_
 

@@ -115,41 +115,26 @@ Bytes DleqTranscript::Serialize() const {
   return w.Take();
 }
 
-std::optional<DleqTranscript> DleqTranscript::Parse(std::span<const uint8_t> bytes) {
-  try {
-    ByteReader r(bytes);
-    uint32_t n = r.U32();
-    if (n > 1024) {
-      return std::nullopt;
-    }
-    DleqTranscript t;
-    t.commits.reserve(n);
-    t.commit_wire.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      Bytes raw = r.Fixed(32);
-      auto point = RistrettoPoint::Decode(raw);
-      if (!point.has_value()) {
-        return std::nullopt;
-      }
-      t.commits.push_back(*point);
-      // Decode accepts only canonical encodings, so the consumed bytes ARE
-      // the commit's unique wire form — retain them as the cache.
-      CompressedRistretto wire;
-      std::copy(raw.begin(), raw.end(), wire.begin());
-      t.commit_wire.push_back(wire);
-    }
-    auto challenge = Scalar::FromCanonicalBytes(r.Fixed(32));
-    auto response = Scalar::FromCanonicalBytes(r.Fixed(32));
-    r.ExpectEnd();
-    if (!challenge.has_value() || !response.has_value()) {
-      return std::nullopt;
-    }
-    t.challenge = *challenge;
-    t.response = *response;
-    return t;
-  } catch (const ProtocolError&) {
-    return std::nullopt;
+Outcome<DleqTranscript> DleqTranscript::Parse(std::span<const uint8_t> bytes) {
+  ByteReader r(bytes, "dleq transcript");
+  DleqTranscript t;
+  const uint32_t n = r.U32();
+  if (r.Check(n <= 1024, "more than 1024 commits")) {
+    t.commits.resize(n);
+    t.commit_wire.resize(n);
   }
+  for (uint32_t i = 0; i < n && r.ok(); ++i) {
+    // Decode accepts only canonical encodings, so the consumed bytes ARE the
+    // commit's unique wire form: retain them as the cache.
+    r.Fixed(t.commit_wire[i]);
+    auto commit = RistrettoPoint::Decode(t.commit_wire[i]);
+    if (r.Check(commit.has_value(), "non-canonical commit")) {
+      t.commits[i] = *commit;
+    }
+  }
+  r.Decode(&t.challenge, 32, Scalar::FromCanonicalBytes);
+  r.Decode(&t.response, 32, Scalar::FromCanonicalBytes);
+  return r.Finish(std::move(t));
 }
 
 DleqProver::DleqProver(DleqStatement statement, const Scalar& x, Rng& rng)

@@ -34,11 +34,11 @@
 #ifndef SRC_CRYPTO_DLEQ_H_
 #define SRC_CRYPTO_DLEQ_H_
 
-#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
 
+#include "src/common/outcome.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/crypto/ristretto.h"
@@ -113,7 +113,7 @@ struct DleqTranscript {
   Status ValidateWire() const;
 
   Bytes Serialize() const;
-  static std::optional<DleqTranscript> Parse(std::span<const uint8_t> bytes);
+  static Outcome<DleqTranscript> Parse(std::span<const uint8_t> bytes);
 };
 
 // Interactive prover running the *sound* order: the commitment is fixed

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/common/serde.h"
+
 namespace votegral {
 
 ElGamalCiphertext ElGamalCiphertext::operator+(const ElGamalCiphertext& other) const {
@@ -43,16 +45,12 @@ std::array<uint8_t, 32> ElGamalWireHalf(const ElGamalWire& wire, size_t half) {
   return out;
 }
 
-std::optional<ElGamalCiphertext> ElGamalCiphertext::Parse(std::span<const uint8_t> bytes) {
-  if (bytes.size() != 64) {
-    return std::nullopt;
-  }
-  auto c1 = RistrettoPoint::Decode(bytes.subspan(0, 32));
-  auto c2 = RistrettoPoint::Decode(bytes.subspan(32, 32));
-  if (!c1.has_value() || !c2.has_value()) {
-    return std::nullopt;
-  }
-  return ElGamalCiphertext{*c1, *c2};
+Outcome<ElGamalCiphertext> ElGamalCiphertext::Parse(std::span<const uint8_t> bytes) {
+  ByteReader r(bytes, "elgamal ciphertext");
+  ElGamalCiphertext ct;
+  r.Decode(&ct.c1, 32, RistrettoPoint::Decode);
+  r.Decode(&ct.c2, 32, RistrettoPoint::Decode);
+  return r.Finish(std::move(ct));
 }
 
 ElGamalCiphertext ElGamalEncrypt(const RistrettoPoint& pk, const RistrettoPoint& message,

@@ -9,9 +9,9 @@
 #define SRC_CRYPTO_ELGAMAL_H_
 
 #include <array>
-#include <optional>
 #include <span>
 
+#include "src/common/outcome.h"
 #include "src/common/rng.h"
 #include "src/crypto/ristretto.h"
 #include "src/crypto/scalar.h"
@@ -37,7 +37,7 @@ struct ElGamalCiphertext {
 
   // 64-byte wire format: C1 || C2.
   Bytes Serialize() const;
-  static std::optional<ElGamalCiphertext> Parse(std::span<const uint8_t> bytes);
+  static Outcome<ElGamalCiphertext> Parse(std::span<const uint8_t> bytes);
 
   // Serialize() as a fixed array (same bytes, no allocation) — the unit the
   // wire-byte DLEQ layer threads between mix, tagging and decryption stages.

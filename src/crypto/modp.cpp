@@ -9,8 +9,8 @@ namespace {
 
 using u128 = unsigned __int128;
 
-// Parameters generated offline (seeded search; see DESIGN.md §2 and
-// tests/test_modp.cpp which re-verifies primality and subgroup order).
+// Parameters generated offline by a seeded search; tests/test_modp.cpp
+// re-verifies primality and subgroup order.
 constexpr std::string_view kPHexLe =
     "332250433a5863ef6b9682a4d2a18b06e2bf48320683637768c5552518b8238984a15f3342a25657492fcb1c"
     "d209551ca78cd0ac55e4a3c80b56281bd4181492293d700d5436bcbf04bdb65509fbdcffad13e55c0b596e31"

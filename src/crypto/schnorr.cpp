@@ -1,6 +1,7 @@
 #include "src/crypto/schnorr.h"
 
 #include "src/common/bytes.h"
+#include "src/common/serde.h"
 #include "src/crypto/sha512.h"
 
 namespace votegral {
@@ -25,18 +26,12 @@ Bytes SchnorrSignature::Serialize() const {
   return out;
 }
 
-std::optional<SchnorrSignature> SchnorrSignature::Parse(std::span<const uint8_t> bytes) {
-  if (bytes.size() != 64) {
-    return std::nullopt;
-  }
+Outcome<SchnorrSignature> SchnorrSignature::Parse(std::span<const uint8_t> bytes) {
+  ByteReader r(bytes, "schnorr signature");
   SchnorrSignature sig;
-  std::copy(bytes.begin(), bytes.begin() + 32, sig.r_bytes.begin());
-  auto s = Scalar::FromCanonicalBytes(bytes.subspan(32, 32));
-  if (!s.has_value()) {
-    return std::nullopt;
-  }
-  sig.s = *s;
-  return sig;
+  r.Fixed(sig.r_bytes);
+  r.Decode(&sig.s, 32, Scalar::FromCanonicalBytes);
+  return r.Finish(std::move(sig));
 }
 
 SchnorrKeyPair SchnorrKeyPair::Generate(Rng& rng) {

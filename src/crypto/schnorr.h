@@ -6,9 +6,9 @@
 #define SRC_CRYPTO_SCHNORR_H_
 
 #include <array>
-#include <optional>
 #include <span>
 
+#include "src/common/outcome.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/crypto/ristretto.h"
@@ -23,7 +23,7 @@ struct SchnorrSignature {
 
   // 64-byte wire format: R || s.
   Bytes Serialize() const;
-  static std::optional<SchnorrSignature> Parse(std::span<const uint8_t> bytes);
+  static Outcome<SchnorrSignature> Parse(std::span<const uint8_t> bytes);
 };
 
 // A signing key pair.

@@ -60,32 +60,21 @@ Bytes ConsistencyProof::Serialize() const {
 }
 
 Outcome<ConsistencyProof> ConsistencyProof::Parse(std::span<const uint8_t> bytes) {
-  try {
-    ByteReader r(bytes);
-    ConsistencyProof proof;
-    proof.old_size = r.U64();
-    proof.new_size = r.U64();
-    const uint32_t count = r.U32();
-    // A valid proof carries at most ~2 log2(new_size) nodes; anything past 64
-    // levels per side is structurally impossible and rejected before the
-    // allocation it asks for.
-    if (count > 128) {
-      return Outcome<ConsistencyProof>::Fail(
-          StatusCode::kInvalidProof, "consistency proof: implausible node count");
-    }
-    proof.path.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      Bytes node = r.Fixed(32);
-      LedgerHash hash;
-      std::copy(node.begin(), node.end(), hash.begin());
-      proof.path.push_back(hash);
-    }
-    r.ExpectEnd();
-    return Outcome<ConsistencyProof>::Ok(std::move(proof));
-  } catch (const ProtocolError& e) {
-    return Outcome<ConsistencyProof>::Fail(
-        StatusCode::kCorrupted, std::string("consistency proof: ") + e.what());
+  ByteReader r(bytes, "consistency proof");
+  ConsistencyProof proof;
+  proof.old_size = r.U64();
+  proof.new_size = r.U64();
+  const uint32_t count = r.U32();
+  // A valid proof carries at most ~2 log2(new_size) nodes; anything past 64
+  // levels per side is structurally impossible and rejected before the
+  // allocation it asks for.
+  if (r.Check(count <= 128, "implausible node count", StatusCode::kInvalidProof)) {
+    proof.path.resize(count);
   }
+  for (uint32_t i = 0; i < count && r.ok(); ++i) {
+    r.Fixed(proof.path[i]);
+  }
+  return r.Finish(std::move(proof));
 }
 
 Outcome<ConsistencyProof> ProveConsistency(const MerkleCommitmentTree& tree,

@@ -23,8 +23,9 @@
 // tampering; VerifyChain() re-derives every entry hash by streaming the
 // segments, and Merkle inclusion proofs let light clients (VSDs) check
 // membership without holding the full log. Verification failures are Status
-// values (per DESIGN.md §4): a forged proof, an out-of-range proof index or
-// a broken chain each yield a descriptive, localized reason, never UB.
+// values (docs/ROBUSTNESS.md §Status codes): a forged proof, an out-of-range
+// proof index or a broken chain each yield a descriptive, localized reason,
+// never UB.
 #ifndef SRC_LEDGER_LEDGER_H_
 #define SRC_LEDGER_LEDGER_H_
 

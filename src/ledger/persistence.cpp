@@ -10,6 +10,37 @@ namespace {
 
 constexpr std::string_view kMagic = "votegral-ledger/v2";
 
+// ParseLedger under a caller-chosen message name, so a snapshot failure
+// names its sub-log.
+Outcome<Ledger> ParseLog(std::span<const uint8_t> bytes, const LedgerStorageConfig& storage,
+                         std::string_view message) {
+  ByteReader r(bytes, message);
+  const uint64_t count = r.U64();
+  Ledger ledger(storage);
+  for (uint64_t i = 0; i < count && r.ok(); ++i) {
+    LedgerEntry entry;
+    r.DecodeAt(&entry, DecodeEntryFrame);
+    if (!r.ok()) {
+      break;
+    }
+    // Re-appending re-derives every hash; the stored frame must agree in
+    // full — the chain link too, so a flipped byte anywhere in the frame
+    // (even in the redundant prev-hash field) is rejected.
+    if (!ConstantTimeEqual(ledger.Head(), entry.prev_hash)) {
+      r.Fail("entry " + std::to_string(i) + " chain link mismatch (file tampered?)");
+      break;
+    }
+    uint64_t index = ledger.Append(entry.topic, std::move(entry.payload));
+    if (index != entry.index || !ConstantTimeEqual(ledger.Head(), entry.entry_hash)) {
+      r.Fail("entry " + std::to_string(i) + " hash mismatch (file tampered?)");
+    }
+  }
+  LedgerHash head{};
+  r.Fixed(head);
+  r.Check(ConstantTimeEqual(ledger.Head(), head), "ledger head mismatch (file tampered?)");
+  return r.Finish(std::move(ledger));
+}
+
 }  // namespace
 
 Bytes SerializeLedger(const Ledger& ledger) {
@@ -29,43 +60,7 @@ Bytes SerializeLedger(const Ledger& ledger) {
 
 Outcome<Ledger> ParseLedger(std::span<const uint8_t> bytes,
                             const LedgerStorageConfig& storage) {
-  using Out = Outcome<Ledger>;
-  try {
-    if (bytes.size() < 8) {
-      return Out::Fail("persistence: serialized ledger shorter than its header");
-    }
-    const uint64_t count = LoadLe64(bytes.data());
-    size_t offset = 8;
-    Ledger ledger(storage);
-    for (uint64_t i = 0; i < count; ++i) {
-      auto entry = DecodeEntryFrame(bytes, &offset);
-      if (!entry.ok()) {
-        return Out::Fail("persistence: entry " + std::to_string(i) + ": " +
-                         entry.status.reason());
-      }
-      // Re-appending re-derives every hash; the stored frame must agree in
-      // full — the chain link too, so a flipped byte anywhere in the frame
-      // (even in the redundant prev-hash field) is rejected.
-      if (!ConstantTimeEqual(ledger.Head(), entry->prev_hash)) {
-        return Out::Fail("persistence: entry " + std::to_string(i) +
-                         " chain link mismatch (file tampered?)");
-      }
-      uint64_t index = ledger.Append(entry->topic, std::move(entry->payload));
-      if (index != entry->index || !ConstantTimeEqual(ledger.Head(), entry->entry_hash)) {
-        return Out::Fail("persistence: entry " + std::to_string(i) +
-                         " hash mismatch (file tampered?)");
-      }
-    }
-    if (bytes.size() - offset != 32) {
-      return Out::Fail("persistence: bad trailer length");
-    }
-    if (!ConstantTimeEqual(ledger.Head(), bytes.subspan(offset, 32))) {
-      return Out::Fail("persistence: ledger head mismatch (file tampered?)");
-    }
-    return Out::Ok(std::move(ledger));
-  } catch (const ProtocolError& error) {
-    return Out::Fail(std::string("persistence: ") + error.what());
-  }
+  return ParseLog(bytes, storage, "serialized ledger");
 }
 
 Bytes SerializePublicLedger(const PublicLedger& ledger) {
@@ -82,31 +77,26 @@ Bytes SerializePublicLedger(const PublicLedger& ledger) {
 
 Outcome<PublicLedger> ParsePublicLedger(std::span<const uint8_t> bytes,
                                         const LedgerStorageConfig& storage) {
-  using Out = Outcome<PublicLedger>;
-  try {
-    ByteReader r(bytes);
-    if (r.Str() != kMagic) {
-      return Out::Fail("persistence: bad magic");
-    }
-    PublicLedger ledger;
-    for (const PublicLedger::SubLogSpec& spec : PublicLedger::SubLogs()) {
-      Bytes wire = r.Var();  // sub-logs appear in SubLogs() order
-      auto parsed = ParseLedger(wire, storage.ForSubLog(spec.name));
-      if (!parsed.ok()) {
-        return Out::Fail(std::string(spec.name) + " log: " + parsed.status.reason());
-      }
-      ledger.*spec.member = std::move(*parsed);
-    }
-    r.ExpectEnd();
-    // Rebuild the derived lookup state by streaming the verified logs —
-    // same path as recovering a segment directory via PublicLedger::Open.
-    if (Status derived = ledger.RebuildDerivedState(); !derived.ok()) {
-      return Out::Fail(derived.reason());
-    }
-    return Out::Ok(std::move(ledger));
-  } catch (const ProtocolError& error) {
-    return Out::Fail(std::string("persistence: ") + error.what());
+  ByteReader r(bytes, "ledger snapshot");
+  r.Check(r.Str() == kMagic, "bad magic");
+  PublicLedger ledger;
+  // Sub-logs appear in SubLogs() order.
+  for (const PublicLedger::SubLogSpec& spec : PublicLedger::SubLogs()) {
+    const std::string name = std::string(spec.name) + " log";
+    r.DecodeVar(&(ledger.*spec.member), [&](std::span<const uint8_t> wire) {
+      return ParseLog(wire, storage.ForSubLog(spec.name), name);
+    });
   }
+  Outcome<PublicLedger> parsed = r.Finish(std::move(ledger));
+  // Rebuild the derived lookup state by streaming the verified logs —
+  // same path as recovering a segment directory via PublicLedger::Open.
+  if (parsed.ok()) {
+    if (Status derived = parsed->RebuildDerivedState(); !derived.ok()) {
+      return Outcome<PublicLedger>::Fail(StatusCode::kCorrupted,
+                                         "ledger snapshot: " + derived.reason());
+    }
+  }
+  return parsed;
 }
 
 Outcome<PublicLedger> ParsePublicLedger(std::span<const uint8_t> bytes) {

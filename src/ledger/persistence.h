@@ -26,7 +26,9 @@ Bytes SerializeLedger(const Ledger& ledger);
 
 // Parses and *re-verifies* a serialized log into a fresh ledger on the
 // given backend: every entry hash and chain link is recomputed and compared
-// against the stored frame; any corruption yields a localized failure.
+// against the stored frame; any corruption yields a localized kCorrupted
+// failure. A failing backend (a directory that already holds a log, a
+// failed segment write) throws ProtocolError, as any Ledger append does.
 Outcome<Ledger> ParseLedger(std::span<const uint8_t> bytes,
                             const LedgerStorageConfig& storage = {});
 

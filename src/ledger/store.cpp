@@ -174,7 +174,8 @@ Outcome<LedgerEntry> DecodeEntryFrame(std::span<const uint8_t> bytes, size_t* of
   LedgerEntryView view;
   int parsed = ParseFrameView(bytes, offset, &view);
   if (parsed <= 0) {
-    return Outcome<LedgerEntry>::Fail(parsed == 0 ? "ledger store: truncated entry frame"
+    return Outcome<LedgerEntry>::Fail(StatusCode::kCorrupted,
+                                      parsed == 0 ? "ledger store: truncated entry frame"
                                                   : "ledger store: malformed entry frame");
   }
   return Outcome<LedgerEntry>::Ok(view.Materialize());

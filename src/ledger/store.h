@@ -247,8 +247,13 @@ LedgerHash HashLedgerEntry(uint64_t index, std::string_view topic,
 // format (a serialized ledger is exactly an exported sequence of frames).
 void AppendEntryFrame(Bytes* out, const LedgerEntry& entry);
 void AppendEntryFrame(Bytes* out, const LedgerEntryView& view);
-// Decodes one frame starting at `*offset`; advances `*offset` past it.
+// Decodes one frame starting at `*offset`; advances `*offset` past it. A
+// torn or malformed frame fails kCorrupted.
 Outcome<LedgerEntry> DecodeEntryFrame(std::span<const uint8_t> bytes, size_t* offset);
+// The smallest frame: u32 length, u64 index, empty topic and payload (two u32
+// lengths), two 32-byte hashes. Bounds an untrusted frame count before any
+// allocation sized by it.
+inline constexpr size_t kMinEntryFrameBytes = 4 + 8 + 4 + 4 + 32 + 32;
 
 }  // namespace votegral
 

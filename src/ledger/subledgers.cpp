@@ -29,35 +29,16 @@ Bytes RegistrationRecord::Serialize() const {
   return w.Take();
 }
 
-std::optional<RegistrationRecord> RegistrationRecord::Parse(std::span<const uint8_t> bytes) {
-  try {
-    ByteReader r(bytes);
-    RegistrationRecord record;
-    record.voter_id = r.Str();
-    auto ct = ElGamalCiphertext::Parse(r.Var());
-    if (!ct.has_value()) {
-      return std::nullopt;
-    }
-    record.public_credential = *ct;
-    Bytes kiosk_pk = r.Fixed(32);
-    std::copy(kiosk_pk.begin(), kiosk_pk.end(), record.kiosk_pk.begin());
-    auto kiosk_sig = SchnorrSignature::Parse(r.Var());
-    if (!kiosk_sig.has_value()) {
-      return std::nullopt;
-    }
-    record.kiosk_sig = *kiosk_sig;
-    Bytes official_pk = r.Fixed(32);
-    std::copy(official_pk.begin(), official_pk.end(), record.official_pk.begin());
-    auto official_sig = SchnorrSignature::Parse(r.Var());
-    if (!official_sig.has_value()) {
-      return std::nullopt;
-    }
-    record.official_sig = *official_sig;
-    r.ExpectEnd();
-    return record;
-  } catch (const ProtocolError&) {
-    return std::nullopt;
-  }
+Outcome<RegistrationRecord> RegistrationRecord::Parse(std::span<const uint8_t> bytes) {
+  ByteReader r(bytes, "registration record");
+  RegistrationRecord record;
+  record.voter_id = r.Str();
+  r.DecodeVar(&record.public_credential, ElGamalCiphertext::Parse);
+  r.Fixed(record.kiosk_pk);
+  r.DecodeVar(&record.kiosk_sig, SchnorrSignature::Parse);
+  r.Fixed(record.official_pk);
+  r.DecodeVar(&record.official_sig, SchnorrSignature::Parse);
+  return r.Finish(std::move(record));
 }
 
 Bytes EnvelopeCommitment::Serialize() const {
@@ -68,24 +49,13 @@ Bytes EnvelopeCommitment::Serialize() const {
   return w.Take();
 }
 
-std::optional<EnvelopeCommitment> EnvelopeCommitment::Parse(std::span<const uint8_t> bytes) {
-  try {
-    ByteReader r(bytes);
-    EnvelopeCommitment c;
-    Bytes pk = r.Fixed(32);
-    std::copy(pk.begin(), pk.end(), c.printer_pk.begin());
-    Bytes hash = r.Fixed(32);
-    std::copy(hash.begin(), hash.end(), c.challenge_hash.begin());
-    auto sig = SchnorrSignature::Parse(r.Var());
-    if (!sig.has_value()) {
-      return std::nullopt;
-    }
-    c.printer_sig = *sig;
-    r.ExpectEnd();
-    return c;
-  } catch (const ProtocolError&) {
-    return std::nullopt;
-  }
+Outcome<EnvelopeCommitment> EnvelopeCommitment::Parse(std::span<const uint8_t> bytes) {
+  ByteReader r(bytes, "envelope commitment");
+  EnvelopeCommitment c;
+  r.Fixed(c.printer_pk);
+  r.Fixed(c.challenge_hash);
+  r.DecodeVar(&c.printer_sig, SchnorrSignature::Parse);
+  return r.Finish(std::move(c));
 }
 
 PublicLedger::PublicLedger(const LedgerStorageConfig& storage)
@@ -140,9 +110,10 @@ Status PublicLedger::RebuildDerivedState() {
   for (LedgerCursor cursor = envelope_log_.Scan(); cursor.Next(&view);) {
     if (view.topic == kEnvelopeTopic) {
       auto commitment = EnvelopeCommitment::Parse(view.payload);
-      if (!commitment.has_value()) {
+      if (!commitment.ok()) {
         return Status::Error("ledger: corrupt envelope commitment at index " +
-                             std::to_string(view.index));
+                             std::to_string(view.index) + ": " +
+                             commitment.status.reason());
       }
       envelope_hashes_.insert(commitment->challenge_hash);
     } else if (view.topic == kChallengeTopic) {
@@ -169,9 +140,9 @@ Status PublicLedger::RebuildDerivedState() {
                            std::to_string(view.index));
     }
     auto record = RegistrationRecord::Parse(view.payload);
-    if (!record.has_value()) {
+    if (!record.ok()) {
       return Status::Error("ledger: corrupt registration record at index " +
-                           std::to_string(view.index));
+                           std::to_string(view.index) + ": " + record.status.reason());
     }
     if (!IsEligible(record->voter_id)) {
       return Status::Error("ledger: registration at index " + std::to_string(view.index) +
@@ -218,7 +189,7 @@ std::optional<RegistrationRecord> PublicLedger::ActiveRegistration(
   LedgerCursor cursor = registration_log_.Scan(it->second.back(), it->second.back() + 1);
   LedgerEntryView view;
   Require(cursor.Next(&view), "ledger: registration index points past the log");
-  return RegistrationRecord::Parse(view.payload);
+  return RegistrationRecord::Parse(view.payload).value;
 }
 
 std::vector<RegistrationRecord> PublicLedger::ActiveRegistrations() const {
@@ -236,7 +207,7 @@ std::vector<RegistrationRecord> PublicLedger::ActiveRegistrations() const {
     cursor.Seek(indices.back());
     Require(cursor.Next(&view), "ledger: registration index points past the log");
     auto record = RegistrationRecord::Parse(view.payload);
-    Require(record.has_value(), "ledger: stored registration record is corrupt");
+    Require(record.ok(), "ledger: stored registration record is corrupt");
     out.push_back(std::move(*record));
   }
   return out;

@@ -45,7 +45,7 @@ struct RegistrationRecord {
   SchnorrSignature official_sig;        // σ_o over (V_id || c_pc || σ_kot)
 
   Bytes Serialize() const;
-  static std::optional<RegistrationRecord> Parse(std::span<const uint8_t> bytes);
+  static Outcome<RegistrationRecord> Parse(std::span<const uint8_t> bytes);
 };
 
 // An envelope commitment published at setup (Fig. 7, line 5):
@@ -56,7 +56,7 @@ struct EnvelopeCommitment {
   SchnorrSignature printer_sig;
 
   Bytes Serialize() const;
-  static std::optional<EnvelopeCommitment> Parse(std::span<const uint8_t> bytes);
+  static Outcome<EnvelopeCommitment> Parse(std::span<const uint8_t> bytes);
 };
 
 // The sub-ledgers plus the eligibility roster, bundled as the paper's

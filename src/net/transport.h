@@ -21,7 +21,7 @@
 // Error contract: transport failures are Status values with transport codes —
 // kUnavailable (peer gone/channel closed), kTimeout (nothing arrived in
 // time), kCorrupted (undecodable frame) — never exceptions, so replication
-// retry logic can branch on the class (DESIGN.md §4 convention).
+// retry logic can branch on the class (docs/ROBUSTNESS.md §Status codes).
 #ifndef SRC_NET_TRANSPORT_H_
 #define SRC_NET_TRANSPORT_H_
 

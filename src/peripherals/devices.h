@@ -1,7 +1,7 @@
 // Peripheral latency models and hardware device profiles for the Fig. 4
 // registration-latency experiment.
 //
-// Substitution (DESIGN.md §2): we do not have the paper's kiosk, EPSON
+// Substitution: we do not have the paper's kiosk, EPSON
 // TM-T20III receipt printer, Bluetooth scanner, Raspberry Pi, MacBook or
 // Beelink. The *protocol* fixes how many symbols of which size are printed
 // and scanned per phase; these models supply per-operation constants

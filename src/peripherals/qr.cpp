@@ -69,19 +69,12 @@ QrSymbol QrCodec::Encode(std::span<const uint8_t> payload, Symbology symbology) 
   return symbol;
 }
 
-std::optional<Bytes> QrCodec::Decode(const QrSymbol& symbol) {
-  try {
-    ByteReader r(symbol.framed);
-    Bytes payload = r.Var();
-    uint32_t crc = r.U32();
-    r.ExpectEnd();
-    if (crc != Crc32(payload)) {
-      return std::nullopt;
-    }
-    return payload;
-  } catch (const ProtocolError&) {
-    return std::nullopt;
-  }
+Outcome<Bytes> QrCodec::Decode(const QrSymbol& symbol) {
+  ByteReader r(symbol.framed, "qr symbol");
+  std::span<const uint8_t> payload = r.Var();
+  const uint32_t crc = r.U32();
+  r.Check(crc == Crc32(payload), "crc mismatch");
+  return r.Finish(Bytes(payload.begin(), payload.end()));
 }
 
 }  // namespace votegral

@@ -1,6 +1,6 @@
 // Machine-readable code encoding/decoding ("QR Read/Write" in Fig. 4).
 //
-// Substitution note (DESIGN.md §2): the paper's prototype uses real QR
+// Substitution note: the paper's prototype uses real QR
 // imagery via gozxing/gofpdf. We have no camera or printer, so this codec
 // produces a *symbol description* — payload, symbology, version/module
 // geometry, CRC — that exercises the same code path: every protocol message
@@ -11,10 +11,10 @@
 #define SRC_PERIPHERALS_QR_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "src/common/bytes.h"
+#include "src/common/outcome.h"
 #include "src/common/status.h"
 
 namespace votegral {
@@ -47,7 +47,7 @@ class QrCodec {
   static QrSymbol Encode(std::span<const uint8_t> payload, Symbology symbology);
 
   // Decodes and integrity-checks a scanned symbol.
-  static std::optional<Bytes> Decode(const QrSymbol& symbol);
+  static Outcome<Bytes> Decode(const QrSymbol& symbol);
 
   // Smallest QR version (1..40) whose byte-mode EC-M capacity fits `bytes`.
   static int VersionForPayload(size_t bytes);

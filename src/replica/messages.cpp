@@ -8,33 +8,14 @@ namespace {
 
 uint16_t TypeTag(ReplicaMsgType type) { return static_cast<uint16_t>(type); }
 
-// Wraps a payload parser so malformed channel bytes fail as kCorrupted
-// values (ByteReader throws ProtocolError on truncation).
-template <typename T, typename Fn>
-Outcome<T> ParsePayload(const WireMessage& msg, ReplicaMsgType want,
-                        const char* what, Fn&& parse) {
-  using Out = Outcome<T>;
+// A reader over `msg`'s payload that has already failed unless the type tag
+// is `want`.
+ByteReader PayloadReader(const WireMessage& msg, ReplicaMsgType want, const char* what) {
+  ByteReader reader(msg.payload, what);
   if (msg.type != TypeTag(want)) {
-    return Out::Fail(StatusCode::kCorrupted,
-                     std::string("replica: expected ") + what + " message, got type " +
-                         std::to_string(msg.type));
+    reader.Fail("wrong message type " + std::to_string(msg.type));
   }
-  try {
-    ByteReader reader(msg.payload);
-    T out = parse(reader);
-    reader.ExpectEnd();
-    return Out::Ok(std::move(out));
-  } catch (const ProtocolError& e) {
-    return Out::Fail(StatusCode::kCorrupted,
-                     std::string("replica: malformed ") + what + " payload: " + e.what());
-  }
-}
-
-LedgerHash ReadHash(ByteReader& reader) {
-  Bytes raw = reader.Fixed(32);
-  LedgerHash hash;
-  std::copy(raw.begin(), raw.end(), hash.begin());
-  return hash;
+  return reader;
 }
 
 }  // namespace
@@ -64,25 +45,12 @@ Bytes SignedCheckpoint::Serialize() const {
 }
 
 Outcome<SignedCheckpoint> SignedCheckpoint::Parse(std::span<const uint8_t> bytes) {
-  using Out = Outcome<SignedCheckpoint>;
-  try {
-    ByteReader reader(bytes);
-    SignedCheckpoint cp;
-    cp.root = ReadHash(reader);
-    cp.size = reader.U64();
-    Bytes sig_bytes = reader.Fixed(64);
-    reader.ExpectEnd();
-    auto sig = SchnorrSignature::Parse(sig_bytes);
-    if (!sig.has_value()) {
-      return Out::Fail(StatusCode::kCorrupted,
-                       "replica: checkpoint signature bytes do not parse");
-    }
-    cp.signature = *sig;
-    return Out::Ok(std::move(cp));
-  } catch (const ProtocolError& e) {
-    return Out::Fail(StatusCode::kCorrupted,
-                     std::string("replica: malformed checkpoint: ") + e.what());
-  }
+  ByteReader r(bytes, "signed checkpoint");
+  SignedCheckpoint cp;
+  r.Fixed(cp.root);
+  cp.size = r.U64();
+  r.Decode(&cp.signature, 64, SchnorrSignature::Parse);
+  return r.Finish(std::move(cp));
 }
 
 WireMessage EncodeGetCheckpoint(const GetCheckpointMsg& msg) {
@@ -130,110 +98,59 @@ WireMessage EncodeError(const ErrorMsg& msg) {
 }
 
 Outcome<GetCheckpointMsg> DecodeGetCheckpoint(const WireMessage& msg) {
-  return ParsePayload<GetCheckpointMsg>(
-      msg, ReplicaMsgType::kGetCheckpoint, "get_checkpoint", [](ByteReader& r) {
-        GetCheckpointMsg out;
-        out.request_id = r.U64();
-        out.have_size = r.U64();
-        return out;
-      });
+  ByteReader r = PayloadReader(msg, ReplicaMsgType::kGetCheckpoint, "replica get_checkpoint");
+  GetCheckpointMsg out;
+  out.request_id = r.U64();
+  out.have_size = r.U64();
+  return r.Finish(out);
 }
 
 Outcome<CheckpointMsg> DecodeCheckpoint(const WireMessage& msg) {
-  using Out = Outcome<CheckpointMsg>;
-  if (msg.type != TypeTag(ReplicaMsgType::kCheckpoint)) {
-    return Out::Fail(StatusCode::kCorrupted,
-                     "replica: expected checkpoint message, got type " +
-                         std::to_string(msg.type));
-  }
-  try {
-    ByteReader reader(msg.payload);
-    CheckpointMsg out;
-    out.request_id = reader.U64();
-    // SignedCheckpoint is a fixed 32+8+64 bytes.
-    Bytes cp_bytes = reader.Fixed(32 + 8 + 64);
-    Bytes proof_bytes = reader.Var();
-    reader.ExpectEnd();
-    auto cp = SignedCheckpoint::Parse(cp_bytes);
-    if (!cp.ok()) {
-      return Out::Fail(cp.status);
-    }
-    out.checkpoint = std::move(*cp);
-    auto proof = ConsistencyProof::Parse(proof_bytes);
-    if (!proof.ok()) {
-      return Out::Fail(proof.status);
-    }
-    out.proof = std::move(*proof);
-    return Out::Ok(std::move(out));
-  } catch (const ProtocolError& e) {
-    return Out::Fail(StatusCode::kCorrupted,
-                     std::string("replica: malformed checkpoint payload: ") + e.what());
-  }
+  ByteReader r = PayloadReader(msg, ReplicaMsgType::kCheckpoint, "replica checkpoint");
+  CheckpointMsg out;
+  out.request_id = r.U64();
+  // SignedCheckpoint is a fixed 32+8+64 bytes.
+  r.Decode(&out.checkpoint, 32 + 8 + 64, SignedCheckpoint::Parse);
+  r.DecodeVar(&out.proof, ConsistencyProof::Parse);
+  return r.Finish(std::move(out));
 }
 
 Outcome<GetFramesMsg> DecodeGetFrames(const WireMessage& msg) {
-  return ParsePayload<GetFramesMsg>(
-      msg, ReplicaMsgType::kGetFrames, "get_frames", [](ByteReader& r) {
-        GetFramesMsg out;
-        out.request_id = r.U64();
-        out.from = r.U64();
-        out.max_entries = r.U64();
-        return out;
-      });
+  ByteReader r = PayloadReader(msg, ReplicaMsgType::kGetFrames, "replica get_frames");
+  GetFramesMsg out;
+  out.request_id = r.U64();
+  out.from = r.U64();
+  out.max_entries = r.U64();
+  return r.Finish(out);
 }
 
 Outcome<FramesMsg> DecodeFrames(const WireMessage& msg) {
-  using Out = Outcome<FramesMsg>;
-  if (msg.type != TypeTag(ReplicaMsgType::kFrames)) {
-    return Out::Fail(StatusCode::kCorrupted,
-                     "replica: expected frames message, got type " +
-                         std::to_string(msg.type));
-  }
-  uint64_t request_id = 0;
-  uint64_t first_index = 0;
-  uint32_t count = 0;
-  size_t offset = 0;
-  try {
-    ByteReader reader(msg.payload);
-    request_id = reader.U64();
-    first_index = reader.U64();
-    count = reader.U32();
-    offset = 8 + 8 + 4;
-  } catch (const ProtocolError& e) {
-    return Out::Fail(StatusCode::kCorrupted,
-                     std::string("replica: malformed frames header: ") + e.what());
-  }
+  ByteReader r = PayloadReader(msg, ReplicaMsgType::kFrames, "replica frames");
   FramesMsg out;
-  out.request_id = request_id;
-  out.first_index = first_index;
-  out.entries.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    auto entry = DecodeEntryFrame(msg.payload, &offset);
-    if (!entry.ok()) {
-      return Out::Fail(StatusCode::kCorrupted,
-                       "replica: frames message entry " + std::to_string(i) + ": " +
-                           entry.status.reason());
-    }
-    out.entries.push_back(std::move(*entry));
+  out.request_id = r.U64();
+  out.first_index = r.U64();
+  const uint32_t count = r.U32();
+  // The peer chose `count`; bound it by what the payload can hold before
+  // sizing anything by it.
+  if (r.Check(count <= r.remaining() / kMinEntryFrameBytes, "entry count exceeds payload")) {
+    out.entries.resize(count);
   }
-  if (offset != msg.payload.size()) {
-    return Out::Fail(StatusCode::kCorrupted,
-                     "replica: frames message has trailing bytes");
+  for (uint32_t i = 0; i < count && r.ok(); ++i) {
+    r.DecodeAt(&out.entries[i], DecodeEntryFrame);
   }
-  return Out::Ok(std::move(out));
+  return r.Finish(std::move(out));
 }
 
 Outcome<ErrorMsg> DecodeError(const WireMessage& msg) {
-  return ParsePayload<ErrorMsg>(msg, ReplicaMsgType::kError, "error", [](ByteReader& r) {
-    ErrorMsg out;
-    out.request_id = r.U64();
-    const uint8_t raw_code = r.U8();
-    Require(raw_code > 0 && raw_code <= static_cast<uint8_t>(StatusCode::kEquivocation),
-            "replica: error message carries an unknown status code");
-    out.code = static_cast<StatusCode>(raw_code);
-    out.reason = r.Str();
-    return out;
-  });
+  ByteReader r = PayloadReader(msg, ReplicaMsgType::kError, "replica error");
+  ErrorMsg out;
+  out.request_id = r.U64();
+  const uint8_t raw_code = r.U8();
+  r.Check(raw_code > 0 && raw_code <= static_cast<uint8_t>(StatusCode::kEquivocation),
+          "unknown status code");
+  out.code = static_cast<StatusCode>(raw_code);
+  out.reason = r.Str();
+  return r.Finish(std::move(out));
 }
 
 }  // namespace votegral

@@ -108,8 +108,10 @@ WireMessage EncodeGetFrames(const GetFramesMsg& msg);
 WireMessage EncodeFrames(const FramesMsg& msg);
 WireMessage EncodeError(const ErrorMsg& msg);
 
-// Decoders: fail kCorrupted on wrong type tag or malformed payload (the
-// bytes crossed a channel; truncation is data, not API misuse).
+// Decoders: fail kCorrupted on a wrong type tag or a malformed payload (the
+// bytes crossed a channel; truncation is data, not API misuse), except that
+// a checkpoint's implausible consistency-proof node count keeps
+// kInvalidProof. Reasons name the message and the byte offset.
 Outcome<GetCheckpointMsg> DecodeGetCheckpoint(const WireMessage& msg);
 Outcome<CheckpointMsg> DecodeCheckpoint(const WireMessage& msg);
 Outcome<GetFramesMsg> DecodeGetFrames(const WireMessage& msg);

@@ -130,7 +130,7 @@ Bytes RegistrationSessionSimulator::RecordScan(SessionMeasurement& m, RegPhase p
 
   WallTimer timer;
   auto payload = QrCodec::Decode(symbol);
-  Require(payload.has_value(), "sim: scanned symbol failed integrity check");
+  Require(payload.ok(), "sim: scanned symbol failed integrity check");
   double host_seconds = timer.Seconds();
   breakdown.wall[static_cast<size_t>(Component::kQrReadWrite)] +=
       host_seconds * device_.crypto_scale;
@@ -160,7 +160,7 @@ SessionMeasurement RegistrationSessionSimulator::RunOnce(TripSystem& system,
   Bytes ticket_payload = RecordScan(m, RegPhase::kAuthorization, ticket_symbol);
   TimedCrypto(m, RegPhase::kAuthorization, [&] {
     auto parsed = CheckInTicket::Parse(ticket_payload);
-    Require(parsed.has_value(), "sim: ticket parse failed");
+    Require(parsed.ok(), "sim: ticket parse failed");
     Status s = kiosk.StartSession(*parsed);
     Require(s.ok(), "sim: authorization failed");
     return 0;
@@ -184,7 +184,7 @@ SessionMeasurement RegistrationSessionSimulator::RunOnce(TripSystem& system,
 
   auto real = TimedCrypto(m, RegPhase::kRealToken, [&] {
     auto parsed = Envelope::Parse(envelope_payload);
-    Require(parsed.has_value(), "sim: envelope parse failed");
+    Require(parsed.ok(), "sim: envelope parse failed");
     auto result = kiosk.FinishRealCredential(*parsed, rng);
     Require(result.ok(), "sim: real credential finish failed");
     return *result;
@@ -203,7 +203,7 @@ SessionMeasurement RegistrationSessionSimulator::RunOnce(TripSystem& system,
     Bytes fake_env_payload = RecordScan(m, RegPhase::kFakeToken, fake_env_symbol);
     auto fake = TimedCrypto(m, RegPhase::kFakeToken, [&] {
       auto parsed = Envelope::Parse(fake_env_payload);
-      Require(parsed.has_value(), "sim: envelope parse failed");
+      Require(parsed.ok(), "sim: envelope parse failed");
       auto result = kiosk.CreateFakeCredential(*parsed, rng);
       Require(result.ok(), "sim: fake credential failed");
       return *result;
@@ -226,7 +226,7 @@ SessionMeasurement RegistrationSessionSimulator::RunOnce(TripSystem& system,
   Bytes checkout_payload = RecordScan(m, RegPhase::kCheckOut, checkout_symbol);
   TimedCrypto(m, RegPhase::kCheckOut, [&] {
     auto parsed = CheckOutSegment::Parse(checkout_payload);
-    Require(parsed.has_value(), "sim: check-out parse failed");
+    Require(parsed.ok(), "sim: check-out parse failed");
     Status s = official.CheckOut(*parsed, system.authorized_kiosks(), system.ledger(), rng);
     Require(s.ok(), "sim: check-out failed");
     return 0;
@@ -242,7 +242,7 @@ SessionMeasurement RegistrationSessionSimulator::RunOnce(TripSystem& system,
     auto commit = CommitSegment::Parse(commit_payload);
     auto response = ResponseSegment::Parse(response_payload);
     auto env = Envelope::Parse(env_payload);
-    Require(commit && response && env, "sim: activation parse failed");
+    Require(commit.ok() && response.ok() && env.ok(), "sim: activation parse failed");
     credential.commit = *commit;
     credential.checkout = real.checkout;
     credential.response = *response;

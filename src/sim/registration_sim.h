@@ -7,7 +7,7 @@
 //    and scaled by the profile's CPU factor,
 //  * "QR Read/Write" — symbol encode/decode, measured live and scaled,
 //  * "QR Scan" / "QR Print" — mechanical peripherals, modeled on a virtual
-//    clock (DESIGN.md §2 substitution; constants in src/peripherals).
+//    clock (the substitution and its constants are in src/peripherals).
 #ifndef SRC_SIM_REGISTRATION_SIM_H_
 #define SRC_SIM_REGISTRATION_SIM_H_
 

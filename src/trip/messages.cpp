@@ -13,25 +13,6 @@ constexpr std::string_view kCheckoutDomain = "trip/sig/checkout/v1";
 constexpr std::string_view kResponseDomain = "trip/sig/response/v1";
 constexpr std::string_view kEnvelopeDomain = "trip/sig/envelope/v1";
 
-std::optional<CompressedRistretto> ReadCompressed(ByteReader& r) {
-  Bytes b = r.Fixed(32);
-  CompressedRistretto out{};
-  std::copy(b.begin(), b.end(), out.begin());
-  return out;
-}
-
-std::optional<Scalar> ReadScalar(ByteReader& r) {
-  return Scalar::FromCanonicalBytes(r.Fixed(32));
-}
-
-std::optional<RistrettoPoint> ReadPoint(ByteReader& r) {
-  return RistrettoPoint::Decode(r.Fixed(32));
-}
-
-std::optional<SchnorrSignature> ReadSig(ByteReader& r) {
-  return SchnorrSignature::Parse(r.Fixed(64));
-}
-
 }  // namespace
 
 Bytes CheckInTicket::Serialize() const {
@@ -41,18 +22,12 @@ Bytes CheckInTicket::Serialize() const {
   return w.Take();
 }
 
-std::optional<CheckInTicket> CheckInTicket::Parse(std::span<const uint8_t> bytes) {
-  try {
-    ByteReader r(bytes);
-    CheckInTicket t;
-    t.voter_id = r.Str();
-    Bytes tag = r.Fixed(16);
-    std::copy(tag.begin(), tag.end(), t.mac_tag.begin());
-    r.ExpectEnd();
-    return t;
-  } catch (const ProtocolError&) {
-    return std::nullopt;
-  }
+Outcome<CheckInTicket> CheckInTicket::Parse(std::span<const uint8_t> bytes) {
+  ByteReader r(bytes, "check-in ticket");
+  CheckInTicket t;
+  t.voter_id = r.Str();
+  r.Fixed(t.mac_tag);
+  return r.Finish(std::move(t));
 }
 
 Bytes Envelope::Serialize() const {
@@ -64,26 +39,15 @@ Bytes Envelope::Serialize() const {
   return w.Take();
 }
 
-std::optional<Envelope> Envelope::Parse(std::span<const uint8_t> bytes) {
-  try {
-    ByteReader r(bytes);
-    Envelope e;
-    auto pk = ReadCompressed(r);
-    auto challenge = ReadScalar(r);
-    auto sig = ReadSig(r);
-    uint8_t symbol = r.U8();
-    r.ExpectEnd();
-    if (!pk || !challenge || !sig || symbol >= kNumEnvelopeSymbols) {
-      return std::nullopt;
-    }
-    e.printer_pk = *pk;
-    e.challenge = *challenge;
-    e.printer_sig = *sig;
-    e.symbol = symbol;
-    return e;
-  } catch (const ProtocolError&) {
-    return std::nullopt;
-  }
+Outcome<Envelope> Envelope::Parse(std::span<const uint8_t> bytes) {
+  ByteReader r(bytes, "envelope");
+  Envelope e;
+  r.Fixed(e.printer_pk);
+  r.Decode(&e.challenge, 32, Scalar::FromCanonicalBytes);
+  r.Decode(&e.printer_sig, 64, SchnorrSignature::Parse);
+  e.symbol = r.U8();
+  r.Check(e.symbol < kNumEnvelopeSymbols, "symbol out of range");
+  return r.Finish(std::move(e));
 }
 
 std::array<uint8_t, 32> Envelope::ChallengeHash() const {
@@ -107,27 +71,15 @@ Bytes CommitSegment::Serialize() const {
   return w.Take();
 }
 
-std::optional<CommitSegment> CommitSegment::Parse(std::span<const uint8_t> bytes) {
-  try {
-    ByteReader r(bytes);
-    CommitSegment c;
-    c.voter_id = r.Str();
-    auto ct = ElGamalCiphertext::Parse(r.Fixed(64));
-    auto y1 = ReadPoint(r);
-    auto y2 = ReadPoint(r);
-    auto sig = ReadSig(r);
-    r.ExpectEnd();
-    if (!ct || !y1 || !y2 || !sig) {
-      return std::nullopt;
-    }
-    c.public_credential = *ct;
-    c.commit_y1 = *y1;
-    c.commit_y2 = *y2;
-    c.kiosk_sig = *sig;
-    return c;
-  } catch (const ProtocolError&) {
-    return std::nullopt;
-  }
+Outcome<CommitSegment> CommitSegment::Parse(std::span<const uint8_t> bytes) {
+  ByteReader r(bytes, "commit segment");
+  CommitSegment c;
+  c.voter_id = r.Str();
+  r.Decode(&c.public_credential, 64, ElGamalCiphertext::Parse);
+  r.Decode(&c.commit_y1, 32, RistrettoPoint::Decode);
+  r.Decode(&c.commit_y2, 32, RistrettoPoint::Decode);
+  r.Decode(&c.kiosk_sig, 64, SchnorrSignature::Parse);
+  return r.Finish(std::move(c));
 }
 
 Bytes CommitSegment::SignedPayload() const {
@@ -149,25 +101,14 @@ Bytes CheckOutSegment::Serialize() const {
   return w.Take();
 }
 
-std::optional<CheckOutSegment> CheckOutSegment::Parse(std::span<const uint8_t> bytes) {
-  try {
-    ByteReader r(bytes);
-    CheckOutSegment c;
-    c.voter_id = r.Str();
-    auto ct = ElGamalCiphertext::Parse(r.Fixed(64));
-    auto pk = ReadCompressed(r);
-    auto sig = ReadSig(r);
-    r.ExpectEnd();
-    if (!ct || !pk || !sig) {
-      return std::nullopt;
-    }
-    c.public_credential = *ct;
-    c.kiosk_pk = *pk;
-    c.kiosk_sig = *sig;
-    return c;
-  } catch (const ProtocolError&) {
-    return std::nullopt;
-  }
+Outcome<CheckOutSegment> CheckOutSegment::Parse(std::span<const uint8_t> bytes) {
+  ByteReader r(bytes, "check-out segment");
+  CheckOutSegment c;
+  c.voter_id = r.Str();
+  r.Decode(&c.public_credential, 64, ElGamalCiphertext::Parse);
+  r.Fixed(c.kiosk_pk);
+  r.Decode(&c.kiosk_sig, 64, SchnorrSignature::Parse);
+  return r.Finish(std::move(c));
 }
 
 Bytes CheckOutSegment::SignedPayload() const {
@@ -187,26 +128,14 @@ Bytes ResponseSegment::Serialize() const {
   return w.Take();
 }
 
-std::optional<ResponseSegment> ResponseSegment::Parse(std::span<const uint8_t> bytes) {
-  try {
-    ByteReader r(bytes);
-    ResponseSegment seg;
-    auto sk = ReadScalar(r);
-    auto resp = ReadScalar(r);
-    auto pk = ReadCompressed(r);
-    auto sig = ReadSig(r);
-    r.ExpectEnd();
-    if (!sk || !resp || !pk || !sig) {
-      return std::nullopt;
-    }
-    seg.credential_sk = *sk;
-    seg.zkp_response = *resp;
-    seg.kiosk_pk = *pk;
-    seg.kiosk_sig = *sig;
-    return seg;
-  } catch (const ProtocolError&) {
-    return std::nullopt;
-  }
+Outcome<ResponseSegment> ResponseSegment::Parse(std::span<const uint8_t> bytes) {
+  ByteReader r(bytes, "response segment");
+  ResponseSegment seg;
+  r.Decode(&seg.credential_sk, 32, Scalar::FromCanonicalBytes);
+  r.Decode(&seg.zkp_response, 32, Scalar::FromCanonicalBytes);
+  r.Fixed(seg.kiosk_pk);
+  r.Decode(&seg.kiosk_sig, 64, SchnorrSignature::Parse);
+  return r.Finish(std::move(seg));
 }
 
 Bytes ResponseSegment::SignedPayload(const CompressedRistretto& credential_pk,

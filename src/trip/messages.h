@@ -9,10 +9,10 @@
 #define SRC_TRIP_MESSAGES_H_
 
 #include <array>
-#include <optional>
 #include <string>
 
 #include "src/common/bytes.h"
+#include "src/common/outcome.h"
 #include "src/crypto/dleq.h"
 #include "src/crypto/elgamal.h"
 #include "src/crypto/schnorr.h"
@@ -32,7 +32,7 @@ struct CheckInTicket {
   std::array<uint8_t, 16> mac_tag{};
 
   Bytes Serialize() const;
-  static std::optional<CheckInTicket> Parse(std::span<const uint8_t> bytes);
+  static Outcome<CheckInTicket> Parse(std::span<const uint8_t> bytes);
 };
 
 // A privacy-booth envelope (Fig. 2a): pre-printed with a symbol and a QR
@@ -45,7 +45,7 @@ struct Envelope {
 
   // The payload of the envelope's QR code.
   Bytes Serialize() const;
-  static std::optional<Envelope> Parse(std::span<const uint8_t> bytes);
+  static Outcome<Envelope> Parse(std::span<const uint8_t> bytes);
 
   // H(e), the committed value on L_E.
   std::array<uint8_t, 32> ChallengeHash() const;
@@ -64,7 +64,7 @@ struct CommitSegment {
   SchnorrSignature kiosk_sig;           // σ_kc over (V_id ‖ c_pc ‖ Y)
 
   Bytes Serialize() const;
-  static std::optional<CommitSegment> Parse(std::span<const uint8_t> bytes);
+  static Outcome<CommitSegment> Parse(std::span<const uint8_t> bytes);
   Bytes SignedPayload() const;
 };
 
@@ -77,7 +77,7 @@ struct CheckOutSegment {
   SchnorrSignature kiosk_sig;  // σ_kot over (V_id ‖ c_pc)
 
   Bytes Serialize() const;
-  static std::optional<CheckOutSegment> Parse(std::span<const uint8_t> bytes);
+  static Outcome<CheckOutSegment> Parse(std::span<const uint8_t> bytes);
   Bytes SignedPayload() const;
 };
 
@@ -90,7 +90,7 @@ struct ResponseSegment {
   SchnorrSignature kiosk_sig;    // σ_kr over (c_pk ‖ H(e ‖ r))
 
   Bytes Serialize() const;
-  static std::optional<ResponseSegment> Parse(std::span<const uint8_t> bytes);
+  static Outcome<ResponseSegment> Parse(std::span<const uint8_t> bytes);
 
   // The byte string σ_kr signs, given the credential public key and H(e‖r).
   static Bytes SignedPayload(const CompressedRistretto& credential_pk,

@@ -73,30 +73,16 @@ Bytes Ballot::Serialize() const {
   return w.Take();
 }
 
-std::optional<Ballot> Ballot::Parse(std::span<const uint8_t> bytes) {
-  try {
-    ByteReader r(bytes);
-    Ballot b;
-    auto vote = ElGamalCiphertext::Parse(r.Fixed(64));
-    Bytes cred_pk = r.Fixed(32);
-    Bytes kiosk_pk = r.Fixed(32);
-    Bytes cert_hash = r.Fixed(32);
-    auto cert = SchnorrSignature::Parse(r.Fixed(64));
-    auto sig = SchnorrSignature::Parse(r.Fixed(64));
-    r.ExpectEnd();
-    if (!vote || !cert || !sig) {
-      return std::nullopt;
-    }
-    b.encrypted_vote = *vote;
-    std::copy(cred_pk.begin(), cred_pk.end(), b.credential_pk.begin());
-    std::copy(kiosk_pk.begin(), kiosk_pk.end(), b.kiosk_pk.begin());
-    std::copy(cert_hash.begin(), cert_hash.end(), b.kiosk_cert_hash.begin());
-    b.kiosk_cert = *cert;
-    b.credential_sig = *sig;
-    return b;
-  } catch (const ProtocolError&) {
-    return std::nullopt;
-  }
+Outcome<Ballot> Ballot::Parse(std::span<const uint8_t> bytes) {
+  ByteReader r(bytes, "ballot");
+  Ballot b;
+  r.Decode(&b.encrypted_vote, 64, ElGamalCiphertext::Parse);
+  r.Fixed(b.credential_pk);
+  r.Fixed(b.kiosk_pk);
+  r.Fixed(b.kiosk_cert_hash);
+  r.Decode(&b.kiosk_cert, 64, SchnorrSignature::Parse);
+  r.Decode(&b.credential_sig, 64, SchnorrSignature::Parse);
+  return r.Finish(std::move(b));
 }
 
 Ballot MakeBallot(const ActivatedCredential& credential, const CandidateList& candidates,
@@ -128,28 +114,14 @@ Bytes RevoteBindingProof::Serialize() const {
   return w.Take();
 }
 
-std::optional<RevoteBindingProof> RevoteBindingProof::Parse(std::span<const uint8_t> bytes) {
-  try {
-    ByteReader r(bytes);
-    RevoteBindingProof p;
-    Bytes t1 = r.Fixed(32);
-    Bytes t2 = r.Fixed(32);
-    Bytes z1 = r.Fixed(32);
-    Bytes z2 = r.Fixed(32);
-    r.ExpectEnd();
-    std::copy(t1.begin(), t1.end(), p.t1.begin());
-    std::copy(t2.begin(), t2.end(), p.t2.begin());
-    auto s1 = Scalar::FromCanonicalBytes(z1);
-    auto s2 = Scalar::FromCanonicalBytes(z2);
-    if (!s1 || !s2) {
-      return std::nullopt;
-    }
-    p.z1 = *s1;
-    p.z2 = *s2;
-    return p;
-  } catch (const ProtocolError&) {
-    return std::nullopt;
-  }
+Outcome<RevoteBindingProof> RevoteBindingProof::Parse(std::span<const uint8_t> bytes) {
+  ByteReader r(bytes, "revote binding proof");
+  RevoteBindingProof p;
+  r.Fixed(p.t1);
+  r.Fixed(p.t2);
+  r.Decode(&p.z1, 32, Scalar::FromCanonicalBytes);
+  r.Decode(&p.z2, 32, Scalar::FromCanonicalBytes);
+  return r.Finish(std::move(p));
 }
 
 Bytes RevoteBallot::BoundPayload() const {
@@ -170,26 +142,14 @@ Bytes RevoteBallot::Serialize() const {
   return w.Take();
 }
 
-std::optional<RevoteBallot> RevoteBallot::Parse(std::span<const uint8_t> bytes) {
-  try {
-    ByteReader r(bytes);
-    RevoteBallot b;
-    auto vote = ElGamalCiphertext::Parse(r.Fixed(64));
-    auto credential = ElGamalCiphertext::Parse(r.Fixed(64));
-    auto counter = ElGamalCiphertext::Parse(r.Fixed(64));
-    auto proof = RevoteBindingProof::Parse(r.Fixed(128));
-    r.ExpectEnd();
-    if (!vote || !credential || !counter || !proof) {
-      return std::nullopt;
-    }
-    b.encrypted_vote = *vote;
-    b.encrypted_credential = *credential;
-    b.encrypted_counter = *counter;
-    b.proof = *proof;
-    return b;
-  } catch (const ProtocolError&) {
-    return std::nullopt;
-  }
+Outcome<RevoteBallot> RevoteBallot::Parse(std::span<const uint8_t> bytes) {
+  ByteReader r(bytes, "revote ballot");
+  RevoteBallot b;
+  r.Decode(&b.encrypted_vote, 64, ElGamalCiphertext::Parse);
+  r.Decode(&b.encrypted_credential, 64, ElGamalCiphertext::Parse);
+  r.Decode(&b.encrypted_counter, 64, ElGamalCiphertext::Parse);
+  r.Decode(&b.proof, 128, RevoteBindingProof::Parse);
+  return r.Finish(std::move(b));
 }
 
 RevoteBallot MakeRevoteBallot(const ActivatedCredential& credential,

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/outcome.h"
 #include "src/common/rng.h"
 #include "src/crypto/elgamal.h"
 #include "src/crypto/schnorr.h"
@@ -55,7 +56,7 @@ struct Ballot {
   SchnorrSignature credential_sig;            // by c_sk over the ballot body
 
   Bytes Serialize() const;
-  static std::optional<Ballot> Parse(std::span<const uint8_t> bytes);
+  static Outcome<Ballot> Parse(std::span<const uint8_t> bytes);
 
   // The byte string credential_sig covers.
   Bytes SignedPayload() const;
@@ -100,7 +101,7 @@ struct RevoteBindingProof {
 
   // 128-byte wire format: T1 || T2 || z1 || z2.
   Bytes Serialize() const;
-  static std::optional<RevoteBindingProof> Parse(std::span<const uint8_t> bytes);
+  static Outcome<RevoteBindingProof> Parse(std::span<const uint8_t> bytes);
 };
 
 // An encrypted revote ballot as posted on L_V (320 bytes — length alone
@@ -113,7 +114,7 @@ struct RevoteBallot {
   RevoteBindingProof proof;
 
   Bytes Serialize() const;
-  static std::optional<RevoteBallot> Parse(std::span<const uint8_t> bytes);
+  static Outcome<RevoteBallot> Parse(std::span<const uint8_t> bytes);
 
   // The byte string the binding proof's challenge covers (everything but the
   // proof itself).

@@ -61,7 +61,7 @@ Outcome<HistoryDecryption> DecryptOwnVote(const ElectionAuthority& authority,
   LedgerEntryView entry_view;
   Require(cursor.Next(&entry_view), "history: ballot cursor read failed");
   auto ballot = Ballot::Parse(entry_view.payload);
-  if (!ballot.has_value()) {
+  if (!ballot.ok()) {
     return Out::Fail("history: ledger entry is not a ballot");
   }
   // Ownership proof: the requester must control the credential that cast
@@ -161,7 +161,7 @@ std::vector<Ballot> ValidateWithTransfers(
   LedgerEntryView view;
   while (cursor.Next(&view)) {
     auto ballot = Ballot::Parse(view.payload);
-    if (!ballot.has_value()) {
+    if (!ballot.ok()) {
       ++discards->invalid_structure;
       continue;
     }

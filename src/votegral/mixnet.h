@@ -1,6 +1,6 @@
 // Verifiable re-encryption mix cascade (Fig. 3 "verifiable shuffle").
 //
-// Substitution (DESIGN.md §2): the paper's prototype uses Bayer–Groth shuffle
+// Substitution: the paper's prototype uses Bayer–Groth shuffle
 // arguments. We implement a randomized-partial-checking (RPC) mixnet
 // [Jakobsson–Juels–Rivest 2002]: mix servers are paired; after both layers
 // of a pair commit their outputs, a Fiat–Shamir challenge opens exactly one

@@ -258,7 +258,7 @@ void RevoteValidateShard(const PublicLedger& ledger, const RistrettoPoint& autho
   for (size_t i = begin; i < end; ++i) {
     Require(cursor.Next(&view), "revote: ballot cursor ended before its shard");
     auto ballot = RevoteBallot::Parse(view.payload);
-    if (!ballot.has_value()) {
+    if (!ballot.ok()) {
       outcome[i] = tally_internal::kBallotBadStructure;
       continue;
     }

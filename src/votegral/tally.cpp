@@ -47,7 +47,7 @@ void ValidateBallotShard(const PublicLedger& ledger,
   for (size_t i = begin; i < end; ++i) {
     Require(cursor.Next(&view), "tally: ballot cursor ended before its shard");
     auto ballot = Ballot::Parse(view.payload);
-    if (!ballot.has_value()) {
+    if (!ballot.ok()) {
       outcome[i] = kBallotBadStructure;
       continue;
     }

@@ -126,7 +126,7 @@ TEST(BallotMalleability, ResignedCopyCannotHijackAVote) {
   ASSERT_TRUE(election.Cast(alice->activated[0], "A", rng).ok());
 
   auto posted = Ballot::Parse(election.ledger().AllBallots()[0]);
-  ASSERT_TRUE(posted.has_value());
+  ASSERT_TRUE(posted.ok());
   Ballot mutated = *posted;
   mutated.encrypted_vote =
       ElGamalEncrypt(election.trip().authority_pk(),

@@ -2,6 +2,7 @@
 // timers, status composition.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <thread>
 
 #include "src/common/bytes.h"
@@ -73,36 +74,50 @@ TEST(Serde, WriterReaderRoundTrip) {
   w.Str("hello");
   w.Fixed(Bytes{1, 2, 3, 4});
 
-  ByteReader r(w.bytes());
+  ByteReader r(w.bytes(), "test message");
   EXPECT_EQ(r.U8(), 7);
   EXPECT_EQ(r.U16(), 0x1234);
   EXPECT_EQ(r.U32(), 0xdeadbeefu);
   EXPECT_EQ(r.U64(), 0x0123456789abcdefULL);
-  EXPECT_EQ(r.Var(), (Bytes{9, 8, 7}));
+  auto var = r.Var();
+  EXPECT_EQ(Bytes(var.begin(), var.end()), (Bytes{9, 8, 7}));
   EXPECT_EQ(r.Str(), "hello");
-  EXPECT_EQ(r.Fixed(4), (Bytes{1, 2, 3, 4}));
-  EXPECT_TRUE(r.AtEnd());
-  r.ExpectEnd();
+  std::array<uint8_t, 4> fixed{};
+  r.Fixed(fixed);
+  EXPECT_EQ(fixed, (std::array<uint8_t, 4>{1, 2, 3, 4}));
+  EXPECT_EQ(r.remaining(), 0u);
+  auto done = r.Finish(1);
+  ASSERT_TRUE(done.ok()) << done.status;
 }
 
 TEST(Serde, ReaderRejectsTruncation) {
   ByteWriter w;
   w.U64(42);
-  ByteReader r(w.bytes());
+  ByteReader r(w.bytes(), "test message");
   (void)r.U32();
-  EXPECT_THROW((void)r.U64(), ProtocolError);
-  ByteReader r2(w.bytes());
+  EXPECT_EQ(r.U64(), 0u);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorrupted);
+  EXPECT_EQ(r.status().reason(), "test message: truncated field at offset 4");
+  // The first failure sticks; later reads do nothing.
+  EXPECT_EQ(r.U8(), 0u);
+  EXPECT_EQ(r.status().reason(), "test message: truncated field at offset 4");
+  ByteReader r2(w.bytes(), "test message");
   (void)r2.U64();
-  EXPECT_THROW((void)r2.U8(), ProtocolError);
+  EXPECT_EQ(r2.U8(), 0u);
+  EXPECT_FALSE(r2.Finish(0).ok());
 }
 
-TEST(Serde, ExpectEndRejectsTrailing) {
+TEST(Serde, FinishRejectsTrailing) {
   ByteWriter w;
   w.U16(1);
   w.U8(2);
-  ByteReader r(w.bytes());
+  ByteReader r(w.bytes(), "test message");
   (void)r.U16();
-  EXPECT_THROW(r.ExpectEnd(), ProtocolError);
+  auto done = r.Finish(0);
+  ASSERT_FALSE(done.ok());
+  EXPECT_EQ(done.status.code(), StatusCode::kCorrupted);
+  EXPECT_EQ(done.status.reason(), "test message: trailing bytes at offset 2");
 }
 
 TEST(Status, Composition) {

@@ -157,11 +157,11 @@ TEST(Dleq, TranscriptSerializationRoundTrip) {
   DleqTranscript t = ProveDleqFs("test/serde", st, x, rng);
   Bytes wire = t.Serialize();
   auto parsed = DleqTranscript::Parse(wire);
-  ASSERT_TRUE(parsed.has_value());
+  ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(VerifyDleqFs("test/serde", st, *parsed).ok());
   // Corrupt / truncated wire data parses to nullopt or fails verification.
   Bytes truncated(wire.begin(), wire.end() - 1);
-  EXPECT_FALSE(DleqTranscript::Parse(truncated).has_value());
+  EXPECT_FALSE(DleqTranscript::Parse(truncated).ok());
 }
 
 TEST(Dkg, SetupProducesVerifiableAuthority) {

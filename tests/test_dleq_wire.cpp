@@ -187,7 +187,7 @@ TEST(DleqWire, ParseFillsTheCommitCacheFromTheWire) {
   ChaChaRng rng(98);
   WireProof p = MakeWireProof("test/parse", rng);
   auto parsed = DleqTranscript::Parse(p.transcript.Serialize());
-  ASSERT_TRUE(parsed.has_value());
+  ASSERT_TRUE(parsed.ok());
   ASSERT_TRUE(parsed->HasWire());
   EXPECT_TRUE(parsed->ValidateWire().ok());
   for (size_t i = 0; i < parsed->commit_wire.size(); ++i) {

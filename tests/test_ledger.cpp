@@ -295,7 +295,7 @@ TEST(PublicLedger, RegistrationRecordSerializationRoundTrip) {
   ChaChaRng rng(92);
   auto record = MakeRecord("bob", rng);
   auto parsed = RegistrationRecord::Parse(record.Serialize());
-  ASSERT_TRUE(parsed.has_value());
+  ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->voter_id, "bob");
   EXPECT_EQ(parsed->public_credential, record.public_credential);
   EXPECT_EQ(parsed->kiosk_pk, record.kiosk_pk);

@@ -15,7 +15,7 @@ TEST(QrCodec, EncodeDecodeRoundTrip) {
     Bytes payload = rng.RandomBytes(size);
     QrSymbol symbol = QrCodec::Encode(payload, Symbology::kQrCode);
     auto decoded = QrCodec::Decode(symbol);
-    ASSERT_TRUE(decoded.has_value()) << "size " << size;
+    ASSERT_TRUE(decoded.ok()) << "size " << size;
     EXPECT_EQ(*decoded, payload);
   }
 }
@@ -26,7 +26,7 @@ TEST(QrCodec, BarcodeRoundTripAndCapacity) {
   QrSymbol symbol = QrCodec::Encode(payload, Symbology::kBarcode128);
   EXPECT_EQ(symbol.version, 0);
   auto decoded = QrCodec::Decode(symbol);
-  ASSERT_TRUE(decoded.has_value());
+  ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, payload);
   // Over-capacity payloads are protocol bugs.
   Bytes too_big = rng.RandomBytes(QrCodec::kMaxBarcodePayload + 1);
@@ -42,11 +42,11 @@ TEST(QrCodec, CorruptionDetected) {
   // Flip a payload byte inside the frame: CRC must catch it.
   QrSymbol corrupted = symbol;
   corrupted.framed[6] ^= 0x40;
-  EXPECT_FALSE(QrCodec::Decode(corrupted).has_value());
+  EXPECT_FALSE(QrCodec::Decode(corrupted).ok());
   // Truncated frame fails cleanly.
   QrSymbol truncated = symbol;
   truncated.framed.pop_back();
-  EXPECT_FALSE(QrCodec::Decode(truncated).has_value());
+  EXPECT_FALSE(QrCodec::Decode(truncated).ok());
 }
 
 TEST(QrCodec, VersionSelectionMatchesCapacityTable) {

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "src/common/faults.h"
+#include "src/common/serde.h"
 #include "src/crypto/drbg.h"
 #include "src/net/loopback.h"
 #include "src/net/socket.h"
@@ -442,6 +443,27 @@ TEST(Replication, WireMessageRoundTrips) {
   WireMessage cut = EncodeFrames(frames);
   cut.payload.pop_back();
   EXPECT_EQ(DecodeFrames(cut).status.code(), StatusCode::kCorrupted);
+}
+
+TEST(Replication, FramesCountBeyondPayloadFailsCodedBeforeAllocating) {
+  // u64 request_id | u64 first_index | u32 count = 2^32 - 1 and no frames:
+  // sizing the entry vector by the peer's count would ask for 512 GiB.
+  ByteWriter w;
+  w.U64(1);
+  w.U64(0);
+  w.U32(UINT32_MAX);
+  WireMessage hostile{static_cast<uint16_t>(ReplicaMsgType::kFrames), w.Take()};
+  ASSERT_EQ(hostile.payload.size(), 20u);
+  Outcome<FramesMsg> decoded = Outcome<FramesMsg>::Fail(StatusCode::kFailed, "threw");
+  ASSERT_NO_THROW(decoded = DecodeFrames(hostile));
+  EXPECT_EQ(decoded.status.code(), StatusCode::kCorrupted);
+  EXPECT_EQ(decoded.status.reason(), "replica frames: entry count exceeds payload at offset 16");
+  // One byte short of the smallest frame does not license an entry either.
+  hostile.payload[16] = 1;
+  hostile.payload[17] = hostile.payload[18] = hostile.payload[19] = 0;
+  hostile.payload.resize(20 + kMinEntryFrameBytes - 1);
+  EXPECT_EQ(DecodeFrames(hostile).status.reason(),
+            "replica frames: entry count exceeds payload at offset 16");
 }
 
 TEST(Replication, NewFaultPointsAreRegistered) {

@@ -64,18 +64,18 @@ TEST(Schnorr, SerializationRoundTrip) {
   Bytes wire = sig.Serialize();
   ASSERT_EQ(wire.size(), 64u);
   auto parsed = SchnorrSignature::Parse(wire);
-  ASSERT_TRUE(parsed.has_value());
+  ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(SchnorrVerify(kp.public_bytes(), msg, *parsed).ok());
   // Truncated or oversized inputs are rejected.
-  EXPECT_FALSE(SchnorrSignature::Parse({wire.data(), 63}).has_value());
+  EXPECT_FALSE(SchnorrSignature::Parse({wire.data(), 63}).ok());
   wire.push_back(0);
-  EXPECT_FALSE(SchnorrSignature::Parse(wire).has_value());
+  EXPECT_FALSE(SchnorrSignature::Parse(wire).ok());
 }
 
 TEST(Schnorr, ParseRejectsNonCanonicalScalar) {
   // s >= ℓ must be rejected (malleability guard).
   Bytes wire(64, 0xff);
-  EXPECT_FALSE(SchnorrSignature::Parse(wire).has_value());
+  EXPECT_FALSE(SchnorrSignature::Parse(wire).ok());
 }
 
 TEST(Schnorr, FromSecretReconstructsSamePublicKey) {
@@ -167,12 +167,12 @@ TEST(ElGamal, SerializationRoundTrip) {
   Bytes wire = ct.Serialize();
   ASSERT_EQ(wire.size(), 64u);
   auto parsed = ElGamalCiphertext::Parse(wire);
-  ASSERT_TRUE(parsed.has_value());
+  ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(*parsed, ct);
   wire[0] ^= 1;
   // Either decodes to a different ciphertext or fails; never the same value.
   auto tampered = ElGamalCiphertext::Parse(wire);
-  if (tampered.has_value()) {
+  if (tampered.ok()) {
     EXPECT_NE(*tampered, ct);
   }
 }

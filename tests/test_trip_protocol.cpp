@@ -289,29 +289,29 @@ TEST(TripMessages, SerializationRoundTrips) {
 
   const PaperCredential& c = outcome->real;
   auto ticket = CheckInTicket::Parse(outcome->ticket.Serialize());
-  ASSERT_TRUE(ticket.has_value());
+  ASSERT_TRUE(ticket.ok());
   EXPECT_EQ(ticket->voter_id, "alice");
 
   auto commit = CommitSegment::Parse(c.commit.Serialize());
-  ASSERT_TRUE(commit.has_value());
+  ASSERT_TRUE(commit.ok());
   EXPECT_EQ(commit->public_credential, c.commit.public_credential);
 
   auto checkout = CheckOutSegment::Parse(c.checkout.Serialize());
-  ASSERT_TRUE(checkout.has_value());
+  ASSERT_TRUE(checkout.ok());
   EXPECT_EQ(checkout->kiosk_pk, c.checkout.kiosk_pk);
 
   auto response = ResponseSegment::Parse(c.response.Serialize());
-  ASSERT_TRUE(response.has_value());
+  ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->credential_sk, c.response.credential_sk);
 
   auto envelope = Envelope::Parse(c.envelope.Serialize());
-  ASSERT_TRUE(envelope.has_value());
+  ASSERT_TRUE(envelope.ok());
   EXPECT_EQ(envelope->challenge, c.envelope.challenge);
 
   // Truncated parses fail cleanly.
   Bytes wire = c.commit.Serialize();
   wire.pop_back();
-  EXPECT_FALSE(CommitSegment::Parse(wire).has_value());
+  EXPECT_FALSE(CommitSegment::Parse(wire).ok());
 }
 
 TEST(TripRegistration, ManyVotersShareOneSystem) {
