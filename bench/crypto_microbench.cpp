@@ -14,20 +14,53 @@
 #include "src/crypto/msm.h"
 #include "src/crypto/schnorr.h"
 #include "src/crypto/sha256.h"
+#include "src/crypto/sha256_internal.h"
 #include "src/crypto/sha512.h"
+#include "src/ledger/store.h"
 #include "src/trip/registrar.h"
 
 namespace votegral {
 namespace {
 
-void BM_Sha256_1k(benchmark::State& state) {
+// SHA-256 through the kernel this CPU selects: a Merkle-node-sized input,
+// a ledger-entry-sized one and a long one.
+void BM_Sha256(benchmark::State& state) {
   ChaChaRng rng(1);
-  Bytes data = rng.RandomBytes(1024);
+  Bytes data = rng.RandomBytes(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(Sha256::Hash(data));
   }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_Sha256_1k);
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(400)->Arg(4096);
+
+// The portable block kernel alone, for comparison on hosts that select
+// SHA-NI.
+void BM_Sha256PortableKernel(benchmark::State& state) {
+  ChaChaRng rng(1);
+  Bytes data = rng.RandomBytes(4096);
+  uint32_t chaining[8] = {};
+  for (auto _ : state) {
+    sha256_internal::CompressPortable(chaining, data.data(), data.size() / 64);
+    benchmark::DoNotOptimize(chaining);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 4096);
+}
+BENCHMARK(BM_Sha256PortableKernel);
+
+// One ledger entry hash at the size the catchup workload appends: a
+// 330-byte ballot payload.
+void BM_HashLedgerEntry(benchmark::State& state) {
+  ChaChaRng rng(3);
+  const Bytes payload = rng.RandomBytes(330);
+  LedgerHash prev{};
+  uint64_t index = 0;
+  for (auto _ : state) {
+    prev = HashLedgerEntry(index++, "ballot", payload, prev);
+    benchmark::DoNotOptimize(prev);
+  }
+}
+BENCHMARK(BM_HashLedgerEntry);
 
 void BM_Sha512_1k(benchmark::State& state) {
   ChaChaRng rng(2);

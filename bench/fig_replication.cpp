@@ -8,7 +8,9 @@
 //   * simulated sync lag — LoopbackNetwork's VirtualClock model output
 //     (per-message base cost + per-byte cost), a scheduler-noise-free view
 //     of how segment size trades message count against bytes on the wire,
-//   * verification cost share — FollowerSyncStats' recv/verify/apply split,
+//   * verification cost share — FollowerSyncStats' recv/verify/apply split
+//     (verify is the checkpoint and proofs; the per-entry checks run inside
+//     Ledger::AppendVerified and count as apply),
 //   * peak pinned segment bytes on BOTH sides — the leader streams via a
 //     LedgerCursor and the follower appends through the segmented store, so
 //     each must stay O(segment), not O(ledger), while the log is 16x the

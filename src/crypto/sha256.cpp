@@ -1,12 +1,17 @@
 #include "src/crypto/sha256.h"
 
 #include "src/common/status.h"
+#include "src/crypto/sha256_internal.h"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace votegral {
 
 namespace {
 
-constexpr uint32_t kK[64] = {
+alignas(16) constexpr uint32_t kK[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
     0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
     0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
@@ -20,6 +25,19 @@ constexpr uint32_t kK[64] = {
 };
 
 uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
+
+// The kernel every Sha256 in this process runs. It depends on CPUID alone
+// and is chosen on the first hash. A function-local static, so a hash taken
+// from another file's static initializer still finds it initialized.
+sha256_internal::CompressFn SelectedKernel() {
+  using namespace sha256_internal;
+#if defined(__x86_64__)
+  static const CompressFn kernel = CpuHasShaNi() ? CompressShaNi : CompressPortable;
+  return kernel;
+#else
+  return CompressPortable;
+#endif
+}
 
 }  // namespace
 
@@ -39,13 +57,13 @@ Sha256& Sha256::Update(std::span<const uint8_t> data) {
     buffered_ += take;
     offset += take;
     if (buffered_ == kBlockSize) {
-      Compress(buffer_.data());
+      Compress(buffer_.data(), 1);
       buffered_ = 0;
     }
   }
-  while (offset + kBlockSize <= data.size()) {
-    Compress(data.data() + offset);
-    offset += kBlockSize;
+  if (const size_t blocks = (data.size() - offset) / kBlockSize; blocks > 0) {
+    Compress(data.data() + offset, blocks);
+    offset += blocks * kBlockSize;
   }
   if (offset < data.size()) {
     std::copy(data.begin() + static_cast<ptrdiff_t>(offset), data.end(), buffer_.begin());
@@ -86,42 +104,113 @@ std::array<uint8_t, Sha256::kDigestSize> Sha256::HashParts(
   return h.Finalize();
 }
 
-void Sha256::Compress(const uint8_t* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = LoadBe32(block + 4 * i);
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+void Sha256::Compress(const uint8_t* blocks, size_t count) {
+  SelectedKernel()(state_.data(), blocks, count);
 }
+
+namespace sha256_internal {
+
+void CompressPortable(uint32_t state[8], const uint8_t* blocks, size_t count) {
+  for (; count > 0; --count, blocks += Sha256::kBlockSize) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = LoadBe32(blocks + 4 * i);
+    }
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+bool CpuHasShaNi() {
+#if defined(__x86_64__)
+  // The first hash may run from a static initializer, before libgcc has
+  // filled in its CPU model.
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+#else
+  return false;
+#endif
+}
+
+#if defined(__x86_64__)
+// The SHA-NI round instruction takes the state as two vectors, ABEF and
+// CDGH, and runs two rounds per call; each call pair below is four rounds.
+// The message schedule rolls through four vectors of four words: sha256msg1
+// adds sigma0 of the next words to a vector once it has been used, and
+// sha256msg2 finishes the words four rounds ahead of use.
+__attribute__((target("sha,sse4.1"))) void CompressShaNi(uint32_t state[8],
+                                                         const uint8_t* blocks,
+                                                         size_t count) {
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i cdab = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  for (; count > 0; --count, blocks += Sha256::kBlockSize) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 4
+    for (int i = 0; i < 4; ++i) {
+      w[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)), byte_swap);
+    }
+#pragma GCC unroll 16
+    for (int q = 0; q < 16; ++q) {  // rounds 4q .. 4q+3 on words 4q .. 4q+3
+      const __m128i wk = _mm_add_epi32(
+          w[q & 3], _mm_load_si128(reinterpret_cast<const __m128i*>(kK + 4 * q)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+      if (q >= 3 && q < 15) {  // words 4q+4 .. 4q+7
+        __m128i& next = w[(q + 1) & 3];
+        next = _mm_sha256msg2_epu32(
+            _mm_add_epi32(next, _mm_alignr_epi8(w[q & 3], w[(q - 1) & 3], 4)), w[q & 3]);
+      }
+      if (q >= 1 && q < 13) {
+        w[(q - 1) & 3] = _mm_sha256msg1_epu32(w[(q - 1) & 3], w[q & 3]);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
+}  // namespace sha256_internal
 
 }  // namespace votegral

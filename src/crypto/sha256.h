@@ -1,5 +1,10 @@
 // SHA-256 (FIPS 180-4), implemented from scratch. Used by TRIP for check-in
 // ticket MACs (HMAC-SHA-256) and for ledger hash chaining.
+//
+// Two block kernels compute the same function: portable C++, and on x86-64
+// CPUs with the SHA extensions a SHA-NI kernel. The process picks one on its
+// first hash, from CPUID alone (sha256_internal.h; docs/ARCHITECTURE.md
+// §Hashing and file reads).
 #ifndef SRC_CRYPTO_SHA256_H_
 #define SRC_CRYPTO_SHA256_H_
 
@@ -33,7 +38,9 @@ class Sha256 {
       std::initializer_list<std::span<const uint8_t>> parts);
 
  private:
-  void Compress(const uint8_t* block);
+  // Runs the selected kernel over `count` full blocks, so a long Update
+  // keeps the state in registers from one block to the next.
+  void Compress(const uint8_t* blocks, size_t count);
 
   std::array<uint32_t, 8> state_;
   std::array<uint8_t, kBlockSize> buffer_;

@@ -39,7 +39,7 @@ Outcome<Ledger> Ledger::Open(const LedgerStorageConfig& config) {
   }
   auto store = FileLedgerStore::Open(config.directory, config.segment_entries);
   if (!store.ok()) {
-    return Outcome<Ledger>::Fail(store.status.reason());
+    return Outcome<Ledger>::Fail(store.status);
   }
   return Open(std::move(*store));
 }
@@ -52,13 +52,36 @@ uint64_t Ledger::Append(std::string_view topic, Bytes payload) {
   entry.prev_hash = head_;
   entry.entry_hash = HashLedgerEntry(entry.index, entry.topic, entry.payload,
                                      entry.prev_hash);
+  Commit(entry);
+  return entry.index;
+}
+
+Status Ledger::AppendVerified(LedgerEntry entry) {
+  if (entry.index != size()) {
+    return Status::Error(StatusCode::kCorrupted,
+                         "entry carries index " + std::to_string(entry.index) +
+                             ", expected " + std::to_string(size()));
+  }
+  if (entry.prev_hash != head_) {
+    return Status::Error(StatusCode::kCorrupted,
+                         "entry " + std::to_string(entry.index) + " chain link mismatch");
+  }
+  if (HashLedgerEntry(entry.index, entry.topic, entry.payload, entry.prev_hash) !=
+      entry.entry_hash) {
+    return Status::Error(StatusCode::kCorrupted, "entry " + std::to_string(entry.index) +
+                                                     " recomputed hash mismatch");
+  }
+  Commit(entry);
+  return Status::Ok();
+}
+
+void Ledger::Commit(const LedgerEntry& entry) {
   // Persist first: if the store throws (disk full), the facade's head,
   // frontier and topic index must not commit to a ghost entry.
-  uint64_t index = store_->Append(entry);
+  store_->Append(entry);
   head_ = entry.entry_hash;
   merkle_.Append(entry.entry_hash);
   topic_index_[entry.topic].push_back(entry.index);
-  return index;
 }
 
 Status Ledger::VerifyChain() const {

@@ -79,6 +79,14 @@ class Ledger {
   // Invalidates outstanding cursors over this ledger.
   uint64_t Append(std::string_view topic, Bytes payload);
 
+  // Appends an entry that arrived already hashed (a replica's frame, a
+  // snapshot's entry) once it provably extends this ledger: its index is
+  // size(), its prev_hash is Head(), and its entry_hash is the hash
+  // recomputed from its fields. Verify-then-apply with one hash per entry.
+  // A failed check appends nothing and returns kCorrupted naming the entry
+  // ("entry 5 recomputed hash mismatch"); callers prefix their own layer.
+  Status AppendVerified(LedgerEntry entry);
+
   size_t size() const { return store_->Size(); }
 
   // Head commitment: hash of the latest entry (zero hash when empty). O(1).
@@ -146,6 +154,10 @@ class Ledger {
   uint64_t MerkleHashInvocationsForTest() const { return merkle_.hash_invocations(); }
 
  private:
+  // Persists a fully hashed entry that extends the chain, then advances the
+  // head, the Merkle frontier and the topic index.
+  void Commit(const LedgerEntry& entry);
+
   std::unique_ptr<LedgerStore> store_;
   MerkleCommitmentTree merkle_;
   LedgerHash head_ = {};

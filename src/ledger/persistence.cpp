@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "src/common/files.h"
 #include "src/common/serde.h"
 
 namespace votegral {
@@ -23,16 +24,11 @@ Outcome<Ledger> ParseLog(std::span<const uint8_t> bytes, const LedgerStorageConf
     if (!r.ok()) {
       break;
     }
-    // Re-appending re-derives every hash; the stored frame must agree in
-    // full — the chain link too, so a flipped byte anywhere in the frame
-    // (even in the redundant prev-hash field) is rejected.
-    if (!ConstantTimeEqual(ledger.Head(), entry.prev_hash)) {
-      r.Fail("entry " + std::to_string(i) + " chain link mismatch (file tampered?)");
-      break;
-    }
-    uint64_t index = ledger.Append(entry.topic, std::move(entry.payload));
-    if (index != entry.index || !ConstantTimeEqual(ledger.Head(), entry.entry_hash)) {
-      r.Fail("entry " + std::to_string(i) + " hash mismatch (file tampered?)");
+    // The stored frame must agree in full (index, chain link, hash) before
+    // it reaches the store, so a flipped byte anywhere in it, even in the
+    // redundant prev-hash field, leaves nothing of it behind on disk.
+    if (Status appended = ledger.AppendVerified(std::move(entry)); !appended.ok()) {
+      r.Fail(appended.reason() + " (file tampered?)");
     }
   }
   LedgerHash head{};
@@ -119,12 +115,11 @@ Status SavePublicLedger(const PublicLedger& ledger, const std::string& path) {
 }
 
 Outcome<PublicLedger> LoadPublicLedger(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Outcome<PublicLedger>::Fail("persistence: cannot open " + path);
+  Outcome<Bytes> bytes = ReadFileBytes(path);
+  if (!bytes.ok()) {
+    return Outcome<PublicLedger>::Fail(std::move(bytes.status));
   }
-  Bytes bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  return ParsePublicLedger(bytes);
+  return ParsePublicLedger(*bytes);
 }
 
 }  // namespace votegral

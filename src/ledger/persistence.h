@@ -25,10 +25,12 @@ namespace votegral {
 Bytes SerializeLedger(const Ledger& ledger);
 
 // Parses and *re-verifies* a serialized log into a fresh ledger on the
-// given backend: every entry hash and chain link is recomputed and compared
-// against the stored frame; any corruption yields a localized kCorrupted
-// failure. A failing backend (a directory that already holds a log, a
-// failed segment write) throws ProtocolError, as any Ledger append does.
+// given backend: every entry's index, chain link and hash are checked
+// (Ledger::AppendVerified) before it reaches the backend; any corruption
+// yields a localized kCorrupted failure, and a file-backed import keeps only
+// the verified prefix. A failing backend (a directory that already holds a
+// log, a failed segment write) throws ProtocolError, as any Ledger append
+// does.
 Outcome<Ledger> ParseLedger(std::span<const uint8_t> bytes,
                             const LedgerStorageConfig& storage = {});
 

@@ -6,7 +6,9 @@
 #include <system_error>
 
 #include "src/common/faults.h"
+#include "src/common/files.h"
 #include "src/common/serde.h"
+#include "src/crypto/sha256.h"
 
 namespace votegral {
 
@@ -93,15 +95,6 @@ int ParseFrameView(std::span<const uint8_t> bytes, size_t* offset,
   return 1;
 }
 
-Outcome<Bytes> ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Outcome<Bytes>::Fail("ledger store: cannot open " + path);
-  }
-  Bytes bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  return Outcome<Bytes>::Ok(std::move(bytes));
-}
-
 // Strict "seg-XXXXXXXX.log" parse (8 decimal digits); returns false for
 // anything else so stray files in the directory are ignored, not misread.
 bool ParseSegmentFileName(const std::string& name, uint64_t* segment) {
@@ -124,12 +117,20 @@ bool ParseSegmentFileName(const std::string& name, uint64_t* segment) {
 
 LedgerHash HashLedgerEntry(uint64_t index, std::string_view topic,
                            std::span<const uint8_t> payload, const LedgerHash& prev) {
-  ByteWriter w;
-  w.U64(index);
-  w.Str(topic);
-  w.Var(payload);
-  w.Fixed(prev);
-  return Sha256::Hash(w.bytes());
+  // The ByteWriter form U64(index) | Str(topic) | Var(payload) | Fixed(prev),
+  // streamed into the hasher instead of built in a buffer.
+  Require(topic.size() <= UINT32_MAX && payload.size() <= UINT32_MAX,
+          "HashLedgerEntry: field too large");
+  uint8_t index_le[8];
+  uint8_t topic_len[4];
+  uint8_t payload_len[4];
+  StoreLe64(index_le, index);
+  StoreLe32(topic_len, static_cast<uint32_t>(topic.size()));
+  StoreLe32(payload_len, static_cast<uint32_t>(payload.size()));
+  Sha256 h;
+  h.Update(index_le).Update(topic_len).Update(AsBytes(topic)).Update(payload_len);
+  h.Update(payload).Update(prev);
+  return h.Finalize();
 }
 
 LedgerStorageConfig LedgerStorageConfig::ForSubLog(const char* name) const {
@@ -238,7 +239,7 @@ Outcome<std::unique_ptr<FileLedgerStore>> FileLedgerStore::Open(
   auto store = std::unique_ptr<FileLedgerStore>(
       new FileLedgerStore(std::move(directory), segment_entries));
   if (Status recovered = store->RecoverFromDisk(); !recovered.ok()) {
-    return Out::Fail(recovered.reason());
+    return Out::Fail(std::move(recovered));
   }
   return Out::Ok(std::move(store));
 }
@@ -284,7 +285,7 @@ Status FileLedgerStore::RecoverFromDisk() {
   for (size_t s = 0; s < present.size(); ++s) {
     const bool last = (s + 1 == present.size());
     const std::string path = SegmentPath(s);
-    auto bytes = ReadWholeFile(path);
+    auto bytes = ReadFileBytes(path);
     if (!bytes.ok()) {
       return bytes.status;
     }
@@ -539,7 +540,7 @@ PinnedSegment FileLedgerStore::Pin(uint64_t segment) const {
     }
     return pin;
   }
-  auto bytes = ReadWholeFile(SegmentPath(segment));
+  auto bytes = ReadFileBytes(SegmentPath(segment));
   Require(bytes.ok(), "ledger store: sealed segment vanished under a reader");
   auto buffer = std::make_shared<Bytes>(std::move(*bytes));
   const uint64_t buffer_bytes = buffer->size();
@@ -574,7 +575,7 @@ void FileLedgerStore::TamperWithPayloadForTest(uint64_t index, Bytes payload) {
   // Rewrite the whole segment file with the tampered frame (keeping the
   // stored hashes untouched — that is the point of the simulation).
   const std::string path = SegmentPath(segment);
-  auto bytes = ReadWholeFile(path);
+  auto bytes = ReadFileBytes(path);
   Require(bytes.ok(), "ledger store: tamper target segment unreadable");
   Bytes rewritten(bytes->begin(), bytes->begin() + kSegmentHeaderBytes);
   size_t offset = kSegmentHeaderBytes;

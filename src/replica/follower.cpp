@@ -5,25 +5,9 @@
 
 #include "src/common/clock.h"
 #include "src/common/faults.h"
+#include "src/common/files.h"
 
 namespace votegral {
-
-namespace {
-
-Outcome<Bytes> ReadWholeFile(const std::string& path) {
-  using Out = Outcome<Bytes>;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Out::Fail(StatusCode::kUnavailable, "replica: cannot open " + path);
-  }
-  Bytes bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return Out::Fail(StatusCode::kUnavailable, "replica: read failed on " + path);
-  }
-  return Out::Ok(std::move(bytes));
-}
-
-}  // namespace
 
 Outcome<ReplicationFollower> ReplicationFollower::Open(
     const LedgerStorageConfig& config, const CompressedRistretto& leader_pk,
@@ -40,7 +24,7 @@ Outcome<ReplicationFollower> ReplicationFollower::Open(
   ReplicationFollower follower(std::move(*ledger), leader_pk, replica_id,
                                checkpoint_path, options);
   if (!checkpoint_path.empty() && std::filesystem::exists(checkpoint_path)) {
-    Outcome<Bytes> raw = ReadWholeFile(checkpoint_path);
+    Outcome<Bytes> raw = ReadFileBytes(checkpoint_path);
     if (!raw.ok()) {
       return Out::Fail(raw.status);
     }
@@ -163,13 +147,12 @@ Status ReplicationFollower::VerifyCheckpoint(const CheckpointMsg& msg,
   return result;
 }
 
-Status ReplicationFollower::ApplyFrames(const FramesMsg& msg, uint64_t limit,
+Status ReplicationFollower::ApplyFrames(FramesMsg msg, uint64_t limit,
                                         FollowerSyncStats* stats) {
-  for (const LedgerEntry& entry : msg.entries) {
+  for (LedgerEntry& entry : msg.entries) {
     if (entry.index >= limit) {
       break;  // beyond the checkpoint this round verified; next round's work
     }
-    Bytes payload = entry.payload;
     // Scope = the entry's segment (matching faults::kLedgerAppend): a crash
     // rule takes the replica down when it first touches a PRF-chosen segment,
     // i.e. mid-sync with durable progress behind it — the restart drill.
@@ -188,43 +171,24 @@ Status ReplicationFollower::ApplyFrames(const FramesMsg& msg, uint64_t limit,
       case FaultKind::kCorrupt:
         // A buggy apply path hands the verifier different bytes than the
         // wire carried; verify-then-apply must catch this below.
-        if (payload.empty()) {
-          payload.push_back(0xff);
+        if (entry.payload.empty()) {
+          entry.payload.push_back(0xff);
         } else {
-          payload[entry.index % payload.size()] ^= 0x01;
+          entry.payload[entry.index % entry.payload.size()] ^= 0x01;
         }
         break;
       case FaultKind::kDelay:
       case FaultKind::kNone:
         break;
     }
-    WallTimer verify_timer;
-    const uint64_t expected_index = ledger_.size();
-    if (entry.index != expected_index) {
-      stats->verify_seconds += verify_timer.Seconds();
-      return Status::Error(StatusCode::kCorrupted,
-                           "replica: frame carries index " + std::to_string(entry.index) +
-                               ", expected " + std::to_string(expected_index));
-    }
-    const LedgerHash prev = ledger_.Head();
-    if (entry.prev_hash != prev) {
-      stats->verify_seconds += verify_timer.Seconds();
-      return Status::Error(StatusCode::kCorrupted,
-                           "replica: entry " + std::to_string(entry.index) +
-                               ": chain link does not match the local head");
-    }
-    const LedgerHash recomputed =
-        HashLedgerEntry(entry.index, entry.topic, payload, prev);
-    if (recomputed != entry.entry_hash) {
-      stats->verify_seconds += verify_timer.Seconds();
-      return Status::Error(StatusCode::kCorrupted,
-                           "replica: entry " + std::to_string(entry.index) +
-                               ": recomputed hash mismatch (frame corrupt or tampered)");
-    }
-    stats->verify_seconds += verify_timer.Seconds();
+    // Index, chain link and recomputed hash against the local head, then
+    // the append: one hash per entry.
     WallTimer apply_timer;
-    ledger_.Append(entry.topic, std::move(payload));
+    const Status applied = ledger_.AppendVerified(std::move(entry));
     stats->apply_seconds += apply_timer.Seconds();
+    if (!applied.ok()) {
+      return Status::Error(applied.code(), "replica: " + applied.reason());
+    }
     ++stats->entries_applied;
   }
   return Status::Ok();
@@ -316,7 +280,7 @@ Outcome<FollowerSyncStats> ReplicationFollower::SyncOnce(Channel& channel) {
                            " frames at index " + std::to_string(frames->first_index) +
                            ", wanted progress from " + std::to_string(from));
     }
-    if (Status s = ApplyFrames(*frames, checkpoint.size, &stats); !s.ok()) {
+    if (Status s = ApplyFrames(std::move(*frames), checkpoint.size, &stats); !s.ok()) {
       return Out::Fail(s);
     }
     ++stats.frame_messages;

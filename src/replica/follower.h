@@ -9,10 +9,11 @@
 //      checkpoint root. Only a checkpoint that provably extends local
 //      history admits any bytes to step 2.
 //   2. catch-up    — stream entry frames from local size to checkpoint size,
-//      *verify-then-apply*: each entry's index, chain link (prev_hash) and
-//      recomputed entry hash are checked against the local head before
-//      Ledger::Append persists it. A frame that fails any check is rejected
-//      with a localized kCorrupted reason and nothing is written.
+//      *verify-then-apply* in Ledger::AppendVerified: each entry's index,
+//      chain link (prev_hash) and recomputed entry hash are checked against
+//      the local head before the entry is persisted, hashing it once. A
+//      frame that fails any check is rejected with a localized kCorrupted
+//      reason and nothing is written.
 //   3. seal        — recompute the full local Merkle root and require it to
 //      equal the checkpoint root (the consistency proof binds only the old
 //      prefix; this binds the new entries), then persist the checkpoint as
@@ -59,8 +60,11 @@ struct FollowerSyncStats {
   uint64_t frame_messages = 0;          // kFrames responses consumed
   uint64_t bytes_received = 0;          // wire bytes of all responses
   double recv_seconds = 0.0;            // blocked on Channel::Recv
-  double verify_seconds = 0.0;          // signature/proof/hash re-derivation
-  double apply_seconds = 0.0;           // Ledger::Append (hash + persist)
+  // Checkpoint signature, consistency proof and the post-sync root.
+  double verify_seconds = 0.0;
+  // Ledger::AppendVerified: each entry's index, chain link and recomputed
+  // hash (its one hash), then the persist. The per-entry checks count here.
+  double apply_seconds = 0.0;
 };
 
 // Both sides of a split view, each independently signed by the leader key.
@@ -115,8 +119,9 @@ class ReplicationFollower {
                                  uint64_t request_id, FollowerSyncStats* stats);
 
   Status VerifyCheckpoint(const CheckpointMsg& msg, FollowerSyncStats* stats);
-  // Applies entries below `limit` (the checkpoint size this round verified).
-  Status ApplyFrames(const FramesMsg& msg, uint64_t limit, FollowerSyncStats* stats);
+  // Applies entries below `limit` (the checkpoint size this round verified),
+  // moving each out of `msg` into Ledger::AppendVerified.
+  Status ApplyFrames(FramesMsg msg, uint64_t limit, FollowerSyncStats* stats);
   Status PersistTrusted(const SignedCheckpoint& checkpoint);
 
   Ledger ledger_;

@@ -8,6 +8,7 @@
 #include "src/crypto/drbg.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/sha256.h"
+#include "src/crypto/sha256_internal.h"
 #include "src/crypto/sha512.h"
 
 namespace votegral {
@@ -62,6 +63,112 @@ TEST(Sha256, DoubleFinalizeThrows) {
   h.Update(AsBytes("x"));
   (void)h.Finalize();
   EXPECT_THROW((void)h.Finalize(), ProtocolError);
+}
+
+// Sha256 runs only the kernel this CPU selects, so the tests above cover
+// one kernel per host. These run each kernel directly: the portable one
+// everywhere, the SHA-NI one where the CPU has it.
+using sha256_internal::CompressFn;
+
+// The SHA-NI kernel, or null where the CPU lacks it.
+CompressFn ShaNiKernel() {
+#if defined(__x86_64__)
+  if (sha256_internal::CpuHasShaNi()) {
+    return sha256_internal::CompressShaNi;
+  }
+#endif
+  return nullptr;
+}
+
+// SHA-256 of `message` through `kernel` alone: the padding is done here,
+// independently of Sha256::Finalize.
+std::string KernelDigest(CompressFn kernel, std::span<const uint8_t> message) {
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  Bytes padded(message.begin(), message.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) {
+    padded.push_back(0);
+  }
+  uint8_t bit_length[8];
+  StoreBe64(bit_length, uint64_t{message.size()} * 8);
+  padded.insert(padded.end(), bit_length, bit_length + 8);
+  kernel(state, padded.data(), padded.size() / 64);
+  Bytes digest(32);
+  for (int i = 0; i < 8; ++i) {
+    StoreBe32(digest.data() + 4 * i, state[i]);
+  }
+  return HexEncode(digest);
+}
+
+// FIPS 180-4 example messages (one block, empty, two blocks, the 896-bit
+// message and a million 'a').
+void ExpectFipsVectors(CompressFn kernel) {
+  const struct {
+    std::string message;
+    const char* digest;
+  } vectors[] = {
+      {"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+       "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+      {std::string(1000000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+  for (const auto& v : vectors) {
+    EXPECT_EQ(KernelDigest(kernel, AsBytes(v.message)), v.digest)
+        << "message length " << v.message.size();
+  }
+}
+
+TEST(Sha256Kernels, PortableMatchesFipsVectors) {
+  ExpectFipsVectors(sha256_internal::CompressPortable);
+}
+
+TEST(Sha256Kernels, ShaNiMatchesFipsVectors) {
+  const CompressFn sha_ni = ShaNiKernel();
+  if (sha_ni == nullptr) {
+    GTEST_SKIP() << "this CPU lacks the SHA extensions";
+  }
+  ExpectFipsVectors(sha_ni);
+}
+
+TEST(Sha256Kernels, KernelsAgreeOnRandomMessages) {
+  const CompressFn sha_ni = ShaNiKernel();
+  if (sha_ni == nullptr) {
+    GTEST_SKIP() << "this CPU lacks the SHA extensions";
+  }
+  ChaChaRng rng(180);
+  for (size_t len = 0; len <= 1000; ++len) {
+    const Bytes message = rng.RandomBytes(len);
+    ASSERT_EQ(KernelDigest(sha_ni, message),
+              KernelDigest(sha256_internal::CompressPortable, message))
+        << "len=" << len;
+  }
+}
+
+TEST(Sha256Kernels, KernelsAgreeOnMultiBlockSpans) {
+  const CompressFn sha_ni = ShaNiKernel();
+  if (sha_ni == nullptr) {
+    GTEST_SKIP() << "this CPU lacks the SHA extensions";
+  }
+  ChaChaRng rng(181);
+  for (size_t count = 1; count <= 16; ++count) {
+    // A random chaining state, so every word of the state is exercised.
+    uint32_t portable[8];
+    for (uint32_t& word : portable) {
+      word = static_cast<uint32_t>(rng.Uniform(uint64_t{1} << 32));
+    }
+    uint32_t accelerated[8];
+    std::copy(portable, portable + 8, accelerated);
+    const Bytes blocks = rng.RandomBytes(count * Sha256::kBlockSize);
+    sha256_internal::CompressPortable(portable, blocks.data(), count);
+    sha_ni(accelerated, blocks.data(), count);
+    EXPECT_TRUE(std::equal(portable, portable + 8, accelerated)) << count << " blocks";
+  }
 }
 
 TEST(Sha512, EmptyString) {

@@ -5,10 +5,13 @@
 // transcript the in-memory store produces, at every thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 
+#include "src/common/files.h"
 #include "src/crypto/drbg.h"
 #include "src/ledger/ledger.h"
 #include "src/ledger/persistence.h"
@@ -195,6 +198,16 @@ TEST(FileLedgerStore, MissingSegmentFileIsLocalized) {
       << opened.status.reason();
 }
 
+TEST(FileLedgerStore, SegmentPathThatIsADirectoryFailsUnavailable) {
+  ScratchDir dir("segment_is_dir");
+  const std::string segment = (fs::path(dir.path) / "seg-00000000.log").string();
+  fs::create_directories(segment);
+  auto opened = Ledger::Open(FileConfig(dir.path));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status.code(), StatusCode::kUnavailable) << opened.status;
+  EXPECT_NE(opened.status.reason().find(segment), std::string::npos) << opened.status;
+}
+
 TEST(FileLedgerStore, SealedSegmentsAreNotResident) {
   ScratchDir dir("resident");
   Ledger ledger(FileConfig(dir.path, 8));
@@ -259,6 +272,114 @@ TEST(Persistence, SnapshotImportsOntoFileBackend) {
   auto reopened = PublicLedger::Open(FileConfig(dir.path));
   ASSERT_TRUE(reopened.ok()) << reopened.status.reason();
   EXPECT_EQ(reopened->ballot_log().Head(), live.ballot_log().Head());
+}
+
+TEST(Persistence, RejectedImportKeepsOnlyTheVerifiedPrefixOnDisk) {
+  // A snapshot with one payload byte of entry 5 flipped. The import fails,
+  // and the directory it wrote must hold entries 0-4 only: never entry 5's
+  // tampered payload under a freshly computed, valid hash.
+  ScratchDir dir("tampered_import");
+  Ledger source;
+  Fill(source, 10);
+  Bytes wire = SerializeLedger(source);
+  const Bytes fifth = Payload("entry-5");
+  auto at = std::search(wire.begin(), wire.end(), fifth.begin(), fifth.end());
+  ASSERT_NE(at, wire.end());
+  *at ^= 1;
+
+  auto imported = ParseLedger(wire, FileConfig(dir.path));
+  ASSERT_FALSE(imported.ok());
+  EXPECT_EQ(imported.status.code(), StatusCode::kCorrupted) << imported.status;
+  EXPECT_NE(imported.status.reason().find("entry 5 recomputed hash mismatch (file tampered?)"),
+            std::string::npos)
+      << imported.status;
+
+  auto reopened = Ledger::Open(FileConfig(dir.path));
+  ASSERT_TRUE(reopened.ok()) << reopened.status;
+  EXPECT_EQ(reopened->size(), 5u);
+  EXPECT_TRUE(reopened->VerifyChain().ok());
+  EXPECT_EQ(reopened->Head(), source.LeafHash(4));
+}
+
+// ---------------------------------------------------------------------------
+// Ledger::AppendVerified: the verify-then-apply step of replication and
+// snapshot import.
+// ---------------------------------------------------------------------------
+
+// Everything a rejected AppendVerified must leave as it was.
+struct LedgerState {
+  uint64_t size = 0;
+  LedgerHash head{};
+  LedgerHash root{};
+  std::map<std::string, Bytes> files;  // segment directory, by file name
+
+  bool operator==(const LedgerState&) const = default;
+};
+
+LedgerState Capture(const Ledger& ledger, const std::string& dir) {
+  LedgerState state{ledger.size(), ledger.Head(), ledger.MerkleRoot(), {}};
+  for (const fs::directory_entry& file : fs::directory_iterator(dir)) {
+    Outcome<Bytes> bytes = ReadFileBytes(file.path().string());
+    EXPECT_TRUE(bytes.ok()) << bytes.status;
+    state.files[file.path().filename().string()] = bytes.ok() ? *bytes : Bytes{};
+  }
+  return state;
+}
+
+LedgerEntry EntryAt(const Ledger& ledger, uint64_t index) {
+  LedgerCursor cursor = ledger.Scan(index, index + 1);
+  LedgerEntryView view;
+  EXPECT_TRUE(cursor.Next(&view));
+  return view.Materialize();
+}
+
+// A file-backed mirror of the first 10 entries of an 11-entry source (one
+// sealed segment and an open one); entry 10 is the next to apply.
+struct Mirror {
+  explicit Mirror(const std::string& name) : dir(name), ledger(FileConfig(dir.path)) {
+    Fill(source, 11);
+    for (uint64_t i = 0; i < 10; ++i) {
+      EXPECT_TRUE(ledger.AppendVerified(EntryAt(source, i)).ok());
+    }
+  }
+
+  // Applies `entry` and expects a kCorrupted rejection containing `reason`
+  // that leaves the mirror as it was; then applies the true entry 10.
+  void ExpectRejected(LedgerEntry entry, const std::string& reason) {
+    const LedgerState before = Capture(ledger, dir.path);
+    const Status rejected = ledger.AppendVerified(std::move(entry));
+    EXPECT_EQ(rejected.code(), StatusCode::kCorrupted) << rejected;
+    EXPECT_NE(rejected.reason().find(reason), std::string::npos) << rejected;
+    EXPECT_TRUE(Capture(ledger, dir.path) == before) << "a rejected entry changed the mirror";
+    ASSERT_TRUE(ledger.AppendVerified(EntryAt(source, 10)).ok());
+    EXPECT_EQ(ledger.Head(), source.Head());
+    EXPECT_EQ(ledger.MerkleRoot(), source.MerkleRoot());
+  }
+
+  ScratchDir dir;
+  Ledger source;
+  Ledger ledger;
+};
+
+TEST(LedgerAppendVerified, RejectsAWrongIndex) {
+  Mirror mirror("verified_index");
+  LedgerEntry entry = EntryAt(mirror.source, 10);
+  entry.index = 11;
+  mirror.ExpectRejected(std::move(entry), "entry carries index 11, expected 10");
+}
+
+TEST(LedgerAppendVerified, RejectsABrokenChainLink) {
+  Mirror mirror("verified_chain");
+  LedgerEntry entry = EntryAt(mirror.source, 10);
+  entry.prev_hash[7] ^= 0x01;
+  mirror.ExpectRejected(std::move(entry), "entry 10 chain link mismatch");
+}
+
+TEST(LedgerAppendVerified, RejectsAPayloadThatDoesNotMatchItsHash) {
+  Mirror mirror("verified_hash");
+  LedgerEntry entry = EntryAt(mirror.source, 10);
+  entry.payload[0] ^= 0x01;
+  mirror.ExpectRejected(std::move(entry), "entry 10 recomputed hash mismatch");
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 // and tamper-evidence at rest.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 
 #include "src/crypto/drbg.h"
 #include "src/ledger/persistence.h"
@@ -112,6 +115,18 @@ TEST(Persistence, AuditFromRestoredLedger) {
 TEST(Persistence, MissingFileFailsCleanly) {
   auto restored = LoadPublicLedger("/tmp/does-not-exist-votegral.ledger");
   EXPECT_FALSE(restored.ok());
+}
+
+TEST(Persistence, DirectoryInsteadOfSnapshotFailsUnavailable) {
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           ("votegral_snapshot_dir_" + std::to_string(::getpid())))
+                              .string();
+  std::filesystem::create_directories(dir);
+  auto restored = LoadPublicLedger(dir);
+  std::filesystem::remove_all(dir);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status.code(), StatusCode::kUnavailable) << restored.status.reason();
+  EXPECT_NE(restored.status.reason().find(dir), std::string::npos) << restored.status.reason();
 }
 
 }  // namespace

@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <thread>
 
 #include "src/common/faults.h"
+#include "src/common/files.h"
 #include "src/common/serde.h"
 #include "src/crypto/drbg.h"
 #include "src/net/loopback.h"
@@ -56,9 +56,9 @@ Ledger MakeBoard(uint64_t n, const LedgerStorageConfig& config) {
 }
 
 Bytes ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << path;
-  return Bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  Outcome<Bytes> bytes = ReadFileBytes(path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status;
+  return bytes.ok() ? std::move(*bytes) : Bytes{};
 }
 
 // Runs `leader`.Serve on one end of a fresh loopback pair in a thread and
@@ -244,6 +244,44 @@ TEST(Replication, CorruptedFrameIsRejectedWithLocalizedReason) {
     EXPECT_EQ(stats.status.code(), StatusCode::kCorrupted) << stats.status;
   });
   EXPECT_EQ(follower->ledger().size(), 0u) << "corrupt bytes were applied";
+}
+
+TEST(Replication, CorruptedApplyIsCaughtByTheRecomputedHash) {
+  // The frames decode cleanly; the apply path then hands the ledger a
+  // payload with one byte flipped. AppendVerified's recomputed hash must
+  // reject it before anything is written.
+  Ledger board = MakeBoard(10, LedgerStorageConfig{});
+  ChaChaRng rng(29);
+  SchnorrKeyPair key = SchnorrKeyPair::Generate(rng);
+  ReplicationLeader leader(board, key, rng);
+  auto follower =
+      ReplicationFollower::Open(LedgerStorageConfig{}, key.public_bytes(), 2);
+  ASSERT_TRUE(follower.ok());
+
+  FaultPlan plan(31);
+  plan.Corrupt(faults::kReplicaApply, 1.0);
+  ArmedFaults armed(plan);
+  LoopbackNetwork net;
+  WithServedChannel(leader, net, [&](Channel& ch) {
+    auto stats = follower->SyncOnce(ch);
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.status.code(), StatusCode::kCorrupted) << stats.status;
+    EXPECT_NE(stats.status.reason().find("recomputed hash mismatch"), std::string::npos)
+        << stats.status;
+  });
+  EXPECT_EQ(follower->ledger().size(), 0u) << "corrupt bytes were applied";
+}
+
+TEST(Replication, CheckpointSidecarThatIsADirectoryFailsUnavailable) {
+  ScratchDir dir("sidecar_is_dir");
+  const std::string sidecar = dir.path + "/checkpoint.bin";
+  fs::create_directories(sidecar);
+  ChaChaRng rng(37);
+  SchnorrKeyPair key = SchnorrKeyPair::Generate(rng);
+  auto follower = ReplicationFollower::Open(FileConfig(dir.path), key.public_bytes(), 2);
+  ASSERT_FALSE(follower.ok());
+  EXPECT_EQ(follower.status.code(), StatusCode::kUnavailable) << follower.status;
+  EXPECT_NE(follower.status.reason().find(sidecar), std::string::npos) << follower.status;
 }
 
 TEST(Replication, ForgedCheckpointSignatureIsRejected) {
