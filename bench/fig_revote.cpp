@@ -10,10 +10,15 @@
 //    dedup core is quasilinear and the padded board stays within the cover
 //    envelope bound <= 5T + O(log^2 T) items.
 //  * Full revote tallies off a file-backed segmented ledger, sweeping
-//    revote rate x ballot count: end-to-end wall clock, the dedup stage's
-//    busy time, padding overhead (dummy groups/items), and the streaming
+//    revote rate x ballot count, each at every thread count: end-to-end
+//    wall clock, the dedup stage's busy time (summed over its task-graph
+//    nodes and sequential steps, so above the wall clock on more than one
+//    thread), padding overhead (dummy groups/items), and the streaming
 //    contract — peak pinned ledger payload stays O(one segment), not O(N),
 //    even though the dedup pipeline mixes ~3.3N padded width-3 items.
+//  * Determinism at scale: every thread count must produce a byte-identical
+//    transcript (DigestTranscriptWithWire), on boards large enough that the
+//    dedup's shards hold many items each.
 //  * Supersession accounting: every run cross-checks superseded /
 //    unmatched-tag discards against the forged corpus and the published
 //    dummy openings, and (while affordable) replays the kept set with the
@@ -28,8 +33,9 @@
 // Scale knobs: --ballots N (headline kernel size, default 2^17;
 // VOTEGRAL_BENCH_BALLOTS env works too), --tally N1,N2 (full-tally sizes,
 // default 2048,8192,32768; VOTEGRAL_BENCH_TALLY env), --rate R (default
-// 0.25), --threads T (default 1), --segment E. Emits BENCH_revote.json.
+// 0.25), --threads T1,T2 (default 1), --segment E. Emits BENCH_revote.json.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -51,6 +57,7 @@
 #include "src/votegral/ballot.h"
 #include "src/votegral/revote.h"
 #include "src/votegral/tally.h"
+#include "tests/transcript_digest.h"
 
 namespace votegral {
 namespace {
@@ -61,7 +68,7 @@ struct Options {
   size_t ballots = size_t{1} << 17;  // headline kernel-differential size
   std::vector<size_t> tally_ballots = {2048, 8192, 32768};
   double rate = 0.25;
-  size_t threads = 1;
+  std::vector<size_t> threads = {1};
   size_t segment_entries = 1024;
   std::string out = "BENCH_revote.json";
 };
@@ -109,7 +116,7 @@ Options ParseOptions(int argc, char** argv) {
     } else if (arg == "--rate") {
       options.rate = std::atof(next());
     } else if (arg == "--threads") {
-      options.threads = static_cast<size_t>(std::atol(next()));
+      options.threads = ParseSizeList(next());
     } else if (arg == "--segment") {
       options.segment_entries = static_cast<size_t>(std::atol(next()));
     } else if (arg == "--out") {
@@ -117,14 +124,14 @@ Options ParseOptions(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: fig_revote [--ballots N] [--tally N1,N2] [--rate R] "
-                   "[--threads T] [--segment E] [--out FILE]\n");
+                   "[--threads T1,T2] [--segment E] [--out FILE]\n");
       std::exit(2);
     }
   }
   Require(options.ballots > 0 && !options.tally_ballots.empty(),
           "fig_revote: need a headline size and a tally size list");
   Require(options.rate >= 0.0 && options.rate < 1.0, "fig_revote: rate in [0, 1)");
-  Require(options.threads > 0, "fig_revote: need at least one thread");
+  Require(!options.threads.empty(), "fig_revote: need a thread count list");
   return options;
 }
 
@@ -284,6 +291,7 @@ struct Fixture {
 struct TallyRow {
   size_t ballots = 0;
   double rate = 0.0;
+  size_t threads = 0;
   size_t credentials = 0;
   size_t accepted = 0;
   size_t padded_items = 0;
@@ -305,7 +313,10 @@ struct TallyRow {
 // affordable up to roughly this many padded items on one core.
 constexpr size_t kKeptReplayLimit = 140000;
 
-TallyRow RunTally(size_t ballots, double rate, const Options& options, size_t index) {
+// Forges one corpus and tallies it at every thread count of the sweep; the
+// transcripts must be byte-identical.
+std::vector<TallyRow> RunTallies(size_t ballots, double rate, const Options& options,
+                                 size_t index) {
   const fs::path dir = fs::temp_directory_path() /
                        ("votegral-revote-" + std::to_string(static_cast<unsigned>(getpid())) +
                         "-" + std::to_string(index));
@@ -315,75 +326,90 @@ TallyRow RunTally(size_t ballots, double rate, const Options& options, size_t in
   const FileLedgerStore* store = fixture.ballot_store();
   Require(store != nullptr, "fig_revote: expected the file backend");
 
-  TallyRow row;
-  row.ballots = ballots;
-  row.rate = rate;
-  row.credentials = fixture.credentials;
-  row.ingest_s = fixture.ingest_seconds;
-  row.ledger_payload_bytes = fixture.ledger_bytes;
+  std::vector<TallyRow> rows;
+  std::array<uint8_t, 32> first_digest{};
+  for (size_t threads : options.threads) {
+    std::printf("  tallying at %zu thread%s...\n", threads, threads == 1 ? "" : "s");
+    TallyRow row;
+    row.ballots = ballots;
+    row.rate = rate;
+    row.threads = threads;
+    row.credentials = fixture.credentials;
+    row.ingest_s = fixture.ingest_seconds;
+    row.ledger_payload_bytes = fixture.ledger_bytes;
 
-  Executor executor(options.threads);
-  TallyService service(fixture.authority, fixture.tagging, /*mix_pairs=*/2, executor,
-                       RetryPolicy(), /*revoting=*/true, /*revote_padding=*/true);
-  TallyRunMetrics metrics;
-  ChaChaRng tally_rng(0x57E1ABAD);
-  WallTimer timer;
-  TallyOutput output = std::move(*service.Run(fixture.ledger, fixture.candidates,
-                                              /*authorized_kiosks=*/{}, tally_rng, &metrics));
-  row.tally_s = timer.Seconds();
-  for (const TallyStageBusy& stage : metrics.stages) {
-    if (stage.name == std::string("dedup")) {
-      row.dedup_stage_s = stage.busy_seconds;
+    Executor executor(threads);
+    TallyService service(fixture.authority, fixture.tagging, /*mix_pairs=*/2, executor,
+                         RetryPolicy(), /*revoting=*/true, /*revote_padding=*/true);
+    TallyRunMetrics metrics;
+    ChaChaRng tally_rng(0x57E1ABAD);
+    WallTimer timer;
+    TallyOutput output = std::move(*service.Run(
+        fixture.ledger, fixture.candidates, /*authorized_kiosks=*/{}, tally_rng, &metrics));
+    row.tally_s = timer.Seconds();
+    for (const TallyStageBusy& stage : metrics.stages) {
+      if (stage.name == std::string("dedup")) {
+        row.dedup_stage_s = stage.busy_seconds;
+      }
     }
-  }
+    const std::array<uint8_t, 32> digest = DigestTranscriptWithWire(output);
+    if (rows.empty()) {
+      first_digest = digest;
+    }
+    Require(digest == first_digest, "fig_revote: transcript differs across thread counts");
 
-  const RevoteTranscript& rt = output.transcript.revote;
-  row.accepted = rt.accepted.size();
-  row.padded_items = rt.mix_input.size();
-  row.dummy_groups = rt.dummies.size();
-  for (const RevoteDummyGroup& group : rt.dummies) {
-    row.dummy_items += group.size;
-  }
-  row.superseded = output.result.discards.superseded;
-  row.unmatched_tag = output.result.discards.unmatched_tag;
-  row.counted = output.result.counted;
-  row.peak_pinned_bytes = store->PeakPinnedBytes();
-  row.segments = store->SegmentCount();
+    const RevoteTranscript& rt = output.transcript.revote;
+    row.accepted = rt.accepted.size();
+    row.padded_items = rt.mix_input.size();
+    row.dummy_groups = rt.dummies.size();
+    for (const RevoteDummyGroup& group : rt.dummies) {
+      row.dummy_items += group.size;
+    }
+    row.superseded = output.result.discards.superseded;
+    row.unmatched_tag = output.result.discards.unmatched_tag;
+    row.counted = output.result.counted;
+    row.peak_pinned_bytes = store->PeakPinnedBytes();
+    row.segments = store->SegmentCount();
 
-  // Supersession accounting against the forged corpus and the published
-  // dummy openings: every re-cast supersedes one real ballot, every dummy
-  // group contributes size-1 superseded members and one unmatched tag.
-  Require(row.accepted == ballots, "fig_revote: every forged ballot must be accepted");
-  Require(row.counted == fixture.credentials,
-          "fig_revote: every credential's last cast must count");
-  size_t dummy_superseded = 0;
-  for (const RevoteDummyGroup& group : rt.dummies) {
-    Require(group.size >= 1, "fig_revote: empty dummy group");
-    dummy_superseded += static_cast<size_t>(group.size) - 1;
-  }
-  Require(row.superseded == fixture.revotes + dummy_superseded,
-          "fig_revote: superseded discards do not match the corpus + dummies");
-  Require(row.unmatched_tag == row.dummy_groups,
-          "fig_revote: each dummy group must drop as exactly one unmatched tag");
-  Require(row.padded_items == row.accepted + row.dummy_items,
-          "fig_revote: padded board must be accepted + dummy items");
-  Require(row.padded_items <= PaddedItemBound(row.accepted),
-          "fig_revote: padded board exceeds the cover envelope bound");
+    // Supersession accounting against the forged corpus and the published
+    // dummy openings: every re-cast supersedes one real ballot, every dummy
+    // group contributes size-1 superseded members and one unmatched tag.
+    Require(row.accepted == ballots, "fig_revote: every forged ballot must be accepted");
+    Require(row.counted == fixture.credentials,
+            "fig_revote: every credential's last cast must count");
+    size_t dummy_superseded = 0;
+    for (const RevoteDummyGroup& group : rt.dummies) {
+      Require(group.size >= 1, "fig_revote: empty dummy group");
+      dummy_superseded += static_cast<size_t>(group.size) - 1;
+    }
+    Require(row.superseded == fixture.revotes + dummy_superseded,
+            "fig_revote: superseded discards do not match the corpus + dummies");
+    Require(row.unmatched_tag == row.dummy_groups,
+            "fig_revote: each dummy group must drop as exactly one unmatched tag");
+    Require(row.padded_items == row.accepted + row.dummy_items,
+            "fig_revote: padded board must be accepted + dummy items");
+    Require(row.padded_items <= PaddedItemBound(row.accepted),
+            "fig_revote: padded board exceeds the cover envelope bound");
 
-  // Replay the selection with the quadratic reference over the *published*
-  // tags and counter points (what any auditor sees) while affordable.
-  if (row.padded_items <= kKeptReplayLimit) {
-    RevoteSelection fast = SelectLastPerTag(rt.tags, rt.counter_points);
-    RevoteSelection reference = SelectLastPerTagQuadratic(rt.tags, rt.counter_points);
-    Require(SameSelection(fast, reference),
-            "fig_revote: quadratic replay diverged from the tally's selection");
-    Require(fast.kept == rt.kept_indices,
-            "fig_revote: published kept set differs from the replayed selection");
-    row.kept_replayed = true;
+    // Replay the selection with the quadratic reference over the *published*
+    // tags and counter points (what any auditor sees) while affordable. The
+    // transcripts are byte-identical, so one replay covers every count.
+    if (rows.empty() && row.padded_items <= kKeptReplayLimit) {
+      RevoteSelection fast = SelectLastPerTag(rt.tags, rt.counter_points);
+      RevoteSelection reference = SelectLastPerTagQuadratic(rt.tags, rt.counter_points);
+      Require(SameSelection(fast, reference),
+              "fig_revote: quadratic replay diverged from the tally's selection");
+      Require(fast.kept == rt.kept_indices,
+              "fig_revote: published kept set differs from the replayed selection");
+      row.kept_replayed = true;
+    } else if (!rows.empty()) {
+      row.kept_replayed = rows[0].kept_replayed;
+    }
+    rows.push_back(row);
   }
 
   fs::remove_all(dir);
-  return row;
+  return rows;
 }
 
 void Main(int argc, char** argv) {
@@ -473,42 +499,49 @@ void Main(int argc, char** argv) {
 
   std::vector<TallyRow> tally_rows;
   for (size_t i = 0; i < sweep.size(); ++i) {
-    std::printf("Full revote tally: %zu ballots at rate %.2f (%zu threads)...\n",
-                sweep[i].first, sweep[i].second, options.threads);
-    tally_rows.push_back(RunTally(sweep[i].first, sweep[i].second, options, i));
-    const TallyRow& row = tally_rows.back();
-    std::printf("  ingest %.1fs; tally %.1fs (dedup stage %.1fs); padded %zu "
-                "(%zu dummy groups); peak pinned %.1f KiB over %llu segments\n",
-                row.ingest_s, row.tally_s, row.dedup_stage_s, row.padded_items,
-                row.dummy_groups, row.peak_pinned_bytes / 1024.0,
-                static_cast<unsigned long long>(row.segments));
+    std::printf("Full revote tally: %zu ballots at rate %.2f...\n", sweep[i].first,
+                sweep[i].second);
+    for (const TallyRow& row : RunTallies(sweep[i].first, sweep[i].second, options, i)) {
+      std::printf("  %zu thread%s: ingest %.1fs; tally %.1fs (dedup busy %.1fs); padded %zu "
+                  "(%zu dummy groups); peak pinned %.1f KiB over %llu segments\n",
+                  row.threads, row.threads == 1 ? "" : "s", row.ingest_s, row.tally_s,
+                  row.dedup_stage_s, row.padded_items, row.dummy_groups,
+                  row.peak_pinned_bytes / 1024.0,
+                  static_cast<unsigned long long>(row.segments));
+      tally_rows.push_back(row);
+    }
   }
 
   TextTable tally_table("Full revote tallies — file-backed ledger");
-  tally_table.SetHeader({"Ballots", "Rate", "Padded", "Tally (s)", "Dedup (s)",
+  tally_table.SetHeader({"Ballots", "Rate", "Threads", "Padded", "Tally (s)", "Dedup (s)",
                          "Superseded", "Pinned KiB", "Replayed"});
   for (const TallyRow& row : tally_rows) {
     char rate[16], pinned[32];
     std::snprintf(rate, sizeof(rate), "%.2f", row.rate);
     std::snprintf(pinned, sizeof(pinned), "%.1f", row.peak_pinned_bytes / 1024.0);
-    tally_table.AddRow({std::to_string(row.ballots), rate, std::to_string(row.padded_items),
-                        FormatSeconds(row.tally_s), FormatSeconds(row.dedup_stage_s),
+    tally_table.AddRow({std::to_string(row.ballots), rate, std::to_string(row.threads),
+                        std::to_string(row.padded_items), FormatSeconds(row.tally_s),
+                        FormatSeconds(row.dedup_stage_s),
                         std::to_string(row.superseded), pinned,
                         row.kept_replayed ? "quadratic" : "skipped"});
   }
   std::printf("%s\n", tally_table.Format().c_str());
 
   // ---- JSON ---------------------------------------------------------------
+  std::string thread_list;
+  for (size_t threads : options.threads) {
+    thread_list += (thread_list.empty() ? "" : ", ") + std::to_string(threads);
+  }
   FILE* json = std::fopen(options.out.c_str(), "w");
   Require(json != nullptr, "fig_revote: cannot write JSON output");
   std::fprintf(json,
                "{\n  \"bench\": \"revote\",\n  \"rate\": %.4f,\n"
-               "  \"threads\": %zu,\n  \"segment_entries\": %zu,\n"
+               "  \"threads\": [%s],\n  \"segment_entries\": %zu,\n"
                "  \"hardware_concurrency\": %u,\n"
                "  \"kernel_differential\": {\"items\": %zu, \"select_s\": %.6f, "
                "\"quadratic_s\": %.6f, \"identical\": %s},\n"
                "  \"kernel_sweep\": [\n",
-               options.rate, options.threads, options.segment_entries,
+               options.rate, thread_list.c_str(), options.segment_entries,
                std::thread::hardware_concurrency(), options.ballots,
                kernel_rows.back().select_s, quadratic_s,
                differential_ok ? "true" : "false");
@@ -527,14 +560,14 @@ void Main(int argc, char** argv) {
     const TallyRow& row = tally_rows[i];
     std::fprintf(
         json,
-        "    {\"ballots\": %zu, \"rate\": %.4f, \"credentials\": %zu, "
+        "    {\"ballots\": %zu, \"rate\": %.4f, \"threads\": %zu, \"credentials\": %zu, "
         "\"accepted\": %zu, \"padded_items\": %zu, \"dummy_groups\": %zu, "
         "\"dummy_items\": %zu, \"superseded\": %zu, \"unmatched_tag\": %zu, "
         "\"counted\": %zu, \"ingest_s\": %.3f, \"tally_s\": %.6f, "
         "\"dedup_stage_s\": %.6f, \"peak_pinned_bytes\": %llu, "
         "\"segments\": %llu, \"ledger_payload_bytes\": %llu, "
         "\"kept_replayed\": %s}%s\n",
-        row.ballots, row.rate, row.credentials, row.accepted, row.padded_items,
+        row.ballots, row.rate, row.threads, row.credentials, row.accepted, row.padded_items,
         row.dummy_groups, row.dummy_items, row.superseded, row.unmatched_tag, row.counted,
         row.ingest_s, row.tally_s, row.dedup_stage_s,
         static_cast<unsigned long long>(row.peak_pinned_bytes),
@@ -548,11 +581,15 @@ void Main(int argc, char** argv) {
 
   // The streaming claim under revoting: even with the padded width-3 dedup
   // mix in flight, peak pinned ledger payload stays O(one segment) — the
-  // dedup pipeline works on parsed ballots, never on pinned segments.
+  // dedup pipeline works on parsed ballots, never on pinned segments. The
+  // peak is the store's high-water mark over every run of its corpus, so it
+  // is bounded at the sweep's largest thread count.
+  const size_t max_threads =
+      *std::max_element(options.threads.begin(), options.threads.end());
   for (const TallyRow& row : tally_rows) {
     const double segment_payload_bytes = static_cast<double>(row.ledger_payload_bytes) /
                                          static_cast<double>(row.segments);
-    const double segment_bound = (static_cast<double>(options.threads) + 2.0) *
+    const double segment_bound = (static_cast<double>(max_threads) + 2.0) *
                                  (segment_payload_bytes * 2.0 + 65536.0);
     Require(static_cast<double>(row.peak_pinned_bytes) <= segment_bound,
             "fig_revote: peak pinned bytes not O(segment)");

@@ -49,6 +49,11 @@ Status Election::Cast(const ActivatedCredential& credential, const std::string& 
   }
   if (config_.revoting) {
     uint64_t& next = revote_counters_[credential.credential_pk];
+    if (next >= kRevoteCounterLimit) {
+      return Status::Error(StatusCode::kExhausted,
+                           "election: credential has used all " +
+                               std::to_string(kRevoteCounterLimit) + " revote counters");
+    }
     RevoteBallot ballot = MakeRevoteBallot(credential, candidates_, *index,
                                            trip_.authority_pk(), next, rng);
     ++next;

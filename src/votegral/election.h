@@ -70,7 +70,9 @@ class Election {
   // Casts a ballot with an activated credential (real or fake — the ballot
   // is accepted either way; only real ones are eventually counted). Under
   // config.revoting the per-credential cast counter auto-increments, so a
-  // later Cast with the same credential supersedes the earlier one.
+  // later Cast with the same credential supersedes the earlier one; once
+  // the credential has cast kRevoteCounterLimit ballots, Cast fails
+  // kExhausted and posts nothing (a higher counter could never decode).
   Status Cast(const ActivatedCredential& credential, const std::string& candidate, Rng& rng);
 
   // Revote-mode cast with an explicit counter — the coercer model: whoever

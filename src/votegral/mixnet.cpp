@@ -151,24 +151,6 @@ void MixServer::ShuffleShardRange(const MixBatch& input, const RistrettoPoint& p
   }
 }
 
-MixBatch MixServer::Shuffle(const MixBatch& input, const RistrettoPoint& pk, Rng& rng,
-                            Executor& executor) {
-  const size_t n = input.size();
-  Prepare(n, rng);
-
-  // Re-encryption: the expensive part (two scalar multiplications plus one
-  // canonical encoding per ciphertext component) fans out across fixed
-  // shards, each drawing randomness from its own forked child stream.
-  auto shards = Executor::Shards(n, Executor::kRngShards);
-  auto seeds = ForkRngSeeds(rng, shards.size());
-  MixBatch output(n);
-  executor.ParallelForEach(shards.size(), [&](size_t s) {
-    ChaChaRng child(seeds[s]);
-    ShuffleShardRange(input, pk, shards[s].first, shards[s].second, child, output);
-  });
-  return output;
-}
-
 RpcReveal MixServer::RevealLinkForOutput(uint64_t output_index) const {
   Require(output_index < source_.size(), "mixnet: reveal index out of range");
   RpcReveal reveal;
@@ -211,12 +193,26 @@ MixBatch RunRpcMixCascade(const MixBatch& input, const RistrettoPoint& pk, size_
   MixBatch current = input;
   EnsureWireCache(current, executor);  // one parallel encode; hashes are SHA-only after
   std::array<uint8_t, 32> h_current = HashMixBatch(current);
+  // One layer: its permutation, then one forked seed per shard, both drawn
+  // from `rng`; the re-encryption (two scalar multiplications plus one
+  // canonical encoding per ciphertext component) then fans out by shard.
+  const auto shards = Executor::Shards(current.size(), Executor::kRngShards);
+  auto shuffle = [&](MixServer& layer, const MixBatch& in) {
+    layer.Prepare(in.size(), rng);
+    const auto seeds = ForkRngSeeds(rng, shards.size());
+    MixBatch out(in.size());
+    executor.ParallelForEach(shards.size(), [&](size_t s) {
+      ChaChaRng child(seeds[s]);
+      layer.ShuffleShardRange(in, pk, shards[s].first, shards[s].second, child, out);
+    });
+    return out;
+  };
   for (size_t p = 0; p < pair_count; ++p) {
     MixServer layer_a;
     MixServer layer_b;
     RpcPairProof pair;
-    pair.mid = layer_a.Shuffle(current, pk, rng, executor);
-    pair.out = layer_b.Shuffle(pair.mid, pk, rng, executor);
+    pair.mid = shuffle(layer_a, current);
+    pair.out = shuffle(layer_b, pair.mid);
     FinishRpcPair(layer_a, layer_b, h_current, p, &pair, &h_current);
     current = pair.out;
     proof->pairs.push_back(std::move(pair));

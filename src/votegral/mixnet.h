@@ -113,8 +113,8 @@ struct MixProof {
 };
 
 // Runs `pair_count` RPC pairs (2·pair_count mix servers) over `input`.
-// Returns the final shuffled batch and fills `proof`. Shuffle re-encryption
-// fans out across `executor` under forked per-shard DRBGs; the output and
+// Returns the final shuffled batch and fills `proof`. Each layer's shards
+// re-encrypt across `executor` under forked per-shard DRBGs; the output and
 // proof are byte-identical at any thread count.
 MixBatch RunRpcMixCascade(const MixBatch& input, const RistrettoPoint& pk, size_t pair_count,
                           Rng& rng, MixProof* proof,
@@ -143,29 +143,17 @@ Status VerifyRpcMixCascade(const MixBatch& input, const MixBatch& output,
                            MixLinkCheck mode = MixLinkCheck::kBatchedMsm,
                            Executor& executor = Executor::Global());
 
-// Single mix layer (used by the cascade and by baselines): shuffles and
-// re-encrypts, recording the permutation and randomness for later reveals.
-//
-// Two entry styles share one transcript:
-//  * Shuffle() — the whole layer at once (Prepare + a ParallelFor over the
-//    shards).
-//  * Prepare() + ShuffleShardRange() — the dataflow tally draws the
-//    permutation and per-shard seeds at graph-build time, then runs each
-//    shard as its own graph node the moment its inputs exist. Both styles
-//    consume identical rng bytes and produce identical batches.
+// Single mix layer: shuffles and re-encrypts, recording the permutation and
+// randomness for later reveals. The caller draws the permutation (Prepare)
+// and one forked seed per Executor::Shards shard, then runs the shards
+// (ShuffleShardRange) as graph nodes or a parallel loop; the bytes never
+// depend on scheduling.
 class MixServer {
  public:
-  // Shuffles `input`; after this call the server holds its secret records.
-  // The permutation is drawn sequentially from `rng`; re-encryption
-  // randomness comes from per-shard forked streams so the result is
-  // reproducible at any thread count.
-  MixBatch Shuffle(const MixBatch& input, const RistrettoPoint& pk, Rng& rng,
-                   Executor& executor = Executor::Global());
-
   // Draws the Fisher-Yates permutation for an n-item layer from `rng`
   // (sequentially — the only parent-stream consumption of this layer) and
   // sizes the secret records. Shard seeds are forked by the caller
-  // immediately after, preserving Shuffle()'s exact rng byte order.
+  // immediately after.
   void Prepare(size_t n, Rng& rng);
 
   // Re-encrypts output slots [begin, end) from `input` into `output`

@@ -272,14 +272,9 @@ void RevoteValidateShard(const PublicLedger& ledger, const RistrettoPoint& autho
 
 namespace tally_internal {
 
-Status RunRevoteDedup(const TallyService& service, Rng& rng, TallyPipelineState& state) {
+void BuildRevoteMixInput(const TallyService& service, Rng& rng, TallyPipelineState& state) {
   RevoteTranscript& rt = state.output.transcript.revote;
-  TallyResult& result = state.output.result;
   Executor& executor = service.executor();
-
-  if (Status fault = ProbeStageFault(faults::kTallyDedup, 0, "revote dedup"); !fault.ok()) {
-    return fault;
-  }
 
   // Accepted board ballots, ledger order (the verifier replays this walk).
   for (std::optional<RevoteBallot>& ballot : state.validated_revotes) {
@@ -328,7 +323,8 @@ Status RunRevoteDedup(const TallyService& service, Rng& rng, TallyPipelineState&
   }
 
   // Width-3 mix input: the accepted ballots' ciphertext triples, then every
-  // dummy member's trivial encryptions.
+  // dummy member's trivial encryptions. After the mix, tags, counters and
+  // group sizes can be revealed without linking anything back to board rows.
   size_t padded = total;
   for (const RevoteDummyGroup& group : rt.dummies) {
     padded += group.size;
@@ -350,61 +346,31 @@ Status RunRevoteDedup(const TallyService& service, Rng& rng, TallyPipelineState&
   }
   BuildRevoteDummyItems(rt.dummies, dummy_slots,
                         std::span<MixItem>(rt.mix_input).subspan(total), executor);
+}
 
-  // The revote mix: after it, tags/counters/group sizes can be revealed
-  // without linking anything back to board rows.
-  if (Status fault = ProbeStageFault(faults::kMixShuffle, 2, "revote mix"); !fault.ok()) {
-    return fault;
-  }
-  rt.mix_output = RunRpcMixCascade(rt.mix_input, service.authority().public_key(),
-                                   service.mix_pairs(), rng, &rt.mix_proof, executor);
-
-  // Tag the credential column, then verifiably decrypt tags and counters.
-  if (Status fault = ProbeStageFault(faults::kTagApply, 2, "revote tagging"); !fault.ok()) {
-    return fault;
-  }
-  std::vector<ElGamalCiphertext> tagged = service.tagging().ApplyAll(
-      BatchColumn(rt.mix_output, 1), &rt.tag_steps, rng, executor,
-      BatchColumnWire(rt.mix_output, 1));
-  Status status = DecryptBatchWithShares(service, "revote tags", tagged, rng,
-                                         kEpochRevoteTags, &rt.tag_shares, &rt.tags,
-                                         &state.share_self_check, &state.authority_blame,
-                                         TaggedWire(rt.tag_steps));
-  if (!status.ok()) {
-    return status;
-  }
-  Release(tagged);
-  std::vector<ElGamalCiphertext> counters = BatchColumn(rt.mix_output, 2);
-  status = DecryptBatchWithShares(service, "revote counters", counters, rng,
-                                  kEpochRevoteCounters, &rt.counter_shares,
-                                  &rt.counter_points, &state.share_self_check,
-                                  &state.authority_blame,
-                                  BatchColumnWire(rt.mix_output, 2));
-  if (!status.ok()) {
-    return status;
-  }
-  Release(counters);
+void SelectRevoteKept(const TallyService& service, TallyPipelineState& state) {
+  RevoteTranscript& rt = state.output.transcript.revote;
+  TallyDiscards& discards = state.output.result.discards;
 
   // tag-sort -> last-write-wins over the revealed (tag, counter) pairs.
   // Dummy groups contribute their size-1 supersessions by design: the board
   // observables stay a pure function of the envelope.
   RevoteSelection selection = SelectLastPerTag(rt.tags, rt.counter_points);
   rt.kept_indices = std::move(selection.kept);
-  result.discards.superseded += selection.superseded;
-  result.discards.duplicate_tag += selection.duplicate_tag;
-  result.discards.invalid_structure += selection.invalid_structure;
+  discards.superseded += selection.superseded;
+  discards.duplicate_tag += selection.duplicate_tag;
+  discards.invalid_structure += selection.invalid_structure;
 
   // The kept [Enc(vote), Enc(c_pk)] columns feed the ordinary ballot mix —
   // the second shuffle that decouples group membership from join outcomes.
   state.revote_kept.resize(rt.kept_indices.size());
-  executor.ParallelForEach(rt.kept_indices.size(), [&](size_t i) {
+  service.executor().ParallelForEach(rt.kept_indices.size(), [&](size_t i) {
     const MixItem& source = rt.mix_output[rt.kept_indices[i]];
     MixItem item;
     item.cts = {source.cts.at(0), source.cts.at(1)};
     item.EnsureWire();
     state.revote_kept[i] = std::move(item);
   });
-  return Status::Ok();
 }
 
 }  // namespace tally_internal

@@ -70,6 +70,10 @@ void TaggingService::ApplyShardRange(size_t member, std::span<const ElGamalCiphe
           "tagging: shard range outside prepared step");
   Require(input_wire.empty() || input_wire.size() == input.size(),
           "tagging: input wire size mismatch");
+  // Each ciphertext costs two exponentiations plus a 3-element proof whose
+  // commitments are three more scalar multiplications. The y*B commitment
+  // reads the generator's table, so four of the five run the ladder: the
+  // per-ballot hot loop of the tagging stage.
   for (size_t i = begin; i < end; ++i) {
     ElGamalCiphertext out = input[i].ExponentiateBy(z);
     // Output bytes are encoded here, once, while the points are hot; the
@@ -85,31 +89,6 @@ void TaggingService::ApplyShardRange(size_t member, std::span<const ElGamalCiphe
     step.output[i] = out;
     step.output_wire[i] = out_wire;
   }
-}
-
-TaggingStep TaggingService::Apply(size_t member, const std::vector<ElGamalCiphertext>& input,
-                                  Rng& rng, Executor& executor,
-                                  std::span<const ElGamalWire> input_wire) const {
-  Require(input_wire.empty() || input_wire.size() == input.size(),
-          "tagging: input wire size mismatch");
-  Executor::Scope scope(executor);
-  TaggingStep step = PrepareStep(member, input.size());
-  // The commitment appears in every statement of the step: encode it once
-  // here instead of once per ciphertext inside the challenge hash.
-  const CompressedRistretto commitment_wire = commitments_[member].Encode();
-  // Each ciphertext costs two exponentiations plus a 3-element proof whose
-  // commitments are three more scalar multiplications. The y*B commitment
-  // reads the generator's table, so four of the five run the ladder: the
-  // per-ballot hot loop of the tagging stage. Shards are fixed by input
-  // size; nonces come from forked streams.
-  auto shards = Executor::Shards(input.size(), Executor::kRngShards);
-  auto seeds = ForkRngSeeds(rng, shards.size());
-  executor.ParallelForEach(shards.size(), [&](size_t s) {
-    ChaChaRng child(seeds[s]);
-    ApplyShardRange(member, input, input_wire, commitment_wire, shards[s].first,
-                    shards[s].second, child, step);
-  });
-  return step;
 }
 
 Status TaggingService::VerifyStep(const TaggingStep& step,
@@ -138,16 +117,27 @@ std::vector<ElGamalCiphertext> TaggingService::ApplyAll(
     const std::vector<ElGamalCiphertext>& input, std::vector<TaggingStep>* steps, Rng& rng,
     Executor& executor, std::span<const ElGamalWire> input_wire) const {
   Require(steps != nullptr, "tagging: steps output required");
+  Executor::Scope scope(executor);
+  const auto shards = Executor::Shards(input.size(), Executor::kRngShards);
   steps->clear();
-  std::vector<ElGamalCiphertext> current = input;
-  std::vector<ElGamalWire> current_wire(input_wire.begin(), input_wire.end());
+  steps->reserve(secrets_.size());  // the spans below point into earlier steps
+  std::span<const ElGamalCiphertext> current = input;
+  std::span<const ElGamalWire> current_wire = input_wire;
   for (size_t member = 0; member < secrets_.size(); ++member) {
-    TaggingStep step = Apply(member, current, rng, executor, current_wire);
+    // Per member: one forked seed per shard; the commitment appears in every
+    // statement of the step, so it is encoded once here.
+    const auto seeds = ForkRngSeeds(rng, shards.size());
+    const CompressedRistretto commitment_wire = commitments_[member].Encode();
+    TaggingStep& step = steps->emplace_back(PrepareStep(member, input.size()));
+    executor.ParallelForEach(shards.size(), [&](size_t s) {
+      ChaChaRng child(seeds[s]);
+      ApplyShardRange(member, current, current_wire, commitment_wire, shards[s].first,
+                      shards[s].second, child, step);
+    });
     current = step.output;
     current_wire = step.output_wire;  // each step feeds the next one's statements
-    steps->push_back(std::move(step));
   }
-  return current;
+  return std::vector<ElGamalCiphertext>(current.begin(), current.end());
 }
 
 Status TaggingService::VerifyChain(const std::vector<ElGamalCiphertext>& input,

@@ -11,9 +11,9 @@
 //
 // Parallel architecture: talliers are inherently sequential (each consumes
 // the previous output), but within one tallier's pass every ciphertext is
-// independent, so Apply shards the list across the executor under forked
-// per-shard DRBG streams (proof nonces), keeping the step byte-identical at
-// any thread count. Chain verification folds every step's Chaum–Pedersen
+// independent, so a pass runs as Executor::Shards shards (ApplyShardRange)
+// under forked per-shard DRBG streams (proof nonces), keeping the step
+// byte-identical at any thread count. Chain verification folds every step's Chaum–Pedersen
 // proofs into one batched multi-scalar multiplication with deterministic
 // Fiat–Shamir weights, falling back to the per-item path to localize the
 // offending step and index on rejection.
@@ -56,20 +56,6 @@ class TaggingService {
   size_t size() const { return secrets_.size(); }
   const std::vector<RistrettoPoint>& commitments() const { return commitments_; }
 
-  // Member `i` exponentiates every ciphertext by z_i and proves it.
-  // Ciphertexts fan out across the executor; proof nonces come from forked
-  // per-shard streams, so the step is reproducible at any thread count.
-  //
-  // `input_wire`, when non-empty, must be the canonical bytes of `input`
-  // from a source the caller produced or validated (previous step's
-  // output_wire, a validated mix column); the proof statements then hash
-  // those bytes instead of re-encoding the input points. The produced step
-  // carries output_wire either way, and the transcript is byte-identical
-  // with or without the threading.
-  TaggingStep Apply(size_t member, const std::vector<ElGamalCiphertext>& input, Rng& rng,
-                    Executor& executor = Executor::Global(),
-                    std::span<const ElGamalWire> input_wire = {}) const;
-
   // Pre-sizes a TaggingStep for an n-ciphertext pass by `member` (output,
   // proofs, and output_wire resized; member_index set). Pair with
   // ApplyShardRange for chunk-granular scheduling.
@@ -77,11 +63,16 @@ class TaggingService {
 
   // Fills output slots [begin, end) of a PrepareStep'd `step`: exponentiates
   // input[i] by z_member, encodes the output wire, and proves the DLEQ with
-  // nonces from `child` (the forked stream for this shard). `input_wire`,
-  // when non-empty, backs the statement caches exactly as in Apply;
+  // nonces from `child` (the forked stream for this shard).
   // `commitment_wire` is the member's pre-encoded commitment. Disjoint
-  // ranges may run concurrently; the bytes produced are identical to
-  // Apply's for the same shard/seed split.
+  // ranges may run concurrently.
+  //
+  // `input_wire`, when non-empty, must be the canonical bytes of `input`
+  // from a source the caller produced or validated (previous step's
+  // output_wire, a validated mix column); the proof statements then hash
+  // those bytes instead of re-encoding the input points. The step carries
+  // output_wire either way, and its bytes are identical with or without the
+  // threading.
   void ApplyShardRange(size_t member, std::span<const ElGamalCiphertext> input,
                        std::span<const ElGamalWire> input_wire,
                        const CompressedRistretto& commitment_wire, size_t begin, size_t end,
@@ -94,9 +85,10 @@ class TaggingService {
                            const RistrettoPoint& commitment,
                            Executor& executor = Executor::Global());
 
-  // Runs all members sequentially, collecting each step and threading each
-  // step's wire bytes into the next statement's cache. Returns the final
-  // tagged ciphertexts.
+  // Runs all members sequentially, each as ApplyShardRange over forked
+  // per-shard seeds on `executor`, collecting each step and threading its
+  // wire bytes into the next statement's cache. Returns the final tagged
+  // ciphertexts.
   std::vector<ElGamalCiphertext> ApplyAll(const std::vector<ElGamalCiphertext>& input,
                                           std::vector<TaggingStep>* steps, Rng& rng,
                                           Executor& executor = Executor::Global(),

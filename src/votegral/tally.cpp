@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/crypto/batch.h"
-#include "src/crypto/drbg.h"
 #include "src/votegral/tally_internal.h"
 
 namespace votegral {
@@ -28,13 +27,6 @@ Status ProbeStageFault(std::string_view point, uint64_t scope, const char* what)
                                std::string(point));
   }
   return Status::Ok();
-}
-
-std::span<const ElGamalWire> TaggedWire(const std::vector<TaggingStep>& steps) {
-  if (steps.empty() || !steps.back().HasWire()) {
-    return {};
-  }
-  return steps.back().output_wire;
 }
 
 void ValidateBallotShard(const PublicLedger& ledger,
@@ -170,29 +162,6 @@ Status FinalizeDecryptBatch(const char* what, DecryptBatchBuffers& buffers,
     }
   }
   return Status::Ok();
-}
-
-Status DecryptBatchWithShares(const TallyService& service, const char* what,
-                              std::span<const ElGamalCiphertext> cts, Rng& rng,
-                              uint64_t epoch,
-                              std::vector<std::vector<DecryptionShare>>* shares_out,
-                              std::vector<CompressedRistretto>* encoded_out,
-                              std::vector<DleqBatchEntry>* self_check,
-                              std::map<size_t, Status>* blame,
-                              std::span<const ElGamalWire> cts_wire) {
-  const size_t n = cts.size();
-  Require(cts_wire.empty() || cts_wire.size() == n, "tally: cts wire size mismatch");
-  const AuthorityClient client(service.authority(), service.retry_policy());
-  DecryptBatchBuffers buffers;
-  buffers.Init(service.authority(), n, shares_out, encoded_out);
-  auto shards = Executor::Shards(n, Executor::kRngShards);
-  auto seeds = ForkRngSeeds(rng, shards.size());
-  service.executor().ParallelForEach(shards.size(), [&](size_t s) {
-    ChaChaRng child(seeds[s]);
-    DecryptShareShardRange(service, client, cts, cts_wire, epoch, shards[s].first,
-                           shards[s].second, child, buffers);
-  });
-  return FinalizeDecryptBatch(what, buffers, self_check, blame);
 }
 
 }  // namespace tally_internal

@@ -171,7 +171,6 @@ class TallyService {
   const TaggingService& tagging() const { return tagging_; }
   size_t mix_pairs() const { return mix_pairs_; }
   Executor& executor() const { return executor_; }
-  const RetryPolicy& retry_policy() const { return retry_policy_; }
   bool revoting() const { return revoting_; }
   bool revote_padding() const { return revote_padding_; }
 

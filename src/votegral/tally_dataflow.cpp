@@ -15,12 +15,19 @@
 // share decryption follows the last tagging member the same way. The ballot
 // and roster flows never wait for each other before the (sequential) join.
 //
+// In revote mode the dedup is a flow of its own over the padded width-3
+// board (RunRevoteDedup), waited on before the ballot flow is drawn because
+// the ballot flow's size is the count it keeps:
+//
+//   pad ── shuffle[layer][s] ── ... ─┬─ tag[member][s] ── decrypt-tags[s] ─┬─ select
+//                                    └─ decrypt-counters[s] ───────────────┘
+//
 // Determinism (the reproducibility contract, made normative here): every
 // randomness-consuming node gets its forked DRBG seed assigned at
 // graph-BUILD time, drawn from the caller's stream in exactly this order:
-//   1. revote mode only: the whole dedup (RunRevoteDedup) — dummy-group
-//      openings, the width-3 cascade, the credential tagging chain, then
-//      the tag and the counter decrypt batches;
+//   1. revote mode only, the dedup: the dummy-group credentials; its
+//      cascade and its tagging chain, each drawn as in steps 2 and 3 after
+//      its scope-2 probe; then its tag-decrypt and counter-decrypt seeds;
 //   2. the ballot cascade, then the roster cascade: per pair, layer A's
 //      permutation and shard seeds, then layer B's;
 //   3. the ballot tagging chain, then the roster one: per member, the
@@ -41,14 +48,16 @@
 // the dedup), then mix.shuffle scope 0 (ballot mix) and scope 1 (roster
 // mix), then tag.apply scope 0 (ballot tagging) and scope 1 (roster
 // tagging). Decrypt shortfalls are reported in the fixed finalize order
-// roster tags, ballot tags, votes. A failed run reports the same coded
-// status at any thread count.
+// revote tags, revote counters (both inside the dedup), roster tags, ballot
+// tags, votes. A failed run reports the same coded status at any thread
+// count.
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -97,13 +106,18 @@ Status WrapStage(const char* stage, const Status& status) {
   return Status::Error(status.code(), std::string(stage) + " stage: " + status.reason());
 }
 
-// One mix -> tag -> decrypt chain (ballots or roster): the pre-drawn
-// randomness, the layer servers, and the working buffers its graph nodes
-// write into. Everything here is sized and seeded at build time; nodes only
-// fill positional slots.
+// One mix -> tag -> decrypt chain (ballots, roster, or the revote dedup's):
+// the pre-drawn randomness, the layer servers, and the working buffers its
+// graph nodes write into. Everything here is sized and seeded at build time;
+// nodes only fill positional slots.
 struct ChainFlow {
   size_t n = 0;
   std::vector<std::pair<size_t, size_t>> shards;  // Shards(n, kRngShards)
+
+  // Stage all nodes charge busy time to (the revote flow: dedup); unset,
+  // each node charges its own kind (mix, tag, decrypt-tags).
+  std::optional<StageIdx> stage;
+  size_t Charge(StageIdx kind) const { return stage.value_or(kind); }
 
   // Mix cascade: layers[2p] / layers[2p+1] are pair p's A/B servers
   // (permutations drawn at build); proof->pairs pre-sized with mid/out
@@ -162,13 +176,27 @@ void DrawTagRandomness(ChainFlow& flow, const TaggingService& tagging, Rng& rng)
   flow.tag_input_wire.resize(flow.n);
 }
 
-// Submits one chain's wave-2 nodes: mix-input build, the shuffle layers,
-// pair finalization, the tagging chain, and share decryption. `build_item`
-// fills mix-input slot i. Returns nothing to wait on — callers Wait() on
-// the whole graph.
-void SubmitChainNodes(TaskGraph& graph, const TallyService& service, ChainFlow& flow,
-                      const AuthorityClient& client, BusyClock& clock,
-                      const std::function<void(size_t)>& build_item) {
+// Copies column `column` of items [begin, end), points and 64-byte wire
+// slices, into positional buffers.
+void ExtractColumn(const MixBatch& batch, size_t column, size_t begin, size_t end,
+                   std::vector<ElGamalCiphertext>& cts, std::vector<ElGamalWire>& wire) {
+  for (size_t i = begin; i < end; ++i) {
+    const MixItem& item = batch[i];
+    cts[i] = item.cts.at(column);
+    std::copy(item.wire.begin() + static_cast<ptrdiff_t>(64 * column),
+              item.wire.begin() + static_cast<ptrdiff_t>(64 * (column + 1)), wire[i].begin());
+  }
+}
+
+// Submits one chain's nodes: mix-input build (only when `build_item` is set;
+// it fills mix-input slot i), the shuffle layers, pair finalization, the
+// tagging chain, and share decryption. Returns the last shuffle layer's
+// shard nodes, for more per-shard work over the mixed list; callers Wait()
+// on the whole graph.
+std::vector<TaskGraph::NodeId> SubmitChainNodes(
+    TaskGraph& graph, const TallyService& service, ChainFlow& flow,
+    const AuthorityClient& client, BusyClock& clock,
+    const std::function<void(size_t)>& build_item) {
   const RistrettoPoint& pk = service.authority().public_key();
   const size_t pairs = service.mix_pairs();
   const size_t members = service.tagging().size();
@@ -176,23 +204,23 @@ void SubmitChainNodes(TaskGraph& graph, const TallyService& service, ChainFlow& 
 
   // Mix input: positional item builds, then the incoming chain hash.
   std::vector<TaskGraph::NodeId> input_nodes;
-  input_nodes.reserve(shard_count);
-  for (size_t s = 0; s < shard_count; ++s) {
-    const auto [begin, end] = flow.shards[s];
-    // build_item is copied per node: the caller's std::function is a
-    // temporary that does not outlive this call, but the nodes do.
-    input_nodes.push_back(graph.Submit([&, build_item, begin, end] {
-      clock.Timed(kSMix, [&] {
-        for (size_t i = begin; i < end; ++i) {
-          build_item(i);
-        }
-      });
-    }));
+  if (build_item) {
+    for (const auto& [begin, end] : flow.shards) {
+      // build_item is copied per node: the caller's std::function is a
+      // temporary that does not outlive this call, but the nodes do.
+      input_nodes.push_back(graph.Submit([&, build_item, begin = begin, end = end] {
+        clock.Timed(flow.Charge(kSMix), [&] {
+          for (size_t i = begin; i < end; ++i) {
+            build_item(i);
+          }
+        });
+      }));
+    }
   }
   const TaskGraph::NodeId input_done =
       graph.Submit([] {}, std::span<const TaskGraph::NodeId>(input_nodes));
   const TaskGraph::NodeId input_hash = graph.Submit(
-      [&] { clock.Timed(kSMix, [&] { flow.h[0] = HashMixBatch(*flow.input); }); },
+      [&] { clock.Timed(flow.Charge(kSMix), [&] { flow.h[0] = HashMixBatch(*flow.input); }); },
       {input_done});
 
   // Shuffle layers: shard nodes joined per layer (a shuffle is all-to-all);
@@ -216,7 +244,7 @@ void SubmitChainNodes(TaskGraph& graph, const TallyService& service, ChainFlow& 
         const auto [begin, end] = flow.shards[s];
         layer_nodes.push_back(graph.Submit(
             [&, l, s, begin, end, in_batch, out_batch] {
-              clock.Timed(kSMix, [&] {
+              clock.Timed(flow.Charge(kSMix), [&] {
                 ChaChaRng child(flow.layer_seeds[l][s]);
                 flow.layers[l].ShuffleShardRange(*in_batch, pk, begin, end, child,
                                                  *out_batch);
@@ -232,7 +260,7 @@ void SubmitChainNodes(TaskGraph& graph, const TallyService& service, ChainFlow& 
     }
     prev_finalize = graph.Submit(
         [&, p] {
-          clock.Timed(kSMix, [&] {
+          clock.Timed(flow.Charge(kSMix), [&] {
             FinishRpcPair(flow.layers[2 * p], flow.layers[2 * p + 1], flow.h[p], p,
                           &flow.proof->pairs[p], &flow.h[p + 1]);
           });
@@ -249,14 +277,9 @@ void SubmitChainNodes(TaskGraph& graph, const TallyService& service, ChainFlow& 
     const auto [begin, end] = flow.shards[s];
     prev_member[s] = graph.Submit(
         [&, s, begin, end] {
-          clock.Timed(kSTag, [&] {
-            for (size_t i = begin; i < end; ++i) {
-              const MixItem& item = final_out[i];
-              flow.tag_input[i] = item.cts.at(flow.column);
-              std::copy(item.wire.begin() + static_cast<ptrdiff_t>(64 * flow.column),
-                        item.wire.begin() + static_cast<ptrdiff_t>(64 * (flow.column + 1)),
-                        flow.tag_input_wire[i].begin());
-            }
+          clock.Timed(flow.Charge(kSTag), [&] {
+            ExtractColumn(final_out, flow.column, begin, end, flow.tag_input,
+                          flow.tag_input_wire);
             ChaChaRng child(flow.tag_seeds[0][s]);
             service.tagging().ApplyShardRange(0, flow.tag_input, flow.tag_input_wire,
                                               flow.commitment_wires[0], begin, end, child,
@@ -270,7 +293,7 @@ void SubmitChainNodes(TaskGraph& graph, const TallyService& service, ChainFlow& 
       const auto [begin, end] = flow.shards[s];
       prev_member[s] = graph.Submit(
           [&, m, s, begin, end] {
-            clock.Timed(kSTag, [&] {
+            clock.Timed(flow.Charge(kSTag), [&] {
               ChaChaRng child(flow.tag_seeds[m][s]);
               service.tagging().ApplyShardRange(m, (*flow.steps)[m - 1].output,
                                                 (*flow.steps)[m - 1].output_wire,
@@ -287,7 +310,7 @@ void SubmitChainNodes(TaskGraph& graph, const TallyService& service, ChainFlow& 
     const auto [begin, end] = flow.shards[s];
     graph.Submit(
         [&, s, begin, end] {
-          clock.Timed(kSDecryptTags, [&] {
+          clock.Timed(flow.Charge(kSDecryptTags), [&] {
             const TaggingStep& last = flow.steps->back();
             ChaChaRng child(flow.decrypt_seeds[s]);
             DecryptShareShardRange(service, client, last.output, last.output_wire,
@@ -296,6 +319,82 @@ void SubmitChainNodes(TaskGraph& graph, const TallyService& service, ChainFlow& 
         },
         {prev_member[s]});
   }
+  return last_layer_nodes;
+}
+
+// The revote supersession dedup (docs/REVOTING.md): pad -> width-3 mix ->
+// tag the credential column -> decrypt tags and counters -> tag-sort
+// last-write-wins, with the chain as one ChainFlow over the padded board.
+// Draws step 1 of the order above. Consumes state.validated_revotes; fills
+// the revote transcript, the discard counters, and state.revote_kept.
+Status RunRevoteDedup(const TallyService& service, TaskGraph& graph, BusyClock& clock,
+                      const AuthorityClient& client, Rng& rng, TallyPipelineState& state) {
+  RevoteTranscript& rt = state.output.transcript.revote;
+  if (Status fault = ProbeStageFault(faults::kTallyDedup, 0, "revote dedup"); !fault.ok()) {
+    return fault;
+  }
+  clock.Timed(kSDedup, [&] { BuildRevoteMixInput(service, rng, state); });
+
+  ChainFlow flow;
+  flow.n = rt.mix_input.size();
+  flow.shards = Executor::Shards(flow.n, Executor::kRngShards);
+  flow.stage = kSDedup;
+  flow.input = &rt.mix_input;
+  flow.proof = &rt.mix_proof;
+  flow.column = 1;
+  flow.steps = &rt.tag_steps;
+  flow.epoch = kEpochRevoteTags;
+  if (Status fault = ProbeStageFault(faults::kMixShuffle, 2, "revote mix"); !fault.ok()) {
+    return fault;
+  }
+  DrawCascadeRandomness(flow, service.mix_pairs(), rng);
+  if (Status fault = ProbeStageFault(faults::kTagApply, 2, "revote tagging"); !fault.ok()) {
+    return fault;
+  }
+  DrawTagRandomness(flow, service.tagging(), rng);
+  flow.decrypt_seeds = ForkRngSeeds(rng, flow.shards.size());
+  const auto counter_seeds = ForkRngSeeds(rng, flow.shards.size());
+  flow.buffers.Init(service.authority(), flow.n, &rt.tag_shares, &rt.tags);
+  DecryptBatchBuffers counter_buffers;
+  counter_buffers.Init(service.authority(), flow.n, &rt.counter_shares, &rt.counter_points);
+
+  // Counter decryption: one node per shard behind the last shuffle layer's.
+  const std::vector<TaskGraph::NodeId> mixed_nodes =
+      SubmitChainNodes(graph, service, flow, client, clock, nullptr);
+  const MixBatch& mixed = rt.mix_proof.pairs.back().out;
+  std::vector<ElGamalCiphertext> counters(flow.n);
+  std::vector<ElGamalWire> counters_wire(flow.n);
+  for (size_t s = 0; s < flow.shards.size(); ++s) {
+    const auto [begin, end] = flow.shards[s];
+    graph.Submit(
+        [&, s, begin, end] {
+          clock.Timed(kSDedup, [&] {
+            ExtractColumn(mixed, 2, begin, end, counters, counters_wire);
+            ChaChaRng child(counter_seeds[s]);
+            DecryptShareShardRange(service, client, counters, counters_wire,
+                                   kEpochRevoteCounters, begin, end, child, counter_buffers);
+          });
+        },
+        {mixed_nodes[s]});
+  }
+  graph.Wait();
+
+  // Publish the mixed board, close the decrypt batches in the fixed finalize
+  // order (revote tags, then revote counters), and select.
+  Status status = Status::Ok();
+  clock.Timed(kSDedup, [&] {
+    rt.mix_output = mixed;
+    status = FinalizeDecryptBatch("revote tags", flow.buffers, &state.share_self_check,
+                                  &state.authority_blame);
+    if (status.ok()) {
+      status = FinalizeDecryptBatch("revote counters", counter_buffers,
+                                    &state.share_self_check, &state.authority_blame);
+    }
+    if (status.ok()) {
+      SelectRevoteKept(service, state);
+    }
+  });
+  return status;
 }
 
 void JoinTags(TallyPipelineState& state) {
@@ -392,6 +491,8 @@ Outcome<TallyOutput> TallyService::Run(const PublicLedger& ledger,
     return outcome;
   };
 
+  Require(mix_pairs_ >= 1, "mixnet: need at least one pair");
+  const AuthorityClient client(authority_, retry_policy_);
   TaskGraph graph(executor);
 
   // ---- Wave 1: validate (ballots stream off per-shard ledger cursors). ----
@@ -424,13 +525,9 @@ Outcome<TallyOutput> TallyService::Run(const PublicLedger& ledger,
   clock.Timed(kSDedup,
               [&] { TallyValidationOutcomes(validate_outcome, &state.output.result.discards); });
   if (revoting_) {
-    // The whole supersession pipeline runs at the dedup position as
-    // stage-wide parallel steps on the same executor; its rng draws are
-    // step 1 of the order at the top of this file.
-    Status dedup_status = Status::Ok();
-    clock.Timed(kSDedup, [&] { dedup_status = RunRevoteDedup(*this, rng, state); });
-    if (!dedup_status.ok()) {
-      return finish(Outcome<TallyOutput>::Fail(WrapStage("dedup", dedup_status)));
+    if (Status status = RunRevoteDedup(*this, graph, clock, client, rng, state);
+        !status.ok()) {
+      return finish(Outcome<TallyOutput>::Fail(WrapStage("dedup", status)));
     }
   } else {
     if (Status fault = ProbeStageFault(faults::kTallyDedup, 0, "dedup"); !fault.ok()) {
@@ -447,8 +544,6 @@ Outcome<TallyOutput> TallyService::Run(const PublicLedger& ledger,
   const std::vector<RegistrationRecord> roster = ledger.ActiveRegistrations();
 
   // ---- Build-time randomness + fault probes (steps 2-4 of the order). ----
-  Require(mix_pairs_ >= 1, "mixnet: need at least one pair");
-
   ChainFlow ballots;
   ballots.n = revoting_ ? state.revote_kept.size() : t.accepted_ballots.size();
   ballots.shards = Executor::Shards(ballots.n, Executor::kRngShards);
@@ -495,7 +590,6 @@ Outcome<TallyOutput> TallyService::Run(const PublicLedger& ledger,
                            &t.roster_tags);
   ballots.buffers.Init(authority_, ballots.n, &t.ballot_tag_shares,
                        &t.ballot_tags);
-  const AuthorityClient client(authority_, retry_policy_);
 
   // ---- Wave 2: both chains, chunk-granular, fully concurrent. ----
   SubmitChainNodes(graph, *this, ballots, client, clock, [&](size_t i) {
@@ -563,13 +657,12 @@ Outcome<TallyOutput> TallyService::Run(const PublicLedger& ledger,
   DecryptBatchBuffers vote_buffers;
   vote_buffers.Init(authority_, counted_votes.size(), &t.vote_shares,
                     &t.vote_points);
-  const AuthorityClient vote_client(authority_, retry_policy_);
   for (size_t s = 0; s < vote_shards.size(); ++s) {
     const auto [begin, end] = vote_shards[s];
     graph.Submit([&, s, begin, end] {
       clock.Timed(kSDecryptVotes, [&] {
         ChaChaRng child(vote_seeds[s]);
-        DecryptShareShardRange(*this, vote_client, counted_votes, counted_votes_wire,
+        DecryptShareShardRange(*this, client, counted_votes, counted_votes_wire,
                                kEpochVotes, begin, end, child, vote_buffers);
       });
     });

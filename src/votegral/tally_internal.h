@@ -1,6 +1,7 @@
 // Internal machinery of the tally: the per-shard kernels the task graph in
-// src/votegral/tally_dataflow.cpp runs as nodes, and the revote dedup
-// (src/votegral/revote.cpp). Not part of the public surface.
+// src/votegral/tally_dataflow.cpp runs as nodes, and the two sequential
+// kernels around the revote dedup's chain (src/votegral/revote.cpp). Not
+// part of the public surface.
 //
 // Each kernel writes positionally into pre-sized buffers and draws randomness
 // only from the forked child stream handed to it, so its bytes depend on
@@ -76,11 +77,6 @@ enum : uint64_t {
 // checks would reject a tampered batch).
 Status ProbeStageFault(std::string_view point, uint64_t scope, const char* what);
 
-// The canonical bytes of a tagged ciphertext list: the last step's
-// output_wire, read straight from the transcript (no copy; empty span when
-// there are no steps or no caches).
-std::span<const ElGamalWire> TaggedWire(const std::vector<TaggingStep>& steps);
-
 // Validate-stage kernel: parses and signature-checks ledger ballots
 // [begin, end), streaming them off a per-shard cursor (zero-copy segment
 // views — at most one segment resident per shard). Writes `validated[i]`
@@ -145,28 +141,15 @@ Status FinalizeDecryptBatch(const char* what, DecryptBatchBuffers& buffers,
                             std::vector<DleqBatchEntry>* self_check_accum,
                             std::map<size_t, Status>* blame);
 
-// One whole decrypt batch as a single parallel step: forks one seed per
-// shard from `rng` (in shard order, before any share is computed), collects
-// every member's verifiable share for all of `cts` (fault keys under
-// `epoch`), and finalizes (blame merge, self-check compaction, shortfall
-// detection). The revote dedup's tag and counter batches run on it.
-Status DecryptBatchWithShares(const TallyService& service, const char* what,
-                              std::span<const ElGamalCiphertext> cts, Rng& rng,
-                              uint64_t epoch,
-                              std::vector<std::vector<DecryptionShare>>* shares_out,
-                              std::vector<CompressedRistretto>* encoded_out,
-                              std::vector<DleqBatchEntry>* self_check,
-                              std::map<size_t, Status>* blame,
-                              std::span<const ElGamalWire> cts_wire = {});
-
-// The whole revote supersession dedup (docs/REVOTING.md), run at the dedup
-// stage position: pad -> width-3 mix -> tag credentials -> decrypt (tags,
-// counters) -> tag-sort last-write-wins. Consumes state.validated_revotes;
-// fills state.output.transcript.revote, the discard counters, and
-// state.revote_kept (the ballot-mix input columns of the kept items).
-// Internally sharded on the service executor with forked seeds —
-// byte-identical at any thread count.
-Status RunRevoteDedup(const TallyService& service, Rng& rng, TallyPipelineState& state);
+// The revote dedup's sequential kernels around its chain (docs/REVOTING.md;
+// the chain runs as RunRevoteDedup's graph flow, tally_dataflow.cpp).
+// BuildRevoteMixInput: the accepted list (consuming state.validated_revotes),
+// the padding oracle's dummy groups (credentials drawn from `rng`), and the
+// width-3 revote mix_input with wire caches.
+void BuildRevoteMixInput(const TallyService& service, Rng& rng, TallyPipelineState& state);
+// SelectRevoteKept: tag-sort last-write-wins over the decrypted tags and
+// counters; fills kept_indices, the discard counters and state.revote_kept.
+void SelectRevoteKept(const TallyService& service, TallyPipelineState& state);
 
 }  // namespace tally_internal
 }  // namespace votegral

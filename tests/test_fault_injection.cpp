@@ -342,17 +342,31 @@ TEST(ThresholdTally, PersistentTimeoutsExhaustRetriesAndAreExcluded) {
 }
 
 TEST(ThresholdTally, FewerThanTLiveAuthoritiesFailsUnavailableNeverWrong) {
-  SmallElection fixture;
   // 3 of 5 crashed leaves 2 < t = 3 live members.
   FaultPlan plan(0xD3);
   plan.Crash(faults::kAuthorityComputeShare, 1.0, /*scope=*/0);
   plan.Crash(faults::kAuthorityComputeShare, 1.0, /*scope=*/2);
   plan.Crash(faults::kAuthorityComputeShare, 1.0, /*scope=*/3);
-  FaultedRun run = fixture.Tally(&plan);
-  ASSERT_FALSE(run.outcome.ok()) << "tally claimed success below the threshold";
-  EXPECT_EQ(run.outcome.status.code(), StatusCode::kUnavailable);
-  EXPECT_NE(run.outcome.status.reason().find("authority shares"), std::string::npos)
-      << run.outcome.status.reason();
+  {
+    SmallElection fixture;
+    FaultedRun run = fixture.Tally(&plan);
+    ASSERT_FALSE(run.outcome.ok()) << "tally claimed success below the threshold";
+    EXPECT_EQ(run.outcome.status.code(), StatusCode::kUnavailable);
+    EXPECT_NE(run.outcome.status.reason().find("authority shares"), std::string::npos)
+        << run.outcome.status.reason();
+  }
+  // Under revoting the first batch to finalize short is the dedup's tag
+  // decryption, and the reason names it at any thread count.
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("revoting, threads=" + std::to_string(threads));
+    SmallElection fixture(threads, /*revoting=*/true);
+    FaultedRun run = fixture.Tally(&plan);
+    ASSERT_FALSE(run.outcome.ok()) << "tally claimed success below the threshold";
+    EXPECT_EQ(run.outcome.status.code(), StatusCode::kUnavailable);
+    EXPECT_EQ(run.outcome.status.reason(),
+              "dedup stage: revote tags: only 2 of 5 authority shares for ciphertext 0 "
+              "(threshold 3)");
+  }
 }
 
 TEST(ThresholdTally, VerifierRejectsForgedShareInRecordedSubset) {
@@ -445,25 +459,31 @@ TEST(ThresholdTally, DedupStageFaultsFailCodedInBothModes) {
 
 TEST(ThresholdTally, RevoteStageFaultsFailCodedInsteadOfProducingOutput) {
   // The revote pipeline's own mix/tag probes (scope 2) fire under revoting
-  // and fail coded like every other stage.
-  SmallElection fixture(0, /*revoting=*/true);
-  {
-    FaultPlan plan(0xDA);
-    plan.Crash(faults::kMixShuffle, 1.0, /*scope=*/2);
-    FaultedRun run = fixture.Tally(&plan);
-    ASSERT_FALSE(run.outcome.ok());
-    EXPECT_EQ(run.outcome.status.code(), StatusCode::kUnavailable);
-    EXPECT_NE(run.outcome.status.reason().find("revote mix"), std::string::npos)
-        << run.outcome.status.reason();
-  }
-  {
-    FaultPlan plan(0xDB);
-    plan.Corrupt(faults::kTagApply, 1.0, /*scope=*/2);
-    FaultedRun run = fixture.Tally(&plan);
-    ASSERT_FALSE(run.outcome.ok());
-    EXPECT_EQ(run.outcome.status.code(), StatusCode::kCorrupted);
-    EXPECT_NE(run.outcome.status.reason().find("revote tagging"), std::string::npos)
-        << run.outcome.status.reason();
+  // and fail coded like every other stage, exactly once, before any node of
+  // the dedup's flow is submitted.
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SmallElection fixture(threads, /*revoting=*/true);
+    {
+      FaultPlan plan(0xDA);
+      plan.Crash(faults::kMixShuffle, 1.0, /*scope=*/2);
+      FaultedRun run = fixture.Tally(&plan);
+      ASSERT_FALSE(run.outcome.ok());
+      EXPECT_EQ(run.outcome.status.code(), StatusCode::kUnavailable);
+      EXPECT_EQ(run.outcome.status.reason(),
+                "dedup stage: revote mix: crash injected at mix.shuffle");
+      EXPECT_EQ(FaultInjector::Instance().InjectionCount(faults::kMixShuffle), 1u);
+    }
+    {
+      FaultPlan plan(0xDB);
+      plan.Corrupt(faults::kTagApply, 1.0, /*scope=*/2);
+      FaultedRun run = fixture.Tally(&plan);
+      ASSERT_FALSE(run.outcome.ok());
+      EXPECT_EQ(run.outcome.status.code(), StatusCode::kCorrupted);
+      EXPECT_EQ(run.outcome.status.reason(),
+                "dedup stage: revote tagging: output integrity check failed at tag.apply");
+      EXPECT_EQ(FaultInjector::Instance().InjectionCount(faults::kTagApply), 1u);
+    }
   }
 }
 
@@ -473,24 +493,30 @@ TEST(ThresholdTally, DegradedTranscriptIsByteIdenticalAcrossThreadCounts) {
   plan.Timeout(faults::kAuthorityComputeShare, 0.3);
   plan.Delay(faults::kAuthorityComputeShare, 0.3, 5, 60);
 
-  std::optional<std::array<uint8_t, 32>> reference;
-  std::optional<std::vector<size_t>> reference_excluded;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    SmallElection fixture(threads);
-    FaultedRun run = fixture.Tally(&plan);
-    ASSERT_TRUE(run.outcome.ok()) << run.outcome.status.reason();
-    EXPECT_TRUE(run.verified);
-    std::vector<size_t> excluded;
-    for (const AuthorityBlame& blame : run.outcome->excluded_authorities) {
-      excluded.push_back(blame.member_index);
-    }
-    if (!reference.has_value()) {
-      reference = run.digest;
-      reference_excluded = excluded;
-    } else {
-      EXPECT_EQ(run.digest, *reference) << "degraded transcript depends on thread count";
-      EXPECT_EQ(excluded, *reference_excluded);
+  for (bool revoting : {false, true}) {
+    std::optional<std::array<uint8_t, 32>> reference;
+    std::optional<std::vector<size_t>> reference_excluded;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(std::string(revoting ? "revoting" : "legacy") +
+                   ", threads=" + std::to_string(threads));
+      SmallElection fixture(threads, revoting);
+      FaultedRun run = fixture.Tally(&plan);
+      ASSERT_TRUE(run.outcome.ok()) << run.outcome.status.reason();
+      EXPECT_TRUE(run.verified);
+      std::vector<size_t> excluded;
+      for (const AuthorityBlame& blame : run.outcome->excluded_authorities) {
+        excluded.push_back(blame.member_index);
+      }
+      if (revoting) {
+        EXPECT_EQ(excluded, (std::vector<size_t>{0, 1, 3}));
+      }
+      if (!reference.has_value()) {
+        reference = run.digest;
+        reference_excluded = excluded;
+      } else {
+        EXPECT_EQ(run.digest, *reference) << "degraded transcript depends on thread count";
+        EXPECT_EQ(excluded, *reference_excluded);
+      }
     }
   }
 }

@@ -5,6 +5,7 @@
 
 #include "src/crypto/dkg.h"
 #include "src/crypto/drbg.h"
+#include "src/crypto/sha256.h"
 #include "src/votegral/mixnet.h"
 #include "src/votegral/tagging.h"
 
@@ -326,6 +327,70 @@ TEST_P(MixTagJoin, TagsSurviveMixing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BatchSizes, MixTagJoin, ::testing::Values(1, 2, 5, 16));
+
+// Everything the stage-wide drivers emit: the cascade's output and proof
+// (mid/out batches with their wire caches, every reveal) and the tagging
+// chain (each step's outputs, output wires and proofs).
+std::array<uint8_t, 32> DigestDrivers(const MixBatch& output, const MixProof& proof,
+                                      const std::vector<TaggingStep>& steps) {
+  Sha256 h;
+  auto hash_batch = [&](const MixBatch& batch) {
+    for (const MixItem& item : batch) {
+      for (const ElGamalCiphertext& ct : item.cts) {
+        h.Update(ct.Serialize());
+      }
+      h.Update(item.wire);
+    }
+  };
+  hash_batch(output);
+  for (const RpcPairProof& pair : proof.pairs) {
+    hash_batch(pair.mid);
+    hash_batch(pair.out);
+    for (const RpcReveal& reveal : pair.reveals) {
+      uint8_t header[9] = {reveal.side};
+      StoreLe64(header + 1, reveal.source_or_dest);
+      h.Update(header);
+      for (const Scalar& r : reveal.randomness) {
+        h.Update(r.ToBytes());
+      }
+    }
+  }
+  for (const TaggingStep& step : steps) {
+    for (size_t i = 0; i < step.output.size(); ++i) {
+      h.Update(step.output[i].Serialize());
+      h.Update(step.output_wire[i]);
+      h.Update(step.proofs[i].Serialize());
+    }
+  }
+  return h.Finalize();
+}
+
+// RunRpcMixCascade + ApplyAll, the drivers the baselines and benches call.
+// The digest was recorded when each mix layer and tagging member still ran
+// through a whole-list method of its own, so it pins the drivers' rng use
+// and bytes across that rewrite. 131 items over 64 shards gives shards of 2
+// and 3 items.
+TEST(StageWideDrivers, CascadeAndTaggingChainKeepTheirBytes) {
+  constexpr const char* kDriversDigestHex =
+      "0bd949162b22adcb368e42b829a3a83abff0882338ee6914c315dfb10befef14";
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Executor executor(threads);
+    ChaChaRng rng(0x5D7A6E);
+    auto authority = ElectionAuthority::Create(3, rng);
+    auto tagging = TaggingService::Create(3, rng);
+    const RistrettoPoint pk = authority.public_key();
+    std::vector<std::vector<RistrettoPoint>> plaintexts;
+    MixBatch input = MakeBatch(131, 2, pk, &plaintexts, rng);
+    MixProof proof;
+    MixBatch output = RunRpcMixCascade(input, pk, /*pair_count=*/2, rng, &proof, executor);
+    std::vector<TaggingStep> steps;
+    (void)tagging.ApplyAll(BatchColumn(output, 1), &steps, rng, executor,
+                           BatchColumnWire(output, 1));
+    ASSERT_EQ(steps.size(), 3u);
+    EXPECT_EQ(HexEncode(DigestDrivers(output, proof, steps)), kDriversDigestHex);
+  }
+}
 
 }  // namespace
 }  // namespace votegral

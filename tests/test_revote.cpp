@@ -292,6 +292,28 @@ TEST(RevoteElection, CoercerCounterIsOutlastedByASecretRevote) {
   EXPECT_EQ(output.result.counted, 2u);
 }
 
+TEST(RevoteElection, CastStopsAtTheCounterLimitAndPostsNothing) {
+  // Cast numbers a credential's ballots 0, 1, ...; a counter at the limit
+  // could never decode at the tally, so that cast fails coded instead of
+  // posting a ballot that silently never counts.
+  ChaChaRng rng(0xC0E12D0);
+  Election election(RevoteConfig(0), rng);
+  Vsd vsd = election.trip().MakeVsd();
+  auto voter = election.Register("alice", 1, vsd, rng);
+  ASSERT_TRUE(voter.ok());
+  for (uint64_t cast = 0; cast < kRevoteCounterLimit; ++cast) {
+    ASSERT_TRUE(election.Cast(voter->activated[0], "Alpha", rng).ok()) << "cast " << cast;
+  }
+  const size_t posted = election.ledger().BallotCount();
+  EXPECT_EQ(posted, kRevoteCounterLimit);
+  Status status = election.Cast(voter->activated[0], "Beta", rng);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kExhausted);
+  EXPECT_NE(status.reason().find(std::to_string(kRevoteCounterLimit)), std::string::npos)
+      << status.reason();
+  EXPECT_EQ(election.ledger().BallotCount(), posted);
+}
+
 TEST(RevoteElection, CastRevoteRequiresRevotingMode) {
   ChaChaRng rng(0xC0E12CF);
   ElectionConfig config = RevoteConfig(0);
