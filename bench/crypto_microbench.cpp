@@ -512,8 +512,8 @@ BENCHMARK(BM_RistrettoBatchEncode)->Arg(256)->Unit(benchmark::kMicrosecond);
 //
 // BM_SchnorrAccumMsm above is the distinct-key baseline (2n+1 MSM terms).
 // With every signature under the same public key the shared engine folds the
-// pk column into a single term (n+1 terms and a cached table); the ratio of
-// the two *SharedKey rows is the collapse win.
+// pk column into a single term (n+1 terms, so both rows run Pippenger); the
+// ratio of the two *SharedKey rows is the collapse win.
 
 std::vector<SchnorrBatchEntry> MakeSchnorrBatchOneKey(size_t n, uint64_t seed) {
   ChaChaRng rng(seed);

@@ -247,7 +247,7 @@ void RunParallelTallySweep(size_t ballots) {
   std::vector<SweepRow> rows;
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     Executor executor(threads);
-    TallyService service(trip.authority(), tagging, /*mix_pairs=*/2, executor);
+    TallyService service(trip.authority(), tagging, executor);
     ChaChaRng tally_rng(0x5CA1AB1F);  // same stream every run: transcripts must match
     WallTimer tally_timer;
     TallyOutput output =
@@ -288,10 +288,10 @@ void RunParallelTallySweep(size_t ballots) {
   Require(json != nullptr, "tally sweep: cannot write BENCH_tally_parallel.json");
   std::fprintf(json,
                "{\n  \"bench\": \"tally_parallel\",\n  \"ballots\": %zu,\n"
-               "  \"mix_pairs\": 2,\n  \"authority_members\": %zu,\n"
+               "  \"mix_pairs\": %zu,\n  \"authority_members\": %zu,\n"
                "  \"tagging_members\": %zu,\n  \"hardware_concurrency\": %u,\n"
                "  \"transcripts_identical\": %s,\n  \"sweep\": [\n",
-               ballots, trip.authority().size(), tagging.size(),
+               ballots, kMixPairs, trip.authority().size(), tagging.size(),
                std::thread::hardware_concurrency(), identical ? "true" : "false");
   for (size_t i = 0; i < rows.size(); ++i) {
     const SweepRow& row = rows[i];

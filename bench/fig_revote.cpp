@@ -339,8 +339,8 @@ std::vector<TallyRow> RunTallies(size_t ballots, double rate, const Options& opt
     row.ledger_payload_bytes = fixture.ledger_bytes;
 
     Executor executor(threads);
-    TallyService service(fixture.authority, fixture.tagging, /*mix_pairs=*/2, executor,
-                         RetryPolicy(), /*revoting=*/true, /*revote_padding=*/true);
+    TallyService service(fixture.authority, fixture.tagging, executor, RetryPolicy(),
+                         /*revoting=*/true, /*revote_padding=*/true);
     TallyRunMetrics metrics;
     ChaChaRng tally_rng(0x57E1ABAD);
     WallTimer timer;

@@ -246,7 +246,7 @@ RunRow RunOnce(const Fixture& fixture, size_t threads) {
   RunRow row;
   row.threads = threads;
   Executor executor(threads);
-  TallyService service(fixture.authority, fixture.tagging, /*mix_pairs=*/2, executor);
+  TallyService service(fixture.authority, fixture.tagging, executor);
   // Same stream every run: the sweep's transcripts must match byte for byte.
   ChaChaRng tally_rng(0x57E1ABAD);
   WallTimer timer;

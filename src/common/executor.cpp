@@ -130,15 +130,6 @@ void Executor::Execute(WorkItem& item) {
   item.task();
 }
 
-bool Executor::HelpOnce() {
-  std::optional<WorkItem> item = TryAcquire(HomeSlot());
-  if (!item.has_value()) {
-    return false;
-  }
-  Execute(*item);
-  return true;
-}
-
 void Executor::NotifyAll() {
   // The empty critical section orders this notify after any concurrent
   // sleeper's predicate check, so a wakeup cannot be lost between a

@@ -172,9 +172,6 @@ class Executor {
   // Runs one queue item (with stats accounting).
   void Execute(WorkItem& item);
 
-  // Acquire-and-execute one item; false when nothing was queued.
-  bool HelpOnce();
-
   // Help-first join: execute queued work until done() holds, sleeping only
   // when the queues are empty. Callers must arrange that completion of the
   // awaited condition calls NotifyAll().

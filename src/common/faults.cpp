@@ -52,17 +52,6 @@ uint64_t RateThreshold(double rate) {
 
 }  // namespace
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone: return "none";
-    case FaultKind::kCrash: return "crash";
-    case FaultKind::kTimeout: return "timeout";
-    case FaultKind::kCorrupt: return "corrupt";
-    case FaultKind::kDelay: return "delay";
-  }
-  return "unknown";
-}
-
 std::span<const std::string_view> RegisteredFaultPoints() {
   return kAllPoints;
 }

@@ -64,8 +64,6 @@ enum class FaultKind : uint8_t {
   kDelay,    // the response arrives late (consumes simulated deadline budget)
 };
 
-const char* FaultKindName(FaultKind kind);
-
 // The catalog of named fault points. A point name is part of the observable
 // blame surface ("authority 3: crash injected at authority.compute_share"),
 // so names are stable identifiers, listed in docs/ROBUSTNESS.md.

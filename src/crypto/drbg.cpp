@@ -1,6 +1,6 @@
 #include "src/crypto/drbg.h"
 
-#include <random>
+#include <algorithm>
 
 #include "src/common/bytes.h"
 #include "src/crypto/sha256.h"
@@ -100,18 +100,6 @@ void ChaChaRng::Fill(std::span<uint8_t> out) {
     available_ -= take;
     offset += take;
   }
-}
-
-Rng& SystemRng() {
-  static ChaChaRng* rng = [] {
-    std::random_device device;
-    Bytes seed(32);
-    for (size_t i = 0; i < seed.size(); i += 4) {
-      StoreLe32(seed.data() + i, device());
-    }
-    return new ChaChaRng(seed);
-  }();
-  return *rng;
 }
 
 }  // namespace votegral

@@ -1,7 +1,7 @@
 // ChaCha20 stream cipher (RFC 8439 block function) and the deterministic
 // random-bit generator built on it. ChaChaRng is the repository's only
-// randomness implementation: tests and benches seed it explicitly for
-// reproducibility; SystemRng seeds it from OS entropy for the examples.
+// randomness implementation: tests, benches and examples seed it explicitly
+// for reproducibility.
 #ifndef SRC_CRYPTO_DRBG_H_
 #define SRC_CRYPTO_DRBG_H_
 
@@ -42,10 +42,6 @@ class ChaChaRng : public Rng {
   std::array<uint8_t, 64> block_{};
   size_t available_ = 0;
 };
-
-// Returns a process-wide RNG seeded once from std::random_device. Intended
-// for examples/CLI use; protocol code always receives an injected Rng&.
-Rng& SystemRng();
 
 }  // namespace votegral
 

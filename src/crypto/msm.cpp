@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -80,28 +76,6 @@ std::array<CachedPoint, Count> OddMultiples(const RistrettoPoint& p) {
   return table;
 }
 
-// The per-point Straus table: odd multiples P, 3P, ..., 15P.
-using OddTable = std::array<CachedPoint, 8>;
-
-// Fills `tables` with pointers to odd-multiple tables for every point whose
-// slot is still null, building them into `storage` (sized here once, so the
-// pointers stay stable).
-void BuildMissingTables(std::span<const RistrettoPoint> points,
-                        std::vector<const OddTable*>& tables,
-                        std::vector<OddTable>& storage) {
-  std::vector<size_t> missing;
-  for (size_t i = 0; i < tables.size(); ++i) {
-    if (tables[i] == nullptr) {
-      missing.push_back(i);
-    }
-  }
-  storage.resize(missing.size());
-  for (size_t j = 0; j < missing.size(); ++j) {
-    storage[j] = OddMultiples<8>(points[missing[j]]);
-    tables[missing[j]] = &storage[j];
-  }
-}
-
 // Precomputed odd multiples of the basepoint for the width-8 fixed-base NAF:
 // B, 3B, ..., 127B. Built once per process.
 const std::array<CachedPoint, 64>& BaseOddMultiples() {
@@ -126,15 +100,17 @@ void AddNafDigit(RistrettoPoint& acc, unsigned& owed, const std::array<CachedPoi
   }
 }
 
-// Straus interleaved ladder over prebuilt odd-multiple tables: one shared
-// doubling chain, width-5 wNAF per variable point, width-8 wNAF for the
-// optional fixed-base term.
-RistrettoPoint StrausLadder(const Scalar* base_scalar, std::span<const Scalar> scalars,
-                            std::span<const OddTable* const> tables) {
+// Straus interleaved ladder: one shared doubling chain, width-5 wNAF per
+// variable point over its odd multiples P, 3P, ..., 15P, and width-8 wNAF
+// for the optional fixed-base term.
+RistrettoPoint StrausMsm(const Scalar* base_scalar, std::span<const Scalar> scalars,
+                         std::span<const RistrettoPoint> points) {
   const size_t n = scalars.size();
+  std::vector<std::array<CachedPoint, 8>> tables(n);
   std::vector<NafDigits> nafs(n);
   size_t height = 0;
   for (size_t i = 0; i < n; ++i) {
+    tables[i] = OddMultiples<8>(points[i]);
     height = std::max(height, ComputeWnaf(scalars[i], 5, nafs[i]));
   }
   NafDigits base_naf{};
@@ -150,21 +126,13 @@ RistrettoPoint StrausLadder(const Scalar* base_scalar, std::span<const Scalar> s
   for (size_t pos = height; pos-- > 0;) {
     ++owed;
     for (size_t i = 0; i < n; ++i) {
-      AddNafDigit(acc, owed, *tables[i], nafs[i][pos]);
+      AddNafDigit(acc, owed, tables[i], nafs[i][pos]);
     }
     if (base_scalar != nullptr) {
       AddNafDigit(acc, owed, BaseOddMultiples(), base_naf[pos]);
     }
   }
   return acc.MulByPow2(owed);
-}
-
-RistrettoPoint StrausMsm(const Scalar* base_scalar, std::span<const Scalar> scalars,
-                         std::span<const RistrettoPoint> points) {
-  std::vector<const OddTable*> tables(points.size(), nullptr);
-  std::vector<OddTable> storage;
-  BuildMissingTables(points, tables, storage);
-  return StrausLadder(base_scalar, scalars, tables);
 }
 
 // Window width for Pippenger as a function of term count; roughly log2(n),
@@ -297,12 +265,7 @@ RistrettoPoint PippengerMsm(std::span<const Scalar> scalars,
   return acc;
 }
 
-// --- Shared-base support -----------------------------------------------------
-
 std::atomic<uint64_t> g_collapsed_terms{0};
-std::atomic<uint64_t> g_table_hits{0};
-std::atomic<uint64_t> g_table_misses{0};
-std::atomic<uint64_t> g_table_evictions{0};
 
 // Wire keys are canonical ristretto encodings — statistically uniform bytes —
 // so the low 8 bytes are already a good hash.
@@ -311,60 +274,6 @@ struct WireKeyHash {
     return static_cast<size_t>(LoadLe64(key.data()));
   }
 };
-
-// Mutex-guarded LRU of odd-multiple tables keyed by wire bytes. Lookups and
-// insertions take the lock; the 7-addition table build happens outside it.
-// Entries are handed out as shared_ptr so an eviction never invalidates a
-// table an in-flight MSM still walks.
-class FixedBaseTableCache {
- public:
-  std::shared_ptr<const OddTable> Find(const CompressedRistretto& key) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-      return nullptr;
-    }
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->second;
-  }
-
-  // Inserts `table` for `key` unless a concurrent builder won the race, in
-  // which case the already-cached table is returned (both are tables of the
-  // same point, but returning one canonical winner keeps behavior tidy).
-  std::shared_ptr<const OddTable> Insert(const CompressedRistretto& key,
-                                         std::shared_ptr<const OddTable> table) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return it->second->second;
-    }
-    lru_.emplace_front(key, std::move(table));
-    map_[key] = lru_.begin();
-    if (lru_.size() > kFixedBaseTableCacheCapacity) {
-      map_.erase(lru_.back().first);
-      lru_.pop_back();
-      g_table_evictions.fetch_add(1, std::memory_order_relaxed);
-    }
-    return lru_.front().second;
-  }
-
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
-    lru_.clear();
-  }
-
- private:
-  std::mutex mu_;
-  std::list<std::pair<CompressedRistretto, std::shared_ptr<const OddTable>>> lru_;
-  std::unordered_map<CompressedRistretto, decltype(lru_)::iterator, WireKeyHash> map_;
-};
-
-FixedBaseTableCache& TableCache() {
-  static FixedBaseTableCache* cache = new FixedBaseTableCache();
-  return *cache;
-}
 
 }  // namespace
 
@@ -382,12 +291,8 @@ RistrettoPoint MultiScalarMulShared(const Scalar& base_scalar,
   Scalar base_acc = base_scalar;
   std::vector<Scalar> term_scalars;
   std::vector<RistrettoPoint> term_points;
-  std::vector<const CompressedRistretto*> term_keys;  // nullptr for unkeyed terms
-  std::vector<uint32_t> term_uses;                    // key occurrence count per term
   term_scalars.reserve(n);
   term_points.reserve(n);
-  term_keys.reserve(n);
-  term_uses.reserve(n);
   std::unordered_map<CompressedRistretto, size_t, WireKeyHash> first_seen;
   const CompressedRistretto& base_wire = RistrettoPoint::BaseWire();
   uint64_t collapsed = 0;
@@ -401,79 +306,26 @@ RistrettoPoint MultiScalarMulShared(const Scalar& base_scalar,
       auto [it, inserted] = first_seen.try_emplace(keys[i], term_scalars.size());
       if (!inserted) {
         term_scalars[it->second] = term_scalars[it->second] + scalars[i];
-        ++term_uses[it->second];
         ++collapsed;
         continue;
       }
-      term_keys.push_back(&keys[i]);
-    } else {
-      term_keys.push_back(nullptr);
     }
     term_scalars.push_back(scalars[i]);
     term_points.push_back(points[i]);
-    term_uses.push_back(1);
   }
   if (collapsed != 0) {
     g_collapsed_terms.fetch_add(collapsed, std::memory_order_relaxed);
   }
-
-  const size_t m = term_scalars.size();
-  if (m >= kPippengerThreshold) {
-    // Bucket accumulation has no per-term tables to reuse; the collapse above
-    // already shrank n, which is the whole win at this scale.
-    return PippengerMsm(term_scalars, term_points) + RistrettoPoint::MulBase(base_acc);
-  }
-
-  // Straus regime: recurring keyed terms resolve their odd-multiple tables
-  // through the process-wide cache; everything else builds a throwaway
-  // table per point. "Recurring" means the key appeared more than once in this
-  // batch (or is already cached) — one-shot keyed terms such as proof
-  // commitments would only churn the LRU.
-  std::vector<std::shared_ptr<const OddTable>> held(m);
-  std::vector<const OddTable*> tables(m, nullptr);
-  for (size_t i = 0; i < m; ++i) {
-    if (term_keys[i] == nullptr) {
-      continue;
-    }
-    if (term_uses[i] < 2) {
-      held[i] = TableCache().Find(*term_keys[i]);
-      if (held[i] != nullptr) {
-        g_table_hits.fetch_add(1, std::memory_order_relaxed);
-        tables[i] = held[i].get();
-      }
-      continue;
-    }
-    held[i] = TableCache().Find(*term_keys[i]);
-    if (held[i] == nullptr) {
-      held[i] = TableCache().Insert(
-          *term_keys[i], std::make_shared<OddTable>(OddMultiples<8>(term_points[i])));
-      g_table_misses.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      g_table_hits.fetch_add(1, std::memory_order_relaxed);
-    }
-    tables[i] = held[i].get();
-  }
-  std::vector<OddTable> storage;
-  BuildMissingTables(term_points, tables, storage);
-  return StrausLadder(&base_acc, term_scalars, tables);
+  return MultiScalarMulWithBase(base_acc, term_scalars, term_points);
 }
 
 MsmSharedStats SharedMsmStats() {
   MsmSharedStats stats;
   stats.collapsed_terms = g_collapsed_terms.load(std::memory_order_relaxed);
-  stats.table_hits = g_table_hits.load(std::memory_order_relaxed);
-  stats.table_misses = g_table_misses.load(std::memory_order_relaxed);
-  stats.table_evictions = g_table_evictions.load(std::memory_order_relaxed);
   return stats;
 }
 
-void ResetSharedMsmForTest() {
-  TableCache().Clear();
-  g_collapsed_terms.store(0, std::memory_order_relaxed);
-  g_table_hits.store(0, std::memory_order_relaxed);
-  g_table_misses.store(0, std::memory_order_relaxed);
-  g_table_evictions.store(0, std::memory_order_relaxed);
-}
+void ResetSharedMsmForTest() { g_collapsed_terms.store(0, std::memory_order_relaxed); }
 
 RistrettoPoint MultiScalarMul(std::span<const Scalar> scalars,
                               std::span<const RistrettoPoint> points) {

@@ -66,35 +66,23 @@ RistrettoPoint MultiScalarMulNaive(std::span<const Scalar> scalars,
 //
 // Entries whose key equals RistrettoPoint::BaseWire() fold into
 // `base_scalar` and ride the width-8 fixed-base table. Other repeated keys
-// collapse into the first occurrence (deterministic first-seen order). In
-// the Straus regime, collapsed keyed terms additionally fetch their
-// odd-multiple tables from a process-wide LRU cache keyed by the same wire
-// bytes, so a verifier that batches per producer pays each table once per
-// election, not once per batch.
+// collapse into the first occurrence (deterministic first-seen order). The
+// collapsed terms then go to MultiScalarMulWithBase.
 RistrettoPoint MultiScalarMulShared(const Scalar& base_scalar,
                                     std::span<const Scalar> scalars,
                                     std::span<const RistrettoPoint> points,
                                     std::span<const CompressedRistretto> keys,
                                     std::span<const uint8_t> key_present);
 
-// Counters for the collapse and the table cache (process-wide, relaxed
-// atomics; read after the measured region joins).
+// Counter for the collapse (process-wide, relaxed atomic; read after the
+// measured region joins).
 struct MsmSharedStats {
-  uint64_t collapsed_terms = 0;   // input terms merged into an earlier term or the base
-  uint64_t table_hits = 0;        // Straus tables served from the cache
-  uint64_t table_misses = 0;      // Straus tables built and inserted
-  uint64_t table_evictions = 0;   // LRU evictions (capacity kFixedBaseTableCacheCapacity)
+  uint64_t collapsed_terms = 0;  // input terms merged into an earlier term or the base
 };
 MsmSharedStats SharedMsmStats();
 
-// Clears the table cache and zeroes the counters (test/bench isolation).
+// Zeroes the counter (test/bench isolation).
 void ResetSharedMsmForTest();
-
-// LRU capacity of the shared-base table cache, in tables (each table holds
-// the 8 odd multiples P, 3P, ..., 15P — 1 KiB of points). Sized for the
-// distinct recurring bases of one election: authority keys, per-authority
-// share commitments, tagging bases.
-inline constexpr size_t kFixedBaseTableCacheCapacity = 256;
 
 // Below this size Straus wins (per-point table setup amortizes poorly into
 // Pippenger buckets); at and above it Pippenger wins. Exposed for benches.

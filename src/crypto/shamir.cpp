@@ -2,12 +2,6 @@
 
 namespace votegral {
 
-namespace {
-
-constexpr std::string_view kThresholdShareDomain = "votegral/threshold/decryption-share/v1";
-
-}  // namespace
-
 // Evaluates sum_j x^j * points[j] (Horner over the group).
 RistrettoPoint EvalFeldman(const FeldmanCommitments& commitments, size_t x) {
   Scalar x_scalar = Scalar::FromU64(static_cast<uint64_t>(x));
@@ -89,74 +83,6 @@ Scalar ShamirReconstruct(std::span<const ShamirShare> shares) {
     secret = secret + LagrangeAtZero(indices, share.index) * share.value;
   }
   return secret;
-}
-
-ThresholdAuthority ThresholdAuthority::Create(size_t threshold, size_t n, Rng& rng) {
-  ThresholdAuthority authority;
-  authority.threshold_ = threshold;
-  Scalar secret = Scalar::Random(rng);
-  authority.shares_ = ShamirSplit(secret, threshold, n, rng, &authority.commitments_);
-  authority.public_key_ = authority.commitments_.at(0);  // C_0 = secret * B
-  return authority;
-}
-
-RistrettoPoint ThresholdAuthority::ShareCommitment(size_t index) const {
-  return EvalFeldman(commitments_, index);
-}
-
-ThresholdDecryptionShare ThresholdAuthority::ComputeShare(size_t index,
-                                                          const ElGamalCiphertext& ct,
-                                                          Rng& rng) const {
-  Require(index >= 1 && index <= shares_.size(), "threshold: index out of range");
-  const ShamirShare& share = shares_[index - 1];
-  ThresholdDecryptionShare out;
-  out.index = index;
-  out.partial = share.value * ct.c1;
-  // Wire-carrying statement: every point here is freshly computed or the
-  // generator, so the caches are one Encode each — the cost the challenge
-  // hash paid anyway, now paid once and retained through the proof.
-  DleqStatement statement = DleqStatement::MakePair(
-      RistrettoPoint::Base(), RistrettoPoint::MulBase(share.value), ct.c1, out.partial);
-  statement.base_wire = {RistrettoPoint::BaseWire(), statement.bases[1].Encode()};
-  statement.public_wire = {statement.publics[0].Encode(), statement.publics[1].Encode()};
-  out.proof = ProveDleqFs(kThresholdShareDomain, statement, share.value, rng);
-  return out;
-}
-
-Status ThresholdAuthority::VerifyShare(const ElGamalCiphertext& ct,
-                                       const ThresholdDecryptionShare& share) const {
-  if (share.index == 0 || share.index > shares_.size()) {
-    return Status::Error("threshold: share from unknown trustee");
-  }
-  DleqStatement statement = DleqStatement::MakePair(
-      RistrettoPoint::Base(), ShareCommitment(share.index), ct.c1, share.partial);
-  statement.base_wire = {RistrettoPoint::BaseWire(), statement.bases[1].Encode()};
-  statement.public_wire = {statement.publics[0].Encode(), statement.publics[1].Encode()};
-  return VerifyDleqFs(kThresholdShareDomain, statement, share.proof);
-}
-
-Outcome<RistrettoPoint> ThresholdAuthority::Combine(
-    const ElGamalCiphertext& ct, std::span<const ThresholdDecryptionShare> shares) const {
-  if (shares.size() < threshold_) {
-    return Outcome<RistrettoPoint>::Fail("threshold: not enough shares");
-  }
-  std::vector<size_t> indices;
-  for (const ThresholdDecryptionShare& share : shares) {
-    for (size_t seen : indices) {
-      if (seen == share.index) {
-        return Outcome<RistrettoPoint>::Fail("threshold: duplicate share");
-      }
-    }
-    if (Status ok = VerifyShare(ct, share); !ok.ok()) {
-      return Outcome<RistrettoPoint>::Fail(ok.reason());
-    }
-    indices.push_back(share.index);
-  }
-  RistrettoPoint blinding;  // sum λ_i * partial_i = secret * C1
-  for (const ThresholdDecryptionShare& share : shares) {
-    blinding = blinding + LagrangeAtZero(indices, share.index) * share.partial;
-  }
-  return Outcome<RistrettoPoint>::Ok(ct.c2 - blinding);
 }
 
 }  // namespace votegral

@@ -1,25 +1,19 @@
-// Shamir secret sharing with Feldman verifiability, and t-of-n threshold
-// ElGamal decryption built on it.
-//
-// The base system uses the paper's n-of-n additive authority (all members
-// must cooperate; §D.2's privacy adversary compromises up to n-1). This
-// module provides the standard t-of-n generalization from the JCJ lineage —
-// tolerating unavailable trustees at tally time — as an alternative
-// authority backend:
-//  * a dealer (or each member, in the additive-of-dealers pattern) splits
-//    its secret over a degree-(t-1) polynomial,
+// Shamir secret sharing with Feldman verifiability: the building blocks of
+// the dealerless t-of-n DKG (ElectionAuthority::CreateThreshold in dkg.h).
+//  * each dealer splits its secret over a degree-(t-1) polynomial,
 //  * Feldman commitments make every share publicly checkable,
-//  * decryption combines any t verifiable shares with Lagrange weights.
+//  * Lagrange weights at zero recombine any t shares (in the exponent, for
+//    decryption shares).
 #ifndef SRC_CRYPTO_SHAMIR_H_
 #define SRC_CRYPTO_SHAMIR_H_
 
+#include <span>
 #include <vector>
 
-#include "src/common/outcome.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
-#include "src/crypto/dleq.h"
-#include "src/crypto/elgamal.h"
+#include "src/crypto/ristretto.h"
+#include "src/crypto/scalar.h"
 
 namespace votegral {
 
@@ -53,51 +47,6 @@ Scalar LagrangeAtZero(const std::vector<size_t>& indices, size_t index);
 
 // Reconstructs the secret from any >= t distinct shares.
 Scalar ShamirReconstruct(std::span<const ShamirShare> shares);
-
-// ---------------------------------------------------------------------------
-// Threshold ElGamal authority
-// ---------------------------------------------------------------------------
-
-// A partial decryption by one trustee, verifiable against its Feldman-derived
-// share commitment.
-struct ThresholdDecryptionShare {
-  size_t index = 0;        // trustee x-coordinate
-  RistrettoPoint partial;  // s_i * C1
-  DleqTranscript proof;    // DLEQ((B, s_i*B), (C1, partial))
-};
-
-// Dealer-based t-of-n ElGamal authority (the dealerless variant composes n
-// of these additively; tests exercise that composition too).
-class ThresholdAuthority {
- public:
-  static ThresholdAuthority Create(size_t threshold, size_t n, Rng& rng);
-
-  const RistrettoPoint& public_key() const { return public_key_; }
-  size_t threshold() const { return threshold_; }
-  size_t size() const { return shares_.size(); }
-  const FeldmanCommitments& commitments() const { return commitments_; }
-
-  // Trustee `index` (1-based) produces its verifiable partial decryption.
-  ThresholdDecryptionShare ComputeShare(size_t index, const ElGamalCiphertext& ct,
-                                        Rng& rng) const;
-
-  // Public verification of a partial decryption.
-  Status VerifyShare(const ElGamalCiphertext& ct,
-                     const ThresholdDecryptionShare& share) const;
-
-  // Combines any >= threshold verified shares: M = C2 - sum λ_i * partial_i.
-  Outcome<RistrettoPoint> Combine(const ElGamalCiphertext& ct,
-                                  std::span<const ThresholdDecryptionShare> shares) const;
-
-  // The share commitment s_i * B derived publicly from the Feldman vector.
-  RistrettoPoint ShareCommitment(size_t index) const;
-
- private:
-  size_t threshold_ = 0;
-  std::vector<ShamirShare> shares_;
-  FeldmanCommitments commitments_;
-  RistrettoPoint public_key_;
-};
 
 }  // namespace votegral
 

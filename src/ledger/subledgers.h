@@ -83,10 +83,6 @@ class PublicLedger {
   void AddEligibleVoter(const std::string& voter_id);
   bool IsEligible(const std::string& voter_id) const;
   size_t eligible_count() const { return eligible_.size(); }
-  // The roster in sorted order (for audits and persistence).
-  std::vector<std::string> EligibleVoters() const {
-    return std::vector<std::string>(eligible_.begin(), eligible_.end());
-  }
 
   // --- L_R ------------------------------------------------------------------
   // Posts a registration record; supersedes any previous record for the

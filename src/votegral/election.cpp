@@ -88,8 +88,8 @@ TallyOutput Election::Tally(Rng& rng) const {
 }
 
 Outcome<TallyOutput> Election::TryTally(Rng& rng) const {
-  TallyService service(trip_.authority(), tagging_, config_.mix_pairs, executor(),
-                       config_.retry_policy, config_.revoting, config_.revote_padding);
+  TallyService service(trip_.authority(), tagging_, executor(), config_.retry_policy,
+                       config_.revoting, config_.revote_padding);
   return service.Run(trip_.ledger(), candidates_, trip_.authorized_kiosks(), rng);
 }
 

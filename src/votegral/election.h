@@ -26,7 +26,6 @@ struct ElectionConfig {
   // members and naming the excluded ones.
   size_t authority_threshold = 0;
   size_t tagging_members = 4;
-  size_t mix_pairs = 2;  // 4 shufflers, matching the paper's experiments
 
   // Retry/deadline policy the tally's AuthorityClient uses when collecting
   // decryption shares (simulated time; see docs/ROBUSTNESS.md).

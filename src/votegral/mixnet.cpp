@@ -269,12 +269,9 @@ Status CheckLinksPerItem(std::span<const ResolvedLink> links, const RistrettoPoi
 Status CheckLinksBatched(std::span<const ResolvedLink> links, const RistrettoPoint& pk,
                          size_t pair_index, std::span<const uint8_t> weight_seed,
                          Executor& executor) {
+  // The cascade's shape check gave every src and dst the same width.
   std::vector<size_t> offset(links.size() + 1, 0);  // component offsets
   for (size_t i = 0; i < links.size(); ++i) {
-    if (links[i].dst->cts.size() != links[i].src->cts.size()) {
-      // Width forgery: localize.
-      return CheckLinksPerItem(links, pk, pair_index, executor);
-    }
     offset[i + 1] = offset[i] + links[i].src->cts.size();
   }
   const size_t components = offset[links.size()];
@@ -333,19 +330,46 @@ Status CheckLinksBatched(std::span<const ResolvedLink> links, const RistrettoPoi
                        std::to_string(pair_index));
 }
 
-// Verifier-grade batch hash: an item's wire cache is attacker-supplied, so
-// before its bytes may bind challenge bits the cache is checked against the
-// item's ciphertexts. The check is one BatchValidateEncodings accumulator
-// pass over every cached (point, 32-byte slice) pair: a slice passes iff it
-// is the canonical encoding of its point (ristretto encodings are unique, so
-// this is exactly the old parse-and-compare), at ~8 field multiplications
-// per pair instead of a decode's inverse square root. A mismatched or
-// malformed cache is a verification failure — otherwise a cheating mixer
-// could grind the hashed bytes independently of the checked group elements
-// to steer the per-item challenge bits. Cacheless items are encoded fresh in
-// the same pass.
-Status ValidatedBatchHash(const MixBatch& batch, Executor& executor,
+// The shape every batch of one cascade must have: the input's item count,
+// and the input's width in every item.
+struct BatchShape {
+  size_t count = 0;
+  size_t width = 0;
+};
+
+Status CheckBatchShape(const MixBatch& batch, const BatchShape& shape, const std::string& what) {
+  if (batch.size() != shape.count) {
+    return Status::Error("mixnet: " + what + " has " + std::to_string(batch.size()) +
+                         " items, expected " + std::to_string(shape.count));
+  }
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (batch[i].cts.size() != shape.width) {
+      return Status::Error("mixnet: " + what + " item " + std::to_string(i) + " has width " +
+                           std::to_string(batch[i].cts.size()) + ", expected " +
+                           std::to_string(shape.width));
+    }
+  }
+  return Status::Ok();
+}
+
+// Verifier-grade batch hash. The batch must first have the cascade's shape:
+// the hash runs the items' bytes together, so it binds item boundaries only
+// because every batch has the same count and width. An item's wire cache is
+// attacker-supplied, so before its bytes may bind challenge bits the cache
+// is checked against the item's ciphertexts. The check is one
+// BatchValidateEncodings accumulator pass over every cached (point, 32-byte
+// slice) pair: a slice passes iff it is the canonical encoding of its point
+// (ristretto encodings are unique, so this is exactly the old
+// parse-and-compare), at ~8 field multiplications per pair instead of a
+// decode's inverse square root. A mismatched or malformed cache is a
+// verification failure — otherwise a cheating mixer could grind the hashed
+// bytes independently of the checked group elements to steer the per-item
+// challenge bits. Cacheless items are encoded fresh in the same pass.
+Status ValidatedBatchHash(const MixBatch& batch, const BatchShape& shape, Executor& executor,
                           const std::string& what, std::array<uint8_t, 32>* out) {
+  if (Status s = CheckBatchShape(batch, shape, what); !s.ok()) {
+    return s;
+  }
   std::vector<uint8_t> bad(batch.size(), 0);
   // Per-item bytes for cacheless items; empty when the (validated) cache
   // will be hashed directly.
@@ -412,24 +436,25 @@ Status VerifyRpcMixCascade(const MixBatch& input, const MixBatch& output,
   if (proof.pairs.empty()) {
     return Status::Error("mixnet: empty proof");
   }
+  const BatchShape shape{input.size(), input.empty() ? 0 : input[0].cts.size()};
+  if (shape.count != 0 && shape.width == 0) {
+    return Status::Error("mixnet: input item 0 has width 0");
+  }
   const MixBatch* current = &input;
   std::array<uint8_t, 32> h_current;
-  if (Status s = ValidatedBatchHash(input, executor, "input", &h_current); !s.ok()) {
+  if (Status s = ValidatedBatchHash(input, shape, executor, "input", &h_current); !s.ok()) {
     return s;
   }
   for (size_t p = 0; p < proof.pairs.size(); ++p) {
     const RpcPairProof& pair = proof.pairs[p];
-    if (pair.mid.size() != current->size() || pair.out.size() != current->size()) {
-      return Status::Error("mixnet: batch size change in pair " + std::to_string(p));
-    }
     std::array<uint8_t, 32> h_mid;
     std::array<uint8_t, 32> h_out;
     std::string pair_name = "pair " + std::to_string(p);
-    if (Status s = ValidatedBatchHash(pair.mid, executor, pair_name + " mid", &h_mid);
+    if (Status s = ValidatedBatchHash(pair.mid, shape, executor, pair_name + " mid", &h_mid);
         !s.ok()) {
       return s;
     }
-    if (Status s = ValidatedBatchHash(pair.out, executor, pair_name + " out", &h_out);
+    if (Status s = ValidatedBatchHash(pair.out, shape, executor, pair_name + " out", &h_out);
         !s.ok()) {
       return s;
     }
@@ -455,8 +480,7 @@ Status VerifyRpcMixCascade(const MixBatch& input, const MixBatch& output,
       // Proof data with the wrong randomness width is a verification
       // failure (a Status), not an internal invariant violation: the
       // reveal is attacker-supplied.
-      if (reveal.randomness.size() !=
-          (reveal.side == 0 ? (*current)[reveal.source_or_dest] : pair.mid[j]).cts.size()) {
+      if (reveal.randomness.size() != shape.width) {
         return Status::Error("mixnet: reveal randomness width mismatch at pair " +
                              std::to_string(p) + " index " + std::to_string(j));
       }
@@ -519,7 +543,7 @@ Status VerifyRpcMixCascade(const MixBatch& input, const MixBatch& output,
     h_current = h_out;
   }
   std::array<uint8_t, 32> h_output;
-  if (Status s = ValidatedBatchHash(output, executor, "published output", &h_output);
+  if (Status s = ValidatedBatchHash(output, shape, executor, "published output", &h_output);
       !s.ok()) {
     return s;
   }

@@ -72,7 +72,8 @@ using MixBatch = std::vector<MixItem>;
 // Hashes a batch for challenge derivation and commitment comparison. Uses
 // each item's wire cache when present (trusting the producer invariant);
 // encodes fresh otherwise. Prover-side use only — verifiers go through
-// VerifyRpcMixCascade, which validates caches before hashing them.
+// VerifyRpcMixCascade, which checks batch shapes and validates caches
+// before hashing.
 std::array<uint8_t, 32> HashMixBatch(const MixBatch& batch);
 
 // Fills missing wire caches across the batch on the pool (one parallel
@@ -133,11 +134,15 @@ enum class MixLinkCheck {
   kPerLink,
 };
 
-// Verifies an RPC cascade proof against the published input/output. Wire
-// caches inside the proof batches are validated (decoded and compared to
-// the points) before they may bind challenge bits; link checks, cache
-// validation, and the closing MSM all run on `executor`, with the first
-// failing pair/index reported deterministically.
+// Verifies an RPC cascade proof against the published input/output. Every
+// batch it hashes (input, each pair's mid and out, the published output)
+// must hold the input's item count with the input's width in every item:
+// HashMixBatch runs the items' bytes together, so the hash binds item
+// boundaries only under that check. Wire caches inside the proof batches
+// are validated (decoded and compared to the points) before they may bind
+// challenge bits; link checks, cache validation, and the closing MSM all
+// run on `executor`, with the first failing pair/index reported
+// deterministically.
 Status VerifyRpcMixCascade(const MixBatch& input, const MixBatch& output,
                            const MixProof& proof, const RistrettoPoint& pk,
                            MixLinkCheck mode = MixLinkCheck::kBatchedMsm,

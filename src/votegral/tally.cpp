@@ -228,9 +228,9 @@ std::vector<Ballot> ValidateAndDeduplicate(
 }
 
 TallyService::TallyService(const ElectionAuthority& authority, const TaggingService& tagging,
-                           size_t mix_pairs, Executor& executor, RetryPolicy retry_policy,
-                           bool revoting, bool revote_padding)
-    : authority_(authority), tagging_(tagging), mix_pairs_(mix_pairs), executor_(executor),
+                           Executor& executor, RetryPolicy retry_policy, bool revoting,
+                           bool revote_padding)
+    : authority_(authority), tagging_(tagging), executor_(executor),
       retry_policy_(retry_policy), revoting_(revoting), revote_padding_(revote_padding) {}
 
 }  // namespace votegral

@@ -48,6 +48,11 @@
 
 namespace votegral {
 
+// RPC mix pairs per cascade: 2 pairs, 4 shufflers, as in the paper's
+// experiments. Every cascade the tally publishes (ballot, roster, revote)
+// has exactly this many pairs, and VerifyElection rejects any other length.
+inline constexpr size_t kMixPairs = 2;
+
 // Aggregate discard statistics (published with the result).
 struct TallyDiscards {
   size_t invalid_structure = 0;  // unparseable ledger payloads
@@ -151,7 +156,7 @@ struct TallyRunMetrics {
 class TallyService {
  public:
   TallyService(const ElectionAuthority& authority, const TaggingService& tagging,
-               size_t mix_pairs = 2, Executor& executor = Executor::Global(),
+               Executor& executor = Executor::Global(),
                RetryPolicy retry_policy = RetryPolicy(),
                bool revoting = false, bool revote_padding = true);
 
@@ -169,7 +174,6 @@ class TallyService {
 
   const ElectionAuthority& authority() const { return authority_; }
   const TaggingService& tagging() const { return tagging_; }
-  size_t mix_pairs() const { return mix_pairs_; }
   Executor& executor() const { return executor_; }
   bool revoting() const { return revoting_; }
   bool revote_padding() const { return revote_padding_; }
@@ -177,7 +181,6 @@ class TallyService {
  private:
   const ElectionAuthority& authority_;
   const TaggingService& tagging_;
-  size_t mix_pairs_;
   Executor& executor_;
   RetryPolicy retry_policy_;
   bool revoting_;

@@ -144,12 +144,12 @@ struct ChainFlow {
 
 // Draws one chain's cascade randomness: per pair, layer A's permutation then
 // its shard seeds, then layer B's.
-void DrawCascadeRandomness(ChainFlow& flow, size_t pairs, Rng& rng) {
-  flow.layers.resize(2 * pairs);
-  flow.layer_seeds.resize(2 * pairs);
-  flow.h.resize(pairs + 1);
-  flow.proof->pairs.resize(pairs);
-  for (size_t p = 0; p < pairs; ++p) {
+void DrawCascadeRandomness(ChainFlow& flow, Rng& rng) {
+  flow.layers.resize(2 * kMixPairs);
+  flow.layer_seeds.resize(2 * kMixPairs);
+  flow.h.resize(kMixPairs + 1);
+  flow.proof->pairs.resize(kMixPairs);
+  for (size_t p = 0; p < kMixPairs; ++p) {
     flow.proof->pairs[p].mid.resize(flow.n);
     flow.proof->pairs[p].out.resize(flow.n);
     for (size_t half = 0; half < 2; ++half) {
@@ -198,7 +198,6 @@ std::vector<TaskGraph::NodeId> SubmitChainNodes(
     const AuthorityClient& client, BusyClock& clock,
     const std::function<void(size_t)>& build_item) {
   const RistrettoPoint& pk = service.authority().public_key();
-  const size_t pairs = service.mix_pairs();
   const size_t members = service.tagging().size();
   const size_t shard_count = flow.shards.size();
 
@@ -230,7 +229,7 @@ std::vector<TaskGraph::NodeId> SubmitChainNodes(
   TaskGraph::NodeId prev_layer_done = input_done;
   TaskGraph::NodeId prev_finalize = input_hash;
   std::vector<TaskGraph::NodeId> last_layer_nodes;
-  for (size_t p = 0; p < pairs; ++p) {
+  for (size_t p = 0; p < kMixPairs; ++p) {
     RpcPairProof& pair = flow.proof->pairs[p];
     for (size_t half = 0; half < 2; ++half) {
       const size_t l = 2 * p + half;
@@ -254,7 +253,7 @@ std::vector<TaskGraph::NodeId> SubmitChainNodes(
       }
       prev_layer_done =
           graph.Submit([] {}, std::span<const TaskGraph::NodeId>(layer_nodes));
-      if (p + 1 == pairs && half == 1) {
+      if (p + 1 == kMixPairs && half == 1) {
         last_layer_nodes = std::move(layer_nodes);
       }
     }
@@ -272,7 +271,7 @@ std::vector<TaskGraph::NodeId> SubmitChainNodes(
   // slice from the final shuffle output (points + 64-byte wire slices) and
   // applies the member; member m+1 follows member m shard by shard.
   std::vector<TaskGraph::NodeId> prev_member(shard_count);
-  const MixBatch& final_out = flow.proof->pairs[pairs - 1].out;
+  const MixBatch& final_out = flow.proof->pairs[kMixPairs - 1].out;
   for (size_t s = 0; s < shard_count; ++s) {
     const auto [begin, end] = flow.shards[s];
     prev_member[s] = graph.Submit(
@@ -347,7 +346,7 @@ Status RunRevoteDedup(const TallyService& service, TaskGraph& graph, BusyClock& 
   if (Status fault = ProbeStageFault(faults::kMixShuffle, 2, "revote mix"); !fault.ok()) {
     return fault;
   }
-  DrawCascadeRandomness(flow, service.mix_pairs(), rng);
+  DrawCascadeRandomness(flow, rng);
   if (Status fault = ProbeStageFault(faults::kTagApply, 2, "revote tagging"); !fault.ok()) {
     return fault;
   }
@@ -491,7 +490,6 @@ Outcome<TallyOutput> TallyService::Run(const PublicLedger& ledger,
     return outcome;
   };
 
-  Require(mix_pairs_ >= 1, "mixnet: need at least one pair");
   const AuthorityClient client(authority_, retry_policy_);
   TaskGraph graph(executor);
 
@@ -567,11 +565,11 @@ Outcome<TallyOutput> TallyService::Run(const PublicLedger& ledger,
   if (Status fault = ProbeStageFault(faults::kMixShuffle, 0, "ballot mix"); !fault.ok()) {
     return finish(Outcome<TallyOutput>::Fail(WrapStage("mix", fault)));
   }
-  DrawCascadeRandomness(ballots, mix_pairs_, rng);
+  DrawCascadeRandomness(ballots, rng);
   if (Status fault = ProbeStageFault(faults::kMixShuffle, 1, "roster mix"); !fault.ok()) {
     return finish(Outcome<TallyOutput>::Fail(WrapStage("mix", fault)));
   }
-  DrawCascadeRandomness(roster_flow, mix_pairs_, rng);
+  DrawCascadeRandomness(roster_flow, rng);
   if (Status fault = ProbeStageFault(faults::kTagApply, 0, "ballot tagging"); !fault.ok()) {
     return finish(Outcome<TallyOutput>::Fail(WrapStage("tag", fault)));
   }

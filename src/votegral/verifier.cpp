@@ -47,6 +47,17 @@ namespace {
 
 constexpr std::string_view kShareWeightDomain = "votegral/verifier/share-batch-weights/v2";
 
+// Verifies one published cascade: it must have kMixPairs pairs (a shorter
+// cascade is a consistent proof with fewer shufflers), then the RPC proof.
+Status VerifyTallyCascade(const MixBatch& input, const MixBatch& output, const MixProof& proof,
+                          const RistrettoPoint& pk, Executor& executor) {
+  if (proof.pairs.size() != kMixPairs) {
+    return Status::Error("cascade has " + std::to_string(proof.pairs.size()) +
+                         " pairs, expected " + std::to_string(kMixPairs));
+  }
+  return VerifyRpcMixCascade(input, output, proof, pk, MixLinkCheck::kBatchedMsm, executor);
+}
+
 // Verifies a list of per-ciphertext share vectors and returns the decrypted
 // points; fails on any bad proof.
 //
@@ -284,8 +295,8 @@ Status VerifyRevoteSection(const PublicLedger& ledger, const VerifierParams& par
   }
 
   // The revote mix cascade.
-  if (Status s = VerifyRpcMixCascade(rt.mix_input, rt.mix_output, rt.mix_proof,
-                                     params.authority_pk, MixLinkCheck::kBatchedMsm, executor);
+  if (Status s = VerifyTallyCascade(rt.mix_input, rt.mix_output, rt.mix_proof,
+                                    params.authority_pk, executor);
       !s.ok()) {
     return Status::Error("verifier: revote mix: " + s.reason());
   }
@@ -463,7 +474,8 @@ Status VerifyElection(const PublicLedger& ledger, const VerifierParams& params,
     return Status::Error("verifier: roster mix input size mismatch");
   }
   if (auto i = ParallelFirstFailure(executor, roster.size(), [&](size_t i) {
-        return t.roster_mix_input[i].cts.at(0) == roster[i].public_credential;
+        const std::vector<ElGamalCiphertext>& cts = t.roster_mix_input[i].cts;
+        return cts.size() == 1 && cts[0] == roster[i].public_credential;
       });
       i.has_value()) {
     return Status::Error("verifier: roster mix input " + std::to_string(*i) + " differs");
@@ -476,13 +488,11 @@ Status VerifyElection(const PublicLedger& ledger, const VerifierParams& params,
     Status cascade_status[2] = {Status::Ok(), Status::Ok()};
     executor.ParallelForEach(2, [&](size_t which) {
       if (which == 0) {
-        cascade_status[0] =
-            VerifyRpcMixCascade(t.ballot_mix_input, t.ballot_mix_output, t.ballot_mix_proof,
-                                params.authority_pk, MixLinkCheck::kBatchedMsm, executor);
+        cascade_status[0] = VerifyTallyCascade(t.ballot_mix_input, t.ballot_mix_output,
+                                               t.ballot_mix_proof, params.authority_pk, executor);
       } else {
-        cascade_status[1] =
-            VerifyRpcMixCascade(t.roster_mix_input, t.roster_mix_output, t.roster_mix_proof,
-                                params.authority_pk, MixLinkCheck::kBatchedMsm, executor);
+        cascade_status[1] = VerifyTallyCascade(t.roster_mix_input, t.roster_mix_output,
+                                               t.roster_mix_proof, params.authority_pk, executor);
       }
     });
     if (!cascade_status[0].ok()) {

@@ -1,8 +1,8 @@
 // Universal verification (§3.3, §5.1): anyone holding the public ledger and
 // the published tally transcript can re-check the entire pipeline — no
 // secrets required. The verifier recomputes the validated ballot set,
-// re-verifies every mix, tagging and decryption proof, replays the tag join,
-// and recounts.
+// re-verifies every mix (each cascade must have kMixPairs pairs), tagging
+// and decryption proof, replays the tag join, and recounts.
 //
 // Parallel architecture: the expensive sections — ballot revalidation,
 // registration-record checks, mix-pair link RLCs, tagging-step DLEQ batches

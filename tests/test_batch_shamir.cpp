@@ -1,8 +1,9 @@
-// Tests for batch verification (random linear combination) and for
-// Shamir/Feldman threshold decryption.
+// Tests for batch verification (random linear combination), for
+// Shamir/Feldman sharing, and for t-of-n decryption on the threshold DKG.
 #include <gtest/gtest.h>
 
 #include "src/crypto/batch.h"
+#include "src/crypto/dkg.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/shamir.h"
 
@@ -104,7 +105,7 @@ TEST(BatchDleq, ChallengeBindingStillPerItem) {
 }
 
 // ---------------------------------------------------------------------------
-// Shamir / Feldman / threshold decryption
+// Shamir / Feldman / threshold DKG decryption
 // ---------------------------------------------------------------------------
 
 TEST(Shamir, SplitAndReconstruct) {
@@ -161,74 +162,28 @@ TEST(Shamir, LagrangeCoefficientsSumCorrectly) {
   EXPECT_THROW((void)LagrangeAtZero(indices, 5), ProtocolError);
 }
 
-TEST(ThresholdAuthority, DecryptsWithAnyQuorum) {
-  ChaChaRng rng(813);
-  auto authority = ThresholdAuthority::Create(/*threshold=*/3, /*n=*/5, rng);
-  RistrettoPoint message = RistrettoPoint::FromUniformBytes(rng.RandomBytes(64));
-  auto ct = ElGamalEncrypt(authority.public_key(), message, rng);
+// The dealerless t-of-n DKG over a (threshold, n) sweep: the first t members
+// decrypt, and so do the last t.
+class ThresholdDkgQuorums : public ::testing::TestWithParam<std::pair<size_t, size_t>> {};
 
-  // Quorum {1, 3, 5}.
-  std::vector<ThresholdDecryptionShare> shares;
-  for (size_t i : {1u, 3u, 5u}) {
-    auto share = authority.ComputeShare(i, ct, rng);
-    EXPECT_TRUE(authority.VerifyShare(ct, share).ok());
-    shares.push_back(std::move(share));
-  }
-  auto decrypted = authority.Combine(ct, shares);
-  ASSERT_TRUE(decrypted.ok());
-  EXPECT_TRUE(*decrypted == message);
-
-  // A different quorum {2, 4, 5} agrees.
-  std::vector<ThresholdDecryptionShare> other;
-  for (size_t i : {2u, 4u, 5u}) {
-    other.push_back(authority.ComputeShare(i, ct, rng));
-  }
-  auto again = authority.Combine(ct, other);
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(*again == message);
-}
-
-TEST(ThresholdAuthority, RejectsSubThresholdAndBadShares) {
-  ChaChaRng rng(814);
-  auto authority = ThresholdAuthority::Create(3, 5, rng);
-  auto ct = ElGamalEncrypt(authority.public_key(), RistrettoPoint::Base(), rng);
-  std::vector<ThresholdDecryptionShare> two = {authority.ComputeShare(1, ct, rng),
-                                               authority.ComputeShare(2, ct, rng)};
-  EXPECT_FALSE(authority.Combine(ct, two).ok());
-
-  // A tampered partial decryption is caught by its proof.
-  std::vector<ThresholdDecryptionShare> three = {authority.ComputeShare(1, ct, rng),
-                                                 authority.ComputeShare(2, ct, rng),
-                                                 authority.ComputeShare(3, ct, rng)};
-  three[1].partial = three[1].partial + RistrettoPoint::Base();
-  EXPECT_FALSE(authority.Combine(ct, three).ok());
-
-  // Duplicate trustees are rejected.
-  std::vector<ThresholdDecryptionShare> dup = {authority.ComputeShare(1, ct, rng),
-                                               authority.ComputeShare(1, ct, rng),
-                                               authority.ComputeShare(2, ct, rng)};
-  EXPECT_FALSE(authority.Combine(ct, dup).ok());
-}
-
-// Parameterized over (threshold, n).
-class ThresholdParams : public ::testing::TestWithParam<std::pair<size_t, size_t>> {};
-
-TEST_P(ThresholdParams, FullQuorumDecrypts) {
+TEST_P(ThresholdDkgQuorums, AnyTMembersDecrypt) {
   auto [t, n] = GetParam();
   ChaChaRng rng(815 + t * 10 + n);
-  auto authority = ThresholdAuthority::Create(t, n, rng);
+  auto authority = ElectionAuthority::CreateThreshold(t, n, rng);
+  ASSERT_TRUE(authority.VerifySetup().ok()) << authority.VerifySetup().reason();
   RistrettoPoint message = RistrettoPoint::FromUniformBytes(rng.RandomBytes(64));
   auto ct = ElGamalEncrypt(authority.public_key(), message, rng);
-  std::vector<ThresholdDecryptionShare> shares;
-  for (size_t i = 1; i <= t; ++i) {
-    shares.push_back(authority.ComputeShare(i, ct, rng));
+  for (size_t first : {size_t{0}, n - t}) {
+    std::vector<DecryptionShare> shares;
+    for (size_t member = first; member < first + t; ++member) {
+      shares.push_back(authority.ComputeShare(member, ct, rng));
+      ASSERT_TRUE(authority.VerifyShare(ct, shares.back()).ok());
+    }
+    EXPECT_TRUE(authority.CombineShares(ct, shares) == message) << "first member " << first;
   }
-  auto decrypted = authority.Combine(ct, shares);
-  ASSERT_TRUE(decrypted.ok());
-  EXPECT_TRUE(*decrypted == message);
 }
 
-INSTANTIATE_TEST_SUITE_P(Quorums, ThresholdParams,
+INSTANTIATE_TEST_SUITE_P(Quorums, ThresholdDkgQuorums,
                          ::testing::Values(std::pair<size_t, size_t>{1, 1},
                                            std::pair<size_t, size_t>{1, 3},
                                            std::pair<size_t, size_t>{2, 3},

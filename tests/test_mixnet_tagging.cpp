@@ -1,11 +1,15 @@
-// Tests for the RPC mix cascade and the deterministic tagging service.
+// Tests for the RPC mix cascade and the deterministic tagging service,
+// including forged tallies that only the cascade's shape and length checks
+// catch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "src/crypto/dkg.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/sha256.h"
+#include "src/votegral/election.h"
 #include "src/votegral/mixnet.h"
 #include "src/votegral/tagging.h"
 
@@ -203,6 +207,166 @@ TEST(Mixnet, EmptyAndSingletonBatches) {
   MixBatch empty_out = RunRpcMixCascade(empty, pk, 2, rng, &empty_proof);
   EXPECT_TRUE(empty_out.empty());
   EXPECT_TRUE(VerifyRpcMixCascade(empty, empty_out, empty_proof, pk).ok());
+}
+
+// Cuts the batch's ciphertexts (and wire caches) again at `widths`: the
+// bytes stay the same, only the item boundaries move.
+MixBatch Rechunk(const MixBatch& batch, const std::vector<size_t>& widths) {
+  std::vector<ElGamalCiphertext> cts;
+  Bytes wire;
+  for (const MixItem& item : batch) {
+    cts.insert(cts.end(), item.cts.begin(), item.cts.end());
+    wire.insert(wire.end(), item.wire.begin(), item.wire.end());
+  }
+  Require(wire.size() == 64 * cts.size(), "test: every item needs its wire cache");
+  MixBatch out;
+  size_t at = 0;
+  for (size_t width : widths) {
+    Require(at + width <= cts.size(), "test: widths overrun the batch");
+    MixItem item;
+    item.cts.assign(cts.begin() + static_cast<ptrdiff_t>(at),
+                    cts.begin() + static_cast<ptrdiff_t>(at + width));
+    item.wire.assign(wire.begin() + static_cast<ptrdiff_t>(64 * at),
+                     wire.begin() + static_cast<ptrdiff_t>(64 * (at + width)));
+    out.push_back(std::move(item));
+    at += width;
+  }
+  Require(at == cts.size(), "test: widths must cover the batch");
+  return out;
+}
+
+TEST(Mixnet, RechunkedBatchesAreRejectedByTheirShape) {
+  // HashMixBatch runs the items' bytes together, so a re-chunked batch keeps
+  // its hash; the verifier's shape check is what rejects it.
+  ChaChaRng rng(137);
+  Scalar sk = Scalar::Random(rng);
+  RistrettoPoint pk = RistrettoPoint::MulBase(sk);
+  std::vector<std::vector<RistrettoPoint>> plaintexts;
+  MixBatch input = MakeBatch(4, 2, pk, &plaintexts, rng);
+  MixProof proof;
+  MixBatch output = RunRpcMixCascade(input, pk, 2, rng, &proof);
+  ASSERT_TRUE(VerifyRpcMixCascade(input, output, proof, pk).ok());
+
+  MixBatch merged = Rechunk(output, {2, 4, 2});
+  MixBatch moved = Rechunk(output, {2, 3, 1, 2});
+  MixProof rechunked_pair = proof;
+  rechunked_pair.pairs[0].out = Rechunk(proof.pairs[0].out, {2, 3, 1, 2});
+  EXPECT_EQ(HashMixBatch(merged), HashMixBatch(output));
+  EXPECT_EQ(HashMixBatch(moved), HashMixBatch(output));
+  EXPECT_EQ(HashMixBatch(rechunked_pair.pairs[0].out), HashMixBatch(proof.pairs[0].out));
+
+  EXPECT_EQ(VerifyRpcMixCascade(input, merged, proof, pk).reason(),
+            "mixnet: published output has 3 items, expected 4");
+  EXPECT_EQ(VerifyRpcMixCascade(input, moved, proof, pk).reason(),
+            "mixnet: published output item 1 has width 3, expected 2");
+  EXPECT_EQ(VerifyRpcMixCascade(input, output, rechunked_pair, pk).reason(),
+            "mixnet: pair 0 out item 1 has width 3, expected 2");
+}
+
+// Recomputes everything downstream of the published ballot mix output the
+// way an honest committee and authority would: the tagging chain, the tag
+// decryptions, the join against the published roster tags, the vote
+// decryptions and the counts. A forger holding the secrets publishes this.
+void RetallyBallots(TallyOutput& out, const ElectionAuthority& authority,
+                    const TaggingService& tagging, const CandidateList& candidates, Rng& rng) {
+  TallyTranscript& t = out.transcript;
+  auto decrypt = [&](const ElGamalCiphertext& ct, std::vector<DecryptionShare>& shares) {
+    for (size_t m = 0; m < authority.size(); ++m) {
+      shares.push_back(authority.ComputeShare(m, ct, rng));
+    }
+    return authority.CombineShares(ct, shares).Encode();
+  };
+  t.ballot_tag_steps.clear();
+  const std::vector<ElGamalCiphertext> tagged =
+      tagging.ApplyAll(BatchColumn(t.ballot_mix_output, 1), &t.ballot_tag_steps, rng);
+  t.ballot_tag_shares.assign(tagged.size(), {});
+  t.ballot_tags.clear();
+  for (size_t i = 0; i < tagged.size(); ++i) {
+    t.ballot_tags.push_back(decrypt(tagged[i], t.ballot_tag_shares[i]));
+  }
+  std::map<CompressedRistretto, uint64_t> roster;
+  for (const CompressedRistretto& tag : t.roster_tags) {
+    ++roster[tag];
+  }
+  t.counted_indices.clear();
+  t.counted_weights.clear();
+  t.vote_shares.clear();
+  t.vote_points.clear();
+  out.result = TallyResult();
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    out.result.counts[candidates.name(c)] = 0;
+  }
+  for (size_t i = 0; i < t.ballot_tags.size(); ++i) {
+    auto it = roster.find(t.ballot_tags[i]);
+    if (it == roster.end() || it->second == 0) {
+      continue;
+    }
+    const uint64_t weight = it->second;
+    it->second = 0;
+    t.counted_indices.push_back(i);
+    t.counted_weights.push_back(weight);
+    t.vote_shares.emplace_back();
+    t.vote_points.push_back(decrypt(t.ballot_mix_output[i].cts.at(0), t.vote_shares.back()));
+    if (auto c = candidates.IndexOfEncoding(t.vote_points.back()); c.has_value()) {
+      out.result.counts[candidates.name(*c)] += weight;
+      out.result.counted += weight;
+    }
+  }
+}
+
+TEST(MixnetEndToEnd, ForgedButConsistentTalliesFailAtTheBallotMix) {
+  // Four voters; the tally runs on this test's own tagging committee, so
+  // the test holds every secret a forger needs to make the rest of the
+  // transcript consistent with a forged mix output.
+  ChaChaRng rng(0xC4A5CADE);
+  ElectionConfig config;
+  config.roster = {"alice", "bob", "carol", "dave"};
+  config.candidates = {"Alpha", "Beta"};
+  config.threads = 1;
+  Election election(config, rng);
+  Vsd vsd = election.trip().MakeVsd();
+  const char* choices[] = {"Alpha", "Beta", "Alpha", "Beta"};
+  for (size_t i = 0; i < config.roster.size(); ++i) {
+    auto voter = election.Register(config.roster[i], /*fake_count=*/1, vsd, rng);
+    ASSERT_TRUE(voter.ok()) << voter.status.reason();
+    ASSERT_TRUE(election.Cast(voter->activated[0], choices[i], rng).ok());
+  }
+  const TaggingService tagging = TaggingService::Create(4, rng);
+  const ElectionAuthority& authority = election.trip().authority();
+  Executor executor(1);
+  TallyService service(authority, tagging, executor);
+  Outcome<TallyOutput> honest = service.Run(election.ledger(), election.candidates(),
+                                            election.trip().authorized_kiosks(), rng);
+  ASSERT_TRUE(honest.ok()) << honest.status.reason();
+  VerifierParams params = election.verifier_params();
+  params.tagging_commitments = tagging.commitments();
+  auto verify = [&](const TallyOutput& out) {
+    return VerifyElection(election.ledger(), params, election.candidates(), out, executor);
+  };
+  ASSERT_TRUE(verify(*honest).ok());
+  ASSERT_EQ(honest->result.counted, 4u);
+
+  // Items 1 and 2 of the ballot mix output merged into one width-4 item:
+  // the output hash holds, and the merged item's second ballot is dropped.
+  TallyOutput merged = *honest;
+  MixBatch& mixed = merged.transcript.ballot_mix_output;
+  ASSERT_EQ(mixed.size(), 4u);
+  mixed = Rechunk(mixed, {2, 4, 2});
+  RetallyBallots(merged, authority, tagging, election.candidates(), rng);
+  EXPECT_EQ(merged.result.counted, 3u);
+  EXPECT_EQ(verify(merged).reason(),
+            "verifier: ballot mix: mixnet: published output has 3 items, expected 4");
+
+  // A one-pair cascade (two shufflers instead of four), consistent end to
+  // end: only the cascade length tells.
+  TallyOutput short_cascade = *honest;
+  MixProof& proof = short_cascade.transcript.ballot_mix_proof;
+  proof.pairs.resize(1);
+  short_cascade.transcript.ballot_mix_output = proof.pairs[0].out;
+  RetallyBallots(short_cascade, authority, tagging, election.candidates(), rng);
+  EXPECT_EQ(short_cascade.result.counted, 4u);
+  EXPECT_EQ(verify(short_cascade).reason(),
+            "verifier: ballot mix: cascade has 1 pairs, expected 2");
 }
 
 TEST(Tagging, SamePlaintextSameTag) {

@@ -4,6 +4,10 @@
 // link or share to the exact pair/index.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "src/common/bytes.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/sha256.h"
@@ -88,11 +92,12 @@ TEST(ParallelTally, TranscriptByteIdenticalToPreWireSeed) {
   }
 }
 
-// A full election fixture the localization tests tamper with.
+// A full election fixture the localization tests tamper with. Under
+// revoting its transcript carries the revote chain as well.
 struct Fixture {
-  Fixture()
+  explicit Fixture(bool revoting = false)
       : rng(0x10CA1),
-        election(MakeConfig(), rng),
+        election(MakeConfig(revoting), rng),
         vsd(election.trip().MakeVsd()) {
     for (const char* id : {"alice", "bob", "carol"}) {
       auto voter = election.Register(id, 1, vsd, rng);
@@ -104,11 +109,12 @@ struct Fixture {
     EXPECT_TRUE(election.Verify(output).ok());
   }
 
-  static ElectionConfig MakeConfig() {
+  static ElectionConfig MakeConfig(bool revoting) {
     ElectionConfig config;
     config.roster = {"alice", "bob", "carol"};
     config.candidates = {"Alpha", "Beta"};
     config.threads = 8;  // exercise the parallel verifier paths
+    config.revoting = revoting;
     return config;
   }
 
@@ -118,54 +124,106 @@ struct Fixture {
   TallyOutput output;
 };
 
-TEST(ParallelVerifier, CorruptedLinkLocalizedToExactPairAndIndex) {
-  Fixture f;
-  // Tamper with one reveal's randomness in pair 1: the batched MSM rejects
-  // and the (parallel) per-link fallback must name pair 1 and the index.
-  TallyOutput bad = f.output;
-  ASSERT_GT(bad.transcript.ballot_mix_proof.pairs.size(), 1u);
-  auto& reveal = bad.transcript.ballot_mix_proof.pairs[1].reveals[2];
-  reveal.randomness[0] = reveal.randomness[0] + Scalar::One();
-  Status status = f.election.Verify(bad);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.reason().find("re-encryption check failed at pair 1 index 2"),
-            std::string::npos)
-      << status.reason();
+// One chain of a tallied transcript: its mix proof, tagging steps and tag
+// decryption shares.
+struct ChainParts {
+  MixProof& proof;
+  std::vector<TaggingStep>& steps;
+  std::vector<std::vector<DecryptionShare>>& tag_shares;
+};
+
+ChainParts PartsOf(TallyTranscript& t, const std::string& chain) {
+  if (chain == "ballot") {
+    return {t.ballot_mix_proof, t.ballot_tag_steps, t.ballot_tag_shares};
+  }
+  if (chain == "roster") {
+    return {t.roster_mix_proof, t.roster_tag_steps, t.roster_tag_shares};
+  }
+  return {t.revote.mix_proof, t.revote.tag_steps, t.revote.tag_shares};
 }
 
-TEST(ParallelVerifier, CorruptedShareLocalizedToExactIndex) {
-  Fixture f;
-  // Tamper with one decryption share of ballot-tag ciphertext 2: the batch
-  // rejects; localization must name that ciphertext index.
-  TallyOutput bad = f.output;
-  ASSERT_GT(bad.transcript.ballot_tag_shares.size(), 2u);
-  bad.transcript.ballot_tag_shares[2][1].share =
-      bad.transcript.ballot_tag_shares[2][1].share + RistrettoPoint::Base();
-  Status status = f.election.Verify(bad);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.reason().find("ballot tags: share proof invalid at 2"),
-            std::string::npos)
-      << status.reason();
+// Runs `check` on the ballot and roster chains of a legacy tally and on the
+// revote chain of a revoting one.
+void ForEachChain(const std::function<void(Fixture&, const std::string&)>& check) {
+  for (bool revoting : {false, true}) {
+    Fixture f(revoting);
+    const std::vector<std::string> chains = revoting ? std::vector<std::string>{"revote"}
+                                                     : std::vector<std::string>{"ballot", "roster"};
+    for (const std::string& chain : chains) {
+      SCOPED_TRACE(chain);
+      check(f, chain);
+    }
+  }
 }
 
-TEST(ParallelVerifier, CorruptedTaggingProofLocalized) {
+TEST(ParallelVerifier, EveryChainLocalizesItsTampers) {
+  // Each tamper makes a batched check reject (the pair's link MSM, the
+  // tagging chain's DLEQ batch, the tag shares' DLEQ batch); the per-item
+  // fallback must then name the exact pair, proof or ciphertext.
+  struct Tamper {
+    const char* name;
+    void (*apply)(ChainParts);
+    const char* prefix;  // after "verifier: <chain> "
+    const char* detail;  // anywhere in the reason
+  };
+  const Tamper tampers[] = {
+      {"reveal randomness at pair 1, index 2",
+       [](ChainParts c) {
+         Scalar& r = c.proof.pairs.at(1).reveals.at(2).randomness.at(0);
+         r = r + Scalar::One();
+       },
+       "mix: mixnet: ", "re-encryption check failed at pair 1 index 2"},
+      // The wire caches move with their points, so the caches stay
+      // consistent and it is the proofs that fail. (Moving points alone is
+      // a stale cache: see CorruptedTaggingWireCacheLocalized.)
+      {"tagging step 0 outputs 0 and 1 swapped",
+       [](ChainParts c) {
+         TaggingStep& step = c.steps.at(0);
+         ASSERT_TRUE(step.HasWire());
+         std::swap(step.output.at(0), step.output.at(1));
+         std::swap(step.output_wire.at(0), step.output_wire.at(1));
+       },
+       "tagging: tagging: proof 0 invalid", ""},
+      {"share of tag ciphertext 2 shifted by B",
+       [](ChainParts c) {
+         DecryptionShare& share = c.tag_shares.at(2).at(1);
+         share.share = share.share + RistrettoPoint::Base();
+       },
+       "tags: share proof invalid at 2", ""},
+  };
+  ForEachChain([&](Fixture& f, const std::string& chain) {
+    for (const Tamper& tamper : tampers) {
+      SCOPED_TRACE(tamper.name);
+      TallyOutput bad = f.output;
+      tamper.apply(PartsOf(bad.transcript, chain));
+      Status status = f.election.Verify(bad);
+      ASSERT_FALSE(status.ok());
+      EXPECT_EQ(status.reason().rfind("verifier: " + chain + " " + tamper.prefix, 0), 0u)
+          << status.reason();
+      EXPECT_NE(status.reason().find(tamper.detail), std::string::npos) << status.reason();
+    }
+  });
+}
+
+TEST(ParallelVerifier, EveryCascadeMustHaveKMixPairs) {
+  ForEachChain([](Fixture& f, const std::string& chain) {
+    TallyOutput bad = f.output;
+    PartsOf(bad.transcript, chain).proof.pairs.resize(1);
+    EXPECT_EQ(f.election.Verify(bad).reason(),
+              "verifier: " + chain + " mix: cascade has 1 pairs, expected 2");
+  });
+}
+
+TEST(ParallelVerifier, RosterMixInputItemMustBeExactlyTheCredential) {
+  // An empty item used to throw std::out_of_range out of the verifier.
   Fixture f;
-  TallyOutput bad = f.output;
-  ASSERT_FALSE(bad.transcript.roster_tag_steps.empty());
-  // Swap one tagging output ciphertext for another — wire caches included,
-  // so the caches stay internally consistent and it is the *proofs* that no
-  // longer verify; the batched chain check falls back per-item. (Swapping
-  // points alone is caught earlier, as a stale wire cache — see
-  // CorruptedTaggingWireCacheLocalized.)
-  auto& step = bad.transcript.roster_tag_steps[0];
-  ASSERT_GT(step.output.size(), 1u);
-  std::swap(step.output[0], step.output[1]);
-  ASSERT_TRUE(step.HasWire());
-  std::swap(step.output_wire[0], step.output_wire[1]);
-  Status status = f.election.Verify(bad);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.reason().find("tagging: proof 0 invalid"), std::string::npos)
-      << status.reason();
+  TallyOutput empty = f.output;
+  empty.transcript.roster_mix_input.at(0).cts.clear();
+  EXPECT_EQ(f.election.Verify(empty).reason(), "verifier: roster mix input 0 differs");
+  TallyOutput wide = f.output;
+  std::vector<ElGamalCiphertext>& cts = wide.transcript.roster_mix_input.at(0).cts;
+  cts.push_back(wide.transcript.roster_mix_input.at(1).cts.at(0));
+  EXPECT_EQ(f.election.Verify(wide).reason(), "verifier: roster mix input 0 differs");
 }
 
 TEST(ParallelVerifier, CorruptedTaggingWireCacheLocalized) {
