@@ -1,15 +1,19 @@
 #include "src/crypto/batch.h"
 
 #include <array>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/executor.h"
+#include "src/crypto/drbg.h"
 #include "src/crypto/msm.h"
 #include "src/crypto/sha512.h"
 
 namespace votegral {
 
 namespace {
+
+constexpr std::string_view kSignatureBatchWeightDomain = "votegral/schnorr/batch-weights/v1";
 
 Scalar SchnorrChallenge(const CompressedRistretto& r_bytes,
                         const CompressedRistretto& pk_bytes,
@@ -19,6 +23,14 @@ Scalar SchnorrChallenge(const CompressedRistretto& r_bytes,
       {AsBytes("votegral/schnorr/challenge/v1"), r_bytes, pk_bytes, message});
   return Scalar::FromBytesWide(digest);
 }
+
+// Public keys are canonical ristretto encodings, statistically uniform
+// bytes, so the low 8 bytes are already a good hash.
+struct WireKeyHash {
+  size_t operator()(const CompressedRistretto& key) const {
+    return static_cast<size_t>(LoadLe64(key.data()));
+  }
+};
 
 // Reports the lowest failed entry index, or OK. Per-entry failure flags are
 // written positionally by parallel workers, so the report is deterministic.
@@ -38,27 +50,42 @@ Status BatchVerifySchnorr(std::span<const SchnorrBatchEntry> entries, Rng& rng) 
   // multiplication; the shared-doubling/bucket engine amortizes the group
   // work to a few additions per signature.
   //
-  // Entry preparation splits into two pooled passes: the (pk, R) bytes of
-  // every entry go through one batched ristretto decode — the per-entry
-  // inverse-square-root cost, fanned out with fixed positions — and a second
-  // pass hashes challenges and writes the weighted terms, with each shard
-  // accumulating a partial of the fixed-base coefficient merged in shard
-  // order. Weights are drawn from `rng` up front, sequentially, so the
-  // weight stream is independent of scheduling.
+  // Entry preparation splits into two pooled passes: every R and every
+  // distinct public key go through one batched ristretto decode — the
+  // per-point inverse-square-root cost, fanned out with fixed positions —
+  // and a second pass hashes challenges and writes the weighted terms, with
+  // each shard accumulating a partial of the fixed-base coefficient merged
+  // in shard order. Weights are drawn from `rng` up front, sequentially, so
+  // the weight stream is independent of scheduling.
   const size_t n = entries.size();
   std::vector<Scalar> weights(n);
   for (Scalar& w : weights) {
     w = RandomRlcWeight(rng);
   }
 
+  // Term 2i is entry i's public key, term 2i+1 its R. A batch over a few
+  // signers (the kiosks and officials of a board shard) repeats its keys, so
+  // a key is decoded at its first occurrence only; `slot[t]` is the decoded
+  // point backing term t.
   std::vector<CompressedRistretto> raw(2 * n);
+  std::vector<CompressedRistretto> unique;
+  std::vector<size_t> slot(2 * n);
+  unique.reserve(2 * n);
+  std::unordered_map<CompressedRistretto, size_t, WireKeyHash> first_seen;
   for (size_t i = 0; i < n; ++i) {
     raw[2 * i] = entries[i].public_key;
     raw[2 * i + 1] = entries[i].signature.r_bytes;
+    auto [it, inserted] = first_seen.try_emplace(raw[2 * i], unique.size());
+    if (inserted) {
+      unique.push_back(raw[2 * i]);
+    }
+    slot[2 * i] = it->second;
+    slot[2 * i + 1] = unique.size();
+    unique.push_back(raw[2 * i + 1]);
   }
-  std::vector<RistrettoPoint> decoded(2 * n);
-  std::vector<uint8_t> decode_ok(2 * n, 0);
-  BatchDecodePoints(raw, decoded, decode_ok);
+  std::vector<RistrettoPoint> decoded(unique.size());
+  std::vector<uint8_t> decode_ok(unique.size(), 0);
+  BatchDecodePoints(unique, decoded, decode_ok);
 
   std::vector<Scalar> scalars(2 * n);
   std::vector<RistrettoPoint> points(2 * n);
@@ -69,7 +96,7 @@ Status BatchVerifySchnorr(std::span<const SchnorrBatchEntry> entries, Rng& rng) 
     Scalar sum = Scalar::Zero();
     for (size_t i = shards[s].first; i < shards[s].second; ++i) {
       const SchnorrBatchEntry& entry = entries[i];
-      if (!decode_ok[2 * i] || !decode_ok[2 * i + 1]) {
+      if (!decode_ok[slot[2 * i]] || !decode_ok[slot[2 * i + 1]]) {
         bad[i] = 1;
         continue;
       }
@@ -77,9 +104,9 @@ Status BatchVerifySchnorr(std::span<const SchnorrBatchEntry> entries, Rng& rng) 
                                           entry.message);
       sum = sum + weights[i] * entry.signature.s;
       scalars[2 * i] = -(weights[i] * challenge);
-      points[2 * i] = decoded[2 * i];
+      points[2 * i] = decoded[slot[2 * i]];
       scalars[2 * i + 1] = -weights[i];
-      points[2 * i + 1] = decoded[2 * i + 1];
+      points[2 * i + 1] = decoded[slot[2 * i + 1]];
     }
     return sum;
   });
@@ -98,6 +125,64 @@ Status BatchVerifySchnorr(std::span<const SchnorrBatchEntry> entries, Rng& rng) 
     return Status::Error("batch-schnorr: combined verification equation failed");
   }
   return Status::Ok();
+}
+
+std::array<uint8_t, 64> SchnorrBatchWeightSeed(std::string_view domain,
+                                               std::span<const SchnorrBatchEntry> entries) {
+  Sha512 h;
+  h.Update(AsBytes(domain));
+  for (const SchnorrBatchEntry& entry : entries) {
+    std::array<uint8_t, 8> length;
+    StoreLe64(length.data(), entry.message.size());
+    h.Update(entry.public_key);
+    h.Update(length);
+    h.Update(entry.message);
+    h.Update(entry.signature.r_bytes);
+    h.Update(entry.signature.s.ToBytes());
+  }
+  return h.Finalize();
+}
+
+void VerifySchnorrGroups(std::span<const SchnorrBatchEntry> entries,
+                         std::span<const size_t> group_end, std::span<uint8_t> bad) {
+  const size_t groups = group_end.size();
+  Require(bad.size() == groups && (groups == 0 ? entries.empty()
+                                               : group_end.back() == entries.size()),
+          "batch-schnorr: group layout does not cover the entries");
+  auto first = [&](size_t g) { return g == 0 ? size_t{0} : group_end[g - 1]; };
+  // Groups [lo, hi) as one batch, weighted from its own entries.
+  auto range_ok = [&](size_t lo, size_t hi) {
+    std::span<const SchnorrBatchEntry> range =
+        entries.subspan(first(lo), group_end[hi - 1] - first(lo));
+    ChaChaRng weights(SchnorrBatchWeightSeed(kSignatureBatchWeightDomain, range));
+    return BatchVerifySchnorr(range, weights).ok();
+  };
+  if (groups == 0 || range_ok(0, groups)) {
+    return;
+  }
+  // [lo, hi) holds a bad signature: follow it while only one half fails.
+  size_t lo = 0;
+  size_t hi = groups;
+  while (hi - lo > 1) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (range_ok(lo, mid)) {
+      lo = mid;  // so the right half fails
+    } else if (range_ok(mid, hi)) {
+      hi = mid;
+    } else {
+      for (size_t g = lo; g < hi; ++g) {
+        for (size_t e = first(g); e < group_end[g]; ++e) {
+          const SchnorrBatchEntry& entry = entries[e];
+          if (!SchnorrVerify(entry.public_key, entry.message, entry.signature).ok()) {
+            bad[g] = 1;
+            break;
+          }
+        }
+      }
+      return;
+    }
+  }
+  bad[lo] = 1;
 }
 
 std::array<uint8_t, 64> DleqBatchWeightSeed(std::string_view domain,
@@ -121,11 +206,11 @@ Status BatchVerifyDleq(std::span<const DleqBatchEntry> entries, Rng& rng) {
   // caller carry producer-local encodings, and transcripts carry the
   // prover's commit encodings — but the latter are attacker data, so before
   // any cached byte may bind challenge bits, every present commit cache is
-  // decoded back and recompared against the commit points in one batched
-  // ristretto decode pass (the PR 2 MixItem rule; a stale or forged cache is
-  // a localized failure). Challenge recomputation is then SHA-only for fully
-  // cached entries; entries without caches fall back to encode-per-point,
-  // which also keeps the pre-wire framing benchable.
+  // checked against its commit point in one BatchValidateEncodings pass (the
+  // MixItem rule; a stale or forged cache is a localized failure).
+  // Challenge recomputation is then SHA-only for fully cached entries;
+  // entries without caches fall back to encode-per-point, which also keeps
+  // the pre-wire framing benchable.
   const size_t n = entries.size();
   std::vector<size_t> offset(n + 1, 0);  // term offset (3 per pair)
   for (size_t i = 0; i < n; ++i) {

@@ -43,8 +43,36 @@ struct SchnorrBatchEntry {
 
 // Verifies all entries at once. Empty batches verify trivially. On failure
 // the batch only reports *that* something failed; callers fall back to the
-// per-item path to locate it.
+// per-item path to locate it (VerifySchnorrGroups does so by bisection).
+// Each distinct public key is decoded once however many entries repeat it.
 Status BatchVerifySchnorr(std::span<const SchnorrBatchEntry> entries, Rng& rng);
+
+// Deterministic weight seed for a BatchVerifySchnorr call: SHA-512 under
+// `domain` over every entry's public key, length-prefixed message and
+// signature bytes. Any auditor derives the same weights, and no tally or
+// verifier random stream is consumed; whoever forms the signatures cannot
+// predict the weights without fixing every signature first.
+std::array<uint8_t, 64> SchnorrBatchWeightSeed(std::string_view domain,
+                                               std::span<const SchnorrBatchEntry> entries);
+
+// Per-group verdicts for signatures that come in consecutive groups (the
+// two signatures of one ballot, or of one registration record): group g owns
+// entries [group_end[g-1], group_end[g]) (group_end[-1] = 0), and bad[g] is
+// set to 1 exactly when some entry of group g fails SchnorrVerify. Empty
+// groups pass.
+//
+// All entries are first checked as one BatchVerifySchnorr with weights from
+// SchnorrBatchWeightSeed under "votegral/schnorr/batch-weights/v1", the
+// domain of every signature batch on the board. A failing range
+// bisects: when exactly one half fails (a half that is not checked because
+// its sibling passed counts as failing) the search continues in it, down to
+// a single group; when both halves fail, that range is checked signature by
+// signature. Every range runs as its own seeded batch. A failed batch always
+// holds a bad signature, so the verdicts are the per-item verdicts (a passed
+// batch errs with probability 2^-128), and the search is one path: at most
+// one per-item pass over the range plus about three batch checks of it.
+void VerifySchnorrGroups(std::span<const SchnorrBatchEntry> entries,
+                         std::span<const size_t> group_end, std::span<uint8_t> bad);
 
 // One Fiat–Shamir DLEQ verification instance. Statements should carry their
 // producer-local wire caches (see src/crypto/dleq.h trust model) so challenge
@@ -59,8 +87,9 @@ struct DleqBatchEntry {
 
 // Verifies all DLEQ proofs at once (challenge recomputation stays per-item;
 // the group equations are combined). Present transcript commit caches are
-// decoded back and recompared in one batched pass before they may bind
-// challenge bits; a stale or forged cache is a localized per-entry failure.
+// checked against their points in one BatchValidateEncodings pass before
+// they may bind challenge bits; a stale or forged cache is a localized
+// per-entry failure.
 Status BatchVerifyDleq(std::span<const DleqBatchEntry> entries, Rng& rng);
 
 // Deterministic weight seed for auditor-reproducible BatchVerifyDleq calls:

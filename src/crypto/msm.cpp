@@ -172,14 +172,16 @@ uint32_t ExtractWindow(const std::array<uint8_t, 32>& bytes, size_t bit, int w) 
 // running-suffix trick:
 //   sum_d d * bucket[d] = sum over suffixes of (bucket[max] + ... + bucket[d]),
 // i.e. two additions per bucket instead of a multiplication per bucket.
-// Terms are the caller's points as they are, so each addition converts its
-// point again (one multiplication): a prepared copy of all n points would
-// save that multiplication per window but costs a second n-point array,
-// which showed in the tally's peak memory. Returns whether any digit was
-// nonzero.
-bool PippengerWindowPass(std::span<const RistrettoPoint> points,
-                         std::span<const int16_t> digits, size_t win, size_t nwindows,
-                         size_t nbuckets, RistrettoPoint* window_total) {
+// `Addend` is CachedPoint when the caller copies its terms anyway
+// (MultiScalarMulShared copies them prepared, so an addition costs eight
+// multiplications), or RistrettoPoint for the caller's own points
+// (MultiScalarMul: each addition converts its point again, nine; a prepared
+// copy there would be a second n-point array, which showed in the tally's
+// peak memory). Returns whether any digit was nonzero.
+template <typename Addend>
+bool PippengerWindowPass(std::span<const Addend> points, std::span<const int16_t> digits,
+                         size_t win, size_t nwindows, size_t nbuckets,
+                         RistrettoPoint* window_total) {
   const size_t n = points.size();
   std::vector<RistrettoPoint> buckets(nbuckets);
   bool any = false;
@@ -203,8 +205,8 @@ bool PippengerWindowPass(std::span<const RistrettoPoint> points,
   return any;
 }
 
-RistrettoPoint PippengerMsm(std::span<const Scalar> scalars,
-                            std::span<const RistrettoPoint> points) {
+template <typename Addend>
+RistrettoPoint PippengerMsm(std::span<const Scalar> scalars, std::span<const Addend> points) {
   const size_t n = scalars.size();
   const int w = PippengerWindow(n);
   const size_t nbuckets = size_t{1} << (w - 1);
@@ -245,8 +247,8 @@ RistrettoPoint PippengerMsm(std::span<const Scalar> scalars,
   std::vector<RistrettoPoint> window_totals(nwindows);
   std::vector<uint8_t> window_any(nwindows, 0);
   executor.ParallelForEach(nwindows, [&](size_t win) {
-    window_any[win] = PippengerWindowPass(points, digits, win, nwindows, nbuckets,
-                                          &window_totals[win])
+    window_any[win] = PippengerWindowPass<Addend>(points, digits, win, nwindows, nbuckets,
+                                                  &window_totals[win])
                           ? 1
                           : 0;
   });
@@ -287,12 +289,13 @@ RistrettoPoint MultiScalarMulShared(const Scalar& base_scalar,
           "msm: shared batch size mismatch");
 
   // Collapse pass: first-seen order, scalar sums for repeated keys, basepoint
-  // terms folded into the fixed-base coefficient.
+  // terms folded into the fixed-base coefficient. A term is recorded by its
+  // first input index and copied once the collapsed count picks the regime.
   Scalar base_acc = base_scalar;
   std::vector<Scalar> term_scalars;
-  std::vector<RistrettoPoint> term_points;
+  std::vector<size_t> term_source;
   term_scalars.reserve(n);
-  term_points.reserve(n);
+  term_source.reserve(n);
   std::unordered_map<CompressedRistretto, size_t, WireKeyHash> first_seen;
   const CompressedRistretto& base_wire = RistrettoPoint::BaseWire();
   uint64_t collapsed = 0;
@@ -311,12 +314,28 @@ RistrettoPoint MultiScalarMulShared(const Scalar& base_scalar,
       }
     }
     term_scalars.push_back(scalars[i]);
-    term_points.push_back(points[i]);
+    term_source.push_back(i);
   }
   if (collapsed != 0) {
     g_collapsed_terms.fetch_add(collapsed, std::memory_order_relaxed);
   }
-  return MultiScalarMulWithBase(base_acc, term_scalars, term_points);
+  const size_t terms = term_source.size();
+  if (terms < kPippengerThreshold) {
+    std::vector<RistrettoPoint> term_points(terms);
+    for (size_t k = 0; k < terms; ++k) {
+      term_points[k] = points[term_source[k]];
+    }
+    return MultiScalarMulWithBase(base_acc, term_scalars, term_points);
+  }
+  // Pippenger adds every term once per window (~30 windows), so the copy is
+  // the prepared addend: its conversion is paid once, not once per window.
+  std::vector<CachedPoint> prepared(terms);
+  Executor::Current().ParallelFor(terms, [&](size_t begin, size_t end) {
+    for (size_t k = begin; k < end; ++k) {
+      prepared[k] = CachedPoint(points[term_source[k]]);
+    }
+  });
+  return PippengerMsm<CachedPoint>(term_scalars, prepared) + RistrettoPoint::MulBase(base_acc);
 }
 
 MsmSharedStats SharedMsmStats() {
@@ -336,7 +355,7 @@ RistrettoPoint MultiScalarMul(std::span<const Scalar> scalars,
   if (scalars.size() < kPippengerThreshold) {
     return StrausMsm(nullptr, scalars, points);
   }
-  return PippengerMsm(scalars, points);
+  return PippengerMsm<RistrettoPoint>(scalars, points);
 }
 
 RistrettoPoint MultiScalarMulWithBase(const Scalar& base_scalar,
@@ -349,7 +368,7 @@ RistrettoPoint MultiScalarMulWithBase(const Scalar& base_scalar,
   // At Pippenger scale the fixed-base term is one of thousands; the
   // precomputed-table MulBase (64 additions) is cheaper than widening the
   // bucket pass by one term.
-  return PippengerMsm(scalars, points) + RistrettoPoint::MulBase(base_scalar);
+  return PippengerMsm<RistrettoPoint>(scalars, points) + RistrettoPoint::MulBase(base_scalar);
 }
 
 RistrettoPoint MultiScalarMulNaive(std::span<const Scalar> scalars,

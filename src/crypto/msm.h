@@ -67,7 +67,9 @@ RistrettoPoint MultiScalarMulNaive(std::span<const Scalar> scalars,
 // Entries whose key equals RistrettoPoint::BaseWire() fold into
 // `base_scalar` and ride the width-8 fixed-base table. Other repeated keys
 // collapse into the first occurrence (deterministic first-seen order). The
-// collapsed terms then go to MultiScalarMulWithBase.
+// collapsed terms then go to MultiScalarMulWithBase; at Pippenger scale they
+// are copied as prepared addends (CachedPoint), so the bucket passes do not
+// convert every term again in every window.
 RistrettoPoint MultiScalarMulShared(const Scalar& base_scalar,
                                     std::span<const Scalar> scalars,
                                     std::span<const RistrettoPoint> points,

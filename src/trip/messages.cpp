@@ -112,10 +112,15 @@ Outcome<CheckOutSegment> CheckOutSegment::Parse(std::span<const uint8_t> bytes) 
 }
 
 Bytes CheckOutSegment::SignedPayload() const {
+  return SignedPayload(voter_id, public_credential.Wire());
+}
+
+Bytes CheckOutSegment::SignedPayload(std::string_view voter_id,
+                                     const ElGamalWire& credential_wire) {
   ByteWriter w;
   w.Str(kCheckoutDomain);
   w.Str(voter_id);
-  w.Fixed(public_credential.Serialize());
+  w.Fixed(credential_wire);
   return w.Take();
 }
 

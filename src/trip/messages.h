@@ -79,6 +79,8 @@ struct CheckOutSegment {
   Bytes Serialize() const;
   static Outcome<CheckOutSegment> Parse(std::span<const uint8_t> bytes);
   Bytes SignedPayload() const;
+  // The same bytes from the already-encoded public credential.
+  static Bytes SignedPayload(std::string_view voter_id, const ElGamalWire& credential_wire);
 };
 
 // Receipt segment 3 — the response QR q_r = (c_sk, r, K_pk, σ_kr). Contains

@@ -1,6 +1,7 @@
 #include "src/trip/official.h"
 
 #include "src/common/serde.h"
+#include "src/crypto/batch.h"
 #include "src/trip/kiosk.h"
 
 namespace votegral {
@@ -9,15 +10,33 @@ namespace {
 
 constexpr std::string_view kOfficialDomain = "trip/sig/official-checkout/v1";
 
+Bytes OfficialPayload(std::string_view voter_id, const ElGamalWire& credential_wire,
+                      const SchnorrSignature& kiosk_sig) {
+  ByteWriter w;
+  w.Str(kOfficialDomain);
+  w.Str(voter_id);
+  w.Fixed(credential_wire);
+  w.Fixed(kiosk_sig.Serialize());
+  return w.Take();
+}
+
+// A record's σ_kot and σ_o as batch entries, both messages built from one
+// encoding of its public credential.
+std::array<SchnorrBatchEntry, 2> RecordSignatureEntries(const RegistrationRecord& record) {
+  const ElGamalWire credential = record.public_credential.Wire();
+  return {SchnorrBatchEntry{record.kiosk_pk,
+                            CheckOutSegment::SignedPayload(record.voter_id, credential),
+                            record.kiosk_sig},
+          SchnorrBatchEntry{record.official_pk,
+                            OfficialPayload(record.voter_id, credential, record.kiosk_sig),
+                            record.official_sig}};
+}
+
 }  // namespace
 
 Bytes OfficialCheckOutPayload(const CheckOutSegment& checkout) {
-  ByteWriter w;
-  w.Str(kOfficialDomain);
-  w.Str(checkout.voter_id);
-  w.Fixed(checkout.public_credential.Serialize());
-  w.Fixed(checkout.kiosk_sig.Serialize());
-  return w.Take();
+  return OfficialPayload(checkout.voter_id, checkout.public_credential.Wire(),
+                         checkout.kiosk_sig);
 }
 
 Official::Official(SchnorrKeyPair key, Bytes mac_key)
@@ -75,19 +94,43 @@ Status VerifyRegistrationRecord(const RegistrationRecord& record,
   if (authorized_officials.count(record.official_pk) == 0) {
     return Status::Error("registration record: unknown official key");
   }
-  CheckOutSegment checkout;
-  checkout.voter_id = record.voter_id;
-  checkout.public_credential = record.public_credential;
-  checkout.kiosk_pk = record.kiosk_pk;
-  checkout.kiosk_sig = record.kiosk_sig;
-  Status kiosk_sig = SchnorrVerify(record.kiosk_pk, checkout.SignedPayload(), record.kiosk_sig);
-  if (!kiosk_sig.ok()) {
+  const auto [kiosk, official] = RecordSignatureEntries(record);
+  if (!SchnorrVerify(kiosk.public_key, kiosk.message, kiosk.signature).ok()) {
     return Status::Error("registration record: kiosk signature invalid");
   }
-  Status official_sig = SchnorrVerify(record.official_pk, OfficialCheckOutPayload(checkout),
-                                      record.official_sig);
-  if (!official_sig.ok()) {
+  if (!SchnorrVerify(official.public_key, official.message, official.signature).ok()) {
     return Status::Error("registration record: official signature invalid");
+  }
+  return Status::Ok();
+}
+
+Status VerifyRegistrationRecords(std::span<const RegistrationRecord> records,
+                                 const std::set<CompressedRistretto>& authorized_kiosks,
+                                 const std::set<CompressedRistretto>& authorized_officials,
+                                 Executor& executor) {
+  std::vector<uint8_t> bad(records.size(), 0);
+  const auto shards = Executor::Shards(records.size(), Executor::kRngShards);
+  executor.ParallelForEach(shards.size(), [&](size_t s) {
+    const auto [begin, end] = shards[s];
+    std::vector<SchnorrBatchEntry> signatures;
+    signatures.reserve(2 * (end - begin));
+    std::vector<size_t> group_end(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      if (authorized_kiosks.count(records[i].kiosk_pk) != 0 &&
+          authorized_officials.count(records[i].official_pk) != 0) {
+        for (SchnorrBatchEntry& entry : RecordSignatureEntries(records[i])) {
+          signatures.push_back(std::move(entry));
+        }
+      } else {
+        bad[i] = 1;
+      }
+      group_end[i - begin] = signatures.size();
+    }
+    VerifySchnorrGroups(signatures, group_end,
+                        std::span<uint8_t>(bad).subspan(begin, end - begin));
+  });
+  if (auto i = FirstMarked(bad); i.has_value()) {
+    return VerifyRegistrationRecord(records[*i], authorized_kiosks, authorized_officials);
   }
   return Status::Ok();
 }

@@ -7,8 +7,10 @@
 
 #include <functional>
 #include <set>
+#include <span>
 #include <string>
 
+#include "src/common/executor.h"
 #include "src/common/outcome.h"
 #include "src/common/rng.h"
 #include "src/crypto/schnorr.h"
@@ -56,6 +58,16 @@ Bytes OfficialCheckOutPayload(const CheckOutSegment& checkout);
 Status VerifyRegistrationRecord(const RegistrationRecord& record,
                                 const std::set<CompressedRistretto>& authorized_kiosks,
                                 const std::set<CompressedRistretto>& authorized_officials);
+
+// Checks every record as VerifyRegistrationRecord does, with the kiosk and
+// official signatures in per-shard batches (Executor::Shards(n,
+// kRngShards), one VerifySchnorrGroups group per record, weights hashed from
+// the shard's signatures). Returns OK, or VerifyRegistrationRecord's status
+// for the lowest failing record, at any thread count.
+Status VerifyRegistrationRecords(std::span<const RegistrationRecord> records,
+                                 const std::set<CompressedRistretto>& authorized_kiosks,
+                                 const std::set<CompressedRistretto>& authorized_officials,
+                                 Executor& executor);
 
 }  // namespace votegral
 

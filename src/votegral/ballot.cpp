@@ -51,14 +51,13 @@ std::optional<size_t> CandidateList::IndexOfEncoding(const CompressedRistretto& 
   return it->second;
 }
 
-Bytes Ballot::SignedPayload() const {
+Bytes Ballot::SignedPayload() const { return SignedPayloadFromWire(Serialize()); }
+
+Bytes Ballot::SignedPayloadFromWire(std::span<const uint8_t> wire) {
+  Require(wire.size() >= kSignedBodySize, "ballot: wire shorter than the signed body");
   ByteWriter w;
   w.Str(kBallotDomain);
-  w.Fixed(encrypted_vote.Serialize());
-  w.Fixed(credential_pk);
-  w.Fixed(kiosk_pk);
-  w.Fixed(kiosk_cert_hash);
-  w.Fixed(kiosk_cert.Serialize());
+  w.Fixed(wire.first(kSignedBodySize));
   return w.Take();
 }
 
@@ -217,6 +216,16 @@ Status CheckBallot(const Ballot& ballot,
     return Status::Error("ballot: credential signature invalid");
   }
   return Status::Ok();
+}
+
+std::array<SchnorrBatchEntry, 2> BallotSignatureEntries(const Ballot& ballot,
+                                                        std::span<const uint8_t> wire) {
+  return {SchnorrBatchEntry{ballot.kiosk_pk,
+                            ResponseSegment::SignedPayload(ballot.credential_pk,
+                                                           ballot.kiosk_cert_hash),
+                            ballot.kiosk_cert},
+          SchnorrBatchEntry{ballot.credential_pk, Ballot::SignedPayloadFromWire(wire),
+                            ballot.credential_sig}};
 }
 
 }  // namespace votegral

@@ -16,6 +16,7 @@
 
 #include "src/common/outcome.h"
 #include "src/common/rng.h"
+#include "src/crypto/batch.h"
 #include "src/crypto/elgamal.h"
 #include "src/crypto/schnorr.h"
 #include "src/trip/vsd.h"
@@ -60,6 +61,13 @@ struct Ballot {
 
   // The byte string credential_sig covers.
   Bytes SignedPayload() const;
+
+  // The same byte string from a serialized ballot, which begins with the
+  // kSignedBodySize bytes the signature covers. Parse accepts only
+  // canonical encodings, so for a parsed ballot this equals SignedPayload()
+  // without encoding any point again.
+  static constexpr size_t kSignedBodySize = 224;
+  static Bytes SignedPayloadFromWire(std::span<const uint8_t> wire);
 };
 
 // Forms a ballot for `candidate_index` using an activated credential.
@@ -72,6 +80,12 @@ Ballot MakeBallot(const ActivatedCredential& credential, const CandidateList& ca
 // credential restriction that keeps Votegral's filtering out of Civitas'
 // quadratic PET regime (§7.4).
 Status CheckBallot(const Ballot& ballot, const std::set<CompressedRistretto>& authorized_kiosks);
+
+// The two signatures CheckBallot verifies after the kiosk authorization, as
+// batch entries: the kiosk certificate, then the credential signature, whose
+// message comes from `wire` (the ballot's serialized bytes, as posted).
+std::array<SchnorrBatchEntry, 2> BallotSignatureEntries(const Ballot& ballot,
+                                                        std::span<const uint8_t> wire);
 
 // --- Deniable revoting (docs/REVOTING.md) ----------------------------------
 //

@@ -163,8 +163,9 @@ Status TaggingService::VerifyChain(const std::vector<ElGamalCiphertext>& input,
   }
 
   // Wire pass: produce per-step ciphertext bytes the statement caches can
-  // trust. Steps carrying output_wire are attacker data — decode every
-  // cached point back and recompare in one pooled pass (the MixItem rule);
+  // trust. Steps carrying output_wire are attacker data — every cached
+  // string must be the canonical encoding of its point, checked in one
+  // pooled BatchValidateEncodings pass (exact, no inverse square roots);
   // a mismatch is a localized failure. Cacheless steps (and a cacheless
   // chain input) are encoded fresh — once per chain, where the pre-wire
   // verifier paid one encode per point per challenge hash.
@@ -186,8 +187,9 @@ Status TaggingService::VerifyChain(const std::vector<ElGamalCiphertext>& input,
         n, [&, i](size_t j) { fresh_step_wire[i][j] = steps[i].output[j].Wire(); });
   }
   {
-    // Flat decode of every cached component (2 points per ciphertext).
+    // Every cached component against its point (2 per ciphertext).
     std::vector<CompressedRistretto> cache_bytes;
+    std::vector<RistrettoPoint> cache_points;
     std::vector<std::pair<size_t, size_t>> cache_slot;  // (step, item)
     for (size_t i = 0; i < steps.size(); ++i) {
       if (!steps[i].HasWire()) {
@@ -196,23 +198,18 @@ Status TaggingService::VerifyChain(const std::vector<ElGamalCiphertext>& input,
       for (size_t j = 0; j < n; ++j) {
         cache_bytes.push_back(ElGamalWireHalf(steps[i].output_wire[j], 0));
         cache_bytes.push_back(ElGamalWireHalf(steps[i].output_wire[j], 1));
+        cache_points.push_back(steps[i].output[j].c1);
+        cache_points.push_back(steps[i].output[j].c2);
         cache_slot.emplace_back(i, j);
       }
     }
-    std::vector<RistrettoPoint> cache_points(cache_bytes.size());
     std::vector<uint8_t> cache_ok(cache_bytes.size(), 0);
-    BatchDecodePoints(cache_bytes, cache_points, cache_ok);
-    std::vector<uint8_t> bad(cache_slot.size(), 0);
-    executor.ParallelForEach(cache_slot.size(), [&](size_t k) {
-      auto [i, j] = cache_slot[k];
-      const ElGamalCiphertext& ct = steps[i].output[j];
-      if (!cache_ok[2 * k] || !cache_ok[2 * k + 1] ||
-          !(cache_points[2 * k] == ct.c1) || !(cache_points[2 * k + 1] == ct.c2)) {
-        bad[k] = 1;
+    if (BatchValidateEncodings(cache_points, cache_bytes, cache_ok) != 0) {
+      size_t k = 0;
+      while (cache_ok[2 * k] && cache_ok[2 * k + 1]) {
+        ++k;
       }
-    });
-    if (auto k = FirstMarked(bad); k.has_value()) {
-      auto [i, j] = cache_slot[*k];
+      auto [i, j] = cache_slot[k];
       return Status::Error("tagging: step " + std::to_string(i) +
                            " output wire cache does not match ciphertexts at index " +
                            std::to_string(j));

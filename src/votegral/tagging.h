@@ -39,8 +39,9 @@ struct TaggingStep {
   // Canonical wire bytes of `output`, filled by the prover in the same
   // parallel pass that computed the points (each proof's challenge hashes
   // them anyway, so they are free to retain). Attacker data on the verify
-  // side: VerifyChain decodes and recompares them before they may enter any
-  // statement cache — exactly the MixItem rule. Empty on legacy transcripts.
+  // side: VerifyChain checks each is the canonical encoding of its point
+  // (BatchValidateEncodings) before it may enter any statement cache —
+  // exactly the MixItem rule. Empty on legacy transcripts.
   std::vector<ElGamalWire> output_wire;
 
   bool HasWire() const { return !output.empty() && output_wire.size() == output.size(); }

@@ -79,9 +79,10 @@ Status ProbeStageFault(std::string_view point, uint64_t scope, const char* what)
 
 // Validate-stage kernel: parses and signature-checks ledger ballots
 // [begin, end), streaming them off a per-shard cursor (zero-copy segment
-// views — at most one segment resident per shard). Writes `validated[i]`
-// and an outcome code into `outcome[i]` positionally; disjoint ranges may
-// run concurrently.
+// views — at most one segment resident per shard), with the range's
+// signatures in one VerifySchnorrGroups batch (one group per ballot). Writes
+// `validated[i]` and an outcome code into `outcome[i]` positionally, the
+// codes CheckBallot's verdicts give; disjoint ranges may run concurrently.
 enum : uint8_t {
   kBallotOk = 0,
   kBallotBadStructure = 1,

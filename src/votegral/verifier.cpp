@@ -77,7 +77,8 @@ Status VerifyTallyCascade(const MixBatch& input, const MixBatch& output, const M
 // caller threads validated bytes (mix caches checked by VerifyRpcMixCascade,
 // tagging wires checked by VerifyChain) or one fresh encode otherwise, and
 // the share point itself encoded once. The proofs' own commit caches are
-// attacker data; BatchVerifyDleq decodes and recompares them before hashing.
+// attacker data; BatchVerifyDleq validates them against the commit points
+// before hashing.
 Status VerifyAndDecryptAll(const std::vector<ElGamalCiphertext>& cts,
                            const std::vector<std::vector<DecryptionShare>>& shares,
                            const VerifierParams& params, Executor& executor,
@@ -175,6 +176,16 @@ Status VerifyAndDecryptAll(const std::vector<ElGamalCiphertext>& cts,
   return Status::Error("verifier: " + what + ": batched share check failed");
 }
 
+// Field-wise ballot equality (no re-encoding: two Serialize calls cost four
+// point encodings per accepted ballot, point equality a few multiplications).
+bool SameBallot(const Ballot& a, const Ballot& b) {
+  return a.encrypted_vote == b.encrypted_vote && a.credential_pk == b.credential_pk &&
+         a.kiosk_pk == b.kiosk_pk && a.kiosk_cert_hash == b.kiosk_cert_hash &&
+         a.kiosk_cert.r_bytes == b.kiosk_cert.r_bytes && a.kiosk_cert.s == b.kiosk_cert.s &&
+         a.credential_sig.r_bytes == b.credential_sig.r_bytes &&
+         a.credential_sig.s == b.credential_sig.s;
+}
+
 // Field-wise revote ballot equality (no re-encoding: point equality is
 // cheaper than Serialize for a 6-point ballot, and this runs once per ledger
 // entry).
@@ -191,8 +202,10 @@ bool SameRevoteBallot(const RevoteBallot& a, const RevoteBallot& b) {
 // last-write-wins selection, enforces the cover envelope, and checks that
 // the main ballot mix consumed exactly the kept columns. Every failure is
 // localized — a dropped valid ballot is named by its exact ledger index.
+// The selection's superseded and duplicate_tag counts go to `replayed`.
 Status VerifyRevoteSection(const PublicLedger& ledger, const VerifierParams& params,
-                           const TallyTranscript& t, Executor& executor) {
+                           const TallyTranscript& t, Executor& executor,
+                           TallyDiscards* replayed) {
   const RevoteTranscript& rt = t.revote;
 
   // Board revalidation (parse + binding proof), sharded like the tally.
@@ -353,6 +366,8 @@ Status VerifyRevoteSection(const PublicLedger& ledger, const VerifierParams& par
     return Status::Error("verifier: revote kept set differs from the replayed selection at position " +
                          std::to_string(p));
   }
+  replayed->superseded += selection.superseded;
+  replayed->duplicate_tag += selection.duplicate_tag;
 
   // Cover envelope: with padding on, the revealed group-size multiset must
   // dominate the envelope of the (public) accepted count — miscounted
@@ -404,42 +419,37 @@ Status VerifyElection(const PublicLedger& ledger, const VerifierParams& params,
   // replaces this whole section (and the ballot-mix-input check below) with
   // the supersession replay; a legacy transcript must not smuggle one in.
   std::vector<Ballot> accepted;
+  TallyDiscards replayed;  // the discard counters each replay recomputes
   if (params.revoting) {
     if (!t.accepted_ballots.empty()) {
       return Status::Error("verifier: unexpected legacy accepted set in revote mode");
     }
-    if (Status s = VerifyRevoteSection(ledger, params, t, executor); !s.ok()) {
+    if (Status s = VerifyRevoteSection(ledger, params, t, executor, &replayed); !s.ok()) {
       return s;
     }
   } else {
     if (!t.revote.empty()) {
       return Status::Error("verifier: unexpected revote section");
     }
-    TallyDiscards recomputed_discards;
-    accepted = ValidateAndDeduplicate(ledger, params.authorized_kiosks, &recomputed_discards,
-                                      executor);
+    accepted = ValidateAndDeduplicate(ledger, params.authorized_kiosks, &replayed, executor);
     if (accepted.size() != t.accepted_ballots.size()) {
       return Status::Error("verifier: accepted ballot set size mismatch");
     }
     if (auto i = ParallelFirstFailure(executor, accepted.size(), [&](size_t i) {
-          return accepted[i].Serialize() == t.accepted_ballots[i].Serialize();
+          return SameBallot(accepted[i], t.accepted_ballots[i]);
         });
         i.has_value()) {
       return Status::Error("verifier: accepted ballot " + std::to_string(*i) + " differs");
     }
   }
 
-  // Every registration record's signature chain must verify (independent
-  // per record; first failure reported by roster position).
+  // Every registration record's signature chain must verify (signatures in
+  // per-shard batches; first failure reported by roster position).
   std::vector<RegistrationRecord> roster = ledger.ActiveRegistrations();
-  if (auto i = ParallelFirstFailure(executor, roster.size(), [&](size_t i) {
-        return VerifyRegistrationRecord(roster[i], params.authorized_kiosks,
-                                        params.authorized_officials)
-            .ok();
-      });
-      i.has_value()) {
-    return VerifyRegistrationRecord(roster[*i], params.authorized_kiosks,
-                                    params.authorized_officials);
+  if (Status s = VerifyRegistrationRecords(roster, params.authorized_kiosks,
+                                           params.authorized_officials, executor);
+      !s.ok()) {
+    return s;
   }
 
   // Mix stage replay: inputs must match the accepted ballots / active
@@ -568,7 +578,12 @@ Status VerifyElection(const PublicLedger& ledger, const VerifierParams& params,
   std::vector<uint64_t> weights;
   for (size_t i = 0; i < ballot_tags.size(); ++i) {
     auto it = roster_counts.find(ballot_tags[i]);
-    if (it == roster_counts.end() || it->second == 0) {
+    if (it == roster_counts.end()) {
+      ++replayed.unmatched_tag;
+      continue;
+    }
+    if (it->second == 0) {
+      ++replayed.duplicate_tag;
       continue;
     }
     counted.push_back(i);
@@ -613,7 +628,8 @@ Status VerifyElection(const PublicLedger& ledger, const VerifierParams& params,
     // the bytes (no re-decode / re-encode round trip).
     auto candidate = candidates.IndexOfEncoding(vote_points[i]);
     if (!candidate.has_value()) {
-      continue;  // invalid vote, matches the tally's discard rule
+      ++replayed.invalid_vote;  // matches the tally's discard rule
+      continue;
     }
     uint64_t weight = t.counted_weights.at(i);
     counts[candidates.name(*candidate)] += weight;
@@ -621,6 +637,26 @@ Status VerifyElection(const PublicLedger& ledger, const VerifierParams& params,
   }
   if (counts != output.result.counts || total_counted != output.result.counted) {
     return Status::Error("verifier: final counts do not match published result");
+  }
+
+  // Discards the replays above recompute must match exactly. Not checked:
+  // invalid_structure and invalid_signature. The transcript does not name
+  // the board prefix it tallied (there is no close of polls yet), so a
+  // garbage entry posted after the tally moves them, and such an entry must
+  // not fail an honest tally (ElectionVerifier.RejectsForgedResultAndTranscript,
+  // case 7).
+  constexpr std::pair<const char*, size_t TallyDiscards::*> kReplayedDiscards[] = {
+      {"superseded", &TallyDiscards::superseded},
+      {"unmatched_tag", &TallyDiscards::unmatched_tag},
+      {"duplicate_tag", &TallyDiscards::duplicate_tag},
+      {"invalid_vote", &TallyDiscards::invalid_vote},
+  };
+  for (const auto& [name, field] : kReplayedDiscards) {
+    if (output.result.discards.*field != replayed.*field) {
+      return Status::Error("verifier: published discards." + std::string(name) + " is " +
+                           std::to_string(output.result.discards.*field) +
+                           ", the replay gives " + std::to_string(replayed.*field));
+    }
   }
   return Status::Ok();
 }

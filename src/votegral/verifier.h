@@ -2,14 +2,16 @@
 // the published tally transcript can re-check the entire pipeline — no
 // secrets required. The verifier recomputes the validated ballot set,
 // re-verifies every mix (each cascade must have kMixPairs pairs), tagging
-// and decryption proof, replays the tag join, and recounts.
+// and decryption proof, replays the tag join, recounts, and checks the
+// discard counters those replays recompute.
 //
-// Parallel architecture: the expensive sections — ballot revalidation,
-// registration-record checks, mix-pair link RLCs, tagging-step DLEQ batches
-// and decryption-share batches — are independent multi-scalar
-// multiplications and per-item proof checks, dispatched to the injected
-// executor (the two mix cascades verify concurrently; every batch's entry
-// preparation and closing MSM fan out further). Failure localization is
+// Parallel architecture: the expensive sections — ballot revalidation and
+// registration-record checks (per-shard signature batches), mix-pair link
+// RLCs, tagging-step DLEQ batches and decryption-share batches — are
+// independent multi-scalar multiplications and per-item proof checks,
+// dispatched to the injected executor (the two mix cascades verify
+// concurrently; every batch's entry preparation and closing MSM fan out
+// further). Failure localization is
 // preserved: parallel passes record positional flags and the lowest failing
 // pair/index is re-derived exactly, so the verdict and its reason string
 // are identical at any thread count.

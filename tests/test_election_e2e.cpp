@@ -228,6 +228,62 @@ TEST(ElectionVerifier, RejectsForgedResultAndTranscript) {
   }
 }
 
+TEST(ElectionVerifier, PublishedDiscardsMustMatchTheReplay) {
+  // Every voter recasts with the real credential and casts once with a
+  // fake one, so the tally supersedes and discards unmatched tags. The
+  // verifier recomputes superseded, unmatched_tag, duplicate_tag and
+  // invalid_vote, and a tally that misreports one is rejected by name.
+  for (bool revoting : {false, true}) {
+    SCOPED_TRACE(revoting ? "revoting" : "legacy");
+    ChaChaRng rng(159);
+    ElectionConfig config = SmallConfig({"alice", "bob", "carol"});
+    config.revoting = revoting;
+    Election election(config, rng);
+    Vsd vsd = election.trip().MakeVsd();
+    for (const char* id : {"alice", "bob", "carol"}) {
+      auto voter = election.Register(id, 1, vsd, rng);
+      ASSERT_TRUE(voter.ok());
+      ASSERT_TRUE(election.Cast(voter->activated[0], "Coercer's Choice", rng).ok());
+      ASSERT_TRUE(election.Cast(voter->activated[0], "Alice's Choice", rng).ok());
+      ASSERT_TRUE(election.Cast(voter->activated[1], "Coercer's Choice", rng).ok());
+    }
+    TallyOutput good = election.Tally(rng);
+    ASSERT_TRUE(election.Verify(good).ok());
+    const TallyDiscards& d = good.result.discards;
+    if (!revoting) {
+      EXPECT_EQ(d.unmatched_tag, 3u);
+      EXPECT_EQ(d.superseded, 3u);
+      // The tamper that used to verify: no fake-credential ballots, and a
+      // thousand bad signatures.
+      TallyOutput bad = good;
+      bad.result.discards.unmatched_tag = 0;
+      bad.result.discards.invalid_signature = 1000;
+      EXPECT_EQ(election.Verify(bad).reason(),
+                "verifier: published discards.unmatched_tag is 0, the replay gives 3");
+    }
+    const std::pair<const char*, size_t TallyDiscards::*> counters[] = {
+        {"superseded", &TallyDiscards::superseded},
+        {"unmatched_tag", &TallyDiscards::unmatched_tag},
+        {"duplicate_tag", &TallyDiscards::duplicate_tag},
+        {"invalid_vote", &TallyDiscards::invalid_vote},
+    };
+    for (const auto& [name, field] : counters) {
+      TallyOutput bad = good;
+      bad.result.discards.*field += 1;
+      EXPECT_EQ(election.Verify(bad).reason(),
+                "verifier: published discards." + std::string(name) + " is " +
+                    std::to_string(good.result.discards.*field + 1) + ", the replay gives " +
+                    std::to_string(good.result.discards.*field));
+    }
+    // Not checked until a close of polls fixes the tallied board prefix: a
+    // garbage entry posted after the tally moves these two.
+    TallyOutput moved = good;
+    moved.result.discards.invalid_structure += 1;
+    moved.result.discards.invalid_signature += 1;
+    EXPECT_TRUE(election.Verify(moved).ok());
+  }
+}
+
 TEST(ElectionE2E, CredentialsReusableAcrossElections) {
   // The amortization property (§3.1): the same TRIP credentials vote in two
   // successive tallies without re-registration.

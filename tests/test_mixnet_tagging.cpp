@@ -442,6 +442,35 @@ TEST(Tagging, StepsOutOfOrderRejected) {
   EXPECT_FALSE(TaggingService::VerifyChain(cts, steps, tagging.commitments()).ok());
 }
 
+TEST(Tagging, OutputWireCacheMustBeTheCanonicalEncodingOfItsPoint) {
+  // The cache is checked as bytes == Encode(point): the encoding of the
+  // negated point and a non-canonical string are both rejected, at their
+  // step and index.
+  ChaChaRng rng(144);
+  auto authority = ElectionAuthority::Create(2, rng);
+  auto tagging = TaggingService::Create(2, rng);
+  std::vector<ElGamalCiphertext> cts;
+  for (int i = 0; i < 4; ++i) {
+    cts.push_back(ElGamalEncrypt(authority.public_key(),
+                                 RistrettoPoint::FromUniformBytes(rng.RandomBytes(64)), rng));
+  }
+  std::vector<TaggingStep> steps;
+  (void)tagging.ApplyAll(cts, &steps, rng);
+  ASSERT_TRUE(steps[0].HasWire() && steps[1].HasWire());
+  ASSERT_TRUE(TaggingService::VerifyChain(cts, steps, tagging.commitments()).ok());
+
+  std::vector<TaggingStep> negated = steps;
+  const CompressedRistretto minus_c1 = (-negated[1].output[2].c1).Encode();
+  std::copy(minus_c1.begin(), minus_c1.end(), negated[1].output_wire[2].begin());
+  EXPECT_EQ(TaggingService::VerifyChain(cts, negated, tagging.commitments()).reason(),
+            "tagging: step 1 output wire cache does not match ciphertexts at index 2");
+
+  std::vector<TaggingStep> non_canonical = steps;
+  non_canonical[0].output_wire[3][63] |= 0x80;  // top bit of the c2 encoding
+  EXPECT_EQ(TaggingService::VerifyChain(cts, non_canonical, tagging.commitments()).reason(),
+            "tagging: step 0 output wire cache does not match ciphertexts at index 3");
+}
+
 // Parameterized: mix + tag across batch sizes, checking the join property
 // end to end (same credential ends with same tag after mixing).
 class MixTagJoin : public ::testing::TestWithParam<size_t> {};
