@@ -99,6 +99,25 @@ void BM_RistrettoVarMul(benchmark::State& state) {
 }
 BENCHMARK(BM_RistrettoVarMul);
 
+// RistrettoPoint::MulEach on one unregistered point: with 1 scalar it is
+// the ladder; with 2 both products share one doubling chain (the rows
+// 16^i * p) and fold their digits in buckets, against two ladders.
+void BM_RistrettoMulEach(benchmark::State& state) {
+  ChaChaRng rng(30);
+  const RistrettoPoint p = RistrettoPoint::FromUniformBytes(rng.RandomBytes(64));
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<Scalar> scalars;
+  for (size_t i = 0; i < n; ++i) {
+    scalars.push_back(Scalar::Random(rng));
+  }
+  std::vector<RistrettoPoint> out(n);
+  for (auto _ : state) {
+    RistrettoPoint::MulEach(p, scalars, out);
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_RistrettoMulEach)->Arg(1)->Arg(2);
+
 // One point addition through operator+ (the right operand's conversion to a
 // CachedPoint, then the 8-multiplication addition) and one doubling, each
 // timed as a dependent chain.
@@ -511,6 +530,26 @@ void BM_RistrettoBatchEncode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_RistrettoBatchEncode)->Arg(256)->Unit(benchmark::kMicrosecond);
+
+// (2P).Encode() for a batch on the calling thread with one batched
+// inversion and no roots: 3 and 5 are a decryption share's and a tagging
+// proof's batches, 256 compares with BM_RistrettoBatchEncode.
+void BM_BatchDoubleAndEncode(benchmark::State& state) {
+  ChaChaRng rng(31);
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<RistrettoPoint> points;
+  points.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    points.push_back(RistrettoPoint::FromUniformBytes(rng.RandomBytes(64)));
+  }
+  std::vector<CompressedRistretto> out(n);
+  for (auto _ : state) {
+    BatchDoubleAndEncode(points, out);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_BatchDoubleAndEncode)->Arg(3)->Arg(5)->Arg(256)->Unit(benchmark::kMicrosecond);
 
 // ---- Shared-base MSM: 1024 signatures under ONE key vs distinct keys ----
 //

@@ -101,18 +101,21 @@ DecryptionShare ElectionAuthority::ComputeShare(size_t i, const ElGamalCiphertex
                                                 Rng& rng,
                                                 const CompressedRistretto* c1_wire) const {
   const AuthorityMember& m = members_.at(i);
+  // Statement DLEQ((B, X_i), (C1, S_i)), fully wire-backed: B and X_i from
+  // standing caches, C1 from the caller or one encode, and S_i = x_i*C1
+  // derived by the prover, which shares C1's doubling chain between x_i and
+  // the nonce and gives S_i's bytes without a root.
+  DleqStatement statement;
+  statement.bases = {RistrettoPoint::Base(), ct.c1};
+  statement.base_wire = {RistrettoPoint::BaseWire(),
+                         c1_wire != nullptr ? *c1_wire : ct.c1.Encode()};
+  statement.publics = {m.public_share};
+  statement.public_wire = {m.public_share_wire};
   DecryptionShare share;
   share.member_index = i;
-  share.share = m.secret * ct.c1;
-  // Statement DLEQ((B, X_i), (C1, S_i)), fully wire-backed: B and X_i from
-  // standing caches, C1 from the caller or one encode, S_i fresh (it was
-  // just computed; its encode is the cost the old path also paid inside the
-  // challenge hash).
-  DleqStatement statement = DleqStatement::MakePairWire(
-      RistrettoPoint::Base(), RistrettoPoint::BaseWire(), m.public_share,
-      m.public_share_wire, ct.c1, c1_wire != nullptr ? *c1_wire : ct.c1.Encode(),
-      share.share, share.share.Encode());
-  share.proof = ProveDleqFs(kShareDomain, statement, m.secret, rng);
+  share.proof = ProveDleqFsDeriving(kShareDomain, statement, m.secret, rng);
+  share.share = statement.publics[1];
+  share.share_wire = statement.public_wire[1];
   return share;
 }
 

@@ -59,6 +59,13 @@ struct DecryptionShare {
   size_t member_index = 0;
   RistrettoPoint share;    // x_i * C1
   DleqTranscript proof;    // DLEQ((B, X_i), (C1, share))
+
+  // Canonical encoding of `share`, filled by ComputeShare from the prover's
+  // bytes: a producer cache like TaggingStep::output_wire. The tally's
+  // release-gate self-check hashes it instead of encoding the share again;
+  // with faults armed, AuthorityClient::RequestShare compares it with the
+  // point on arrival. Verifiers never read it.
+  CompressedRistretto share_wire{};
 };
 
 // The distributed election authority A = {A_1, ..., A_n}.
@@ -96,7 +103,7 @@ class ElectionAuthority {
   // already holds C1's canonical bytes (tagging output wire, mix column
   // wire), passing them via `c1_wire` makes the proof statement fully
   // wire-backed; otherwise C1 is encoded here once. The proof bytes are
-  // identical either way.
+  // identical either way. The share carries its own encoding (share_wire).
   DecryptionShare ComputeShare(size_t i, const ElGamalCiphertext& ct, Rng& rng,
                                const CompressedRistretto* c1_wire = nullptr) const;
 

@@ -1,6 +1,8 @@
 #include "src/crypto/dleq.h"
 
+#include <array>
 #include <string>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/serde.h"
@@ -215,10 +217,46 @@ Scalar DeriveFsChallenge(std::string_view domain, const DleqStatement& statement
 
 DleqTranscript ProveDleqFs(std::string_view domain, const DleqStatement& statement,
                            const Scalar& x, Rng& rng, std::span<const uint8_t> extra) {
-  DleqProver prover(statement, x, rng);
-  Scalar challenge =
-      DeriveFsChallenge(domain, statement, prover.commits(), prover.commit_wire(), extra);
-  return prover.Respond(challenge);
+  Require(statement.publics.size() == statement.bases.size(),
+          "ProveDleqFs: malformed statement");
+  DleqStatement copy = statement;
+  return ProveDleqFsDeriving(domain, copy, x, rng, extra);
+}
+
+DleqTranscript ProveDleqFsDeriving(std::string_view domain, DleqStatement& statement,
+                                   const Scalar& x, Rng& rng, std::span<const uint8_t> extra) {
+  const Scalar y = Scalar::Random(rng);
+  const size_t n = statement.bases.size();
+  const size_t given = statement.publics.size();
+  Require(n != 0 && given <= n && (given == n || statement.public_wire.size() == given),
+          "ProveDleqFs: malformed statement");
+  static const Scalar kHalf = Scalar::FromU64(2).Invert();
+  const std::array<Scalar, 2> halves = {y * kHalf, x * kHalf};
+  // Per base: its commit's half, then its derived public's half.
+  std::vector<RistrettoPoint> half(2 * n - given);
+  for (size_t i = 0, k = 0; i < n; ++i) {
+    const size_t count = i < given ? 1 : 2;
+    RistrettoPoint::MulEach(statement.bases[i], std::span(halves).first(count),
+                            std::span(half).subspan(k, count));
+    k += count;
+  }
+  std::vector<CompressedRistretto> wire(half.size());
+  BatchDoubleAndEncode(half, wire);
+
+  DleqTranscript t;
+  t.commits.reserve(n);
+  t.commit_wire.reserve(n);
+  for (size_t i = 0, k = 0; i < n; ++i) {
+    t.commits.push_back(half[k].Double());
+    t.commit_wire.push_back(wire[k++]);
+    if (i >= given) {
+      statement.publics.push_back(half[k].Double());
+      statement.public_wire.push_back(wire[k++]);
+    }
+  }
+  t.challenge = DeriveFsChallenge(domain, statement, t.commits, t.commit_wire, extra);
+  t.response = y - t.challenge * x;
+  return t;
 }
 
 Status VerifyDleqFs(std::string_view domain, const DleqStatement& statement,

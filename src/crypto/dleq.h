@@ -20,9 +20,10 @@
 // the hash input is byte-for-byte the encode-per-point stream, so proofs are
 // identical either way. Trust model, mirroring PR 2's MixItem rule:
 //  * STATEMENT caches are producer-local: whoever fills base_wire/public_wire
-//    asserts the bytes came from its own Encode() calls or from wire data it
-//    already validated (mix-batch caches checked by VerifyRpcMixCascade,
-//    tagging output wires checked by VerifyChain, parsed ledger bytes).
+//    asserts the bytes came from its own Encode() calls (or its prover's
+//    BatchDoubleAndEncode) or from wire data it already validated (mix-batch
+//    caches checked by VerifyRpcMixCascade, tagging output wires checked by
+//    VerifyChain, parsed ledger bytes).
 //    Verifiers construct their statements themselves, so these caches never
 //    cross a trust boundary; ValidateWire() exists for the rare path that
 //    must accept statement bytes from elsewhere.
@@ -177,9 +178,27 @@ Scalar DeriveFsChallenge(std::string_view domain, const DleqStatement& statement
                          std::span<const uint8_t> extra);
 
 // Non-interactive (Fiat–Shamir) proof; sound in the random-oracle model.
-// The returned transcript carries its commit wire cache.
+// The returned transcript carries its commit wire cache. Runs
+// ProveDleqFsDeriving on a copy of the statement, which must list every
+// public.
 DleqTranscript ProveDleqFs(std::string_view domain, const DleqStatement& statement,
                            const Scalar& x, Rng& rng, std::span<const uint8_t> extra = {});
+
+// The Fiat–Shamir prover. It draws the nonce y from `rng` exactly as
+// DleqProver does (one Scalar::Random), and it also derives the publics the
+// statement leaves out: when publics.size() < bases.size(), x*G_i is
+// appended for each missing i, with its canonical bytes in public_wire (the
+// given publics must then carry theirs). Every derived public and commit is
+// computed as 2*Q from the halved scalars x/2 and y/2 mod l: one
+// RistrettoPoint::MulEach per base, so a base's public and commit share one
+// doubling chain (a generator or registered base reads its table), and one
+// BatchDoubleAndEncode per proof, so the prover computes no inverse square
+// root of its own. Bases and given publics are hashed from their caches
+// when complete, encoded otherwise. The transcript, and every derived byte,
+// are those the encode-per-point prover gives for the same stream.
+DleqTranscript ProveDleqFsDeriving(std::string_view domain, DleqStatement& statement,
+                                   const Scalar& x, Rng& rng,
+                                   std::span<const uint8_t> extra = {});
 
 // Verifies a Fiat–Shamir proof (recomputes and checks the challenge). When
 // the transcript carries a commit wire cache it is validated (decode +

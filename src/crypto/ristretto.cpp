@@ -1,5 +1,6 @@
 #include "src/crypto/ristretto.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -26,6 +27,7 @@ std::atomic<uint64_t> g_decode_invocations{0};
 struct RistrettoConstants {
   Fe25519 d;                   // edwards25519 d = -121665/121666
   Fe25519 d2;                  // 2*d
+  Fe25519 d_inv;               // 1/d
   Fe25519 sqrt_m1;             // sqrt(-1)
   Fe25519 invsqrt_a_minus_d;   // 1/sqrt(a-d), a = -1
   Fe25519 sqrt_ad_minus_one;   // sqrt(a*d - 1)
@@ -37,6 +39,7 @@ struct RistrettoConstants {
   RistrettoConstants() {
     d = FeEdwardsD();
     d2 = FeAdd(d, d);
+    d_inv = FeInvert(d);
     sqrt_m1 = FeSqrtM1();
 
     // a - d = -1 - d.
@@ -206,6 +209,16 @@ RistrettoPoint RistrettoPoint::AddCached(const CachedPoint& q, bool negate) cons
   const Fe25519 g = negate ? FeSub(d, c) : FeAdd(d, c);
   const Fe25519 h = FeAdd(b, a);
   return RistrettoPoint(FeMul(e, f), FeMul(g, h), FeMul(f, g), FeMul(e, h));
+}
+
+RistrettoPoint RistrettoPoint::FromCached(const CachedPoint& q, bool negate) {
+  // (Y+X) - (Y-X) = 2X, their sum 2Y, and 2d*T / d = 2T: the point scaled by
+  // 2. -Q = (-X, Y, Z, -T) swaps Y+X and Y-X and negates T.
+  const Fe25519& q_plus = negate ? q.y_minus_x_ : q.y_plus_x_;
+  const Fe25519& q_minus = negate ? q.y_plus_x_ : q.y_minus_x_;
+  const Fe25519 t2 = FeMul(q.t2d_, Consts().d_inv);
+  return RistrettoPoint(FeSub(q_plus, q_minus), FeAdd(q_plus, q_minus), FeAdd(q.z_, q.z_),
+                        negate ? FeNeg(t2) : t2);
 }
 
 RistrettoPoint RistrettoPoint::operator+(const CachedPoint& other) const {
@@ -476,6 +489,67 @@ RistrettoPoint RistrettoPoint::MulBase(const Scalar& s) { return GeneratorTable(
 
 RistrettoPoint RistrettoPoint::MulBaseSlow(const Scalar& s) { return MulLadder(s, Base()); }
 
+void RistrettoPoint::MulEach(const RistrettoPoint& p, std::span<const Scalar> scalars,
+                             std::span<RistrettoPoint> out) {
+  Require(scalars.size() == out.size(), "MulEach: size mismatch");
+  if (const FixedBaseTable* table = FindFixedBaseTable(p)) {
+    for (size_t j = 0; j < scalars.size(); ++j) {
+      out[j] = table->Mul(scalars[j]);
+    }
+    return;
+  }
+  if (scalars.size() < 2) {
+    if (!scalars.empty()) {
+      out[0] = MulLadder(scalars[0], p);
+    }
+    return;
+  }
+  // The one doubling chain: rows[i] = 16^i * p.
+  std::array<CachedPoint, 64> rows;
+  RistrettoPoint row = p;
+  rows[0] = CachedPoint(row);
+  for (size_t i = 1; i < rows.size(); ++i) {
+    row = row.MulByPow2(4);
+    rows[i] = CachedPoint(row);
+  }
+  for (size_t j = 0; j < scalars.size(); ++j) {
+    // s = sum_i e_i * 16^i with |e_i| <= 8, so s*p = sum_k k * bucket_k,
+    // where bucket_k sums sign(e_i) * rows[i] over the digits with |e_i| = k.
+    const std::array<int8_t, 64> digit = SignedRadix16(scalars[j]);
+    std::array<RistrettoPoint, 8> bucket;  // bucket[k - 1] holds bucket_k
+    std::array<bool, 8> filled{};
+    for (size_t i = 0; i < digit.size(); ++i) {
+      if (digit[i] == 0) {
+        continue;
+      }
+      const bool negate = digit[i] < 0;
+      const size_t k = static_cast<size_t>(negate ? -digit[i] : digit[i]) - 1;
+      bucket[k] = filled[k] ? bucket[k].AddCached(rows[i], negate) : FromCached(rows[i], negate);
+      filled[k] = true;
+    }
+    // Running suffix from the top bucket: after bucket k, running = sum of
+    // buckets k..8, and adding running once per step counts bucket k k times.
+    RistrettoPoint running;
+    RistrettoPoint total;
+    bool started = false;
+    for (size_t k = bucket.size(); k-- > 0;) {
+      if (filled[k]) {
+        if (!started) {
+          running = bucket[k];
+          total = running;
+          started = true;
+          continue;
+        }
+        running = running + bucket[k];
+      }
+      if (started) {
+        total = total + running;
+      }
+    }
+    out[j] = total;
+  }
+}
+
 void RistrettoPoint::RegisterFixedBase(const RistrettoPoint& base) {
   if (FindFixedBaseTable(base) != nullptr) {
     return;
@@ -514,6 +588,68 @@ void BatchEncodePoints(std::span<const RistrettoPoint> points,
       out[i] = points[i].Encode();
     }
   });
+}
+
+void BatchDoubleAndEncode(std::span<const RistrettoPoint> points,
+                          std::span<CompressedRistretto> out) {
+  Require(points.size() == out.size(), "BatchDoubleAndEncode: size mismatch");
+  const RistrettoConstants& c = Consts();
+  // Doubling P = (X:Y:Z:T) gives the affine point (e/f, g/h) with e = 2XY,
+  // f = Z^2 + dT^2, g = Y^2 + X^2 and h = Z^2 - dT^2, so 2P = (eh:fg:fh:eg).
+  // Since f = Y^2 - X^2 on the curve, the root Encode would take is 1/(e*f)
+  // times 1/sqrt(a-d), or 1/(g*h) on the rotated branch; 1/(e*f*g*h) gives
+  // both 1/Z = eg/(efgh) and 1/T = fh/(efgh), and one inversion per chunk
+  // serves every point in it.
+  struct Doubled {
+    Fe25519 e, f, g, h, eg, fh, efgh;
+  };
+  constexpr size_t kChunk = 64;
+  std::array<Doubled, kChunk> state;
+  std::array<Fe25519, kChunk> prefix;  // product of the earlier nonzero efgh
+  for (size_t begin = 0; begin < points.size(); begin += kChunk) {
+    const size_t n = std::min(kChunk, points.size() - begin);
+    Fe25519 acc = FeOne();
+    for (size_t j = 0; j < n; ++j) {
+      const RistrettoPoint& p = points[begin + j];
+      Doubled& s = state[j];
+      const Fe25519 zz = FeSquare(p.z_);
+      const Fe25519 dtt = FeMul(c.d, FeSquare(p.t_));
+      s.e = FeMul(p.x_, FeAdd(p.y_, p.y_));
+      s.f = FeAdd(zz, dtt);
+      s.g = FeAdd(FeSquare(p.y_), FeSquare(p.x_));
+      s.h = FeSub(zz, dtt);
+      s.eg = FeMul(s.e, s.g);
+      s.fh = FeMul(s.f, s.h);
+      s.efgh = FeMul(s.eg, s.fh);
+      prefix[j] = acc;
+      if (!FeIsZero(s.efgh)) {
+        acc = FeMul(acc, s.efgh);
+      }
+    }
+    Fe25519 inv = FeInvert(acc);  // the inverse of every nonzero efgh so far
+    for (size_t j = n; j-- > 0;) {
+      const Doubled& s = state[j];
+      if (FeIsZero(s.efgh)) {
+        out[begin + j] = points[begin + j].Double().Encode();
+        continue;
+      }
+      const Fe25519 efgh_inv = FeMul(inv, prefix[j]);
+      inv = FeMul(inv, s.efgh);
+      const Fe25519 z_inv = FeMul(s.eg, efgh_inv);
+      const Fe25519 t_inv = FeMul(s.fh, efgh_inv);
+      // Encode's rotation (x*y of 2P negative) swaps the coordinate pair.
+      const bool rotate = FeIsNegative(FeMul(s.eg, z_inv));
+      const Fe25519 e = rotate ? s.g : s.e;
+      Fe25519 g = rotate ? FeNeg(s.e) : s.g;
+      const Fe25519 h = rotate ? FeMul(s.f, c.sqrt_m1) : s.h;
+      const Fe25519& magic = rotate ? c.sqrt_m1 : c.invsqrt_a_minus_d;
+      if (FeIsNegative(FeMul(FeMul(h, e), z_inv))) {  // Encode's sign of x
+        g = FeNeg(g);
+      }
+      const Fe25519 s_value = FeMul(FeSub(h, g), FeMul(magic, FeMul(g, t_inv)));
+      out[begin + j] = FeToBytes(FeAbs(s_value));
+    }
+  }
 }
 
 size_t BatchDecodePoints(std::span<const CompressedRistretto> bytes,

@@ -90,6 +90,16 @@ class RistrettoPoint {
   // reference the table path is measured and tested against.
   static RistrettoPoint MulBaseSlow(const Scalar& s);
 
+  // out[j] = scalars[j] * p for every j (the spans have equal sizes), as
+  // group elements equal to operator*'s. A point with a fixed-base table
+  // reads its table and one scalar runs the ladder. Two or more share one
+  // doubling chain: the rows 16^i * p (i = 0..63, 63 four-doubling chains)
+  // are built once, then each scalar sorts its signed radix-16 digits' rows
+  // into eight buckets by magnitude and folds them (Yao's method), about
+  // 70 additions a scalar. Allocates nothing on the heap.
+  static void MulEach(const RistrettoPoint& p, std::span<const Scalar> scalars,
+                      std::span<RistrettoPoint> out);
+
   // Gives a long-lived base (the election key) a precomputed table, so that
   // operator* on this point or any copy of it skips the ladder. The table
   // costs about four ladder multiplications to build and 60 KiB to keep; the
@@ -127,12 +137,18 @@ class RistrettoPoint {
   // The variable-base ladder behind operator* and MulBaseSlow.
   static RistrettoPoint MulLadder(const Scalar& s, const RistrettoPoint& p);
 
+  // q (or -q when `negate`) back in extended coordinates, scaled by 2: one
+  // field multiplication, where adding q to the identity would cost eight.
+  static RistrettoPoint FromCached(const CachedPoint& q, bool negate);
+
   // One Elligator 2 evaluation (MAP of RFC 9496 §4.3.4).
   static RistrettoPoint ElligatorMap(const Fe25519& t);
 
   friend size_t BatchValidateEncodings(std::span<const RistrettoPoint> points,
                                        std::span<const std::array<uint8_t, 32>> bytes,
                                        std::span<uint8_t> ok);
+  friend void BatchDoubleAndEncode(std::span<const RistrettoPoint> points,
+                                   std::span<std::array<uint8_t, 32>> out);
 
   Fe25519 x_;
   Fe25519 y_;
@@ -165,20 +181,33 @@ using CompressedRistretto = std::array<uint8_t, 32>;
 
 // --- Batched canonical encode/decode ---------------------------------------
 //
-// Both routines fan fixed-position shards out on Executor::Current() (the
-// pool bound by the enclosing protocol stage; serial under threads=1) and
-// encode or decode one point at a time, so the outputs are byte-identical to
-// element-wise Encode()/Decode(). The dominant cost is each point's
-// ~250-squaring inverse square root, and it stays per point: a
-// Montgomery-style shared tree recovers only the product of the roots, never
-// the individual canonical roots, and any "validation" built naively on a
-// shared tree would accept the encoding of -P for P (re-opening the
-// challenge-grinding attack wire-cache validation exists to stop; see
-// docs/TRANSCRIPTS.md).
+// BatchEncodePoints and BatchDecodePoints fan fixed-position shards out on
+// Executor::Current() (the pool bound by the enclosing protocol stage;
+// serial under threads=1) and encode or decode one point at a time, so the
+// outputs are byte-identical to element-wise Encode()/Decode(). The dominant
+// cost is each point's ~250-squaring inverse square root, and for an
+// arbitrary point it stays per point: a Montgomery-style shared tree
+// recovers only the product of the roots, never the individual canonical
+// roots, and any "validation" built naively on a shared tree would accept
+// the encoding of -P for P (re-opening the challenge-grinding attack
+// wire-cache validation exists to stop; see docs/TRANSCRIPTS.md). Only a
+// point known as a double escapes the root (BatchDoubleAndEncode).
 
 // out[i] = points[i].Encode(). out.size() must equal points.size().
 void BatchEncodePoints(std::span<const RistrettoPoint> points,
                        std::span<CompressedRistretto> out);
+
+// out[i] = (2 * points[i]).Encode() with no inverse square root: the
+// doubling formula's completed coordinates (e/f, g/h) make the root the
+// encoding needs rational in e, f, g and h, so one Montgomery-batched
+// inversion of the products e*f*g*h serves every point (curve25519-dalek's
+// double_and_compress_batch). A point whose product is zero (the identity
+// coset) takes Double().Encode(), the only Encode invocations counted here.
+// Runs on the calling thread and allocates nothing on the heap. Provers
+// compute their fresh points as 2*Q from halved scalars to pay this instead
+// of Encode() (src/crypto/dleq.h).
+void BatchDoubleAndEncode(std::span<const RistrettoPoint> points,
+                          std::span<CompressedRistretto> out);
 
 // Decodes bytes[i] into out[i]; ok[i] = 1 on success, 0 on any rejection
 // (non-canonical field encoding, negative s, off-curve input). Returns the

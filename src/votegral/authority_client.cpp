@@ -72,8 +72,8 @@ Outcome<DecryptionShare> AuthorityClient::RequestShare(
 
     DecryptionShare share = authority_.ComputeShare(member, ct, rng, c1_wire);
     if (fault.kind == FaultKind::kCorrupt) {
-      // A Byzantine member returns a well-formed but wrong partial: the DLEQ
-      // statement no longer matches its proof.
+      // A Byzantine member returns a wrong partial: the DLEQ statement no
+      // longer matches its proof, nor the point its encoding.
       share.share = share.share + RistrettoPoint::Base();
     }
 
@@ -81,7 +81,13 @@ Outcome<DecryptionShare> AuthorityClient::RequestShare(
     // runs keep the single batched self-check at the release gate instead of
     // paying per-share verification twice.
     if (FaultInjector::Armed()) {
-      if (Status ok = authority_.VerifyShare(ct, share); !ok.ok()) {
+      // The self-check hashes share_wire, so it must encode the point before
+      // the proof is checked against the point.
+      Status ok = share.share_wire == share.share.Encode()
+                      ? authority_.VerifyShare(ct, share)
+                      : Status::Error(StatusCode::kInvalidProof,
+                                      "share wire cache does not match the share");
+      if (!ok.ok()) {
         // A forged response is exclusion-worthy evidence, not a transient
         // failure: no retry.
         return fail(StatusCode::kInvalidProof,

@@ -1,5 +1,7 @@
 #include "src/votegral/ballot.h"
 
+#include <algorithm>
+
 #include "src/common/serde.h"
 #include "src/crypto/sha512.h"
 #include "src/trip/messages.h"
@@ -81,6 +83,10 @@ Outcome<Ballot> Ballot::Parse(std::span<const uint8_t> bytes) {
   r.Fixed(b.kiosk_cert_hash);
   r.Decode(&b.kiosk_cert, 64, SchnorrSignature::Parse);
   r.Decode(&b.credential_sig, 64, SchnorrSignature::Parse);
+  if (r.ok()) {
+    b.vote_wire.emplace();
+    std::copy_n(bytes.begin(), b.vote_wire->size(), b.vote_wire->begin());
+  }
   return r.Finish(std::move(b));
 }
 

@@ -56,6 +56,12 @@ struct Ballot {
   SchnorrSignature kiosk_cert;                // σ_kr from the receipt
   SchnorrSignature credential_sig;            // by c_sk over the ballot body
 
+  // The 64 bytes Parse consumed for encrypted_vote, which are its canonical
+  // encoding (Parse accepts nothing else); empty for a ballot built in
+  // memory. A cache like DleqTranscript::commit_wire: neither serialized
+  // nor compared.
+  std::optional<ElGamalWire> vote_wire;
+
   Bytes Serialize() const;
   static Outcome<Ballot> Parse(std::span<const uint8_t> bytes);
 

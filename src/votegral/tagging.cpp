@@ -43,10 +43,12 @@ TaggingService TaggingService::Create(size_t members, Rng& rng) {
   TaggingService service;
   service.secrets_.reserve(members);
   service.commitments_.reserve(members);
+  service.commitment_wires_.reserve(members);
   for (size_t i = 0; i < members; ++i) {
     Scalar z = Scalar::Random(rng);
     service.secrets_.push_back(z);
     service.commitments_.push_back(RistrettoPoint::MulBase(z));
+    service.commitment_wires_.push_back(service.commitments_.back().Encode());
   }
   return service;
 }
@@ -62,32 +64,33 @@ TaggingStep TaggingService::PrepareStep(size_t member, size_t n) const {
 }
 
 void TaggingService::ApplyShardRange(size_t member, std::span<const ElGamalCiphertext> input,
-                                     std::span<const ElGamalWire> input_wire,
-                                     const CompressedRistretto& commitment_wire, size_t begin,
+                                     std::span<const ElGamalWire> input_wire, size_t begin,
                                      size_t end, Rng& child, TaggingStep& step) const {
   const Scalar& z = secrets_.at(member);
   Require(end <= input.size() && step.output.size() == input.size(),
           "tagging: shard range outside prepared step");
   Require(input_wire.empty() || input_wire.size() == input.size(),
           "tagging: input wire size mismatch");
-  // Each ciphertext costs two exponentiations plus a 3-element proof whose
-  // commitments are three more scalar multiplications. The y*B commitment
-  // reads the generator's table, so four of the five run the ladder: the
-  // per-ballot hot loop of the tagging stage.
+  // Per ciphertext, one proof derives the output (z*C1, z*C2) over the bases
+  // (B, C1, C2): the commit y*B reads the generator's table, and each
+  // ciphertext point's two multiples, z and y, share one doubling chain.
+  // The output's bytes come from the prover's batched double-and-encode;
+  // the step retains them for the next member's statements and the
+  // decrypt stage.
   for (size_t i = begin; i < end; ++i) {
-    ElGamalCiphertext out = input[i].ExponentiateBy(z);
-    // Output bytes are encoded here, once, while the points are hot; the
-    // proof hashes them now and the step retains them for the next
-    // member's input statements and the decrypt stage.
-    ElGamalWire out_wire = out.Wire();
-    ElGamalWire in_wire = input_wire.empty() ? input[i].Wire() : input_wire[i];
-    step.proofs[i] = ProveDleqFs(
-        kTagDomain,
-        TagStatementWire(input[i], in_wire, out, out_wire, commitments_[member],
-                         commitment_wire),
-        z, child);
-    step.output[i] = out;
-    step.output_wire[i] = out_wire;
+    const ElGamalWire in_wire = input_wire.empty() ? input[i].Wire() : input_wire[i];
+    DleqStatement statement;
+    statement.bases = {RistrettoPoint::Base(), input[i].c1, input[i].c2};
+    statement.base_wire = {RistrettoPoint::BaseWire(), ElGamalWireHalf(in_wire, 0),
+                           ElGamalWireHalf(in_wire, 1)};
+    statement.publics = {commitments_[member]};
+    statement.public_wire = {commitment_wires_[member]};
+    step.proofs[i] = ProveDleqFsDeriving(kTagDomain, statement, z, child);
+    step.output[i] = ElGamalCiphertext{statement.publics[1], statement.publics[2]};
+    std::copy(statement.public_wire[1].begin(), statement.public_wire[1].end(),
+              step.output_wire[i].begin());
+    std::copy(statement.public_wire[2].begin(), statement.public_wire[2].end(),
+              step.output_wire[i].begin() + 32);
   }
 }
 
@@ -124,15 +127,13 @@ std::vector<ElGamalCiphertext> TaggingService::ApplyAll(
   std::span<const ElGamalCiphertext> current = input;
   std::span<const ElGamalWire> current_wire = input_wire;
   for (size_t member = 0; member < secrets_.size(); ++member) {
-    // Per member: one forked seed per shard; the commitment appears in every
-    // statement of the step, so it is encoded once here.
+    // Per member: one forked seed per shard.
     const auto seeds = ForkRngSeeds(rng, shards.size());
-    const CompressedRistretto commitment_wire = commitments_[member].Encode();
     TaggingStep& step = steps->emplace_back(PrepareStep(member, input.size()));
     executor.ParallelForEach(shards.size(), [&](size_t s) {
       ChaChaRng child(seeds[s]);
-      ApplyShardRange(member, current, current_wire, commitment_wire, shards[s].first,
-                      shards[s].second, child, step);
+      ApplyShardRange(member, current, current_wire, shards[s].first, shards[s].second, child,
+                      step);
     });
     current = step.output;
     current_wire = step.output_wire;  // each step feeds the next one's statements

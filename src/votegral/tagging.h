@@ -63,10 +63,9 @@ class TaggingService {
   TaggingStep PrepareStep(size_t member, size_t n) const;
 
   // Fills output slots [begin, end) of a PrepareStep'd `step`: exponentiates
-  // input[i] by z_member, encodes the output wire, and proves the DLEQ with
-  // nonces from `child` (the forked stream for this shard).
-  // `commitment_wire` is the member's pre-encoded commitment. Disjoint
-  // ranges may run concurrently.
+  // input[i] by z_member and proves the DLEQ with nonces from `child` (the
+  // forked stream for this shard), one ProveDleqFsDeriving per ciphertext,
+  // which also gives the output wire. Disjoint ranges may run concurrently.
   //
   // `input_wire`, when non-empty, must be the canonical bytes of `input`
   // from a source the caller produced or validated (previous step's
@@ -75,8 +74,7 @@ class TaggingService {
   // output_wire either way, and its bytes are identical with or without the
   // threading.
   void ApplyShardRange(size_t member, std::span<const ElGamalCiphertext> input,
-                       std::span<const ElGamalWire> input_wire,
-                       const CompressedRistretto& commitment_wire, size_t begin, size_t end,
+                       std::span<const ElGamalWire> input_wire, size_t begin, size_t end,
                        Rng& child, TaggingStep& step) const;
 
   // Verifies one member's step against its input and commitment, proof by
@@ -118,6 +116,9 @@ class TaggingService {
  private:
   std::vector<Scalar> secrets_;
   std::vector<RistrettoPoint> commitments_;
+  // Canonical encodings of commitments_, made once at Create: every
+  // statement of a member's step hashes its commitment.
+  std::vector<CompressedRistretto> commitment_wires_;
 };
 
 }  // namespace votegral

@@ -83,6 +83,7 @@ MixItem BallotMixItem(const Ballot& ballot) {
   Require(credential_point.has_value(), "tally: validated ballot has bad credential point");
   MixItem item;
   item.cts = {ballot.encrypted_vote, ElGamalTrivialEncrypt(*credential_point)};
+  item.wire = BallotMixWire(ballot);
   item.EnsureWire();
   return item;
 }
@@ -134,7 +135,7 @@ void DecryptShareShardRange(const TallyService& service, const AuthorityClient& 
       entry.statement = DleqStatement::MakePairWire(
           RistrettoPoint::Base(), RistrettoPoint::BaseWire(),
           authority.member(m).public_share, authority.member(m).public_share_wire,
-          cts[i].c1, c1_wire, share.share, share.share.Encode());
+          cts[i].c1, c1_wire, share.share, share.share_wire);
       entry.transcript = share.proof;
       buffers.self_check[i * members + m] = std::move(entry);
       shares.push_back(std::move(*requested));
@@ -236,6 +237,16 @@ std::vector<Ballot> DeduplicateBallots(const std::vector<std::optional<Ballot>>&
     accepted[first_seen_order.at(credential)] = ballot;
   }
   return accepted;
+}
+
+Bytes BallotMixWire(const Ballot& ballot) {
+  if (!ballot.vote_wire.has_value()) {
+    return {};
+  }
+  Bytes wire(ballot.vote_wire->begin(), ballot.vote_wire->end());
+  wire.resize(wire.size() + 32, 0);  // the identity's encoding
+  wire.insert(wire.end(), ballot.credential_pk.begin(), ballot.credential_pk.end());
+  return wire;
 }
 
 std::vector<Ballot> ValidateAndDeduplicate(

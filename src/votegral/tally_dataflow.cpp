@@ -132,7 +132,6 @@ struct ChainFlow {
   size_t column = 0;
   std::vector<TaggingStep>* steps = nullptr;  // pre-sized, one per member
   std::vector<std::vector<std::array<uint8_t, 32>>> tag_seeds;  // [member][shard]
-  std::vector<CompressedRistretto> commitment_wires;
   std::vector<ElGamalCiphertext> tag_input;  // extracted column (per-shard)
   std::vector<ElGamalWire> tag_input_wire;
 
@@ -164,12 +163,10 @@ void DrawCascadeRandomness(ChainFlow& flow, Rng& rng) {
 void DrawTagRandomness(ChainFlow& flow, const TaggingService& tagging, Rng& rng) {
   const size_t members = tagging.size();
   flow.tag_seeds.resize(members);
-  flow.commitment_wires.resize(members);
   flow.steps->clear();
   flow.steps->reserve(members);
   for (size_t m = 0; m < members; ++m) {
     flow.tag_seeds[m] = ForkRngSeeds(rng, flow.shards.size());
-    flow.commitment_wires[m] = tagging.commitments()[m].Encode();
     flow.steps->push_back(tagging.PrepareStep(m, flow.n));
   }
   flow.tag_input.resize(flow.n);
@@ -280,9 +277,8 @@ std::vector<TaskGraph::NodeId> SubmitChainNodes(
             ExtractColumn(final_out, flow.column, begin, end, flow.tag_input,
                           flow.tag_input_wire);
             ChaChaRng child(flow.tag_seeds[0][s]);
-            service.tagging().ApplyShardRange(0, flow.tag_input, flow.tag_input_wire,
-                                              flow.commitment_wires[0], begin, end, child,
-                                              (*flow.steps)[0]);
+            service.tagging().ApplyShardRange(0, flow.tag_input, flow.tag_input_wire, begin,
+                                              end, child, (*flow.steps)[0]);
           });
         },
         {last_layer_nodes[s]});
@@ -295,9 +291,8 @@ std::vector<TaskGraph::NodeId> SubmitChainNodes(
             clock.Timed(flow.Charge(kSTag), [&] {
               ChaChaRng child(flow.tag_seeds[m][s]);
               service.tagging().ApplyShardRange(m, (*flow.steps)[m - 1].output,
-                                                (*flow.steps)[m - 1].output_wire,
-                                                flow.commitment_wires[m], begin, end, child,
-                                                (*flow.steps)[m]);
+                                                (*flow.steps)[m - 1].output_wire, begin,
+                                                end, child, (*flow.steps)[m]);
             });
           },
           {prev_member[s]});

@@ -99,8 +99,9 @@ void ValidateBallotShard(const PublicLedger& ledger,
 void TallyValidationOutcomes(std::span<const uint8_t> outcome, TallyDiscards* discards);
 
 // Builds one ballot's width-2 mix item [Enc(vote), Enc(c_pk)] with its wire
-// cache filled (Require-fails on a bad credential point — validated ballots
-// cannot have one).
+// cache filled from the ballot's bytes (BallotMixWire; encoded only for a
+// ballot that was not parsed). Require-fails on a bad credential point —
+// validated ballots cannot have one.
 MixItem BallotMixItem(const Ballot& ballot);
 
 // Working buffers for one decrypt batch. Shards write positionally into

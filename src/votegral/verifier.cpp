@@ -453,8 +453,12 @@ Status VerifyElection(const PublicLedger& ledger, const VerifierParams& params,
   }
 
   // Mix stage replay: inputs must match the accepted ballots / active
-  // roster (credential decode per ballot runs in parallel). In revote mode
-  // the ballot mix input was already pinned to the kept supersession items.
+  // roster. In revote mode the ballot mix input was already pinned to the
+  // kept supersession items. An item that carries a wire cache compares by
+  // its bytes against the ballot's (BallotMixWire), with no decode: sound
+  // because the cascade's input validation below re-checks every cache
+  // against its points, so a stale cache only moves the failure there (the
+  // revote dummy check's rule). An item without one is compared as points.
   if (!params.revoting) {
     if (t.ballot_mix_input.size() != accepted.size()) {
       return Status::Error("verifier: ballot mix input size mismatch");
@@ -462,6 +466,11 @@ Status VerifyElection(const PublicLedger& ledger, const VerifierParams& params,
     std::vector<uint8_t> undecodable(accepted.size(), 0);
     std::vector<uint8_t> differs(accepted.size(), 0);
     executor.ParallelForEach(accepted.size(), [&](size_t i) {
+      const MixItem& got = t.ballot_mix_input[i];
+      if (got.HasWire() && accepted[i].vote_wire.has_value()) {
+        differs[i] = got.wire == BallotMixWire(accepted[i]) ? 0 : 1;
+        return;
+      }
       auto credential_point = RistrettoPoint::Decode(accepted[i].credential_pk);
       if (!credential_point.has_value()) {
         undecodable[i] = 1;
@@ -469,7 +478,7 @@ Status VerifyElection(const PublicLedger& ledger, const VerifierParams& params,
       }
       MixItem expected;
       expected.cts = {accepted[i].encrypted_vote, ElGamalTrivialEncrypt(*credential_point)};
-      if (!(expected == t.ballot_mix_input[i])) {
+      if (!(expected == got)) {
         differs[i] = 1;
       }
     });

@@ -7,6 +7,7 @@
 //  * Serialize/Parse round-trip the cache without changing the wire format.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -15,6 +16,7 @@
 #include "src/crypto/dleq.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/elgamal.h"
+#include "src/votegral/tagging.h"
 
 namespace votegral {
 namespace {
@@ -225,6 +227,97 @@ TEST(DleqWire, AuthorityShareProofsAreWireBackedEndToEnd) {
   DecryptionShare share = authority.ComputeShare(1, ct, rng, &c1_wire);
   EXPECT_TRUE(share.proof.HasWire());
   EXPECT_TRUE(authority.VerifyShare(ct, share).ok());
+}
+
+// The encode-per-point Fiat–Shamir prover ProveDleqFs used to be: the
+// interactive prover's commits y*G_i, each encoded, then the challenge over
+// the full statement and the response.
+DleqTranscript ReferenceProve(std::string_view domain, const DleqStatement& statement,
+                              const Scalar& x, Rng& rng) {
+  DleqProver prover(statement, x, rng);
+  return prover.Respond(
+      DeriveFsChallenge(domain, statement, prover.commits(), prover.commit_wire(), {}));
+}
+
+TEST(DleqWire, DerivingProverMatchesTheEncodePerPointProver) {
+  // Tagging's shape (bases B, C1, C2; Z given, z*C1 and z*C2 derived) and a
+  // decryption share's (bases B, C1; X given, x*C1 derived). From one
+  // seeded stream both provers give the same bytes, the same publics, and
+  // leave the stream in the same state.
+  ChaChaRng setup(101);
+  for (size_t pairs : {size_t{3}, size_t{2}}) {
+    for (int trial = 0; trial < 16; ++trial) {
+      SCOPED_TRACE("pairs=" + std::to_string(pairs) + " trial=" + std::to_string(trial));
+      const Scalar x = Scalar::Random(setup);
+      DleqStatement full;
+      full.bases.push_back(RistrettoPoint::Base());
+      for (size_t i = 1; i < pairs; ++i) {
+        full.bases.push_back(RistrettoPoint::FromUniformBytes(setup.RandomBytes(64)));
+      }
+      for (const RistrettoPoint& base : full.bases) {
+        full.publics.push_back(x * base);
+      }
+      full.EnsureWire();
+      DleqStatement partial = full;
+      partial.publics.resize(1);
+      partial.public_wire.resize(1);
+
+      const Bytes seed = setup.RandomBytes(32);
+      ChaChaRng reference_rng(seed);
+      ChaChaRng deriving_rng(seed);
+      const DleqTranscript reference = ReferenceProve("test/derive", full, x, reference_rng);
+      const DleqTranscript derived =
+          ProveDleqFsDeriving("test/derive", partial, x, deriving_rng);
+
+      EXPECT_EQ(HexEncode(derived.Serialize()), HexEncode(reference.Serialize()));
+      EXPECT_EQ(derived.commit_wire, reference.commit_wire);
+      ASSERT_EQ(partial.publics.size(), pairs);
+      EXPECT_EQ(partial.public_wire, full.public_wire);
+      for (size_t i = 0; i < pairs; ++i) {
+        EXPECT_TRUE(partial.publics[i] == full.publics[i]) << "public " << i;
+      }
+      EXPECT_EQ(reference_rng.RandomBytes(32), deriving_rng.RandomBytes(32));
+      EXPECT_TRUE(VerifyDleqFs("test/derive", full, derived).ok());
+
+      // ProveDleqFs, over the full statement, is the same prover.
+      ChaChaRng fs_rng(seed);
+      EXPECT_EQ(HexEncode(ProveDleqFs("test/derive", full, x, fs_rng).Serialize()),
+                HexEncode(reference.Serialize()));
+    }
+  }
+}
+
+TEST(DleqWire, TallyProversComputeNoInverseSquareRoot) {
+  // The prover side of the zero-encode rule: with wired inputs, a tagging
+  // pass and a decryption share hash and keep only bytes that came from the
+  // batched double-and-encode (or from caches), never Encode().
+  ChaChaRng rng(102);
+  auto authority = ElectionAuthority::Create(3, rng);
+  TaggingService tagging = TaggingService::Create(3, rng);
+  std::vector<ElGamalCiphertext> input;
+  std::vector<ElGamalWire> input_wire;
+  for (int i = 0; i < 40; ++i) {
+    input.push_back(ElGamalEncrypt(authority.public_key(),
+                                   RistrettoPoint::FromUniformBytes(rng.RandomBytes(64)), rng));
+    input_wire.push_back(input.back().Wire());
+  }
+  const CompressedRistretto c1_wire = input[0].c1.Encode();
+  RistrettoPoint::BaseWire();  // one-time lazy init
+  Executor executor(2);
+
+  uint64_t enc0 = RistrettoEncodeInvocations();
+  std::vector<TaggingStep> steps;
+  (void)tagging.ApplyAll(input, &steps, rng, executor, input_wire);
+  EXPECT_EQ(RistrettoEncodeInvocations() - enc0, 0u);
+  ASSERT_TRUE(TaggingService::VerifyChain(input, steps, tagging.commitments(), executor,
+                                          input_wire)
+                  .ok());
+
+  enc0 = RistrettoEncodeInvocations();
+  DecryptionShare share = authority.ComputeShare(2, input[0], rng, &c1_wire);
+  EXPECT_EQ(RistrettoEncodeInvocations() - enc0, 0u);
+  EXPECT_EQ(share.share_wire, share.share.Encode());
+  EXPECT_TRUE(authority.VerifyShare(input[0], share).ok());
 }
 
 }  // namespace

@@ -228,6 +228,50 @@ TEST(ElectionVerifier, RejectsForgedResultAndTranscript) {
   }
 }
 
+TEST(ElectionVerifier, BallotMixInputComparesWiredItemsByTheirBytes) {
+  // A wired mix input item is checked by its bytes against the accepted
+  // ballot's, an unwired one by its points; either way a swapped item is
+  // named by the same reason. A stale cache that copies the honest bytes
+  // passes the byte check and is caught by the cascade's input validation.
+  ChaChaRng rng(158);
+  Election election(SmallConfig({"alice", "bob", "carol"}), rng);
+  Vsd vsd = election.trip().MakeVsd();
+  for (const char* id : {"alice", "bob", "carol"}) {
+    auto voter = election.Register(id, 1, vsd, rng);
+    ASSERT_TRUE(voter.ok());
+    ASSERT_TRUE(election.Cast(voter->activated[0], "Alice's Choice", rng).ok());
+  }
+  TallyOutput good = election.Tally(rng);
+  ASSERT_TRUE(election.Verify(good).ok());
+  ASSERT_GE(good.transcript.ballot_mix_input.size(), 2u);
+  ASSERT_TRUE(good.transcript.ballot_mix_input[0].HasWire());
+
+  for (bool wired : {true, false}) {
+    SCOPED_TRACE(wired ? "wired" : "unwired");
+    TallyOutput bad = good;
+    MixBatch& input = bad.transcript.ballot_mix_input;
+    std::swap(input[0], input[1]);
+    if (!wired) {
+      for (MixItem& item : input) {
+        item.wire.clear();
+      }
+    }
+    Status status = election.Verify(bad);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.reason(), "verifier: ballot mix input 0 differs");
+  }
+  {
+    TallyOutput bad = good;
+    MixBatch& input = bad.transcript.ballot_mix_input;
+    input[0].cts = input[1].cts;  // item 0 keeps its own, now stale, bytes
+    Status status = election.Verify(bad);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.reason().find("input: wire cache does not match points at index 0"),
+              std::string::npos)
+        << status.reason();
+  }
+}
+
 TEST(ElectionVerifier, PublishedDiscardsMustMatchTheReplay) {
   // Every voter recasts with the real credential and casts once with a
   // fake one, so the tally supersedes and discards unmatched tags. The

@@ -6,13 +6,18 @@
 //    generator, a registered key and an unregistered point, over edge
 //    scalars (0, 1, l-1, 2^252, all-7/8/15 nibbles at the signed-recoding
 //    boundaries) and 4096 random ones.
+//  * MulEach, the third path, over the same scalars in calls of 0, 1, 2, 3
+//    and 9: the table, the ladder, and the shared rows with their buckets.
 //  * Registry: copies of a registered key (and the DKG's election key) take
 //    the table; an evicted key falls back to the ladder and stays correct;
 //    registering while four threads multiply is race-free and exact.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -132,6 +137,45 @@ TEST(FixedBase, UnregisteredPointTakesTheLadder) {
   const RistrettoPoint base_ladder = LadderCopy(RistrettoPoint::Base());
   const Scalar s = Scalar::Random(rng);
   EXPECT_EQ((s * base_ladder).Encode(), RistrettoPoint::MulBase(s).Encode());
+}
+
+TEST(FixedBase, MulEachMatchesDoubleAndAdd) {
+  ChaChaRng rng(1206);
+  const RistrettoPoint key = RistrettoPoint::MulBase(Scalar::Random(rng));
+  RistrettoPoint::RegisterFixedBase(key);
+  ASSERT_TRUE(RistrettoPoint::HasFixedBaseTable(key));
+  const RistrettoPoint unregistered = RandomPoint(rng);
+  ASSERT_FALSE(RistrettoPoint::HasFixedBaseTable(unregistered));
+  const std::vector<std::pair<const char*, RistrettoPoint>> points = {
+      {"generator", RistrettoPoint::Base()},
+      {"registered key", key},
+      {"unregistered point", unregistered},
+      {"ladder copy of the key", LadderCopy(key)}};
+  std::vector<Scalar> scalars = EdgeScalars();
+  for (const Scalar& s : RandomScalars(512, rng)) {
+    scalars.push_back(s);
+  }
+  for (const auto& [name, p] : points) {
+    SCOPED_TRACE(name);
+    std::vector<CompressedRistretto> expected;
+    for (const Scalar& s : scalars) {
+      expected.push_back(DoubleAndAdd(s, p).Encode());
+    }
+    for (size_t per_call : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{9}}) {
+      SCOPED_TRACE("scalars per call: " + std::to_string(per_call));
+      std::vector<RistrettoPoint> out(per_call);
+      for (size_t begin = 0; begin + per_call <= scalars.size(); begin += per_call) {
+        const std::span<const Scalar> call(scalars.data() + begin, per_call);
+        RistrettoPoint::MulEach(p, call, out);
+        for (size_t j = 0; j < per_call; ++j) {
+          ASSERT_EQ(out[j].Encode(), expected[begin + j]) << HexEncode(call[j].ToBytes());
+        }
+        if (per_call == 0) {
+          break;
+        }
+      }
+    }
+  }
 }
 
 TEST(FixedBase, CopiesOfARegisteredKeyUseTheTable) {

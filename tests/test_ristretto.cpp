@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -31,34 +32,36 @@ TEST(Ristretto, BasepointMatchesRfc9496) {
             "e2f2ae0a6abc4e71a884a961c500515f58e30b6aa582dd8db6a65945e08d2d76");
 }
 
+// The RFC 9496 Appendix A.1 table: the encodings of B[0..15].
+const char* const kSmallMultiples[] = {
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "e2f2ae0a6abc4e71a884a961c500515f58e30b6aa582dd8db6a65945e08d2d76",
+    "6a493210f7499cd17fecb510ae0cea23a110e8d5b901f8acadd3095c73a3b919",
+    "94741f5d5d52755ece4f23f044ee27d5d1ea1e2bd196b462166b16152a9d0259",
+    "da80862773358b466ffadfe0b3293ab3d9fd53c5ea6c955358f568322daf6a57",
+    "e882b131016b52c1d3337080187cf768423efccbb517bb495ab812c4160ff44e",
+    "f64746d3c92b13050ed8d80236a7f0007c3b3f962f5ba793d19a601ebb1df403",
+    "44f53520926ec81fbd5a387845beb7df85a96a24ece18738bdcfa6a7822a176d",
+    "903293d8f2287ebe10e2374dc1a53e0bc887e592699f02d077d5263cdd55601c",
+    "02622ace8f7303a31cafc63f8fc48fdc16e1c8c8d234b2f0d6685282a9076031",
+    "20706fd788b2720a1ed2a5dad4952b01f413bcf0e7564de8cdc816689e2db95f",
+    "bce83f8ba5dd2fa572864c24ba1810f9522bc6004afe95877ac73241cafdab42",
+    "e4549ee16b9aa03099ca208c67adafcafa4c3f3e4e5303de6026e3ca8ff84460",
+    "aa52e000df2e16f55fb1032fc33bc42742dad6bd5a8fc0be0167436c5948501f",
+    "46376b80f409b29dc2b5f6f0c52591990896e5716f41477cd30085ab7f10301e",
+    "e0c418f7c8d9c4cdd7395b93ea124f3ad99021bb681dfc3302a9d99a2e53e64e",
+};
+
 TEST(Ristretto, SmallMultiplesMatchRfc9496) {
-  // The RFC 9496 Appendix A.1 table, B[0..15]: repeated addition, the
-  // generator's table and the ladder must each reproduce it. From 8 on the
-  // ladder recodes i as 1 * 16 + (i - 16), two signed digits.
-  const char* expected[] = {
-      "0000000000000000000000000000000000000000000000000000000000000000",
-      "e2f2ae0a6abc4e71a884a961c500515f58e30b6aa582dd8db6a65945e08d2d76",
-      "6a493210f7499cd17fecb510ae0cea23a110e8d5b901f8acadd3095c73a3b919",
-      "94741f5d5d52755ece4f23f044ee27d5d1ea1e2bd196b462166b16152a9d0259",
-      "da80862773358b466ffadfe0b3293ab3d9fd53c5ea6c955358f568322daf6a57",
-      "e882b131016b52c1d3337080187cf768423efccbb517bb495ab812c4160ff44e",
-      "f64746d3c92b13050ed8d80236a7f0007c3b3f962f5ba793d19a601ebb1df403",
-      "44f53520926ec81fbd5a387845beb7df85a96a24ece18738bdcfa6a7822a176d",
-      "903293d8f2287ebe10e2374dc1a53e0bc887e592699f02d077d5263cdd55601c",
-      "02622ace8f7303a31cafc63f8fc48fdc16e1c8c8d234b2f0d6685282a9076031",
-      "20706fd788b2720a1ed2a5dad4952b01f413bcf0e7564de8cdc816689e2db95f",
-      "bce83f8ba5dd2fa572864c24ba1810f9522bc6004afe95877ac73241cafdab42",
-      "e4549ee16b9aa03099ca208c67adafcafa4c3f3e4e5303de6026e3ca8ff84460",
-      "aa52e000df2e16f55fb1032fc33bc42742dad6bd5a8fc0be0167436c5948501f",
-      "46376b80f409b29dc2b5f6f0c52591990896e5716f41477cd30085ab7f10301e",
-      "e0c418f7c8d9c4cdd7395b93ea124f3ad99021bb681dfc3302a9d99a2e53e64e",
-  };
+  // Repeated addition, the generator's table and the ladder must each
+  // reproduce the RFC table. From 8 on the ladder recodes i as
+  // 1 * 16 + (i - 16), two signed digits.
   RistrettoPoint p = RistrettoPoint::Identity();
   for (int i = 0; i < 16; ++i) {
     const Scalar s = Scalar::FromU64(static_cast<uint64_t>(i));
-    EXPECT_EQ(HexEncode(p.Encode()), expected[i]) << "multiple " << i;
-    EXPECT_EQ(HexEncode(RistrettoPoint::MulBase(s).Encode()), expected[i]) << "MulBase " << i;
-    EXPECT_EQ(HexEncode(RistrettoPoint::MulBaseSlow(s).Encode()), expected[i])
+    EXPECT_EQ(HexEncode(p.Encode()), kSmallMultiples[i]) << "multiple " << i;
+    EXPECT_EQ(HexEncode(RistrettoPoint::MulBase(s).Encode()), kSmallMultiples[i]) << "MulBase " << i;
+    EXPECT_EQ(HexEncode(RistrettoPoint::MulBaseSlow(s).Encode()), kSmallMultiples[i])
         << "MulBaseSlow " << i;
     p = p + RistrettoPoint::Base();
   }
@@ -242,6 +245,66 @@ TEST(RistrettoBatch, BatchEncodeMatchesSingleOnRandomAndEdgePoints) {
   BatchEncodePoints(points, batch);
   for (size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(HexEncode(batch[i]), HexEncode(points[i].Encode())) << "index " << i;
+  }
+}
+
+// BatchDoubleAndEncode against Double().Encode(), one batch per call.
+void ExpectDoubleAndEncodeMatches(const std::vector<RistrettoPoint>& points) {
+  std::vector<CompressedRistretto> batch(points.size());
+  BatchDoubleAndEncode(points, batch);
+  for (size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(HexEncode(batch[i]), HexEncode(points[i].Double().Encode())) << "index " << i;
+  }
+}
+
+TEST(RistrettoBatch, DoubleAndEncodeMatchesDoubleThenEncode) {
+  ChaChaRng rng(53);
+  std::vector<RistrettoPoint> points;
+  for (int i = 0; i < 300; ++i) {  // more than one 64-point chunk
+    points.push_back(RandomPoint(rng));
+  }
+  ExpectDoubleAndEncodeMatches(points);
+  // The identity (e*f*g*h = 0) in the middle of a batch takes the fallback
+  // and leaves its neighbours' shared inversion intact.
+  std::vector<RistrettoPoint> with_identity = {RandomPoint(rng), RandomPoint(rng),
+                                               RistrettoPoint::Identity(), RandomPoint(rng),
+                                               -RistrettoPoint::Base()};
+  ExpectDoubleAndEncodeMatches(with_identity);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{17}}) {
+    SCOPED_TRACE("batch of " + std::to_string(n));
+    ExpectDoubleAndEncodeMatches(std::vector<RistrettoPoint>(points.begin(), points.begin() + n));
+  }
+}
+
+TEST(RistrettoBatch, DoubleAndEncodeIsRepresentationBlind) {
+  // One element three ways: as mapped, as decoded from its encoding (affine,
+  // possibly another coset representative) and with scaled coordinates.
+  ChaChaRng rng(54);
+  for (int trial = 0; trial < 32; ++trial) {
+    const RistrettoPoint p = RandomPoint(rng);
+    const RistrettoPoint decoded = *RistrettoPoint::Decode(p.Encode());
+    const std::vector<RistrettoPoint> same = {p, decoded, p + RistrettoPoint::Identity()};
+    std::vector<CompressedRistretto> batch(same.size());
+    BatchDoubleAndEncode(same, batch);
+    const CompressedRistretto expected = p.Double().Encode();
+    for (size_t i = 0; i < same.size(); ++i) {
+      EXPECT_EQ(HexEncode(batch[i]), HexEncode(expected)) << "trial " << trial << " form " << i;
+    }
+  }
+}
+
+TEST(RistrettoBatch, DoubleAndEncodeMatchesRfc9496) {
+  // k*B for k = 0..7 doubles to the RFC's B[2k].
+  std::vector<RistrettoPoint> multiples;
+  RistrettoPoint p = RistrettoPoint::Identity();
+  for (int k = 0; k < 8; ++k) {
+    multiples.push_back(p);
+    p = p + RistrettoPoint::Base();
+  }
+  std::vector<CompressedRistretto> batch(multiples.size());
+  BatchDoubleAndEncode(multiples, batch);
+  for (size_t k = 0; k < multiples.size(); ++k) {
+    EXPECT_EQ(HexEncode(batch[k]), kSmallMultiples[2 * k]) << "k = " << k;
   }
 }
 

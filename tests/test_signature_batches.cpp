@@ -359,6 +359,46 @@ TEST(BatchedBallotValidation, SignedPayloadFromWireEqualsSignedPayload) {
   EXPECT_EQ(seen, 4u);
 }
 
+TEST(BallotMixWire, EqualsTheEncodedMixItemOnHonestBallots) {
+  // The tally's ballot mix item [Enc(vote), Enc(c_pk)] takes its wire from
+  // the bytes the parsed ballot holds; they must be what encoding the
+  // item's four points gives. A ballot that was not parsed has none.
+  ChaChaRng rng(2206);
+  Election election(
+      [] {
+        ElectionConfig config;
+        config.roster = {"alice", "bob", "carol"};
+        config.candidates = {"A", "B"};
+        return config;
+      }(),
+      rng);
+  Vsd vsd = election.trip().MakeVsd();
+  for (const char* id : {"alice", "bob", "carol"}) {
+    auto voter = election.Register(id, 1, vsd, rng);
+    ASSERT_TRUE(voter.ok());
+    for (const ActivatedCredential& credential : voter->activated) {
+      ASSERT_TRUE(election.Cast(credential, "B", rng).ok());
+    }
+  }
+  LedgerCursor cursor = election.ledger().BallotCursor();
+  LedgerEntryView view;
+  size_t seen = 0;
+  while (cursor.Next(&view)) {
+    auto ballot = Ballot::Parse(view.payload);
+    ASSERT_TRUE(ballot.ok());
+    ASSERT_TRUE(ballot->vote_wire.has_value());
+    auto credential = RistrettoPoint::Decode(ballot->credential_pk);
+    ASSERT_TRUE(credential.has_value());
+    MixItem encoded({ballot->encrypted_vote, ElGamalTrivialEncrypt(*credential)});
+    EXPECT_EQ(HexEncode(BallotMixWire(*ballot)), HexEncode(encoded.EnsureWire()));
+    Ballot unparsed = *ballot;
+    unparsed.vote_wire.reset();
+    EXPECT_TRUE(BallotMixWire(unparsed).empty());
+    ++seen;
+  }
+  EXPECT_EQ(seen, 6u);
+}
+
 // --- Registration records ---------------------------------------------------
 
 enum class BadRecord {
