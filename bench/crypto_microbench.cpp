@@ -4,6 +4,8 @@
 // and the protocol hot paths (credential issuance, activation, PET).
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "src/crypto/batch.h"
 #include "src/crypto/dkg.h"
 #include "src/crypto/dleq.h"
@@ -330,9 +332,8 @@ Status BatchVerifySchnorrSeedPath(std::span<const SchnorrBatchEntry> entries, Rn
     Bytes wide(64, 0);
     rng.Fill(std::span<uint8_t>(wide.data(), 16));
     Scalar weight = Scalar::FromBytesWide(wide);
-    Scalar challenge = Scalar::FromBytesWide(Sha512::HashParts(
-        {AsBytes("votegral/schnorr/challenge/v1"), entry.signature.r_bytes,
-         entry.public_key, entry.message}));
+    Scalar challenge =
+        SchnorrChallenge(entry.signature.r_bytes, entry.public_key, entry.message);
     combined_s = combined_s + weight * entry.signature.s;
     accumulator = accumulator + (weight * challenge) * *pk + weight * *r;
   }
@@ -400,9 +401,8 @@ struct SchnorrAccumFixture {
       Bytes wide(64, 0);
       rng.Fill(std::span<uint8_t>(wide.data(), 16));
       weights.push_back(Scalar::FromBytesWide(wide));
-      challenges.push_back(Scalar::FromBytesWide(Sha512::HashParts(
-          {AsBytes("votegral/schnorr/challenge/v1"), entry.signature.r_bytes,
-           entry.public_key, entry.message})));
+      challenges.push_back(
+          SchnorrChallenge(entry.signature.r_bytes, entry.public_key, entry.message));
       combined_s = combined_s + weights.back() * entry.signature.s;
     }
   }
@@ -628,6 +628,43 @@ void BM_TripFullRegistration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TripFullRegistration)->Unit(benchmark::kMillisecond);
+
+void BM_VsdActivate(benchmark::State& state) {
+  // One Vsd::Activate of a credential fresh from the booth, its envelope
+  // challenge not yet revealed: arg 0 the voter's real credential, 1 a fake.
+  // A new cohort registers, untimed, whenever the last one is used up.
+  const bool fake = state.range(0) == 1;
+  ChaChaRng rng(15);
+  std::vector<std::string> roster;
+  for (int i = 0; i < 256; ++i) {
+    roster.push_back("v" + std::to_string(i));
+  }
+  std::optional<TripSystem> system;
+  std::optional<Vsd> vsd;
+  std::vector<PaperCredential> credentials;
+  size_t next = 0;
+  for (auto _ : state) {
+    if (next == credentials.size()) {
+      state.PauseTiming();
+      TripSystemParams params;
+      params.roster = roster;
+      system.emplace(TripSystem::Create(params, rng));
+      vsd.emplace(system->MakeVsd());
+      credentials.clear();
+      RegistrationDesk desk(*system);
+      for (const std::string& id : roster) {
+        auto outcome = desk.RegisterVoter(id, 1, rng);
+        Require(outcome.ok(), "BM_VsdActivate: registration failed");
+        credentials.push_back(fake ? outcome->fakes.at(0) : outcome->real);
+      }
+      next = 0;
+      state.ResumeTiming();
+    }
+    auto activated = vsd->Activate(credentials[next++], system->ledger());
+    Require(activated.ok(), "BM_VsdActivate: activation failed");
+  }
+}
+BENCHMARK(BM_VsdActivate)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace votegral

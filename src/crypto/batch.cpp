@@ -15,15 +15,6 @@ namespace {
 
 constexpr std::string_view kSignatureBatchWeightDomain = "votegral/schnorr/batch-weights/v1";
 
-Scalar SchnorrChallenge(const CompressedRistretto& r_bytes,
-                        const CompressedRistretto& pk_bytes,
-                        std::span<const uint8_t> message) {
-  // Must match src/crypto/schnorr.cpp.
-  auto digest = Sha512::HashParts(
-      {AsBytes("votegral/schnorr/challenge/v1"), r_bytes, pk_bytes, message});
-  return Scalar::FromBytesWide(digest);
-}
-
 // Public keys are canonical ristretto encodings, statistically uniform
 // bytes, so the low 8 bytes are already a good hash.
 struct WireKeyHash {

@@ -64,7 +64,9 @@ struct DecryptionShare {
   // bytes: a producer cache like TaggingStep::output_wire. The tally's
   // release-gate self-check hashes it instead of encoding the share again;
   // with faults armed, AuthorityClient::RequestShare compares it with the
-  // point on arrival. Verifiers never read it.
+  // point on arrival. The universal verifier hashes it only after checking
+  // it against the point (BatchValidateEncodings) and encodes the point
+  // when it does not match.
   CompressedRistretto share_wire{};
 };
 

@@ -11,13 +11,13 @@ namespace {
 constexpr std::string_view kNonceDomain = "votegral/schnorr/nonce/v1";
 constexpr std::string_view kChallengeDomain = "votegral/schnorr/challenge/v1";
 
-Scalar Challenge(const CompressedRistretto& r_bytes, const CompressedRistretto& pk_bytes,
-                 std::span<const uint8_t> message) {
+}  // namespace
+
+Scalar SchnorrChallenge(const CompressedRistretto& r_bytes, const CompressedRistretto& pk_bytes,
+                        std::span<const uint8_t> message) {
   auto digest = Sha512::HashParts({AsBytes(kChallengeDomain), r_bytes, pk_bytes, message});
   return Scalar::FromBytesWide(digest);
 }
-
-}  // namespace
 
 Bytes SchnorrSignature::Serialize() const {
   Bytes out(r_bytes.begin(), r_bytes.end());
@@ -51,7 +51,7 @@ SchnorrSignature SchnorrKeyPair::Sign(std::span<const uint8_t> message, Rng& rng
 
   SchnorrSignature sig;
   sig.r_bytes = RistrettoPoint::MulBase(k).Encode();
-  Scalar c = Challenge(sig.r_bytes, pk_bytes_, message);
+  Scalar c = SchnorrChallenge(sig.r_bytes, pk_bytes_, message);
   sig.s = k + c * sk_;
   return sig;
 }
@@ -62,7 +62,7 @@ Status SchnorrVerify(const CompressedRistretto& pk_bytes, std::span<const uint8_
   if (!pk.has_value()) {
     return Status::Error("schnorr: invalid public key encoding");
   }
-  Scalar c = Challenge(sig.r_bytes, pk_bytes, message);
+  Scalar c = SchnorrChallenge(sig.r_bytes, pk_bytes, message);
   // Check s*B == R + c*P  <=>  R == s*B - c*P.
   RistrettoPoint r = RistrettoPoint::DoubleScalarMulBase(-c, *pk, sig.s);
   if (!ConstantTimeEqual(r.Encode(), sig.r_bytes)) {

@@ -52,6 +52,12 @@ class SchnorrKeyPair {
   CompressedRistretto pk_bytes_;
 };
 
+// The challenge c = H(R, pk, m) a signature on `message` binds, under the
+// domain "votegral/schnorr/challenge/v1". Signing and every verifier, single
+// or batched, hash these same bytes.
+Scalar SchnorrChallenge(const CompressedRistretto& r_bytes, const CompressedRistretto& pk_bytes,
+                        std::span<const uint8_t> message);
+
 // Verifies `sig` on `message` under the public key encoded by `pk_bytes`.
 // Returns a descriptive error Status on failure.
 Status SchnorrVerify(const CompressedRistretto& pk_bytes, std::span<const uint8_t> message,

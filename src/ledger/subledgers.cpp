@@ -18,10 +18,12 @@ std::array<uint8_t, 32> HashChallenge(const Scalar& challenge) {
 
 }  // namespace
 
-Bytes RegistrationRecord::Serialize() const {
+Bytes RegistrationRecord::Serialize() const { return Serialize(public_credential.Wire()); }
+
+Bytes RegistrationRecord::Serialize(const ElGamalWire& credential_wire) const {
   ByteWriter w;
   w.Str(voter_id);
-  w.Var(public_credential.Serialize());
+  w.Var(credential_wire);
   w.Fixed(kiosk_pk);
   w.Var(kiosk_sig.Serialize());
   w.Fixed(official_pk);
@@ -171,10 +173,15 @@ bool PublicLedger::IsEligible(const std::string& voter_id) const {
 }
 
 Status PublicLedger::PostRegistration(const RegistrationRecord& record) {
+  return PostRegistration(record, record.public_credential.Wire());
+}
+
+Status PublicLedger::PostRegistration(const RegistrationRecord& record,
+                                      const ElGamalWire& credential_wire) {
   if (!IsEligible(record.voter_id)) {
     return Status::Error("ledger: voter not on the electoral roll: " + record.voter_id);
   }
-  uint64_t index = registration_log_.Append(kRegistrationTopic, record.Serialize());
+  uint64_t index = registration_log_.Append(kRegistrationTopic, record.Serialize(credential_wire));
   registrations_by_voter_[record.voter_id].push_back(index);
   return Status::Ok();
 }

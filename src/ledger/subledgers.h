@@ -45,6 +45,8 @@ struct RegistrationRecord {
   SchnorrSignature official_sig;        // σ_o over (V_id || c_pc || σ_kot)
 
   Bytes Serialize() const;
+  // The same bytes from the already-encoded public credential.
+  Bytes Serialize(const ElGamalWire& credential_wire) const;
   static Outcome<RegistrationRecord> Parse(std::span<const uint8_t> bytes);
 };
 
@@ -88,6 +90,8 @@ class PublicLedger {
   // Posts a registration record; supersedes any previous record for the
   // voter. Fails if the voter is not on the roster.
   Status PostRegistration(const RegistrationRecord& record);
+  // The same, with the record's c_pc already encoded as `credential_wire`.
+  Status PostRegistration(const RegistrationRecord& record, const ElGamalWire& credential_wire);
 
   // The voter's currently active record, if any.
   std::optional<RegistrationRecord> ActiveRegistration(const std::string& voter_id) const;

@@ -46,16 +46,18 @@ Outcome<PaperCredential> CredentialStealingKiosk::FinishRealCredential(const Env
   credential.symbol = envelope.symbol;
   credential.envelope = envelope;
 
+  const ElGamalWire c_pc_wire = c_pc.Wire();
   credential.commit.voter_id = voter_id_;
   credential.commit.public_credential = c_pc;
   credential.commit.commit_y1 = transcript.commits[0];
   credential.commit.commit_y2 = transcript.commits[1];
-  credential.commit.kiosk_sig = SignCommit(credential.commit, rng);
+  credential.commit.kiosk_sig =
+      SignCommit(c_pc_wire, transcript.commit_wire[0], transcript.commit_wire[1], rng);
 
   credential.checkout.voter_id = voter_id_;
   credential.checkout.public_credential = c_pc;
   credential.checkout.kiosk_pk = key_.public_bytes();
-  credential.checkout.kiosk_sig = SignCheckout(credential.checkout, rng);
+  credential.checkout.kiosk_sig = SignCheckout(c_pc_wire, rng);
 
   credential.response.credential_sk = decoy_key.secret();
   credential.response.zkp_response = transcript.response;
@@ -63,9 +65,7 @@ Outcome<PaperCredential> CredentialStealingKiosk::FinishRealCredential(const Env
   auto h_er = ChallengeResponseHash(envelope.challenge, transcript.response);
   credential.response.kiosk_sig = SignResponse(decoy_key.public_bytes(), h_er, rng);
 
-  real_issued_ = true;
-  session_public_credential_ = c_pc;
-  session_checkout_ = credential.checkout;
+  RecordSessionCredential(c_pc, c_pc_wire, credential.checkout);
 
   // The whole receipt prints at once — the fake-credential signature.
   RecordAction(KioskAction::kPrintedFullReceipt);

@@ -54,12 +54,14 @@ Status Kiosk::StartSession(const CheckInTicket& ticket) {
   return Status::Ok();
 }
 
-SchnorrSignature Kiosk::SignCommit(const CommitSegment& segment, Rng& rng) const {
-  return key_.Sign(segment.SignedPayload(), rng);
+SchnorrSignature Kiosk::SignCommit(const ElGamalWire& credential_wire,
+                                   const CompressedRistretto& y1, const CompressedRistretto& y2,
+                                   Rng& rng) const {
+  return key_.Sign(CommitSegment::SignedPayload(voter_id_, credential_wire, y1, y2), rng);
 }
 
-SchnorrSignature Kiosk::SignCheckout(const CheckOutSegment& segment, Rng& rng) const {
-  return key_.Sign(segment.SignedPayload(), rng);
+SchnorrSignature Kiosk::SignCheckout(const ElGamalWire& credential_wire, Rng& rng) const {
+  return key_.Sign(CheckOutSegment::SignedPayload(voter_id_, credential_wire), rng);
 }
 
 SchnorrSignature Kiosk::SignResponse(const CompressedRistretto& credential_pk,
@@ -77,6 +79,15 @@ Status Kiosk::ConsumeEnvelope(const Envelope& envelope) {
   return Status::Ok();
 }
 
+void Kiosk::RecordSessionCredential(const ElGamalCiphertext& public_credential,
+                                    const ElGamalWire& credential_wire,
+                                    const CheckOutSegment& checkout) {
+  real_issued_ = true;
+  session_public_credential_ = public_credential;
+  session_credential_wire_ = credential_wire;
+  session_checkout_ = checkout;
+}
+
 Outcome<PrintedCommit> Kiosk::BeginRealCredential(Rng& rng) {
   if (!in_session_) {
     return Outcome<PrintedCommit>::Fail("kiosk: no active session");
@@ -88,6 +99,7 @@ Outcome<PrintedCommit> Kiosk::BeginRealCredential(Rng& rng) {
   auto pending = std::make_unique<PendingReal>(PendingReal{
       .credential_key = SchnorrKeyPair::Generate(rng),
       .public_credential = {},
+      .credential_wire = {},
       .prover = nullptr,
       .symbol = static_cast<int>(rng.Uniform(kNumEnvelopeSymbols)),
       .commit = {},
@@ -98,6 +110,7 @@ Outcome<PrintedCommit> Kiosk::BeginRealCredential(Rng& rng) {
   Scalar x = Scalar::Random(rng);
   pending->public_credential =
       ElGamalEncrypt(authority_pk_, pending->credential_key.public_point(), x);
+  pending->credential_wire = pending->public_credential.Wire();
 
   // Sound Σ-protocol: fix the commitment *now*, before any challenge exists.
   RistrettoPoint big_x = pending->public_credential.c2 - pending->credential_key.public_point();
@@ -109,7 +122,9 @@ Outcome<PrintedCommit> Kiosk::BeginRealCredential(Rng& rng) {
   pending->commit.public_credential = pending->public_credential;
   pending->commit.commit_y1 = pending->prover->commits()[0];
   pending->commit.commit_y2 = pending->prover->commits()[1];
-  pending->commit.kiosk_sig = SignCommit(pending->commit, rng);
+  pending->commit.kiosk_sig = SignCommit(pending->credential_wire,
+                                         pending->prover->commit_wire()[0],
+                                         pending->prover->commit_wire()[1], rng);
 
   PrintedCommit printed{pending->symbol, pending->commit};
   pending_real_ = std::move(pending);
@@ -143,7 +158,7 @@ Outcome<PaperCredential> Kiosk::FinishRealCredential(const Envelope& envelope, R
   credential.checkout.voter_id = voter_id_;
   credential.checkout.public_credential = pending.public_credential;
   credential.checkout.kiosk_pk = key_.public_bytes();
-  credential.checkout.kiosk_sig = SignCheckout(credential.checkout, rng);
+  credential.checkout.kiosk_sig = SignCheckout(pending.credential_wire, rng);
 
   credential.response.credential_sk = pending.credential_key.secret();
   credential.response.zkp_response = transcript.response;
@@ -153,9 +168,8 @@ Outcome<PaperCredential> Kiosk::FinishRealCredential(const Envelope& envelope, R
       SignResponse(pending.credential_key.public_bytes(), h_er, rng);
 
   // Session material reused verbatim by fake credentials: identical t_ot.
-  real_issued_ = true;
-  session_public_credential_ = pending.public_credential;
-  session_checkout_ = credential.checkout;
+  RecordSessionCredential(pending.public_credential, pending.credential_wire,
+                          credential.checkout);
   pending_real_.reset();
 
   RecordAction(KioskAction::kPrintedCheckoutAndResponse);
@@ -193,7 +207,8 @@ Outcome<PaperCredential> Kiosk::CreateFakeCredential(const Envelope& envelope, R
   credential.commit.public_credential = session_public_credential_;
   credential.commit.commit_y1 = transcript.commits[0];
   credential.commit.commit_y2 = transcript.commits[1];
-  credential.commit.kiosk_sig = SignCommit(credential.commit, rng);
+  credential.commit.kiosk_sig = SignCommit(session_credential_wire_, transcript.commit_wire[0],
+                                           transcript.commit_wire[1], rng);
 
   // Identical in content and bytes to the real credential's t_ot (§E.5).
   credential.checkout = session_checkout_;

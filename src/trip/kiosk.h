@@ -76,13 +76,21 @@ class Kiosk {
   const std::vector<KioskAction>& session_actions() const { return actions_; }
 
  protected:
-  // Shared helpers for honest and malicious kiosks.
-  SchnorrSignature SignCommit(const CommitSegment& segment, Rng& rng) const;
-  SchnorrSignature SignCheckout(const CheckOutSegment& segment, Rng& rng) const;
+  // Shared helpers for honest and malicious kiosks. σ_kc and σ_kot cover
+  // the session's voter and take c_pc (and Y) already encoded, so a session
+  // encodes c_pc once however many receipts it prints.
+  SchnorrSignature SignCommit(const ElGamalWire& credential_wire, const CompressedRistretto& y1,
+                              const CompressedRistretto& y2, Rng& rng) const;
+  SchnorrSignature SignCheckout(const ElGamalWire& credential_wire, Rng& rng) const;
   SchnorrSignature SignResponse(const CompressedRistretto& credential_pk,
                                 const std::array<uint8_t, 32>& h_er, Rng& rng) const;
   void RecordAction(KioskAction action) { actions_.push_back(action); }
   Status ConsumeEnvelope(const Envelope& envelope);
+  // Records the session's credential: every fake from here on shares its
+  // c_pc (signed from `credential_wire`) and its t_ot.
+  void RecordSessionCredential(const ElGamalCiphertext& public_credential,
+                               const ElGamalWire& credential_wire,
+                               const CheckOutSegment& checkout);
 
   SchnorrKeyPair key_;
   Bytes mac_key_;
@@ -102,6 +110,7 @@ class Kiosk {
   struct PendingReal {
     SchnorrKeyPair credential_key;
     ElGamalCiphertext public_credential;
+    ElGamalWire credential_wire{};
     std::unique_ptr<DleqProver> prover;
     int symbol = 0;
     CommitSegment commit;
@@ -111,6 +120,7 @@ class Kiosk {
   // After the real credential is issued: material shared by fake credentials.
   bool real_issued_ = false;
   ElGamalCiphertext session_public_credential_;
+  ElGamalWire session_credential_wire_{};
   CheckOutSegment session_checkout_;  // reused verbatim — fakes are identical here
 };
 

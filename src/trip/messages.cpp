@@ -83,12 +83,19 @@ Outcome<CommitSegment> CommitSegment::Parse(std::span<const uint8_t> bytes) {
 }
 
 Bytes CommitSegment::SignedPayload() const {
+  return SignedPayload(voter_id, public_credential.Wire(), commit_y1.Encode(),
+                       commit_y2.Encode());
+}
+
+Bytes CommitSegment::SignedPayload(std::string_view voter_id, const ElGamalWire& credential_wire,
+                                   const CompressedRistretto& y1,
+                                   const CompressedRistretto& y2) {
   ByteWriter w;
   w.Str(kCommitDomain);
   w.Str(voter_id);
-  w.Fixed(public_credential.Serialize());
-  w.Fixed(commit_y1.Encode());
-  w.Fixed(commit_y2.Encode());
+  w.Fixed(credential_wire);
+  w.Fixed(y1);
+  w.Fixed(y2);
   return w.Take();
 }
 

@@ -66,6 +66,9 @@ struct CommitSegment {
   Bytes Serialize() const;
   static Outcome<CommitSegment> Parse(std::span<const uint8_t> bytes);
   Bytes SignedPayload() const;
+  // The same bytes from the already-encoded public credential and commits.
+  static Bytes SignedPayload(std::string_view voter_id, const ElGamalWire& credential_wire,
+                             const CompressedRistretto& y1, const CompressedRistretto& y2);
 };
 
 // Receipt segment 2 — the check-out ticket t_ot = (V_id, c_pc, K_pk, σ_kot),

@@ -60,9 +60,12 @@ Status Official::CheckOut(const CheckOutSegment& checkout,
   if (authorized_kiosks.count(checkout.kiosk_pk) == 0) {
     return Status::Error("official: credential issued by unauthorized kiosk");
   }
-  // Verify σ_kot (Fig. 10 line 3).
-  Status sig_ok = SchnorrVerify(checkout.kiosk_pk, checkout.SignedPayload(),
-                                checkout.kiosk_sig);
+  // Verify σ_kot (Fig. 10 line 3). One encoding of c_pc serves σ_kot's
+  // message, σ_o's and the posted record.
+  const ElGamalWire credential_wire = checkout.public_credential.Wire();
+  Status sig_ok = SchnorrVerify(
+      checkout.kiosk_pk, CheckOutSegment::SignedPayload(checkout.voter_id, credential_wire),
+      checkout.kiosk_sig);
   if (!sig_ok.ok()) {
     return Status::Error("official: kiosk check-out signature invalid: " + sig_ok.reason());
   }
@@ -73,9 +76,10 @@ Status Official::CheckOut(const CheckOutSegment& checkout,
   record.kiosk_pk = checkout.kiosk_pk;
   record.kiosk_sig = checkout.kiosk_sig;
   record.official_pk = key_.public_bytes();
-  record.official_sig = key_.Sign(OfficialCheckOutPayload(checkout), rng);
+  record.official_sig =
+      key_.Sign(OfficialPayload(checkout.voter_id, credential_wire, checkout.kiosk_sig), rng);
 
-  Status posted = ledger.PostRegistration(record);
+  Status posted = ledger.PostRegistration(record, credential_wire);
   if (!posted.ok()) {
     return posted;
   }

@@ -1,5 +1,8 @@
 #include "src/trip/setup.h"
 
+#include <algorithm>
+#include <bit>
+
 namespace votegral {
 
 EnvelopePrinter::EnvelopePrinter(SchnorrKeyPair key) : key_(std::move(key)) {}
@@ -34,36 +37,80 @@ std::vector<Envelope> EnvelopePrinter::IssueBatch(size_t count, PublicLedger& le
   return out;
 }
 
-Outcome<Envelope> EnvelopeSupply::TakeWithSymbol(int symbol, Rng& rng) {
-  std::vector<size_t> matching;
-  for (size_t i = 0; i < envelopes_.size(); ++i) {
-    if (envelopes_[i].symbol == symbol) {
-      matching.push_back(i);
+void EnvelopeSupply::SlotIndex::Append() {
+  // A new node j covers slots (j - lowbit(j), j]: itself plus the nodes
+  // below it that end inside that range.
+  const size_t j = tree_.size() + 1;
+  size_t covered = 1;
+  for (size_t k = j - 1; k > j - (j & -j); k -= k & -k) {
+    covered += tree_[k - 1];
+  }
+  tree_.push_back(covered);
+  ++count_;
+}
+
+void EnvelopeSupply::SlotIndex::Remove(size_t slot) {
+  for (size_t j = slot + 1; j <= tree_.size(); j += j & -j) {
+    --tree_[j - 1];
+  }
+  --count_;
+}
+
+size_t EnvelopeSupply::SlotIndex::Kth(size_t k) const {
+  // Binary lifting: the longest prefix holding at most k remaining slots
+  // ends just before the k-th one.
+  size_t prefix = 0;
+  for (size_t step = std::bit_floor(tree_.size()); step > 0; step >>= 1) {
+    if (prefix + step <= tree_.size() && tree_[prefix + step - 1] <= k) {
+      prefix += step;
+      k -= tree_[prefix - 1];
     }
   }
-  if (matching.empty()) {
+  return prefix;
+}
+
+EnvelopeSupply::EnvelopeSupply(std::vector<Envelope> envelopes) : slots_(std::move(envelopes)) {
+  IndexFrom(0);
+}
+
+void EnvelopeSupply::IndexFrom(size_t first) {
+  for (size_t slot = first; slot < slots_.size(); ++slot) {
+    SymbolStock& stock = by_symbol_[slots_[slot].symbol];
+    stock.slots.push_back(slot);
+    stock.index.Append();
+    stock_.Append();
+  }
+}
+
+Envelope EnvelopeSupply::Take(size_t slot) {
+  stock_.Remove(slot);
+  SymbolStock& stock = by_symbol_.at(slots_[slot].symbol);
+  const auto position = std::lower_bound(stock.slots.begin(), stock.slots.end(), slot);
+  stock.index.Remove(static_cast<size_t>(position - stock.slots.begin()));
+  return slots_[slot];
+}
+
+Outcome<Envelope> EnvelopeSupply::TakeWithSymbol(int symbol, Rng& rng) {
+  auto it = by_symbol_.find(symbol);
+  if (it == by_symbol_.end() || it->second.index.Count() == 0) {
     return Outcome<Envelope>::Fail("booth: no envelope with the requested symbol in stock");
   }
-  size_t pick = matching[rng.Uniform(matching.size())];
-  Envelope envelope = envelopes_[pick];
-  envelopes_.erase(envelopes_.begin() + static_cast<ptrdiff_t>(pick));
-  return Outcome<Envelope>::Ok(std::move(envelope));
+  const SymbolStock& matching = it->second;
+  const size_t pick = matching.index.Kth(rng.Uniform(matching.index.Count()));
+  return Outcome<Envelope>::Ok(Take(matching.slots[pick]));
 }
 
 Outcome<Envelope> EnvelopeSupply::TakeAny(Rng& rng) {
-  if (envelopes_.empty()) {
+  if (stock_.Count() == 0) {
     return Outcome<Envelope>::Fail("booth: envelope stock exhausted");
   }
-  size_t pick = rng.Uniform(envelopes_.size());
-  Envelope envelope = envelopes_[pick];
-  envelopes_.erase(envelopes_.begin() + static_cast<ptrdiff_t>(pick));
-  return Outcome<Envelope>::Ok(std::move(envelope));
+  return Outcome<Envelope>::Ok(Take(stock_.Kth(rng.Uniform(stock_.Count()))));
 }
 
 void EnvelopeSupply::Add(std::vector<Envelope> envelopes) {
-  for (auto& e : envelopes) {
-    envelopes_.push_back(std::move(e));
-  }
+  const size_t first = slots_.size();
+  slots_.insert(slots_.end(), envelopes.begin(), envelopes.end());
+  IndexFrom(first);
 }
 
 TripSystem TripSystem::Create(const TripSystemParams& params, Rng& rng) {

@@ -4,6 +4,7 @@
 #ifndef SRC_TRIP_SETUP_H_
 #define SRC_TRIP_SETUP_H_
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -43,13 +44,16 @@ class EnvelopePrinter {
   SchnorrKeyPair key_;
 };
 
-// The booth's envelope stock, with voter-style selection.
+// The booth's envelope stock, with voter-style selection. The stock keeps
+// its order: a take removes one envelope, a restock appends. A take draws
+// the rank of its pick among the candidates in stock order and costs
+// O(log stock): a count index over the whole stock and one over each
+// symbol's envelopes find the envelope of that rank without a pass.
 class EnvelopeSupply {
  public:
-  explicit EnvelopeSupply(std::vector<Envelope> envelopes)
-      : envelopes_(std::move(envelopes)) {}
+  explicit EnvelopeSupply(std::vector<Envelope> envelopes);
 
-  size_t remaining() const { return envelopes_.size(); }
+  size_t remaining() const { return stock_.Count(); }
 
   // Voter picks any envelope bearing `symbol` uniformly at random; removes
   // it from the stock.
@@ -62,7 +66,33 @@ class EnvelopeSupply {
   void Add(std::vector<Envelope> envelopes);
 
  private:
-  std::vector<Envelope> envelopes_;
+  // Which slots of an append-only sequence are still in stock, as a Fenwick
+  // tree of counts: append, remove and "the k-th slot still in stock" each
+  // cost O(log slots).
+  class SlotIndex {
+   public:
+    void Append();
+    void Remove(size_t slot);
+    size_t Count() const { return count_; }
+    // The slot of the k-th (0-based) remaining one; k < Count().
+    size_t Kth(size_t k) const;
+
+   private:
+    std::vector<size_t> tree_;  // node j (1-based) at tree_[j - 1]
+    size_t count_ = 0;
+  };
+  struct SymbolStock {
+    std::vector<size_t> slots;  // the stock slots bearing this symbol, ascending
+    SlotIndex index;            // over `slots`
+  };
+
+  // Indexes slots_[first, end) as newly stocked.
+  void IndexFrom(size_t first);
+  Envelope Take(size_t slot);
+
+  std::vector<Envelope> slots_;  // every envelope stocked, in stock order
+  SlotIndex stock_;              // over slots_
+  std::map<int, SymbolStock> by_symbol_;
 };
 
 // Setup parameters (counts per Fig. 7; n_E should satisfy

@@ -1,13 +1,144 @@
 #include "src/trip/vsd.h"
 
+#include "src/crypto/batch.h"
 #include "src/crypto/dleq.h"
+#include "src/crypto/drbg.h"
+#include "src/crypto/msm.h"
+#include "src/crypto/sha512.h"
 
 namespace votegral {
 
+namespace {
+
+constexpr std::string_view kActivationWeightDomain = "votegral/vsd/activation-weights/v1";
+
+// The receipt of one paper credential as the checks of Fig. 11 lines 3-8
+// read it: the messages σ_kc, σ_kr and σ_p sign, and X = C2 - c_pk.
+struct Receipt {
+  const PaperCredential& credential;
+  Bytes commit_message;
+  Bytes response_message;
+  Bytes envelope_message;
+  RistrettoPoint big_x;
+};
+
+// The reference: the checks one at a time, in the order of Fig. 11. Returns
+// the reason of the first that fails, or nullptr when all hold.
+const char* FirstFailedReceiptCheck(const Receipt& receipt, const RistrettoPoint& authority_pk,
+                                    const std::set<CompressedRistretto>& trusted_printers) {
+  const PaperCredential& credential = receipt.credential;
+  // (line 3) Receipt integrity check 1: σ_kc over (V_id ‖ c_pc ‖ Y).
+  if (!SchnorrVerify(credential.response.kiosk_pk, receipt.commit_message,
+                     credential.commit.kiosk_sig)
+           .ok()) {
+    return "activation: kiosk commit signature invalid";
+  }
+  // (line 4) Receipt integrity check 2: σ_kr over (c_pk ‖ H(e‖r)).
+  if (!SchnorrVerify(credential.response.kiosk_pk, receipt.response_message,
+                     credential.response.kiosk_sig)
+           .ok()) {
+    return "activation: kiosk response signature invalid";
+  }
+  // (line 5) Envelope integrity: σ_p over H(e), from a trusted printer.
+  if (trusted_printers.count(credential.envelope.printer_pk) == 0) {
+    return "activation: envelope printer not trusted";
+  }
+  if (!SchnorrVerify(credential.envelope.printer_pk, receipt.envelope_message,
+                     credential.envelope.printer_sig)
+           .ok()) {
+    return "activation: envelope printer signature invalid";
+  }
+  // (lines 6-8) The proof transcript: Y1 == g^r · C1^e and Y2 == A^r · X^e.
+  DleqStatement statement = DleqStatement::MakePair(
+      RistrettoPoint::Base(), credential.commit.public_credential.c1, authority_pk,
+      receipt.big_x);
+  DleqTranscript transcript;
+  transcript.commits = {credential.commit.commit_y1, credential.commit.commit_y2};
+  transcript.challenge = credential.envelope.challenge;
+  transcript.response = credential.response.zkp_response;
+  if (!VerifyDleqTranscript(statement, transcript).ok()) {
+    return "activation: zero-knowledge proof transcript invalid";
+  }
+  return nullptr;
+}
+
+// The five equations of lines 3-8 as one random linear combination:
+//   w1 (s_kc·B - c_kc·K - R_kc) + w2 (s_kr·B - c_kr·K - R_kr)
+//     + w3 (s_p·B - c_p·P - R_p) + w4 (r·B + e·C1 - Y1) + w5 (r·A + e·X - Y2)
+// is the identity, evaluated as one MultiScalarMulWithBase of ten variable
+// terms (K carries both kiosk signatures). The 128-bit weights come from a
+// ChaCha stream seeded with SHA-512 over every byte the check binds, so the
+// party that printed the receipt cannot predict them. False when a point
+// does not decode or the sum is not the identity; true only when all five
+// equations hold, except with probability 2^-128.
+bool ReceiptEquationsHold(const Receipt& receipt, const RistrettoPoint& authority_pk) {
+  const PaperCredential& credential = receipt.credential;
+  const CommitSegment& commit = credential.commit;
+  const ResponseSegment& response = credential.response;
+  const Envelope& envelope = credential.envelope;
+
+  const std::array<const CompressedRistretto*, 5> wires = {
+      &response.kiosk_pk, &commit.kiosk_sig.r_bytes, &response.kiosk_sig.r_bytes,
+      &envelope.printer_pk, &envelope.printer_sig.r_bytes};
+  std::array<RistrettoPoint, 5> decoded;
+  for (size_t i = 0; i < wires.size(); ++i) {
+    std::optional<RistrettoPoint> point = RistrettoPoint::Decode(*wires[i]);
+    if (!point.has_value()) {
+      return false;
+    }
+    decoded[i] = *point;
+  }
+  const auto& [kiosk_key, commit_r, response_r, printer_key, envelope_r] = decoded;
+
+  const std::array<std::pair<const Bytes*, const SchnorrSignature*>, 3> signed_messages = {{
+      {&receipt.commit_message, &commit.kiosk_sig},
+      {&receipt.response_message, &response.kiosk_sig},
+      {&receipt.envelope_message, &envelope.printer_sig},
+  }};
+  Sha512 seed;
+  seed.Update(AsBytes(kActivationWeightDomain));
+  seed.Update(response.kiosk_pk);
+  seed.Update(envelope.printer_pk);
+  for (const auto& [message, sig] : signed_messages) {
+    std::array<uint8_t, 8> length;
+    StoreLe64(length.data(), message->size());
+    seed.Update(length);
+    seed.Update(*message);
+    seed.Update(sig->r_bytes);
+    seed.Update(sig->s.ToBytes());
+  }
+  seed.Update(envelope.challenge.ToBytes());
+  seed.Update(response.zkp_response.ToBytes());
+  ChaChaRng weight_stream(seed.Finalize());
+  std::array<Scalar, 5> w;
+  for (Scalar& weight : w) {
+    weight = RandomRlcWeight(weight_stream);
+  }
+
+  const Scalar c_kc = SchnorrChallenge(commit.kiosk_sig.r_bytes, response.kiosk_pk,
+                                       receipt.commit_message);
+  const Scalar c_kr = SchnorrChallenge(response.kiosk_sig.r_bytes, response.kiosk_pk,
+                                       receipt.response_message);
+  const Scalar c_p = SchnorrChallenge(envelope.printer_sig.r_bytes, envelope.printer_pk,
+                                      receipt.envelope_message);
+  const Scalar& e = envelope.challenge;
+  const Scalar& r = response.zkp_response;
+  const Scalar base = w[0] * commit.kiosk_sig.s + w[1] * response.kiosk_sig.s +
+                      w[2] * envelope.printer_sig.s + w[3] * r;
+  const std::array<Scalar, 10> scalars = {
+      -(w[0] * c_kc + w[1] * c_kr), -w[0], -w[1], -(w[2] * c_p), -w[2],
+      w[3] * e,                     -w[3], w[4] * r, w[4] * e,     -w[4]};
+  const std::array<RistrettoPoint, 10> points = {
+      kiosk_key,  commit_r,         response_r,     printer_key,    envelope_r,
+      commit.public_credential.c1, commit.commit_y1, authority_pk, receipt.big_x,
+      commit.commit_y2};
+  return MultiScalarMulWithBase(base, scalars, points).IsIdentity();
+}
+
+}  // namespace
+
 Vsd::Vsd(RistrettoPoint authority_pk, std::set<CompressedRistretto> trusted_printer_keys)
-    : authority_pk_(authority_pk),
-      authority_pk_wire_(authority_pk.Encode()),
-      trusted_printer_keys_(std::move(trusted_printer_keys)) {}
+    : authority_pk_(authority_pk), trusted_printer_keys_(std::move(trusted_printer_keys)) {}
 
 Outcome<ActivatedCredential> Vsd::Activate(const PaperCredential& credential,
                                            PublicLedger& ledger) {
@@ -20,44 +151,17 @@ Outcome<ActivatedCredential> Vsd::Activate(const PaperCredential& credential,
   RistrettoPoint credential_pk_point = RistrettoPoint::MulBase(response.credential_sk);
   CompressedRistretto credential_pk = credential_pk_point.Encode();
 
-  // (line 3) Receipt integrity check 1: σ_kc over (V_id ‖ c_pc ‖ Y).
-  if (!SchnorrVerify(response.kiosk_pk, commit.SignedPayload(), commit.kiosk_sig).ok()) {
-    return Out::Fail("activation: kiosk commit signature invalid");
-  }
-
-  // (line 4) Receipt integrity check 2: σ_kr over (c_pk ‖ H(e‖r)).
+  // (lines 3-8) The receipt checks, batched; an untrusted printer fails
+  // line 5 whatever the equations say, so it goes straight to the reference.
   auto h_er = ChallengeResponseHash(envelope.challenge, response.zkp_response);
-  if (!SchnorrVerify(response.kiosk_pk,
-                     ResponseSegment::SignedPayload(credential_pk, h_er),
-                     response.kiosk_sig)
-           .ok()) {
-    return Out::Fail("activation: kiosk response signature invalid");
-  }
-
-  // (line 5) Envelope integrity: σ_p over H(e), from a trusted printer.
-  if (trusted_printer_keys_.count(envelope.printer_pk) == 0) {
-    return Out::Fail("activation: envelope printer not trusted");
-  }
-  if (!SchnorrVerify(envelope.printer_pk, envelope.SignedPayload(), envelope.printer_sig)
-           .ok()) {
-    return Out::Fail("activation: envelope printer signature invalid");
-  }
-
-  // (lines 6-8) Derive X = C2 - c_pk and verify the proof transcript:
-  // Y1 == g^r · C1^e  and  Y2 == A^r · X^e. The statement's base section is
-  // backed by the VSD's standing wire caches (generator + authority key);
-  // the transcript is reassembled from receipt segments, so it carries no
-  // commit cache (the interactive check below never hashes the commits).
-  RistrettoPoint big_x = commit.public_credential.c2 - credential_pk_point;
-  DleqStatement statement = DleqStatement::MakePair(
-      RistrettoPoint::Base(), commit.public_credential.c1, authority_pk_, big_x);
-  statement.base_wire = {RistrettoPoint::BaseWire(), authority_pk_wire_};
-  DleqTranscript transcript;
-  transcript.commits = {commit.commit_y1, commit.commit_y2};
-  transcript.challenge = envelope.challenge;
-  transcript.response = response.zkp_response;
-  if (!VerifyDleqTranscript(statement, transcript).ok()) {
-    return Out::Fail("activation: zero-knowledge proof transcript invalid");
+  const Receipt receipt{credential, commit.SignedPayload(),
+                        ResponseSegment::SignedPayload(credential_pk, h_er),
+                        envelope.SignedPayload(),
+                        commit.public_credential.c2 - credential_pk_point};
+  if (trusted_printer_keys_.count(envelope.printer_pk) == 0 ||
+      !ReceiptEquationsHold(receipt, authority_pk_)) {
+    const char* reason = FirstFailedReceiptCheck(receipt, authority_pk_, trusted_printer_keys_);
+    return Out::Fail(reason != nullptr ? reason : "activation: batched receipt check failed");
   }
 
   // (lines 9-10) Ledger match: the voter's active registration record must

@@ -44,7 +44,12 @@ class Vsd {
 
   // Runs all activation checks of Fig. 11 against the public ledger; on
   // success stores and returns the activated credential, and publishes the
-  // envelope challenge on L_E (duplicate-envelope defense).
+  // envelope challenge on L_E (duplicate-envelope defense). The receipt
+  // checks (lines 3-8: three signatures and the two transcript equations)
+  // run as one random linear combination on the calling thread; only a
+  // credential that fails it, or whose printer is not trusted, is checked
+  // one equation at a time, to name the reason (docs/ARCHITECTURE.md
+  // §Activation check).
   Outcome<ActivatedCredential> Activate(const PaperCredential& credential,
                                         PublicLedger& ledger);
 
@@ -63,9 +68,6 @@ class Vsd {
 
  private:
   RistrettoPoint authority_pk_;
-  // Standing wire cache for authority_pk_ (encoded once at construction);
-  // backs the base section of every activation-check DLEQ statement.
-  CompressedRistretto authority_pk_wire_{};
   std::set<CompressedRistretto> trusted_printer_keys_;
   std::vector<ActivatedCredential> credentials_;
   std::map<std::string, size_t> acknowledged_events_;

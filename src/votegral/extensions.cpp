@@ -217,17 +217,16 @@ Status DelegationKiosk::DelegateSession(const RistrettoPoint& party_pk, Rng& rng
   // c_pc encrypts the *party's* public key; the kiosk never needs the
   // party's private key (Appendix C.3).
   ElGamalCiphertext c_pc = ElGamalEncrypt(authority_pk_, party_pk, rng);
+  const ElGamalWire c_pc_wire = c_pc.Wire();
 
   checkout_.voter_id = voter_id_;
   checkout_.public_credential = c_pc;
   checkout_.kiosk_pk = key_.public_bytes();
-  checkout_.kiosk_sig = SignCheckout(checkout_, rng);
+  checkout_.kiosk_sig = SignCheckout(c_pc_wire, rng);
 
   // Fake credentials issued from here on reference the delegated c_pc.
-  real_issued_ = true;
   delegated_ = true;
-  session_public_credential_ = c_pc;
-  session_checkout_ = checkout_;
+  RecordSessionCredential(c_pc, c_pc_wire, checkout_);
   RecordAction(KioskAction::kPrintedCheckoutAndResponse);
   return Status::Ok();
 }

@@ -76,9 +76,12 @@ Status VerifyTallyCascade(const MixBatch& input, const MixBatch& output, const M
 // (encoded once per call, not once per share), C1 from `cts_wire` when the
 // caller threads validated bytes (mix caches checked by VerifyRpcMixCascade,
 // tagging wires checked by VerifyChain) or one fresh encode otherwise, and
-// the share point itself encoded once. The proofs' own commit caches are
-// attacker data; BatchVerifyDleq validates them against the commit points
-// before hashing.
+// the share point from its DecryptionShare::share_wire when one
+// BatchValidateEncodings pass over every share (exact, no inverse square
+// root) finds those bytes to be its canonical encoding, or one fresh encode
+// otherwise — so a stale or forged cache binds exactly what the point does.
+// The proofs' own commit caches are attacker data; BatchVerifyDleq validates
+// them against the commit points before hashing.
 Status VerifyAndDecryptAll(const std::vector<ElGamalCiphertext>& cts,
                            const std::vector<std::vector<DecryptionShare>>& shares,
                            const VerifierParams& params, Executor& executor,
@@ -99,6 +102,24 @@ Status VerifyAndDecryptAll(const std::vector<ElGamalCiphertext>& cts,
   const size_t need = threshold_mode ? params.authority_threshold : members;
   std::vector<CompressedRistretto> member_wire(members);
   BatchEncodePoints(params.authority_shares, member_wire);
+  // Ciphertext i's shares are entries [first_share[i], first_share[i + 1])
+  // of the flat share lists.
+  std::vector<size_t> first_share(cts.size() + 1, 0);
+  for (size_t i = 0; i < cts.size(); ++i) {
+    first_share[i + 1] = first_share[i] + shares[i].size();
+  }
+  std::vector<RistrettoPoint> share_points;
+  std::vector<CompressedRistretto> share_wires;
+  share_points.reserve(first_share.back());
+  share_wires.reserve(first_share.back());
+  for (const std::vector<DecryptionShare>& list : shares) {
+    for (const DecryptionShare& share : list) {
+      share_points.push_back(share.share);
+      share_wires.push_back(share.share_wire);
+    }
+  }
+  std::vector<uint8_t> share_wire_ok(share_points.size(), 0);
+  BatchValidateEncodings(share_points, share_wires, share_wire_ok);
   std::vector<DleqBatchEntry> batch(cts.size() * members);
   std::vector<CompressedRistretto> decrypted(cts.size());
   std::vector<uint8_t> bad_count(cts.size(), 0);
@@ -124,7 +145,8 @@ Status VerifyAndDecryptAll(const std::vector<ElGamalCiphertext>& cts,
       entry.statement = DleqStatement::MakePairWire(
           RistrettoPoint::Base(), RistrettoPoint::BaseWire(),
           params.authority_shares[share.member_index], member_wire[share.member_index],
-          cts[i].c1, c1_wire, share.share, share.share.Encode());
+          cts[i].c1, c1_wire, share.share,
+          share_wire_ok[first_share[i] + m] ? share.share_wire : share.share.Encode());
       entry.transcript = share.proof;
       batch[i * members + m] = std::move(entry);
     }

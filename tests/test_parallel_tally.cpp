@@ -205,6 +205,87 @@ TEST(ParallelVerifier, EveryChainLocalizesItsTampers) {
   });
 }
 
+// Every decryption share list of a transcript (the revote lists are empty
+// on a legacy tally, the legacy ones on a revoting tally).
+std::vector<std::vector<std::vector<DecryptionShare>>*> ShareLists(TallyTranscript& t) {
+  return {&t.ballot_tag_shares, &t.roster_tag_shares, &t.vote_shares, &t.revote.tag_shares,
+          &t.revote.counter_shares};
+}
+
+TEST(ParallelVerifier, HonestShareWireCachesSpareEveryShareEncode) {
+  // A share whose cache does not match costs the verifier exactly one
+  // encode, so a tally whose every cache is wrong costs one encode per share
+  // more than the honest one: the honest tally encodes no share point.
+  for (bool revoting : {false, true}) {
+    SCOPED_TRACE(revoting ? "revoting" : "legacy");
+    Fixture f(revoting);
+    TallyOutput stale = f.output;
+    size_t shares = 0;
+    for (auto* lists : ShareLists(stale.transcript)) {
+      for (std::vector<DecryptionShare>& list : *lists) {
+        for (DecryptionShare& share : list) {
+          share.share_wire = (-share.share).Encode();
+          ++shares;
+        }
+      }
+    }
+    ASSERT_GT(shares, 0u);
+    uint64_t before = RistrettoEncodeInvocations();
+    ASSERT_TRUE(f.election.Verify(f.output).ok());
+    const uint64_t honest = RistrettoEncodeInvocations() - before;
+    before = RistrettoEncodeInvocations();
+    ASSERT_TRUE(f.election.Verify(stale).ok());
+    const uint64_t uncached = RistrettoEncodeInvocations() - before;
+    EXPECT_EQ(uncached - honest, shares);
+  }
+}
+
+TEST(ParallelVerifier, ShareWireCacheBindsNothingItsPointDoesNot) {
+  // However a share's cache is forged, the verdict and reason are those of
+  // the same share point carrying its true encoding.
+  struct Forgery {
+    const char* name;
+    bool shift_point;  // move the share point by B (an invalid share)
+    void (*forge)(DecryptionShare&);
+  };
+  const Forgery forgeries[] = {
+      {"cache enc(-S)", false, [](DecryptionShare& s) { s.share_wire = (-s.share).Encode(); }},
+      {"cache non-canonical", false, [](DecryptionShare& s) { s.share_wire.fill(0xFF); }},
+      {"cache all zero", false, [](DecryptionShare& s) { s.share_wire.fill(0); }},
+      {"shifted point, stale cache", true, [](DecryptionShare&) {}},
+      {"shifted point, cache enc(-S)", true,
+       [](DecryptionShare& s) { s.share_wire = (-s.share).Encode(); }},
+      {"shifted point, cache non-canonical", true,
+       [](DecryptionShare& s) { s.share_wire.fill(0xFF); }},
+  };
+  // Every list goes through the same share check; the legacy tally has
+  // three (ballot tags, roster tags, votes).
+  Fixture f;
+  for (size_t list = 0; list < 3; ++list) {
+    // The last ciphertext's second share, moved or not, carrying `forge`.
+    auto with_share = [&](bool shift_point, void (*forge)(DecryptionShare&)) {
+      TallyOutput out = f.output;
+      DecryptionShare& share = ShareLists(out.transcript)[list]->back().at(1);
+      if (shift_point) {
+        share.share = share.share + RistrettoPoint::Base();
+      }
+      forge(share);
+      return out;
+    };
+    auto true_cache = [](DecryptionShare& s) { s.share_wire = s.share.Encode(); };
+    const Status want[] = {f.election.Verify(with_share(false, true_cache)),
+                           f.election.Verify(with_share(true, true_cache))};
+    EXPECT_TRUE(want[0].ok()) << want[0].reason();
+    EXPECT_FALSE(want[1].ok());
+    for (const Forgery& forgery : forgeries) {
+      SCOPED_TRACE(std::string(forgery.name) + ", share list " + std::to_string(list));
+      const Status got = f.election.Verify(with_share(forgery.shift_point, forgery.forge));
+      EXPECT_EQ(got.ok(), want[forgery.shift_point].ok());
+      EXPECT_EQ(got.reason(), want[forgery.shift_point].reason());
+    }
+  }
+}
+
 TEST(ParallelVerifier, EveryCascadeMustHaveKMixPairs) {
   ForEachChain([](Fixture& f, const std::string& chain) {
     TallyOutput bad = f.output;

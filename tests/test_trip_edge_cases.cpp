@@ -3,6 +3,9 @@
 // restocking, and cross-kiosk credential flows.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/crypto/drbg.h"
 #include "src/trip/registrar.h"
 
@@ -114,6 +117,104 @@ TEST(TripSite, SymbolSpecificExhaustion) {
   EXPECT_GT(drained, 0);
   // Other symbols remain available.
   EXPECT_TRUE(supply.TakeAny(rng).ok());
+}
+
+// The booth's stock as one vector scanned on every take: each take lists
+// the candidates in stock order, draws one, and erases it from the middle.
+// EnvelopeSupply must pick the same envelope with the same draws.
+class LinearEnvelopeStock {
+ public:
+  explicit LinearEnvelopeStock(std::vector<Envelope> envelopes)
+      : envelopes_(std::move(envelopes)) {}
+
+  size_t remaining() const { return envelopes_.size(); }
+
+  Outcome<Envelope> TakeWithSymbol(int symbol, Rng& rng) {
+    std::vector<size_t> matching;
+    for (size_t i = 0; i < envelopes_.size(); ++i) {
+      if (envelopes_[i].symbol == symbol) {
+        matching.push_back(i);
+      }
+    }
+    if (matching.empty()) {
+      return Outcome<Envelope>::Fail("booth: no envelope with the requested symbol in stock");
+    }
+    return Outcome<Envelope>::Ok(Erase(matching[rng.Uniform(matching.size())]));
+  }
+
+  Outcome<Envelope> TakeAny(Rng& rng) {
+    if (envelopes_.empty()) {
+      return Outcome<Envelope>::Fail("booth: envelope stock exhausted");
+    }
+    return Outcome<Envelope>::Ok(Erase(rng.Uniform(envelopes_.size())));
+  }
+
+  void Add(const std::vector<Envelope>& envelopes) {
+    envelopes_.insert(envelopes_.end(), envelopes.begin(), envelopes.end());
+  }
+
+ private:
+  Envelope Erase(size_t pick) {
+    Envelope envelope = envelopes_[pick];
+    envelopes_.erase(envelopes_.begin() + static_cast<ptrdiff_t>(pick));
+    return envelope;
+  }
+
+  std::vector<Envelope> envelopes_;
+};
+
+TEST(TripSite, EnvelopeTakesMatchTheLinearStockScan) {
+  // Envelopes told apart by their challenge; symbols 0..4, one more than a
+  // printer prints, so a symbol the booth never stocks is asked for too.
+  ChaChaRng script(1106);
+  uint64_t serial = 0;
+  auto batch = [&](size_t count) {
+    std::vector<Envelope> out(count);
+    for (Envelope& envelope : out) {
+      envelope.challenge = Scalar::FromU64(++serial);
+      envelope.symbol = static_cast<int>(script.Uniform(kNumEnvelopeSymbols + 1));
+    }
+    return out;
+  };
+  std::vector<Envelope> initial = batch(200);
+  LinearEnvelopeStock reference(initial);
+  EnvelopeSupply supply(std::move(initial));
+  ChaChaRng reference_rng(1107);
+  ChaChaRng supply_rng(1107);
+  size_t symbol_misses = 0;
+  size_t stock_misses = 0;
+  for (int op = 0; op < 4000; ++op) {
+    SCOPED_TRACE("op " + std::to_string(op));
+    // Restocks are frequent in some stretches and rare in others, so the
+    // stock both grows and runs dry.
+    const uint64_t restock_per_mille = (op / 500) % 2 == 0 ? 250 : 20;
+    const uint64_t roll = script.Uniform(1000);
+    if (roll < restock_per_mille) {
+      std::vector<Envelope> more = batch(script.Uniform(12));
+      reference.Add(more);
+      supply.Add(std::move(more));
+      continue;
+    }
+    const bool any = roll % 2 == 0;
+    const int symbol = static_cast<int>(script.Uniform(kNumEnvelopeSymbols + 2));
+    Outcome<Envelope> want =
+        any ? reference.TakeAny(reference_rng) : reference.TakeWithSymbol(symbol, reference_rng);
+    Outcome<Envelope> got =
+        any ? supply.TakeAny(supply_rng) : supply.TakeWithSymbol(symbol, supply_rng);
+    ASSERT_EQ(got.ok(), want.ok());
+    if (want.ok()) {
+      EXPECT_EQ(got->challenge, want->challenge);
+      EXPECT_EQ(got->symbol, want->symbol);
+    } else {
+      EXPECT_EQ(got.status.reason(), want.status.reason());
+      ++(any ? stock_misses : symbol_misses);
+    }
+    ASSERT_EQ(supply.remaining(), reference.remaining());
+  }
+  EXPECT_GT(symbol_misses, 0u);
+  EXPECT_GT(stock_misses, 0u);
+  // Every draw matched: the two streams are still in step.
+  EXPECT_EQ(supply_rng.Uniform(uint64_t{1} << 40), reference_rng.Uniform(uint64_t{1} << 40));
 }
 
 TEST(TripSite, SessionAcrossVotersKeepsChallengeGuardFresh) {

@@ -3,6 +3,10 @@
 // check's failure path (tamper injection).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <string>
+
 #include "src/crypto/drbg.h"
 #include "src/trip/registrar.h"
 #include "src/trip/setup.h"
@@ -278,6 +282,316 @@ TEST(TripActivation, RegistrationEventMonitoring) {
   RegistrationDesk desk(system);
   ASSERT_TRUE(desk.RegisterVoter("alice", 0, rng).ok());
   EXPECT_EQ(vsd.UnexpectedRegistrationEvents("alice", system.ledger()), 1u);
+}
+
+// --- Each activation equation on its own ---------------------------------
+//
+// The VSD checks a receipt's three signatures and two transcript equations
+// as one random linear combination and, only when that fails, one at a
+// time. These tests hold the kiosk's signing key, so a tampered receipt can
+// be re-signed to break exactly the equation a case means to break, and
+// compare every verdict with the sequential checks written out below.
+
+constexpr const char* kCommitSigInvalid = "activation: kiosk commit signature invalid";
+constexpr const char* kResponseSigInvalid = "activation: kiosk response signature invalid";
+constexpr const char* kPrinterNotTrusted = "activation: envelope printer not trusted";
+constexpr const char* kPrinterSigInvalid = "activation: envelope printer signature invalid";
+constexpr const char* kTranscriptInvalid = "activation: zero-knowledge proof transcript invalid";
+
+// Fig. 11 lines 3-8 one check at a time, in order: the reason activation
+// must report, or "" when the receipt passes them all.
+std::string SequentialReceiptReason(const PaperCredential& c, const RistrettoPoint& authority_pk,
+                                    const std::set<CompressedRistretto>& trusted_printers) {
+  const RistrettoPoint c_pk = RistrettoPoint::MulBase(c.response.credential_sk);
+  if (!SchnorrVerify(c.response.kiosk_pk, c.commit.SignedPayload(), c.commit.kiosk_sig).ok()) {
+    return kCommitSigInvalid;
+  }
+  const auto h_er = ChallengeResponseHash(c.envelope.challenge, c.response.zkp_response);
+  if (!SchnorrVerify(c.response.kiosk_pk, ResponseSegment::SignedPayload(c_pk.Encode(), h_er),
+                     c.response.kiosk_sig)
+           .ok()) {
+    return kResponseSigInvalid;
+  }
+  if (trusted_printers.count(c.envelope.printer_pk) == 0) {
+    return kPrinterNotTrusted;
+  }
+  if (!SchnorrVerify(c.envelope.printer_pk, c.envelope.SignedPayload(), c.envelope.printer_sig)
+           .ok()) {
+    return kPrinterSigInvalid;
+  }
+  const Scalar& e = c.envelope.challenge;
+  const Scalar& r = c.response.zkp_response;
+  const RistrettoPoint big_x = c.commit.public_credential.c2 - c_pk;
+  if (!(c.commit.commit_y1 ==
+        r * RistrettoPoint::Base() + e * c.commit.public_credential.c1) ||
+      !(c.commit.commit_y2 == r * authority_pk + e * big_x)) {
+    return kTranscriptInvalid;
+  }
+  return "";
+}
+
+// A registration whose kiosk signs with a key the test holds.
+struct HeldKioskRegistration {
+  explicit HeldKioskRegistration(uint64_t seed)
+      : rng(seed), system(MakeSystem(rng)), kiosk_key(SchnorrKeyPair::Generate(rng)) {
+    system.ReplaceKiosk(0, std::make_unique<Kiosk>(kiosk_key, system.shared_mac_key(),
+                                                   system.authority_pk()));
+    RegistrationDesk desk(system);
+    auto outcome = desk.RegisterVoter("alice", 1, rng);
+    EXPECT_TRUE(outcome.ok()) << outcome.status.reason();
+    credentials = {outcome->real, outcome->fakes.at(0)};
+  }
+
+  void ResignCommit(PaperCredential& c) {
+    c.commit.kiosk_sig = kiosk_key.Sign(c.commit.SignedPayload(), rng);
+  }
+  void ResignResponse(PaperCredential& c) {
+    const auto h_er = ChallengeResponseHash(c.envelope.challenge, c.response.zkp_response);
+    c.response.kiosk_sig =
+        kiosk_key.Sign(ResponseSegment::SignedPayload(c.CredentialPublicKey(), h_er), rng);
+  }
+
+  // Activates on a fresh device; the reason, or "" on success.
+  std::string ActivationReason(const PaperCredential& c) {
+    Vsd vsd = system.MakeVsd();
+    auto result = vsd.Activate(c, system.ledger());
+    return result.ok() ? "" : result.status.reason();
+  }
+  std::string Reference(const PaperCredential& c) {
+    return SequentialReceiptReason(c, system.authority_pk(), system.trusted_printers());
+  }
+
+  ChaChaRng rng;
+  TripSystem system;
+  SchnorrKeyPair kiosk_key;
+  std::vector<PaperCredential> credentials;  // the real one, then a fake
+};
+
+TEST(TripActivation, EachReceiptEquationFailsAlone) {
+  HeldKioskRegistration reg(120);
+  struct Case {
+    const char* name;
+    void (*tamper)(HeldKioskRegistration&, PaperCredential&);
+    const char* reason;
+  };
+  const Case cases[] = {
+      {"Y1 moved",
+       [](HeldKioskRegistration& h, PaperCredential& c) {
+         c.commit.commit_y1 = c.commit.commit_y1 + RistrettoPoint::Base();
+         h.ResignCommit(c);
+       },
+       kTranscriptInvalid},
+      {"Y2 moved",
+       [](HeldKioskRegistration& h, PaperCredential& c) {
+         c.commit.commit_y2 = c.commit.commit_y2 + RistrettoPoint::Base();
+         h.ResignCommit(c);
+       },
+       kTranscriptInvalid},
+      {"r changed",
+       [](HeldKioskRegistration& h, PaperCredential& c) {
+         c.response.zkp_response = c.response.zkp_response + Scalar::One();
+         h.ResignResponse(c);
+       },
+       kTranscriptInvalid},
+      {"s of the commit signature changed",
+       [](HeldKioskRegistration&, PaperCredential& c) {
+         c.commit.kiosk_sig.s = c.commit.kiosk_sig.s + Scalar::One();
+       },
+       kCommitSigInvalid},
+      {"s of the response signature changed",
+       [](HeldKioskRegistration&, PaperCredential& c) {
+         c.response.kiosk_sig.s = c.response.kiosk_sig.s + Scalar::One();
+       },
+       kResponseSigInvalid},
+      {"s of the envelope signature changed",
+       [](HeldKioskRegistration&, PaperCredential& c) {
+         c.envelope.printer_sig.s = c.envelope.printer_sig.s + Scalar::One();
+       },
+       kPrinterSigInvalid},
+  };
+  for (size_t k = 0; k < reg.credentials.size(); ++k) {
+    for (const Case& test_case : cases) {
+      SCOPED_TRACE(std::string(test_case.name) + (k == 0 ? ", real" : ", fake"));
+      PaperCredential bad = reg.credentials[k];
+      test_case.tamper(reg, bad);
+      EXPECT_EQ(reg.Reference(bad), test_case.reason);
+      EXPECT_EQ(reg.ActivationReason(bad), test_case.reason);
+    }
+  }
+  // Untampered, both still activate.
+  for (const PaperCredential& c : reg.credentials) {
+    EXPECT_EQ(reg.Reference(c), "");
+    EXPECT_EQ(reg.ActivationReason(c), "");
+  }
+}
+
+TEST(TripActivation, UndecodablePointsKeepTheirReasons) {
+  HeldKioskRegistration reg(121);
+  CompressedRistretto undecodable;
+  undecodable.fill(0xFF);  // above the field prime: no canonical encoding
+  ASSERT_FALSE(RistrettoPoint::Decode(undecodable).has_value());
+  const PaperCredential& good = reg.credentials[0];
+  struct Case {
+    const char* name;
+    CompressedRistretto& (*field)(PaperCredential&);
+    const char* reason;
+  };
+  const Case cases[] = {
+      {"kiosk key", [](PaperCredential& c) -> CompressedRistretto& { return c.response.kiosk_pk; },
+       kCommitSigInvalid},
+      {"R of the commit signature",
+       [](PaperCredential& c) -> CompressedRistretto& { return c.commit.kiosk_sig.r_bytes; },
+       kCommitSigInvalid},
+      {"R of the response signature",
+       [](PaperCredential& c) -> CompressedRistretto& { return c.response.kiosk_sig.r_bytes; },
+       kResponseSigInvalid},
+      {"R of the envelope signature",
+       [](PaperCredential& c) -> CompressedRistretto& { return c.envelope.printer_sig.r_bytes; },
+       kPrinterSigInvalid},
+  };
+  for (const Case& test_case : cases) {
+    SCOPED_TRACE(test_case.name);
+    PaperCredential bad = good;
+    test_case.field(bad) = undecodable;
+    EXPECT_EQ(reg.Reference(bad), test_case.reason);
+    EXPECT_EQ(reg.ActivationReason(bad), test_case.reason);
+  }
+  // A printer key that does not decode can only be reached through a device
+  // that trusts it.
+  PaperCredential bad = good;
+  bad.envelope.printer_pk = undecodable;
+  const std::set<CompressedRistretto> trusted = {undecodable};
+  EXPECT_EQ(SequentialReceiptReason(bad, reg.system.authority_pk(), trusted), kPrinterSigInvalid);
+  Vsd vsd(reg.system.authority_pk(), trusted);
+  auto result = vsd.Activate(bad, reg.system.ledger());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status.reason(), kPrinterSigInvalid);
+}
+
+TEST(TripActivation, UntrustedPrinterReasonsFollowTheSequentialOrder) {
+  HeldKioskRegistration reg(122);
+  SchnorrKeyPair rogue = SchnorrKeyPair::Generate(reg.rng);
+  PaperCredential bad = reg.credentials[1];
+  bad.envelope.printer_pk = rogue.public_bytes();
+  bad.envelope.printer_sig = rogue.Sign(bad.envelope.SignedPayload(), reg.rng);
+  EXPECT_EQ(reg.ActivationReason(bad), kPrinterNotTrusted);
+  // Break the checks after line 5 as well: still the printer.
+  bad.envelope.printer_sig.s = bad.envelope.printer_sig.s + Scalar::One();
+  bad.commit.commit_y1 = bad.commit.commit_y1 + RistrettoPoint::Base();
+  reg.ResignCommit(bad);
+  EXPECT_EQ(reg.ActivationReason(bad), kPrinterNotTrusted);
+  // Then the ones before it, last first.
+  bad.response.kiosk_sig.s = bad.response.kiosk_sig.s + Scalar::One();
+  EXPECT_EQ(reg.ActivationReason(bad), kResponseSigInvalid);
+  bad.commit.kiosk_sig.s = bad.commit.kiosk_sig.s + Scalar::One();
+  EXPECT_EQ(reg.ActivationReason(bad), kCommitSigInvalid);
+  EXPECT_EQ(reg.Reference(bad), kCommitSigInvalid);
+}
+
+TEST(TripActivation, SeededMutationsMatchTheSequentialReference) {
+  HeldKioskRegistration reg(123);
+  // One field of the receipt replaced by random bytes (often undecodable),
+  // moved by a random multiple of B, or shifted by a random scalar; then,
+  // half the time, both kiosk signatures re-signed over the result.
+  auto point_field = [](PaperCredential& c, size_t i) -> CompressedRistretto* {
+    switch (i) {
+      case 0: return &c.response.kiosk_pk;
+      case 1: return &c.envelope.printer_pk;
+      case 2: return &c.commit.kiosk_sig.r_bytes;
+      case 3: return &c.response.kiosk_sig.r_bytes;
+      default: return &c.envelope.printer_sig.r_bytes;
+    }
+  };
+  auto scalar_field = [](PaperCredential& c, size_t i) -> Scalar* {
+    switch (i) {
+      case 0: return &c.commit.kiosk_sig.s;
+      case 1: return &c.response.kiosk_sig.s;
+      case 2: return &c.envelope.printer_sig.s;
+      case 3: return &c.envelope.challenge;
+      case 4: return &c.response.zkp_response;
+      default: return &c.response.credential_sk;
+    }
+  };
+  auto group_field = [](PaperCredential& c, size_t i) -> RistrettoPoint* {
+    switch (i) {
+      case 0: return &c.commit.commit_y1;
+      case 1: return &c.commit.commit_y2;
+      case 2: return &c.commit.public_credential.c1;
+      default: return &c.commit.public_credential.c2;
+    }
+  };
+  std::set<std::string> reasons;
+  for (int trial = 0; trial < 240; ++trial) {
+    PaperCredential c = reg.credentials[reg.rng.Uniform(2)];
+    switch (reg.rng.Uniform(3)) {
+      case 0: {
+        CompressedRistretto* field = point_field(c, reg.rng.Uniform(5));
+        if (reg.rng.Uniform(2) == 0) {
+          reg.rng.Fill(*field);
+        } else {
+          *field = (*RistrettoPoint::Decode(*field) + RistrettoPoint::Base()).Encode();
+        }
+        break;
+      }
+      case 1: {
+        Scalar* field = scalar_field(c, reg.rng.Uniform(6));
+        *field = *field + Scalar::Random(reg.rng);
+        break;
+      }
+      default: {
+        RistrettoPoint* field = group_field(c, reg.rng.Uniform(4));
+        *field = *field + Scalar::FromU64(1 + reg.rng.Uniform(1000)) * RistrettoPoint::Base();
+        break;
+      }
+    }
+    if (reg.rng.Uniform(2) == 0 && RistrettoPoint::Decode(c.response.kiosk_pk).has_value()) {
+      reg.ResignCommit(c);
+      reg.ResignResponse(c);
+    }
+    const std::string want = reg.Reference(c);
+    const std::string got = reg.ActivationReason(c);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    if (want.empty()) {
+      // Past the receipt checks only the ledger stage can object.
+      for (const char* receipt_reason : {kCommitSigInvalid, kResponseSigInvalid,
+                                         kPrinterNotTrusted, kPrinterSigInvalid,
+                                         kTranscriptInvalid}) {
+        EXPECT_NE(got, receipt_reason);
+      }
+    } else {
+      EXPECT_EQ(got, want);
+    }
+    reasons.insert(want);
+  }
+  // The loop reached every receipt check (and the ledger stage).
+  EXPECT_EQ(reasons.size(), 6u);
+}
+
+TEST(TripActivation, EncodesEachPointOnce) {
+  // Per activation: c_pk, and c_pc and Y inside σ_kc's message. Per
+  // registration with f fakes: the kiosk's real session (c_pk, c_pc once, Y,
+  // three signatures' R), 5 per fake (c_pk, Y, two R), the official's
+  // check-out (c_pc once, two R) and the activations.
+  ChaChaRng rng(124);
+  TripSystem system = MakeSystem(rng);
+  Vsd vsd = system.MakeVsd();
+  const char* voters[] = {"alice", "bob", "carol"};
+  for (size_t fakes = 0; fakes < 3; ++fakes) {
+    SCOPED_TRACE(fakes);
+    RegistrationDesk desk(system);
+    uint64_t before = RistrettoEncodeInvocations();
+    auto outcome = desk.RegisterVoter(voters[fakes], fakes, rng);
+    ASSERT_TRUE(outcome.ok());
+    EXPECT_EQ(RistrettoEncodeInvocations() - before, 12 + 5 * fakes);
+    before = RistrettoEncodeInvocations();
+    ASSERT_TRUE(vsd.Activate(outcome->real, system.ledger()).ok());
+    EXPECT_EQ(RistrettoEncodeInvocations() - before, 5u);
+    for (const PaperCredential& fake : outcome->fakes) {
+      before = RistrettoEncodeInvocations();
+      ASSERT_TRUE(vsd.Activate(fake, system.ledger()).ok());
+      EXPECT_EQ(RistrettoEncodeInvocations() - before, 5u);
+    }
+  }
 }
 
 TEST(TripMessages, SerializationRoundTrips) {
