@@ -20,6 +20,7 @@
 #include "src/crypto/sha512.h"
 #include "src/ledger/store.h"
 #include "src/trip/registrar.h"
+#include "src/votegral/tagging.h"
 
 namespace votegral {
 namespace {
@@ -665,6 +666,29 @@ void BM_VsdActivate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VsdActivate)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void BM_VerifyTagChain(benchmark::State& state) {
+  // One tagging chain of 4 members over n ciphertexts, verified as the
+  // universal verifier does: TaggingService::VerifyChain, one positional
+  // DLEQ batch on the global pool.
+  const size_t n = static_cast<size_t>(state.range(0));
+  ChaChaRng rng(16);
+  const TaggingService tagging = TaggingService::Create(4, rng);
+  const RistrettoPoint pk = RistrettoPoint::MulBase(Scalar::Random(rng));
+  std::vector<ElGamalCiphertext> input;
+  input.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    input.push_back(ElGamalEncrypt(pk, RistrettoPoint::MulBase(Scalar::Random(rng)), rng));
+  }
+  std::vector<TaggingStep> steps;
+  tagging.ApplyAll(input, &steps, rng);
+  for (auto _ : state) {
+    Status verified = TaggingService::VerifyChain(input, steps, tagging.commitments());
+    Require(verified.ok(), "BM_VerifyTagChain: chain rejected");
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n * steps.size()));
+}
+BENCHMARK(BM_VerifyTagChain)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace votegral

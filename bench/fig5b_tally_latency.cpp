@@ -5,10 +5,16 @@
 // Votegral ~14 h, Swiss Post ~27 h, Civitas ~1768 *years* (quadratic,
 // extrapolated — by the paper too). We reproduce the growth laws and the
 // ordering; '*' marks extrapolated points (see fig5a for methodology).
+#include <malloc.h>
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <thread>
 
@@ -17,6 +23,7 @@
 #include "src/baselines/voteagain.h"
 #include "src/baselines/votegral_model.h"
 #include "src/common/clock.h"
+#include "src/common/mapped.h"
 #include "src/common/table.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/sha256.h"
@@ -130,10 +137,72 @@ void RunFig5b() {
   std::printf("\nCSV:\n%s", table.Csv().c_str());
 }
 
+// Peak heap in use while it lives: a helper thread samples mallinfo2 every
+// millisecond (arena chunks in use plus malloc's own mapped chunks) and adds
+// the blocks mapped through MapBytes, which malloc does not see. Includes
+// whatever the process already holds (the election and its ledger).
+// mallinfo2 holds each arena's lock while it walks the free lists, which
+// stalls the measured threads' allocations, so the sweep times each step in
+// a run of its own without the sampler.
+class HeapPeak {
+ public:
+  HeapPeak() : thread_([this] { Sample(); }) {}
+  ~HeapPeak() { Stop(); }
+  HeapPeak(const HeapPeak&) = delete;
+  HeapPeak& operator=(const HeapPeak&) = delete;
+
+  double StopMb() {
+    Stop();
+    return static_cast<double>(peak_) / (1024.0 * 1024.0);
+  }
+
+ private:
+  void Stop() {
+    if (thread_.joinable()) {
+      stop_.store(true);
+      thread_.join();
+    }
+  }
+  void Sample() {
+    while (!stop_.load()) {
+      const struct mallinfo2 info = ::mallinfo2();
+      peak_ = std::max<uint64_t>(peak_, info.uordblks + info.hblkhd + MappedBytesInUse());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  std::atomic<bool> stop_{false};
+  uint64_t peak_ = 0;
+  std::thread thread_;
+};
+
+// Wall and CPU seconds of one run of `step`, and the peak heap in use of a
+// second, sampled run.
+struct StepCost {
+  double wall_s = 0.0;
+  double cpu_s = 0.0;
+  double heap_mb = 0.0;
+};
+
+template <typename F>
+StepCost Measure(F&& step) {
+  StepCost cost;
+  CpuTimer cpu;
+  WallTimer wall;
+  step();
+  cost.wall_s = wall.Seconds();
+  cost.cpu_s = cpu.Elapsed().Total();
+  HeapPeak heap;
+  step();
+  cost.heap_mb = heap.StopMb();
+  return cost;
+}
+
 // Thread-count sweep over the *real* staged tally pipeline and universal
 // verifier (not the baseline models): one fixed election of N ballots,
 // tallied and verified at 1/2/4/8 threads. Emits BENCH_tally_parallel.json
-// and checks that every thread count produces the byte-identical transcript
+// with each step's wall and CPU seconds and its peak heap in use, and
+// checks that every thread count produces the byte-identical transcript
 // (the reproducibility contract of the forked-DRBG sharding).
 void RunParallelTallySweep(size_t ballots) {
 
@@ -240,24 +309,27 @@ void RunParallelTallySweep(size_t ballots) {
 
   struct SweepRow {
     size_t threads;
-    double tally_s;
-    double verify_s;
+    StepCost tally;
+    StepCost verify;
     std::array<uint8_t, 32> transcript_digest;
   };
   std::vector<SweepRow> rows;
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     Executor executor(threads);
     TallyService service(trip.authority(), tagging, executor);
-    ChaChaRng tally_rng(0x5CA1AB1F);  // same stream every run: transcripts must match
-    WallTimer tally_timer;
-    TallyOutput output =
-        std::move(*service.Run(trip.ledger(), candidates, trip.authorized_kiosks(), tally_rng));
-    double tally_s = tally_timer.Seconds();
-    WallTimer verify_timer;
-    Status verified = VerifyElection(trip.ledger(), vparams, candidates, output, executor);
-    double verify_s = verify_timer.Seconds();
+    std::optional<TallyOutput> output;
+    const StepCost tally = Measure([&] {
+      ChaChaRng tally_rng(0x5CA1AB1F);  // same stream every run: transcripts must match
+      output.reset();  // the sampled run holds no earlier transcript
+      output = std::move(
+          *service.Run(trip.ledger(), candidates, trip.authorized_kiosks(), tally_rng));
+    });
+    Status verified = Status::Ok();
+    const StepCost verify = Measure([&] {
+      verified = VerifyElection(trip.ledger(), vparams, candidates, *output, executor);
+    });
     Require(verified.ok(), "tally sweep: universal verification failed");
-    rows.push_back({threads, tally_s, verify_s, digest(output)});
+    rows.push_back({threads, tally, verify, digest(*output)});
   }
 
   bool identical = true;
@@ -267,15 +339,22 @@ void RunParallelTallySweep(size_t ballots) {
 
   TextTable table("Staged parallel tally — thread sweep at " + std::to_string(ballots) +
                   " ballots");
-  table.SetHeader({"Threads", "Tally (s)", "Verify (s)", "Tally speedup",
-                   "Verify speedup"});
+  table.SetHeader({"Threads", "Tally (s)", "Verify (s)", "Tally speedup", "Verify speedup",
+                   "Tally CPU (s)", "Verify CPU (s)", "Tally heap (MB)", "Verify heap (MB)"});
   for (const SweepRow& row : rows) {
     char tally_x[32];
     char verify_x[32];
-    std::snprintf(tally_x, sizeof(tally_x), "%.2fx", rows[0].tally_s / row.tally_s);
-    std::snprintf(verify_x, sizeof(verify_x), "%.2fx", rows[0].verify_s / row.verify_s);
-    table.AddRow({std::to_string(row.threads), FormatSeconds(row.tally_s),
-                  FormatSeconds(row.verify_s), tally_x, verify_x});
+    char tally_heap[32];
+    char verify_heap[32];
+    std::snprintf(tally_x, sizeof(tally_x), "%.2fx", rows[0].tally.wall_s / row.tally.wall_s);
+    std::snprintf(verify_x, sizeof(verify_x), "%.2fx",
+                  rows[0].verify.wall_s / row.verify.wall_s);
+    std::snprintf(tally_heap, sizeof(tally_heap), "%.1f", row.tally.heap_mb);
+    std::snprintf(verify_heap, sizeof(verify_heap), "%.1f", row.verify.heap_mb);
+    table.AddRow({std::to_string(row.threads), FormatSeconds(row.tally.wall_s),
+                  FormatSeconds(row.verify.wall_s), tally_x, verify_x,
+                  FormatSeconds(row.tally.cpu_s), FormatSeconds(row.verify.cpu_s), tally_heap,
+                  verify_heap});
   }
   std::printf("%s", table.Format().c_str());
   std::printf("Transcripts byte-identical across thread counts: %s\n\n",
@@ -297,9 +376,13 @@ void RunParallelTallySweep(size_t ballots) {
     const SweepRow& row = rows[i];
     std::fprintf(json,
                  "    {\"threads\": %zu, \"tally_s\": %.6f, \"verify_s\": %.6f, "
-                 "\"tally_speedup\": %.3f, \"verify_speedup\": %.3f}%s\n",
-                 row.threads, row.tally_s, row.verify_s, rows[0].tally_s / row.tally_s,
-                 rows[0].verify_s / row.verify_s, i + 1 < rows.size() ? "," : "");
+                 "\"tally_speedup\": %.3f, \"verify_speedup\": %.3f, "
+                 "\"tally_cpu_s\": %.6f, \"verify_cpu_s\": %.6f, "
+                 "\"tally_peak_heap_mb\": %.2f, \"verify_peak_heap_mb\": %.2f}%s\n",
+                 row.threads, row.tally.wall_s, row.verify.wall_s,
+                 rows[0].tally.wall_s / row.tally.wall_s,
+                 rows[0].verify.wall_s / row.verify.wall_s, row.tally.cpu_s, row.verify.cpu_s,
+                 row.tally.heap_mb, row.verify.heap_mb, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);

@@ -277,6 +277,11 @@ Executor& Executor::Global() {
   return *global;
 }
 
+Executor& Executor::Serial() {
+  static Executor* serial = new Executor(1);
+  return *serial;
+}
+
 std::vector<std::pair<size_t, size_t>> Executor::Shards(size_t n, size_t max_shards) {
   std::vector<std::pair<size_t, size_t>> shards;
   if (n == 0) {

@@ -125,6 +125,11 @@ class Executor {
   // The innermost bound executor on this thread; Global() when none.
   static Executor& Current();
 
+  // A process-wide Executor(1). Binding it (Scope) runs every kernel below
+  // inline on the calling thread: for small batches inside a shard body,
+  // where fanning out again would cost more than the work.
+  static Executor& Serial();
+
   // Partitions [0, n) into at most `max_shards` contiguous, balanced
   // [begin, end) ranges. The partition depends only on n and max_shards —
   // never on the thread count — so per-shard forked DRBG streams consume

@@ -35,11 +35,13 @@ Status FirstFailure(std::span<const uint8_t> failed, const char* what) {
 }  // namespace
 
 Status BatchVerifySchnorr(std::span<const SchnorrBatchEntry> entries, Rng& rng) {
-  // Each signature satisfies: s_i*B - c_i*P_i - R_i == 0.
-  // Combined: (sum_i w_i*s_i)*B - sum_i (w_i*c_i)*P_i - sum_i w_i*R_i == 0.
-  // All weighted terms are collected into one flat multi-scalar
-  // multiplication; the shared-doubling/bucket engine amortizes the group
-  // work to a few additions per signature.
+  // Each signature satisfies: R_i + c_i*P_i - s_i*B == 0.
+  // Combined: sum_i w_i*R_i + sum_i (w_i*c_i)*P_i - (sum_i w_i*s_i)*B == 0.
+  // R_i is the one term unique to its equation, so it carries the 128-bit
+  // weight itself (a short scalar costs the MSM about half the additions);
+  // the shared terms take the products. All weighted terms are collected
+  // into one flat multi-scalar multiplication; the shared-doubling/bucket
+  // engine amortizes the group work to a few additions per signature.
   //
   // Entry preparation splits into two pooled passes: every R and every
   // distinct public key go through one batched ristretto decode — the
@@ -94,9 +96,9 @@ Status BatchVerifySchnorr(std::span<const SchnorrBatchEntry> entries, Rng& rng) 
       Scalar challenge = SchnorrChallenge(entry.signature.r_bytes, entry.public_key,
                                           entry.message);
       sum = sum + weights[i] * entry.signature.s;
-      scalars[2 * i] = -(weights[i] * challenge);
+      scalars[2 * i] = weights[i] * challenge;
       points[2 * i] = decoded[slot[2 * i]];
-      scalars[2 * i + 1] = -weights[i];
+      scalars[2 * i + 1] = weights[i];
       points[2 * i + 1] = decoded[slot[2 * i + 1]];
     }
     return sum;
@@ -112,7 +114,7 @@ Status BatchVerifySchnorr(std::span<const SchnorrBatchEntry> entries, Rng& rng) 
   // decoded from), so the shared-base MSM can sum the weights of repeated
   // public keys — one term per distinct signer instead of one per signature.
   std::vector<uint8_t> keyed(2 * n, 1);
-  if (!MultiScalarMulShared(combined_s, scalars, points, raw, keyed).IsIdentity()) {
+  if (!MultiScalarMulShared(-combined_s, scalars, points, raw, keyed).IsIdentity()) {
     return Status::Error("batch-schnorr: combined verification equation failed");
   }
   return Status::Ok();
@@ -176,22 +178,13 @@ void VerifySchnorrGroups(std::span<const SchnorrBatchEntry> entries,
   bad[lo] = 1;
 }
 
-std::array<uint8_t, 64> DleqBatchWeightSeed(std::string_view domain,
-                                            std::span<const DleqBatchEntry> entries) {
-  Sha512 h;
-  h.Update(AsBytes(domain));
-  for (const DleqBatchEntry& entry : entries) {
-    h.Update(entry.transcript.challenge.ToBytes());
-    h.Update(entry.transcript.response.ToBytes());
-  }
-  return h.Finalize();
-}
-
 Status BatchVerifyDleq(std::span<const DleqBatchEntry> entries, Rng& rng) {
   // Each proof satisfies, for every pair j:
-  //   r_i*G_ij + e_i*P_ij - Y_ij == 0.
+  //   Y_ij - r_i*G_ij - e_i*P_ij == 0.
   // All pairs of all proofs are combined with independent weights into a
   // single multi-scalar multiplication that must evaluate to the identity.
+  // The commit Y_ij is unique to its equation, so it carries the short
+  // weight and the bases and publics take the negated products.
   //
   // Wire-byte path (docs/TRANSCRIPTS.md §DLEQ): statements built by the
   // caller carry producer-local encodings, and transcripts carry the
@@ -290,11 +283,11 @@ Status BatchVerifyDleq(std::span<const DleqBatchEntry> entries, Rng& rng) {
     for (size_t j = 0; j < st.bases.size(); ++j) {
       const Scalar& weight = weights[offset[i] + j];
       size_t at = 3 * (offset[i] + j);
-      scalars[at] = weight * t.response;
+      scalars[at] = -(weight * t.response);
       points[at] = st.bases[j];
-      scalars[at + 1] = weight * t.challenge;
+      scalars[at + 1] = -(weight * t.challenge);
       points[at + 1] = st.publics[j];
-      scalars[at + 2] = -weight;
+      scalars[at + 2] = weight;
       points[at + 2] = t.commits[j];
       if (st_wire) {
         keys[at] = st.base_wire[j];
@@ -316,5 +309,96 @@ Status BatchVerifyDleq(std::span<const DleqBatchEntry> entries, Rng& rng) {
   }
   return Status::Ok();
 }
+
+DleqTermBatch::ShardWriter::ShardWriter(DleqTermBatch& batch, size_t shard)
+    : batch_(batch),
+      weights_(batch.seeds_[shard]),
+      partial_(std::span(batch.partials_).subspan(shard * (1 + batch.shared_.size()),
+                                                   1 + batch.shared_.size())) {}
+
+void DleqTermBatch::ShardWriter::SetPoint(size_t term, const RistrettoPoint& point) {
+  batch_.points_[term] = &point;
+}
+
+void DleqTermBatch::ShardWriter::AddPair(const Scalar& challenge, const Scalar& response,
+                                         Slot g, Slot p, size_t commit_term) {
+  const Scalar w = RandomRlcWeight(weights_);
+  batch_.scalars_[commit_term] = batch_.scalars_[commit_term] + w;
+  auto add = [&](Slot slot, const Scalar& value) {
+    Scalar& target = slot.kind == Slot::kTerm ? batch_.scalars_[slot.index]
+                     : slot.kind == Slot::kBase ? partial_[0]
+                                                : partial_[1 + slot.index];
+    target = target - value;
+  };
+  add(g, w * response);
+  add(p, w * challenge);
+}
+
+DleqTermBatch::DleqTermBatch(size_t items, size_t terms, std::span<const RistrettoPoint> shared,
+                             const std::array<uint8_t, 64>& seed)
+    : shards_(Executor::Shards(items, Executor::kRngShards)), shared_(shared) {
+  ChaChaRng parent(seed);
+  seeds_ = ForkRngSeeds(parent, shards_.size());
+  // The batch-wide points join as the last terms once their scalars merge.
+  scalars_.reserve(terms + shared.size());
+  points_.reserve(terms + shared.size());
+  scalars_.resize(terms);
+  points_.resize(terms);
+  partials_.resize(shards_.size() * (1 + shared.size()));
+  failed_.assign(shards_.size(), 0);
+}
+
+void DleqTermBatch::Fill(Executor& executor,
+                         const std::function<bool(ShardWriter&, size_t, size_t)>& body) {
+  executor.ParallelForEach(shards_.size(), [&](size_t s) {
+    ShardWriter writer(*this, s);
+    failed_[s] = body(writer, shards_[s].first, shards_[s].second) ? 0 : 1;
+  });
+}
+
+bool DleqTermBatch::Holds() {
+  if (FirstMarked(failed_).has_value()) {
+    return false;
+  }
+  const size_t width = 1 + shared_.size();
+  Scalar base;
+  std::vector<Scalar> shared_scalars(shared_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    base = base + partials_[s * width];
+    for (size_t k = 0; k < shared_.size(); ++k) {
+      shared_scalars[k] = shared_scalars[k] + partials_[s * width + 1 + k];
+    }
+  }
+  for (size_t k = 0; k < shared_.size(); ++k) {
+    scalars_.push_back(shared_scalars[k]);
+    points_.push_back(&shared_[k]);
+  }
+  return MultiScalarMulRefs(base, scalars_, points_).IsIdentity();
+}
+
+void EncodingCheck::Clear() {
+  points_.clear();
+  bytes_.clear();
+}
+
+void EncodingCheck::Add(const RistrettoPoint& point, const CompressedRistretto& bytes) {
+  points_.push_back(point);
+  bytes_.push_back(bytes);
+}
+
+void EncodingCheck::Run() {
+  ok_.assign(points_.size(), 0);
+  Executor::Scope serial(Executor::Serial());
+  BatchValidateEncodings(points_, bytes_, ok_);
+}
+
+DleqWeightSeed::DleqWeightSeed(std::string_view domain) { hash_.Update(AsBytes(domain)); }
+
+void DleqWeightSeed::Add(const DleqTranscript& proof) {
+  hash_.Update(proof.challenge.ToBytes());
+  hash_.Update(proof.response.ToBytes());
+}
+
+std::array<uint8_t, 64> DleqWeightSeed::Finalize() { return hash_.Finalize(); }
 
 }  // namespace votegral

@@ -12,14 +12,19 @@
 #define SRC_CRYPTO_BATCH_H_
 
 #include <array>
+#include <functional>
 #include <span>
 #include <string_view>
 #include <vector>
 
+#include "src/common/executor.h"
+#include "src/common/mapped.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/crypto/dleq.h"
+#include "src/crypto/drbg.h"
 #include "src/crypto/schnorr.h"
+#include "src/crypto/sha512.h"
 
 namespace votegral {
 
@@ -92,15 +97,120 @@ struct DleqBatchEntry {
 // per-entry failure.
 Status BatchVerifyDleq(std::span<const DleqBatchEntry> entries, Rng& rng);
 
-// Deterministic weight seed for auditor-reproducible BatchVerifyDleq calls:
-// binds every entry's Fiat–Shamir challenge and response under `domain`.
-// The challenge itself already binds the proof domain, statement and
-// commitments (collision resistance of the FS hash), so hashing the
-// (challenge, response) pairs binds the entire batch without re-encoding
-// any points — entries are only accepted by BatchVerifyDleq if their
-// recomputed challenge matches, which ties the weights to the statements.
-std::array<uint8_t, 64> DleqBatchWeightSeed(std::string_view domain,
-                                            std::span<const DleqBatchEntry> entries);
+
+// --- Positional DLEQ batches ------------------------------------------------
+//
+// The universal verifier's tag chains and decryption-share batches check
+// thousands of Fiat–Shamir DLEQ proofs whose statements share points by
+// position: a tag step's output is the next step's input, one C1 serves
+// every member's share of a ciphertext, and the generator B and the members'
+// keys recur in every proof. DleqTermBatch is their lean kernel. Its terms
+// live in two flat arrays, one scalar and one pointer to the term's point
+// per term, that the caller's shard bodies fill in place; the points stay in
+// the transcript, which outlives the batch. Nothing per proof is staged and
+// no term is collapsed by key. The arrays are mapped (MappedVector), so a
+// batch that runs on a worker thread grows no arena (src/common/mapped.h).
+//
+// Per pair Y = r*G + e*P of a proof whose challenge the caller recomputed,
+// AddPair adds w*Y - (w*r)*G - (w*e)*P with a 128-bit weight w. The commit Y
+// is the one term unique to its equation, so it carries the short weight
+// itself (a short scalar costs the MSM about half the additions) and the
+// shared terms take the negated products; negating the whole combination
+// changes no verdict. A positional term sums every pair that names it. B and
+// the batch-wide points sum per shard, and the partials merge in shard
+// order, so the check is identical at any thread count.
+class DleqTermBatch {
+ public:
+  // Where a pair's base or public point sits: the generator, a batch-wide
+  // point, or a positional term.
+  struct Slot {
+    enum Kind : uint8_t { kBase, kShared, kTerm };
+    Kind kind = kBase;
+    size_t index = 0;
+
+    static Slot Base() { return {kBase, 0}; }
+    static Slot Shared(size_t i) { return {kShared, i}; }
+    static Slot Term(size_t t) { return {kTerm, t}; }
+  };
+
+  // One shard's writer, valid inside its body. Weights come from the shard's
+  // own stream, drawn in the order of the AddPair calls.
+  class ShardWriter {
+   public:
+    // `point` must outlive the batch's Holds().
+    void SetPoint(size_t term, const RistrettoPoint& point);
+    void AddPair(const Scalar& challenge, const Scalar& response, Slot g, Slot p,
+                 size_t commit_term);
+
+   private:
+    friend class DleqTermBatch;
+    ShardWriter(DleqTermBatch& batch, size_t shard);
+
+    DleqTermBatch& batch_;
+    ChaChaRng weights_;
+    std::span<Scalar> partial_;  // [0] is B's, [1 + k] batch-wide point k's
+  };
+
+  // A batch over `items` items (sharded by Executor::Shards(items,
+  // kRngShards)) and `terms` positional terms, with `shared` (which must
+  // outlive the batch) as the batch-wide points. Per-shard weight streams
+  // fork from ChaChaRng(seed).
+  DleqTermBatch(size_t items, size_t terms, std::span<const RistrettoPoint> shared,
+                const std::array<uint8_t, 64>& seed);
+
+  // Runs body(writer, begin, end) for every shard of items on `executor`.
+  // A body returns false when an item cannot enter the batch (a challenge
+  // mismatch, a malformed proof): the batch then fails.
+  void Fill(Executor& executor,
+            const std::function<bool(ShardWriter&, size_t, size_t)>& body);
+
+  // True when no body failed and the combination is the identity: then every
+  // pair holds, except with probability 2^-128. Call once, after Fill.
+  bool Holds();
+
+ private:
+  std::vector<std::pair<size_t, size_t>> shards_;
+  std::vector<std::array<uint8_t, 32>> seeds_;
+  MappedVector<Scalar> scalars_;
+  MappedVector<const RistrettoPoint*> points_;
+  std::span<const RistrettoPoint> shared_;
+  std::vector<Scalar> partials_;  // (1 + shared) per shard
+  std::vector<uint8_t> failed_;   // per shard
+};
+
+// Wire caches of a few items, checked against their points in one
+// BatchValidateEncodings pass on the calling thread (one field inversion for
+// the group). A shard body reuses one for each small group of its items, so
+// its buffers stay small and are allocated once.
+class EncodingCheck {
+ public:
+  void Clear();
+  void Add(const RistrettoPoint& point, const CompressedRistretto& bytes);
+  void Run();
+  // Whether the `slot`-th added bytes encode their point (after Run).
+  bool ok(size_t slot) const { return ok_[slot] != 0; }
+
+ private:
+  std::vector<RistrettoPoint> points_;
+  std::vector<CompressedRistretto> bytes_;
+  std::vector<uint8_t> ok_;
+};
+
+// A positional batch's weight seed: SHA-512 over `domain` and then each
+// proof's challenge and response, in the order the caller adds them. The
+// challenge already binds the proof's domain, statement and commits (the
+// batch accepts a proof only if its recomputed challenge matches), so the
+// seed binds the whole batch without re-encoding any point, and whoever
+// produced the proofs cannot predict the weights before fixing them all.
+class DleqWeightSeed {
+ public:
+  explicit DleqWeightSeed(std::string_view domain);
+  void Add(const DleqTranscript& proof);
+  std::array<uint8_t, 64> Finalize();
+
+ private:
+  Sha512 hash_;
+};
 
 }  // namespace votegral
 

@@ -165,6 +165,14 @@ uint32_t ExtractWindow(const std::array<uint8_t, 32>& bytes, size_t bit, int w) 
   return v & ((uint32_t{1} << w) - 1);
 }
 
+// A bucket pass reads each term in place, or through a pointer to a point
+// the caller keeps (MultiScalarMulRefs).
+const RistrettoPoint& TermOf(const RistrettoPoint* point) { return *point; }
+template <typename Addend>
+const Addend& TermOf(const Addend& point) {
+  return point;
+}
+
 // One window's bucket pass of Pippenger with *signed* radix-2^w digits
 // (signed recoding halves the bucket count; negative digits subtract the
 // point, which costs the same as adding it). Terms are sorted into buckets
@@ -174,10 +182,11 @@ uint32_t ExtractWindow(const std::array<uint8_t, 32>& bytes, size_t bit, int w) 
 // i.e. two additions per bucket instead of a multiplication per bucket.
 // `Addend` is CachedPoint when the caller copies its terms anyway
 // (MultiScalarMulShared copies them prepared, so an addition costs eight
-// multiplications), or RistrettoPoint for the caller's own points
-// (MultiScalarMul: each addition converts its point again, nine; a prepared
-// copy there would be a second n-point array, which showed in the tally's
-// peak memory). Returns whether any digit was nonzero.
+// multiplications), or RistrettoPoint (or a pointer to one) for the
+// caller's own points (MultiScalarMul, MultiScalarMulRefs: each addition
+// converts its point again, nine; a prepared copy there would be a second
+// n-point array, which showed in the tally's and the verifier's peak
+// memory). Returns whether any digit was nonzero.
 template <typename Addend>
 bool PippengerWindowPass(std::span<const Addend> points, std::span<const int16_t> digits,
                          size_t win, size_t nwindows, size_t nbuckets,
@@ -191,7 +200,7 @@ bool PippengerWindowPass(std::span<const Addend> points, std::span<const int16_t
       continue;
     }
     const size_t b = static_cast<size_t>(digit > 0 ? digit : -digit) - 1;
-    buckets[b] = digit > 0 ? buckets[b] + points[i] : buckets[b] - points[i];
+    buckets[b] = digit > 0 ? buckets[b] + TermOf(points[i]) : buckets[b] - TermOf(points[i]);
     any = true;
   }
   *window_total = RistrettoPoint::Identity();
@@ -336,6 +345,21 @@ RistrettoPoint MultiScalarMulShared(const Scalar& base_scalar,
     }
   });
   return PippengerMsm<CachedPoint>(term_scalars, prepared) + RistrettoPoint::MulBase(base_acc);
+}
+
+RistrettoPoint MultiScalarMulRefs(const Scalar& base_scalar, std::span<const Scalar> scalars,
+                                  std::span<const RistrettoPoint* const> points) {
+  Require(scalars.size() == points.size(), "msm: scalar/point count mismatch");
+  if (scalars.size() >= kPippengerThreshold) {
+    return PippengerMsm<const RistrettoPoint*>(scalars, points) +
+           RistrettoPoint::MulBase(base_scalar);
+  }
+  // Straus builds a table per point anyway, so it takes copies.
+  std::vector<RistrettoPoint> copies(points.size());
+  for (size_t i = 0; i < points.size(); ++i) {
+    copies[i] = *points[i];
+  }
+  return StrausMsm(&base_scalar, scalars, copies);
 }
 
 MsmSharedStats SharedMsmStats() {

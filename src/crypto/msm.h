@@ -41,6 +41,14 @@ RistrettoPoint MultiScalarMulWithBase(const Scalar& base_scalar,
                                       std::span<const Scalar> scalars,
                                       std::span<const RistrettoPoint> points);
 
+// Computes base_scalar * B + sum_i scalars[i] * *points[i]: the terms'
+// points stay where the caller keeps them (DleqTermBatch points into the
+// transcript it checks), so a term costs a pointer instead of a prepared
+// 160-byte copy. Each bucket addition then prepares its addend itself, one
+// field multiplication more than a prepared copy's.
+RistrettoPoint MultiScalarMulRefs(const Scalar& base_scalar, std::span<const Scalar> scalars,
+                                  std::span<const RistrettoPoint* const> points);
+
 // Term-by-term reference evaluation (n independent `operator*` calls plus
 // n additions). Kept as the differential-testing and benchmarking baseline —
 // this is exactly the seed's per-entry accumulation pattern.

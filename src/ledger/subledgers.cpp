@@ -1,5 +1,7 @@
 #include "src/ledger/subledgers.h"
 
+#include <algorithm>
+
 #include "src/common/serde.h"
 
 namespace votegral {
@@ -197,6 +199,36 @@ std::optional<RegistrationRecord> PublicLedger::ActiveRegistration(
   LedgerEntryView view;
   Require(cursor.Next(&view), "ledger: registration index points past the log");
   return RegistrationRecord::Parse(view.payload).value;
+}
+
+std::optional<PublicLedger::RegistrationKeys> PublicLedger::ActiveRegistrationKeys(
+    const std::string& voter_id) const {
+  auto it = registrations_by_voter_.find(voter_id);
+  if (it == registrations_by_voter_.end() || it->second.empty()) {
+    return std::nullopt;
+  }
+  LedgerCursor cursor = registration_log_.Scan(it->second.back(), it->second.back() + 1);
+  LedgerEntryView view;
+  Require(cursor.Next(&view), "ledger: registration index points past the log");
+  // RegistrationRecord::Parse's reads, with c_pc kept as its bytes.
+  ByteReader r(view.payload, "registration record");
+  RegistrationKeys keys;
+  SchnorrSignature signature;
+  r.Str();
+  std::span<const uint8_t> credential = r.Var();
+  if (r.Check(credential.size() == keys.public_credential.size(), "bad ciphertext length")) {
+    std::copy(credential.begin(), credential.end(), keys.public_credential.begin());
+  }
+  r.Fixed(keys.kiosk_pk);
+  r.DecodeVar(&signature, SchnorrSignature::Parse);
+  CompressedRistretto official_pk;
+  r.Fixed(official_pk);
+  r.DecodeVar(&signature, SchnorrSignature::Parse);
+  auto parsed = r.Finish(std::move(keys));
+  if (!parsed.ok()) {
+    return std::nullopt;
+  }
+  return std::move(parsed.value);
 }
 
 std::vector<RegistrationRecord> PublicLedger::ActiveRegistrations() const {

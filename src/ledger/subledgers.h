@@ -96,6 +96,16 @@ class PublicLedger {
   // The voter's currently active record, if any.
   std::optional<RegistrationRecord> ActiveRegistration(const std::string& voter_id) const;
 
+  // The bytes of the active record's c_pc and kiosk key, read without
+  // decoding a point: the VSD's ledger match compares them with the
+  // receipt's bytes. nullopt when the voter has no record, or the record
+  // does not parse (every other field is checked as Parse checks it).
+  struct RegistrationKeys {
+    ElGamalWire public_credential{};
+    CompressedRistretto kiosk_pk{};
+  };
+  std::optional<RegistrationKeys> ActiveRegistrationKeys(const std::string& voter_id) const;
+
   // All currently active records (one per registered voter).
   std::vector<RegistrationRecord> ActiveRegistrations() const;
 

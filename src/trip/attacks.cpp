@@ -51,6 +51,8 @@ Outcome<PaperCredential> CredentialStealingKiosk::FinishRealCredential(const Env
   credential.commit.public_credential = c_pc;
   credential.commit.commit_y1 = transcript.commits[0];
   credential.commit.commit_y2 = transcript.commits[1];
+  credential.commit.wire =
+      CommitSegment::Wire{c_pc_wire, transcript.commit_wire[0], transcript.commit_wire[1]};
   credential.commit.kiosk_sig =
       SignCommit(c_pc_wire, transcript.commit_wire[0], transcript.commit_wire[1], rng);
 

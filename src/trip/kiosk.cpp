@@ -122,6 +122,9 @@ Outcome<PrintedCommit> Kiosk::BeginRealCredential(Rng& rng) {
   pending->commit.public_credential = pending->public_credential;
   pending->commit.commit_y1 = pending->prover->commits()[0];
   pending->commit.commit_y2 = pending->prover->commits()[1];
+  pending->commit.wire = CommitSegment::Wire{
+      pending->credential_wire, pending->prover->commit_wire()[0],
+      pending->prover->commit_wire()[1]};
   pending->commit.kiosk_sig = SignCommit(pending->credential_wire,
                                          pending->prover->commit_wire()[0],
                                          pending->prover->commit_wire()[1], rng);
@@ -207,6 +210,8 @@ Outcome<PaperCredential> Kiosk::CreateFakeCredential(const Envelope& envelope, R
   credential.commit.public_credential = session_public_credential_;
   credential.commit.commit_y1 = transcript.commits[0];
   credential.commit.commit_y2 = transcript.commits[1];
+  credential.commit.wire = CommitSegment::Wire{session_credential_wire_, transcript.commit_wire[0],
+                                               transcript.commit_wire[1]};
   credential.commit.kiosk_sig = SignCommit(session_credential_wire_, transcript.commit_wire[0],
                                            transcript.commit_wire[1], rng);
 

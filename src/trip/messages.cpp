@@ -1,5 +1,7 @@
 #include "src/trip/messages.h"
 
+#include <algorithm>
+
 #include "src/common/serde.h"
 #include "src/crypto/sha256.h"
 
@@ -75,10 +77,19 @@ Outcome<CommitSegment> CommitSegment::Parse(std::span<const uint8_t> bytes) {
   ByteReader r(bytes, "commit segment");
   CommitSegment c;
   c.voter_id = r.Str();
+  const size_t points_at = bytes.size() - r.remaining();
   r.Decode(&c.public_credential, 64, ElGamalCiphertext::Parse);
   r.Decode(&c.commit_y1, 32, RistrettoPoint::Decode);
   r.Decode(&c.commit_y2, 32, RistrettoPoint::Decode);
   r.Decode(&c.kiosk_sig, 64, SchnorrSignature::Parse);
+  if (r.ok()) {
+    // Decode accepts only canonical encodings, so these bytes are the cache.
+    std::span<const uint8_t> points = bytes.subspan(points_at, 128);
+    c.wire.emplace();
+    std::copy_n(points.begin(), 64, c.wire->public_credential.begin());
+    std::copy_n(points.begin() + 64, 32, c.wire->commit_y1.begin());
+    std::copy_n(points.begin() + 96, 32, c.wire->commit_y2.begin());
+  }
   return r.Finish(std::move(c));
 }
 

@@ -9,6 +9,7 @@
 #define SRC_TRIP_MESSAGES_H_
 
 #include <array>
+#include <optional>
 #include <string>
 
 #include "src/common/bytes.h"
@@ -62,6 +63,17 @@ struct CommitSegment {
   RistrettoPoint commit_y1;             // Y_1 = g^y   (or simulated)
   RistrettoPoint commit_y2;             // Y_2 = A^y   (or simulated)
   SchnorrSignature kiosk_sig;           // σ_kc over (V_id ‖ c_pc ‖ Y)
+
+  // The canonical bytes of c_pc, Y_1 and Y_2 as printed: the kiosk fills
+  // them from the bytes σ_kc signs, Parse from the bytes it consumed. A
+  // cache like Ballot::vote_wire, neither serialized nor compared; the VSD
+  // checks it against the points before it binds anything.
+  struct Wire {
+    ElGamalWire public_credential{};
+    CompressedRistretto commit_y1{};
+    CompressedRistretto commit_y2{};
+  };
+  std::optional<Wire> wire;
 
   Bytes Serialize() const;
   static Outcome<CommitSegment> Parse(std::span<const uint8_t> bytes);

@@ -63,10 +63,12 @@ const char* FirstFailedReceiptCheck(const Receipt& receipt, const RistrettoPoint
 }
 
 // The five equations of lines 3-8 as one random linear combination:
-//   w1 (s_kc·B - c_kc·K - R_kc) + w2 (s_kr·B - c_kr·K - R_kr)
-//     + w3 (s_p·B - c_p·P - R_p) + w4 (r·B + e·C1 - Y1) + w5 (r·A + e·X - Y2)
+//   w1 (R_kc + c_kc·K - s_kc·B) + w2 (R_kr + c_kr·K - s_kr·B)
+//     + w3 (R_p + c_p·P - s_p·B) + w4 (Y1 - r·B - e·C1) + w5 (Y2 - r·A - e·X)
 // is the identity, evaluated as one MultiScalarMulWithBase of ten variable
-// terms (K carries both kiosk signatures). The 128-bit weights come from a
+// terms (K carries both kiosk signatures). Each equation's own point (an R
+// or a Y) carries its short weight; the shared terms take the products, so
+// the MSM pays the short scalars' half length. The 128-bit weights come from a
 // ChaCha stream seeded with SHA-512 over every byte the check binds, so the
 // party that printed the receipt cannot predict them. False when a point
 // does not decode or the sum is not the identity; true only when all five
@@ -123,16 +125,39 @@ bool ReceiptEquationsHold(const Receipt& receipt, const RistrettoPoint& authorit
                                       receipt.envelope_message);
   const Scalar& e = envelope.challenge;
   const Scalar& r = response.zkp_response;
-  const Scalar base = w[0] * commit.kiosk_sig.s + w[1] * response.kiosk_sig.s +
-                      w[2] * envelope.printer_sig.s + w[3] * r;
+  const Scalar base = -(w[0] * commit.kiosk_sig.s + w[1] * response.kiosk_sig.s +
+                        w[2] * envelope.printer_sig.s + w[3] * r);
   const std::array<Scalar, 10> scalars = {
-      -(w[0] * c_kc + w[1] * c_kr), -w[0], -w[1], -(w[2] * c_p), -w[2],
-      w[3] * e,                     -w[3], w[4] * r, w[4] * e,     -w[4]};
+      w[0] * c_kc + w[1] * c_kr, w[0], w[1], w[2] * c_p, w[2],
+      -(w[3] * e),               w[3], -(w[4] * r), -(w[4] * e), w[4]};
   const std::array<RistrettoPoint, 10> points = {
       kiosk_key,  commit_r,         response_r,     printer_key,    envelope_r,
       commit.public_credential.c1, commit.commit_y1, authority_pk, receipt.big_x,
       commit.commit_y2};
   return MultiScalarMulWithBase(base, scalars, points).IsIdentity();
+}
+
+// The printed bytes of c_pc and Y when the segment carries them and one
+// BatchValidateEncodings pass (no inverse square root) finds them to encode
+// its points; otherwise the points' fresh encodings. Either way the result
+// is the canonical encoding, so σ_kc's message and the ledger match read
+// the same bytes they would from the points.
+CommitSegment::Wire PrintedCommitWire(const CommitSegment& commit) {
+  if (commit.wire.has_value()) {
+    const CommitSegment::Wire& wire = *commit.wire;
+    const std::array<RistrettoPoint, 4> points = {
+        commit.public_credential.c1, commit.public_credential.c2, commit.commit_y1,
+        commit.commit_y2};
+    const std::array<CompressedRistretto, 4> bytes = {
+        ElGamalWireHalf(wire.public_credential, 0), ElGamalWireHalf(wire.public_credential, 1),
+        wire.commit_y1, wire.commit_y2};
+    std::array<uint8_t, 4> ok{};
+    Executor::Scope serial(Executor::Serial());  // four points: not worth a pool
+    if (BatchValidateEncodings(points, bytes, ok) == 0) {
+      return wire;
+    }
+  }
+  return {commit.public_credential.Wire(), commit.commit_y1.Encode(), commit.commit_y2.Encode()};
 }
 
 }  // namespace
@@ -154,7 +179,10 @@ Outcome<ActivatedCredential> Vsd::Activate(const PaperCredential& credential,
   // (lines 3-8) The receipt checks, batched; an untrusted printer fails
   // line 5 whatever the equations say, so it goes straight to the reference.
   auto h_er = ChallengeResponseHash(envelope.challenge, response.zkp_response);
-  const Receipt receipt{credential, commit.SignedPayload(),
+  const CommitSegment::Wire printed = PrintedCommitWire(commit);
+  const Receipt receipt{credential,
+                        CommitSegment::SignedPayload(commit.voter_id, printed.public_credential,
+                                                     printed.commit_y1, printed.commit_y2),
                         ResponseSegment::SignedPayload(credential_pk, h_er),
                         envelope.SignedPayload(),
                         commit.public_credential.c2 - credential_pk_point};
@@ -165,12 +193,12 @@ Outcome<ActivatedCredential> Vsd::Activate(const PaperCredential& credential,
   }
 
   // (lines 9-10) Ledger match: the voter's active registration record must
-  // carry the same c_pc and kiosk key.
-  auto record = ledger.ActiveRegistration(commit.voter_id);
+  // carry the same c_pc and kiosk key, compared as canonical bytes.
+  auto record = ledger.ActiveRegistrationKeys(commit.voter_id);
   if (!record.has_value()) {
     return Out::Fail("activation: no registration record on ledger for voter");
   }
-  if (record->public_credential != commit.public_credential) {
+  if (record->public_credential != printed.public_credential) {
     return Out::Fail("activation: public credential does not match ledger record");
   }
   if (record->kiosk_pk != response.kiosk_pk) {

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "src/common/bytes.h"
+#include "src/common/mapped.h"
 #include "src/crypto/batch.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/msm.h"
@@ -283,8 +284,8 @@ Status CheckLinksBatched(std::span<const ResolvedLink> links, const RistrettoPoi
     w2[c] = RandomRlcWeight(weight_rng);
   }
 
-  std::vector<Scalar> scalars(2 * components + 1);
-  std::vector<RistrettoPoint> points(2 * components + 1);
+  MappedVector<Scalar> scalars(2 * components + 1);
+  MappedVector<RistrettoPoint> points(2 * components + 1);
   auto shards = Executor::Shards(links.size(), Executor::kRngShards);
   struct Partial {
     Scalar base_acc = Scalar::Zero();  // accumulated coefficient of B
@@ -382,8 +383,8 @@ Status ValidatedBatchHash(const MixBatch& batch, const BatchShape& shape, Execut
     size_t pairs = item.HasWire() ? 2 * item.cts.size() : 0;
     pair_at[i + 1] = pair_at[i] + pairs;
   }
-  std::vector<RistrettoPoint> cached_points(pair_at.back());
-  std::vector<CompressedRistretto> cached_bytes(pair_at.back());
+  MappedVector<RistrettoPoint> cached_points(pair_at.back());
+  MappedVector<CompressedRistretto> cached_bytes(pair_at.back());
   executor.ParallelForEach(batch.size(), [&](size_t i) {
     const MixItem& item = batch[i];
     if (item.wire.empty()) {

@@ -4,35 +4,20 @@
 
 #include "src/crypto/batch.h"
 #include "src/crypto/drbg.h"
+#include "src/crypto/sha512.h"
 
 namespace votegral {
 
 namespace {
 
 constexpr std::string_view kTagDomain = "votegral/tagging/step/v1";
-constexpr std::string_view kChainWeightDomain = "votegral/tagging/chain-batch-weights/v1";
+constexpr std::string_view kChainWeightDomain = "votegral/tagging/chain-batch-weights/v2";
 
 DleqStatement TagStatement(const ElGamalCiphertext& input, const ElGamalCiphertext& output,
                            const RistrettoPoint& commitment) {
   DleqStatement statement;
   statement.bases = {RistrettoPoint::Base(), input.c1, input.c2};
   statement.publics = {commitment, output.c1, output.c2};
-  return statement;
-}
-
-// Wire-carrying statement: same points, plus the canonical bytes every
-// challenge hash would otherwise recompute (one inverse sqrt per point).
-// Callers vouch for the bytes (producer-local trust, src/crypto/dleq.h).
-DleqStatement TagStatementWire(const ElGamalCiphertext& input, const ElGamalWire& input_wire,
-                               const ElGamalCiphertext& output,
-                               const ElGamalWire& output_wire,
-                               const RistrettoPoint& commitment,
-                               const CompressedRistretto& commitment_wire) {
-  DleqStatement statement = TagStatement(input, output, commitment);
-  statement.base_wire = {RistrettoPoint::BaseWire(), ElGamalWireHalf(input_wire, 0),
-                         ElGamalWireHalf(input_wire, 1)};
-  statement.public_wire = {commitment_wire, ElGamalWireHalf(output_wire, 0),
-                           ElGamalWireHalf(output_wire, 1)};
   return statement;
 }
 
@@ -163,85 +148,135 @@ Status TaggingService::VerifyChain(const std::vector<ElGamalCiphertext>& input,
     current = &steps[i].output;
   }
 
-  // Wire pass: produce per-step ciphertext bytes the statement caches can
-  // trust. Steps carrying output_wire are attacker data — every cached
-  // string must be the canonical encoding of its point, checked in one
-  // pooled BatchValidateEncodings pass (exact, no inverse square roots);
-  // a mismatch is a localized failure. Cacheless steps (and a cacheless
-  // chain input) are encoded fresh — once per chain, where the pre-wire
-  // verifier paid one encode per point per challenge hash.
+  // Every proof of every step in one positional batch. Item j's terms are
+  // its chain input (c1, c2), then per step its output (c1, c2) and the
+  // proof's three commits; step i's output is step i+1's input, so one term
+  // carries both. B and the member commitments are batch-wide.
   const size_t n = input.size();
-  std::vector<ElGamalWire> fresh_input_wire;
-  std::span<const ElGamalWire> in_wire = input_wire;
-  if (in_wire.size() != n) {
-    fresh_input_wire.resize(n);
-    executor.ParallelForEach(n, [&](size_t j) { fresh_input_wire[j] = input[j].Wire(); });
-    in_wire = fresh_input_wire;
+  const size_t m = steps.size();
+  const size_t per_item = 2 + 5 * m;
+  if (input_wire.size() != n) {
+    input_wire = {};
   }
-  std::vector<std::vector<ElGamalWire>> fresh_step_wire(steps.size());
-  for (size_t i = 0; i < steps.size(); ++i) {
-    if (steps[i].HasWire()) {
-      continue;
-    }
-    fresh_step_wire[i].resize(n);
-    executor.ParallelForEach(
-        n, [&, i](size_t j) { fresh_step_wire[i][j] = steps[i].output[j].Wire(); });
+  std::vector<CompressedRistretto> commitment_wire(m);
+  for (size_t i = 0; i < m; ++i) {
+    commitment_wire[i] = commitments[i].Encode();
   }
-  {
-    // Every cached component against its point (2 per ciphertext).
-    std::vector<CompressedRistretto> cache_bytes;
-    std::vector<RistrettoPoint> cache_points;
-    std::vector<std::pair<size_t, size_t>> cache_slot;  // (step, item)
-    for (size_t i = 0; i < steps.size(); ++i) {
-      if (!steps[i].HasWire()) {
-        continue;
-      }
-      for (size_t j = 0; j < n; ++j) {
-        cache_bytes.push_back(ElGamalWireHalf(steps[i].output_wire[j], 0));
-        cache_bytes.push_back(ElGamalWireHalf(steps[i].output_wire[j], 1));
-        cache_points.push_back(steps[i].output[j].c1);
-        cache_points.push_back(steps[i].output[j].c2);
-        cache_slot.emplace_back(i, j);
-      }
-    }
-    std::vector<uint8_t> cache_ok(cache_bytes.size(), 0);
-    if (BatchValidateEncodings(cache_points, cache_bytes, cache_ok) != 0) {
-      size_t k = 0;
-      while (cache_ok[2 * k] && cache_ok[2 * k + 1]) {
-        ++k;
-      }
-      auto [i, j] = cache_slot[k];
-      return Status::Error("tagging: step " + std::to_string(i) +
-                           " output wire cache does not match ciphertexts at index " +
-                           std::to_string(j));
+  DleqWeightSeed seed(kChainWeightDomain);
+  for (const TaggingStep& step : steps) {
+    for (const DleqTranscript& proof : step.proofs) {
+      seed.Add(proof);
     }
   }
+  // Output wire caches are attacker data: cache_bad[i * n + j] marks step
+  // i's item j when its bytes are not the canonical encoding of its points.
+  std::vector<uint8_t> cache_bad(m * n, 0);
+  DleqTermBatch batch(n, n * per_item, commitments, seed.Finalize());
+  // Items go through their shard in groups of about 64 cached points.
+  const size_t group = std::max<size_t>(1, 64 / (5 * std::max<size_t>(m, 1)));
+  auto well_formed = [](const DleqTranscript& proof) {
+    return proof.commits.size() == 3 &&
+           (proof.commit_wire.empty() || proof.commit_wire.size() == 3);
+  };
+  batch.Fill(executor, [&](DleqTermBatch::ShardWriter& writer, size_t begin, size_t end) {
+    EncodingCheck check;
+    bool holds = true;
+    for (size_t first_item = begin; first_item < end; first_item += group) {
+      const size_t last_item = std::min(end, first_item + group);
+      // The group's caches in one pass (no inverse square root): each cached
+      // output against its points, each proof's commit bytes against its
+      // commits. A step or proof without caches is encoded below instead.
+      // Every group's outputs are checked even after the batch has failed,
+      // since a stale output cache is reported first.
+      check.Clear();
+      for (size_t j = first_item; j < last_item; ++j) {
+        for (size_t i = 0; i < m; ++i) {
+          if (steps[i].HasWire()) {
+            check.Add(steps[i].output[j].c1, ElGamalWireHalf(steps[i].output_wire[j], 0));
+            check.Add(steps[i].output[j].c2, ElGamalWireHalf(steps[i].output_wire[j], 1));
+          }
+          const DleqTranscript& proof = steps[i].proofs[j];
+          if (well_formed(proof) && proof.HasWire()) {
+            for (size_t c = 0; c < 3; ++c) {
+              check.Add(proof.commits[c], proof.commit_wire[c]);
+            }
+          }
+        }
+      }
+      check.Run();
+      size_t slot = 0;
+      for (size_t j = first_item; j < last_item; ++j) {
+        for (size_t i = 0; i < m; ++i) {
+          if (steps[i].HasWire()) {
+            if (!check.ok(slot) || !check.ok(slot + 1)) {
+              cache_bad[i * n + j] = 1;
+              holds = false;
+            }
+            slot += 2;
+          }
+          const DleqTranscript& proof = steps[i].proofs[j];
+          if (!well_formed(proof)) {
+            holds = false;  // the per-step path names it
+          } else if (proof.HasWire()) {
+            for (size_t c = 0; c < 3; ++c) {
+              holds = holds && check.ok(slot++);
+            }
+          }
+        }
+      }
 
-  // Every proof of every step into one DLEQ batch over wire-backed
-  // statements: challenge recomputation is SHA-only.
-  std::vector<DleqBatchEntry> batch;
-  batch.reserve(steps.size() * n);
-  current = &input;
-  std::span<const ElGamalWire> current_wire = in_wire;
-  for (size_t i = 0; i < steps.size(); ++i) {
-    const CompressedRistretto commitment_wire = commitments[i].Encode();
-    std::span<const ElGamalWire> step_wire =
-        steps[i].HasWire() ? std::span<const ElGamalWire>(steps[i].output_wire)
-                           : std::span<const ElGamalWire>(fresh_step_wire[i]);
-    for (size_t j = 0; j < current->size(); ++j) {
-      DleqBatchEntry entry;
-      entry.domain = std::string(kTagDomain);
-      entry.statement =
-          TagStatementWire((*current)[j], current_wire[j], steps[i].output[j], step_wire[j],
-                           commitments[i], commitment_wire);
-      entry.transcript = steps[i].proofs[j];
-      batch.push_back(std::move(entry));
+      for (size_t j = first_item; holds && j < last_item; ++j) {
+        const size_t first = j * per_item;
+        writer.SetPoint(first, input[j].c1);
+        writer.SetPoint(first + 1, input[j].c2);
+        ElGamalWire in_wire = input_wire.empty() ? input[j].Wire() : input_wire[j];
+        for (size_t i = 0; holds && i < m; ++i) {
+          const TaggingStep& step = steps[i];
+          const DleqTranscript& proof = step.proofs[j];
+          const ElGamalWire out_wire =
+              step.HasWire() ? step.output_wire[j] : step.output[j].Wire();
+          // The challenge over (B, C1, C2), (Z_i, C1', C2') and the commits,
+          // hashed from bytes in hand: SHA-only when every cache is present.
+          Sha512 h;
+          const uint8_t separator = 0;
+          h.Update(AsBytes(kTagDomain));
+          h.Update({&separator, 1});
+          h.Update(RistrettoPoint::BaseWire());
+          h.Update(in_wire);
+          h.Update(commitment_wire[i]);
+          h.Update(out_wire);
+          for (size_t c = 0; c < 3; ++c) {
+            h.Update(proof.HasWire() ? proof.commit_wire[c] : proof.commits[c].Encode());
+          }
+          if (Scalar::FromBytesWide(h.Finalize()) != proof.challenge) {
+            holds = false;
+            break;
+          }
+          const size_t in = i == 0 ? first : first + 2 + 5 * (i - 1);
+          const size_t out = first + 2 + 5 * i;
+          writer.SetPoint(out, step.output[j].c1);
+          writer.SetPoint(out + 1, step.output[j].c2);
+          for (size_t c = 0; c < 3; ++c) {
+            writer.SetPoint(out + 2 + c, proof.commits[c]);
+          }
+          using Slot = DleqTermBatch::Slot;
+          writer.AddPair(proof.challenge, proof.response, Slot::Base(), Slot::Shared(i), out + 2);
+          writer.AddPair(proof.challenge, proof.response, Slot::Term(in), Slot::Term(out),
+                         out + 3);
+          writer.AddPair(proof.challenge, proof.response, Slot::Term(in + 1),
+                         Slot::Term(out + 1), out + 4);
+          in_wire = out_wire;
+        }
+      }
     }
-    current = &steps[i].output;
-    current_wire = step_wire;
+    return holds;
+  });
+  if (auto k = FirstMarked(cache_bad); k.has_value()) {
+    return Status::Error("tagging: step " + std::to_string(*k / n) +
+                         " output wire cache does not match ciphertexts at index " +
+                         std::to_string(*k % n));
   }
-  ChaChaRng weights(DleqBatchWeightSeed(kChainWeightDomain, batch));
-  if (BatchVerifyDleq(batch, weights).ok()) {
+  if (batch.Holds()) {
     return Status::Ok();
   }
   // Localize: re-verify step by step, item by item.

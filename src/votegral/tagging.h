@@ -13,9 +13,9 @@
 // the previous output), but within one tallier's pass every ciphertext is
 // independent, so a pass runs as Executor::Shards shards (ApplyShardRange)
 // under forked per-shard DRBG streams (proof nonces), keeping the step
-// byte-identical at any thread count. Chain verification folds every step's Chaum–Pedersen
-// proofs into one batched multi-scalar multiplication with deterministic
-// Fiat–Shamir weights, falling back to the per-item path to localize the
+// byte-identical at any thread count. Chain verification folds every step's
+// Chaum–Pedersen proofs into one positional DLEQ batch (DleqTermBatch) with
+// deterministic weights, falling back to the per-item path to localize the
 // offending step and index on rejection.
 #ifndef SRC_VOTEGRAL_TAGGING_H_
 #define SRC_VOTEGRAL_TAGGING_H_
@@ -94,16 +94,21 @@ class TaggingService {
                                           std::span<const ElGamalWire> input_wire = {}) const;
 
   // Verifies a full chain of steps (step i's input is step i-1's output).
-  // All steps' proofs are checked as one batched MSM with deterministic
-  // weights; on rejection the per-step path re-runs to name the offending
-  // member and index.
+  // All steps' proofs are checked as one positional DLEQ batch
+  // (DleqTermBatch, src/crypto/batch.h), sharded over items: item j's terms
+  // are its input ciphertext, then per step its output ciphertext and the
+  // proof's three commits, so a step's output is one term with the next
+  // step's input; B and the member commitments are batch-wide. On rejection
+  // the per-step path re-runs to name the offending member and index.
   //
-  // Wire handling: every step's output_wire (attacker data) is decoded and
-  // recompared before it backs any statement cache — a stale cache is a
-  // localized failure; steps without caches are encoded fresh, once per
-  // chain instead of once per proof. `input_wire` optionally supplies
-  // already-validated bytes for the chain input (the verifier threads the
-  // mix column caches VerifyRpcMixCascade checked).
+  // Wire handling: each challenge is recomputed from bytes in hand. Every
+  // step's output_wire and every proof's commit_wire (attacker data) must
+  // be the canonical encoding of its points (BatchValidateEncodings, in
+  // small groups per shard) before it may bind a challenge; a stale output
+  // cache is a localized failure, reported first. Steps and proofs without
+  // caches are encoded as they are hashed. `input_wire` optionally supplies
+  // bytes for the chain input that another check validates (the verifier
+  // threads the mix column caches VerifyRpcMixCascade checks).
   static Status VerifyChain(const std::vector<ElGamalCiphertext>& input,
                             const std::vector<TaggingStep>& steps,
                             const std::vector<RistrettoPoint>& commitments,

@@ -1,10 +1,12 @@
 #include "src/votegral/verifier.h"
 
 #include <algorithm>
+#include <exception>
 
 #include "src/crypto/batch.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/sha512.h"
+#include "src/votegral/mixnet.h"
 #include "src/trip/official.h"
 
 namespace votegral {
@@ -45,7 +47,7 @@ RistrettoPoint CombineSharesPublicThreshold(const ElGamalCiphertext& ct,
 
 namespace {
 
-constexpr std::string_view kShareWeightDomain = "votegral/verifier/share-batch-weights/v2";
+constexpr std::string_view kShareWeightDomain = "votegral/verifier/share-batch-weights/v3";
 
 // Verifies one published cascade: it must have kMixPairs pairs (a shorter
 // cascade is a consistent proof with fewer shufflers), then the RPC proof.
@@ -61,27 +63,25 @@ Status VerifyTallyCascade(const MixBatch& input, const MixBatch& output, const M
 // Verifies a list of per-ciphertext share vectors and returns the decrypted
 // points; fails on any bad proof.
 //
-// The DLEQ share proofs — the dominant group-operation cost of universal
-// verification — are checked as ONE random-linear-combination multi-scalar
-// multiplication over all ciphertexts and members, with entry preparation,
-// share combination and point encoding fanned out across the pool. Weights
-// are derived deterministically from the proofs themselves (Fiat–Shamir
-// style; the per-proof challenge binds statement and commitments), so the
-// check stays reproducible for auditors while remaining unpredictable to
-// whoever produced the transcript. On rejection the per-item path re-runs
+// The DLEQ share proofs are checked as one positional batch (DleqTermBatch)
+// sharded over ciphertexts: ciphertext i's terms are its C1, then per share
+// the share point and the proof's two commits; B and the members' public
+// shares are batch-wide. Weights come from a hash of every proof's challenge
+// and response, so any auditor derives the same ones and whoever produced
+// the transcript cannot predict them. On rejection the per-item path re-runs
 // to name the offending share.
 //
-// Wire bytes: the verifier backs every statement with bytes it produced or
-// already validated — B and the member commitments from standing caches
-// (encoded once per call, not once per share), C1 from `cts_wire` when the
-// caller threads validated bytes (mix caches checked by VerifyRpcMixCascade,
-// tagging wires checked by VerifyChain) or one fresh encode otherwise, and
-// the share point from its DecryptionShare::share_wire when one
-// BatchValidateEncodings pass over every share (exact, no inverse square
-// root) finds those bytes to be its canonical encoding, or one fresh encode
-// otherwise — so a stale or forged cache binds exactly what the point does.
-// The proofs' own commit caches are attacker data; BatchVerifyDleq validates
-// them against the commit points before hashing.
+// Each challenge is recomputed from bytes in hand: B's and the members'
+// encodings (once per call), C1 from `cts_wire` when the caller threads
+// bytes another check validates (mix caches checked by VerifyRpcMixCascade,
+// tagging wires checked by VerifyChain; see VerifyElection for why a check
+// may use them) or one fresh encode otherwise, and the share point from its
+// DecryptionShare::share_wire when a BatchValidateEncodings pass over the
+// shard (exact, no inverse square root) finds those bytes to be its
+// canonical encoding, or one fresh encode otherwise, so a stale or forged
+// cache binds exactly what the point does. The proofs' own commit caches
+// are attacker data and pass the same shard validation before they are
+// hashed.
 Status VerifyAndDecryptAll(const std::vector<ElGamalCiphertext>& cts,
                            const std::vector<std::vector<DecryptionShare>>& shares,
                            const VerifierParams& params, Executor& executor,
@@ -94,84 +94,127 @@ Status VerifyAndDecryptAll(const std::vector<ElGamalCiphertext>& cts,
   if (cts_wire.size() != cts.size()) {
     cts_wire = {};
   }
+  Executor::Scope scope(executor);
   const size_t members = params.authority_shares.size();
   // Additive mode demands the full member set per ciphertext; threshold mode
   // accepts each ciphertext's recorded participant subset of >= t distinct
   // members (what the tally produced under degradation).
   const bool threshold_mode = params.authority_threshold != 0;
   const size_t need = threshold_mode ? params.authority_threshold : members;
-  std::vector<CompressedRistretto> member_wire(members);
-  BatchEncodePoints(params.authority_shares, member_wire);
-  // Ciphertext i's shares are entries [first_share[i], first_share[i + 1])
-  // of the flat share lists.
-  std::vector<size_t> first_share(cts.size() + 1, 0);
+  // Ciphertext i's terms are [first_term[i], first_term[i + 1]).
+  std::vector<size_t> first_term(cts.size() + 1, 0);
+  std::optional<size_t> bad_count;
+  bool bad_member = false;
   for (size_t i = 0; i < cts.size(); ++i) {
-    first_share[i + 1] = first_share[i] + shares[i].size();
-  }
-  std::vector<RistrettoPoint> share_points;
-  std::vector<CompressedRistretto> share_wires;
-  share_points.reserve(first_share.back());
-  share_wires.reserve(first_share.back());
-  for (const std::vector<DecryptionShare>& list : shares) {
-    for (const DecryptionShare& share : list) {
-      share_points.push_back(share.share);
-      share_wires.push_back(share.share_wire);
-    }
-  }
-  std::vector<uint8_t> share_wire_ok(share_points.size(), 0);
-  BatchValidateEncodings(share_points, share_wires, share_wire_ok);
-  std::vector<DleqBatchEntry> batch(cts.size() * members);
-  std::vector<CompressedRistretto> decrypted(cts.size());
-  std::vector<uint8_t> bad_count(cts.size(), 0);
-  std::vector<uint8_t> bad_member(cts.size(), 0);
-  executor.ParallelForEach(cts.size(), [&](size_t i) {
     const size_t count = shares[i].size();
+    first_term[i + 1] = first_term[i];
     if (threshold_mode ? (count < need || count > members) : (count != members)) {
-      bad_count[i] = 1;
-      return;
+      bad_count = bad_count.value_or(i);
+      continue;
     }
-    const CompressedRistretto c1_wire =
-        cts_wire.empty() ? cts[i].c1.Encode() : ElGamalWireHalf(cts_wire[i], 0);
     std::vector<bool> seen(members, false);
-    for (size_t m = 0; m < count; ++m) {
-      const DecryptionShare& share = shares[i][m];
+    for (const DecryptionShare& share : shares[i]) {
       if (share.member_index >= members || seen[share.member_index]) {
-        bad_member[i] = 1;
-        return;
+        bad_member = true;
+        break;
       }
       seen[share.member_index] = true;
-      DleqBatchEntry entry;
-      entry.domain = std::string(kDecryptionShareDomain);
-      entry.statement = DleqStatement::MakePairWire(
-          RistrettoPoint::Base(), RistrettoPoint::BaseWire(),
-          params.authority_shares[share.member_index], member_wire[share.member_index],
-          cts[i].c1, c1_wire, share.share,
-          share_wire_ok[first_share[i] + m] ? share.share_wire : share.share.Encode());
-      entry.transcript = share.proof;
-      batch[i * members + m] = std::move(entry);
     }
-    decrypted[i] = threshold_mode
-                       ? CombineSharesPublicThreshold(cts[i], shares[i]).Encode()
-                       : CombineSharesPublic(cts[i], shares[i], members).Encode();
-  });
-  if (auto i = FirstMarked(bad_count); i.has_value()) {
-    return Status::Error("verifier: " + what + ": wrong share count at " +
-                         std::to_string(*i));
+    first_term[i + 1] += 1 + 3 * count;
   }
-  if (FirstMarked(bad_member).has_value()) {
+  if (bad_count.has_value()) {
+    return Status::Error("verifier: " + what + ": wrong share count at " +
+                         std::to_string(*bad_count));
+  }
+  if (bad_member) {
     return Status::Error("verifier: " + what + ": bad share member index");
   }
-  *out = std::move(decrypted);
 
-  if (threshold_mode) {
-    // Sub-full participant subsets leave empty positional slots; compact
-    // sequentially (stable order) before deriving the batch weights.
-    batch.erase(std::remove_if(batch.begin(), batch.end(),
-                               [](const DleqBatchEntry& e) { return e.domain.empty(); }),
-                batch.end());
+  std::vector<CompressedRistretto> member_wire(members);
+  BatchEncodePoints(params.authority_shares, member_wire);
+  DleqWeightSeed seed(kShareWeightDomain);
+  for (const std::vector<DecryptionShare>& list : shares) {
+    for (const DecryptionShare& share : list) {
+      seed.Add(share.proof);
+    }
   }
-  ChaChaRng weights(DleqBatchWeightSeed(kShareWeightDomain, batch));
-  if (BatchVerifyDleq(batch, weights).ok()) {
+  std::vector<CompressedRistretto> decrypted(cts.size());
+  DleqTermBatch batch(cts.size(), first_term.back(), params.authority_shares, seed.Finalize());
+  // Ciphertexts go through their shard in groups of about 64 cached points.
+  const size_t group = std::max<size_t>(1, 64 / (3 * std::max<size_t>(members, 1)));
+  auto well_formed = [](const DleqTranscript& proof) {
+    return proof.commits.size() == 2 &&
+           (proof.commit_wire.empty() || proof.commit_wire.size() == 2);
+  };
+  batch.Fill(executor, [&](DleqTermBatch::ShardWriter& writer, size_t begin, size_t end) {
+    EncodingCheck check;
+    for (size_t first_ct = begin; first_ct < end; first_ct += group) {
+      const size_t last_ct = std::min(end, first_ct + group);
+      // The group's caches in one pass: each share's bytes against its
+      // point, each proof's commit bytes against its commits.
+      check.Clear();
+      for (size_t i = first_ct; i < last_ct; ++i) {
+        for (const DecryptionShare& share : shares[i]) {
+          check.Add(share.share, share.share_wire);
+          if (well_formed(share.proof) && share.proof.HasWire()) {
+            check.Add(share.proof.commits[0], share.proof.commit_wire[0]);
+            check.Add(share.proof.commits[1], share.proof.commit_wire[1]);
+          }
+        }
+      }
+      check.Run();
+
+      size_t slot = 0;
+      for (size_t i = first_ct; i < last_ct; ++i) {
+        const size_t c1_term = first_term[i];
+        writer.SetPoint(c1_term, cts[i].c1);
+        const CompressedRistretto c1_wire =
+            cts_wire.empty() ? cts[i].c1.Encode() : ElGamalWireHalf(cts_wire[i], 0);
+        for (size_t s = 0; s < shares[i].size(); ++s) {
+          const DecryptionShare& share = shares[i][s];
+          const DleqTranscript& proof = share.proof;
+          const bool share_wire_ok = check.ok(slot++);
+          if (!well_formed(proof)) {
+            return false;  // the per-item path names it
+          }
+          if (proof.HasWire() && !(check.ok(slot) && check.ok(slot + 1))) {
+            return false;
+          }
+          slot += proof.HasWire() ? 2 : 0;
+          // The challenge over (B, C1), (X_m, S) and the commits.
+          Sha512 h;
+          const uint8_t separator = 0;
+          h.Update(AsBytes(kDecryptionShareDomain));
+          h.Update({&separator, 1});
+          h.Update(RistrettoPoint::BaseWire());
+          h.Update(c1_wire);
+          h.Update(member_wire[share.member_index]);
+          h.Update(share_wire_ok ? share.share_wire : share.share.Encode());
+          for (size_t c = 0; c < 2; ++c) {
+            h.Update(proof.HasWire() ? proof.commit_wire[c] : proof.commits[c].Encode());
+          }
+          if (Scalar::FromBytesWide(h.Finalize()) != proof.challenge) {
+            return false;
+          }
+          const size_t term = c1_term + 1 + 3 * s;
+          writer.SetPoint(term, share.share);
+          writer.SetPoint(term + 1, proof.commits[0]);
+          writer.SetPoint(term + 2, proof.commits[1]);
+          using Slot = DleqTermBatch::Slot;
+          writer.AddPair(proof.challenge, proof.response, Slot::Base(),
+                         Slot::Shared(share.member_index), term + 1);
+          writer.AddPair(proof.challenge, proof.response, Slot::Term(c1_term),
+                         Slot::Term(term), term + 2);
+        }
+        decrypted[i] = threshold_mode
+                           ? CombineSharesPublicThreshold(cts[i], shares[i]).Encode()
+                           : CombineSharesPublic(cts[i], shares[i], members).Encode();
+      }
+    }
+    return true;
+  });
+  *out = std::move(decrypted);
+  if (batch.Holds()) {
     return Status::Ok();
   }
   // Localize: re-check share by share with the exact per-item verifier.
@@ -218,108 +261,207 @@ bool SameRevoteBallot(const RevoteBallot& a, const RevoteBallot& b) {
          a.proof.t2 == b.proof.t2 && a.proof.z1 == b.proof.z1 && a.proof.z2 == b.proof.z2;
 }
 
-// Replays the whole supersession section (docs/REVOTING.md): revalidates the
-// board off L_V, recomputes the dummy padding from the published openings,
-// re-verifies the revote mix / tagging / decryptions, replays the tag-sort
-// last-write-wins selection, enforces the cover envelope, and checks that
-// the main ballot mix consumed exactly the kept columns. Every failure is
-// localized — a dropped valid ballot is named by its exact ledger index.
-// The selection's superseded and duplicate_tag counts go to `replayed`.
-Status VerifyRevoteSection(const PublicLedger& ledger, const VerifierParams& params,
-                           const TallyTranscript& t, Executor& executor,
-                           TallyDiscards* replayed) {
-  const RevoteTranscript& rt = t.revote;
+// True when every item of `batch` has ciphertext `column`. A node checks
+// this before it reads a mix output column: the cascade check, earlier in
+// the order, rejects a batch whose items are too narrow, but the node runs
+// before that verdict is known.
+bool HasColumn(const MixBatch& batch, size_t column) {
+  return std::all_of(batch.begin(), batch.end(),
+                     [column](const MixItem& item) { return item.cts.size() > column; });
+}
 
-  // Board revalidation (parse + binding proof), sharded like the tally.
-  const size_t n = ledger.BallotCount();
-  std::vector<std::optional<RevoteBallot>> validated(n);
-  std::vector<uint8_t> outcome(n, 0);
-  const auto shards = Executor::Shards(n, Executor::kRngShards);
-  executor.ParallelForEach(shards.size(), [&](size_t s) {
-    RevoteValidateShard(ledger, params.authority_pk, shards[s].first, shards[s].second,
-                        validated, outcome);
+// One check's verdict, written by its graph node. A node that throws keeps
+// the exception, and it is rethrown only when every earlier check passed:
+// exactly when the phased verifier, which ran the checks one after another,
+// would have thrown it.
+struct Check {
+  Status status = Status::Ok();
+  std::exception_ptr error;
+
+  Status Verdict() const {
+    if (error) {
+      std::rethrow_exception(error);
+    }
+    return status;
+  }
+};
+
+// Submits `body` as a node whose verdict goes to `check`.
+TaskGraph::NodeId SubmitCheck(TaskGraph& graph, Check& check, std::function<Status()> body,
+                              std::initializer_list<TaskGraph::NodeId> deps = {}) {
+  return graph.Submit(
+      [&check, body = std::move(body)] {
+        try {
+          check.status = body();
+        } catch (...) {
+          check.error = std::current_exception();
+        }
+      },
+      deps);
+}
+
+// Submits one published cascade's check; its failures read "verifier:
+// <name> mix: ...".
+void SubmitCascade(TaskGraph& graph, Check& check, const MixBatch& input, const MixBatch& output,
+                   const MixProof& proof, const VerifierParams& params, Executor& executor,
+                   const std::string& name) {
+  SubmitCheck(graph, check, [&, name]() -> Status {
+    if (Status s = VerifyTallyCascade(input, output, proof, params.authority_pk, executor);
+        !s.ok()) {
+      return Status::Error("verifier: " + name + " mix: " + s.reason());
+    }
+    return Status::Ok();
   });
+}
 
-  // The published accepted list must be exactly the valid ballots in ledger
+// A tagging chain and its tag shares over one mix output column: two
+// checks, each its own node.
+struct ChainChecks {
+  Check chain;
+  Check shares;
+  std::vector<ElGamalCiphertext> credentials;  // the column the chain starts from
+  std::vector<ElGamalWire> credentials_wire;
+  std::vector<CompressedRistretto> tags;
+};
+
+// Submits the chain and tag-share checks of one column of `mix_output`. The
+// share node runs after the chain node and reads the last step's outputs
+// and bytes, which the chain validates (or the column itself when the
+// committee is empty); both read the column's bytes, which the cascade
+// validates.
+void SubmitChain(TaskGraph& graph, ChainChecks& checks, const MixBatch& mix_output,
+                 size_t column, const std::vector<TaggingStep>& steps,
+                 const std::vector<std::vector<DecryptionShare>>& tag_shares,
+                 const VerifierParams& params, Executor& executor, const std::string& name) {
+  const TaskGraph::NodeId chain = SubmitCheck(graph, checks.chain, [&, column, name]() -> Status {
+    if (!HasColumn(mix_output, column)) {
+      return Status::Error(StatusCode::kCorrupted,
+                           "verifier: " + name + " mix output item too narrow");
+    }
+    checks.credentials = BatchColumn(mix_output, column);
+    checks.credentials_wire = BatchColumnWire(mix_output, column);
+    if (Status s = TaggingService::VerifyChain(checks.credentials, steps,
+                                               params.tagging_commitments, executor,
+                                               checks.credentials_wire);
+        !s.ok()) {
+      return Status::Error("verifier: " + name + " tagging: " + s.reason());
+    }
+    return Status::Ok();
+  });
+  SubmitCheck(
+      graph, checks.shares,
+      [&, name]() -> Status {
+        if (steps.empty()) {
+          return VerifyAndDecryptAll(checks.credentials, tag_shares, params, executor,
+                                     &checks.tags, name + " tags", checks.credentials_wire);
+        }
+        const TaggingStep& last = steps.back();
+        return VerifyAndDecryptAll(last.output, tag_shares, params, executor, &checks.tags,
+                                   name + " tags",
+                                   last.HasWire() ? std::span<const ElGamalWire>(last.output_wire)
+                                                  : std::span<const ElGamalWire>{});
+      },
+      {chain});
+}
+
+// The revote supersession section (docs/REVOTING.md) as graph checks:
+// board revalidation, the dummy openings and mix input, the revote cascade,
+// the credential tagging chain and both verifiable decryptions (tags,
+// counters). Every failure is localized; a dropped valid ballot is named by
+// its exact ledger index.
+struct RevoteChecks {
+  Check accepted;
+  Check input;
+  Check mix;
+  ChainChecks chain;
+  Check counters;
+  std::vector<CompressedRistretto> counter_points;
+};
+
+void SubmitRevote(TaskGraph& graph, RevoteChecks& checks, const PublicLedger& ledger,
+                  const VerifierParams& params, const RevoteTranscript& rt,
+                  Executor& executor) {
+  // Board revalidation (parse + binding proof), sharded like the tally. The
+  // published accepted list must be exactly the valid ballots in ledger
   // order. A tally that drops or alters a non-superseded ballot is caught
   // here, localized to the exact ledger index (supersession happens only
   // later, post-mix, where the selection replay pins it).
-  std::vector<size_t> valid_indices;
-  valid_indices.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (validated[i].has_value()) {
-      valid_indices.push_back(i);
+  SubmitCheck(graph, checks.accepted, [&]() -> Status {
+    const size_t n = ledger.BallotCount();
+    std::vector<std::optional<RevoteBallot>> validated(n);
+    std::vector<uint8_t> outcome(n, 0);
+    const auto shards = Executor::Shards(n, Executor::kRngShards);
+    executor.ParallelForEach(shards.size(), [&](size_t s) {
+      RevoteValidateShard(ledger, params.authority_pk, shards[s].first, shards[s].second,
+                          validated, outcome);
+    });
+    std::vector<size_t> valid_indices;
+    valid_indices.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (validated[i].has_value()) {
+        valid_indices.push_back(i);
+      }
     }
-  }
-  const size_t common = std::min(valid_indices.size(), rt.accepted.size());
-  std::vector<uint8_t> differs(common, 0);
-  executor.ParallelForEach(common, [&](size_t p) {
-    if (!SameRevoteBallot(*validated[valid_indices[p]], rt.accepted[p])) {
-      differs[p] = 1;
+    const size_t common = std::min(valid_indices.size(), rt.accepted.size());
+    if (auto p = ParallelFirstFailure(executor, common, [&](size_t p) {
+          return SameRevoteBallot(*validated[valid_indices[p]], rt.accepted[p]);
+        });
+        p.has_value()) {
+      return Status::Error("verifier: revote accepted set alters the ballot at ledger index " +
+                           std::to_string(valid_indices[*p]));
     }
+    if (rt.accepted.size() < valid_indices.size()) {
+      return Status::Error("verifier: revote accepted set drops the valid ballot at ledger index " +
+                           std::to_string(valid_indices[rt.accepted.size()]));
+    }
+    if (rt.accepted.size() > valid_indices.size()) {
+      return Status::Error("verifier: revote accepted set contains " +
+                           std::to_string(rt.accepted.size() - valid_indices.size()) +
+                           " ballot(s) not validly on the ledger");
+    }
+    return Status::Ok();
   });
-  if (auto p = FirstMarked(differs); p.has_value()) {
-    return Status::Error("verifier: revote accepted set alters the ballot at ledger index " +
-                         std::to_string(valid_indices[*p]));
-  }
-  if (rt.accepted.size() < valid_indices.size()) {
-    return Status::Error("verifier: revote accepted set drops the valid ballot at ledger index " +
-                         std::to_string(valid_indices[rt.accepted.size()]));
-  }
-  if (rt.accepted.size() > valid_indices.size()) {
-    return Status::Error("verifier: revote accepted set contains " +
-                         std::to_string(rt.accepted.size() - valid_indices.size()) +
-                         " ballot(s) not validly on the ledger");
-  }
-  const size_t total = rt.accepted.size();
 
   // Dummy openings: structural bounds, then the padded mix input must be the
   // accepted triples followed by exactly the openings' trivial encryptions —
   // that the dummies decrypt to (bottom, d*B, j*B) holds by construction
   // once these bytes match (a forged opening cannot produce them).
-  std::vector<std::pair<size_t, uint64_t>> dummy_slots;
-  for (size_t g = 0; g < rt.dummies.size(); ++g) {
-    if (rt.dummies[g].size == 0 || rt.dummies[g].size >= kRevoteCounterLimit) {
-      return Status::Error("verifier: revote dummy group " + std::to_string(g) +
-                           " has an out-of-range size");
+  SubmitCheck(graph, checks.input, [&]() -> Status {
+    const size_t total = rt.accepted.size();
+    std::vector<std::pair<size_t, uint64_t>> dummy_slots;
+    for (size_t g = 0; g < rt.dummies.size(); ++g) {
+      if (rt.dummies[g].size == 0 || rt.dummies[g].size >= kRevoteCounterLimit) {
+        return Status::Error("verifier: revote dummy group " + std::to_string(g) +
+                             " has an out-of-range size");
+      }
+      for (uint64_t j = 0; j < rt.dummies[g].size; ++j) {
+        dummy_slots.emplace_back(g, j);
+      }
     }
-    for (uint64_t j = 0; j < rt.dummies[g].size; ++j) {
-      dummy_slots.emplace_back(g, j);
+    if (rt.mix_input.size() != total + dummy_slots.size()) {
+      return Status::Error("verifier: revote mix input size mismatch");
     }
-  }
-  if (rt.mix_input.size() != total + dummy_slots.size()) {
-    return Status::Error("verifier: revote mix input size mismatch");
-  }
-  {
     // Dummy openings are recomputed through the same batched fast path the
     // tally used (one MulBase + encode per group, static counter table)
     // instead of per-member RevoteDummyItem calls. Published items that
     // carry a wire cache compare as one 192-byte memcmp — sound because the
-    // mix cascade's input validation below re-checks every cache against its
+    // mix cascade's input validation re-checks every cache against its
     // points, so a stale cache cannot smuggle mismatched ciphertexts past
     // this check; it just moves the failure to the cascade.
     std::vector<MixItem> expected_dummies(dummy_slots.size());
     BuildRevoteDummyItems(rt.dummies, dummy_slots, expected_dummies, executor);
-    std::vector<uint8_t> input_differs(rt.mix_input.size(), 0);
-    executor.ParallelForEach(rt.mix_input.size(), [&](size_t i) {
-      if (i < total) {
-        const RevoteBallot& b = rt.accepted[i];
-        MixItem expected;
-        expected.cts = {b.encrypted_vote, b.encrypted_credential, b.encrypted_counter};
-        if (!(expected == rt.mix_input[i])) {
-          input_differs[i] = 1;
-        }
-      } else {
-        const MixItem& expected = expected_dummies[i - total];
-        const MixItem& got = rt.mix_input[i];
-        const bool same =
-            got.HasWire() ? got.wire == expected.wire : expected == got;
-        if (!same) {
-          input_differs[i] = 1;
-        }
-      }
-    });
-    if (auto i = FirstMarked(input_differs); i.has_value()) {
+    if (auto i = ParallelFirstFailure(executor, rt.mix_input.size(), [&](size_t i) {
+          if (i < total) {
+            const RevoteBallot& b = rt.accepted[i];
+            MixItem expected;
+            expected.cts = {b.encrypted_vote, b.encrypted_credential, b.encrypted_counter};
+            return expected == rt.mix_input[i];
+          }
+          const MixItem& expected = expected_dummies[i - total];
+          const MixItem& got = rt.mix_input[i];
+          return got.HasWire() ? got.wire == expected.wire : expected == got;
+        });
+        i.has_value()) {
       if (*i < total) {
         return Status::Error("verifier: revote mix input " + std::to_string(*i) +
                              " differs from the accepted ballot");
@@ -327,51 +469,44 @@ Status VerifyRevoteSection(const PublicLedger& ledger, const VerifierParams& par
       return Status::Error("verifier: revote dummy opening does not match mix input (group " +
                            std::to_string(dummy_slots[*i - total].first) + ")");
     }
-  }
+    return Status::Ok();
+  });
 
-  // The revote mix cascade.
-  if (Status s = VerifyTallyCascade(rt.mix_input, rt.mix_output, rt.mix_proof,
-                                    params.authority_pk, executor);
-      !s.ok()) {
-    return Status::Error("verifier: revote mix: " + s.reason());
-  }
+  SubmitCascade(graph, checks.mix, rt.mix_input, rt.mix_output, rt.mix_proof, params, executor,
+                "revote");
+  SubmitChain(graph, checks.chain, rt.mix_output, 1, rt.tag_steps, rt.tag_shares, params,
+              executor, "revote");
+  SubmitCheck(graph, checks.counters, [&]() -> Status {
+    if (!HasColumn(rt.mix_output, 2)) {
+      return Status::Error(StatusCode::kCorrupted, "verifier: revote mix output item too narrow");
+    }
+    return VerifyAndDecryptAll(BatchColumn(rt.mix_output, 2), rt.counter_shares, params,
+                               executor, &checks.counter_points, "revote counters",
+                               BatchColumnWire(rt.mix_output, 2));
+  });
+}
 
-  // Tagging chain over the credential column, then the two verifiable
-  // decryptions (tags, counters).
-  std::vector<ElGamalCiphertext> credentials = BatchColumn(rt.mix_output, 1);
-  std::vector<ElGamalWire> credentials_wire = BatchColumnWire(rt.mix_output, 1);
-  if (Status s = TaggingService::VerifyChain(credentials, rt.tag_steps,
-                                             params.tagging_commitments, executor,
-                                             credentials_wire);
-      !s.ok()) {
-    return Status::Error("verifier: revote tagging: " + s.reason());
+// The revote checks in the order of the phased verifier, with the
+// comparisons that read their outputs: the published tags and counters,
+// the selection replay, the cover envelope, and the ballot mix input
+// against the kept items. The selection's superseded and duplicate_tag
+// counts go to `replayed`.
+Status RevoteVerdict(const RevoteChecks& checks, const VerifierParams& params,
+                     const TallyTranscript& t, Executor& executor, TallyDiscards* replayed) {
+  const RevoteTranscript& rt = t.revote;
+  for (const Check* check : {&checks.accepted, &checks.input, &checks.mix, &checks.chain.chain,
+                             &checks.chain.shares}) {
+    if (Status s = check->Verdict(); !s.ok()) {
+      return s;
+    }
   }
-  const std::vector<ElGamalCiphertext>& tagged =
-      rt.tag_steps.empty() ? credentials : rt.tag_steps.back().output;
-  std::span<const ElGamalWire> tagged_wire;
-  if (rt.tag_steps.empty()) {
-    tagged_wire = credentials_wire;
-  } else if (rt.tag_steps.back().HasWire()) {
-    tagged_wire = rt.tag_steps.back().output_wire;
-  }
-  std::vector<CompressedRistretto> tags;
-  if (Status s = VerifyAndDecryptAll(tagged, rt.tag_shares, params, executor, &tags,
-                                     "revote tags", tagged_wire);
-      !s.ok()) {
-    return s;
-  }
-  if (tags != rt.tags) {
+  if (checks.chain.tags != rt.tags) {
     return Status::Error("verifier: published revote tags do not match decryptions");
   }
-  std::vector<ElGamalCiphertext> counters = BatchColumn(rt.mix_output, 2);
-  std::vector<CompressedRistretto> counter_points;
-  if (Status s = VerifyAndDecryptAll(counters, rt.counter_shares, params, executor,
-                                     &counter_points, "revote counters",
-                                     BatchColumnWire(rt.mix_output, 2));
-      !s.ok()) {
+  if (Status s = checks.counters.Verdict(); !s.ok()) {
     return s;
   }
-  if (counter_points != rt.counter_points) {
+  if (checks.counter_points != rt.counter_points) {
     return Status::Error("verifier: published revote counters do not match decryptions");
   }
 
@@ -394,6 +529,7 @@ Status VerifyRevoteSection(const PublicLedger& ledger, const VerifierParams& par
   // Cover envelope: with padding on, the revealed group-size multiset must
   // dominate the envelope of the (public) accepted count — miscounted
   // dummies land here.
+  const size_t total = rt.accepted.size();
   if (params.revote_padding) {
     for (size_t s = 1; s <= RevoteCoverClasses(total); ++s) {
       auto it = selection.group_sizes.find(s);
@@ -425,176 +561,207 @@ Status VerifyRevoteSection(const PublicLedger& ledger, const VerifierParams& par
 
 }  // namespace
 
+// Verification is one task graph of independent checks: the ledger chains,
+// the ballot (or revote) revalidation, the registration records with the
+// roster mix-input comparison, the ballot mix-input comparison, each mix
+// cascade, each tagging chain and each share batch. After Wait the
+// comparisons that read their outputs (tags, join, counts, discards) run,
+// and the verdict is the first failing check in the order the phased
+// verifier ran them, so every verdict and reason is the same at any thread
+// count and under any schedule.
+//
+// A check may read bytes another check validates: a chain's input statements
+// hash the mix column caches the cascade checks, and a share batch hashes
+// the tagging wires the chain checks. That is sound because no verdict is
+// released before every check has finished, and the validating check comes
+// first in the order: if those bytes are stale, its failure is the verdict.
+// In turn no node assumes that an earlier check passed. A node that reads a
+// mix column checks the items' width, the vote shares check every counted
+// index, and a node that throws keeps its exception for its place in the
+// order.
 Status VerifyElection(const PublicLedger& ledger, const VerifierParams& params,
                       const CandidateList& candidates, const TallyOutput& output,
                       Executor& executor) {
   Executor::Scope scope(executor);  // nested crypto kernels follow this pool
   const TallyTranscript& t = output.transcript;
+  TaskGraph graph(executor);
 
-  // Step 0: the ledger itself must be intact.
-  if (Status s = ledger.VerifyChains(); !s.ok()) {
-    return s;
-  }
+  Check ledger_chains;
+  SubmitCheck(graph, ledger_chains, [&] { return ledger.VerifyChains(); });
 
   // Validate/dedup replay: recompute the accepted ballot set from L_V
   // (ballot parsing and signature checks fan out in chunks). Revote mode
-  // replaces this whole section (and the ballot-mix-input check below) with
-  // the supersession replay; a legacy transcript must not smuggle one in.
-  std::vector<Ballot> accepted;
+  // replaces it (and the ballot-mix-input check) with the supersession
+  // checks.
   TallyDiscards replayed;  // the discard counters each replay recomputes
+  std::vector<Ballot> accepted;
+  Check accepted_set;
+  Check ballot_input;
+  RevoteChecks revote;
+  if (params.revoting) {
+    SubmitRevote(graph, revote, ledger, params, t.revote, executor);
+  } else {
+    const TaskGraph::NodeId validate = SubmitCheck(graph, accepted_set, [&]() -> Status {
+      accepted = ValidateAndDeduplicate(ledger, params.authorized_kiosks, &replayed, executor);
+      if (accepted.size() != t.accepted_ballots.size()) {
+        return Status::Error("verifier: accepted ballot set size mismatch");
+      }
+      if (auto i = ParallelFirstFailure(executor, accepted.size(), [&](size_t i) {
+            return SameBallot(accepted[i], t.accepted_ballots[i]);
+          });
+          i.has_value()) {
+        return Status::Error("verifier: accepted ballot " + std::to_string(*i) + " differs");
+      }
+      return Status::Ok();
+    });
+    // The mix input must match the accepted ballots. An item that carries a
+    // wire cache compares by its bytes against the ballot's (BallotMixWire),
+    // with no decode: sound because the cascade's input validation re-checks
+    // every cache against its points, so a stale cache only moves the
+    // failure there (the revote dummy check's rule). An item without one is
+    // compared as points.
+    SubmitCheck(
+        graph, ballot_input,
+        [&]() -> Status {
+          if (t.ballot_mix_input.size() != accepted.size()) {
+            return Status::Error("verifier: ballot mix input size mismatch");
+          }
+          std::vector<uint8_t> undecodable(accepted.size(), 0);
+          std::vector<uint8_t> differs(accepted.size(), 0);
+          executor.ParallelForEach(accepted.size(), [&](size_t i) {
+            const MixItem& got = t.ballot_mix_input[i];
+            if (got.HasWire() && accepted[i].vote_wire.has_value()) {
+              differs[i] = got.wire == BallotMixWire(accepted[i]) ? 0 : 1;
+              return;
+            }
+            auto credential_point = RistrettoPoint::Decode(accepted[i].credential_pk);
+            if (!credential_point.has_value()) {
+              undecodable[i] = 1;
+              return;
+            }
+            MixItem expected;
+            expected.cts = {accepted[i].encrypted_vote,
+                            ElGamalTrivialEncrypt(*credential_point)};
+            if (!(expected == got)) {
+              differs[i] = 1;
+            }
+          });
+          if (FirstMarked(undecodable).has_value()) {
+            return Status::Error("verifier: accepted ballot credential undecodable");
+          }
+          if (auto i = FirstMarked(differs); i.has_value()) {
+            return Status::Error("verifier: ballot mix input " + std::to_string(*i) + " differs");
+          }
+          return Status::Ok();
+        },
+        {validate});
+  }
+
+  // Every registration record's signature chain must verify (signatures in
+  // per-shard batches; first failure reported by roster position), and the
+  // roster mix input must be exactly the records' credentials.
+  std::vector<RegistrationRecord> roster;
+  Check records;
+  Check roster_input;
+  const TaskGraph::NodeId read_roster = SubmitCheck(graph, records, [&] {
+    roster = ledger.ActiveRegistrations();
+    return VerifyRegistrationRecords(roster, params.authorized_kiosks,
+                                     params.authorized_officials, executor);
+  });
+  SubmitCheck(
+      graph, roster_input,
+      [&]() -> Status {
+        if (t.roster_mix_input.size() != roster.size()) {
+          return Status::Error("verifier: roster mix input size mismatch");
+        }
+        if (auto i = ParallelFirstFailure(executor, roster.size(), [&](size_t i) {
+              const std::vector<ElGamalCiphertext>& cts = t.roster_mix_input[i].cts;
+              return cts.size() == 1 && cts[0] == roster[i].public_credential;
+            });
+            i.has_value()) {
+          return Status::Error("verifier: roster mix input " + std::to_string(*i) + " differs");
+        }
+        return Status::Ok();
+      },
+      {read_roster});
+
+  // Mix proofs, tagging chains and tag shares.
+  Check ballot_mix;
+  Check roster_mix;
+  SubmitCascade(graph, ballot_mix, t.ballot_mix_input, t.ballot_mix_output, t.ballot_mix_proof,
+                params, executor, "ballot");
+  SubmitCascade(graph, roster_mix, t.roster_mix_input, t.roster_mix_output, t.roster_mix_proof,
+                params, executor, "roster");
+  ChainChecks ballot_chain;
+  ChainChecks roster_chain;
+  SubmitChain(graph, ballot_chain, t.ballot_mix_output, 1, t.ballot_tag_steps,
+              t.ballot_tag_shares, params, executor, "ballot");
+  SubmitChain(graph, roster_chain, t.roster_mix_output, 0, t.roster_tag_steps,
+              t.roster_tag_shares, params, executor, "roster");
+
+  // Vote shares: the counted ballots' vote ciphertexts are mix outputs, so
+  // their (cascade-validated) wire caches back the share statements. The
+  // published counted indices select them; the join replay, earlier in the
+  // order, checks those indices.
+  Check vote_shares;
+  std::vector<CompressedRistretto> vote_points;
+  SubmitCheck(graph, vote_shares, [&]() -> Status {
+    const MixBatch& mixed = t.ballot_mix_output;
+    if (!HasColumn(mixed, 0)) {
+      return Status::Error(StatusCode::kCorrupted, "verifier: ballot mix output item too narrow");
+    }
+    std::vector<ElGamalCiphertext> counted_votes;
+    counted_votes.reserve(t.counted_indices.size());
+    for (uint64_t index : t.counted_indices) {
+      if (index >= mixed.size()) {
+        return Status::Error(StatusCode::kCorrupted,
+                             "verifier: votes: counted index " + std::to_string(index) +
+                                 " is not a ballot mix output");
+      }
+      counted_votes.push_back(mixed[index].cts[0]);
+    }
+    std::vector<ElGamalWire> counted_votes_wire;
+    std::vector<ElGamalWire> vote_column_wire = BatchColumnWire(mixed, 0);
+    if (vote_column_wire.size() == mixed.size()) {
+      counted_votes_wire.reserve(t.counted_indices.size());
+      for (uint64_t index : t.counted_indices) {
+        counted_votes_wire.push_back(vote_column_wire[index]);
+      }
+    }
+    return VerifyAndDecryptAll(counted_votes, t.vote_shares, params, executor, &vote_points,
+                               "votes", counted_votes_wire);
+  });
+
+  graph.Wait();
+
+  // The verdict, in the phased verifier's order.
+  if (Status s = ledger_chains.Verdict(); !s.ok()) {
+    return s;
+  }
   if (params.revoting) {
     if (!t.accepted_ballots.empty()) {
       return Status::Error("verifier: unexpected legacy accepted set in revote mode");
     }
-    if (Status s = VerifyRevoteSection(ledger, params, t, executor, &replayed); !s.ok()) {
+    if (Status s = RevoteVerdict(revote, params, t, executor, &replayed); !s.ok()) {
       return s;
     }
   } else {
     if (!t.revote.empty()) {
       return Status::Error("verifier: unexpected revote section");
     }
-    accepted = ValidateAndDeduplicate(ledger, params.authorized_kiosks, &replayed, executor);
-    if (accepted.size() != t.accepted_ballots.size()) {
-      return Status::Error("verifier: accepted ballot set size mismatch");
-    }
-    if (auto i = ParallelFirstFailure(executor, accepted.size(), [&](size_t i) {
-          return SameBallot(accepted[i], t.accepted_ballots[i]);
-        });
-        i.has_value()) {
-      return Status::Error("verifier: accepted ballot " + std::to_string(*i) + " differs");
+    if (Status s = accepted_set.Verdict(); !s.ok()) {
+      return s;
     }
   }
-
-  // Every registration record's signature chain must verify (signatures in
-  // per-shard batches; first failure reported by roster position).
-  std::vector<RegistrationRecord> roster = ledger.ActiveRegistrations();
-  if (Status s = VerifyRegistrationRecords(roster, params.authorized_kiosks,
-                                           params.authorized_officials, executor);
-      !s.ok()) {
-    return s;
-  }
-
-  // Mix stage replay: inputs must match the accepted ballots / active
-  // roster. In revote mode the ballot mix input was already pinned to the
-  // kept supersession items. An item that carries a wire cache compares by
-  // its bytes against the ballot's (BallotMixWire), with no decode: sound
-  // because the cascade's input validation below re-checks every cache
-  // against its points, so a stale cache only moves the failure there (the
-  // revote dummy check's rule). An item without one is compared as points.
-  if (!params.revoting) {
-    if (t.ballot_mix_input.size() != accepted.size()) {
-      return Status::Error("verifier: ballot mix input size mismatch");
-    }
-    std::vector<uint8_t> undecodable(accepted.size(), 0);
-    std::vector<uint8_t> differs(accepted.size(), 0);
-    executor.ParallelForEach(accepted.size(), [&](size_t i) {
-      const MixItem& got = t.ballot_mix_input[i];
-      if (got.HasWire() && accepted[i].vote_wire.has_value()) {
-        differs[i] = got.wire == BallotMixWire(accepted[i]) ? 0 : 1;
-        return;
-      }
-      auto credential_point = RistrettoPoint::Decode(accepted[i].credential_pk);
-      if (!credential_point.has_value()) {
-        undecodable[i] = 1;
-        return;
-      }
-      MixItem expected;
-      expected.cts = {accepted[i].encrypted_vote, ElGamalTrivialEncrypt(*credential_point)};
-      if (!(expected == got)) {
-        differs[i] = 1;
-      }
-    });
-    if (FirstMarked(undecodable).has_value()) {
-      return Status::Error("verifier: accepted ballot credential undecodable");
-    }
-    if (auto i = FirstMarked(differs); i.has_value()) {
-      return Status::Error("verifier: ballot mix input " + std::to_string(*i) + " differs");
+  for (const Check* check : {&records, &ballot_input, &roster_input, &ballot_mix, &roster_mix,
+                             &ballot_chain.chain, &roster_chain.chain, &ballot_chain.shares,
+                             &roster_chain.shares}) {
+    if (Status s = check->Verdict(); !s.ok()) {
+      return s;
     }
   }
-  if (t.roster_mix_input.size() != roster.size()) {
-    return Status::Error("verifier: roster mix input size mismatch");
-  }
-  if (auto i = ParallelFirstFailure(executor, roster.size(), [&](size_t i) {
-        const std::vector<ElGamalCiphertext>& cts = t.roster_mix_input[i].cts;
-        return cts.size() == 1 && cts[0] == roster[i].public_credential;
-      });
-      i.has_value()) {
-    return Status::Error("verifier: roster mix input " + std::to_string(*i) + " differs");
-  }
-
-  // Mix proofs: the two cascades are independent; verify them as two pool
-  // tasks (each internally parallel — nested submission is safe). Failure
-  // reporting keeps the ballot-then-roster order.
-  {
-    Status cascade_status[2] = {Status::Ok(), Status::Ok()};
-    executor.ParallelForEach(2, [&](size_t which) {
-      if (which == 0) {
-        cascade_status[0] = VerifyTallyCascade(t.ballot_mix_input, t.ballot_mix_output,
-                                               t.ballot_mix_proof, params.authority_pk, executor);
-      } else {
-        cascade_status[1] = VerifyTallyCascade(t.roster_mix_input, t.roster_mix_output,
-                                               t.roster_mix_proof, params.authority_pk, executor);
-      }
-    });
-    if (!cascade_status[0].ok()) {
-      return Status::Error("verifier: ballot mix: " + cascade_status[0].reason());
-    }
-    if (!cascade_status[1].ok()) {
-      return Status::Error("verifier: roster mix: " + cascade_status[1].reason());
-    }
-  }
-
-  // Tag stage replay: both chains, each one batched MSM over every step's
-  // Chaum–Pedersen proofs. The mix columns' wire caches were validated by
-  // VerifyRpcMixCascade above, so they may back the chain-input statements;
-  // each step's own output_wire is validated inside VerifyChain before use.
-  std::vector<ElGamalCiphertext> ballot_credentials = BatchColumn(t.ballot_mix_output, 1);
-  std::vector<ElGamalCiphertext> roster_credentials = BatchColumn(t.roster_mix_output, 0);
-  std::vector<ElGamalWire> ballot_credentials_wire = BatchColumnWire(t.ballot_mix_output, 1);
-  std::vector<ElGamalWire> roster_credentials_wire = BatchColumnWire(t.roster_mix_output, 0);
-  if (Status s = TaggingService::VerifyChain(ballot_credentials, t.ballot_tag_steps,
-                                             params.tagging_commitments, executor,
-                                             ballot_credentials_wire);
-      !s.ok()) {
-    return Status::Error("verifier: ballot tagging: " + s.reason());
-  }
-  if (Status s = TaggingService::VerifyChain(roster_credentials, t.roster_tag_steps,
-                                             params.tagging_commitments, executor,
-                                             roster_credentials_wire);
-      !s.ok()) {
-    return Status::Error("verifier: roster tagging: " + s.reason());
-  }
-
-  // Decrypt-tags replay. The tagged lists' bytes are the last tagging step's
-  // output_wire — validated by VerifyChain just above (or the validated mix
-  // column when there are no steps).
-  const std::vector<ElGamalCiphertext>& ballot_tagged =
-      t.ballot_tag_steps.empty() ? ballot_credentials : t.ballot_tag_steps.back().output;
-  const std::vector<ElGamalCiphertext>& roster_tagged =
-      t.roster_tag_steps.empty() ? roster_credentials : t.roster_tag_steps.back().output;
-  auto tagged_wire = [](const std::vector<TaggingStep>& steps,
-                        const std::vector<ElGamalWire>& column_wire)
-      -> std::span<const ElGamalWire> {
-    if (steps.empty()) {
-      return column_wire;
-    }
-    return steps.back().HasWire() ? std::span<const ElGamalWire>(steps.back().output_wire)
-                                  : std::span<const ElGamalWire>{};
-  };
-  std::vector<CompressedRistretto> ballot_tags;
-  std::vector<CompressedRistretto> roster_tags;
-  if (Status s = VerifyAndDecryptAll(ballot_tagged, t.ballot_tag_shares, params, executor,
-                                     &ballot_tags, "ballot tags",
-                                     tagged_wire(t.ballot_tag_steps, ballot_credentials_wire));
-      !s.ok()) {
-    return s;
-  }
-  if (Status s = VerifyAndDecryptAll(roster_tagged, t.roster_tag_shares, params, executor,
-                                     &roster_tags, "roster tags",
-                                     tagged_wire(t.roster_tag_steps, roster_credentials_wire));
-      !s.ok()) {
-    return s;
-  }
+  const std::vector<CompressedRistretto>& ballot_tags = ballot_chain.tags;
+  const std::vector<CompressedRistretto>& roster_tags = roster_chain.tags;
   if (ballot_tags != t.ballot_tags || roster_tags != t.roster_tags) {
     return Status::Error("verifier: published tags do not match decryptions");
   }
@@ -625,24 +792,8 @@ Status VerifyElection(const PublicLedger& ledger, const VerifierParams& params,
     return Status::Error("verifier: counted ballot set differs from published");
   }
 
-  // Decrypt-votes replay and final counts. Vote ciphertexts are mix outputs,
-  // so their (cascade-validated) wire caches back the share statements.
-  std::vector<ElGamalCiphertext> counted_votes;
-  for (uint64_t index : t.counted_indices) {
-    counted_votes.push_back(t.ballot_mix_output.at(index).cts.at(0));
-  }
-  std::vector<ElGamalWire> vote_column_wire = BatchColumnWire(t.ballot_mix_output, 0);
-  std::vector<ElGamalWire> counted_votes_wire;
-  if (vote_column_wire.size() == t.ballot_mix_output.size()) {
-    counted_votes_wire.reserve(t.counted_indices.size());
-    for (uint64_t index : t.counted_indices) {
-      counted_votes_wire.push_back(vote_column_wire.at(index));
-    }
-  }
-  std::vector<CompressedRistretto> vote_points;
-  if (Status s = VerifyAndDecryptAll(counted_votes, t.vote_shares, params, executor,
-                                     &vote_points, "votes", counted_votes_wire);
-      !s.ok()) {
+  // Decrypt-votes replay and final counts.
+  if (Status s = vote_shares.Verdict(); !s.ok()) {
     return s;
   }
   if (vote_points != t.vote_points) {

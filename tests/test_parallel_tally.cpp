@@ -12,6 +12,7 @@
 #include "src/crypto/drbg.h"
 #include "src/crypto/sha256.h"
 #include "src/votegral/election.h"
+#include "src/votegral/verifier.h"
 #include "tests/transcript_digest.h"
 
 namespace votegral {
@@ -339,6 +340,97 @@ TEST(ParallelVerifier, StaleWireCacheRejected) {
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.reason().find("wire cache does not match points"), std::string::npos)
       << status.reason();
+}
+
+// The verdict on `output` at `threads` threads.
+Status VerifyAt(Fixture& f, const TallyOutput& output, size_t threads) {
+  Executor executor(threads);
+  return VerifyElection(f.election.ledger(), f.election.verifier_params(),
+                        f.election.candidates(), output, executor);
+}
+
+TEST(ParallelVerifier, TwoTampersReportTheEarlierCheck) {
+  // The checks run concurrently, but the verdict is the first failing check
+  // in the order the phased verifier ran them: with two checks tampered,
+  // the reason is the earlier one's, exactly as with that tamper alone.
+  using Tamper = void (*)(TallyTranscript&);
+  struct Case {
+    const char* name;
+    bool revoting;
+    Tamper earlier;
+    Tamper later;
+  };
+  const Case cases[] = {
+      {"bad ballot signature, forged tag-chain proof", false,
+       [](TallyTranscript& t) {
+         Scalar& s = t.accepted_ballots.at(1).credential_sig.s;
+         s = s + Scalar::One();
+       },
+       [](TallyTranscript& t) {
+         Scalar& r = t.ballot_tag_steps.at(1).proofs.at(2).response;
+         r = r + Scalar::One();
+       }},
+      {"forged roster-cascade link, shifted vote share", false,
+       [](TallyTranscript& t) {
+         Scalar& r = t.roster_mix_proof.pairs.at(1).reveals.at(0).randomness.at(0);
+         r = r + Scalar::One();
+       },
+       [](TallyTranscript& t) {
+         DecryptionShare& share = t.vote_shares.at(0).at(1);
+         share.share = share.share + RistrettoPoint::Base();
+       }},
+      {"altered accepted revote ballot, forged counter share", true,
+       [](TallyTranscript& t) {
+         Scalar& z = t.revote.accepted.at(1).proof.z1;
+         z = z + Scalar::One();
+       },
+       [](TallyTranscript& t) {
+         DecryptionShare& share = t.revote.counter_shares.at(2).at(0);
+         share.share = share.share + RistrettoPoint::Base();
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Fixture f(c.revoting);
+    TallyOutput earlier = f.output;
+    c.earlier(earlier.transcript);
+    TallyOutput later = f.output;
+    c.later(later.transcript);
+    TallyOutput both = f.output;
+    c.earlier(both.transcript);
+    c.later(both.transcript);
+    const Status alone = VerifyAt(f, earlier, 1);
+    ASSERT_FALSE(alone.ok());
+    ASSERT_FALSE(VerifyAt(f, later, 1).ok());
+    EXPECT_NE(VerifyAt(f, later, 1).reason(), alone.reason());
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      EXPECT_EQ(VerifyAt(f, both, threads).reason(), alone.reason()) << "threads=" << threads;
+    }
+  }
+}
+
+TEST(ParallelVerifier, MalformedIndicesAndItemsFailWithoutThrowing) {
+  // Every check runs before any verdict is known, so a node must not assume
+  // an earlier check passed: a counted index past the mix output, or a mix
+  // output item too narrow for its column, is a coded failure of the check
+  // that reads it, and the verdict is the earlier check that names it.
+  Fixture f;
+  TallyOutput past = f.output;
+  past.transcript.counted_indices.at(0) = past.transcript.ballot_mix_output.size() + 7;
+  TallyOutput narrow = f.output;
+  narrow.transcript.ballot_mix_output.at(3).cts.clear();
+  TallyOutput narrow_roster = f.output;
+  narrow_roster.transcript.roster_mix_output.at(0).cts.clear();
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Status status = Status::Ok();
+    ASSERT_NO_THROW(status = VerifyAt(f, past, threads));
+    EXPECT_EQ(status.reason(), "verifier: counted ballot set differs from published");
+    ASSERT_NO_THROW(status = VerifyAt(f, narrow, threads));
+    EXPECT_EQ(status.reason().rfind("verifier: ballot mix: ", 0), 0u) << status.reason();
+    ASSERT_NO_THROW(status = VerifyAt(f, narrow_roster, threads));
+    EXPECT_EQ(status.reason().rfind("verifier: roster mix: ", 0), 0u) << status.reason();
+  }
 }
 
 TEST(ParallelTally, SerialAndGlobalExecutorAgree) {

@@ -568,10 +568,12 @@ TEST(TripActivation, SeededMutationsMatchTheSequentialReference) {
 }
 
 TEST(TripActivation, EncodesEachPointOnce) {
-  // Per activation: c_pk, and c_pc and Y inside σ_kc's message. Per
-  // registration with f fakes: the kiosk's real session (c_pk, c_pc once, Y,
-  // three signatures' R), 5 per fake (c_pk, Y, two R), the official's
-  // check-out (c_pc once, two R) and the activations.
+  // Per activation: c_pk only, since c_pc and Y reach σ_kc's message and the
+  // ledger match as the printed bytes, and five decodes (the kiosk key, the
+  // printer key and the three signatures' R; the ledger record's c_pc is
+  // compared as bytes). Per registration with f fakes: the kiosk's real
+  // session (c_pk, c_pc once, Y, three signatures' R), 5 per fake (c_pk, Y,
+  // two R), the official's check-out (c_pc once, two R) and the activations.
   ChaChaRng rng(124);
   TripSystem system = MakeSystem(rng);
   Vsd vsd = system.MakeVsd();
@@ -584,13 +586,81 @@ TEST(TripActivation, EncodesEachPointOnce) {
     ASSERT_TRUE(outcome.ok());
     EXPECT_EQ(RistrettoEncodeInvocations() - before, 12 + 5 * fakes);
     before = RistrettoEncodeInvocations();
+    uint64_t decodes = RistrettoDecodeInvocations();
     ASSERT_TRUE(vsd.Activate(outcome->real, system.ledger()).ok());
-    EXPECT_EQ(RistrettoEncodeInvocations() - before, 5u);
+    EXPECT_EQ(RistrettoEncodeInvocations() - before, 1u);
+    EXPECT_EQ(RistrettoDecodeInvocations() - decodes, 5u);
     for (const PaperCredential& fake : outcome->fakes) {
       before = RistrettoEncodeInvocations();
+      decodes = RistrettoDecodeInvocations();
       ASSERT_TRUE(vsd.Activate(fake, system.ledger()).ok());
-      EXPECT_EQ(RistrettoEncodeInvocations() - before, 5u);
+      EXPECT_EQ(RistrettoEncodeInvocations() - before, 1u);
+      EXPECT_EQ(RistrettoDecodeInvocations() - decodes, 5u);
     }
+  }
+}
+
+TEST(TripActivation, PrintedBytesBindNothingTheirPointsDoNot) {
+  // The commit segment's printed bytes reach σ_kc's message and the ledger
+  // match only when they encode its points, so forged or stale bytes give
+  // the verdict and reason of the same points carrying their true bytes.
+  ChaChaRng rng(126);
+  std::vector<std::string> roster;
+  for (int i = 0; i < 8; ++i) {
+    roster.push_back("voter-" + std::to_string(i));
+  }
+  TripSystem system = MakeSystem(rng, roster);
+  Vsd vsd = system.MakeVsd();
+  RegistrationDesk desk(system);
+  auto credential_for = [&](size_t voter) {
+    auto outcome = desk.RegisterVoter(roster[voter], 0, rng);
+    EXPECT_TRUE(outcome.ok());
+    return outcome->real;
+  };
+
+  // Parse keeps the bytes it consumed, which are the kiosk's.
+  const PaperCredential printed = credential_for(0);
+  auto parsed = CommitSegment::Parse(printed.commit.Serialize());
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_TRUE(parsed->wire.has_value() && printed.commit.wire.has_value());
+  EXPECT_EQ(parsed->wire->public_credential, printed.commit.public_credential.Wire());
+  EXPECT_EQ(parsed->wire->commit_y1, printed.commit.commit_y1.Encode());
+  EXPECT_EQ(parsed->wire->commit_y2, printed.commit.commit_y2.Encode());
+
+  struct Forgery {
+    const char* name;
+    void (*forge)(CommitSegment&);
+  };
+  const Forgery forgeries[] = {
+      {"no bytes", [](CommitSegment& c) { c.wire.reset(); }},
+      {"Y1 bytes encode -Y1", [](CommitSegment& c) { c.wire->commit_y1 = (-c.commit_y1).Encode(); }},
+      {"Y1 and Y2 bytes swapped",
+       [](CommitSegment& c) { std::swap(c.wire->commit_y1, c.wire->commit_y2); }},
+      {"c_pc bytes non-canonical", [](CommitSegment& c) { c.wire->public_credential.fill(0xFF); }},
+      {"c_pc bytes of another ciphertext",
+       [](CommitSegment& c) {
+         c.wire->public_credential = ElGamalCiphertext{c.public_credential.c2,
+                                                       c.public_credential.c1}.Wire();
+       }},
+  };
+  size_t voter = 1;
+  for (const Forgery& forgery : forgeries) {
+    SCOPED_TRACE(forgery.name);
+    PaperCredential credential = credential_for(voter++);
+    forgery.forge(credential.commit);
+    auto activated = vsd.Activate(credential, system.ledger());
+    EXPECT_TRUE(activated.ok()) << activated.status.reason();
+  }
+  // A moved commit is refused for its signature, stale bytes or not.
+  for (bool stale : {true, false}) {
+    SCOPED_TRACE(stale ? "stale bytes" : "fresh bytes");
+    PaperCredential credential = credential_for(voter++);
+    credential.commit.commit_y1 = credential.commit.commit_y1 + RistrettoPoint::Base();
+    if (!stale) {
+      credential.commit.wire->commit_y1 = credential.commit.commit_y1.Encode();
+    }
+    EXPECT_EQ(vsd.Activate(credential, system.ledger()).status.reason(),
+              "activation: kiosk commit signature invalid");
   }
 }
 
