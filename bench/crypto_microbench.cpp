@@ -227,6 +227,32 @@ void BM_DleqVerifyFs(benchmark::State& state) {
 }
 BENCHMARK(BM_DleqVerifyFs);
 
+// BatchVerifyDleq over n cached proofs in the repository benchmark's shape
+// (bench/votegral_bench, crypto.dleq_batch_verify_us): MakePair(B, x*B, P,
+// x*P) with a distinct x and P per proof, so B rides the fixed-base
+// coefficient and every other point is a term of its own.
+void BM_BatchVerifyDleq(benchmark::State& state) {
+  ChaChaRng rng(12);
+  std::vector<DleqBatchEntry> entries(static_cast<size_t>(state.range(0)));
+  for (DleqBatchEntry& entry : entries) {
+    const Scalar x = Scalar::Random(rng);
+    const RistrettoPoint p = RistrettoPoint::FromUniformBytes(rng.RandomBytes(64));
+    DleqStatement statement =
+        DleqStatement::MakePair(RistrettoPoint::Base(), RistrettoPoint::MulBase(x), p, x * p);
+    statement.EnsureWire();
+    entry.domain = "bench/batch-dleq";
+    entry.transcript = ProveDleqFs(entry.domain, statement, x, rng);
+    entry.statement = std::move(statement);
+  }
+  for (auto _ : state) {
+    Status s = BatchVerifyDleq(entries, rng);
+    Require(s.ok(), "bench: DLEQ batch must pass");
+    benchmark::DoNotOptimize(s);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_BatchVerifyDleq)->Arg(1024)->Unit(benchmark::kMillisecond);
+
 void BM_ModPExp2048(benchmark::State& state) {
   ChaChaRng rng(12);
   const ModPGroup& group = ModPGroup::Standard();
@@ -552,12 +578,12 @@ void BM_BatchDoubleAndEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchDoubleAndEncode)->Arg(3)->Arg(5)->Arg(256)->Unit(benchmark::kMicrosecond);
 
-// ---- Shared-base MSM: 1024 signatures under ONE key vs distinct keys ----
+// ---- One signer: 1024 signatures under ONE key ----
 //
 // BM_SchnorrAccumMsm above is the distinct-key baseline (2n+1 MSM terms).
-// With every signature under the same public key the shared engine folds the
-// pk column into a single term (n+1 terms, so both rows run Pippenger); the
-// ratio of the two *SharedKey rows is the collapse win.
+// With every signature under the same public key BatchVerifySchnorr folds
+// the pk column into the key's single decode slot (n+1 terms, so both rows
+// run Pippenger); the ratio of the two *SharedKey rows is the fold's win.
 
 std::vector<SchnorrBatchEntry> MakeSchnorrBatchOneKey(size_t n, uint64_t seed) {
   ChaChaRng rng(seed);
@@ -575,9 +601,9 @@ std::vector<SchnorrBatchEntry> MakeSchnorrBatchOneKey(size_t n, uint64_t seed) {
 }
 
 void BM_BatchVerifySchnorrSharedKeyBaseline(benchmark::State& state) {
-  // Same single-signer batch, evaluated WITHOUT the wire-key collapse: one
-  // pk term per signature, exactly what BatchVerifySchnorr did before the
-  // shared-base engine.
+  // Same single-signer batch, evaluated WITHOUT folding the repeated key:
+  // one pk term per signature, exactly what BatchVerifySchnorr did before
+  // repeated keys were folded.
   auto entries = MakeSchnorrBatchOneKey(static_cast<size_t>(state.range(0)), 28);
   ChaChaRng rng(29);
   for (auto _ : state) {
@@ -594,16 +620,12 @@ BENCHMARK(BM_BatchVerifySchnorrSharedKeyBaseline)
 void BM_BatchVerifySchnorrSharedKey(benchmark::State& state) {
   auto entries = MakeSchnorrBatchOneKey(static_cast<size_t>(state.range(0)), 28);
   ChaChaRng rng(29);
-  ResetSharedMsmForTest();
   for (auto _ : state) {
     Status s = BatchVerifySchnorr(entries, rng);
     Require(s.ok(), "bench: shared-key batch must pass");
     benchmark::DoNotOptimize(s);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  MsmSharedStats stats = SharedMsmStats();
-  state.counters["collapsed_per_call"] = benchmark::Counter(
-      static_cast<double>(stats.collapsed_terms) / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_BatchVerifySchnorrSharedKey)
     ->Arg(1024)

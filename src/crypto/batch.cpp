@@ -56,32 +56,32 @@ Status BatchVerifySchnorr(std::span<const SchnorrBatchEntry> entries, Rng& rng) 
     w = RandomRlcWeight(rng);
   }
 
-  // Term 2i is entry i's public key, term 2i+1 its R. A batch over a few
-  // signers (the kiosks and officials of a board shard) repeats its keys, so
-  // a key is decoded at its first occurrence only; `slot[t]` is the decoded
-  // point backing term t.
-  std::vector<CompressedRistretto> raw(2 * n);
+  // One MSM term per decoded point. A batch over a few signers (the kiosks
+  // and officials of a board shard) repeats its keys, so a key is decoded,
+  // and becomes a term, at its first occurrence only: `slot[2i]` is entry
+  // i's key term and `slot[2i + 1]` its R term.
   std::vector<CompressedRistretto> unique;
   std::vector<size_t> slot(2 * n);
   unique.reserve(2 * n);
   std::unordered_map<CompressedRistretto, size_t, WireKeyHash> first_seen;
   for (size_t i = 0; i < n; ++i) {
-    raw[2 * i] = entries[i].public_key;
-    raw[2 * i + 1] = entries[i].signature.r_bytes;
-    auto [it, inserted] = first_seen.try_emplace(raw[2 * i], unique.size());
+    auto [it, inserted] = first_seen.try_emplace(entries[i].public_key, unique.size());
     if (inserted) {
-      unique.push_back(raw[2 * i]);
+      unique.push_back(entries[i].public_key);
     }
     slot[2 * i] = it->second;
     slot[2 * i + 1] = unique.size();
-    unique.push_back(raw[2 * i + 1]);
+    unique.push_back(entries[i].signature.r_bytes);
   }
   std::vector<RistrettoPoint> decoded(unique.size());
   std::vector<uint8_t> decode_ok(unique.size(), 0);
   BatchDecodePoints(unique, decoded, decode_ok);
 
-  std::vector<Scalar> scalars(2 * n);
-  std::vector<RistrettoPoint> points(2 * n);
+  // R terms are written in place; a key's products w_i*c_i are kept per
+  // entry and summed into the key's term in entry order below, so a term
+  // that several shards share gets the same scalar at any thread count.
+  std::vector<Scalar> scalars(unique.size());
+  std::vector<Scalar> key_products(n);
   std::vector<uint8_t> bad(n, 0);
   Executor& executor = Executor::Current();
   auto shards = Executor::Shards(n, Executor::kRngShards);
@@ -96,10 +96,8 @@ Status BatchVerifySchnorr(std::span<const SchnorrBatchEntry> entries, Rng& rng) 
       Scalar challenge = SchnorrChallenge(entry.signature.r_bytes, entry.public_key,
                                           entry.message);
       sum = sum + weights[i] * entry.signature.s;
-      scalars[2 * i] = weights[i] * challenge;
-      points[2 * i] = decoded[slot[2 * i]];
-      scalars[2 * i + 1] = weights[i];
-      points[2 * i + 1] = decoded[slot[2 * i + 1]];
+      key_products[i] = weights[i] * challenge;
+      scalars[slot[2 * i + 1]] = weights[i];
     }
     return sum;
   });
@@ -110,11 +108,10 @@ Status BatchVerifySchnorr(std::span<const SchnorrBatchEntry> entries, Rng& rng) 
   for (const Scalar& p : partial) {
     combined_s = combined_s + p;
   }
-  // Every term's wire bytes are in hand (`raw` is what the points were
-  // decoded from), so the shared-base MSM can sum the weights of repeated
-  // public keys — one term per distinct signer instead of one per signature.
-  std::vector<uint8_t> keyed(2 * n, 1);
-  if (!MultiScalarMulShared(-combined_s, scalars, points, raw, keyed).IsIdentity()) {
+  for (size_t i = 0; i < n; ++i) {
+    scalars[slot[2 * i]] = scalars[slot[2 * i]] + key_products[i];
+  }
+  if (!MultiScalarMulWithBase(-combined_s, scalars, decoded).IsIdentity()) {
     return Status::Error("batch-schnorr: combined verification equation failed");
   }
   return Status::Ok();
@@ -181,10 +178,9 @@ void VerifySchnorrGroups(std::span<const SchnorrBatchEntry> entries,
 Status BatchVerifyDleq(std::span<const DleqBatchEntry> entries, Rng& rng) {
   // Each proof satisfies, for every pair j:
   //   Y_ij - r_i*G_ij - e_i*P_ij == 0.
-  // All pairs of all proofs are combined with independent weights into a
-  // single multi-scalar multiplication that must evaluate to the identity.
-  // The commit Y_ij is unique to its equation, so it carries the short
-  // weight and the bases and publics take the negated products.
+  // All pairs of all proofs are one DleqTermBatch: per pair its base, public
+  // and commit are positional terms, except that a base equal to B rides
+  // the batch's fixed-base coefficient.
   //
   // Wire-byte path (docs/TRANSCRIPTS.md §DLEQ): statements built by the
   // caller carry producer-local encodings, and transcripts carry the
@@ -196,19 +192,19 @@ Status BatchVerifyDleq(std::span<const DleqBatchEntry> entries, Rng& rng) {
   // entries without caches fall back to encode-per-point, which also keeps
   // the pre-wire framing benchable.
   const size_t n = entries.size();
-  std::vector<size_t> offset(n + 1, 0);  // term offset (3 per pair)
+  std::vector<size_t> first_term(n + 1, 0);  // entry i's terms: [first_term[i], first_term[i + 1])
+  size_t total_pairs = 0;
   for (size_t i = 0; i < n; ++i) {
     const DleqStatement& st = entries[i].statement;
     const DleqTranscript& t = entries[i].transcript;
     if (st.bases.size() != st.publics.size() || t.commits.size() != st.bases.size()) {
       return Status::Error("batch-dleq: malformed entry");
     }
-    offset[i + 1] = offset[i] + st.bases.size();
-  }
-  const size_t total_pairs = offset[n];
-  std::vector<Scalar> weights(total_pairs);
-  for (Scalar& w : weights) {
-    w = RandomRlcWeight(rng);
+    first_term[i + 1] = first_term[i];
+    for (const RistrettoPoint& base : st.bases) {
+      first_term[i + 1] += base == RistrettoPoint::Base() ? 2 : 3;
+    }
+    total_pairs += st.bases.size();
   }
 
   // Commit-cache validation: gather every cached commit byte string (flat,
@@ -256,55 +252,43 @@ Status BatchVerifyDleq(std::span<const DleqBatchEntry> entries, Rng& rng) {
     }
   }
 
-  std::vector<Scalar> scalars(3 * total_pairs);
-  std::vector<RistrettoPoint> points(3 * total_pairs);
-  std::vector<CompressedRistretto> keys(3 * total_pairs);
-  std::vector<uint8_t> keyed(3 * total_pairs, 0);
+  std::array<uint8_t, 64> seed;
+  rng.Fill(seed);
+  DleqTermBatch batch(n, first_term[n], {}, seed);
   std::vector<uint8_t> bad(n, 0);
-  Executor::Current().ParallelForEach(n, [&](size_t i) {
-    const DleqBatchEntry& entry = entries[i];
-    const DleqStatement& st = entry.statement;
-    const DleqTranscript& t = entry.transcript;
-    // The Fiat–Shamir challenge must still bind per proof. SHA-only when the
-    // caches (validated above) are complete.
-    Scalar expected =
-        DeriveFsChallenge(entry.domain, st, t.commits, t.commit_wire, entry.extra);
-    if (expected != t.challenge) {
-      bad[i] = 1;
-      return;
-    }
-    // Wire bytes become shared-MSM keys where available: statement caches are
-    // producer-local (verifiers build their own statements), and commit
-    // caches were validated against the commit points above. A batch over one
-    // producer repeats its bases and public keys in every entry, so the
-    // keyed collapse folds those columns into one term each.
-    const bool st_wire = st.HasWire();
-    const bool commit_wire = t.commit_wire.size() == t.commits.size();
-    for (size_t j = 0; j < st.bases.size(); ++j) {
-      const Scalar& weight = weights[offset[i] + j];
-      size_t at = 3 * (offset[i] + j);
-      scalars[at] = -(weight * t.response);
-      points[at] = st.bases[j];
-      scalars[at + 1] = -(weight * t.challenge);
-      points[at + 1] = st.publics[j];
-      scalars[at + 2] = weight;
-      points[at + 2] = t.commits[j];
-      if (st_wire) {
-        keys[at] = st.base_wire[j];
-        keyed[at] = 1;
-        keys[at + 1] = st.public_wire[j];
-        keyed[at + 1] = 1;
+  batch.Fill(Executor::Current(), [&](DleqTermBatch::ShardWriter& writer, size_t begin,
+                                      size_t end) {
+    using Slot = DleqTermBatch::Slot;
+    for (size_t i = begin; i < end; ++i) {
+      const DleqBatchEntry& entry = entries[i];
+      const DleqStatement& st = entry.statement;
+      const DleqTranscript& t = entry.transcript;
+      // The Fiat–Shamir challenge must still bind per proof. SHA-only when
+      // the caches (validated above) are complete.
+      if (DeriveFsChallenge(entry.domain, st, t.commits, t.commit_wire, entry.extra) !=
+          t.challenge) {
+        bad[i] = 1;  // the batch is not checked, so its terms may stay unset
+        continue;
       }
-      if (commit_wire) {
-        keys[at + 2] = t.commit_wire[j];
-        keyed[at + 2] = 1;
+      size_t term = first_term[i];
+      for (size_t j = 0; j < st.bases.size(); ++j) {
+        Slot base = Slot::Base();
+        if (!(st.bases[j] == RistrettoPoint::Base())) {
+          writer.SetPoint(term, st.bases[j]);
+          base = Slot::Term(term++);
+        }
+        writer.SetPoint(term, st.publics[j]);
+        writer.SetPoint(term + 1, t.commits[j]);
+        writer.AddPair(t.challenge, t.response, base, Slot::Term(term), term + 1);
+        term += 2;
       }
     }
+    return true;
   });
   if (Status s = FirstFailure(bad, "batch-dleq: challenge mismatch"); !s.ok()) {
     return s;
   }
-  if (!MultiScalarMulShared(Scalar::Zero(), scalars, points, keys, keyed).IsIdentity()) {
+  if (!batch.Holds()) {
     return Status::Error("batch-dleq: combined verification equation failed");
   }
   return Status::Ok();

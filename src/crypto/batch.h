@@ -79,10 +79,12 @@ std::array<uint8_t, 64> SchnorrBatchWeightSeed(std::string_view domain,
 void VerifySchnorrGroups(std::span<const SchnorrBatchEntry> entries,
                          std::span<const size_t> group_end, std::span<uint8_t> bad);
 
-// One Fiat–Shamir DLEQ verification instance. Statements should carry their
-// producer-local wire caches (see src/crypto/dleq.h trust model) so challenge
-// recomputation is SHA-only; transcript commit caches are validated by
-// BatchVerifyDleq before use.
+// One Fiat–Shamir DLEQ verification instance, for callers that hold whole
+// proofs (tests, benches); the tally's and the verifier's batches write
+// their terms straight into a DleqTermBatch instead. Statements should carry
+// their producer-local wire caches (see src/crypto/dleq.h trust model) so
+// challenge recomputation is SHA-only; transcript commit caches are
+// validated by BatchVerifyDleq before use.
 struct DleqBatchEntry {
   std::string domain;
   DleqStatement statement;
@@ -91,20 +93,24 @@ struct DleqBatchEntry {
 };
 
 // Verifies all DLEQ proofs at once (challenge recomputation stays per-item;
-// the group equations are combined). Present transcript commit caches are
-// checked against their points in one BatchValidateEncodings pass before
-// they may bind challenge bits; a stale or forged cache is a localized
-// per-entry failure.
+// the group equations are one DleqTermBatch whose 64-byte seed is drawn
+// from `rng`). Per pair, the base, public and commit are positional terms,
+// except a base equal to B, which rides the fixed-base coefficient. Present
+// transcript commit caches are checked against their points in one
+// BatchValidateEncodings pass before they may bind challenge bits; a stale
+// or forged cache is a localized per-entry failure.
 Status BatchVerifyDleq(std::span<const DleqBatchEntry> entries, Rng& rng);
 
 
 // --- Positional DLEQ batches ------------------------------------------------
 //
-// The universal verifier's tag chains and decryption-share batches check
-// thousands of Fiat–Shamir DLEQ proofs whose statements share points by
-// position: a tag step's output is the next step's input, one C1 serves
-// every member's share of a ciphertext, and the generator B and the members'
-// keys recur in every proof. DleqTermBatch is their lean kernel. Its terms
+// The universal verifier's tag chains and the decryption-share batches (the
+// verifier's, and the tally's check of each decrypt batch: VerifyShareBatch
+// in src/crypto/dkg.h) check thousands of Fiat–Shamir DLEQ proofs whose
+// statements share points by position: a tag step's output is the next
+// step's input, one C1 serves every member's share of a ciphertext, and the
+// generator B and the members' keys recur in every proof. DleqTermBatch is
+// the one DLEQ batch kernel; BatchVerifyDleq runs on it too. Its terms
 // live in two flat arrays, one scalar and one pointer to the term's point
 // per term, that the caller's shard bodies fill in place; the points stay in
 // the transcript, which outlives the batch. Nothing per proof is staged and

@@ -1,10 +1,15 @@
 #include "src/crypto/dkg.h"
 
+#include <algorithm>
+
+#include "src/crypto/batch.h"
+#include "src/crypto/sha512.h"
+
 namespace votegral {
 
 namespace {
 
-constexpr std::string_view kShareDomain = kDecryptionShareDomain;
+constexpr std::string_view kShareWeightDomain = "votegral/verifier/share-batch-weights/v3";
 
 }  // namespace
 
@@ -113,7 +118,7 @@ DecryptionShare ElectionAuthority::ComputeShare(size_t i, const ElGamalCiphertex
   statement.public_wire = {m.public_share_wire};
   DecryptionShare share;
   share.member_index = i;
-  share.proof = ProveDleqFsDeriving(kShareDomain, statement, m.secret, rng);
+  share.proof = ProveDleqFsDeriving(kDecryptionShareDomain, statement, m.secret, rng);
   share.share = statement.publics[1];
   share.share_wire = statement.public_wire[1];
   return share;
@@ -124,11 +129,8 @@ Status ElectionAuthority::VerifyShare(const ElGamalCiphertext& ct,
   if (share.member_index >= members_.size()) {
     return Status::Error(StatusCode::kInvalidProof, "dkg: share from unknown member");
   }
-  const AuthorityMember& m = members_[share.member_index];
-  DleqStatement statement = DleqStatement::MakePairWire(
-      RistrettoPoint::Base(), RistrettoPoint::BaseWire(), m.public_share,
-      m.public_share_wire, ct.c1, ct.c1.Encode(), share.share, share.share.Encode());
-  Status status = VerifyDleqFs(kShareDomain, statement, share.proof);
+  Status status =
+      VerifyShareAgainstCommitment(members_[share.member_index].public_share, ct, share);
   if (!status.ok()) {
     return Status::Error(StatusCode::kInvalidProof,
                          "dkg: decryption share proof invalid: " + status.reason());
@@ -141,33 +143,17 @@ RistrettoPoint ElectionAuthority::CombineShares(const ElGamalCiphertext& ct,
   if (shamir_mode_) {
     Require(shares.size() >= threshold_,
             "dkg: fewer shares than the decryption threshold");
-    std::vector<size_t> points;
-    points.reserve(shares.size());
-    for (const auto& share : shares) {
-      Require(share.member_index < members_.size(), "dkg: share index out of range");
-      const size_t point = share.member_index + 1;
-      for (size_t seen : points) {
-        Require(seen != point, "dkg: duplicate share");
-      }
-      points.push_back(point);
-    }
-    RistrettoPoint blinding;  // Σ λ_j * S_j = F(0) * C1
-    for (const auto& share : shares) {
-      blinding = blinding +
-                 LagrangeAtZero(points, share.member_index + 1) * share.share;
-    }
-    return ct.c2 - blinding;
+  } else {
+    Require(shares.size() == members_.size(), "dkg: need one share per member (n-of-n)");
   }
-  Require(shares.size() == members_.size(), "dkg: need one share per member (n-of-n)");
   std::vector<bool> seen(members_.size(), false);
-  RistrettoPoint sum;
   for (const auto& share : shares) {
     Require(share.member_index < members_.size(), "dkg: share index out of range");
     Require(!seen[share.member_index], "dkg: duplicate share");
     seen[share.member_index] = true;
-    sum = sum + share.share;
   }
-  return ct.c2 - sum;
+  return shamir_mode_ ? CombineSharesPublicThreshold(ct, shares)
+                      : CombineSharesPublic(ct, shares, members_.size());
 }
 
 RistrettoPoint ElectionAuthority::Decrypt(const ElGamalCiphertext& ct) const {
@@ -188,6 +174,146 @@ Scalar ElectionAuthority::CombinedSecret() const {
     sum = sum + m.secret;
   }
   return sum;
+}
+
+Status VerifyShareAgainstCommitment(const RistrettoPoint& member_share_commitment,
+                                    const ElGamalCiphertext& ct,
+                                    const DecryptionShare& share) {
+  DleqStatement statement = DleqStatement::MakePair(
+      RistrettoPoint::Base(), member_share_commitment, ct.c1, share.share);
+  return VerifyDleqFs(kDecryptionShareDomain, statement, share.proof);
+}
+
+bool VerifyShareBatch(std::span<const ElGamalCiphertext> cts,
+                      std::span<const ElGamalWire> cts_wire,
+                      std::span<const std::vector<DecryptionShare>> shares,
+                      std::span<const RistrettoPoint> member_shares) {
+  if (shares.size() != cts.size()) {
+    return false;
+  }
+  if (cts_wire.size() != cts.size()) {
+    cts_wire = {};
+  }
+  const size_t members = member_shares.size();
+  // Ciphertext i's terms are [first_term[i], first_term[i + 1]).
+  std::vector<size_t> first_term(cts.size() + 1, 0);
+  for (size_t i = 0; i < cts.size(); ++i) {
+    for (const DecryptionShare& share : shares[i]) {
+      if (share.member_index >= members) {
+        return false;
+      }
+    }
+    first_term[i + 1] = first_term[i] + 1 + 3 * shares[i].size();
+  }
+
+  std::vector<CompressedRistretto> member_wire(members);
+  BatchEncodePoints(member_shares, member_wire);
+  DleqWeightSeed seed(kShareWeightDomain);
+  for (const std::vector<DecryptionShare>& list : shares) {
+    for (const DecryptionShare& share : list) {
+      seed.Add(share.proof);
+    }
+  }
+  DleqTermBatch batch(cts.size(), first_term.back(), member_shares, seed.Finalize());
+  // Ciphertexts go through their shard in groups of about 64 cached points.
+  const size_t group = std::max<size_t>(1, 64 / (3 * std::max<size_t>(members, 1)));
+  auto well_formed = [](const DleqTranscript& proof) {
+    return proof.commits.size() == 2 &&
+           (proof.commit_wire.empty() || proof.commit_wire.size() == 2);
+  };
+  batch.Fill(Executor::Current(), [&](DleqTermBatch::ShardWriter& writer, size_t begin,
+                                      size_t end) {
+    EncodingCheck check;
+    for (size_t first_ct = begin; first_ct < end; first_ct += group) {
+      const size_t last_ct = std::min(end, first_ct + group);
+      // The group's caches in one pass: each share's bytes against its
+      // point, each proof's commit bytes against its commits.
+      check.Clear();
+      for (size_t i = first_ct; i < last_ct; ++i) {
+        for (const DecryptionShare& share : shares[i]) {
+          check.Add(share.share, share.share_wire);
+          if (well_formed(share.proof) && share.proof.HasWire()) {
+            check.Add(share.proof.commits[0], share.proof.commit_wire[0]);
+            check.Add(share.proof.commits[1], share.proof.commit_wire[1]);
+          }
+        }
+      }
+      check.Run();
+
+      size_t slot = 0;
+      for (size_t i = first_ct; i < last_ct; ++i) {
+        const size_t c1_term = first_term[i];
+        writer.SetPoint(c1_term, cts[i].c1);
+        const CompressedRistretto c1_wire =
+            cts_wire.empty() ? cts[i].c1.Encode() : ElGamalWireHalf(cts_wire[i], 0);
+        for (size_t s = 0; s < shares[i].size(); ++s) {
+          const DecryptionShare& share = shares[i][s];
+          const DleqTranscript& proof = share.proof;
+          const bool share_wire_ok = check.ok(slot++);
+          if (!well_formed(proof)) {
+            return false;
+          }
+          if (proof.HasWire() && !(check.ok(slot) && check.ok(slot + 1))) {
+            return false;
+          }
+          slot += proof.HasWire() ? 2 : 0;
+          // The challenge over (B, C1), (X_m, S) and the commits, the byte
+          // stream DeriveFsChallenge hashes for ComputeShare's statement.
+          Sha512 h;
+          const uint8_t separator = 0;
+          h.Update(AsBytes(kDecryptionShareDomain));
+          h.Update({&separator, 1});
+          h.Update(RistrettoPoint::BaseWire());
+          h.Update(c1_wire);
+          h.Update(member_wire[share.member_index]);
+          h.Update(share_wire_ok ? share.share_wire : share.share.Encode());
+          for (size_t c = 0; c < 2; ++c) {
+            h.Update(proof.HasWire() ? proof.commit_wire[c] : proof.commits[c].Encode());
+          }
+          if (Scalar::FromBytesWide(h.Finalize()) != proof.challenge) {
+            return false;
+          }
+          const size_t term = c1_term + 1 + 3 * s;
+          writer.SetPoint(term, share.share);
+          writer.SetPoint(term + 1, proof.commits[0]);
+          writer.SetPoint(term + 2, proof.commits[1]);
+          using Slot = DleqTermBatch::Slot;
+          writer.AddPair(proof.challenge, proof.response, Slot::Base(),
+                         Slot::Shared(share.member_index), term + 1);
+          writer.AddPair(proof.challenge, proof.response, Slot::Term(c1_term),
+                         Slot::Term(term), term + 2);
+        }
+      }
+    }
+    return true;
+  });
+  return batch.Holds();
+}
+
+RistrettoPoint CombineSharesPublic(const ElGamalCiphertext& ct,
+                                   const std::vector<DecryptionShare>& shares,
+                                   size_t expected_members) {
+  Require(shares.size() == expected_members, "dkg: wrong number of shares");
+  RistrettoPoint sum;
+  for (const DecryptionShare& share : shares) {
+    sum = sum + share.share;
+  }
+  return ct.c2 - sum;
+}
+
+RistrettoPoint CombineSharesPublicThreshold(const ElGamalCiphertext& ct,
+                                            const std::vector<DecryptionShare>& shares) {
+  Require(!shares.empty(), "dkg: no shares to combine");
+  std::vector<size_t> points;
+  points.reserve(shares.size());
+  for (const DecryptionShare& share : shares) {
+    points.push_back(share.member_index + 1);
+  }
+  RistrettoPoint blinding;  // Σ λ_j * S_j = F(0) * C1
+  for (const DecryptionShare& share : shares) {
+    blinding = blinding + LagrangeAtZero(points, share.member_index + 1) * share.share;
+  }
+  return ct.c2 - blinding;
 }
 
 }  // namespace votegral

@@ -24,6 +24,7 @@
 #define SRC_CRYPTO_DKG_H_
 
 #include <cstddef>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -36,9 +37,11 @@
 
 namespace votegral {
 
-// Fiat–Shamir domain for decryption-share DLEQ proofs. Shared by the
-// authority (proving), the universal verifier and the tally's batched
-// self-check (verifying); a single definition keeps the three in sync.
+// Fiat–Shamir domain for decryption-share DLEQ proofs. The statement is
+// DLEQ((B, X_m), (C1, S)): member m's public share X_m and its share S of a
+// ciphertext's C1. ComputeShare proves it, and VerifyShareAgainstCommitment
+// and VerifyShareBatch below check it, so the domain and the layout are
+// written only here and in dkg.cpp.
 inline constexpr std::string_view kDecryptionShareDomain =
     "votegral/authority/decryption-share/v1";
 
@@ -61,12 +64,12 @@ struct DecryptionShare {
   DleqTranscript proof;    // DLEQ((B, X_i), (C1, share))
 
   // Canonical encoding of `share`, filled by ComputeShare from the prover's
-  // bytes: a producer cache like TaggingStep::output_wire. The tally's
-  // release-gate self-check hashes it instead of encoding the share again;
-  // with faults armed, AuthorityClient::RequestShare compares it with the
-  // point on arrival. The universal verifier hashes it only after checking
-  // it against the point (BatchValidateEncodings) and encodes the point
-  // when it does not match.
+  // bytes: a producer cache like TaggingStep::output_wire. VerifyShareBatch
+  // (the tally's check of each decrypt batch and the universal verifier's)
+  // hashes it only after checking it against the point
+  // (BatchValidateEncodings) and encodes the point when it does not match;
+  // with faults armed, AuthorityClient::RequestShare also compares it with
+  // the point on arrival.
   CompressedRistretto share_wire{};
 };
 
@@ -109,7 +112,8 @@ class ElectionAuthority {
   DecryptionShare ComputeShare(size_t i, const ElGamalCiphertext& ct, Rng& rng,
                                const CompressedRistretto* c1_wire = nullptr) const;
 
-  // Anyone can check a share against the member's public share.
+  // Anyone can check a share against the member's public share: an unknown
+  // member index, then VerifyShareAgainstCommitment.
   Status VerifyShare(const ElGamalCiphertext& ct, const DecryptionShare& share) const;
 
   // Combines verified shares into the decryption M. Additive mode: requires
@@ -118,7 +122,8 @@ class ElectionAuthority {
   // exclude faulty authorities first), M = C2 - Σ λ_j S_j with Lagrange
   // weights over the participating members' evaluation points. Misuse (too
   // few / duplicate shares) throws; share *validity* is the caller's check
-  // (VerifyShare) — combining never inspects proofs.
+  // (VerifyShare) — combining never inspects proofs. The arithmetic is
+  // CombineSharesPublic / CombineSharesPublicThreshold below.
   RistrettoPoint CombineShares(const ElGamalCiphertext& ct,
                                const std::vector<DecryptionShare>& shares) const;
 
@@ -135,6 +140,52 @@ class ElectionAuthority {
   bool shamir_mode_ = false;
   FeldmanCommitments feldman_;  // summed dealer commitments (threshold mode)
 };
+
+// Verifies a decryption share against a member's public share without an
+// ElectionAuthority instance (auditors have only public data).
+Status VerifyShareAgainstCommitment(const RistrettoPoint& member_share_commitment,
+                                    const ElGamalCiphertext& ct, const DecryptionShare& share);
+
+// True when every share's proof in `shares[i]` (the shares of `cts[i]`)
+// holds against `member_shares[share.member_index]`, except with
+// probability 2^-128. A share naming a member outside `member_shares` fails
+// the batch and its index is never read. Counts and duplicates are not
+// checked here: that is the combining caller's rule.
+//
+// The proofs are one positional batch (DleqTermBatch, src/crypto/batch.h)
+// sharded over ciphertexts: ciphertext i's terms are its C1, then per share
+// the share point and the proof's two commits; B and the members' public
+// shares are batch-wide. Weights come from a hash of every proof's challenge
+// and response under "votegral/verifier/share-batch-weights/v3", so any
+// auditor derives the same ones and whoever produced the shares cannot
+// predict them.
+//
+// Each challenge is recomputed from bytes in hand: B's and the members'
+// encodings (once per call), C1 from `cts_wire` when the caller has bytes
+// another check validated (empty, or any size but cts.size(), means one
+// fresh encode per ciphertext), and the share point from its share_wire
+// when a BatchValidateEncodings pass over the shard (exact, no inverse
+// square root) finds those bytes to be its canonical encoding, or one fresh
+// encode otherwise, so a stale or forged cache binds exactly what the point
+// does. The proofs' own commit caches are attacker data and pass the same
+// validation before they are hashed. Runs on Executor::Current().
+bool VerifyShareBatch(std::span<const ElGamalCiphertext> cts,
+                      std::span<const ElGamalWire> cts_wire,
+                      std::span<const std::vector<DecryptionShare>> shares,
+                      std::span<const RistrettoPoint> member_shares);
+
+// Combines decryption shares publicly (after verifying each): additive
+// n-of-n (exactly `expected_members` shares, plain sum).
+RistrettoPoint CombineSharesPublic(const ElGamalCiphertext& ct,
+                                   const std::vector<DecryptionShare>& shares,
+                                   size_t expected_members);
+
+// Threshold variant: Lagrange-recombines any recorded participant subset
+// over the members' evaluation points (member_index + 1). The caller must
+// have checked distinctness and the >= t count; each share's proof is
+// verified separately.
+RistrettoPoint CombineSharesPublicThreshold(const ElGamalCiphertext& ct,
+                                            const std::vector<DecryptionShare>& shares);
 
 }  // namespace votegral
 

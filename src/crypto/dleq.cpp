@@ -29,28 +29,6 @@ void HashSection(Sha512& h, std::span<const RistrettoPoint> points,
   }
 }
 
-// Decode-and-recompare of one cache section (the PR 2 MixItem rule): the
-// bytes are parsed back into a group element and compared coset-aware
-// against the claimed point, so a byte string can never bind challenge bits
-// for a point it does not encode.
-Status ValidateSection(std::span<const RistrettoPoint> points,
-                       std::span<const CompressedRistretto> wire, const char* what) {
-  if (wire.empty()) {
-    return Status::Ok();
-  }
-  if (wire.size() != points.size()) {
-    return Status::Error(std::string("dleq: ") + what + " wire cache size mismatch");
-  }
-  for (size_t i = 0; i < wire.size(); ++i) {
-    auto decoded = RistrettoPoint::Decode(wire[i]);
-    if (!decoded.has_value() || !(*decoded == points[i])) {
-      return Status::Error(std::string("dleq: ") + what +
-                           " wire cache does not match point at index " + std::to_string(i));
-    }
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 DleqStatement DleqStatement::MakePair(const RistrettoPoint& g1, const RistrettoPoint& p1,
@@ -58,19 +36,6 @@ DleqStatement DleqStatement::MakePair(const RistrettoPoint& g1, const RistrettoP
   DleqStatement s;
   s.bases = {g1, g2};
   s.publics = {p1, p2};
-  return s;
-}
-
-DleqStatement DleqStatement::MakePairWire(
-    const RistrettoPoint& g1, const CompressedRistretto& g1_wire, const RistrettoPoint& p1,
-    const CompressedRistretto& p1_wire, const RistrettoPoint& g2,
-    const CompressedRistretto& g2_wire, const RistrettoPoint& p2,
-    const CompressedRistretto& p2_wire) {
-  DleqStatement s;
-  s.bases = {g1, g2};
-  s.publics = {p1, p2};
-  s.base_wire = {g1_wire, g2_wire};
-  s.public_wire = {p1_wire, p2_wire};
   return s;
 }
 
@@ -85,13 +50,6 @@ void DleqStatement::EnsureWire() {
   }
 }
 
-Status DleqStatement::ValidateWire() const {
-  if (Status s = ValidateSection(bases, base_wire, "base"); !s.ok()) {
-    return s;
-  }
-  return ValidateSection(publics, public_wire, "public");
-}
-
 void DleqTranscript::EnsureWire() {
   if (commit_wire.size() != commits.size()) {
     commit_wire.resize(commits.size());
@@ -99,8 +57,24 @@ void DleqTranscript::EnsureWire() {
   }
 }
 
+// Decode-and-recompare (the MixItem rule): the bytes are parsed back into a
+// group element and compared coset-aware against the claimed commit, so a
+// byte string can never bind challenge bits for a point it does not encode.
 Status DleqTranscript::ValidateWire() const {
-  return ValidateSection(commits, commit_wire, "commit");
+  if (commit_wire.empty()) {
+    return Status::Ok();
+  }
+  if (commit_wire.size() != commits.size()) {
+    return Status::Error("dleq: commit wire cache size mismatch");
+  }
+  for (size_t i = 0; i < commit_wire.size(); ++i) {
+    auto decoded = RistrettoPoint::Decode(commit_wire[i]);
+    if (!decoded.has_value() || !(*decoded == commits[i])) {
+      return Status::Error("dleq: commit wire cache does not match point at index " +
+                           std::to_string(i));
+    }
+  }
+  return Status::Ok();
 }
 
 Bytes DleqTranscript::Serialize() const {

@@ -25,8 +25,7 @@
 //    caches checked by VerifyRpcMixCascade, tagging output wires checked by
 //    VerifyChain, parsed ledger bytes).
 //    Verifiers construct their statements themselves, so these caches never
-//    cross a trust boundary; ValidateWire() exists for the rare path that
-//    must accept statement bytes from elsewhere.
+//    cross a trust boundary.
 //  * TRANSCRIPT commit caches are attacker data on the verify side:
 //    VerifyDleqFs and BatchVerifyDleq decode and recompare them against the
 //    commit points before the bytes may bind challenge bits, and a mismatch
@@ -71,20 +70,9 @@ struct DleqStatement {
   // SHA-only.
   void EnsureWire();
 
-  // Decode-and-recompare check for statement bytes that did NOT come from a
-  // trusted producer. Names the first mismatching section/index.
-  Status ValidateWire() const;
-
   // Two-pair convenience (the common TRIP/decryption case).
   static DleqStatement MakePair(const RistrettoPoint& g1, const RistrettoPoint& p1,
                                 const RistrettoPoint& g2, const RistrettoPoint& p2);
-
-  // Wire-carrying construction: the same pair plus caller-supplied canonical
-  // encodings (producer-local trust; see header).
-  static DleqStatement MakePairWire(const RistrettoPoint& g1, const CompressedRistretto& g1_wire,
-                                    const RistrettoPoint& p1, const CompressedRistretto& p1_wire,
-                                    const RistrettoPoint& g2, const CompressedRistretto& g2_wire,
-                                    const RistrettoPoint& p2, const CompressedRistretto& p2_wire);
 };
 
 // A (possibly simulated) transcript: commits Y_i, challenge e, response r.

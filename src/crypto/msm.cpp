@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -167,11 +165,8 @@ uint32_t ExtractWindow(const std::array<uint8_t, 32>& bytes, size_t bit, int w) 
 
 // A bucket pass reads each term in place, or through a pointer to a point
 // the caller keeps (MultiScalarMulRefs).
+const RistrettoPoint& TermOf(const RistrettoPoint& point) { return point; }
 const RistrettoPoint& TermOf(const RistrettoPoint* point) { return *point; }
-template <typename Addend>
-const Addend& TermOf(const Addend& point) {
-  return point;
-}
 
 // One window's bucket pass of Pippenger with *signed* radix-2^w digits
 // (signed recoding halves the bucket count; negative digits subtract the
@@ -180,15 +175,14 @@ const Addend& TermOf(const Addend& point) {
 // running-suffix trick:
 //   sum_d d * bucket[d] = sum over suffixes of (bucket[max] + ... + bucket[d]),
 // i.e. two additions per bucket instead of a multiplication per bucket.
-// `Addend` is CachedPoint when the caller copies its terms anyway
-// (MultiScalarMulShared copies them prepared, so an addition costs eight
-// multiplications), or RistrettoPoint (or a pointer to one) for the
-// caller's own points (MultiScalarMul, MultiScalarMulRefs: each addition
-// converts its point again, nine; a prepared copy there would be a second
-// n-point array, which showed in the tally's and the verifier's peak
-// memory). Returns whether any digit was nonzero.
-template <typename Addend>
-bool PippengerWindowPass(std::span<const Addend> points, std::span<const int16_t> digits,
+// `Term` is RistrettoPoint, or a pointer to one, for the caller's own
+// points (MultiScalarMul, MultiScalarMulRefs): each addition converts its
+// point to cached form again, nine multiplications where a prepared copy
+// would cost eight, but a prepared copy is a second n-point array, which
+// showed in the tally's and the verifier's peak memory. Returns whether any
+// digit was nonzero.
+template <typename Term>
+bool PippengerWindowPass(std::span<const Term> points, std::span<const int16_t> digits,
                          size_t win, size_t nwindows, size_t nbuckets,
                          RistrettoPoint* window_total) {
   const size_t n = points.size();
@@ -214,8 +208,8 @@ bool PippengerWindowPass(std::span<const Addend> points, std::span<const int16_t
   return any;
 }
 
-template <typename Addend>
-RistrettoPoint PippengerMsm(std::span<const Scalar> scalars, std::span<const Addend> points) {
+template <typename Term>
+RistrettoPoint PippengerMsm(std::span<const Scalar> scalars, std::span<const Term> points) {
   const size_t n = scalars.size();
   const int w = PippengerWindow(n);
   const size_t nbuckets = size_t{1} << (w - 1);
@@ -256,8 +250,8 @@ RistrettoPoint PippengerMsm(std::span<const Scalar> scalars, std::span<const Add
   std::vector<RistrettoPoint> window_totals(nwindows);
   std::vector<uint8_t> window_any(nwindows, 0);
   executor.ParallelForEach(nwindows, [&](size_t win) {
-    window_any[win] = PippengerWindowPass<Addend>(points, digits, win, nwindows, nbuckets,
-                                                  &window_totals[win])
+    window_any[win] = PippengerWindowPass<Term>(points, digits, win, nwindows, nbuckets,
+                                                &window_totals[win])
                           ? 1
                           : 0;
   });
@@ -276,76 +270,7 @@ RistrettoPoint PippengerMsm(std::span<const Scalar> scalars, std::span<const Add
   return acc;
 }
 
-std::atomic<uint64_t> g_collapsed_terms{0};
-
-// Wire keys are canonical ristretto encodings — statistically uniform bytes —
-// so the low 8 bytes are already a good hash.
-struct WireKeyHash {
-  size_t operator()(const CompressedRistretto& key) const {
-    return static_cast<size_t>(LoadLe64(key.data()));
-  }
-};
-
 }  // namespace
-
-RistrettoPoint MultiScalarMulShared(const Scalar& base_scalar,
-                                    std::span<const Scalar> scalars,
-                                    std::span<const RistrettoPoint> points,
-                                    std::span<const CompressedRistretto> keys,
-                                    std::span<const uint8_t> key_present) {
-  const size_t n = scalars.size();
-  Require(points.size() == n && keys.size() == n && key_present.size() == n,
-          "msm: shared batch size mismatch");
-
-  // Collapse pass: first-seen order, scalar sums for repeated keys, basepoint
-  // terms folded into the fixed-base coefficient. A term is recorded by its
-  // first input index and copied once the collapsed count picks the regime.
-  Scalar base_acc = base_scalar;
-  std::vector<Scalar> term_scalars;
-  std::vector<size_t> term_source;
-  term_scalars.reserve(n);
-  term_source.reserve(n);
-  std::unordered_map<CompressedRistretto, size_t, WireKeyHash> first_seen;
-  const CompressedRistretto& base_wire = RistrettoPoint::BaseWire();
-  uint64_t collapsed = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (key_present[i]) {
-      if (keys[i] == base_wire) {
-        base_acc = base_acc + scalars[i];
-        ++collapsed;
-        continue;
-      }
-      auto [it, inserted] = first_seen.try_emplace(keys[i], term_scalars.size());
-      if (!inserted) {
-        term_scalars[it->second] = term_scalars[it->second] + scalars[i];
-        ++collapsed;
-        continue;
-      }
-    }
-    term_scalars.push_back(scalars[i]);
-    term_source.push_back(i);
-  }
-  if (collapsed != 0) {
-    g_collapsed_terms.fetch_add(collapsed, std::memory_order_relaxed);
-  }
-  const size_t terms = term_source.size();
-  if (terms < kPippengerThreshold) {
-    std::vector<RistrettoPoint> term_points(terms);
-    for (size_t k = 0; k < terms; ++k) {
-      term_points[k] = points[term_source[k]];
-    }
-    return MultiScalarMulWithBase(base_acc, term_scalars, term_points);
-  }
-  // Pippenger adds every term once per window (~30 windows), so the copy is
-  // the prepared addend: its conversion is paid once, not once per window.
-  std::vector<CachedPoint> prepared(terms);
-  Executor::Current().ParallelFor(terms, [&](size_t begin, size_t end) {
-    for (size_t k = begin; k < end; ++k) {
-      prepared[k] = CachedPoint(points[term_source[k]]);
-    }
-  });
-  return PippengerMsm<CachedPoint>(term_scalars, prepared) + RistrettoPoint::MulBase(base_acc);
-}
 
 RistrettoPoint MultiScalarMulRefs(const Scalar& base_scalar, std::span<const Scalar> scalars,
                                   std::span<const RistrettoPoint* const> points) {
@@ -361,14 +286,6 @@ RistrettoPoint MultiScalarMulRefs(const Scalar& base_scalar, std::span<const Sca
   }
   return StrausMsm(&base_scalar, scalars, copies);
 }
-
-MsmSharedStats SharedMsmStats() {
-  MsmSharedStats stats;
-  stats.collapsed_terms = g_collapsed_terms.load(std::memory_order_relaxed);
-  return stats;
-}
-
-void ResetSharedMsmForTest() { g_collapsed_terms.store(0, std::memory_order_relaxed); }
 
 RistrettoPoint MultiScalarMul(std::span<const Scalar> scalars,
                               std::span<const RistrettoPoint> points) {

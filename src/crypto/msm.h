@@ -55,45 +55,6 @@ RistrettoPoint MultiScalarMulRefs(const Scalar& base_scalar, std::span<const Sca
 RistrettoPoint MultiScalarMulNaive(std::span<const Scalar> scalars,
                                    std::span<const RistrettoPoint> points);
 
-// --- Shared-base MSM --------------------------------------------------------
-//
-// Verification batches repeat base points heavily: every Schnorr entry under
-// the same authority key contributes a term on that key, every DLEQ pair on
-// the ElGamal public key repeats it, and the group generator appears in all
-// of them. Because the group has prime order, w1*P + w2*P == (w1+w2)*P, so
-// repeated terms can be summed in scalar space — O(1) field additions —
-// before any group work happens.
-//
-// Repetition is detected by *wire bytes*, not by group comparison: keys[i]
-// must be the canonical encoding of points[i] whenever key_present[i] is
-// nonzero. Callers always have these bytes at hand (they just decoded the
-// points from them, or they carry validated wire caches); an equal-encoding
-// pair is equal in the group by canonicality. Keys are trusted the same way
-// the decoded points are — a wrong key merges the wrong terms, which is the
-// caller handing the MSM a different equation, not a soundness leak in here.
-//
-// Entries whose key equals RistrettoPoint::BaseWire() fold into
-// `base_scalar` and ride the width-8 fixed-base table. Other repeated keys
-// collapse into the first occurrence (deterministic first-seen order). The
-// collapsed terms then go to MultiScalarMulWithBase; at Pippenger scale they
-// are copied as prepared addends (CachedPoint), so the bucket passes do not
-// convert every term again in every window.
-RistrettoPoint MultiScalarMulShared(const Scalar& base_scalar,
-                                    std::span<const Scalar> scalars,
-                                    std::span<const RistrettoPoint> points,
-                                    std::span<const CompressedRistretto> keys,
-                                    std::span<const uint8_t> key_present);
-
-// Counter for the collapse (process-wide, relaxed atomic; read after the
-// measured region joins).
-struct MsmSharedStats {
-  uint64_t collapsed_terms = 0;  // input terms merged into an earlier term or the base
-};
-MsmSharedStats SharedMsmStats();
-
-// Zeroes the counter (test/bench isolation).
-void ResetSharedMsmForTest();
-
 // Below this size Straus wins (per-point table setup amortizes poorly into
 // Pippenger buckets); at and above it Pippenger wins. Exposed for benches.
 inline constexpr size_t kPippengerThreshold = 192;

@@ -78,11 +78,11 @@ Outcome<DecryptionShare> AuthorityClient::RequestShare(
     }
 
     // Arrival verification, enabled exactly when faults can occur. No-fault
-    // runs keep the single batched self-check at the release gate instead of
+    // runs keep the one batched check of each decrypt batch instead of
     // paying per-share verification twice.
     if (FaultInjector::Armed()) {
-      // The self-check hashes share_wire, so it must encode the point before
-      // the proof is checked against the point.
+      // share_wire travels with the share into the transcript, so a cache
+      // that does not encode the point is a forged response too.
       Status ok = share.share_wire == share.share.Encode()
                       ? authority_.VerifyShare(ct, share)
                       : Status::Error(StatusCode::kInvalidProof,

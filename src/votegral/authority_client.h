@@ -15,12 +15,12 @@
 //  * a simulated per-request time budget tracked on a VirtualClock
 //    (src/common/clock.h): timeouts and injected delays advance the clock,
 //    never sleep, and the request fails kTimeout once the deadline is spent,
-//  * when a fault plan is armed, the share's share_wire cache (which the
-//    self-check hashes) is compared with its point and its DLEQ proof is
-//    verified on arrival (a corrupted response fails kInvalidProof immediately —
-//    Byzantine responses are excluded, not retried); in no-fault runs
-//    arrival verification is skipped and the release gate's batched
-//    self-check keeps the existing single-pass cost,
+//  * when a fault plan is armed, the share's share_wire cache is compared
+//    with its point and its DLEQ proof is verified on arrival (a corrupted
+//    response fails kInvalidProof immediately — Byzantine responses are
+//    excluded, not retried); in no-fault runs arrival verification is
+//    skipped and each decrypt batch's one batched check as it closes
+//    (VerifyShareBatch, src/crypto/dkg.h) keeps the single-pass cost,
 //  * on the no-fault path the wrapper is transparent: one ComputeShare call,
 //    identical Rng consumption, identical share bytes — the golden-digest
 //    byte-compat contract.

@@ -91,8 +91,11 @@ MixItem BallotMixItem(const Ballot& ballot) {
 void DecryptBatchBuffers::Init(const ElectionAuthority& authority, size_t n,
                                std::vector<std::vector<DecryptionShare>>* shares,
                                std::vector<CompressedRistretto>* encoded) {
-  members = authority.size();
   threshold = authority.threshold();
+  member_shares.clear();
+  for (size_t m = 0; m < authority.size(); ++m) {
+    member_shares.push_back(authority.member(m).public_share);
+  }
   // Failure capture, only live when a fault plan is armed (nothing can fail
   // otherwise). Reports are written positionally and merged sequentially in
   // FinalizeDecryptBatch, so blame never depends on shard scheduling.
@@ -101,7 +104,6 @@ void DecryptBatchBuffers::Init(const ElectionAuthority& authority, size_t n,
   encoded_out = encoded;
   shares_out->assign(n, {});
   encoded_out->assign(n, CompressedRistretto{});
-  self_check.assign(n * members, DleqBatchEntry{});
   failed.assign(armed ? n : 0, {});
   short_of_threshold.assign(n, 0);
 }
@@ -112,7 +114,7 @@ void DecryptShareShardRange(const TallyService& service, const AuthorityClient& 
                             size_t begin, size_t end, Rng& child,
                             DecryptBatchBuffers& buffers) {
   const ElectionAuthority& authority = service.authority();
-  const size_t members = buffers.members;
+  const size_t members = buffers.member_shares.size();
   for (size_t i = begin; i < end; ++i) {
     std::vector<DecryptionShare>& shares = (*buffers.shares_out)[i];
     shares.reserve(members);
@@ -129,15 +131,6 @@ void DecryptShareShardRange(const TallyService& service, const AuthorityClient& 
         }
         continue;
       }
-      const DecryptionShare& share = *requested;
-      DleqBatchEntry entry;
-      entry.domain = std::string(kDecryptionShareDomain);
-      entry.statement = DleqStatement::MakePairWire(
-          RistrettoPoint::Base(), RistrettoPoint::BaseWire(),
-          authority.member(m).public_share, authority.member(m).public_share_wire,
-          cts[i].c1, c1_wire, share.share, share.share_wire);
-      entry.transcript = share.proof;
-      buffers.self_check[i * members + m] = std::move(entry);
       shares.push_back(std::move(*requested));
     }
     if (shares.size() < buffers.threshold) {
@@ -148,9 +141,9 @@ void DecryptShareShardRange(const TallyService& service, const AuthorityClient& 
   }
 }
 
-Status FinalizeDecryptBatch(const char* what, DecryptBatchBuffers& buffers,
-                            std::vector<DleqBatchEntry>* self_check_accum,
-                            std::map<size_t, Status>* blame) {
+Status FinalizeDecryptBatch(const char* what, std::span<const ElGamalCiphertext> cts,
+                            std::span<const ElGamalWire> cts_wire,
+                            DecryptBatchBuffers& buffers, std::map<size_t, Status>* blame) {
   // Sequential, index-ordered merges keep blame and failure localization
   // deterministic at any thread count.
   for (size_t i = 0; i < buffers.failed.size(); ++i) {
@@ -158,27 +151,18 @@ Status FinalizeDecryptBatch(const char* what, DecryptBatchBuffers& buffers,
       blame->emplace(report.member_index, report.status);
     }
   }
-  if (buffers.armed) {
-    // Compact this batch's self-check region: excluded members leave empty
-    // positional slots that the release-gate batch verifier must not see.
-    buffers.self_check.erase(
-        std::remove_if(buffers.self_check.begin(), buffers.self_check.end(),
-                       [](const DleqBatchEntry& e) { return e.domain.empty(); }),
-        buffers.self_check.end());
-  }
-  self_check_accum->insert(self_check_accum->end(),
-                           std::make_move_iterator(buffers.self_check.begin()),
-                           std::make_move_iterator(buffers.self_check.end()));
-  Release(buffers.self_check);
   for (size_t i = 0; i < buffers.short_of_threshold.size(); ++i) {
     if (buffers.short_of_threshold[i] != 0) {
       return Status::Error(
           StatusCode::kUnavailable,
           std::string(what) + ": only " + std::to_string((*buffers.shares_out)[i].size()) +
-              " of " + std::to_string(buffers.members) + " authority shares for ciphertext " +
-              std::to_string(i) + " (threshold " + std::to_string(buffers.threshold) + ")");
+              " of " + std::to_string(buffers.member_shares.size()) +
+              " authority shares for ciphertext " + std::to_string(i) + " (threshold " +
+              std::to_string(buffers.threshold) + ")");
     }
   }
+  Require(VerifyShareBatch(cts, cts_wire, *buffers.shares_out, buffers.member_shares),
+          "tally: produced decryption share failed batched self-check");
   return Status::Ok();
 }
 

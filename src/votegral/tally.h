@@ -2,7 +2,9 @@
 // parallel dataflow graph:
 //
 //   validate -> dedup -> mix -> tag -> decrypt-tags -> join -> decrypt-votes
-//                                                        (-> release gate)
+//
+// Each decrypt batch checks its share proofs when it closes, before any of
+// its decryptions is used (VerifyShareBatch, src/crypto/dkg.h).
 //
 // Stage/shard architecture (src/votegral/tally_dataflow.cpp):
 //  * Each stage is split into per-shard graph nodes (Executor::Shards —

@@ -33,8 +33,9 @@
 //   3. the ballot tagging chain, then the roster one: per member, the
 //      shard seeds;
 //   4. the decrypt-tags shard seeds, roster batch first, then ballots;
-//   5. after the join, the decrypt-votes shard seeds;
-//   6. last, the release gate's batch-verification weights.
+//   5. after the join, the decrypt-votes shard seeds.
+// (Each decrypt batch's share check draws nothing: its weights are a hash
+// of the batch's proofs, VerifyShareBatch in src/crypto/dkg.h.)
 // Shard boundaries come from Executor::Shards (data-size only); nodes commit
 // results positionally. Scheduling therefore decides only *when* a node
 // runs, never what it computes: transcripts are byte-identical at every
@@ -61,7 +62,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/crypto/batch.h"
 #include "src/crypto/drbg.h"
 #include "src/votegral/tally_internal.h"
 
@@ -77,13 +77,12 @@ enum StageIdx : size_t {
   kSDecryptTags,
   kSJoin,
   kSDecryptVotes,
-  kSReleaseGate,
   kNumStages,
 };
 
 constexpr const char* kStageNames[kNumStages] = {
     "validate", "dedup",         "mix",  "tag",
-    "decrypt-tags", "join", "decrypt-votes", "release-gate",
+    "decrypt-tags", "join", "decrypt-votes",
 };
 
 // Per-stage busy-time accumulators (relaxed: summed once after Wait).
@@ -378,11 +377,12 @@ Status RunRevoteDedup(const TallyService& service, TaskGraph& graph, BusyClock& 
   Status status = Status::Ok();
   clock.Timed(kSDedup, [&] {
     rt.mix_output = mixed;
-    status = FinalizeDecryptBatch("revote tags", flow.buffers, &state.share_self_check,
+    const TaggingStep& last = flow.steps->back();
+    status = FinalizeDecryptBatch("revote tags", last.output, last.output_wire, flow.buffers,
                                   &state.authority_blame);
     if (status.ok()) {
-      status = FinalizeDecryptBatch("revote counters", counter_buffers,
-                                    &state.share_self_check, &state.authority_blame);
+      status = FinalizeDecryptBatch("revote counters", counters, counters_wire,
+                                    counter_buffers, &state.authority_blame);
     }
     if (status.ok()) {
       SelectRevoteKept(service, state);
@@ -431,17 +431,6 @@ void CountVotes(const CandidateList& candidates, TallyPipelineState& state) {
     result.counts[candidates.name(*candidate)] += weight;
     result.counted += weight;
   }
-}
-
-void ReleaseGate(TallyPipelineState& state, Rng& rng) {
-  // Release gate: all decryption-share proofs produced above must verify as
-  // one batch. A failure here is an internal fault, not a verification
-  // result, hence Require rather than a Status — corrupted responses never
-  // reach this batch (they are rejected on arrival and their members
-  // excluded), so a failure here means *we* produced a bad proof.
-  Require(BatchVerifyDleq(state.share_self_check, rng).ok(),
-          "tally: produced decryption share failed batched self-check");
-  Release(state.share_self_check);
 }
 
 }  // namespace
@@ -609,8 +598,9 @@ Outcome<TallyOutput> TallyService::Run(const PublicLedger& ledger,
   Release(state.revote_kept);
   Status status = Status::Ok();
   clock.Timed(kSDecryptTags, [&] {
-    status = FinalizeDecryptBatch("roster tags", roster_flow.buffers,
-                                  &state.share_self_check, &state.authority_blame);
+    const TaggingStep& last = roster_flow.steps->back();
+    status = FinalizeDecryptBatch("roster tags", last.output, last.output_wire,
+                                  roster_flow.buffers, &state.authority_blame);
   });
   if (!status.ok()) {
     return finish(Outcome<TallyOutput>::Fail(WrapStage("decrypt-tags", status)));
@@ -619,8 +609,9 @@ Outcome<TallyOutput> TallyService::Run(const PublicLedger& ledger,
     state.roster_tag_counts[tag] += 1;
   }
   clock.Timed(kSDecryptTags, [&] {
-    status = FinalizeDecryptBatch("ballot tags", ballots.buffers, &state.share_self_check,
-                                  &state.authority_blame);
+    const TaggingStep& last = ballots.steps->back();
+    status = FinalizeDecryptBatch("ballot tags", last.output, last.output_wire,
+                                  ballots.buffers, &state.authority_blame);
   });
   if (!status.ok()) {
     return finish(Outcome<TallyOutput>::Fail(WrapStage("decrypt-tags", status)));
@@ -662,16 +653,13 @@ Outcome<TallyOutput> TallyService::Run(const PublicLedger& ledger,
   }
   graph.Wait();
   clock.Timed(kSDecryptVotes, [&] {
-    status = FinalizeDecryptBatch("votes", vote_buffers, &state.share_self_check,
+    status = FinalizeDecryptBatch("votes", counted_votes, counted_votes_wire, vote_buffers,
                                   &state.authority_blame);
   });
   if (!status.ok()) {
     return finish(Outcome<TallyOutput>::Fail(WrapStage("decrypt-votes", status)));
   }
   clock.Timed(kSDecryptVotes, [&] { CountVotes(candidates, state); });
-
-  // ---- Release gate (draws its batch weights from the parent stream last). ----
-  clock.Timed(kSReleaseGate, [&] { ReleaseGate(state, rng); });
 
   for (const auto& [member, blame_status] : state.authority_blame) {
     state.output.excluded_authorities.push_back(AuthorityBlame{member, blame_status});

@@ -41,8 +41,6 @@ struct TallyPipelineState {
   MixBatch revote_kept;
   // decrypt-tags -> join: roster tag multiset.
   std::map<CompressedRistretto, uint64_t> roster_tag_counts;
-  // Accumulated self-check batch for the release gate.
-  std::vector<DleqBatchEntry> share_self_check;
   // Degradation bookkeeping: member -> first coded failure (ciphertext
   // order), folded into TallyOutput::excluded_authorities at the end.
   std::map<size_t, Status> authority_blame;
@@ -106,15 +104,14 @@ MixItem BallotMixItem(const Ballot& ballot);
 
 // Working buffers for one decrypt batch. Shards write positionally into
 // these; FinalizeDecryptBatch then performs the sequential, index-ordered
-// merges (blame, self-check compaction, shortfall detection) that keep the
-// batch deterministic at any thread count.
+// merges (blame, shortfall detection) that keep the batch deterministic at
+// any thread count, and checks the batch's share proofs.
 struct DecryptBatchBuffers {
-  size_t members = 0;
   size_t threshold = 0;
   bool armed = false;  // fault plan armed at Init time
+  std::vector<RistrettoPoint> member_shares;  // the members' public shares
   std::vector<std::vector<DecryptionShare>>* shares_out = nullptr;
   std::vector<CompressedRistretto>* encoded_out = nullptr;
-  std::vector<DleqBatchEntry> self_check;               // n*members, positional
   std::vector<std::vector<ShareRequestReport>> failed;  // armed ? n : 0
   std::vector<uint8_t> short_of_threshold;
 
@@ -125,23 +122,25 @@ struct DecryptBatchBuffers {
 
 // Decrypt-stage kernel: collects every live authority member's verifiable
 // share for ciphertexts [begin, end) through the retrying AuthorityClient,
-// drawing proof nonces from `child`. Self-check entries land positionally at
-// i*members + m; failures are captured per ciphertext when a fault plan is
-// armed. Disjoint ranges may run concurrently.
+// drawing proof nonces from `child`. Failures are captured per ciphertext
+// when a fault plan is armed. Disjoint ranges may run concurrently.
 void DecryptShareShardRange(const TallyService& service, const AuthorityClient& client,
                             std::span<const ElGamalCiphertext> cts,
                             std::span<const ElGamalWire> cts_wire, uint64_t epoch,
                             size_t begin, size_t end, Rng& child,
                             DecryptBatchBuffers& buffers);
 
-// Sequential close of one decrypt batch: merges blame (first failure per
-// member in ciphertext order), compacts the positional self-check region
-// (excluded members leave empty slots the release gate must not see),
-// appends it to the run-wide accumulator, and reports the first ciphertext
-// short of the threshold as kUnavailable.
-Status FinalizeDecryptBatch(const char* what, DecryptBatchBuffers& buffers,
-                            std::vector<DleqBatchEntry>* self_check_accum,
-                            std::map<size_t, Status>* blame);
+// Close of one decrypt batch over `cts` (with `cts_wire`, the bytes the
+// shards hashed, or empty): merges blame (first failure per member in
+// ciphertext order), reports the first ciphertext short of the threshold as
+// kUnavailable, and then checks every share the batch collected with one
+// VerifyShareBatch, so no decryption leaves the tally before the shares it
+// rests on verify. A failed check is an internal fault, not a verification
+// result (corrupted responses are rejected on arrival and their members
+// excluded, so it means the tally produced a bad proof): it throws.
+Status FinalizeDecryptBatch(const char* what, std::span<const ElGamalCiphertext> cts,
+                            std::span<const ElGamalWire> cts_wire,
+                            DecryptBatchBuffers& buffers, std::map<size_t, Status>* blame);
 
 // The revote dedup's sequential kernels around its chain (docs/REVOTING.md;
 // the chain runs as RunRevoteDedup's graph flow, tally_dataflow.cpp).

@@ -3,51 +3,12 @@
 #include <algorithm>
 #include <exception>
 
-#include "src/crypto/batch.h"
-#include "src/crypto/drbg.h"
-#include "src/crypto/sha512.h"
 #include "src/votegral/mixnet.h"
 #include "src/trip/official.h"
 
 namespace votegral {
 
-Status VerifyShareAgainstCommitment(const RistrettoPoint& member_share_commitment,
-                                    const ElGamalCiphertext& ct,
-                                    const DecryptionShare& share) {
-  DleqStatement statement = DleqStatement::MakePair(
-      RistrettoPoint::Base(), member_share_commitment, ct.c1, share.share);
-  return VerifyDleqFs(kDecryptionShareDomain, statement, share.proof);
-}
-
-RistrettoPoint CombineSharesPublic(const ElGamalCiphertext& ct,
-                                   const std::vector<DecryptionShare>& shares,
-                                   size_t expected_members) {
-  Require(shares.size() == expected_members, "verifier: wrong number of shares");
-  RistrettoPoint sum;
-  for (const DecryptionShare& share : shares) {
-    sum = sum + share.share;
-  }
-  return ct.c2 - sum;
-}
-
-RistrettoPoint CombineSharesPublicThreshold(const ElGamalCiphertext& ct,
-                                            const std::vector<DecryptionShare>& shares) {
-  Require(!shares.empty(), "verifier: no shares to combine");
-  std::vector<size_t> points;
-  points.reserve(shares.size());
-  for (const DecryptionShare& share : shares) {
-    points.push_back(share.member_index + 1);
-  }
-  RistrettoPoint blinding;  // Σ λ_j * S_j = F(0) * C1
-  for (const DecryptionShare& share : shares) {
-    blinding = blinding + LagrangeAtZero(points, share.member_index + 1) * share.share;
-  }
-  return ct.c2 - blinding;
-}
-
 namespace {
-
-constexpr std::string_view kShareWeightDomain = "votegral/verifier/share-batch-weights/v3";
 
 // Verifies one published cascade: it must have kMixPairs pairs (a shorter
 // cascade is a consistent proof with fewer shufflers), then the RPC proof.
@@ -61,27 +22,13 @@ Status VerifyTallyCascade(const MixBatch& input, const MixBatch& output, const M
 }
 
 // Verifies a list of per-ciphertext share vectors and returns the decrypted
-// points; fails on any bad proof.
-//
-// The DLEQ share proofs are checked as one positional batch (DleqTermBatch)
-// sharded over ciphertexts: ciphertext i's terms are its C1, then per share
-// the share point and the proof's two commits; B and the members' public
-// shares are batch-wide. Weights come from a hash of every proof's challenge
-// and response, so any auditor derives the same ones and whoever produced
-// the transcript cannot predict them. On rejection the per-item path re-runs
-// to name the offending share.
-//
-// Each challenge is recomputed from bytes in hand: B's and the members'
-// encodings (once per call), C1 from `cts_wire` when the caller threads
-// bytes another check validates (mix caches checked by VerifyRpcMixCascade,
-// tagging wires checked by VerifyChain; see VerifyElection for why a check
-// may use them) or one fresh encode otherwise, and the share point from its
-// DecryptionShare::share_wire when a BatchValidateEncodings pass over the
-// shard (exact, no inverse square root) finds those bytes to be its
-// canonical encoding, or one fresh encode otherwise, so a stale or forged
-// cache binds exactly what the point does. The proofs' own commit caches
-// are attacker data and pass the same shard validation before they are
-// hashed.
+// points; fails on any bad proof. Each ciphertext needs the member count the
+// authority's mode asks for, from distinct members in range; the proofs are
+// one VerifyShareBatch (src/crypto/dkg.h), and on rejection the per-item
+// path re-runs to name the offending share. `cts_wire` is bytes another
+// check validates (mix caches checked by VerifyRpcMixCascade, tagging wires
+// checked by VerifyChain; see VerifyElection for why a check may use them),
+// or empty.
 Status VerifyAndDecryptAll(const std::vector<ElGamalCiphertext>& cts,
                            const std::vector<std::vector<DecryptionShare>>& shares,
                            const VerifierParams& params, Executor& executor,
@@ -91,9 +38,6 @@ Status VerifyAndDecryptAll(const std::vector<ElGamalCiphertext>& cts,
   if (shares.size() != cts.size()) {
     return Status::Error("verifier: " + what + ": share list size mismatch");
   }
-  if (cts_wire.size() != cts.size()) {
-    cts_wire = {};
-  }
   Executor::Scope scope(executor);
   const size_t members = params.authority_shares.size();
   // Additive mode demands the full member set per ciphertext; threshold mode
@@ -101,13 +45,10 @@ Status VerifyAndDecryptAll(const std::vector<ElGamalCiphertext>& cts,
   // members (what the tally produced under degradation).
   const bool threshold_mode = params.authority_threshold != 0;
   const size_t need = threshold_mode ? params.authority_threshold : members;
-  // Ciphertext i's terms are [first_term[i], first_term[i + 1]).
-  std::vector<size_t> first_term(cts.size() + 1, 0);
   std::optional<size_t> bad_count;
   bool bad_member = false;
   for (size_t i = 0; i < cts.size(); ++i) {
     const size_t count = shares[i].size();
-    first_term[i + 1] = first_term[i];
     if (threshold_mode ? (count < need || count > members) : (count != members)) {
       bad_count = bad_count.value_or(i);
       continue;
@@ -120,7 +61,6 @@ Status VerifyAndDecryptAll(const std::vector<ElGamalCiphertext>& cts,
       }
       seen[share.member_index] = true;
     }
-    first_term[i + 1] += 1 + 3 * count;
   }
   if (bad_count.has_value()) {
     return Status::Error("verifier: " + what + ": wrong share count at " +
@@ -130,115 +70,38 @@ Status VerifyAndDecryptAll(const std::vector<ElGamalCiphertext>& cts,
     return Status::Error("verifier: " + what + ": bad share member index");
   }
 
-  std::vector<CompressedRistretto> member_wire(members);
-  BatchEncodePoints(params.authority_shares, member_wire);
-  DleqWeightSeed seed(kShareWeightDomain);
-  for (const std::vector<DecryptionShare>& list : shares) {
-    for (const DecryptionShare& share : list) {
-      seed.Add(share.proof);
+  if (!VerifyShareBatch(cts, cts_wire, shares, params.authority_shares)) {
+    // Localize: re-check share by share with the exact per-item verifier.
+    auto all_shares_ok = [&](size_t i) {
+      for (const DecryptionShare& share : shares[i]) {
+        if (!VerifyShareAgainstCommitment(params.authority_shares[share.member_index], cts[i],
+                                          share)
+                 .ok()) {
+          return false;
+        }
+      }
+      return true;
+    };
+    if (auto i = ParallelFirstFailure(executor, cts.size(), all_shares_ok); i.has_value()) {
+      for (const DecryptionShare& share : shares[*i]) {
+        Status ok = VerifyShareAgainstCommitment(params.authority_shares[share.member_index],
+                                                 cts[*i], share);
+        if (!ok.ok()) {
+          return Status::Error("verifier: " + what + ": share proof invalid at " +
+                               std::to_string(*i) + ": " + ok.reason());
+        }
+      }
     }
+    return Status::Error("verifier: " + what + ": batched share check failed");
   }
   std::vector<CompressedRistretto> decrypted(cts.size());
-  DleqTermBatch batch(cts.size(), first_term.back(), params.authority_shares, seed.Finalize());
-  // Ciphertexts go through their shard in groups of about 64 cached points.
-  const size_t group = std::max<size_t>(1, 64 / (3 * std::max<size_t>(members, 1)));
-  auto well_formed = [](const DleqTranscript& proof) {
-    return proof.commits.size() == 2 &&
-           (proof.commit_wire.empty() || proof.commit_wire.size() == 2);
-  };
-  batch.Fill(executor, [&](DleqTermBatch::ShardWriter& writer, size_t begin, size_t end) {
-    EncodingCheck check;
-    for (size_t first_ct = begin; first_ct < end; first_ct += group) {
-      const size_t last_ct = std::min(end, first_ct + group);
-      // The group's caches in one pass: each share's bytes against its
-      // point, each proof's commit bytes against its commits.
-      check.Clear();
-      for (size_t i = first_ct; i < last_ct; ++i) {
-        for (const DecryptionShare& share : shares[i]) {
-          check.Add(share.share, share.share_wire);
-          if (well_formed(share.proof) && share.proof.HasWire()) {
-            check.Add(share.proof.commits[0], share.proof.commit_wire[0]);
-            check.Add(share.proof.commits[1], share.proof.commit_wire[1]);
-          }
-        }
-      }
-      check.Run();
-
-      size_t slot = 0;
-      for (size_t i = first_ct; i < last_ct; ++i) {
-        const size_t c1_term = first_term[i];
-        writer.SetPoint(c1_term, cts[i].c1);
-        const CompressedRistretto c1_wire =
-            cts_wire.empty() ? cts[i].c1.Encode() : ElGamalWireHalf(cts_wire[i], 0);
-        for (size_t s = 0; s < shares[i].size(); ++s) {
-          const DecryptionShare& share = shares[i][s];
-          const DleqTranscript& proof = share.proof;
-          const bool share_wire_ok = check.ok(slot++);
-          if (!well_formed(proof)) {
-            return false;  // the per-item path names it
-          }
-          if (proof.HasWire() && !(check.ok(slot) && check.ok(slot + 1))) {
-            return false;
-          }
-          slot += proof.HasWire() ? 2 : 0;
-          // The challenge over (B, C1), (X_m, S) and the commits.
-          Sha512 h;
-          const uint8_t separator = 0;
-          h.Update(AsBytes(kDecryptionShareDomain));
-          h.Update({&separator, 1});
-          h.Update(RistrettoPoint::BaseWire());
-          h.Update(c1_wire);
-          h.Update(member_wire[share.member_index]);
-          h.Update(share_wire_ok ? share.share_wire : share.share.Encode());
-          for (size_t c = 0; c < 2; ++c) {
-            h.Update(proof.HasWire() ? proof.commit_wire[c] : proof.commits[c].Encode());
-          }
-          if (Scalar::FromBytesWide(h.Finalize()) != proof.challenge) {
-            return false;
-          }
-          const size_t term = c1_term + 1 + 3 * s;
-          writer.SetPoint(term, share.share);
-          writer.SetPoint(term + 1, proof.commits[0]);
-          writer.SetPoint(term + 2, proof.commits[1]);
-          using Slot = DleqTermBatch::Slot;
-          writer.AddPair(proof.challenge, proof.response, Slot::Base(),
-                         Slot::Shared(share.member_index), term + 1);
-          writer.AddPair(proof.challenge, proof.response, Slot::Term(c1_term),
-                         Slot::Term(term), term + 2);
-        }
-        decrypted[i] = threshold_mode
-                           ? CombineSharesPublicThreshold(cts[i], shares[i]).Encode()
-                           : CombineSharesPublic(cts[i], shares[i], members).Encode();
-      }
-    }
-    return true;
+  executor.ParallelForEach(cts.size(), [&](size_t i) {
+    decrypted[i] = (threshold_mode ? CombineSharesPublicThreshold(cts[i], shares[i])
+                                   : CombineSharesPublic(cts[i], shares[i], members))
+                       .Encode();
   });
   *out = std::move(decrypted);
-  if (batch.Holds()) {
-    return Status::Ok();
-  }
-  // Localize: re-check share by share with the exact per-item verifier.
-  auto all_shares_ok = [&](size_t i) {
-    for (const DecryptionShare& share : shares[i]) {
-      if (!VerifyShareAgainstCommitment(params.authority_shares[share.member_index], cts[i],
-                                        share)
-               .ok()) {
-        return false;
-      }
-    }
-    return true;
-  };
-  if (auto i = ParallelFirstFailure(executor, cts.size(), all_shares_ok); i.has_value()) {
-    for (const DecryptionShare& share : shares[*i]) {
-      Status ok = VerifyShareAgainstCommitment(params.authority_shares[share.member_index],
-                                               cts[*i], share);
-      if (!ok.ok()) {
-        return Status::Error("verifier: " + what + ": share proof invalid at " +
-                             std::to_string(*i) + ": " + ok.reason());
-      }
-    }
-  }
-  return Status::Error("verifier: " + what + ": batched share check failed");
+  return Status::Ok();
 }
 
 // Field-wise ballot equality (no re-encoding: two Serialize calls cost four

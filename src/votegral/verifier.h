@@ -54,23 +54,8 @@ Status VerifyElection(const PublicLedger& ledger, const VerifierParams& params,
                       const CandidateList& candidates, const TallyOutput& output,
                       Executor& executor = Executor::Global());
 
-// Verifies a decryption share against a member's public share without an
-// ElectionAuthority instance (auditors have only public data).
-Status VerifyShareAgainstCommitment(const RistrettoPoint& member_share_commitment,
-                                    const ElGamalCiphertext& ct, const DecryptionShare& share);
-
-// Combines decryption shares publicly (after verifying each): additive
-// n-of-n (exactly `expected_members` shares, plain sum).
-RistrettoPoint CombineSharesPublic(const ElGamalCiphertext& ct,
-                                   const std::vector<DecryptionShare>& shares,
-                                   size_t expected_members);
-
-// Threshold variant: Lagrange-recombines any recorded participant subset
-// over the members' evaluation points (member_index + 1). The caller must
-// have checked distinctness and the >= t count; each share's proof is
-// verified separately.
-RistrettoPoint CombineSharesPublicThreshold(const ElGamalCiphertext& ct,
-                                            const std::vector<DecryptionShare>& shares);
+// VerifyShareAgainstCommitment, VerifyShareBatch and the public share
+// combiners live in src/crypto/dkg.h, beside the prover.
 
 }  // namespace votegral
 

@@ -104,6 +104,62 @@ TEST(BatchDleq, ChallengeBindingStillPerItem) {
   EXPECT_FALSE(BatchVerifyDleq(entries, rng).ok());
 }
 
+// An entry over (B, X) and, with `two_pairs`, (g2, x*g2), proved with x.
+// `cached` gives the statement and the transcript their wire caches, and
+// without it both go bare. `forged` makes X = x*B + B: the challenge binds
+// the statement as claimed, so only the B pair's equation fails.
+DleqBatchEntry BasePairEntry(bool two_pairs, bool cached, bool forged, Rng& rng) {
+  const Scalar x = Scalar::Random(rng);
+  const RistrettoPoint xb = RistrettoPoint::MulBase(x);
+  DleqBatchEntry entry;
+  entry.domain = "batch-test/base";
+  entry.statement.bases = {RistrettoPoint::Base()};
+  entry.statement.publics = {forged ? xb + RistrettoPoint::Base() : xb};
+  if (two_pairs) {
+    const RistrettoPoint g2 = RistrettoPoint::FromUniformBytes(rng.RandomBytes(64));
+    entry.statement.bases.push_back(g2);
+    entry.statement.publics.push_back(x * g2);
+  }
+  if (cached) {
+    entry.statement.EnsureWire();
+  }
+  entry.transcript = ProveDleqFs(entry.domain, entry.statement, x, rng);
+  if (!cached) {
+    entry.transcript.commit_wire.clear();
+  }
+  return entry;
+}
+
+TEST(BatchDleq, BasePairsRideTheBaseSlotWithAndWithoutCachedBytes) {
+  ChaChaRng rng(806);
+  std::vector<DleqBatchEntry> entries;
+  for (size_t i = 0; i < 12; ++i) {
+    entries.push_back(BasePairEntry(i % 3 != 0, i % 2 == 0, false, rng));
+  }
+  ASSERT_TRUE(BatchVerifyDleq(entries, rng).ok());
+  for (size_t victim = 0; victim < entries.size(); ++victim) {
+    auto bad = entries;
+    bad[victim] = BasePairEntry(victim % 3 != 0, victim % 2 == 0, true, rng);
+    Status s = BatchVerifyDleq(bad, rng);
+    EXPECT_EQ(s.reason(), "batch-dleq: combined verification equation failed")
+        << "victim " << victim;
+  }
+}
+
+TEST(BatchDleq, ShapeMismatchIsAMalformedEntry) {
+  ChaChaRng rng(807);
+  const std::vector<DleqBatchEntry> entries = {BasePairEntry(true, true, false, rng),
+                                               BasePairEntry(true, false, false, rng)};
+  ASSERT_TRUE(BatchVerifyDleq(entries, rng).ok());
+  auto extra_public = entries;
+  extra_public[1].statement.publics.push_back(RistrettoPoint::Base());
+  auto missing_commit = entries;
+  missing_commit[0].transcript.commits.pop_back();
+  for (const auto& bad : {extra_public, missing_commit}) {
+    EXPECT_EQ(BatchVerifyDleq(bad, rng).reason(), "batch-dleq: malformed entry");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Shamir / Feldman / threshold DKG decryption
 // ---------------------------------------------------------------------------

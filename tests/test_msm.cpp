@@ -156,102 +156,66 @@ TEST(Msm, DoubleScalarMulBaseStillCorrect) {
 
 // ---- Negative batch-verification tests over the MSM paths ----
 
+SchnorrBatchEntry Signed(const SchnorrKeyPair& kp, Rng& rng) {
+  SchnorrBatchEntry entry;
+  entry.public_key = kp.public_bytes();
+  entry.message = rng.RandomBytes(24);
+  entry.signature = kp.Sign(entry.message, rng);
+  return entry;
+}
+
 std::vector<SchnorrBatchEntry> MakeSchnorrBatch(size_t n, Rng& rng) {
   std::vector<SchnorrBatchEntry> entries;
   entries.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    auto kp = SchnorrKeyPair::Generate(rng);
-    SchnorrBatchEntry entry;
-    entry.public_key = kp.public_bytes();
-    entry.message = rng.RandomBytes(24);
-    entry.signature = kp.Sign(entry.message, rng);
-    entries.push_back(std::move(entry));
+    entries.push_back(Signed(SchnorrKeyPair::Generate(rng), rng));
   }
   return entries;
 }
 
-// Builds a shared-MSM input where every term carries its wire key, with
-// repeated base points sprinkled in: `repeat_every` terms reuse one of
-// `distinct` recurring points, and every 7th keyed term is the group
-// generator (exercising the fold into the fixed-base coefficient).
-struct SharedInput {
-  MsmInput in;
-  std::vector<CompressedRistretto> keys;
-  std::vector<uint8_t> present;
-};
-
-SharedInput RandomSharedInput(size_t n, size_t distinct, Rng& rng) {
-  SharedInput s;
-  std::vector<RistrettoPoint> pool;
-  std::vector<CompressedRistretto> pool_wire;
-  for (size_t i = 0; i < distinct; ++i) {
-    pool.push_back(RandomPoint(rng));
-    pool_wire.push_back(pool.back().Encode());
-  }
-  for (size_t i = 0; i < n; ++i) {
-    s.in.scalars.push_back(Scalar::Random(rng));
-    if (i % 7 == 3) {
-      s.in.points.push_back(RistrettoPoint::Base());
-      s.keys.push_back(RistrettoPoint::BaseWire());
-      s.present.push_back(1);
-    } else if (i % 3 != 0) {
-      size_t j = i % distinct;
-      s.in.points.push_back(pool[j]);
-      s.keys.push_back(pool_wire[j]);
-      s.present.push_back(1);
-    } else {
-      s.in.points.push_back(RandomPoint(rng));
-      s.keys.push_back(CompressedRistretto{});
-      s.present.push_back(0);  // unkeyed term: no collapse
-    }
-  }
-  return s;
-}
-
-TEST(MsmShared, MatchesUnsharedEvaluationAcrossRegimes) {
-  ChaChaRng rng(77);
-  ResetSharedMsmForTest();
-  // Sizes straddle kPippengerThreshold so both regimes run the collapse.
-  for (size_t n : {1u, 5u, 60u, 190u, 300u, 700u}) {
-    SharedInput s = RandomSharedInput(n, 9, rng);
-    Scalar base = Scalar::Random(rng);
-    RistrettoPoint expected = MultiScalarMulWithBase(base, s.in.scalars, s.in.points);
-    RistrettoPoint got =
-        MultiScalarMulShared(base, s.in.scalars, s.in.points, s.keys, s.present);
-    EXPECT_TRUE(got == expected) << "n = " << n;
-  }
-  EXPECT_GT(SharedMsmStats().collapsed_terms, 0u);
-}
-
-TEST(MsmShared, AllTermsOnOneKeyCollapseToASingleTerm) {
-  ChaChaRng rng(78);
-  ResetSharedMsmForTest();
-  RistrettoPoint p = RandomPoint(rng);
-  CompressedRistretto wire = p.Encode();
-  const size_t n = 64;
-  std::vector<Scalar> scalars;
-  std::vector<RistrettoPoint> points(n, p);
-  std::vector<CompressedRistretto> keys(n, wire);
-  std::vector<uint8_t> present(n, 1);
-  Scalar sum = Scalar::Zero();
-  for (size_t i = 0; i < n; ++i) {
-    scalars.push_back(Scalar::Random(rng));
-    sum = sum + scalars.back();
-  }
-  RistrettoPoint got =
-      MultiScalarMulShared(Scalar::Zero(), scalars, points, keys, present);
-  EXPECT_TRUE(got == sum * p);
-  EXPECT_EQ(SharedMsmStats().collapsed_terms, n - 1);
-}
-
-TEST(MsmBatch, CorruptingAnySingleSignatureIn100EntryBatchFlipsVerdict) {
-  ChaChaRng rng(1011);
-  auto entries = MakeSchnorrBatch(100, rng);
+// A batch that verifies, and fails whichever single signature is corrupted.
+void ExpectEverySingleCorruptionFlipsVerdict(const std::vector<SchnorrBatchEntry>& entries,
+                                             Rng& rng) {
   ASSERT_TRUE(BatchVerifySchnorr(entries, rng).ok());
   for (size_t victim = 0; victim < entries.size(); ++victim) {
     auto bad = entries;
     bad[victim].signature.s = bad[victim].signature.s + Scalar::One();
     EXPECT_FALSE(BatchVerifySchnorr(bad, rng).ok()) << "victim " << victim;
+  }
+}
+
+// Besides 100 signers, the two shapes where BatchVerifySchnorr folds
+// repeated keys into one term: one signer's 256 signatures (257 terms after
+// the fold, so Pippenger), and a ballot shard's 18 kiosk certificates under
+// one kiosk key beside 18 credential signatures (1 + 18 key terms and 36 R
+// terms, so Straus). A key whose later signatures drop out of the fold
+// fails the honest batch.
+TEST(MsmBatch, CorruptingAnySingleSignatureIn100EntryBatchFlipsVerdict) {
+  ChaChaRng rng(1011);
+  {
+    SCOPED_TRACE("100 signers");
+    ExpectEverySingleCorruptionFlipsVerdict(MakeSchnorrBatch(100, rng), rng);
+  }
+  {
+    SCOPED_TRACE("one signer, 256 signatures");
+    static_assert(257 >= kPippengerThreshold);
+    const SchnorrKeyPair signer = SchnorrKeyPair::Generate(rng);
+    std::vector<SchnorrBatchEntry> entries;
+    for (size_t i = 0; i < 256; ++i) {
+      entries.push_back(Signed(signer, rng));
+    }
+    ExpectEverySingleCorruptionFlipsVerdict(entries, rng);
+  }
+  {
+    SCOPED_TRACE("a ballot shard: 18 kiosk certificates, 18 credential signatures");
+    static_assert(55 < kPippengerThreshold);
+    const SchnorrKeyPair kiosk = SchnorrKeyPair::Generate(rng);
+    std::vector<SchnorrBatchEntry> entries;
+    for (size_t i = 0; i < 18; ++i) {
+      entries.push_back(Signed(kiosk, rng));
+      entries.push_back(Signed(SchnorrKeyPair::Generate(rng), rng));
+    }
+    ExpectEverySingleCorruptionFlipsVerdict(entries, rng);
   }
 }
 

@@ -1,16 +1,20 @@
-// Differential tests for the verifier's positional DLEQ batches (the tag
-// chains and the decryption-share batches, src/crypto/batch.h
-// DleqTermBatch): after any single-field mutation of a tag step or a share
-// list, the batched verdict must equal the conjunction of the per-item
-// Fiat–Shamir checks (with a stale wire cache counting as a failure where
-// the bytes bind a challenge). The transcripts include proofs whose commits
-// equal statement points and chains with two identical items, the cases a
-// collapse by key instead of by position would merge.
+// Differential tests for the positional DLEQ batches (the tag chains and the
+// decryption-share batches, src/crypto/batch.h DleqTermBatch): after any
+// single-field mutation of a tag step or a share list, the batched verdict
+// must equal the conjunction of the per-item Fiat–Shamir checks (with a
+// stale wire cache counting as a failure where the bytes bind a challenge).
+// The transcripts include proofs whose commits equal statement points and
+// chains with two identical items, the cases a collapse by key instead of by
+// position would merge, and share lists short of a member, which the tally
+// checks as well as the verifier.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "src/common/faults.h"
+#include "src/crypto/dkg.h"
 #include "src/crypto/drbg.h"
 #include "src/votegral/election.h"
 #include "src/votegral/tagging.h"
@@ -236,14 +240,48 @@ bool SharesHoldItemByItem(TallyTranscript& t, const VerifierParams& params) {
   return true;
 }
 
+// The per-share reference for one list as VerifyShareBatch reads it: every
+// share present names a member in range and its proof holds on its own
+// (counts and repeats are the combining caller's rule).
+bool ListHoldsItemByItem(const ShareList& list, const VerifierParams& params) {
+  for (size_t i = 0; i < list.cts.size(); ++i) {
+    for (const DecryptionShare& share : (*list.shares)[i]) {
+      if (share.member_index >= params.authority_shares.size() ||
+          !VerifyShareAgainstCommitment(params.authority_shares[share.member_index],
+                                        list.cts[i], share)
+               .ok()) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// A direct VerifyShareBatch over every list must give the per-share verdict.
+void ExpectListVerdictsMatch(TallyTranscript& t, const VerifierParams& params) {
+  std::vector<ShareList> lists = ShareListsOf(t);
+  for (size_t l = 0; l < lists.size(); ++l) {
+    EXPECT_EQ(VerifyShareBatch(lists[l].cts, {}, *lists[l].shares, params.authority_shares),
+              ListHoldsItemByItem(lists[l], params))
+        << "list " << l;
+  }
+}
+
+// An election of three voters, each casting twice, tallied under `faults`
+// when given (armed for the tally only).
 struct SharedElection {
-  explicit SharedElection(ElectionConfig config) : rng(0x5BA7C), election(config, rng) {
+  explicit SharedElection(ElectionConfig config, const FaultPlan* faults = nullptr)
+      : rng(0x5BA7C), election(config, rng) {
     Vsd vsd = election.trip().MakeVsd();
     for (const std::string& id : config.roster) {
       auto voter = election.Register(id, 1, vsd, rng);
       EXPECT_TRUE(voter.ok());
       EXPECT_TRUE(election.Cast(voter->activated[0], "Alpha", rng).ok());
       EXPECT_TRUE(election.Cast(voter->activated[1], "Beta", rng).ok());
+    }
+    std::optional<ArmedFaults> armed;
+    if (faults != nullptr) {
+      armed.emplace(*faults);
     }
     output = election.Tally(rng);
   }
@@ -268,12 +306,28 @@ TEST(ProofBatches, ShareVerdictIsTheConjunctionOfItsItems) {
     const char* name;
     bool revoting;
     size_t threshold;
+    bool crash_member_1;
   };
-  for (const Kind& kind : {Kind{"legacy", false, 0}, Kind{"revoting", true, 0},
-                           Kind{"3 of 4", false, 3}}) {
+  // Member 1 down for the whole tally: every list is one share short, and
+  // the tally's own check of each decrypt batch runs on the short lists.
+  FaultPlan crash(0xC4A5);
+  crash.Crash(faults::kAuthorityComputeShare, 1.0, /*scope=*/1);
+  for (const Kind& kind : {Kind{"legacy", false, 0, false}, Kind{"revoting", true, 0, false},
+                           Kind{"3 of 4", false, 3, false},
+                           Kind{"3 of 4, member 1 crashed", false, 3, true}}) {
     SCOPED_TRACE(kind.name);
-    SharedElection e(Config(kind.revoting, kind.threshold));
+    SharedElection e(Config(kind.revoting, kind.threshold),
+                     kind.crash_member_1 ? &crash : nullptr);
     const VerifierParams params = e.election.verifier_params();
+    if (kind.crash_member_1) {
+      ASSERT_EQ(e.output.excluded_authorities.size(), 1u);
+      EXPECT_EQ(e.output.excluded_authorities[0].member_index, 1u);
+      for (ShareList& list : ShareListsOf(e.output.transcript)) {
+        for (const std::vector<DecryptionShare>& shares : *list.shares) {
+          EXPECT_EQ(shares.size(), params.authority_shares.size() - 1);
+        }
+      }
+    }
     // Every list's first share is proved with the member's secret as its
     // nonce: a valid proof whose commits equal its statement's publics.
     TallyOutput honest = e.output;
@@ -286,6 +340,7 @@ TEST(ProofBatches, ShareVerdictIsTheConjunctionOfItsItems) {
     }
     ASSERT_TRUE(SharesHoldItemByItem(honest.transcript, params));
     ASSERT_TRUE(e.election.Verify(honest).ok()) << e.election.Verify(honest).reason();
+    ExpectListVerdictsMatch(honest.transcript, params);
 
     size_t rejected = 0;
     for (int trial = 0; trial < 32; ++trial) {
@@ -317,6 +372,7 @@ TEST(ProofBatches, ShareVerdictIsTheConjunctionOfItsItems) {
       }
       const bool want = SharesHoldItemByItem(bad.transcript, params);
       EXPECT_EQ(e.election.Verify(bad).ok(), want) << e.election.Verify(bad).reason();
+      ExpectListVerdictsMatch(bad.transcript, params);
       rejected += want ? 0 : 1;
     }
     EXPECT_GT(rejected, 16u);
