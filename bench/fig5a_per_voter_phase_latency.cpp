@@ -7,10 +7,12 @@
 // along each phase's complexity and flagged with '*' — the paper itself
 // extrapolates Civitas beyond 10^4. Absolute numbers differ from the paper's
 // (different hardware and implementation language); the reproduced *shape*
-// is the per-phase ordering and the growth laws.
+// is the per-phase ordering and the growth laws. --full measures each system
+// at larger sizes before extrapolating.
 #include <cstdio>
 #include <memory>
 
+#include "bench/figure_bench.h"
 #include "src/baselines/civitas.h"
 #include "src/baselines/swisspost.h"
 #include "src/baselines/voteagain.h"
@@ -28,8 +30,7 @@ struct SystemPlan {
   size_t max_measured;
 };
 
-void RunFig5a() {
-  const bool full = std::getenv("VOTEGRAL_BENCH_FULL") != nullptr;
+void RunFig5a(bool full) {
   const std::vector<size_t> display_sizes = {100, 1000, 10000, 100000, 1000000};
 
   std::vector<SystemPlan> plans;
@@ -97,7 +98,10 @@ void RunFig5a() {
 }  // namespace
 }  // namespace votegral
 
-int main() {
-  votegral::RunFig5a();
+int main(int argc, char** argv) {
+  votegral::figure::Bench bench("fig5a", argc, argv);
+  const bool full = bench.Switch("--full");
+  bench.RejectUnreadFlags();
+  votegral::RunFig5a(full);
   return 0;
 }

@@ -5,19 +5,23 @@
 // Votegral ~14 h, Swiss Post ~27 h, Civitas ~1768 *years* (quadratic,
 // extrapolated — by the paper too). We reproduce the growth laws and the
 // ordering; '*' marks extrapolated points (see fig5a for methodology).
+//
+// --full measures each model at larger sizes before extrapolating; --ballots
+// N (default 4096) sizes the thread sweep over the real pipeline, which
+// writes BENCH_tally_parallel.json.
 #include <malloc.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <optional>
-#include <string_view>
 #include <thread>
 
+#include "bench/figure_bench.h"
 #include "src/baselines/civitas.h"
 #include "src/baselines/swisspost.h"
 #include "src/baselines/voteagain.h"
@@ -26,13 +30,13 @@
 #include "src/common/mapped.h"
 #include "src/common/table.h"
 #include "src/crypto/drbg.h"
-#include "src/crypto/sha256.h"
 #include "src/sim/pipeline.h"
 #include "src/trip/registrar.h"
 #include "src/votegral/ballot.h"
 #include "src/votegral/mixnet.h"
 #include "src/votegral/tally.h"
 #include "src/votegral/verifier.h"
+#include "tests/transcript_digest.h"
 
 namespace votegral {
 namespace {
@@ -42,13 +46,12 @@ namespace {
 // batched-MSM link check against the per-link (seed) path at growing batch
 // sizes, so the amortization that keeps the linear tally *fast* is visible
 // in the figure output.
-void RunMixVerifyMsmAblation() {
+void RunMixVerifyMsmAblation(figure::Bench& bench) {
   ChaChaRng rng(0x4D534D);
   Scalar sk = Scalar::Random(rng);
   RistrettoPoint pk = RistrettoPoint::MulBase(sk);
 
-  TextTable table("Fig. 5b addendum — mix-proof verification: per-link vs batched MSM");
-  table.SetHeader({"Ballots", "Per-link (s)", "Batched MSM (s)", "Speedup"});
+  std::vector<figure::Row> rows;
   for (size_t n : {size_t{16}, size_t{256}, size_t{4096}}) {
     MixBatch input(n);
     for (MixItem& item : input) {
@@ -66,17 +69,15 @@ void RunMixVerifyMsmAblation() {
                                          MixLinkCheck::kBatchedMsm);
     double batched_s = batched_timer.Seconds();
     Require(per_link.ok() && batched.ok(), "fig5b: mix verification must pass");
-
-    char speedup[32];
-    std::snprintf(speedup, sizeof(speedup), "%.1fx", per_link_s / batched_s);
-    table.AddRow({std::to_string(n), FormatSeconds(per_link_s), FormatSeconds(batched_s),
-                  speedup});
+    rows.push_back({{"ballots", uint64_t{n}},
+                    {"per_link_s", per_link_s},
+                    {"batched_msm_s", batched_s},
+                    {"speedup", per_link_s / batched_s}});
   }
-  std::printf("%s\n", table.Format().c_str());
+  bench.Table("mix_verify_msm", std::move(rows));
 }
 
-void RunFig5b() {
-  const bool full = std::getenv("VOTEGRAL_BENCH_FULL") != nullptr;
+void RunFig5b(bool full) {
   const std::vector<size_t> display_sizes = {100,    1000,    10000,
                                              100000, 1000000};
 
@@ -204,8 +205,7 @@ StepCost Measure(F&& step) {
 // with each step's wall and CPU seconds and its peak heap in use, and
 // checks that every thread count produces the byte-identical transcript
 // (the reproducibility contract of the forked-DRBG sharding).
-void RunParallelTallySweep(size_t ballots) {
-
+void RunParallelTallySweep(figure::Bench& bench, size_t ballots) {
   // Build one election through the real TRIP pipeline (serial, seeded):
   // the sweep below re-tallies the same ledger at each thread count.
   ChaChaRng rng(0x5CA1AB1E);
@@ -228,9 +228,10 @@ void RunParallelTallySweep(size_t ballots) {
                                trip.authority_pk(), rng);
     trip.ledger().PostBallot(ballot.Serialize());
   }
-  std::printf("  setup %.1fs; sweeping threads {1, 2, 4, 8} "
-              "(hardware_concurrency=%u)\n",
-              setup_timer.Seconds(), std::thread::hardware_concurrency());
+  std::printf("  setup %.1fs; sweeping threads {1, 2, 4, 8}\n", setup_timer.Seconds());
+  bench.Config("mix_pairs", uint64_t{kMixPairs});
+  bench.Config("authority_members", uint64_t{trip.authority().size()});
+  bench.Config("tagging_members", uint64_t{tagging.size()});
 
   VerifierParams vparams;
   vparams.authority_pk = trip.authority_pk();
@@ -241,79 +242,10 @@ void RunParallelTallySweep(size_t ballots) {
   vparams.authorized_kiosks = trip.authorized_kiosks();
   vparams.authorized_officials = trip.authorized_officials();
 
-  // Full transcript digest: must cover every scheduling-sensitive field —
-  // in particular the forked-DRBG outputs (mix reveal randomness, tagging
-  // proof nonces, decryption-share proofs), not just the tags/points/counts
-  // they produce — or a reproducibility regression could slip past with
-  // "transcripts_identical": true.
-  auto digest = [](const TallyOutput& output) {
-    Sha256 h;
-    auto hash_batch = [&](const MixBatch& batch) {
-      for (const MixItem& item : batch) {
-        for (const ElGamalCiphertext& ct : item.cts) h.Update(ct.Serialize());
-        h.Update(item.wire);
-      }
-    };
-    auto hash_proof = [&](const MixProof& proof) {
-      for (const RpcPairProof& pair : proof.pairs) {
-        hash_batch(pair.mid);
-        hash_batch(pair.out);
-        for (const RpcReveal& reveal : pair.reveals) {
-          uint8_t side_and_index[9];
-          side_and_index[0] = reveal.side;
-          StoreLe64(side_and_index + 1, reveal.source_or_dest);
-          h.Update(side_and_index);
-          for (const Scalar& r : reveal.randomness) h.Update(r.ToBytes());
-        }
-      }
-    };
-    auto hash_steps = [&](const std::vector<TaggingStep>& steps) {
-      for (const TaggingStep& step : steps) {
-        for (const ElGamalCiphertext& ct : step.output) h.Update(ct.Serialize());
-        for (const DleqTranscript& proof : step.proofs) h.Update(proof.Serialize());
-      }
-    };
-    auto hash_shares = [&](const std::vector<std::vector<DecryptionShare>>& shares) {
-      for (const auto& per_ct : shares) {
-        for (const DecryptionShare& share : per_ct) {
-          h.Update(share.share.Encode());
-          h.Update(share.proof.Serialize());
-        }
-      }
-    };
-    const TallyTranscript& t = output.transcript;
-    hash_batch(t.ballot_mix_input);
-    hash_batch(t.ballot_mix_output);
-    hash_proof(t.ballot_mix_proof);
-    hash_batch(t.roster_mix_input);
-    hash_batch(t.roster_mix_output);
-    hash_proof(t.roster_mix_proof);
-    hash_steps(t.ballot_tag_steps);
-    hash_steps(t.roster_tag_steps);
-    hash_shares(t.ballot_tag_shares);
-    hash_shares(t.roster_tag_shares);
-    hash_shares(t.vote_shares);
-    for (const auto& tag : t.ballot_tags) h.Update(tag);
-    for (const auto& tag : t.roster_tags) h.Update(tag);
-    for (const auto& point : t.vote_points) h.Update(point);
-    for (uint64_t v : t.counted_indices) {
-      uint8_t buf[8];
-      StoreLe64(buf, v);
-      h.Update(buf);
-    }
-    uint8_t counted[8];
-    StoreLe64(counted, output.result.counted);
-    h.Update(counted);
-    return h.Finalize();
-  };
-
-  struct SweepRow {
-    size_t threads;
-    StepCost tally;
-    StepCost verify;
-    std::array<uint8_t, 32> transcript_digest;
-  };
-  std::vector<SweepRow> rows;
+  std::vector<figure::Row> rows;
+  std::array<uint8_t, 32> first_digest{};
+  double first_tally_s = 0.0;
+  double first_verify_s = 0.0;
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     Executor executor(threads);
     TallyService service(trip.authority(), tagging, executor);
@@ -329,93 +261,38 @@ void RunParallelTallySweep(size_t ballots) {
       verified = VerifyElection(trip.ledger(), vparams, candidates, *output, executor);
     });
     Require(verified.ok(), "tally sweep: universal verification failed");
-    rows.push_back({threads, tally, verify, digest(*output)});
+    const std::array<uint8_t, 32> digest = DigestTranscriptWithWire(*output);
+    if (rows.empty()) {
+      first_digest = digest;
+      first_tally_s = tally.wall_s;
+      first_verify_s = verify.wall_s;
+    }
+    bench.Check("transcripts_identical", digest == first_digest,
+                "tally sweep: transcripts differ across thread counts");
+    rows.push_back({{"threads", uint64_t{threads}},
+                    {"tally_s", tally.wall_s},
+                    {"verify_s", verify.wall_s},
+                    {"tally_speedup", first_tally_s / tally.wall_s},
+                    {"verify_speedup", first_verify_s / verify.wall_s},
+                    {"tally_cpu_s", tally.cpu_s},
+                    {"verify_cpu_s", verify.cpu_s},
+                    {"tally_peak_heap_mb", tally.heap_mb},
+                    {"verify_peak_heap_mb", verify.heap_mb}});
   }
-
-  bool identical = true;
-  for (const SweepRow& row : rows) {
-    identical = identical && row.transcript_digest == rows[0].transcript_digest;
-  }
-
-  TextTable table("Staged parallel tally — thread sweep at " + std::to_string(ballots) +
-                  " ballots");
-  table.SetHeader({"Threads", "Tally (s)", "Verify (s)", "Tally speedup", "Verify speedup",
-                   "Tally CPU (s)", "Verify CPU (s)", "Tally heap (MB)", "Verify heap (MB)"});
-  for (const SweepRow& row : rows) {
-    char tally_x[32];
-    char verify_x[32];
-    char tally_heap[32];
-    char verify_heap[32];
-    std::snprintf(tally_x, sizeof(tally_x), "%.2fx", rows[0].tally.wall_s / row.tally.wall_s);
-    std::snprintf(verify_x, sizeof(verify_x), "%.2fx",
-                  rows[0].verify.wall_s / row.verify.wall_s);
-    std::snprintf(tally_heap, sizeof(tally_heap), "%.1f", row.tally.heap_mb);
-    std::snprintf(verify_heap, sizeof(verify_heap), "%.1f", row.verify.heap_mb);
-    table.AddRow({std::to_string(row.threads), FormatSeconds(row.tally.wall_s),
-                  FormatSeconds(row.verify.wall_s), tally_x, verify_x,
-                  FormatSeconds(row.tally.cpu_s), FormatSeconds(row.verify.cpu_s), tally_heap,
-                  verify_heap});
-  }
-  std::printf("%s", table.Format().c_str());
-  std::printf("Transcripts byte-identical across thread counts: %s\n\n",
-              identical ? "yes" : "NO");
-
-  // The JSON is written (with the real `identical` verdict) *before* the
-  // hard failure below, so a determinism regression still leaves the
-  // timing/digest evidence behind for diagnosis.
-  FILE* json = std::fopen("BENCH_tally_parallel.json", "w");
-  Require(json != nullptr, "tally sweep: cannot write BENCH_tally_parallel.json");
-  std::fprintf(json,
-               "{\n  \"bench\": \"tally_parallel\",\n  \"ballots\": %zu,\n"
-               "  \"mix_pairs\": %zu,\n  \"authority_members\": %zu,\n"
-               "  \"tagging_members\": %zu,\n  \"hardware_concurrency\": %u,\n"
-               "  \"transcripts_identical\": %s,\n  \"sweep\": [\n",
-               ballots, kMixPairs, trip.authority().size(), tagging.size(),
-               std::thread::hardware_concurrency(), identical ? "true" : "false");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& row = rows[i];
-    std::fprintf(json,
-                 "    {\"threads\": %zu, \"tally_s\": %.6f, \"verify_s\": %.6f, "
-                 "\"tally_speedup\": %.3f, \"verify_speedup\": %.3f, "
-                 "\"tally_cpu_s\": %.6f, \"verify_cpu_s\": %.6f, "
-                 "\"tally_peak_heap_mb\": %.2f, \"verify_peak_heap_mb\": %.2f}%s\n",
-                 row.threads, row.tally.wall_s, row.verify.wall_s,
-                 rows[0].tally.wall_s / row.tally.wall_s,
-                 rows[0].verify.wall_s / row.verify.wall_s, row.tally.cpu_s, row.verify.cpu_s,
-                 row.tally.heap_mb, row.verify.heap_mb, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("Wrote BENCH_tally_parallel.json\n");
-  Require(identical, "tally sweep: transcripts differ across thread counts");
+  bench.Table("sweep", std::move(rows));
 }
 
 }  // namespace
 }  // namespace votegral
 
 int main(int argc, char** argv) {
-  // Sweep size precedence: --ballots N > VOTEGRAL_BENCH_BALLOTS >
-  // VOTEGRAL_TALLY_SWEEP_N (legacy) > 4096. CI pins the size explicitly so
-  // artifact runs are comparable across machines.
-  size_t ballots = 4096;
-  for (const char* env : {"VOTEGRAL_TALLY_SWEEP_N", "VOTEGRAL_BENCH_BALLOTS"}) {
-    if (const char* value = std::getenv(env)) {
-      long parsed = std::atol(value);
-      if (parsed > 0) {
-        ballots = static_cast<size_t>(parsed);
-      }
-    }
-  }
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--ballots" && i + 1 < argc) {
-      long parsed = std::atol(argv[++i]);
-      if (parsed > 0) {
-        ballots = static_cast<size_t>(parsed);
-      }
-    }
-  }
-  votegral::RunFig5b();
-  votegral::RunMixVerifyMsmAblation();
-  votegral::RunParallelTallySweep(ballots);
+  votegral::figure::Bench bench("tally_parallel", argc, argv);
+  const size_t ballots = bench.Count("--ballots", 4096);
+  const bool full = bench.Switch("--full");
+  bench.RejectUnreadFlags();
+  votegral::RunFig5b(full);
+  votegral::RunMixVerifyMsmAblation(bench);
+  votegral::RunParallelTallySweep(bench, ballots);
+  bench.Finish();
   return 0;
 }

@@ -9,19 +9,18 @@
 //  * BatchVerifyDleq with complete caches (SHA-only challenges + the
 //    decode-free BatchValidateEncodings commit-cache pass) vs fully stripped
 //    entries (the pre-wire verifier), at n = 1024 by default.
-// Ristretto Encode/Decode invocation deltas are reported next to wall-clock
-// numbers: the cached verify path must show ZERO encodes.
+// Ristretto Encode/Decode invocation deltas, taken from one pass, are
+// reported next to wall-clock numbers: the cached verify path must show ZERO
+// encodes. Each row is timed over 15 runs after one warm-up (median and
+// quartiles): single passes of one unchanged binary spread by more than the
+// differences this bench exists to show.
 //
-// Emits BENCH_dleq_fs.json for the CI artifact (docs/BENCHMARKS.md).
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+// --n N (default 1024) sets the batch size. Emits BENCH_dleq_fs.json.
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "src/common/clock.h"
-#include "src/common/table.h"
+#include "bench/figure_bench.h"
 #include "src/crypto/batch.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/elgamal.h"
@@ -64,36 +63,41 @@ DleqStatement Stripped(const DleqStatement& statement) {
   return bare;
 }
 
-struct Row {
-  std::string name;
-  size_t n = 0;
-  double seconds = 0;
-  uint64_t encodes = 0;
-  uint64_t decodes = 0;
-};
+constexpr size_t kRepetitions = 15;
 
-Row Measure(const std::string& name, size_t n, const std::function<void()>& body) {
-  Row row;
-  row.name = name;
-  row.n = n;
-  uint64_t enc0 = RistrettoEncodeInvocations();
-  uint64_t dec0 = RistrettoDecodeInvocations();
-  WallTimer timer;
-  body();
-  row.seconds = timer.Seconds();
-  row.encodes = RistrettoEncodeInvocations() - enc0;
-  row.decodes = RistrettoDecodeInvocations() - dec0;
-  return row;
-}
+void Main(int argc, char** argv) {
+  figure::Bench bench("dleq_fs", argc, argv);
+  const size_t n = bench.Count("--n", 1024);
+  bench.RejectUnreadFlags();
+  bench.Config("proof_shape", std::string("tagging-3-element"));
+  bench.Config("repetitions", uint64_t{kRepetitions});
 
-void RunSweep() {
-  size_t n = 1024;
-  if (const char* env = std::getenv("VOTEGRAL_DLEQ_BENCH_N")) {
-    long parsed = std::atol(env);
-    if (parsed > 0) {
-      n = static_cast<size_t>(parsed);
-    }
-  }
+  std::vector<figure::Row> rows;
+  // Encode and decode counts from the warm-up pass, then the timed runs.
+  auto measure = [&](const std::string& path, const std::function<void()>& body) {
+    const uint64_t enc0 = RistrettoEncodeInvocations();
+    const uint64_t dec0 = RistrettoDecodeInvocations();
+    bool counted = false;
+    uint64_t encodes = 0;
+    uint64_t decodes = 0;
+    const figure::Spread time = figure::TimeRepeated(kRepetitions, [&] {
+      body();
+      if (!counted) {
+        encodes = RistrettoEncodeInvocations() - enc0;
+        decodes = RistrettoDecodeInvocations() - dec0;
+        counted = true;
+      }
+    });
+    rows.push_back({{"path", path},
+                    {"n", uint64_t{n}},
+                    {"median_ms", time.median * 1e3},
+                    {"q1_ms", time.q1 * 1e3},
+                    {"q3_ms", time.q3 * 1e3},
+                    {"per_proof_us", time.median / static_cast<double>(n) * 1e6},
+                    {"encodes", encodes},
+                    {"decodes", decodes}});
+    return encodes;
+  };
 
   ChaChaRng rng(0xD1E9);
   Scalar z = Scalar::Random(rng);
@@ -107,41 +111,39 @@ void RunSweep() {
     instances.push_back(MakeInstance(pk, z, commitment_wire, commitment, rng));
   }
 
-  std::vector<Row> rows;
-
   // Prover: wire-backed statements vs the encode-per-point framing.
   std::vector<DleqTranscript> proofs(n);
-  rows.push_back(Measure("prove (wire statements)", n, [&] {
+  measure("prove (wire statements)", [&] {
     ChaChaRng prove_rng(1);
     for (size_t i = 0; i < n; ++i) {
       proofs[i] = ProveDleqFs(kDomain, instances[i].statement, instances[i].witness,
                               prove_rng);
     }
-  }));
-  rows.push_back(Measure("prove (legacy framing)", n, [&] {
+  });
+  measure("prove (legacy framing)", [&] {
     ChaChaRng prove_rng(1);
     for (size_t i = 0; i < n; ++i) {
       DleqTranscript t = ProveDleqFs(kDomain, Stripped(instances[i].statement),
                                      instances[i].witness, prove_rng);
       Require(t.challenge == proofs[i].challenge, "dleq bench: framings diverged");
     }
-  }));
+  });
 
   // Challenge derivation alone (the per-proof verifier hash).
-  rows.push_back(Measure("challenge (wire)", n, [&] {
+  measure("challenge (wire)", [&] {
     for (size_t i = 0; i < n; ++i) {
       Scalar c = DeriveFsChallenge(kDomain, instances[i].statement, proofs[i].commits,
                                    proofs[i].commit_wire, {});
       Require(c == proofs[i].challenge, "dleq bench: wire challenge mismatch");
     }
-  }));
-  rows.push_back(Measure("challenge (legacy)", n, [&] {
+  });
+  measure("challenge (legacy)", [&] {
     for (size_t i = 0; i < n; ++i) {
       Scalar c = DeriveFsChallenge(kDomain, Stripped(instances[i].statement),
                                    proofs[i].commits, {});
       Require(c == proofs[i].challenge, "dleq bench: legacy challenge mismatch");
     }
-  }));
+  });
 
   // Batched verification: the universal verifier's hot shape.
   std::vector<DleqBatchEntry> cached(n);
@@ -155,59 +157,24 @@ void RunSweep() {
     stripped[i].transcript = proofs[i];
     stripped[i].transcript.commit_wire.clear();
   }
-  Row verify_wire = Measure("batch verify (wire)", n, [&] {
+  const uint64_t wire_encodes = measure("batch verify (wire)", [&] {
     ChaChaRng weights(2);
     Require(BatchVerifyDleq(cached, weights).ok(), "dleq bench: wire batch rejected");
   });
-  Row verify_legacy = Measure("batch verify (legacy)", n, [&] {
+  measure("batch verify (legacy)", [&] {
     ChaChaRng weights(2);
     Require(BatchVerifyDleq(stripped, weights).ok(), "dleq bench: legacy batch rejected");
   });
-  Require(verify_wire.encodes == 0,
-          "dleq bench: wire-path verification must perform zero encodes");
-  rows.push_back(verify_wire);
-  rows.push_back(verify_legacy);
-
-  TextTable table("Wire-byte DLEQ Fiat–Shamir — 3-element tagging-shaped proofs");
-  table.SetHeader({"Path", "n", "Total", "Per proof (us)", "Encodes", "Decodes"});
-  for (const Row& row : rows) {
-    char per_proof[32];
-    std::snprintf(per_proof, sizeof(per_proof), "%.1f", row.seconds / row.n * 1e6);
-    table.AddRow({row.name, std::to_string(row.n), FormatSeconds(row.seconds), per_proof,
-                  std::to_string(row.encodes), std::to_string(row.decodes)});
-  }
-  std::printf("%s\n", table.Format().c_str());
-  std::printf("batch verify speedup (legacy/wire): %.2fx; wire path encodes: %llu "
-              "(criterion: 0), decodes: %llu (criterion: 0 — commit caches are "
-              "checked by BatchValidateEncodings, no roots)\n\n",
-              verify_legacy.seconds / verify_wire.seconds,
-              static_cast<unsigned long long>(verify_wire.encodes),
-              static_cast<unsigned long long>(verify_wire.decodes));
-
-  FILE* json = std::fopen("BENCH_dleq_fs.json", "w");
-  Require(json != nullptr, "dleq bench: cannot write BENCH_dleq_fs.json");
-  std::fprintf(json, "{\n  \"bench\": \"dleq_fs_wire\",\n  \"proof_shape\": "
-                     "\"tagging-3-element\",\n  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    std::fprintf(json,
-                 "    {\"path\": \"%s\", \"n\": %zu, \"seconds\": %.6f, "
-                 "\"encodes\": %llu, \"decodes\": %llu}%s\n",
-                 row.name.c_str(), row.n, row.seconds,
-                 static_cast<unsigned long long>(row.encodes),
-                 static_cast<unsigned long long>(row.decodes),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n  \"batch_verify_speedup\": %.3f\n}\n",
-               verify_legacy.seconds / verify_wire.seconds);
-  std::fclose(json);
-  std::printf("Wrote BENCH_dleq_fs.json\n");
+  bench.Table("paths", std::move(rows));
+  bench.Check("wire_verify_zero_encodes", wire_encodes == 0,
+              "dleq bench: wire-path verification must perform zero encodes");
+  bench.Finish();
 }
 
 }  // namespace
 }  // namespace votegral
 
-int main() {
-  votegral::RunSweep();
+int main(int argc, char** argv) {
+  votegral::Main(argc, argv);
   return 0;
 }

@@ -1,8 +1,9 @@
 // Ledger storage-backend streaming bench: the scaling evidence for the
 // segmented-log redesign (ROADMAP "Streaming ledger ingestion").
 //
-// Sweeps ballot-sized entry counts {4096, 16384, 65536} over both backends
-// (in-memory deque vs file-backed segmented log) and measures, per backend:
+// Sweeps ballot-sized entry counts (--entries, default 4096,16384,65536) over
+// both backends (in-memory deque vs file-backed segmented log) and measures,
+// per backend:
 //   * append throughput (hash chain + Merkle frontier + write-through),
 //   * a full sequential cursor scan (the tally validate stage's access
 //     pattern: zero-copy views, one pinned segment at a time),
@@ -14,22 +15,19 @@
 //
 // Emits BENCH_ledger.json for the CI artifact next to the fig5b sweep.
 //
-// --threads N (or VOTEGRAL_THREADS) sizes a local Executor for the
-// thread-safe read paths: the sequential scan becomes per-shard cursors
-// (each pinning its own segment) and inclusion-proof *verification* fans
-// out. Proof generation stays serial — the commitment tree's hash-invocation
-// counter is deliberately unsynchronized.
+// --threads N (default: the global pool's size, which VOTEGRAL_THREADS
+// sets) sizes a local Executor for the thread-safe read paths: the
+// sequential scan becomes per-shard cursors (each pinning its own segment)
+// and inclusion-proof *verification* fans out. Proof generation stays
+// serial — the commitment tree's hash-invocation counter is deliberately
+// unsynchronized.
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "src/common/clock.h"
+#include "bench/figure_bench.h"
 #include "src/common/executor.h"
-#include "src/common/table.h"
 #include "src/crypto/drbg.h"
 #include "src/ledger/ledger.h"
 
@@ -41,25 +39,10 @@ namespace fs = std::filesystem;
 // Realistic ballot payload size: a serialized Ballot (two ciphertexts, two
 // signatures, kiosk certificate) is ~330 bytes.
 constexpr size_t kPayloadBytes = 330;
+constexpr size_t kSegmentEntries = 1024;
 
-struct BenchRow {
-  std::string backend;
-  size_t entries = 0;
-  double append_s = 0;
-  double scan_s = 0;
-  double root_us = 0;
-  double prove_us = 0;
-  double verify_chain_s = 0;
-  uint64_t peak_pinned_bytes = 0;
-  uint64_t segment_bytes = 0;
-};
-
-BenchRow RunOne(const LedgerStorageConfig& config, const std::string& backend,
-                size_t entries, Executor& executor) {
-  BenchRow row;
-  row.backend = backend;
-  row.entries = entries;
-
+figure::Row RunOne(const LedgerStorageConfig& config, const std::string& backend,
+                   size_t entries, Executor& executor) {
   Ledger ledger(config);
   ChaChaRng rng(0x1ED6E5);
 
@@ -67,7 +50,7 @@ BenchRow RunOne(const LedgerStorageConfig& config, const std::string& backend,
   for (size_t i = 0; i < entries; ++i) {
     ledger.Append("ballot", rng.RandomBytes(kPayloadBytes));
   }
-  row.append_s = append_timer.Seconds();
+  const double append_s = append_timer.Seconds();
 
   // Scan: sum payload bytes through zero-copy views — one cursor per shard,
   // each pinning at most one segment (shard boundaries are thread-count
@@ -84,7 +67,7 @@ BenchRow RunOne(const LedgerStorageConfig& config, const std::string& backend,
     }
     scanned.fetch_add(local, std::memory_order_relaxed);
   });
-  row.scan_s = scan_timer.Seconds();
+  const double scan_s = scan_timer.Seconds();
   Require(scanned.load() == entries * kPayloadBytes, "ledger bench: scan lost bytes");
 
   // Commitment queries, averaged over a few calls.
@@ -94,7 +77,7 @@ BenchRow RunOne(const LedgerStorageConfig& config, const std::string& backend,
   for (int i = 0; i < kReps; ++i) {
     root = ledger.MerkleRoot();
   }
-  row.root_us = root_timer.Seconds() / kReps * 1e6;
+  const double root_us = root_timer.Seconds() / kReps * 1e6;
 
   // Proof generation is serial (the tree's hash-invocation counter is not
   // synchronized); verification is pure and fans out.
@@ -111,122 +94,62 @@ BenchRow RunOne(const LedgerStorageConfig& config, const std::string& backend,
         Ledger::VerifyInclusion(root, ledger.LeafHash(proofs[i].index), proofs[i]).ok(),
         "ledger bench: proof did not verify");
   });
-  row.prove_us = prove_timer.Seconds() / kReps * 1e6;
+  const double prove_us = prove_timer.Seconds() / kReps * 1e6;
 
   WallTimer verify_timer;
   Require(ledger.VerifyChain().ok(), "ledger bench: chain verify failed");
-  row.verify_chain_s = verify_timer.Seconds();
+  const double verify_chain_s = verify_timer.Seconds();
 
+  uint64_t peak_pinned_bytes = 0;
+  uint64_t segment_bytes = 0;
   if (const auto* file = dynamic_cast<const FileLedgerStore*>(&ledger.store())) {
-    row.peak_pinned_bytes = file->PeakPinnedBytes();
-    row.segment_bytes = fs::file_size(file->SegmentPath(0));
-    Require(row.peak_pinned_bytes <= 4 * row.segment_bytes,
+    peak_pinned_bytes = file->PeakPinnedBytes();
+    segment_bytes = fs::file_size(file->SegmentPath(0));
+    Require(peak_pinned_bytes <= 4 * segment_bytes,
             "ledger bench: resident memory exceeded O(segment size)");
   }
-  return row;
+  return {{"backend", backend},
+          {"entries", uint64_t{entries}},
+          {"append_s", append_s},
+          {"scan_s", scan_s},
+          {"merkle_root_us", root_us},
+          {"prove_inclusion_us", prove_us},
+          {"verify_chain_s", verify_chain_s},
+          {"peak_pinned_bytes", peak_pinned_bytes},
+          {"segment_bytes", segment_bytes}};
 }
 
-void RunSweep(size_t threads) {
-  std::vector<size_t> sizes = {4096, 16384, 65536};
-  if (const char* env = std::getenv("VOTEGRAL_LEDGER_BENCH_N")) {
-    long parsed = std::atol(env);
-    if (parsed > 0) {
-      sizes = {static_cast<size_t>(parsed)};
-    }
-  }
+void Main(int argc, char** argv) {
+  figure::Bench bench("ledger", argc, argv);
+  const size_t threads = bench.Count("--threads", Executor::Global().threads());
+  const std::vector<size_t> sizes = bench.Counts("--entries", {4096, 16384, 65536});
+  bench.RejectUnreadFlags();
+  bench.Config("payload_bytes", uint64_t{kPayloadBytes});
+  bench.Config("segment_entries", uint64_t{kSegmentEntries});
 
   Executor executor(threads);
   Executor::Scope scope(executor);
-  std::printf("ledger stream bench: %zu thread%s\n", executor.threads(),
-              executor.threads() == 1 ? "" : "s");
-
-  const std::string dir =
-      (fs::temp_directory_path() / "votegral_ledger_bench").string();
-  std::vector<BenchRow> rows;
+  const std::string dir = (bench.Scratch() / "ledger").string();
+  std::vector<figure::Row> rows;
   for (size_t n : sizes) {
     LedgerStorageConfig memory;
     rows.push_back(RunOne(memory, "memory", n, executor));
 
-    fs::remove_all(dir);
     LedgerStorageConfig file;
     file.backend = LedgerStorageConfig::Backend::kFile;
     file.directory = dir;
-    file.segment_entries = 1024;
+    file.segment_entries = kSegmentEntries;
     rows.push_back(RunOne(file, "file", n, executor));
-    fs::remove_all(dir);
+    std::filesystem::remove_all(dir);
   }
-
-  TextTable table("Ledger storage backends — append/stream/commitment sweep");
-  table.SetHeader({"Backend", "Entries", "Append (s)", "Scan (s)", "Root (us)",
-                   "Prove (us)", "VerifyChain (s)", "Peak pinned"});
-  for (const BenchRow& row : rows) {
-    char root_us[32], prove_us[32];
-    std::snprintf(root_us, sizeof(root_us), "%.1f", row.root_us);
-    std::snprintf(prove_us, sizeof(prove_us), "%.1f", row.prove_us);
-    table.AddRow({row.backend, std::to_string(row.entries), FormatSeconds(row.append_s),
-                  FormatSeconds(row.scan_s), root_us, prove_us,
-                  FormatSeconds(row.verify_chain_s),
-                  row.backend == "file"
-                      ? std::to_string(row.peak_pinned_bytes / 1024) + " KiB"
-                      : "(all resident)"});
-  }
-  std::printf("%s\n", table.Format().c_str());
-  std::printf("File backend resident bound: peak pinned stays at one ~%zu-entry "
-              "segment while the log grows %zux — O(segment), not O(ledger).\n\n",
-              size_t{1024}, sizes.back() / sizes.front());
-
-  FILE* json = std::fopen("BENCH_ledger.json", "w");
-  Require(json != nullptr, "ledger bench: cannot write BENCH_ledger.json");
-  std::fprintf(json, "{\n  \"bench\": \"ledger_stream\",\n  \"payload_bytes\": %zu,\n"
-                     "  \"segment_entries\": 1024,\n  \"threads\": %zu,\n  \"sweep\": [\n",
-               kPayloadBytes, executor.threads());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const BenchRow& row = rows[i];
-    std::fprintf(
-        json,
-        "    {\"backend\": \"%s\", \"entries\": %zu, \"append_s\": %.6f, "
-        "\"scan_s\": %.6f, \"merkle_root_us\": %.3f, \"prove_inclusion_us\": %.3f, "
-        "\"verify_chain_s\": %.6f, \"peak_pinned_bytes\": %llu, "
-        "\"segment_bytes\": %llu}%s\n",
-        row.backend.c_str(), row.entries, row.append_s, row.scan_s, row.root_us,
-        row.prove_us, row.verify_chain_s,
-        static_cast<unsigned long long>(row.peak_pinned_bytes),
-        static_cast<unsigned long long>(row.segment_bytes),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("Wrote BENCH_ledger.json\n");
-}
-
-// Thread count: --threads N beats VOTEGRAL_THREADS beats
-// hardware_concurrency (Executor's `0` default).
-size_t ParseThreads(int argc, char** argv) {
-  size_t threads = 0;
-  if (const char* env = std::getenv("VOTEGRAL_THREADS")) {
-    long parsed = std::atol(env);
-    if (parsed > 0) {
-      threads = static_cast<size_t>(parsed);
-    }
-  }
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg == "--threads" && i + 1 < argc) {
-      long parsed = std::atol(argv[++i]);
-      Require(parsed > 0, "fig_ledger_stream: --threads needs a positive count");
-      threads = static_cast<size_t>(parsed);
-    } else {
-      std::fprintf(stderr, "usage: fig_ledger_stream [--threads N]\n");
-      std::exit(2);
-    }
-  }
-  return threads;
+  bench.Table("sweep", std::move(rows));
+  bench.Finish();
 }
 
 }  // namespace
 }  // namespace votegral
 
 int main(int argc, char** argv) {
-  votegral::RunSweep(votegral::ParseThreads(argc, argv));
+  votegral::Main(argc, argv);
   return 0;
 }

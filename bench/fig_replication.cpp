@@ -19,20 +19,17 @@
 //     show delta sync costs O(delta) rather than O(log).
 //
 // The sync protocol is a serial request-response loop (one outstanding
-// request per follower), so this bench runs on one thread by construction;
-// "threads": 1 is recorded for artifact uniformity with the other benches.
+// request per follower), so this bench runs on one thread by construction.
 //
-// Emits BENCH_replication.json. CI runs a scaled-down sweep via
-// VOTEGRAL_REPLICATION_BENCH_SEG=<entries> (single segment size).
+// --segment E1,E2 (default 128,512,2048) sets the segment sizes. Emits
+// BENCH_replication.json.
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "src/common/clock.h"
-#include "src/common/table.h"
+#include "bench/figure_bench.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/schnorr.h"
 #include "src/net/loopback.h"
@@ -48,25 +45,6 @@ namespace fs = std::filesystem;
 constexpr size_t kPayloadBytes = 330;
 // The acceptance drill's log shape: sixteen sealed segments.
 constexpr uint64_t kSegmentsPerLog = 16;
-
-struct BenchRow {
-  uint64_t segment_entries = 0;
-  uint64_t entries = 0;
-  double sync_s = 0;              // wall clock of the cold SyncOnce
-  double entries_per_s = 0;
-  double frames_per_s = 0;
-  double simulated_lag_s = 0;     // loopback VirtualClock model output
-  uint64_t wire_bytes = 0;        // frame bytes delivered by the transport
-  double recv_share = 0;          // fractions of recv+verify+apply time
-  double verify_share = 0;
-  double apply_share = 0;
-  uint64_t leader_pinned = 0;     // peak pinned segment bytes while serving
-  uint64_t follower_pinned = 0;   // peak pinned segment bytes while applying
-  uint64_t segment_bytes = 0;
-  double delta_sync_s = 0;        // incremental half-segment round
-  uint64_t delta_entries = 0;
-  uint64_t delta_wire_bytes = 0;
-};
 
 LedgerStorageConfig FileConfig(const std::string& dir, uint64_t segment_entries) {
   LedgerStorageConfig config;
@@ -98,19 +76,14 @@ void WithServedChannel(const ReplicationLeader& leader, LoopbackNetwork& net, Fn
   serve.join();
 }
 
-BenchRow RunOne(uint64_t segment_entries, const std::string& scratch) {
-  BenchRow row;
-  row.segment_entries = segment_entries;
-  row.entries = kSegmentsPerLog * segment_entries;
-
-  const std::string leader_dir = scratch + "/leader";
-  const std::string follower_dir = scratch + "/follower";
-  fs::remove_all(leader_dir);
-  fs::remove_all(follower_dir);
+figure::Row RunOne(uint64_t segment_entries, const std::filesystem::path& scratch) {
+  const uint64_t entries = kSegmentsPerLog * segment_entries;
+  const std::string leader_dir = (scratch / "leader").string();
+  const std::string follower_dir = (scratch / "follower").string();
 
   Ledger board(FileConfig(leader_dir, segment_entries));
   ChaChaRng rng(0xB0A2D + segment_entries);
-  for (uint64_t i = 0; i < row.entries; ++i) {
+  for (uint64_t i = 0; i < entries; ++i) {
     board.Append("ballot", rng.RandomBytes(kPayloadBytes));
   }
 
@@ -124,141 +97,91 @@ BenchRow RunOne(uint64_t segment_entries, const std::string& scratch) {
 
   // Cold catch-up: the whole 16-segment log in one sync round.
   FollowerSyncStats stats;
+  double sync_s = 0.0;
   WithServedChannel(leader, net, [&](Channel& ch) {
     WallTimer timer;
     auto outcome = follower->SyncOnce(ch);
-    row.sync_s = timer.Seconds();
+    sync_s = timer.Seconds();
     if (!outcome.ok()) {
       std::fprintf(stderr, "sync failed: %s\n", outcome.status.ToString().c_str());
       Require(false, "replication bench: sync failed");
     }
     stats = *outcome;
   });
-  Require(stats.entries_applied == row.entries, "replication bench: short sync");
+  Require(stats.entries_applied == entries, "replication bench: short sync");
   Require(follower->ledger().MerkleRoot() == board.MerkleRoot(),
           "replication bench: roots diverged");
-
-  row.entries_per_s = static_cast<double>(stats.entries_applied) / row.sync_s;
-  row.frames_per_s = static_cast<double>(stats.frame_messages) / row.sync_s;
-  row.simulated_lag_s = net.SimulatedSeconds();
-  row.wire_bytes = net.BytesDelivered();
+  const double simulated_lag_s = net.SimulatedSeconds();
+  const uint64_t wire_bytes = net.BytesDelivered();
   const double accounted =
       stats.recv_seconds + stats.verify_seconds + stats.apply_seconds;
-  if (accounted > 0) {
-    row.recv_share = stats.recv_seconds / accounted;
-    row.verify_share = stats.verify_seconds / accounted;
-    row.apply_share = stats.apply_seconds / accounted;
-  }
+  auto share = [&](double seconds) { return accounted > 0 ? seconds / accounted : 0.0; };
 
   // The O(segment) residency bound, on both ends, after a 16x-segment sync.
-  row.leader_pinned = FileStore(board).PeakPinnedBytes();
-  row.follower_pinned = FileStore(follower->ledger()).PeakPinnedBytes();
-  row.segment_bytes = fs::file_size(FileStore(board).SegmentPath(0));
-  Require(row.leader_pinned <= 4 * row.segment_bytes,
+  const uint64_t leader_pinned = FileStore(board).PeakPinnedBytes();
+  const uint64_t follower_pinned = FileStore(follower->ledger()).PeakPinnedBytes();
+  const uint64_t segment_bytes = fs::file_size(FileStore(board).SegmentPath(0));
+  Require(leader_pinned <= 4 * segment_bytes,
           "replication bench: leader resident memory exceeded O(segment size)");
-  Require(row.follower_pinned <= 4 * row.segment_bytes,
+  Require(follower_pinned <= 4 * segment_bytes,
           "replication bench: follower resident memory exceeded O(segment size)");
 
   // Incremental round: half a segment of fresh appends, then resync.
-  row.delta_entries = segment_entries / 2;
-  for (uint64_t i = 0; i < row.delta_entries; ++i) {
+  const uint64_t delta_entries = segment_entries / 2;
+  for (uint64_t i = 0; i < delta_entries; ++i) {
     board.Append("ballot", rng.RandomBytes(kPayloadBytes));
   }
-  const uint64_t wire_before = net.BytesDelivered();
+  double delta_sync_s = 0.0;
   WithServedChannel(leader, net, [&](Channel& ch) {
     WallTimer timer;
     auto outcome = follower->SyncOnce(ch);
-    row.delta_sync_s = timer.Seconds();
+    delta_sync_s = timer.Seconds();
     Require(outcome.ok(), "replication bench: delta sync failed");
-    Require(outcome->entries_applied == row.delta_entries &&
-                outcome->first_requested_index == row.entries,
+    Require(outcome->entries_applied == delta_entries &&
+                outcome->first_requested_index == entries,
             "replication bench: delta sync re-downloaded sealed history");
   });
-  row.delta_wire_bytes = net.BytesDelivered() - wire_before;
+  const uint64_t delta_wire_bytes = net.BytesDelivered() - wire_bytes;
 
   fs::remove_all(leader_dir);
   fs::remove_all(follower_dir);
-  return row;
+  return {{"segment_entries", segment_entries},
+          {"entries", entries},
+          {"sync_s", sync_s},
+          {"entries_per_s", static_cast<double>(stats.entries_applied) / sync_s},
+          {"frames_per_s", static_cast<double>(stats.frame_messages) / sync_s},
+          {"simulated_lag_s", simulated_lag_s},
+          {"wire_bytes", wire_bytes},
+          {"recv_share", share(stats.recv_seconds)},
+          {"verify_share", share(stats.verify_seconds)},
+          {"apply_share", share(stats.apply_seconds)},
+          {"leader_peak_pinned_bytes", leader_pinned},
+          {"follower_peak_pinned_bytes", follower_pinned},
+          {"segment_bytes", segment_bytes},
+          {"delta_entries", delta_entries},
+          {"delta_sync_s", delta_sync_s},
+          {"delta_wire_bytes", delta_wire_bytes}};
 }
 
-void RunSweep() {
-  std::vector<uint64_t> segment_sizes = {128, 512, 2048};
-  if (const char* env = std::getenv("VOTEGRAL_REPLICATION_BENCH_SEG")) {
-    long parsed = std::atol(env);
-    if (parsed > 0) {
-      segment_sizes = {static_cast<uint64_t>(parsed)};
-    }
-  }
+void Main(int argc, char** argv) {
+  figure::Bench bench("replication", argc, argv);
+  const std::vector<uint64_t> segment_sizes = bench.Counts("--segment", {128, 512, 2048});
+  bench.RejectUnreadFlags();
+  bench.Config("payload_bytes", uint64_t{kPayloadBytes});
+  bench.Config("segments_per_log", kSegmentsPerLog);
 
-  const std::string scratch =
-      (fs::temp_directory_path() / "votegral_replication_bench").string();
-  fs::remove_all(scratch);
-  fs::create_directories(scratch);
-
-  std::vector<BenchRow> rows;
+  std::vector<figure::Row> rows;
   for (uint64_t segment : segment_sizes) {
-    rows.push_back(RunOne(segment, scratch));
+    rows.push_back(RunOne(segment, bench.Scratch()));
   }
-  fs::remove_all(scratch);
-
-  TextTable table("Board replication — follower catch-up over loopback (16-segment log)");
-  table.SetHeader({"Seg entries", "Entries", "Sync", "Entries/s", "Frames/s",
-                   "Sim lag", "Verify share", "Leader pin", "Follower pin"});
-  for (const BenchRow& row : rows) {
-    char entries_s[32], frames_s[32], share[32];
-    std::snprintf(entries_s, sizeof(entries_s), "%.0f", row.entries_per_s);
-    std::snprintf(frames_s, sizeof(frames_s), "%.0f", row.frames_per_s);
-    std::snprintf(share, sizeof(share), "%.0f%%", row.verify_share * 100);
-    table.AddRow({std::to_string(row.segment_entries), std::to_string(row.entries),
-                  FormatSeconds(row.sync_s), entries_s, frames_s,
-                  FormatSeconds(row.simulated_lag_s), share,
-                  std::to_string(row.leader_pinned / 1024) + " KiB",
-                  std::to_string(row.follower_pinned / 1024) + " KiB"});
-  }
-  std::printf("%s\n", table.Format().c_str());
-  std::printf("Peak pinned bytes track the segment size on both ends while the log "
-              "is %llux the segment — O(segment), not O(ledger). Incremental rounds "
-              "start at the durable size (no sealed-segment re-download).\n\n",
-              static_cast<unsigned long long>(kSegmentsPerLog));
-
-  FILE* json = std::fopen("BENCH_replication.json", "w");
-  Require(json != nullptr, "replication bench: cannot write BENCH_replication.json");
-  std::fprintf(json,
-               "{\n  \"bench\": \"replication\",\n  \"payload_bytes\": %zu,\n"
-               "  \"segments_per_log\": %llu,\n  \"threads\": 1,\n  \"sweep\": [\n",
-               kPayloadBytes, static_cast<unsigned long long>(kSegmentsPerLog));
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const BenchRow& row = rows[i];
-    std::fprintf(
-        json,
-        "    {\"segment_entries\": %llu, \"entries\": %llu, \"sync_s\": %.6f, "
-        "\"entries_per_s\": %.1f, \"frames_per_s\": %.1f, "
-        "\"simulated_lag_s\": %.6f, \"wire_bytes\": %llu, "
-        "\"recv_share\": %.4f, \"verify_share\": %.4f, \"apply_share\": %.4f, "
-        "\"leader_peak_pinned_bytes\": %llu, \"follower_peak_pinned_bytes\": %llu, "
-        "\"segment_bytes\": %llu, \"delta_entries\": %llu, "
-        "\"delta_sync_s\": %.6f, \"delta_wire_bytes\": %llu}%s\n",
-        static_cast<unsigned long long>(row.segment_entries),
-        static_cast<unsigned long long>(row.entries), row.sync_s, row.entries_per_s,
-        row.frames_per_s, row.simulated_lag_s,
-        static_cast<unsigned long long>(row.wire_bytes), row.recv_share,
-        row.verify_share, row.apply_share,
-        static_cast<unsigned long long>(row.leader_pinned),
-        static_cast<unsigned long long>(row.follower_pinned),
-        static_cast<unsigned long long>(row.segment_bytes),
-        static_cast<unsigned long long>(row.delta_entries), row.delta_sync_s,
-        static_cast<unsigned long long>(row.delta_wire_bytes),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("Wrote BENCH_replication.json\n");
+  bench.Table("sweep", std::move(rows));
+  bench.Finish();
 }
 
 }  // namespace
 }  // namespace votegral
 
-int main() {
-  votegral::RunSweep();
+int main(int argc, char** argv) {
+  votegral::Main(argc, argv);
   return 0;
 }

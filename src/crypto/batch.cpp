@@ -1,6 +1,8 @@
 #include "src/crypto/batch.h"
 
 #include <array>
+#include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -43,13 +45,11 @@ Status BatchVerifySchnorr(std::span<const SchnorrBatchEntry> entries, Rng& rng) 
   // into one flat multi-scalar multiplication; the shared-doubling/bucket
   // engine amortizes the group work to a few additions per signature.
   //
-  // Entry preparation splits into two pooled passes: every R and every
-  // distinct public key go through one batched ristretto decode — the
-  // per-point inverse-square-root cost, fanned out with fixed positions —
-  // and a second pass hashes challenges and writes the weighted terms, with
-  // each shard accumulating a partial of the fixed-base coefficient merged
-  // in shard order. Weights are drawn from `rng` up front, sequentially, so
-  // the weight stream is independent of scheduling.
+  // Everything before the MSM is one pass on the calling thread: each board
+  // batch is one shard of a check that already runs inside a graph node or
+  // a parallel loop, so fanning its decodes out again only woke idle
+  // workers for microseconds of work. Weights are drawn from `rng` up front,
+  // sequentially.
   const size_t n = entries.size();
   std::vector<Scalar> weights(n);
   for (Scalar& w : weights) {
@@ -58,60 +58,36 @@ Status BatchVerifySchnorr(std::span<const SchnorrBatchEntry> entries, Rng& rng) 
 
   // One MSM term per decoded point. A batch over a few signers (the kiosks
   // and officials of a board shard) repeats its keys, so a key is decoded,
-  // and becomes a term, at its first occurrence only: `slot[2i]` is entry
-  // i's key term and `slot[2i + 1]` its R term.
-  std::vector<CompressedRistretto> unique;
-  std::vector<size_t> slot(2 * n);
-  unique.reserve(2 * n);
-  std::unordered_map<CompressedRistretto, size_t, WireKeyHash> first_seen;
-  for (size_t i = 0; i < n; ++i) {
-    auto [it, inserted] = first_seen.try_emplace(entries[i].public_key, unique.size());
-    if (inserted) {
-      unique.push_back(entries[i].public_key);
-    }
-    slot[2 * i] = it->second;
-    slot[2 * i + 1] = unique.size();
-    unique.push_back(entries[i].signature.r_bytes);
-  }
-  std::vector<RistrettoPoint> decoded(unique.size());
-  std::vector<uint8_t> decode_ok(unique.size(), 0);
-  BatchDecodePoints(unique, decoded, decode_ok);
-
-  // R terms are written in place; a key's products w_i*c_i are kept per
-  // entry and summed into the key's term in entry order below, so a term
-  // that several shards share gets the same scalar at any thread count.
-  std::vector<Scalar> scalars(unique.size());
-  std::vector<Scalar> key_products(n);
-  std::vector<uint8_t> bad(n, 0);
-  Executor& executor = Executor::Current();
-  auto shards = Executor::Shards(n, Executor::kRngShards);
-  std::vector<Scalar> partial = executor.ParallelMap<Scalar>(shards.size(), [&](size_t s) {
-    Scalar sum = Scalar::Zero();
-    for (size_t i = shards[s].first; i < shards[s].second; ++i) {
-      const SchnorrBatchEntry& entry = entries[i];
-      if (!decode_ok[slot[2 * i]] || !decode_ok[slot[2 * i + 1]]) {
-        bad[i] = 1;
-        continue;
-      }
-      Scalar challenge = SchnorrChallenge(entry.signature.r_bytes, entry.public_key,
-                                          entry.message);
-      sum = sum + weights[i] * entry.signature.s;
-      key_products[i] = weights[i] * challenge;
-      scalars[slot[2 * i + 1]] = weights[i];
-    }
-    return sum;
-  });
-  if (Status s = FirstFailure(bad, "batch-schnorr: undecodable point"); !s.ok()) {
-    return s;
-  }
+  // and becomes a term, at its first occurrence only, and its weighted
+  // challenges are summed into that term in entry order. Each R is a term
+  // of its own.
+  std::vector<RistrettoPoint> points;
+  std::vector<Scalar> scalars;
+  points.reserve(2 * n);
+  scalars.reserve(2 * n);
+  std::unordered_map<CompressedRistretto, size_t, WireKeyHash> key_term;
   Scalar combined_s = Scalar::Zero();
-  for (const Scalar& p : partial) {
-    combined_s = combined_s + p;
-  }
+  auto push_decoded = [&](const CompressedRistretto& bytes, const Scalar& scalar) {
+    std::optional<RistrettoPoint> point = RistrettoPoint::Decode(bytes);
+    if (point.has_value()) {
+      points.push_back(*point);
+      scalars.push_back(scalar);
+    }
+    return point.has_value();
+  };
   for (size_t i = 0; i < n; ++i) {
-    scalars[slot[2 * i]] = scalars[slot[2 * i]] + key_products[i];
+    const SchnorrBatchEntry& entry = entries[i];
+    auto [key, inserted] = key_term.try_emplace(entry.public_key, points.size());
+    if ((inserted && !push_decoded(entry.public_key, Scalar::Zero())) ||
+        !push_decoded(entry.signature.r_bytes, weights[i])) {
+      return Status::Error("batch-schnorr: undecodable point at entry " + std::to_string(i));
+    }
+    const Scalar challenge =
+        SchnorrChallenge(entry.signature.r_bytes, entry.public_key, entry.message);
+    scalars[key->second] = scalars[key->second] + weights[i] * challenge;
+    combined_s = combined_s + weights[i] * entry.signature.s;
   }
-  if (!MultiScalarMulWithBase(-combined_s, scalars, decoded).IsIdentity()) {
+  if (!MultiScalarMulWithBase(-combined_s, scalars, points).IsIdentity()) {
     return Status::Error("batch-schnorr: combined verification equation failed");
   }
   return Status::Ok();

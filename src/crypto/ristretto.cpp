@@ -652,31 +652,6 @@ void BatchDoubleAndEncode(std::span<const RistrettoPoint> points,
   }
 }
 
-size_t BatchDecodePoints(std::span<const CompressedRistretto> bytes,
-                         std::span<RistrettoPoint> out, std::span<uint8_t> ok) {
-  Require(bytes.size() == out.size() && bytes.size() == ok.size(),
-          "BatchDecodePoints: size mismatch");
-  std::atomic<size_t> failures{0};
-  Executor::Current().ParallelFor(bytes.size(), [&](size_t begin, size_t end) {
-    size_t chunk_failures = 0;
-    for (size_t i = begin; i < end; ++i) {
-      auto point = RistrettoPoint::Decode(bytes[i]);
-      if (point.has_value()) {
-        out[i] = *point;
-        ok[i] = 1;
-      } else {
-        out[i] = RistrettoPoint::Identity();
-        ok[i] = 0;
-        ++chunk_failures;
-      }
-    }
-    if (chunk_failures != 0) {
-      failures.fetch_add(chunk_failures, std::memory_order_relaxed);
-    }
-  });
-  return failures.load(std::memory_order_relaxed);
-}
-
 size_t BatchValidateEncodings(std::span<const RistrettoPoint> points,
                               std::span<const CompressedRistretto> bytes,
                               std::span<uint8_t> ok) {

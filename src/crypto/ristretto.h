@@ -181,17 +181,17 @@ using CompressedRistretto = std::array<uint8_t, 32>;
 
 // --- Batched canonical encode/decode ---------------------------------------
 //
-// BatchEncodePoints and BatchDecodePoints fan fixed-position shards out on
-// Executor::Current() (the pool bound by the enclosing protocol stage;
-// serial under threads=1) and encode or decode one point at a time, so the
-// outputs are byte-identical to element-wise Encode()/Decode(). The dominant
-// cost is each point's ~250-squaring inverse square root, and for an
-// arbitrary point it stays per point: a Montgomery-style shared tree
-// recovers only the product of the roots, never the individual canonical
-// roots, and any "validation" built naively on a shared tree would accept
-// the encoding of -P for P (re-opening the challenge-grinding attack
-// wire-cache validation exists to stop; see docs/TRANSCRIPTS.md). Only a
-// point known as a double escapes the root (BatchDoubleAndEncode).
+// BatchEncodePoints fans fixed-position shards out on Executor::Current()
+// (the pool bound by the enclosing protocol stage; serial under threads=1)
+// and encodes one point at a time, so the output is byte-identical to
+// element-wise Encode(). The dominant cost is each point's ~250-squaring
+// inverse square root, and for an arbitrary point it stays per point: a
+// Montgomery-style shared tree recovers only the product of the roots, never
+// the individual canonical roots, and any "validation" built naively on a
+// shared tree would accept the encoding of -P for P (re-opening the
+// challenge-grinding attack wire-cache validation exists to stop; see
+// docs/TRANSCRIPTS.md). Only a point known as a double escapes the root
+// (BatchDoubleAndEncode).
 
 // out[i] = points[i].Encode(). out.size() must equal points.size().
 void BatchEncodePoints(std::span<const RistrettoPoint> points,
@@ -208,12 +208,6 @@ void BatchEncodePoints(std::span<const RistrettoPoint> points,
 // of Encode() (src/crypto/dleq.h).
 void BatchDoubleAndEncode(std::span<const RistrettoPoint> points,
                           std::span<CompressedRistretto> out);
-
-// Decodes bytes[i] into out[i]; ok[i] = 1 on success, 0 on any rejection
-// (non-canonical field encoding, negative s, off-curve input). Returns the
-// number of failures. All spans must have equal sizes.
-size_t BatchDecodePoints(std::span<const CompressedRistretto> bytes,
-                         std::span<RistrettoPoint> out, std::span<uint8_t> ok);
 
 // Checks bytes[i] == points[i].Encode() without computing any inverse square
 // roots: one Montgomery-batched field inversion per shard recovers affine
