@@ -53,6 +53,7 @@ void AblateMixPairs() {
   for (size_t i = 0; i < n; ++i) {
     batch.push_back(MixItem{{ElGamalEncrypt(pk, RistrettoPoint::Base(), rng)}});
   }
+  EnsureWireCache(batch, Executor::Global());  // the verifier checks the items' bytes
   TextTable table("Ablation 2 — RPC mix pairs vs soundness and cost (64 items)");
   table.SetHeader({"Pairs (servers)", "Mix+prove", "Verify",
                    "P[cheat escapes] per item", "for 16 items"});

@@ -58,6 +58,7 @@ void RunMixVerifyMsmAblation(figure::Bench& bench) {
       item.cts = {ElGamalEncrypt(pk, RistrettoPoint::Base(), rng),
                   ElGamalEncrypt(pk, RistrettoPoint::Base(), rng)};
     }
+    EnsureWireCache(input, Executor::Global());  // the verifier checks the items' bytes
     MixProof proof;
     MixBatch output = RunRpcMixCascade(input, pk, 1, rng, &proof);
 

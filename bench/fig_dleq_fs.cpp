@@ -3,14 +3,16 @@
 // "batched canonical encoding in DLEQ Fiat–Shamir hashing" item).
 //
 // Measures, over tagging-shaped 3-element proofs:
-//  * proving with producer-filled statement caches vs the encode-per-point
-//    framing (the pre-wire prover cost),
-//  * challenge derivation alone, cached vs cacheless,
-//  * BatchVerifyDleq with complete caches (SHA-only challenges + the
-//    decode-free BatchValidateEncodings commit-cache pass) vs fully stripped
-//    entries (the pre-wire verifier), at n = 1024 by default.
+//  * proving with producer-filled statement bytes vs a bare statement (the
+//    encode-per-point prover cost),
+//  * challenge derivation alone, with statement bytes vs a bare statement
+//    (the commits are hashed from the transcript's bytes either way: they
+//    are part of every transcript),
+//  * BatchVerifyDleq with statement bytes (SHA-only challenges + the
+//    decode-free BatchValidateEncodings commit-byte pass), at n = 1024 by
+//    default.
 // Ristretto Encode/Decode invocation deltas, taken from one pass, are
-// reported next to wall-clock numbers: the cached verify path must show ZERO
+// reported next to wall-clock numbers: the verify path must show ZERO
 // encodes. Each row is timed over 15 runs after one warm-up (median and
 // quartiles): single passes of one unchanged binary spread by more than the
 // differences this bench exists to show.
@@ -120,12 +122,12 @@ void Main(int argc, char** argv) {
                               prove_rng);
     }
   });
-  measure("prove (legacy framing)", [&] {
+  measure("prove (bare statement)", [&] {
     ChaChaRng prove_rng(1);
     for (size_t i = 0; i < n; ++i) {
       DleqTranscript t = ProveDleqFs(kDomain, Stripped(instances[i].statement),
                                      instances[i].witness, prove_rng);
-      Require(t.challenge == proofs[i].challenge, "dleq bench: framings diverged");
+      Require(t.challenge == proofs[i].challenge, "dleq bench: statement framings diverged");
     }
   });
 
@@ -137,33 +139,24 @@ void Main(int argc, char** argv) {
       Require(c == proofs[i].challenge, "dleq bench: wire challenge mismatch");
     }
   });
-  measure("challenge (legacy)", [&] {
+  measure("challenge (bare statement)", [&] {
     for (size_t i = 0; i < n; ++i) {
       Scalar c = DeriveFsChallenge(kDomain, Stripped(instances[i].statement),
-                                   proofs[i].commits, {});
-      Require(c == proofs[i].challenge, "dleq bench: legacy challenge mismatch");
+                                   proofs[i].commits, proofs[i].commit_wire, {});
+      Require(c == proofs[i].challenge, "dleq bench: bare-statement challenge mismatch");
     }
   });
 
   // Batched verification: the universal verifier's hot shape.
-  std::vector<DleqBatchEntry> cached(n);
-  std::vector<DleqBatchEntry> stripped(n);
+  std::vector<DleqBatchEntry> entries(n);
   for (size_t i = 0; i < n; ++i) {
-    cached[i].domain = std::string(kDomain);
-    cached[i].statement = instances[i].statement;
-    cached[i].transcript = proofs[i];
-    stripped[i].domain = std::string(kDomain);
-    stripped[i].statement = Stripped(instances[i].statement);
-    stripped[i].transcript = proofs[i];
-    stripped[i].transcript.commit_wire.clear();
+    entries[i].domain = std::string(kDomain);
+    entries[i].statement = instances[i].statement;
+    entries[i].transcript = proofs[i];
   }
   const uint64_t wire_encodes = measure("batch verify (wire)", [&] {
     ChaChaRng weights(2);
-    Require(BatchVerifyDleq(cached, weights).ok(), "dleq bench: wire batch rejected");
-  });
-  measure("batch verify (legacy)", [&] {
-    ChaChaRng weights(2);
-    Require(BatchVerifyDleq(stripped, weights).ok(), "dleq bench: legacy batch rejected");
+    Require(BatchVerifyDleq(entries, weights).ok(), "dleq bench: wire batch rejected");
   });
   bench.Table("paths", std::move(rows));
   bench.Check("wire_verify_zero_encodes", wire_encodes == 0,

@@ -291,13 +291,11 @@ std::vector<figure::Row> RunTallies(figure::Bench& bench, size_t ballots, double
     // mix in flight, peak pinned ledger payload stays O(one segment) — the
     // dedup pipeline works on parsed ballots, never on pinned segments. The
     // peak is the store's high-water mark over every run of its corpus, so it
-    // is bounded at the sweep's largest thread count.
-    const double segment_payload_bytes =
-        static_cast<double>(fixture.ledger_bytes) / static_cast<double>(segments);
-    const double segment_bound = (static_cast<double>(max_threads) + 2.0) *
-                                 (segment_payload_bytes * 2.0 + 65536.0);
-    bench.Check("peak_pinned_within_segment_bound",
-                static_cast<double>(peak_pinned_bytes) <= segment_bound,
+    // is bounded, by (threads + 2) x 2 pinned segments, at the sweep's largest
+    // thread count; below a bound_over_log of 1 a tally that held the whole
+    // log would fail the check.
+    const uint64_t segment_bound = figure::PinnedSegmentBound(*store, max_threads);
+    bench.Check("peak_pinned_within_segment_bound", peak_pinned_bytes <= segment_bound,
                 "fig_revote: peak pinned bytes not O(segment)");
 
     rows.push_back({{"ballots", uint64_t{ballots}},
@@ -317,6 +315,8 @@ std::vector<figure::Row> RunTallies(figure::Bench& bench, size_t ballots, double
                     {"peak_pinned_bytes", peak_pinned_bytes},
                     {"segments", segments},
                     {"ledger_payload_bytes", fixture.ledger_bytes},
+                    {"bound_over_log", static_cast<double>(segment_bound) /
+                                           static_cast<double>(fixture.ledger_bytes)},
                     {"kept_replayed", kept_replayed}});
   }
 

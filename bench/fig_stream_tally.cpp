@@ -199,25 +199,21 @@ void Main(int argc, char** argv) {
   // "Streaming" means the tally never holds more than a couple of segment
   // buffers of ledger payload: one per concurrently-scanning validate shard
   // plus the active tail. Compare against total ledger bytes for the claim.
+  // The bound is (threads + 2) x 2 pinned segments at the sweep's largest
+  // thread count; a run whose bound_over_log is below 1 is one where a tally
+  // that held the whole log would fail the check.
   const uint64_t peak_pinned = store->PeakPinnedBytes();
-  const double segment_payload_bytes = static_cast<double>(fixture.ledger_bytes) /
-                                       static_cast<double>(store->SegmentCount());
-  bench.Table("ledger",
-              {{{"segments", uint64_t{store->SegmentCount()}},
-                {"ledger_payload_bytes", fixture.ledger_bytes},
-                {"ingest_s", fixture.ingest_seconds},
-                {"ingest_peak_pinned_bytes", ingest_peak},
-                {"peak_pinned_bytes", peak_pinned},
-                {"peak_pinned_over_total", static_cast<double>(peak_pinned) /
-                                               static_cast<double>(fixture.ledger_bytes)}}});
-  // The streaming claim, enforced: peak pinned payload stays within a small
-  // constant number of segments (scanning shards pin at most one each, but
-  // shard count is bounded by kRngShards — allow that bound plus slack).
   const size_t max_threads = *std::max_element(thread_counts.begin(), thread_counts.end());
-  const double segment_bound =
-      (static_cast<double>(max_threads) + 2.0) * (segment_payload_bytes * 2.0 + 65536.0);
-  bench.Check("peak_pinned_within_segment_bound",
-              static_cast<double>(peak_pinned) <= segment_bound,
+  const uint64_t segment_bound = figure::PinnedSegmentBound(*store, max_threads);
+  const double log_bytes = static_cast<double>(fixture.ledger_bytes);
+  bench.Table("ledger", {{{"segments", uint64_t{store->SegmentCount()}},
+                          {"ledger_payload_bytes", fixture.ledger_bytes},
+                          {"ingest_s", fixture.ingest_seconds},
+                          {"ingest_peak_pinned_bytes", ingest_peak},
+                          {"peak_pinned_bytes", peak_pinned},
+                          {"peak_pinned_over_total", static_cast<double>(peak_pinned) / log_bytes},
+                          {"bound_over_log", static_cast<double>(segment_bound) / log_bytes}}});
+  bench.Check("peak_pinned_within_segment_bound", peak_pinned <= segment_bound,
               "fig_stream_tally: peak pinned bytes not O(segment)");
 
   // Context curves: what the VoteAgain / SwissPost cost models predict for a

@@ -33,6 +33,7 @@
 #include "src/common/clock.h"
 #include "src/common/status.h"
 #include "src/common/table.h"
+#include "src/ledger/store.h"
 
 namespace votegral::figure {
 
@@ -65,6 +66,18 @@ inline Spread TimeRepeated(size_t repetitions, const std::function<void()>& body
     return seconds[lo] + (position - static_cast<double>(lo)) * (seconds[hi] - seconds[lo]);
   };
   return Spread{at(0.5), at(0.25), at(0.75)};
+}
+
+// The O(segment) bound on the ledger bytes a tally over `store` pins at up
+// to `threads` threads: (threads + 2) x 2 segments, each what one Pin() of a
+// sealed segment holds (its whole file, header and frames, read in one
+// call). An unsealed tail is pinned as views of memory and holds nothing.
+inline uint64_t PinnedSegmentBound(const FileLedgerStore& store, size_t threads) {
+  uint64_t pin = 0;
+  for (uint64_t s = 0; s < store.SegmentCount(); ++s) {
+    pin = std::max<uint64_t>(pin, std::filesystem::file_size(store.SegmentPath(s)));
+  }
+  return (threads + 2) * 2 * pin;
 }
 
 class Bench {

@@ -124,6 +124,7 @@ void SwissPostModel::TallyAll(Rng& rng) {
     item.cts = ballot.contests;
     batch.push_back(std::move(item));
   }
+  EnsureWireCache(batch, Executor::Global());  // the verifier checks the items' bytes
   MixProof proof;
   MixBatch mixed = RunRpcMixCascade(batch, pk, /*pair_count=*/2, rng, &proof);
   Require(VerifyRpcMixCascade(batch, mixed, proof, pk).ok(), "swisspost: mix proof invalid");

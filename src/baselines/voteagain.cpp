@@ -94,6 +94,7 @@ void VoteAgainModel::TallyAll(Rng& rng) {
     item.cts = {padded[index].encrypted_vote};
     batch.push_back(std::move(item));
   }
+  EnsureWireCache(batch, Executor::Global());  // the verifier checks the items' bytes
   MixProof proof;
   MixBatch mixed = RunRpcMixCascade(batch, pk, 2, rng, &proof);
   Require(VerifyRpcMixCascade(batch, mixed, proof, pk).ok(), "voteagain: mix proof invalid");

@@ -158,18 +158,16 @@ Status BatchVerifyDleq(std::span<const DleqBatchEntry> entries, Rng& rng) {
   // and commit are positional terms, except that a base equal to B rides
   // the batch's fixed-base coefficient.
   //
-  // Wire-byte path (docs/TRANSCRIPTS.md §DLEQ): statements built by the
-  // caller carry producer-local encodings, and transcripts carry the
-  // prover's commit encodings — but the latter are attacker data, so before
-  // any cached byte may bind challenge bits, every present commit cache is
-  // checked against its commit point in one BatchValidateEncodings pass (the
-  // MixItem rule; a stale or forged cache is a localized failure).
-  // Challenge recomputation is then SHA-only for fully cached entries;
-  // entries without caches fall back to encode-per-point, which also keeps
-  // the pre-wire framing benchable.
+  // Statements built by the caller may carry producer-local encodings, and
+  // transcripts carry the prover's commit encodings (docs/TRANSCRIPTS.md
+  // §DLEQ). Those are attacker data, so before they may bind challenge bits
+  // every entry's commit bytes are checked against its commit points in one
+  // BatchValidateEncodings pass; missing or mismatching bytes are a
+  // localized failure. Challenge recomputation is then SHA-only for entries
+  // whose statements carry their bytes.
   const size_t n = entries.size();
   std::vector<size_t> first_term(n + 1, 0);  // entry i's terms: [first_term[i], first_term[i + 1])
-  size_t total_pairs = 0;
+  std::vector<size_t> first_commit(n + 1, 0);  // entry i's commits, flat
   for (size_t i = 0; i < n; ++i) {
     const DleqStatement& st = entries[i].statement;
     const DleqTranscript& t = entries[i].transcript;
@@ -180,49 +178,39 @@ Status BatchVerifyDleq(std::span<const DleqBatchEntry> entries, Rng& rng) {
     for (const RistrettoPoint& base : st.bases) {
       first_term[i + 1] += base == RistrettoPoint::Base() ? 2 : 3;
     }
-    total_pairs += st.bases.size();
+    first_commit[i + 1] = first_commit[i] + t.commits.size();
   }
 
-  // Commit-cache validation: gather every cached commit byte string (flat,
-  // entry order) and check each against its commit point in one accumulator
-  // pass — BatchValidateEncodings amortizes the field inversions across the
-  // whole producer batch and never pays a per-commit decode (~8 field
-  // multiplications per commit instead of an inverse square root).
+  // Commit-byte validation: every commit and its bytes, flat in entry order,
+  // in one accumulator pass — BatchValidateEncodings amortizes the field
+  // inversions across the whole batch and never pays a per-commit decode
+  // (~8 field multiplications per commit instead of an inverse square root).
   {
-    std::vector<uint8_t> bad_cache(n, 0);
-    std::vector<CompressedRistretto> cache_bytes;
-    std::vector<RistrettoPoint> cache_points;
-    std::vector<size_t> cache_entry;  // flat slot -> entry
-    cache_bytes.reserve(total_pairs);
-    cache_points.reserve(total_pairs);
-    cache_entry.reserve(total_pairs);
+    std::vector<CompressedRistretto> commit_bytes(first_commit[n]);
+    std::vector<RistrettoPoint> commit_points(first_commit[n]);
+    std::vector<uint8_t> bad_bytes(n, 0);
     for (size_t i = 0; i < n; ++i) {
       const DleqTranscript& t = entries[i].transcript;
-      if (t.commit_wire.empty()) {
-        continue;  // cacheless entry: legal, hashes encode fresh below
-      }
       if (t.commit_wire.size() != t.commits.size()) {
-        bad_cache[i] = 1;
+        bad_bytes[i] = 1;  // its slots keep the identity and its all-zero bytes
         continue;
       }
-      for (size_t j = 0; j < t.commit_wire.size(); ++j) {
-        cache_bytes.push_back(t.commit_wire[j]);
-        cache_points.push_back(t.commits[j]);
-        cache_entry.push_back(i);
-      }
+      std::copy(t.commits.begin(), t.commits.end(), commit_points.begin() + first_commit[i]);
+      std::copy(t.commit_wire.begin(), t.commit_wire.end(),
+                commit_bytes.begin() + first_commit[i]);
     }
-    std::vector<uint8_t> cache_ok(cache_bytes.size(), 0);
-    size_t mismatches = BatchValidateEncodings(cache_points, cache_bytes, cache_ok);
-    if (mismatches != 0) {
-      // Fold per-slot flags sequentially: two slots of one entry can come
-      // from different shards, so the parallel pass never writes entry bytes.
-      for (size_t k = 0; k < cache_ok.size(); ++k) {
-        if (!cache_ok[k]) {
-          bad_cache[cache_entry[k]] = 1;
+    std::vector<uint8_t> commit_ok(first_commit[n], 0);
+    if (BatchValidateEncodings(commit_points, commit_bytes, commit_ok) != 0) {
+      // Fold per-commit flags sequentially: two commits of one entry can
+      // come from different shards, so the parallel pass never writes entry
+      // flags.
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t k = first_commit[i]; k < first_commit[i + 1]; ++k) {
+          bad_bytes[i] |= commit_ok[k] == 0 ? 1 : 0;
         }
       }
     }
-    if (Status s = FirstFailure(bad_cache, "batch-dleq: commit wire cache does not match commits");
+    if (Status s = FirstFailure(bad_bytes, "batch-dleq: commit wire cache does not match commits");
         !s.ok()) {
       return s;
     }
@@ -239,8 +227,8 @@ Status BatchVerifyDleq(std::span<const DleqBatchEntry> entries, Rng& rng) {
       const DleqBatchEntry& entry = entries[i];
       const DleqStatement& st = entry.statement;
       const DleqTranscript& t = entry.transcript;
-      // The Fiat–Shamir challenge must still bind per proof. SHA-only when
-      // the caches (validated above) are complete.
+      // The Fiat–Shamir challenge must still bind per proof, over the commit
+      // bytes validated above.
       if (DeriveFsChallenge(entry.domain, st, t.commits, t.commit_wire, entry.extra) !=
           t.challenge) {
         bad[i] = 1;  // the batch is not checked, so its terms may stay unset

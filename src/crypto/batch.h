@@ -82,9 +82,9 @@ void VerifySchnorrGroups(std::span<const SchnorrBatchEntry> entries,
 // One Fiat–Shamir DLEQ verification instance, for callers that hold whole
 // proofs (tests, benches); the tally's and the verifier's batches write
 // their terms straight into a DleqTermBatch instead. Statements should carry
-// their producer-local wire caches (see src/crypto/dleq.h trust model) so
-// challenge recomputation is SHA-only; transcript commit caches are
-// validated by BatchVerifyDleq before use.
+// their producer-local bytes (see src/crypto/dleq.h) so challenge
+// recomputation is SHA-only; transcript commit bytes are validated by
+// BatchVerifyDleq before use.
 struct DleqBatchEntry {
   std::string domain;
   DleqStatement statement;
@@ -95,10 +95,10 @@ struct DleqBatchEntry {
 // Verifies all DLEQ proofs at once (challenge recomputation stays per-item;
 // the group equations are one DleqTermBatch whose 64-byte seed is drawn
 // from `rng`). Per pair, the base, public and commit are positional terms,
-// except a base equal to B, which rides the fixed-base coefficient. Present
-// transcript commit caches are checked against their points in one
-// BatchValidateEncodings pass before they may bind challenge bits; a stale
-// or forged cache is a localized per-entry failure.
+// except a base equal to B, which rides the fixed-base coefficient. Every
+// transcript's commit bytes are checked against its points in one
+// BatchValidateEncodings pass before they may bind challenge bits; missing,
+// stale or forged bytes are a localized per-entry failure.
 Status BatchVerifyDleq(std::span<const DleqBatchEntry> entries, Rng& rng);
 
 

@@ -188,11 +188,8 @@ bool VerifyShareBatch(std::span<const ElGamalCiphertext> cts,
                       std::span<const ElGamalWire> cts_wire,
                       std::span<const std::vector<DecryptionShare>> shares,
                       std::span<const RistrettoPoint> member_shares) {
-  if (shares.size() != cts.size()) {
+  if (shares.size() != cts.size() || cts_wire.size() != cts.size()) {
     return false;
-  }
-  if (cts_wire.size() != cts.size()) {
-    cts_wire = {};
   }
   const size_t members = member_shares.size();
   // Ciphertext i's terms are [first_term[i], first_term[i + 1]).
@@ -218,8 +215,7 @@ bool VerifyShareBatch(std::span<const ElGamalCiphertext> cts,
   // Ciphertexts go through their shard in groups of about 64 cached points.
   const size_t group = std::max<size_t>(1, 64 / (3 * std::max<size_t>(members, 1)));
   auto well_formed = [](const DleqTranscript& proof) {
-    return proof.commits.size() == 2 &&
-           (proof.commit_wire.empty() || proof.commit_wire.size() == 2);
+    return proof.commits.size() == 2 && proof.commit_wire.size() == 2;
   };
   batch.Fill(Executor::Current(), [&](DleqTermBatch::ShardWriter& writer, size_t begin,
                                       size_t end) {
@@ -232,7 +228,7 @@ bool VerifyShareBatch(std::span<const ElGamalCiphertext> cts,
       for (size_t i = first_ct; i < last_ct; ++i) {
         for (const DecryptionShare& share : shares[i]) {
           check.Add(share.share, share.share_wire);
-          if (well_formed(share.proof) && share.proof.HasWire()) {
+          if (well_formed(share.proof)) {
             check.Add(share.proof.commits[0], share.proof.commit_wire[0]);
             check.Add(share.proof.commits[1], share.proof.commit_wire[1]);
           }
@@ -244,19 +240,15 @@ bool VerifyShareBatch(std::span<const ElGamalCiphertext> cts,
       for (size_t i = first_ct; i < last_ct; ++i) {
         const size_t c1_term = first_term[i];
         writer.SetPoint(c1_term, cts[i].c1);
-        const CompressedRistretto c1_wire =
-            cts_wire.empty() ? cts[i].c1.Encode() : ElGamalWireHalf(cts_wire[i], 0);
+        const CompressedRistretto c1_wire = ElGamalWireHalf(cts_wire[i], 0);
         for (size_t s = 0; s < shares[i].size(); ++s) {
           const DecryptionShare& share = shares[i][s];
           const DleqTranscript& proof = share.proof;
           const bool share_wire_ok = check.ok(slot++);
-          if (!well_formed(proof)) {
+          if (!well_formed(proof) || !(check.ok(slot) && check.ok(slot + 1))) {
             return false;
           }
-          if (proof.HasWire() && !(check.ok(slot) && check.ok(slot + 1))) {
-            return false;
-          }
-          slot += proof.HasWire() ? 2 : 0;
+          slot += 2;
           // The challenge over (B, C1), (X_m, S) and the commits, the byte
           // stream DeriveFsChallenge hashes for ComputeShare's statement.
           Sha512 h;
@@ -267,9 +259,8 @@ bool VerifyShareBatch(std::span<const ElGamalCiphertext> cts,
           h.Update(c1_wire);
           h.Update(member_wire[share.member_index]);
           h.Update(share_wire_ok ? share.share_wire : share.share.Encode());
-          for (size_t c = 0; c < 2; ++c) {
-            h.Update(proof.HasWire() ? proof.commit_wire[c] : proof.commits[c].Encode());
-          }
+          h.Update(proof.commit_wire[0]);
+          h.Update(proof.commit_wire[1]);
           if (Scalar::FromBytesWide(h.Finalize()) != proof.challenge) {
             return false;
           }

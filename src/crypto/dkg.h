@@ -161,14 +161,15 @@ Status VerifyShareAgainstCommitment(const RistrettoPoint& member_share_commitmen
 // predict them.
 //
 // Each challenge is recomputed from bytes in hand: B's and the members'
-// encodings (once per call), C1 from `cts_wire` when the caller has bytes
-// another check validated (empty, or any size but cts.size(), means one
-// fresh encode per ciphertext), and the share point from its share_wire
-// when a BatchValidateEncodings pass over the shard (exact, no inverse
-// square root) finds those bytes to be its canonical encoding, or one fresh
-// encode otherwise, so a stale or forged cache binds exactly what the point
-// does. The proofs' own commit caches are attacker data and pass the same
-// validation before they are hashed. Runs on Executor::Current().
+// encodings (once per call), C1 from `cts_wire`, the bytes of `cts` that the
+// caller produced or another check validates (the batch fails unless there
+// is one per ciphertext), and the share point from its share_wire when a
+// BatchValidateEncodings pass over the shard (exact, no inverse square root)
+// finds those bytes to be its canonical encoding, or one fresh encode
+// otherwise, so a stale or forged cache binds exactly what the point does.
+// The proofs' own commit bytes are attacker data: they pass the same
+// validation before they are hashed, and a proof without them fails the
+// batch. Runs on Executor::Current().
 bool VerifyShareBatch(std::span<const ElGamalCiphertext> cts,
                       std::span<const ElGamalWire> cts_wire,
                       std::span<const std::vector<DecryptionShare>> shares,

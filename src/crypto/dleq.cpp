@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/executor.h"
 #include "src/common/serde.h"
 #include "src/crypto/sha512.h"
 
@@ -12,16 +13,20 @@ namespace votegral {
 
 namespace {
 
-// Hashes one statement/commit section: the cached bytes when the cache is
-// complete, a fresh canonical encoding otherwise. Both paths feed the hash
-// the exact same byte stream — the cache invariant wire[i] == Encode(p[i]) —
-// so proofs do not depend on which path ran.
+void HashBytes(Sha512& h, std::span<const CompressedRistretto> wire) {
+  for (const CompressedRistretto& bytes : wire) {
+    h.Update(bytes);
+  }
+}
+
+// Hashes one statement section: its bytes when they are complete, a fresh
+// canonical encoding otherwise. Both paths feed the hash the exact same byte
+// stream — the invariant wire[i] == Encode(p[i]) — so proofs do not depend
+// on which path ran.
 void HashSection(Sha512& h, std::span<const RistrettoPoint> points,
                  std::span<const CompressedRistretto> wire) {
   if (wire.size() == points.size()) {
-    for (const CompressedRistretto& bytes : wire) {
-      h.Update(bytes);
-    }
+    HashBytes(h, wire);
     return;
   }
   for (const RistrettoPoint& point : points) {
@@ -50,26 +55,22 @@ void DleqStatement::EnsureWire() {
   }
 }
 
-void DleqTranscript::EnsureWire() {
-  if (commit_wire.size() != commits.size()) {
-    commit_wire.resize(commits.size());
-    BatchEncodePoints(commits, commit_wire);
-  }
-}
-
-// Decode-and-recompare (the MixItem rule): the bytes are parsed back into a
-// group element and compared coset-aware against the claimed commit, so a
-// byte string can never bind challenge bits for a point it does not encode.
+// The MixItem rule: a byte string may bind challenge bits only for the point
+// it encodes. BatchValidateEncodings checks bytes == Encode(point) exactly,
+// on the calling thread (a proof has two or three commits), and a commit
+// without bytes fails like one with wrong bytes.
 Status DleqTranscript::ValidateWire() const {
-  if (commit_wire.empty()) {
-    return Status::Ok();
-  }
-  if (commit_wire.size() != commits.size()) {
+  if (commit_wire.size() > commits.size()) {
     return Status::Error("dleq: commit wire cache size mismatch");
   }
-  for (size_t i = 0; i < commit_wire.size(); ++i) {
-    auto decoded = RistrettoPoint::Decode(commit_wire[i]);
-    if (!decoded.has_value() || !(*decoded == commits[i])) {
+  std::vector<uint8_t> ok(commits.size(), 0);
+  {
+    Executor::Scope serial(Executor::Serial());
+    BatchValidateEncodings(std::span(commits).first(commit_wire.size()), commit_wire,
+                           std::span(ok).first(commit_wire.size()));
+  }
+  for (size_t i = 0; i < ok.size(); ++i) {
+    if (ok[i] == 0) {
       return Status::Error("dleq: commit wire cache does not match point at index " +
                            std::to_string(i));
     }
@@ -78,13 +79,11 @@ Status DleqTranscript::ValidateWire() const {
 }
 
 Bytes DleqTranscript::Serialize() const {
-  // Byte-identical with or without the cache: wire[i] == commits[i].Encode()
-  // is the producer invariant, so the cache only spares the inverse sqrt.
-  const bool cached = commit_wire.size() == commits.size();
+  Require(commit_wire.size() == commits.size(), "dleq: transcript without its commit bytes");
   ByteWriter w;
   w.U32(static_cast<uint32_t>(commits.size()));
-  for (size_t i = 0; i < commits.size(); ++i) {
-    w.Fixed(cached ? commit_wire[i] : commits[i].Encode());
+  for (const CompressedRistretto& bytes : commit_wire) {
+    w.Fixed(bytes);
   }
   w.Fixed(challenge.ToBytes());
   w.Fixed(response.ToBytes());
@@ -170,21 +169,16 @@ Status VerifyDleqTranscript(const DleqStatement& statement, const DleqTranscript
 
 Scalar DeriveFsChallenge(std::string_view domain, const DleqStatement& statement,
                          std::span<const RistrettoPoint> commits,
-                         std::span<const uint8_t> extra) {
-  return DeriveFsChallenge(domain, statement, commits, {}, extra);
-}
-
-Scalar DeriveFsChallenge(std::string_view domain, const DleqStatement& statement,
-                         std::span<const RistrettoPoint> commits,
                          std::span<const CompressedRistretto> commit_wire,
                          std::span<const uint8_t> extra) {
+  Require(commit_wire.size() == commits.size(), "dleq: one commit encoding per commit");
   Sha512 h;
   h.Update(AsBytes(domain));
   uint8_t sep = 0;
   h.Update({&sep, 1});
   HashSection(h, statement.bases, statement.base_wire);
   HashSection(h, statement.publics, statement.public_wire);
-  HashSection(h, commits, commit_wire);
+  HashBytes(h, commit_wire);
   h.Update(extra);
   return Scalar::FromBytesWide(h.Finalize());
 }
@@ -235,8 +229,8 @@ DleqTranscript ProveDleqFsDeriving(std::string_view domain, DleqStatement& state
 
 Status VerifyDleqFs(std::string_view domain, const DleqStatement& statement,
                     const DleqTranscript& transcript, std::span<const uint8_t> extra) {
-  // Attacker-cache rule: commit bytes may bind challenge bits only after
-  // they decode back to the claimed commit points.
+  // Commit bytes may bind challenge bits only after they are checked to
+  // encode the claimed commit points.
   if (Status s = transcript.ValidateWire(); !s.ok()) {
     return s;
   }

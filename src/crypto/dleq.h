@@ -15,22 +15,23 @@
 // (§4.3). VerifyDleqTranscript accepts both.
 //
 // Wire-byte transcripts (docs/TRANSCRIPTS.md §DLEQ): statements and
-// transcripts carry optional cached canonical encodings of their points, so
-// Fiat–Shamir challenge derivation is SHA-only when the caches are complete —
-// the hash input is byte-for-byte the encode-per-point stream, so proofs are
-// identical either way. Trust model, mirroring PR 2's MixItem rule:
-//  * STATEMENT caches are producer-local: whoever fills base_wire/public_wire
-//    asserts the bytes came from its own Encode() calls (or its prover's
-//    BatchDoubleAndEncode) or from wire data it already validated (mix-batch
-//    caches checked by VerifyRpcMixCascade, tagging output wires checked by
-//    VerifyChain, parsed ledger bytes).
-//    Verifiers construct their statements themselves, so these caches never
-//    cross a trust boundary.
-//  * TRANSCRIPT commit caches are attacker data on the verify side:
-//    VerifyDleqFs and BatchVerifyDleq decode and recompare them against the
-//    commit points before the bytes may bind challenge bits, and a mismatch
-//    is a localized verification failure — otherwise a cheating prover could
-//    grind the hashed bytes independently of the checked group elements.
+// transcripts carry canonical encodings of their points, so Fiat–Shamir
+// challenge derivation is SHA-only — the hash input is byte-for-byte the
+// encode-per-point stream, so proofs are identical either way. Two rules:
+//  * STATEMENT bytes are producer-local and optional: whoever fills
+//    base_wire/public_wire asserts the bytes came from its own Encode() calls
+//    (or its prover's BatchDoubleAndEncode) or from wire data it already
+//    validated (mix-batch bytes checked by VerifyRpcMixCascade, tagging
+//    output bytes checked by VerifyChain, parsed ledger bytes). A section
+//    without them is encoded as it is hashed. Verifiers construct their
+//    statements themselves, so these bytes never cross a trust boundary.
+//  * TRANSCRIPT commit bytes are always present and are attacker data on the
+//    verify side: VerifyDleqFs, BatchVerifyDleq and the positional batches
+//    check every one is the canonical encoding of its commit
+//    (BatchValidateEncodings) before it may bind challenge bits, and a
+//    missing or mismatching string is a localized verification failure —
+//    otherwise a cheating prover could grind the hashed bytes independently
+//    of the checked group elements.
 #ifndef SRC_CRYPTO_DLEQ_H_
 #define SRC_CRYPTO_DLEQ_H_
 
@@ -51,18 +52,12 @@ struct DleqStatement {
   std::vector<RistrettoPoint> bases;
   std::vector<RistrettoPoint> publics;
 
-  // Cached canonical encodings parallel to bases/publics: either empty or
-  // full-size (per-section). Producer-local — see the header trust model.
-  // Excluded from semantic identity: a cache is a performance artifact whose
-  // invariant (wire[i] == point[i].Encode()) the filling party vouches for.
+  // Canonical encodings parallel to bases/publics: either empty or
+  // full-size (per section). Producer-local — see the header's rules.
+  // Excluded from semantic identity: the filling party vouches for the
+  // invariant wire[i] == point[i].Encode().
   std::vector<CompressedRistretto> base_wire;
   std::vector<CompressedRistretto> public_wire;
-
-  // True when both sections carry complete caches.
-  bool HasWire() const {
-    return !bases.empty() && base_wire.size() == bases.size() &&
-           public_wire.size() == publics.size();
-  }
 
   // Fills any missing cache section by encoding its points (batched on the
   // current executor). The encode cost equals what one cacheless challenge
@@ -82,23 +77,16 @@ struct DleqTranscript {
   Scalar challenge;
   Scalar response;
 
-  // Cached canonical encodings of `commits` (empty or full-size). Filled by
-  // provers at proving time and by Parse from the consumed wire bytes;
-  // treated as attacker data by every verifier (decode + recompare before
-  // hashing — see header trust model). Not part of the serialized format:
-  // Serialize() emits the same bytes with or without the cache.
+  // The canonical encoding of each commit, always present: filled by every
+  // prover and simulator at proving time and by Parse from the consumed
+  // bytes. Attacker data to every verifier (see the header's rules).
+  // Serialize() writes these bytes.
   std::vector<CompressedRistretto> commit_wire;
 
-  bool HasWire() const {
-    return !commits.empty() && commit_wire.size() == commits.size();
-  }
-
-  // Fills commit_wire by encoding the commits (prover-side use).
-  void EnsureWire();
-
-  // Decode-and-recompare of commit_wire against commits; names the first
-  // mismatching index. The verify entry points call this before the cache
-  // may bind challenge bits.
+  // Checks that commit_wire holds the canonical encoding of every commit
+  // (BatchValidateEncodings, no decode); names the first commit whose bytes
+  // are missing or wrong. The verify entry points call this before the
+  // bytes may bind challenge bits.
   Status ValidateWire() const;
 
   Bytes Serialize() const;
@@ -146,17 +134,11 @@ DleqTranscript SimulateDleq(const DleqStatement& statement, const Scalar& challe
 Status VerifyDleqTranscript(const DleqStatement& statement, const DleqTranscript& transcript);
 
 // Derives a Fiat–Shamir challenge binding the domain, statement, commits and
-// optional extra context. Uses the statement's wire caches per section when
-// complete (trusted, producer-local); encodes fresh otherwise. The hashed
-// byte stream is identical either way.
-Scalar DeriveFsChallenge(std::string_view domain, const DleqStatement& statement,
-                         std::span<const RistrettoPoint> commits,
-                         std::span<const uint8_t> extra);
-
-// Wire-aware challenge derivation: like the overload above, but hashes
-// `commit_wire` for the commit section when its size matches `commits`
-// (falling back to encoding otherwise). With complete statement and commit
-// caches this performs ZERO point encodings — the property the
+// optional extra context. A statement section is hashed from its bytes when
+// they are complete (producer-local) and encoded otherwise; the commits are
+// hashed from `commit_wire`, which must hold one encoding per commit. The
+// hashed byte stream is the encode-per-point one, and with complete
+// statement bytes this performs ZERO point encodings — the property the
 // invocation-counting test in tests/test_dleq_wire.cpp pins down. Callers
 // must have validated attacker-supplied commit bytes first (the Verify*
 // entry points below do).
@@ -181,17 +163,17 @@ DleqTranscript ProveDleqFs(std::string_view domain, const DleqStatement& stateme
 // RistrettoPoint::MulEach per base, so a base's public and commit share one
 // doubling chain (a generator or registered base reads its table), and one
 // BatchDoubleAndEncode per proof, so the prover computes no inverse square
-// root of its own. Bases and given publics are hashed from their caches
+// root of its own. Bases and given publics are hashed from their bytes
 // when complete, encoded otherwise. The transcript, and every derived byte,
 // are those the encode-per-point prover gives for the same stream.
 DleqTranscript ProveDleqFsDeriving(std::string_view domain, DleqStatement& statement,
                                    const Scalar& x, Rng& rng,
                                    std::span<const uint8_t> extra = {});
 
-// Verifies a Fiat–Shamir proof (recomputes and checks the challenge). When
-// the transcript carries a commit wire cache it is validated (decode +
-// recompare) before its bytes bind the challenge; a stale or forged cache is
-// a localized verification failure, not a silent fallback.
+// Verifies a Fiat–Shamir proof (recomputes and checks the challenge). The
+// transcript's commit bytes are validated (ValidateWire) before they bind
+// the challenge; missing, stale or forged bytes are a localized verification
+// failure.
 Status VerifyDleqFs(std::string_view domain, const DleqStatement& statement,
                     const DleqTranscript& transcript, std::span<const uint8_t> extra = {});
 

@@ -58,8 +58,8 @@ struct Ballot {
 
   // The 64 bytes Parse consumed for encrypted_vote, which are its canonical
   // encoding (Parse accepts nothing else); empty for a ballot built in
-  // memory. A cache like DleqTranscript::commit_wire: neither serialized
-  // nor compared.
+  // memory. An optional cache, like a DleqStatement's bytes: neither
+  // serialized nor compared.
   std::optional<ElGamalWire> vote_wire;
 
   Bytes Serialize() const;

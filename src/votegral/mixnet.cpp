@@ -63,7 +63,7 @@ std::vector<uint8_t> DeriveChallengeBits(const std::array<uint8_t, 32>& h_in,
 }  // namespace
 
 const Bytes& MixItem::EnsureWire() {
-  if (!HasWire()) {
+  if (wire.size() != 64 * cts.size()) {
     wire = SerializeItem(*this);
   }
   return wire;
@@ -74,11 +74,7 @@ std::array<uint8_t, 32> HashMixBatch(const MixBatch& batch) {
   uint8_t width = batch.empty() ? 0 : static_cast<uint8_t>(batch[0].cts.size());
   h.Update({&width, 1});
   for (const MixItem& item : batch) {
-    if (item.HasWire()) {
-      h.Update(item.wire);
-    } else {
-      h.Update(SerializeItem(item));
-    }
+    h.Update(item.wire);
   }
   return h.Finalize();
 }
@@ -100,10 +96,8 @@ std::vector<ElGamalWire> BatchColumnWire(const MixBatch& batch, size_t column) {
   std::vector<ElGamalWire> out;
   out.reserve(batch.size());
   for (const MixItem& item : batch) {
-    Require(column < item.cts.size(), "mixnet: column out of range");
-    if (!item.HasWire()) {
-      return {};
-    }
+    Require(column < item.cts.size() && item.wire.size() == 64 * item.cts.size(),
+            "mixnet: column out of range or item without its bytes");
     ElGamalWire wire;
     std::copy(item.wire.begin() + static_cast<ptrdiff_t>(64 * column),
               item.wire.begin() + static_cast<ptrdiff_t>(64 * (column + 1)), wire.begin());
@@ -355,76 +349,54 @@ Status CheckBatchShape(const MixBatch& batch, const BatchShape& shape, const std
 
 // Verifier-grade batch hash. The batch must first have the cascade's shape:
 // the hash runs the items' bytes together, so it binds item boundaries only
-// because every batch has the same count and width. An item's wire cache is
-// attacker-supplied, so before its bytes may bind challenge bits the cache
-// is checked against the item's ciphertexts. The check is one
-// BatchValidateEncodings accumulator pass over every cached (point, 32-byte
-// slice) pair: a slice passes iff it is the canonical encoding of its point
-// (ristretto encodings are unique, so this is exactly the old
-// parse-and-compare), at ~8 field multiplications per pair instead of a
-// decode's inverse square root. A mismatched or malformed cache is a
-// verification failure — otherwise a cheating mixer could grind the hashed
-// bytes independently of the checked group elements to steer the per-item
-// challenge bits. Cacheless items are encoded fresh in the same pass.
+// because every batch has the same count and width. An item's bytes are
+// attacker-supplied, so before they may bind challenge bits they are checked
+// against the item's ciphertexts. The check is one BatchValidateEncodings
+// accumulator pass over every (point, 32-byte slice) pair: a slice passes
+// iff it is the canonical encoding of its point (ristretto encodings are
+// unique, so this is exactly a parse-and-compare), at ~8 field
+// multiplications per pair instead of a decode's inverse square root. An
+// item whose bytes are missing, mismatched or malformed is a verification
+// failure — otherwise a cheating mixer could grind the hashed bytes
+// independently of the checked group elements to steer the per-item
+// challenge bits.
 Status ValidatedBatchHash(const MixBatch& batch, const BatchShape& shape, Executor& executor,
                           const std::string& what, std::array<uint8_t, 32>* out) {
   if (Status s = CheckBatchShape(batch, shape, what); !s.ok()) {
     return s;
   }
+  // Every item's (point, wire-slice) pairs, flat at fixed offsets so the
+  // fill can run on the pool. An item without its bytes keeps the identity
+  // and the all-zero encoding in its slots and is marked bad.
+  const size_t pairs = 2 * shape.width;
   std::vector<uint8_t> bad(batch.size(), 0);
-  // Per-item bytes for cacheless items; empty when the (validated) cache
-  // will be hashed directly.
-  std::vector<Bytes> fresh(batch.size());
-  // Flat gather of every cached item's (point, wire-slice) pairs, at fixed
-  // offsets so the fill can run on the pool.
-  std::vector<size_t> pair_at(batch.size() + 1, 0);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const MixItem& item = batch[i];
-    size_t pairs = item.HasWire() ? 2 * item.cts.size() : 0;
-    pair_at[i + 1] = pair_at[i] + pairs;
-  }
-  MappedVector<RistrettoPoint> cached_points(pair_at.back());
-  MappedVector<CompressedRistretto> cached_bytes(pair_at.back());
+  MappedVector<RistrettoPoint> points(pairs * batch.size());
+  MappedVector<CompressedRistretto> bytes(pairs * batch.size());
   executor.ParallelForEach(batch.size(), [&](size_t i) {
     const MixItem& item = batch[i];
-    if (item.wire.empty()) {
-      fresh[i] = SerializeItem(item);
-      return;
-    }
-    if (item.wire.size() != 64 * item.cts.size()) {
+    if (item.wire.size() != 64 * shape.width) {
       bad[i] = 1;
       return;
     }
-    for (size_t c = 0; c < item.cts.size(); ++c) {
-      size_t at = pair_at[i] + 2 * c;
-      cached_points[at] = item.cts[c].c1;
-      cached_points[at + 1] = item.cts[c].c2;
-      std::memcpy(cached_bytes[at].data(), item.wire.data() + 64 * c, 32);
-      std::memcpy(cached_bytes[at + 1].data(), item.wire.data() + 64 * c + 32, 32);
+    for (size_t c = 0; c < shape.width; ++c) {
+      const size_t at = pairs * i + 2 * c;
+      points[at] = item.cts[c].c1;
+      points[at + 1] = item.cts[c].c2;
+      std::memcpy(bytes[at].data(), item.wire.data() + 64 * c, 32);
+      std::memcpy(bytes[at + 1].data(), item.wire.data() + 64 * c + 32, 32);
     }
   });
-  std::vector<uint8_t> pair_ok(cached_points.size(), 0);
-  if (BatchValidateEncodings(cached_points, cached_bytes, pair_ok) != 0) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      for (size_t k = pair_at[i]; k < pair_at[i + 1]; ++k) {
-        if (!pair_ok[k]) {
-          bad[i] = 1;
-          break;
-        }
-      }
+  std::vector<uint8_t> pair_ok(points.size(), 0);
+  if (BatchValidateEncodings(points, bytes, pair_ok) != 0) {
+    for (size_t k = 0; k < pair_ok.size(); ++k) {
+      bad[k / pairs] |= pair_ok[k] == 0 ? 1 : 0;
     }
   }
   if (auto i = FirstMarked(bad); i.has_value()) {
     return Status::Error("mixnet: " + what + ": wire cache does not match points at index " +
                          std::to_string(*i));
   }
-  Sha256 h;
-  uint8_t width = batch.empty() ? 0 : static_cast<uint8_t>(batch[0].cts.size());
-  h.Update({&width, 1});
-  for (size_t i = 0; i < batch.size(); ++i) {
-    h.Update(fresh[i].empty() ? batch[i].wire : fresh[i]);
-  }
-  *out = h.Finalize();
+  *out = HashMixBatch(batch);
   return Status::Ok();
 }
 

@@ -19,16 +19,19 @@
 //    (Executor::Shards); each shard re-encrypts under its own forked DRBG
 //    stream (ForkRngSeeds), so the shuffled batch, the proof, and every
 //    downstream transcript byte are identical at any thread count.
-//  * Each produced MixItem carries its canonical wire bytes (`wire`), filled
-//    inside the same parallel region that computed the points. Challenge
-//    derivation then hashes cached bytes instead of paying one ristretto
+//  * Every MixItem carries its canonical wire bytes (`wire`): a shuffle
+//    fills them inside the same parallel region that computed the points,
+//    and RunRpcMixCascade fills any its input lacks once, at entry.
+//    Challenge derivation then hashes bytes instead of paying one ristretto
 //    Encode (an inverse square root) per ciphertext component per hash —
 //    the cost that made cascade verification hash-bound.
-//  * The verifier treats caches as attacker-supplied: a cached item is
-//    decoded and compared against its points (in parallel) before its bytes
-//    may bind a challenge, so a cheating mixer cannot decouple the hashed
-//    transcript from the checked group elements (which would allow grinding
-//    the per-item challenge bits).
+//  * The verifier treats the bytes as attacker-supplied: every item's bytes
+//    are checked to be the canonical encoding of its points
+//    (BatchValidateEncodings, in parallel) before they may bind a challenge,
+//    and an item without them fails like an item with wrong ones, so a
+//    cheating mixer cannot decouple the hashed transcript from the checked
+//    group elements (which would allow grinding the per-item challenge
+//    bits).
 #ifndef SRC_VOTEGRAL_MIXNET_H_
 #define SRC_VOTEGRAL_MIXNET_H_
 
@@ -50,46 +53,42 @@ struct MixItem {
 
   std::vector<ElGamalCiphertext> cts;
 
-  // Cached canonical wire bytes of `cts` (64 bytes per ciphertext), or empty.
-  // Invariant for honest producers: when non-empty, `wire` equals the
+  // The canonical wire bytes of `cts` (64 bytes per ciphertext): the
   // concatenation of cts[c].Serialize(). Producers fill it via EnsureWire()
-  // inside parallel regions; the universal verifier re-checks it (see header
-  // comment) rather than trusting it. Excluded from equality: the cache is a
-  // performance artifact, not protocol state.
+  // inside parallel regions; the universal verifier checks it (see header
+  // comment) rather than trusting it. Excluded from equality: the bytes
+  // carry nothing the points do not.
   Bytes wire;
 
-  // Fills `wire` from `cts` if absent; returns it.
+  // Fills `wire` from `cts` unless it has their size; returns it.
   const Bytes& EnsureWire();
-
-  // True when `wire` has the size a cache for `cts` must have.
-  bool HasWire() const { return wire.size() == 64 * cts.size() && !cts.empty(); }
 
   bool operator==(const MixItem& other) const { return cts == other.cts; }
 };
 
 using MixBatch = std::vector<MixItem>;
 
-// Hashes a batch for challenge derivation and commitment comparison. Uses
-// each item's wire cache when present (trusting the producer invariant);
-// encodes fresh otherwise. Prover-side use only — verifiers go through
-// VerifyRpcMixCascade, which checks batch shapes and validates caches
-// before hashing.
+// Hashes a batch, from its items' wire bytes, for challenge derivation and
+// commitment comparison. Prover-side use only (the producer vouches for the
+// bytes) — verifiers go through VerifyRpcMixCascade, which checks batch
+// shapes and validates the bytes before hashing.
 std::array<uint8_t, 32> HashMixBatch(const MixBatch& batch);
 
-// Fills missing wire caches across the batch on the pool (one parallel
-// encode pass); later hashes of the batch are then SHA-only.
+// Fills the wire bytes of every item that lacks them, on the pool (one
+// parallel encode pass): what a caller that builds a batch from bare
+// ciphertexts runs before handing it to a verifier.
 void EnsureWireCache(MixBatch& batch, Executor& executor);
 
 // Extracts one ciphertext column from a fixed-width batch (tally and
 // verifier hand mix outputs to the tagging stage this way).
 std::vector<ElGamalCiphertext> BatchColumn(const MixBatch& batch, size_t column);
 
-// The wire-byte companion of BatchColumn: the 64-byte cache slice of one
-// column for every item, so the tagging chain's DLEQ statements can hash the
-// mix batch's canonical bytes instead of re-encoding the points. Returns an
-// empty vector when any item lacks a cache (callers fall back to encoding).
-// Trust follows the cache: tally threads its own producer caches, the
-// verifier only threads batches whose caches VerifyRpcMixCascade validated.
+// The wire-byte companion of BatchColumn: the 64-byte slice of one column
+// for every item, so the tagging chain's DLEQ statements can hash the mix
+// batch's canonical bytes instead of re-encoding the points. Every item must
+// have the column and carry its bytes. Trust follows the bytes: the tally
+// threads its own, the verifier only batches whose bytes
+// VerifyRpcMixCascade validates.
 std::vector<ElGamalWire> BatchColumnWire(const MixBatch& batch, size_t column);
 
 // An opened re-encryption link for one middle-layer item.
@@ -138,10 +137,11 @@ enum class MixLinkCheck {
 // batch it hashes (input, each pair's mid and out, the published output)
 // must hold the input's item count with the input's width in every item:
 // HashMixBatch runs the items' bytes together, so the hash binds item
-// boundaries only under that check. Wire caches inside the proof batches
-// are validated (decoded and compared to the points) before they may bind
-// challenge bits; link checks, cache validation, and the closing MSM all
-// run on `executor`, with the first failing pair/index reported
+// boundaries only under that check. Every item of those batches must carry
+// the canonical encoding of its points (BatchValidateEncodings) before its
+// bytes may bind challenge bits; an item whose bytes are missing or wrong is
+// named by batch and index. Link checks, byte validation, and the closing
+// MSM all run on `executor`, with the first failing pair/index reported
 // deterministically.
 Status VerifyRpcMixCascade(const MixBatch& input, const MixBatch& output,
                            const MixProof& proof, const RistrettoPoint& pk,

@@ -21,6 +21,21 @@ DleqStatement TagStatement(const ElGamalCiphertext& input, const ElGamalCipherte
   return statement;
 }
 
+// The bytes of an entry's input column: the caller's, or, when it passes
+// none, one encoding per ciphertext made here into `encoded`.
+std::span<const ElGamalWire> InputBytes(std::span<const ElGamalCiphertext> input,
+                                        std::span<const ElGamalWire> input_wire,
+                                        std::vector<ElGamalWire>& encoded,
+                                        Executor& executor) {
+  if (input_wire.empty()) {
+    encoded.resize(input.size());
+    executor.ParallelForEach(input.size(), [&](size_t i) { encoded[i] = input[i].Wire(); });
+    return encoded;
+  }
+  Require(input_wire.size() == input.size(), "tagging: input wire size mismatch");
+  return input_wire;
+}
+
 }  // namespace
 
 TaggingService TaggingService::Create(size_t members, Rng& rng) {
@@ -54,8 +69,7 @@ void TaggingService::ApplyShardRange(size_t member, std::span<const ElGamalCiphe
   const Scalar& z = secrets_.at(member);
   Require(end <= input.size() && step.output.size() == input.size(),
           "tagging: shard range outside prepared step");
-  Require(input_wire.empty() || input_wire.size() == input.size(),
-          "tagging: input wire size mismatch");
+  Require(input_wire.size() == input.size(), "tagging: input wire size mismatch");
   // Per ciphertext, one proof derives the output (z*C1, z*C2) over the bases
   // (B, C1, C2): the commit y*B reads the generator's table, and each
   // ciphertext point's two multiples, z and y, share one doubling chain.
@@ -63,7 +77,7 @@ void TaggingService::ApplyShardRange(size_t member, std::span<const ElGamalCiphe
   // the step retains them for the next member's statements and the
   // decrypt stage.
   for (size_t i = begin; i < end; ++i) {
-    const ElGamalWire in_wire = input_wire.empty() ? input[i].Wire() : input_wire[i];
+    const ElGamalWire& in_wire = input_wire[i];
     DleqStatement statement;
     statement.bases = {RistrettoPoint::Base(), input[i].c1, input[i].c2};
     statement.base_wire = {RistrettoPoint::BaseWire(), ElGamalWireHalf(in_wire, 0),
@@ -109,8 +123,9 @@ std::vector<ElGamalCiphertext> TaggingService::ApplyAll(
   const auto shards = Executor::Shards(input.size(), Executor::kRngShards);
   steps->clear();
   steps->reserve(secrets_.size());  // the spans below point into earlier steps
+  std::vector<ElGamalWire> encoded;
   std::span<const ElGamalCiphertext> current = input;
-  std::span<const ElGamalWire> current_wire = input_wire;
+  std::span<const ElGamalWire> current_wire = InputBytes(input, input_wire, encoded, executor);
   for (size_t member = 0; member < secrets_.size(); ++member) {
     // Per member: one forked seed per shard.
     const auto seeds = ForkRngSeeds(rng, shards.size());
@@ -145,6 +160,13 @@ Status TaggingService::VerifyChain(const std::vector<ElGamalCiphertext>& input,
         steps[i].proofs.size() != current->size()) {
       return Status::Error("tagging: step size mismatch");
     }
+    // Outputs without their bytes fail like outputs with wrong ones.
+    if (steps[i].output_wire.size() != current->size()) {
+      return Status::Error(
+          "tagging: step " + std::to_string(i) +
+          " output wire cache does not match ciphertexts at index " +
+          std::to_string(std::min(steps[i].output_wire.size(), current->size())));
+    }
     current = &steps[i].output;
   }
 
@@ -155,9 +177,8 @@ Status TaggingService::VerifyChain(const std::vector<ElGamalCiphertext>& input,
   const size_t n = input.size();
   const size_t m = steps.size();
   const size_t per_item = 2 + 5 * m;
-  if (input_wire.size() != n) {
-    input_wire = {};
-  }
+  std::vector<ElGamalWire> encoded;
+  input_wire = InputBytes(input, input_wire, encoded, executor);
   std::vector<CompressedRistretto> commitment_wire(m);
   for (size_t i = 0; i < m; ++i) {
     commitment_wire[i] = commitments[i].Encode();
@@ -175,28 +196,24 @@ Status TaggingService::VerifyChain(const std::vector<ElGamalCiphertext>& input,
   // Items go through their shard in groups of about 64 cached points.
   const size_t group = std::max<size_t>(1, 64 / (5 * std::max<size_t>(m, 1)));
   auto well_formed = [](const DleqTranscript& proof) {
-    return proof.commits.size() == 3 &&
-           (proof.commit_wire.empty() || proof.commit_wire.size() == 3);
+    return proof.commits.size() == 3 && proof.commit_wire.size() == 3;
   };
   batch.Fill(executor, [&](DleqTermBatch::ShardWriter& writer, size_t begin, size_t end) {
     EncodingCheck check;
     bool holds = true;
     for (size_t first_item = begin; first_item < end; first_item += group) {
       const size_t last_item = std::min(end, first_item + group);
-      // The group's caches in one pass (no inverse square root): each cached
-      // output against its points, each proof's commit bytes against its
-      // commits. A step or proof without caches is encoded below instead.
+      // The group's bytes in one pass (no inverse square root): each output
+      // against its points, each proof's commit bytes against its commits.
       // Every group's outputs are checked even after the batch has failed,
-      // since a stale output cache is reported first.
+      // since a stale output is reported first.
       check.Clear();
       for (size_t j = first_item; j < last_item; ++j) {
         for (size_t i = 0; i < m; ++i) {
-          if (steps[i].HasWire()) {
-            check.Add(steps[i].output[j].c1, ElGamalWireHalf(steps[i].output_wire[j], 0));
-            check.Add(steps[i].output[j].c2, ElGamalWireHalf(steps[i].output_wire[j], 1));
-          }
+          check.Add(steps[i].output[j].c1, ElGamalWireHalf(steps[i].output_wire[j], 0));
+          check.Add(steps[i].output[j].c2, ElGamalWireHalf(steps[i].output_wire[j], 1));
           const DleqTranscript& proof = steps[i].proofs[j];
-          if (well_formed(proof) && proof.HasWire()) {
+          if (well_formed(proof)) {
             for (size_t c = 0; c < 3; ++c) {
               check.Add(proof.commits[c], proof.commit_wire[c]);
             }
@@ -207,20 +224,17 @@ Status TaggingService::VerifyChain(const std::vector<ElGamalCiphertext>& input,
       size_t slot = 0;
       for (size_t j = first_item; j < last_item; ++j) {
         for (size_t i = 0; i < m; ++i) {
-          if (steps[i].HasWire()) {
-            if (!check.ok(slot) || !check.ok(slot + 1)) {
-              cache_bad[i * n + j] = 1;
-              holds = false;
-            }
-            slot += 2;
+          if (!check.ok(slot) || !check.ok(slot + 1)) {
+            cache_bad[i * n + j] = 1;
+            holds = false;
           }
-          const DleqTranscript& proof = steps[i].proofs[j];
-          if (!well_formed(proof)) {
+          slot += 2;
+          if (!well_formed(steps[i].proofs[j])) {
             holds = false;  // the per-step path names it
-          } else if (proof.HasWire()) {
-            for (size_t c = 0; c < 3; ++c) {
-              holds = holds && check.ok(slot++);
-            }
+            continue;
+          }
+          for (size_t c = 0; c < 3; ++c) {
+            holds = check.ok(slot++) && holds;
           }
         }
       }
@@ -229,24 +243,23 @@ Status TaggingService::VerifyChain(const std::vector<ElGamalCiphertext>& input,
         const size_t first = j * per_item;
         writer.SetPoint(first, input[j].c1);
         writer.SetPoint(first + 1, input[j].c2);
-        ElGamalWire in_wire = input_wire.empty() ? input[j].Wire() : input_wire[j];
+        const ElGamalWire* in_wire = &input_wire[j];
         for (size_t i = 0; holds && i < m; ++i) {
           const TaggingStep& step = steps[i];
           const DleqTranscript& proof = step.proofs[j];
-          const ElGamalWire out_wire =
-              step.HasWire() ? step.output_wire[j] : step.output[j].Wire();
+          const ElGamalWire& out_wire = step.output_wire[j];
           // The challenge over (B, C1, C2), (Z_i, C1', C2') and the commits,
-          // hashed from bytes in hand: SHA-only when every cache is present.
+          // hashed from the bytes in hand: SHA-only.
           Sha512 h;
           const uint8_t separator = 0;
           h.Update(AsBytes(kTagDomain));
           h.Update({&separator, 1});
           h.Update(RistrettoPoint::BaseWire());
-          h.Update(in_wire);
+          h.Update(*in_wire);
           h.Update(commitment_wire[i]);
           h.Update(out_wire);
           for (size_t c = 0; c < 3; ++c) {
-            h.Update(proof.HasWire() ? proof.commit_wire[c] : proof.commits[c].Encode());
+            h.Update(proof.commit_wire[c]);
           }
           if (Scalar::FromBytesWide(h.Finalize()) != proof.challenge) {
             holds = false;
@@ -265,7 +278,7 @@ Status TaggingService::VerifyChain(const std::vector<ElGamalCiphertext>& input,
                          out + 3);
           writer.AddPair(proof.challenge, proof.response, Slot::Term(in + 1),
                          Slot::Term(out + 1), out + 4);
-          in_wire = out_wire;
+          in_wire = &out_wire;
         }
       }
     }

@@ -36,15 +36,13 @@ struct TaggingStep {
   std::vector<ElGamalCiphertext> output;
   std::vector<DleqTranscript> proofs;  // one per ciphertext
 
-  // Canonical wire bytes of `output`, filled by the prover in the same
-  // parallel pass that computed the points (each proof's challenge hashes
-  // them anyway, so they are free to retain). Attacker data on the verify
-  // side: VerifyChain checks each is the canonical encoding of its point
-  // (BatchValidateEncodings) before it may enter any statement cache —
-  // exactly the MixItem rule. Empty on legacy transcripts.
+  // Canonical wire bytes of `output`, one per ciphertext, filled by the
+  // prover in the same parallel pass that computed the points (each proof's
+  // challenge hashes them anyway, so they are free to retain). Attacker data
+  // on the verify side: VerifyChain checks each is the canonical encoding of
+  // its point (BatchValidateEncodings) before it may bind a challenge —
+  // exactly the MixItem rule.
   std::vector<ElGamalWire> output_wire;
-
-  bool HasWire() const { return !output.empty() && output_wire.size() == output.size(); }
 };
 
 // The tagging committee. In deployment these secrets live on the same
@@ -67,12 +65,10 @@ class TaggingService {
   // forked stream for this shard), one ProveDleqFsDeriving per ciphertext,
   // which also gives the output wire. Disjoint ranges may run concurrently.
   //
-  // `input_wire`, when non-empty, must be the canonical bytes of `input`
-  // from a source the caller produced or validated (previous step's
-  // output_wire, a validated mix column); the proof statements then hash
-  // those bytes instead of re-encoding the input points. The step carries
-  // output_wire either way, and its bytes are identical with or without the
-  // threading.
+  // `input_wire` must be the canonical bytes of `input`, one per
+  // ciphertext, from a source the caller produced or validated (the previous
+  // step's output_wire, a mix column); the proof statements hash them
+  // instead of re-encoding the input points.
   void ApplyShardRange(size_t member, std::span<const ElGamalCiphertext> input,
                        std::span<const ElGamalWire> input_wire, size_t begin, size_t end,
                        Rng& child, TaggingStep& step) const;
@@ -86,8 +82,9 @@ class TaggingService {
 
   // Runs all members sequentially, each as ApplyShardRange over forked
   // per-shard seeds on `executor`, collecting each step and threading its
-  // wire bytes into the next statement's cache. Returns the final tagged
-  // ciphertexts.
+  // wire bytes into the next step's statements. `input_wire` is the input's
+  // bytes, as for ApplyShardRange; when it is empty the input is encoded
+  // once, here. Returns the final tagged ciphertexts.
   std::vector<ElGamalCiphertext> ApplyAll(const std::vector<ElGamalCiphertext>& input,
                                           std::vector<TaggingStep>* steps, Rng& rng,
                                           Executor& executor = Executor::Global(),
@@ -104,11 +101,13 @@ class TaggingService {
   // Wire handling: each challenge is recomputed from bytes in hand. Every
   // step's output_wire and every proof's commit_wire (attacker data) must
   // be the canonical encoding of its points (BatchValidateEncodings, in
-  // small groups per shard) before it may bind a challenge; a stale output
-  // cache is a localized failure, reported first. Steps and proofs without
-  // caches are encoded as they are hashed. `input_wire` optionally supplies
-  // bytes for the chain input that another check validates (the verifier
-  // threads the mix column caches VerifyRpcMixCascade checks).
+  // small groups per shard) before it may bind a challenge; a step output
+  // whose bytes are missing or wrong is a localized failure, reported
+  // first, and a proof's missing or wrong commit bytes are named by the
+  // per-step path. `input_wire` supplies the chain input's bytes when
+  // another check validates them (the verifier threads the mix column bytes
+  // VerifyRpcMixCascade checks); when it is empty the input is encoded once,
+  // here.
   static Status VerifyChain(const std::vector<ElGamalCiphertext>& input,
                             const std::vector<TaggingStep>& steps,
                             const std::vector<RistrettoPoint>& commitments,

@@ -84,7 +84,6 @@ MixItem BallotMixItem(const Ballot& ballot) {
   MixItem item;
   item.cts = {ballot.encrypted_vote, ElGamalTrivialEncrypt(*credential_point)};
   item.wire = BallotMixWire(ballot);
-  item.EnsureWire();
   return item;
 }
 
@@ -118,8 +117,7 @@ void DecryptShareShardRange(const TallyService& service, const AuthorityClient& 
   for (size_t i = begin; i < end; ++i) {
     std::vector<DecryptionShare>& shares = (*buffers.shares_out)[i];
     shares.reserve(members);
-    const CompressedRistretto c1_wire =
-        cts_wire.empty() ? cts[i].c1.Encode() : ElGamalWireHalf(cts_wire[i], 0);
+    const CompressedRistretto c1_wire = ElGamalWireHalf(cts_wire[i], 0);
     const uint64_t ct_key = (epoch << 32) | static_cast<uint64_t>(i);
     for (size_t m = 0; m < members; ++m) {
       ShareRequestReport report;
@@ -224,12 +222,11 @@ std::vector<Ballot> DeduplicateBallots(const std::vector<std::optional<Ballot>>&
 }
 
 Bytes BallotMixWire(const Ballot& ballot) {
-  if (!ballot.vote_wire.has_value()) {
-    return {};
-  }
-  Bytes wire(ballot.vote_wire->begin(), ballot.vote_wire->end());
-  wire.resize(wire.size() + 32, 0);  // the identity's encoding
-  wire.insert(wire.end(), ballot.credential_pk.begin(), ballot.credential_pk.end());
+  const ElGamalWire vote =
+      ballot.vote_wire.has_value() ? *ballot.vote_wire : ballot.encrypted_vote.Wire();
+  Bytes wire(128, 0);  // bytes 64..95 stay the identity's encoding
+  std::copy(vote.begin(), vote.end(), wire.begin());
+  std::copy(ballot.credential_pk.begin(), ballot.credential_pk.end(), wire.begin() + 96);
   return wire;
 }
 

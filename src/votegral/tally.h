@@ -203,11 +203,11 @@ std::vector<std::optional<Ballot>> ValidateBallots(
 std::vector<Ballot> DeduplicateBallots(const std::vector<std::optional<Ballot>>& validated,
                                        TallyDiscards* discards);
 
-// The wire cache of a ballot's width-2 mix item [Enc(vote), Enc(c_pk)],
+// The wire bytes of a ballot's width-2 mix item [Enc(vote), Enc(c_pk)],
 // built from the bytes the ballot already holds: the vote as parsed
-// (Ballot::vote_wire), the trivial encryption's identity (32 zero bytes)
-// and the credential key. Empty for a ballot that was not parsed. The tally
-// fills its mix input with it and the verifier compares against it.
+// (Ballot::vote_wire, encoded here for a ballot that was not parsed), the
+// trivial encryption's identity (32 zero bytes) and the credential key. The
+// tally fills its mix input with it and the verifier compares against it.
 Bytes BallotMixWire(const Ballot& ballot);
 
 // Convenience composition of both phases (tally, verifier, tests).

@@ -624,16 +624,12 @@ Outcome<TallyOutput> TallyService::Run(const PublicLedger& ledger,
   std::vector<ElGamalCiphertext> counted_votes;
   std::vector<ElGamalWire> counted_votes_wire;
   clock.Timed(kSDecryptVotes, [&] {
+    const std::vector<ElGamalWire> vote_column_wire = BatchColumnWire(t.ballot_mix_output, 0);
     counted_votes.reserve(t.counted_indices.size());
+    counted_votes_wire.reserve(t.counted_indices.size());
     for (uint64_t index : t.counted_indices) {
       counted_votes.push_back(t.ballot_mix_output[index].cts.at(0));
-    }
-    std::vector<ElGamalWire> counted_wire = BatchColumnWire(t.ballot_mix_output, 0);
-    if (counted_wire.size() == t.ballot_mix_output.size()) {
-      counted_votes_wire.reserve(t.counted_indices.size());
-      for (uint64_t index : t.counted_indices) {
-        counted_votes_wire.push_back(counted_wire[index]);
-      }
+      counted_votes_wire.push_back(vote_column_wire[index]);
     }
   });
   const auto vote_shards = Executor::Shards(counted_votes.size(), Executor::kRngShards);

@@ -97,9 +97,8 @@ void ValidateBallotShard(const PublicLedger& ledger,
 void TallyValidationOutcomes(std::span<const uint8_t> outcome, TallyDiscards* discards);
 
 // Builds one ballot's width-2 mix item [Enc(vote), Enc(c_pk)] with its wire
-// cache filled from the ballot's bytes (BallotMixWire; encoded only for a
-// ballot that was not parsed). Require-fails on a bad credential point —
-// validated ballots cannot have one.
+// bytes from the ballot's (BallotMixWire). Require-fails on a bad credential
+// point — validated ballots cannot have one.
 MixItem BallotMixItem(const Ballot& ballot);
 
 // Working buffers for one decrypt batch. Shards write positionally into
@@ -122,8 +121,9 @@ struct DecryptBatchBuffers {
 
 // Decrypt-stage kernel: collects every live authority member's verifiable
 // share for ciphertexts [begin, end) through the retrying AuthorityClient,
-// drawing proof nonces from `child`. Failures are captured per ciphertext
-// when a fault plan is armed. Disjoint ranges may run concurrently.
+// drawing proof nonces from `child`; each share's statement hashes C1 from
+// `cts_wire`, the bytes of `cts`. Failures are captured per ciphertext when
+// a fault plan is armed. Disjoint ranges may run concurrently.
 void DecryptShareShardRange(const TallyService& service, const AuthorityClient& client,
                             std::span<const ElGamalCiphertext> cts,
                             std::span<const ElGamalWire> cts_wire, uint64_t epoch,
@@ -131,7 +131,7 @@ void DecryptShareShardRange(const TallyService& service, const AuthorityClient& 
                             DecryptBatchBuffers& buffers);
 
 // Close of one decrypt batch over `cts` (with `cts_wire`, the bytes the
-// shards hashed, or empty): merges blame (first failure per member in
+// shards hashed): merges blame (first failure per member in
 // ciphertext order), reports the first ciphertext short of the threshold as
 // kUnavailable, and then checks every share the batch collected with one
 // VerifyShareBatch, so no decryption leaves the tally before the shares it

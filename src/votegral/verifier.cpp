@@ -25,16 +25,16 @@ Status VerifyTallyCascade(const MixBatch& input, const MixBatch& output, const M
 // points; fails on any bad proof. Each ciphertext needs the member count the
 // authority's mode asks for, from distinct members in range; the proofs are
 // one VerifyShareBatch (src/crypto/dkg.h), and on rejection the per-item
-// path re-runs to name the offending share. `cts_wire` is bytes another
-// check validates (mix caches checked by VerifyRpcMixCascade, tagging wires
-// checked by VerifyChain; see VerifyElection for why a check may use them),
-// or empty.
+// path re-runs to name the offending share. `cts_wire` is the bytes of
+// `cts` that another check validates (mix bytes checked by
+// VerifyRpcMixCascade, tagging output bytes checked by VerifyChain; see
+// VerifyElection for why a check may use them).
 Status VerifyAndDecryptAll(const std::vector<ElGamalCiphertext>& cts,
+                           std::span<const ElGamalWire> cts_wire,
                            const std::vector<std::vector<DecryptionShare>>& shares,
                            const VerifierParams& params, Executor& executor,
                            std::vector<CompressedRistretto>* out,
-                           const std::string& what,
-                           std::span<const ElGamalWire> cts_wire = {}) {
+                           const std::string& what) {
   if (shares.size() != cts.size()) {
     return Status::Error("verifier: " + what + ": share list size mismatch");
   }
@@ -124,13 +124,14 @@ bool SameRevoteBallot(const RevoteBallot& a, const RevoteBallot& b) {
          a.proof.t2 == b.proof.t2 && a.proof.z1 == b.proof.z1 && a.proof.z2 == b.proof.z2;
 }
 
-// True when every item of `batch` has ciphertext `column`. A node checks
-// this before it reads a mix output column: the cascade check, earlier in
-// the order, rejects a batch whose items are too narrow, but the node runs
-// before that verdict is known.
+// True when every item of `batch` has ciphertext `column` and carries its
+// bytes. A node checks this before it reads a mix output column: the cascade
+// check, earlier in the order, rejects a batch whose items are too narrow or
+// lack their bytes, but the node runs before that verdict is known.
 bool HasColumn(const MixBatch& batch, size_t column) {
-  return std::all_of(batch.begin(), batch.end(),
-                     [column](const MixItem& item) { return item.cts.size() > column; });
+  return std::all_of(batch.begin(), batch.end(), [column](const MixItem& item) {
+    return item.cts.size() > column && item.wire.size() == 64 * item.cts.size();
+  });
 }
 
 // One check's verdict, written by its graph node. A node that throws keeps
@@ -191,7 +192,8 @@ struct ChainChecks {
 // share node runs after the chain node and reads the last step's outputs
 // and bytes, which the chain validates (or the column itself when the
 // committee is empty); both read the column's bytes, which the cascade
-// validates.
+// validates. Bytes that are missing fail the share batch instead of being
+// read.
 void SubmitChain(TaskGraph& graph, ChainChecks& checks, const MixBatch& mix_output,
                  size_t column, const std::vector<TaggingStep>& steps,
                  const std::vector<std::vector<DecryptionShare>>& tag_shares,
@@ -215,14 +217,12 @@ void SubmitChain(TaskGraph& graph, ChainChecks& checks, const MixBatch& mix_outp
       graph, checks.shares,
       [&, name]() -> Status {
         if (steps.empty()) {
-          return VerifyAndDecryptAll(checks.credentials, tag_shares, params, executor,
-                                     &checks.tags, name + " tags", checks.credentials_wire);
+          return VerifyAndDecryptAll(checks.credentials, checks.credentials_wire, tag_shares,
+                                     params, executor, &checks.tags, name + " tags");
         }
         const TaggingStep& last = steps.back();
-        return VerifyAndDecryptAll(last.output, tag_shares, params, executor, &checks.tags,
-                                   name + " tags",
-                                   last.HasWire() ? std::span<const ElGamalWire>(last.output_wire)
-                                                  : std::span<const ElGamalWire>{});
+        return VerifyAndDecryptAll(last.output, last.output_wire, tag_shares, params, executor,
+                                   &checks.tags, name + " tags");
       },
       {chain});
 }
@@ -306,11 +306,11 @@ void SubmitRevote(TaskGraph& graph, RevoteChecks& checks, const PublicLedger& le
     }
     // Dummy openings are recomputed through the same batched fast path the
     // tally used (one MulBase + encode per group, static counter table)
-    // instead of per-member RevoteDummyItem calls. Published items that
-    // carry a wire cache compare as one 192-byte memcmp — sound because the
-    // mix cascade's input validation re-checks every cache against its
-    // points, so a stale cache cannot smuggle mismatched ciphertexts past
-    // this check; it just moves the failure to the cascade.
+    // instead of per-member RevoteDummyItem calls. A published dummy item
+    // compares by its bytes, one 192-byte memcmp — sound because the mix
+    // cascade's input validation checks every item's bytes against its
+    // points, so stale bytes cannot smuggle mismatched ciphertexts past this
+    // check; they just move the failure to the cascade.
     std::vector<MixItem> expected_dummies(dummy_slots.size());
     BuildRevoteDummyItems(rt.dummies, dummy_slots, expected_dummies, executor);
     if (auto i = ParallelFirstFailure(executor, rt.mix_input.size(), [&](size_t i) {
@@ -320,9 +320,7 @@ void SubmitRevote(TaskGraph& graph, RevoteChecks& checks, const PublicLedger& le
             expected.cts = {b.encrypted_vote, b.encrypted_credential, b.encrypted_counter};
             return expected == rt.mix_input[i];
           }
-          const MixItem& expected = expected_dummies[i - total];
-          const MixItem& got = rt.mix_input[i];
-          return got.HasWire() ? got.wire == expected.wire : expected == got;
+          return rt.mix_input[i].wire == expected_dummies[i - total].wire;
         });
         i.has_value()) {
       if (*i < total) {
@@ -343,9 +341,9 @@ void SubmitRevote(TaskGraph& graph, RevoteChecks& checks, const PublicLedger& le
     if (!HasColumn(rt.mix_output, 2)) {
       return Status::Error(StatusCode::kCorrupted, "verifier: revote mix output item too narrow");
     }
-    return VerifyAndDecryptAll(BatchColumn(rt.mix_output, 2), rt.counter_shares, params,
-                               executor, &checks.counter_points, "revote counters",
-                               BatchColumnWire(rt.mix_output, 2));
+    return VerifyAndDecryptAll(BatchColumn(rt.mix_output, 2), BatchColumnWire(rt.mix_output, 2),
+                               rt.counter_shares, params, executor, &checks.counter_points,
+                               "revote counters");
   });
 }
 
@@ -477,42 +475,21 @@ Status VerifyElection(const PublicLedger& ledger, const VerifierParams& params,
       }
       return Status::Ok();
     });
-    // The mix input must match the accepted ballots. An item that carries a
-    // wire cache compares by its bytes against the ballot's (BallotMixWire),
-    // with no decode: sound because the cascade's input validation re-checks
-    // every cache against its points, so a stale cache only moves the
-    // failure there (the revote dummy check's rule). An item without one is
-    // compared as points.
+    // The mix input must match the accepted ballots. Each item compares by
+    // its bytes against the ballot's (BallotMixWire), with no decode: sound
+    // because the cascade's input validation checks every item's bytes
+    // against its points, so stale bytes only move the failure there (the
+    // revote dummy check's rule).
     SubmitCheck(
         graph, ballot_input,
         [&]() -> Status {
           if (t.ballot_mix_input.size() != accepted.size()) {
             return Status::Error("verifier: ballot mix input size mismatch");
           }
-          std::vector<uint8_t> undecodable(accepted.size(), 0);
-          std::vector<uint8_t> differs(accepted.size(), 0);
-          executor.ParallelForEach(accepted.size(), [&](size_t i) {
-            const MixItem& got = t.ballot_mix_input[i];
-            if (got.HasWire() && accepted[i].vote_wire.has_value()) {
-              differs[i] = got.wire == BallotMixWire(accepted[i]) ? 0 : 1;
-              return;
-            }
-            auto credential_point = RistrettoPoint::Decode(accepted[i].credential_pk);
-            if (!credential_point.has_value()) {
-              undecodable[i] = 1;
-              return;
-            }
-            MixItem expected;
-            expected.cts = {accepted[i].encrypted_vote,
-                            ElGamalTrivialEncrypt(*credential_point)};
-            if (!(expected == got)) {
-              differs[i] = 1;
-            }
-          });
-          if (FirstMarked(undecodable).has_value()) {
-            return Status::Error("verifier: accepted ballot credential undecodable");
-          }
-          if (auto i = FirstMarked(differs); i.has_value()) {
+          if (auto i = ParallelFirstFailure(executor, accepted.size(), [&](size_t i) {
+                return t.ballot_mix_input[i].wire == BallotMixWire(accepted[i]);
+              });
+              i.has_value()) {
             return Status::Error("verifier: ballot mix input " + std::to_string(*i) + " differs");
           }
           return Status::Ok();
@@ -563,7 +540,7 @@ Status VerifyElection(const PublicLedger& ledger, const VerifierParams& params,
               t.roster_tag_shares, params, executor, "roster");
 
   // Vote shares: the counted ballots' vote ciphertexts are mix outputs, so
-  // their (cascade-validated) wire caches back the share statements. The
+  // their (cascade-validated) bytes back the share statements. The
   // published counted indices select them; the join replay, earlier in the
   // order, checks those indices.
   Check vote_shares;
@@ -573,8 +550,11 @@ Status VerifyElection(const PublicLedger& ledger, const VerifierParams& params,
     if (!HasColumn(mixed, 0)) {
       return Status::Error(StatusCode::kCorrupted, "verifier: ballot mix output item too narrow");
     }
+    const std::vector<ElGamalWire> vote_column_wire = BatchColumnWire(mixed, 0);
     std::vector<ElGamalCiphertext> counted_votes;
+    std::vector<ElGamalWire> counted_votes_wire;
     counted_votes.reserve(t.counted_indices.size());
+    counted_votes_wire.reserve(t.counted_indices.size());
     for (uint64_t index : t.counted_indices) {
       if (index >= mixed.size()) {
         return Status::Error(StatusCode::kCorrupted,
@@ -582,17 +562,10 @@ Status VerifyElection(const PublicLedger& ledger, const VerifierParams& params,
                                  " is not a ballot mix output");
       }
       counted_votes.push_back(mixed[index].cts[0]);
+      counted_votes_wire.push_back(vote_column_wire[index]);
     }
-    std::vector<ElGamalWire> counted_votes_wire;
-    std::vector<ElGamalWire> vote_column_wire = BatchColumnWire(mixed, 0);
-    if (vote_column_wire.size() == mixed.size()) {
-      counted_votes_wire.reserve(t.counted_indices.size());
-      for (uint64_t index : t.counted_indices) {
-        counted_votes_wire.push_back(vote_column_wire[index]);
-      }
-    }
-    return VerifyAndDecryptAll(counted_votes, t.vote_shares, params, executor, &vote_points,
-                               "votes", counted_votes_wire);
+    return VerifyAndDecryptAll(counted_votes, counted_votes_wire, t.vote_shares, params,
+                               executor, &vote_points, "votes");
   });
 
   graph.Wait();

@@ -105,9 +105,10 @@ TEST(BatchDleq, ChallengeBindingStillPerItem) {
 }
 
 // An entry over (B, X) and, with `two_pairs`, (g2, x*g2), proved with x.
-// `cached` gives the statement and the transcript their wire caches, and
-// without it both go bare. `forged` makes X = x*B + B: the challenge binds
-// the statement as claimed, so only the B pair's equation fails.
+// `cached` gives the statement its bytes, and without it the statement goes
+// bare (the transcript always carries its commit bytes). `forged` makes
+// X = x*B + B: the challenge binds the statement as claimed, so only the B
+// pair's equation fails.
 DleqBatchEntry BasePairEntry(bool two_pairs, bool cached, bool forged, Rng& rng) {
   const Scalar x = Scalar::Random(rng);
   const RistrettoPoint xb = RistrettoPoint::MulBase(x);
@@ -124,9 +125,6 @@ DleqBatchEntry BasePairEntry(bool two_pairs, bool cached, bool forged, Rng& rng)
     entry.statement.EnsureWire();
   }
   entry.transcript = ProveDleqFs(entry.domain, entry.statement, x, rng);
-  if (!cached) {
-    entry.transcript.commit_wire.clear();
-  }
   return entry;
 }
 

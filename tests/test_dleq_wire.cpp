@@ -1,21 +1,24 @@
 // Tests for the wire-byte DLEQ transcript layer (docs/TRANSCRIPTS.md §DLEQ):
-//  * the cached-bytes and encode-per-point challenge paths agree bit for bit,
-//  * with complete caches, verification performs ZERO point encodings —
-//    pinned by the ristretto invocation counters, not by comments,
-//  * a forged or stale commit wire cache is rejected with a localized
-//    failure (the PR 2 MixItem rule), never silently hashed,
-//  * Serialize/Parse round-trip the cache without changing the wire format.
+//  * the challenge hashed from bytes is the encode-per-point one, bit for bit,
+//  * with complete statement bytes, verification performs ZERO point
+//    encodings and ZERO decodes — pinned by the ristretto invocation
+//    counters, not by comments,
+//  * missing, forged or stale commit bytes are rejected with a localized
+//    failure (the MixItem rule), never silently hashed,
+//  * Serialize/Parse round-trip the commit bytes, which are the wire format.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/serde.h"
 #include "src/crypto/batch.h"
 #include "src/crypto/dkg.h"
 #include "src/crypto/dleq.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/elgamal.h"
+#include "src/crypto/sha512.h"
 #include "src/votegral/tagging.h"
 
 namespace votegral {
@@ -42,6 +45,25 @@ WireProof MakeWireProof(std::string_view domain, Rng& rng) {
   return p;
 }
 
+// The encode-per-point challenge: the domain, a zero separator, then every
+// base, public and commit encoded (with no extra context).
+Scalar EncodePerPointChallenge(std::string_view domain, const DleqStatement& statement,
+                               std::span<const RistrettoPoint> commits) {
+  Sha512 h;
+  h.Update(AsBytes(domain));
+  const uint8_t separator = 0;
+  h.Update({&separator, 1});
+  for (const auto* section : {&statement.bases, &statement.publics}) {
+    for (const RistrettoPoint& point : *section) {
+      h.Update(point.Encode());
+    }
+  }
+  for (const RistrettoPoint& commit : commits) {
+    h.Update(commit.Encode());
+  }
+  return Scalar::FromBytesWide(h.Finalize());
+}
+
 TEST(DleqWire, WireAndLegacyChallengePathsAgree) {
   ChaChaRng rng(90);
   Scalar x = Scalar::Random(rng);
@@ -54,8 +76,11 @@ TEST(DleqWire, WireAndLegacyChallengePathsAgree) {
   DleqProver prover(cached, x, rng);
   Scalar with_wire = DeriveFsChallenge("test/wire", cached, prover.commits(),
                                        prover.commit_wire(), {});
-  Scalar legacy = DeriveFsChallenge("test/wire", bare, prover.commits(), {});
+  Scalar bare_statement = DeriveFsChallenge("test/wire", bare, prover.commits(),
+                                            prover.commit_wire(), {});
+  Scalar legacy = EncodePerPointChallenge("test/wire", cached, prover.commits());
   EXPECT_EQ(with_wire, legacy);
+  EXPECT_EQ(bare_statement, legacy);
 
   // And a proof made over the cached statement verifies against the bare one
   // (same bytes hashed either way).
@@ -66,8 +91,9 @@ TEST(DleqWire, WireAndLegacyChallengePathsAgree) {
 TEST(DleqWire, EnsureWireAndValidateWireRoundTrip) {
   ChaChaRng rng(91);
   WireProof p = MakeWireProof("test/roundtrip", rng);
-  EXPECT_TRUE(p.statement.HasWire());
-  EXPECT_TRUE(p.transcript.HasWire());
+  EXPECT_EQ(p.statement.base_wire.size(), p.statement.bases.size());
+  EXPECT_EQ(p.statement.public_wire.size(), p.statement.publics.size());
+  EXPECT_EQ(p.transcript.commit_wire.size(), p.transcript.commits.size());
   EXPECT_TRUE(p.transcript.ValidateWire().ok());
 }
 
@@ -77,10 +103,10 @@ TEST(DleqWire, VerifyPerformsZeroEncodesWithCompleteCaches) {
   uint64_t enc0 = RistrettoEncodeInvocations();
   uint64_t dec0 = RistrettoDecodeInvocations();
   EXPECT_TRUE(VerifyDleqFs("test/zero-encode", p.statement, p.transcript).ok());
-  // Challenge derivation is SHA-only; the only group<->bytes work left is
-  // the attacker-cache validation, one decode per commit.
+  // Challenge derivation is SHA-only, and the commit bytes are validated by
+  // BatchValidateEncodings: no decode either.
   EXPECT_EQ(RistrettoEncodeInvocations() - enc0, 0u);
-  EXPECT_EQ(RistrettoDecodeInvocations() - dec0, p.transcript.commits.size());
+  EXPECT_EQ(RistrettoDecodeInvocations() - dec0, 0u);
 }
 
 TEST(DleqWire, BatchVerifyPerformsZeroEncodesWithCompleteCaches) {
@@ -116,11 +142,10 @@ TEST(DleqWire, CachelessEntriesStillVerifyViaEncodeFallback) {
     entry.domain = "test/fallback";
     entry.statement = std::move(p.statement);
     entry.transcript = std::move(p.transcript);
-    // Strip every cache: the pre-wire framing must keep verifying (it is
-    // also the path the fig_dleq_fs bench measures as the baseline).
+    // Strip the statement bytes, which stay optional: the statement is
+    // encoded as it is hashed, and the commits are hashed from their bytes.
     entry.statement.base_wire.clear();
     entry.statement.public_wire.clear();
-    entry.transcript.commit_wire.clear();
     entries.push_back(std::move(entry));
   }
   uint64_t enc0 = RistrettoEncodeInvocations();
@@ -168,12 +193,52 @@ TEST(DleqWire, BatchRejectsForgedCacheAtExactEntry) {
       << s.reason();
 }
 
-TEST(DleqWire, SerializeIsByteIdenticalWithAndWithoutCache) {
+TEST(DleqWire, ProofWithoutCommitBytesFailsLikeForgedBytes) {
+  // Commit bytes are part of every transcript: a proof that lacks them, or
+  // some of them, is rejected with the reason of a proof whose bytes are
+  // wrong, naming the first commit without bytes (VerifyDleqFs) or the
+  // entry (BatchVerifyDleq), at any thread count.
+  ChaChaRng rng(103);
+  std::vector<DleqBatchEntry> entries;
+  for (int i = 0; i < 6; ++i) {
+    WireProof p = MakeWireProof("test/no-bytes", rng);
+    DleqBatchEntry entry;
+    entry.domain = "test/no-bytes";
+    entry.statement = std::move(p.statement);
+    entry.transcript = std::move(p.transcript);
+    entries.push_back(std::move(entry));
+  }
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Executor executor(threads);
+    Executor::Scope scope(executor);
+    ASSERT_TRUE(BatchVerifyDleq(entries, rng).ok());
+    DleqTranscript stripped = entries[2].transcript;
+    stripped.commit_wire.clear();
+    EXPECT_EQ(VerifyDleqFs("test/no-bytes", entries[2].statement, stripped).reason(),
+              "dleq: commit wire cache does not match point at index 0");
+    DleqTranscript truncated = entries[2].transcript;
+    truncated.commit_wire.pop_back();
+    EXPECT_EQ(VerifyDleqFs("test/no-bytes", entries[2].statement, truncated).reason(),
+              "dleq: commit wire cache does not match point at index 1");
+    std::vector<DleqBatchEntry> batch = entries;
+    batch[4].transcript.commit_wire.clear();
+    EXPECT_EQ(BatchVerifyDleq(batch, rng).reason(),
+              "batch-dleq: commit wire cache does not match commits at entry 4");
+  }
+}
+
+TEST(DleqWire, SerializeIsTheEncodePerPointFraming) {
   ChaChaRng rng(97);
   WireProof p = MakeWireProof("test/serde", rng);
-  DleqTranscript stripped = p.transcript;
-  stripped.commit_wire.clear();
-  EXPECT_EQ(HexEncode(p.transcript.Serialize()), HexEncode(stripped.Serialize()));
+  ByteWriter reference;
+  reference.U32(static_cast<uint32_t>(p.transcript.commits.size()));
+  for (const RistrettoPoint& commit : p.transcript.commits) {
+    reference.Fixed(commit.Encode());
+  }
+  reference.Fixed(p.transcript.challenge.ToBytes());
+  reference.Fixed(p.transcript.response.ToBytes());
+  EXPECT_EQ(HexEncode(p.transcript.Serialize()), HexEncode(reference.Take()));
 }
 
 TEST(DleqWire, ParseFillsTheCommitCacheFromTheWire) {
@@ -181,7 +246,7 @@ TEST(DleqWire, ParseFillsTheCommitCacheFromTheWire) {
   WireProof p = MakeWireProof("test/parse", rng);
   auto parsed = DleqTranscript::Parse(p.transcript.Serialize());
   ASSERT_TRUE(parsed.ok());
-  ASSERT_TRUE(parsed->HasWire());
+  ASSERT_EQ(parsed->commit_wire.size(), parsed->commits.size());
   EXPECT_TRUE(parsed->ValidateWire().ok());
   for (size_t i = 0; i < parsed->commit_wire.size(); ++i) {
     EXPECT_EQ(HexEncode(parsed->commit_wire[i]), HexEncode(p.transcript.commit_wire[i]));
@@ -199,7 +264,7 @@ TEST(DleqWire, SimulatedTranscriptsCarryTheSameCacheShape) {
   Scalar x = Scalar::Random(rng);
   DleqStatement st = TrueStatement(x, rng);
   DleqTranscript sim = SimulateDleq(st, Scalar::Random(rng), rng);
-  ASSERT_TRUE(sim.HasWire());
+  ASSERT_EQ(sim.commit_wire.size(), sim.commits.size());
   EXPECT_TRUE(sim.ValidateWire().ok());
   for (size_t i = 0; i < sim.commits.size(); ++i) {
     EXPECT_EQ(HexEncode(sim.commit_wire[i]), HexEncode(sim.commits[i].Encode()));
@@ -216,7 +281,7 @@ TEST(DleqWire, AuthorityShareProofsAreWireBackedEndToEnd) {
       ElGamalEncrypt(authority.public_key(), RistrettoPoint::Base(), rng);
   CompressedRistretto c1_wire = ct.c1.Encode();
   DecryptionShare share = authority.ComputeShare(1, ct, rng, &c1_wire);
-  EXPECT_TRUE(share.proof.HasWire());
+  EXPECT_EQ(share.proof.commit_wire.size(), share.proof.commits.size());
   EXPECT_TRUE(authority.VerifyShare(ct, share).ok());
 }
 

@@ -229,8 +229,8 @@ TEST(ElectionVerifier, RejectsForgedResultAndTranscript) {
 }
 
 TEST(ElectionVerifier, BallotMixInputComparesWiredItemsByTheirBytes) {
-  // A wired mix input item is checked by its bytes against the accepted
-  // ballot's, an unwired one by its points; either way a swapped item is
+  // A mix input item is checked by its bytes against the accepted ballot's,
+  // and an item without bytes differs from it; either way a swapped item is
   // named by the same reason. A stale cache that copies the honest bytes
   // passes the byte check and is caught by the cascade's input validation.
   ChaChaRng rng(158);
@@ -244,7 +244,8 @@ TEST(ElectionVerifier, BallotMixInputComparesWiredItemsByTheirBytes) {
   TallyOutput good = election.Tally(rng);
   ASSERT_TRUE(election.Verify(good).ok());
   ASSERT_GE(good.transcript.ballot_mix_input.size(), 2u);
-  ASSERT_TRUE(good.transcript.ballot_mix_input[0].HasWire());
+  const MixItem& first = good.transcript.ballot_mix_input[0];
+  ASSERT_EQ(first.wire.size(), 64 * first.cts.size());
 
   for (bool wired : {true, false}) {
     SCOPED_TRACE(wired ? "wired" : "unwired");

@@ -16,7 +16,8 @@
 namespace votegral {
 namespace {
 
-// Builds a batch of `n` width-`w` items encrypting known points.
+// Builds a batch of `n` width-`w` items encrypting known points, each
+// carrying its wire bytes.
 MixBatch MakeBatch(size_t n, size_t width, const RistrettoPoint& pk,
                    std::vector<std::vector<RistrettoPoint>>* plaintexts, Rng& rng) {
   MixBatch batch;
@@ -29,6 +30,7 @@ MixBatch MakeBatch(size_t n, size_t width, const RistrettoPoint& pk,
       row.push_back(m);
       item.cts.push_back(ElGamalEncrypt(pk, m, rng));
     }
+    item.EnsureWire();
     plaintexts->push_back(std::move(row));
     batch.push_back(std::move(item));
   }
@@ -207,6 +209,49 @@ TEST(Mixnet, EmptyAndSingletonBatches) {
   MixBatch empty_out = RunRpcMixCascade(empty, pk, 2, rng, &empty_proof);
   EXPECT_TRUE(empty_out.empty());
   EXPECT_TRUE(VerifyRpcMixCascade(empty, empty_out, empty_proof, pk).ok());
+}
+
+TEST(Mixnet, ItemWithoutBytesFailsLikeAnItemWithWrongBytes) {
+  // Every item a cascade hashes carries its bytes. An item without them, in
+  // the input, a pair's mid or out batch, or the published output, is
+  // rejected with the reason a stale item gets, naming its batch and index,
+  // at any thread count.
+  ChaChaRng rng(138);
+  const RistrettoPoint pk = RistrettoPoint::MulBase(Scalar::Random(rng));
+  std::vector<std::vector<RistrettoPoint>> plaintexts;
+  const MixBatch input = MakeBatch(9, 2, pk, &plaintexts, rng);
+  MixProof proof;
+  const MixBatch output = RunRpcMixCascade(input, pk, /*pair_count=*/2, rng, &proof);
+  struct Case {
+    const char* reason;
+    void (*strip)(MixBatch& input, MixProof& proof, MixBatch& output);
+  };
+  const Case cases[] = {
+      {"mixnet: input: wire cache does not match points at index 3",
+       [](MixBatch& in, MixProof&, MixBatch&) { in[3].wire.clear(); }},
+      {"mixnet: pair 1 mid: wire cache does not match points at index 5",
+       [](MixBatch&, MixProof& p, MixBatch&) { p.pairs[1].mid[5].wire.clear(); }},
+      {"mixnet: pair 0 out: wire cache does not match points at index 2",
+       [](MixBatch&, MixProof& p, MixBatch&) { p.pairs[0].out[2].wire.clear(); }},
+      {"mixnet: published output: wire cache does not match points at index 8",
+       [](MixBatch&, MixProof&, MixBatch& out) { out[8].wire.clear(); }},
+  };
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Executor executor(threads);
+    ASSERT_TRUE(
+        VerifyRpcMixCascade(input, output, proof, pk, MixLinkCheck::kBatchedMsm, executor).ok());
+    for (const Case& c : cases) {
+      MixBatch bad_input = input;
+      MixProof bad_proof = proof;
+      MixBatch bad_output = output;
+      c.strip(bad_input, bad_proof, bad_output);
+      EXPECT_EQ(VerifyRpcMixCascade(bad_input, bad_output, bad_proof, pk,
+                                    MixLinkCheck::kBatchedMsm, executor)
+                    .reason(),
+                c.reason);
+    }
+  }
 }
 
 // Cuts the batch's ciphertexts (and wire caches) again at `widths`: the
@@ -456,7 +501,8 @@ TEST(Tagging, OutputWireCacheMustBeTheCanonicalEncodingOfItsPoint) {
   }
   std::vector<TaggingStep> steps;
   (void)tagging.ApplyAll(cts, &steps, rng);
-  ASSERT_TRUE(steps[0].HasWire() && steps[1].HasWire());
+  ASSERT_EQ(steps[0].output_wire.size(), cts.size());
+  ASSERT_EQ(steps[1].output_wire.size(), cts.size());
   ASSERT_TRUE(TaggingService::VerifyChain(cts, steps, tagging.commitments()).ok());
 
   std::vector<TaggingStep> negated = steps;
@@ -469,6 +515,40 @@ TEST(Tagging, OutputWireCacheMustBeTheCanonicalEncodingOfItsPoint) {
   non_canonical[0].output_wire[3][63] |= 0x80;  // top bit of the c2 encoding
   EXPECT_EQ(TaggingService::VerifyChain(cts, non_canonical, tagging.commitments()).reason(),
             "tagging: step 0 output wire cache does not match ciphertexts at index 3");
+}
+
+TEST(Tagging, StepOrProofWithoutBytesFailsLikeOneWithWrongBytes) {
+  // A step's outputs without their bytes fail with the reason of a stale
+  // output, naming the step and its first output without bytes; a proof
+  // without its commit bytes is named by the per-step path. Both at any
+  // thread count.
+  ChaChaRng rng(145);
+  auto authority = ElectionAuthority::Create(2, rng);
+  auto tagging = TaggingService::Create(3, rng);
+  std::vector<ElGamalCiphertext> cts;
+  for (int i = 0; i < 6; ++i) {
+    cts.push_back(ElGamalEncrypt(authority.public_key(),
+                                 RistrettoPoint::FromUniformBytes(rng.RandomBytes(64)), rng));
+  }
+  std::vector<TaggingStep> steps;
+  (void)tagging.ApplyAll(cts, &steps, rng);
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Executor executor(threads);
+    ASSERT_TRUE(TaggingService::VerifyChain(cts, steps, tagging.commitments(), executor).ok());
+
+    std::vector<TaggingStep> no_outputs = steps;
+    no_outputs[1].output_wire.clear();
+    EXPECT_EQ(TaggingService::VerifyChain(cts, no_outputs, tagging.commitments(), executor)
+                  .reason(),
+              "tagging: step 1 output wire cache does not match ciphertexts at index 0");
+
+    std::vector<TaggingStep> no_commits = steps;
+    no_commits[2].proofs[4].commit_wire.clear();
+    EXPECT_EQ(TaggingService::VerifyChain(cts, no_commits, tagging.commitments(), executor)
+                  .reason(),
+              "tagging: proof 4 invalid: dleq: commit wire cache does not match point at index 0");
+  }
 }
 
 // Parameterized: mix + tag across batch sizes, checking the join property

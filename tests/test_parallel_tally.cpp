@@ -180,7 +180,7 @@ TEST(ParallelVerifier, EveryChainLocalizesItsTampers) {
       {"tagging step 0 outputs 0 and 1 swapped",
        [](ChainParts c) {
          TaggingStep& step = c.steps.at(0);
-         ASSERT_TRUE(step.HasWire());
+         ASSERT_EQ(step.output_wire.size(), step.output.size());
          std::swap(step.output.at(0), step.output.at(1));
          std::swap(step.output_wire.at(0), step.output_wire.at(1));
        },
@@ -317,7 +317,7 @@ TEST(ParallelVerifier, CorruptedTaggingWireCacheLocalized) {
   ASSERT_FALSE(bad.transcript.roster_tag_steps.empty());
   auto& step = bad.transcript.roster_tag_steps[0];
   ASSERT_GT(step.output.size(), 1u);
-  ASSERT_TRUE(step.HasWire());
+  ASSERT_EQ(step.output_wire.size(), step.output.size());
   std::swap(step.output[0], step.output[1]);  // points move, caches do not
   Status status = f.election.Verify(bad);
   ASSERT_FALSE(status.ok());
@@ -333,7 +333,8 @@ TEST(ParallelVerifier, StaleWireCacheRejected) {
   // points (otherwise a cheating mixer could grind challenge bits).
   TallyOutput bad = f.output;
   ASSERT_FALSE(bad.transcript.ballot_mix_output.empty());
-  ASSERT_TRUE(bad.transcript.ballot_mix_output[0].HasWire());
+  const MixItem& first = bad.transcript.ballot_mix_output[0];
+  ASSERT_EQ(first.wire.size(), 64 * first.cts.size());
   bad.transcript.ballot_mix_output[0].cts[0] = ElGamalEncrypt(
       f.election.trip().authority_pk(), RistrettoPoint::Base(), f.rng);
   Status status = f.election.Verify(bad);
@@ -347,6 +348,111 @@ Status VerifyAt(Fixture& f, const TallyOutput& output, size_t threads) {
   Executor executor(threads);
   return VerifyElection(f.election.ledger(), f.election.verifier_params(),
                         f.election.candidates(), output, executor);
+}
+
+TEST(ParallelVerifier, TranscriptBytesAreNeverOptional) {
+  // Removing the bytes of one item, one step or one proof fails the check
+  // that reads them with the reason wrong bytes get there, naming the item,
+  // at any thread count.
+  struct Case {
+    const char* name;
+    void (*strip)(TallyTranscript&);
+    const char* reason;
+  };
+  const Case cases[] = {
+      {"ballot mix input item",
+       [](TallyTranscript& t) { t.ballot_mix_input.at(1).wire.clear(); },
+       "verifier: ballot mix input 1 differs"},
+      {"roster mix input item",
+       [](TallyTranscript& t) { t.roster_mix_input.at(2).wire.clear(); },
+       "verifier: roster mix: mixnet: input: wire cache does not match points at index 2"},
+      {"pair mid item",
+       [](TallyTranscript& t) { t.ballot_mix_proof.pairs.at(0).mid.at(2).wire.clear(); },
+       "verifier: ballot mix: mixnet: pair 0 mid: wire cache does not match points at index 2"},
+      {"pair out item",
+       [](TallyTranscript& t) { t.roster_mix_proof.pairs.at(1).out.at(0).wire.clear(); },
+       "verifier: roster mix: mixnet: pair 1 out: wire cache does not match points at index 0"},
+      {"published output item",
+       [](TallyTranscript& t) { t.ballot_mix_output.at(4).wire.clear(); },
+       "verifier: ballot mix: mixnet: published output: wire cache does not match points at "
+       "index 4"},
+      {"tag step outputs",
+       [](TallyTranscript& t) { t.ballot_tag_steps.at(1).output_wire.clear(); },
+       "verifier: ballot tagging: tagging: step 1 output wire cache does not match "
+       "ciphertexts at index 0"},
+      {"tag chain proof commits",
+       [](TallyTranscript& t) { t.roster_tag_steps.at(3).proofs.at(2).commit_wire.clear(); },
+       "verifier: roster tagging: tagging: proof 2 invalid: dleq: commit wire cache does not "
+       "match point at index 0"},
+      {"tag share proof commits",
+       [](TallyTranscript& t) { t.roster_tag_shares.at(1).at(3).proof.commit_wire.clear(); },
+       "verifier: roster tags: share proof invalid at 1: dleq: commit wire cache does not "
+       "match point at index 0"},
+      {"vote share proof commits",
+       [](TallyTranscript& t) { t.vote_shares.at(2).at(0).proof.commit_wire.clear(); },
+       "verifier: votes: share proof invalid at 2: dleq: commit wire cache does not match "
+       "point at index 0"},
+  };
+  Fixture f;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TallyOutput bad = f.output;
+    c.strip(bad.transcript);
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+      EXPECT_EQ(VerifyAt(f, bad, threads).reason(), c.reason) << "threads=" << threads;
+    }
+  }
+  // Revoting: a dummy item of the padded board without its bytes no longer
+  // matches its opening, and a revote tag share without its commit bytes is
+  // named like any other.
+  Fixture r(/*revoting=*/true);
+  const RevoteTranscript& rt = r.output.transcript.revote;
+  ASSERT_FALSE(rt.dummies.empty());
+  TallyOutput no_dummy_bytes = r.output;
+  no_dummy_bytes.transcript.revote.mix_input.back().wire.clear();
+  TallyOutput no_share_commits = r.output;
+  no_share_commits.transcript.revote.tag_shares.at(0).at(1).proof.commit_wire.clear();
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(VerifyAt(r, no_dummy_bytes, threads).reason(),
+              "verifier: revote dummy opening does not match mix input (group " +
+                  std::to_string(rt.dummies.size() - 1) + ")");
+    EXPECT_EQ(VerifyAt(r, no_share_commits, threads).reason(),
+              "verifier: revote tags: share proof invalid at 0: dleq: commit wire cache does "
+              "not match point at index 0");
+  }
+}
+
+TEST(ParallelVerifier, HonestVerifyEncodesOnlyItsOwnOutputs) {
+  // An honest verify reads every transcript point's bytes from the
+  // transcript, so the only transcript-side points it encodes are those it
+  // computes itself: each decrypted tag, counter and vote, the members'
+  // public shares once per share batch, the tagging commitments once per
+  // chain, and each revote dummy group's credential. A transcript point
+  // encoded again shows here. The board revalidation adds its own: each
+  // registration record's c_pc (two points) for its signature messages, and
+  // each accepted revote ballot's three ciphertexts for its binding proof.
+  for (bool revoting : {false, true}) {
+    SCOPED_TRACE(revoting ? "revoting" : "legacy");
+    Fixture f(revoting);  // its constructor's verify made the one-time tables
+    const TallyTranscript& t = f.output.transcript;
+    const VerifierParams params = f.election.verifier_params();
+    const size_t share_batches = revoting ? 5 : 3;  // + revote tags and counters
+    const size_t chains = revoting ? 3 : 2;         // + the revote chain
+    const uint64_t outputs = t.ballot_tags.size() + t.roster_tags.size() +
+                             t.vote_points.size() + t.revote.tags.size() +
+                             t.revote.counter_points.size() +
+                             share_batches * params.authority_shares.size() +
+                             chains * params.tagging_commitments.size() +
+                             t.revote.dummies.size();
+    const uint64_t board = 2 * t.roster_mix_input.size() + 6 * t.revote.accepted.size();
+    const uint64_t expected = outputs + board;
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+      const uint64_t before = RistrettoEncodeInvocations();
+      ASSERT_TRUE(VerifyAt(f, f.output, threads).ok());
+      EXPECT_EQ(RistrettoEncodeInvocations() - before, expected) << "threads=" << threads;
+    }
+  }
 }
 
 TEST(ParallelVerifier, TwoTampersReportTheEarlierCheck) {

@@ -92,7 +92,7 @@ Chain MakeChain(Rng& rng, size_t n, size_t members) {
   return chain;
 }
 
-// The per-item reference: steps in order, every cached output the encoding
+// The per-item reference: steps in order, every output carrying the encoding
 // of its point, every proof valid on its own.
 bool ChainHoldsItemByItem(const Chain& chain) {
   const std::vector<ElGamalCiphertext>* current = &chain.input;
@@ -103,7 +103,8 @@ bool ChainHoldsItemByItem(const Chain& chain) {
       return false;
     }
     for (size_t j = 0; j < current->size(); ++j) {
-      if (step.HasWire() && step.output_wire[j] != step.output[j].Wire()) {
+      if (step.output_wire.size() != step.output.size() ||
+          step.output_wire[j] != step.output[j].Wire()) {
         return false;
       }
       if (!VerifyDleqFs(kTagDomain, TagStatement((*current)[j], step.output[j],
@@ -257,11 +258,16 @@ bool ListHoldsItemByItem(const ShareList& list, const VerifierParams& params) {
   return true;
 }
 
-// A direct VerifyShareBatch over every list must give the per-share verdict.
+// A direct VerifyShareBatch over every list, with the ciphertexts' bytes,
+// must give the per-share verdict.
 void ExpectListVerdictsMatch(TallyTranscript& t, const VerifierParams& params) {
   std::vector<ShareList> lists = ShareListsOf(t);
   for (size_t l = 0; l < lists.size(); ++l) {
-    EXPECT_EQ(VerifyShareBatch(lists[l].cts, {}, *lists[l].shares, params.authority_shares),
+    std::vector<ElGamalWire> cts_wire;
+    for (const ElGamalCiphertext& ct : lists[l].cts) {
+      cts_wire.push_back(ct.Wire());
+    }
+    EXPECT_EQ(VerifyShareBatch(lists[l].cts, cts_wire, *lists[l].shares, params.authority_shares),
               ListHoldsItemByItem(lists[l], params))
         << "list " << l;
   }

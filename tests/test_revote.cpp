@@ -74,7 +74,7 @@ TEST(RevoteDummies, BatchedConstructionMatchesPerMemberReference) {
   for (size_t k = 0; k < slots.size(); ++k) {
     MixItem reference = RevoteDummyItem(groups[slots[k].first], slots[k].second);
     ASSERT_TRUE(reference == batched[k]) << k;
-    ASSERT_TRUE(batched[k].HasWire()) << k;
+    ASSERT_EQ(batched[k].wire.size(), 64 * batched[k].cts.size()) << k;
     EXPECT_EQ(HexEncode(reference.wire), HexEncode(batched[k].wire)) << k;
   }
 }

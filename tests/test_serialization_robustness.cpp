@@ -1,13 +1,17 @@
 // Adversarial serialization tests: every decoder of bytes an attacker
 // controls (QR payloads, ledger entries and snapshots, ballots, proofs,
 // replica messages) either round-trips its input or rejects it with a coded
-// Status that names the decoder, and never throws. Whenever a mutated
+// Status that names the decoder, never throws, and never allocates past a
+// fixed cap, whatever count or length its input claims. Whenever a mutated
 // artifact *does* parse, downstream cryptographic verification must reject
 // it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <functional>
+#include <new>
 
 #include "src/crypto/drbg.h"
 #include "src/ledger/persistence.h"
@@ -17,8 +21,48 @@
 #include "src/votegral/ballot.h"
 #include "src/votegral/election.h"
 
+// Every allocation of this binary goes through malloc, and while a decode is
+// metered its bytes are summed, on any thread; one that would take the sum
+// past the cap is refused with std::bad_alloc instead of being made, so a
+// count an attacker sets cannot reserve memory even under overcommit.
+namespace {
+std::atomic<bool> g_metering{false};
+std::atomic<uint64_t> g_metered_bytes{0};
+std::atomic<bool> g_past_cap{false};
+// Above the largest limit any decoder declares (the 8 MiB transport frame).
+constexpr uint64_t kDecodeAllocationCap = uint64_t{16} << 20;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_metering.load(std::memory_order_relaxed) &&
+      g_metered_bytes.fetch_add(size, std::memory_order_relaxed) + size >
+          kDecodeAllocationCap) {
+    g_past_cap.store(true, std::memory_order_relaxed);
+    throw std::bad_alloc();
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
 namespace votegral {
 namespace {
+
+// Meters the allocations made while it lives (see operator new above).
+class AllocationMeter {
+ public:
+  AllocationMeter() {
+    g_metered_bytes.store(0);
+    g_past_cap.store(false);
+    g_metering.store(true);
+  }
+  ~AllocationMeter() { g_metering.store(false); }
+  uint64_t bytes() const { return g_metered_bytes.load(); }
+  bool past_cap() const { return g_past_cap.load(); }
+};
 
 // Applies `mutations` random single-byte mutations.
 Bytes Mutate(Bytes data, size_t mutations, Rng& rng) {
@@ -220,11 +264,27 @@ class DecoderTable : public ::testing::Test {
     decoders_ = nullptr;
   }
 
-  // The contract for one input: no throw; an accepted input re-encodes to
-  // itself; a rejection is coded and its reason starts with the decoder.
+  // The contract for one input: no throw and no allocation past the cap; an
+  // accepted input re-encodes to itself; a rejection is coded and its reason
+  // starts with the decoder.
   static void Expect(const Decoder& d, std::span<const uint8_t> input, const char* kind) {
     Outcome<Bytes> out = Outcome<Bytes>::Fail(StatusCode::kFailed, "threw");
-    EXPECT_NO_THROW(out = d.round_trip(input)) << d.name << ", " << kind;
+    bool threw = false;
+    bool past_cap = false;
+    uint64_t allocated = 0;
+    {
+      AllocationMeter meter;
+      try {
+        out = d.round_trip(input);
+      } catch (...) {
+        threw = true;
+      }
+      past_cap = meter.past_cap();
+      allocated = meter.bytes();
+    }
+    EXPECT_FALSE(past_cap) << d.name << ", " << kind << ": asked for " << allocated
+                           << " bytes, past the " << kDecodeAllocationCap << "-byte cap";
+    EXPECT_FALSE(threw) << d.name << ", " << kind;
     if (out.ok()) {
       EXPECT_EQ(*out, Bytes(input.begin(), input.end()))
           << d.name << ": accepted " << kind << " input does not round-trip";
@@ -283,6 +343,28 @@ TEST_F(DecoderTable, MutationsAndGarbageFailCodedOrRoundTrip) {
       Expect(d, rng.RandomBytes(rng.Uniform(2 * d.honest[0].size() + 16)), "random");
     }
   }
+}
+
+TEST(AllocationCap, MeteredAllocationPastTheCapIsRefused) {
+  // The meter bites: a buffer sized by a claimed count past the cap is never
+  // allocated, and the attempt is recorded.
+  bool refused = false;
+  bool past_cap = false;
+  {
+    AllocationMeter meter;
+    try {
+      Bytes claimed;
+      claimed.reserve(kDecodeAllocationCap + 1);
+    } catch (const std::bad_alloc&) {
+      refused = true;
+    }
+    past_cap = meter.past_cap();
+  }
+  EXPECT_TRUE(refused);
+  EXPECT_TRUE(past_cap);
+  Bytes unmetered;
+  unmetered.reserve(kDecodeAllocationCap + 1);  // no meter, no cap
+  EXPECT_GE(unmetered.capacity(), kDecodeAllocationCap + 1);
 }
 
 TEST(DecoderReasons, NestedFailureNamesEachDecoderAndItsOffset) {

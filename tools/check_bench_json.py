@@ -5,9 +5,11 @@
         Validates each file; exits 1 if any is malformed.
 
     check_bench_json.py --smoke BIN_DIR
-        Runs four figure benches from BIN_DIR at small sizes in a fresh
+        Runs five figure benches from BIN_DIR at small sizes in a fresh
         temporary directory and validates what each writes (the
-        bench_json_shape ctest).
+        bench_json_shape ctest). The two tallies over a file-backed ledger
+        run at segment sizes where their pinned-bytes bound is below their
+        ballot log, so their O(segment) check can fail.
 
 The shape, written by bench/figure_bench.h:
 
@@ -44,7 +46,10 @@ SMOKE = [
     ("dleq_fs", ["fig_dleq_fs", "--n", "16"]),
     ("ledger", ["fig_ledger_stream", "--entries", "512", "--threads", "2"]),
     ("replication", ["fig_replication", "--segment", "64"]),
-    ("revote", ["fig_revote", "--ballots", "512", "--tally", "64", "--threads", "1,2"]),
+    ("revote", ["fig_revote", "--ballots", "512", "--tally", "64", "--threads", "1,2",
+                "--segment", "4"]),
+    ("stream_tally", ["fig_stream_tally", "--ballots", "128", "--threads", "1,2",
+                      "--segment", "8"]),
 ]
 
 
