@@ -13,6 +13,7 @@
 #include "src/crypto/elgamal.h"
 #include "src/crypto/fe25519.h"
 #include "src/crypto/modp.h"
+#include "src/crypto/ristretto_internal.h"
 #include "src/crypto/msm.h"
 #include "src/crypto/schnorr.h"
 #include "src/crypto/sha256.h"
@@ -120,6 +121,32 @@ void BM_RistrettoMulEach(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RistrettoMulEach)->Arg(1)->Arg(2);
+
+// The batched MulEach on n unregistered points with two scalars each (the
+// provers' shape: a nonce and the witness per ciphertext point), through
+// the kernel this CPU selects, named in the row's label. `per_point` is the
+// time per point, to set against BM_RistrettoMulEach/2.
+void BM_RistrettoMulEachBatch(benchmark::State& state) {
+  ChaChaRng rng(32);
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<RistrettoPoint> points;
+  std::vector<Scalar> scalars;
+  for (size_t j = 0; j < n; ++j) {
+    points.push_back(RistrettoPoint::FromUniformBytes(rng.RandomBytes(64)));
+    scalars.push_back(Scalar::Random(rng));
+    scalars.push_back(Scalar::Random(rng));
+  }
+  std::vector<RistrettoPoint> out(2 * n);
+  for (auto _ : state) {
+    RistrettoPoint::MulEach(points, 2, scalars, out);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetLabel(ristretto_internal::MulEachKernelName());
+  state.counters["per_point"] = benchmark::Counter(
+      static_cast<double>(n),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RistrettoMulEachBatch)->Arg(8)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 // One point addition through operator+ (the right operand's conversion to a
 // CachedPoint, then the 8-multiplication addition) and one doubling, each

@@ -105,23 +105,41 @@ Status ElectionAuthority::VerifySetup() const {
 DecryptionShare ElectionAuthority::ComputeShare(size_t i, const ElGamalCiphertext& ct,
                                                 Rng& rng,
                                                 const CompressedRistretto* c1_wire) const {
-  const AuthorityMember& m = members_.at(i);
-  // Statement DLEQ((B, X_i), (C1, S_i)), fully wire-backed: B and X_i from
-  // standing caches, C1 from the caller or one encode, and S_i = x_i*C1
-  // derived by the prover, which shares C1's doubling chain between x_i and
-  // the nonce and gives S_i's bytes without a root.
-  DleqStatement statement;
-  statement.bases = {RistrettoPoint::Base(), ct.c1};
-  statement.base_wire = {RistrettoPoint::BaseWire(),
-                         c1_wire != nullptr ? *c1_wire : ct.c1.Encode()};
-  statement.publics = {m.public_share};
-  statement.public_wire = {m.public_share_wire};
+  const CompressedRistretto c1_bytes = c1_wire != nullptr ? *c1_wire : ct.c1.Encode();
+  const Scalar nonce = Scalar::Random(rng);
   DecryptionShare share;
-  share.member_index = i;
-  share.proof = ProveDleqFsDeriving(kDecryptionShareDomain, statement, m.secret, rng);
-  share.share = statement.publics[1];
-  share.share_wire = statement.public_wire[1];
+  ComputeShares(i, std::span(&ct, 1), std::span(&c1_bytes, 1), std::span(&nonce, 1),
+                std::span(&share, 1));
   return share;
+}
+
+void ElectionAuthority::ComputeShares(size_t i, std::span<const ElGamalCiphertext> cts,
+                                      std::span<const CompressedRistretto> c1_wire,
+                                      std::span<const Scalar> nonces,
+                                      std::span<DecryptionShare> out) const {
+  const AuthorityMember& m = members_.at(i);
+  Require(c1_wire.size() == cts.size() && out.size() == cts.size(),
+          "dkg: one C1 encoding and one share per ciphertext");
+  // Statement DLEQ((B, X_i), (C1, S_i)), fully wire-backed: B and X_i from
+  // standing caches, C1 from the caller, and S_i = x_i*C1 derived by the
+  // prover, which shares C1's doubling chain between x_i and the nonce and
+  // gives S_i's bytes without a root.
+  std::vector<DleqStatement> statements(cts.size());
+  for (size_t j = 0; j < cts.size(); ++j) {
+    DleqStatement& statement = statements[j];
+    statement.bases = {RistrettoPoint::Base(), cts[j].c1};
+    statement.base_wire = {RistrettoPoint::BaseWire(), c1_wire[j]};
+    statement.publics = {m.public_share};
+    statement.public_wire = {m.public_share_wire};
+  }
+  std::vector<DleqTranscript> proofs(cts.size());
+  ProveDleqFsDeriving(kDecryptionShareDomain, statements, m.secret, nonces, proofs);
+  for (size_t j = 0; j < cts.size(); ++j) {
+    out[j].member_index = i;
+    out[j].proof = std::move(proofs[j]);
+    out[j].share = statements[j].publics[1];
+    out[j].share_wire = statements[j].public_wire[1];
+  }
 }
 
 Status ElectionAuthority::VerifyShare(const ElGamalCiphertext& ct,

@@ -68,7 +68,7 @@ struct DecryptionShare {
   // (the tally's check of each decrypt batch and the universal verifier's)
   // hashes it only after checking it against the point
   // (BatchValidateEncodings) and encodes the point when it does not match;
-  // with faults armed, AuthorityClient::RequestShare also compares it with
+  // with faults armed, AuthorityClient::ReceiveShare also compares it with
   // the point on arrival.
   CompressedRistretto share_wire{};
 };
@@ -111,6 +111,17 @@ class ElectionAuthority {
   // identical either way. The share carries its own encoding (share_wire).
   DecryptionShare ComputeShare(size_t i, const ElGamalCiphertext& ct, Rng& rng,
                                const CompressedRistretto* c1_wire = nullptr) const;
+
+  // Member `i`'s shares of many ciphertexts as one batched proof
+  // (ProveDleqFsDeriving over statements that share x_i): out[j] is the
+  // share of cts[j], proved with the nonce nonces[j], its statement hashing
+  // C1 from c1_wire[j], the bytes of cts[j].c1 that the caller produced or
+  // validated. Each share is the one ComputeShare gives when it draws that
+  // nonce. A batch is one member's: the tally draws the nonces of a shard in
+  // ciphertext-then-member order and proves each member's shares apart.
+  void ComputeShares(size_t i, std::span<const ElGamalCiphertext> cts,
+                     std::span<const CompressedRistretto> c1_wire,
+                     std::span<const Scalar> nonces, std::span<DecryptionShare> out) const;
 
   // Anyone can check a share against the member's public share: an unknown
   // member index, then VerifyShareAgainstCommitment.

@@ -194,37 +194,87 @@ DleqTranscript ProveDleqFs(std::string_view domain, const DleqStatement& stateme
 DleqTranscript ProveDleqFsDeriving(std::string_view domain, DleqStatement& statement,
                                    const Scalar& x, Rng& rng, std::span<const uint8_t> extra) {
   const Scalar y = Scalar::Random(rng);
-  const size_t n = statement.bases.size();
-  const size_t given = statement.publics.size();
-  Require(n != 0 && given <= n && (given == n || statement.public_wire.size() == given),
-          "ProveDleqFs: malformed statement");
+  DleqTranscript t;
+  ProveDleqFsDeriving(domain, std::span(&statement, 1), x, std::span(&y, 1), std::span(&t, 1),
+                      extra);
+  return t;
+}
+
+void ProveDleqFsDeriving(std::string_view domain, std::span<DleqStatement> statements,
+                         const Scalar& x, std::span<const Scalar> nonces,
+                         std::span<DleqTranscript> out, std::span<const uint8_t> extra) {
+  Require(nonces.size() == statements.size() && out.size() == statements.size(),
+          "ProveDleqFs: one nonce and one transcript per statement");
   static const Scalar kHalf = Scalar::FromU64(2).Invert();
-  const std::array<Scalar, 2> halves = {y * kHalf, x * kHalf};
-  // Per base: its commit's half, then its derived public's half.
-  std::vector<RistrettoPoint> half(2 * n - given);
-  for (size_t i = 0, k = 0; i < n; ++i) {
-    const size_t count = i < given ? 1 : 2;
-    RistrettoPoint::MulEach(statement.bases[i], std::span(halves).first(count),
-                            std::span(half).subspan(k, count));
-    k += count;
+  const Scalar x_half = x * kHalf;
+  // A base whose public is given needs its commit's half, y/2 * G; a base
+  // whose public is derived needs that and x/2 * G. Each kind goes to one
+  // batched MulEach, so a base's two multiples share its doubling chain.
+  std::vector<RistrettoPoint> commit_only;
+  std::vector<Scalar> commit_only_scalars;
+  std::vector<RistrettoPoint> with_public;
+  std::vector<Scalar> with_public_scalars;
+  for (size_t j = 0; j < statements.size(); ++j) {
+    const DleqStatement& statement = statements[j];
+    const size_t n = statement.bases.size();
+    const size_t given = statement.publics.size();
+    Require(n != 0 && given <= n && (given == n || statement.public_wire.size() == given),
+            "ProveDleqFs: malformed statement");
+    const Scalar y_half = nonces[j] * kHalf;
+    for (size_t i = 0; i < n; ++i) {
+      if (i < given) {
+        commit_only.push_back(statement.bases[i]);
+        commit_only_scalars.push_back(y_half);
+      } else {
+        with_public.push_back(statement.bases[i]);
+        with_public_scalars.push_back(y_half);
+        with_public_scalars.push_back(x_half);
+      }
+    }
+  }
+  std::vector<RistrettoPoint> commit_only_half(commit_only_scalars.size());
+  std::vector<RistrettoPoint> with_public_half(with_public_scalars.size());
+  RistrettoPoint::MulEach(commit_only, 1, commit_only_scalars, commit_only_half);
+  RistrettoPoint::MulEach(with_public, 2, with_public_scalars, with_public_half);
+
+  // Every fresh point of the batch as 2*Q, in proof order (per statement,
+  // per base: the commit, then a derived public), through one batched
+  // double-and-encode.
+  std::vector<RistrettoPoint> half;
+  half.reserve(commit_only_half.size() + with_public_half.size());
+  for (size_t j = 0, a = 0, b = 0; j < statements.size(); ++j) {
+    for (size_t i = 0; i < statements[j].bases.size(); ++i) {
+      if (i < statements[j].publics.size()) {
+        half.push_back(commit_only_half[a++]);
+      } else {
+        half.push_back(with_public_half[b++]);
+        half.push_back(with_public_half[b++]);
+      }
+    }
   }
   std::vector<CompressedRistretto> wire(half.size());
   BatchDoubleAndEncode(half, wire);
 
-  DleqTranscript t;
-  t.commits.reserve(n);
-  t.commit_wire.reserve(n);
-  for (size_t i = 0, k = 0; i < n; ++i) {
-    t.commits.push_back(half[k].Double());
-    t.commit_wire.push_back(wire[k++]);
-    if (i >= given) {
-      statement.publics.push_back(half[k].Double());
-      statement.public_wire.push_back(wire[k++]);
+  for (size_t j = 0, k = 0; j < statements.size(); ++j) {
+    DleqStatement& statement = statements[j];
+    const size_t n = statement.bases.size();
+    const size_t given = statement.publics.size();
+    DleqTranscript& t = out[j];
+    t.commits.clear();
+    t.commit_wire.clear();
+    t.commits.reserve(n);
+    t.commit_wire.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      t.commits.push_back(half[k].Double());
+      t.commit_wire.push_back(wire[k++]);
+      if (i >= given) {
+        statement.publics.push_back(half[k].Double());
+        statement.public_wire.push_back(wire[k++]);
+      }
     }
+    t.challenge = DeriveFsChallenge(domain, statement, t.commits, t.commit_wire, extra);
+    t.response = nonces[j] - t.challenge * x;
   }
-  t.challenge = DeriveFsChallenge(domain, statement, t.commits, t.commit_wire, extra);
-  t.response = y - t.challenge * x;
-  return t;
 }
 
 Status VerifyDleqFs(std::string_view domain, const DleqStatement& statement,

@@ -154,21 +154,34 @@ Scalar DeriveFsChallenge(std::string_view domain, const DleqStatement& statement
 DleqTranscript ProveDleqFs(std::string_view domain, const DleqStatement& statement,
                            const Scalar& x, Rng& rng, std::span<const uint8_t> extra = {});
 
-// The Fiat–Shamir prover. It draws the nonce y from `rng` exactly as
-// DleqProver does (one Scalar::Random), and it also derives the publics the
-// statement leaves out: when publics.size() < bases.size(), x*G_i is
-// appended for each missing i, with its canonical bytes in public_wire (the
-// given publics must then carry theirs). Every derived public and commit is
-// computed as 2*Q from the halved scalars x/2 and y/2 mod l: one
-// RistrettoPoint::MulEach per base, so a base's public and commit share one
-// doubling chain (a generator or registered base reads its table), and one
-// BatchDoubleAndEncode per proof, so the prover computes no inverse square
-// root of its own. Bases and given publics are hashed from their bytes
-// when complete, encoded otherwise. The transcript, and every derived byte,
-// are those the encode-per-point prover gives for the same stream.
+// The Fiat–Shamir prover for one statement: the batch below with one nonce
+// y, drawn from `rng` exactly as DleqProver draws it (one Scalar::Random).
+// It also derives the publics the statement leaves out: when
+// publics.size() < bases.size(), x*G_i is appended for each missing i, with
+// its canonical bytes in public_wire (the given publics must then carry
+// theirs). Bases and given publics are hashed from their bytes when
+// complete, encoded otherwise. The transcript, and every derived byte, are
+// those the encode-per-point prover gives for the same stream.
 DleqTranscript ProveDleqFsDeriving(std::string_view domain, DleqStatement& statement,
                                    const Scalar& x, Rng& rng,
                                    std::span<const uint8_t> extra = {});
+
+// The Fiat–Shamir prover over statements that share the witness x: out[j]
+// proves statements[j] with the nonce nonces[j], and derives its missing
+// publics as the one-statement call does, so a batch gives the bytes of one
+// call per statement with the same nonces. Every derived public and commit
+// is computed as 2*Q from the halved scalars x/2 and y/2 mod l. The bases
+// go to two batched RistrettoPoint::MulEach calls, one for the bases with a
+// given public (the commit's multiple only) and one for the others (a
+// commit's and a public's multiple, sharing one doubling chain); a
+// generator or registered base reads its table, and the rest run the batch
+// kernel eight at a time on AVX-512 IFMA hosts. Then one
+// BatchDoubleAndEncode gives every fresh point's bytes, so the prover
+// computes no inverse square root of its own, and each statement's
+// challenge and response follow.
+void ProveDleqFsDeriving(std::string_view domain, std::span<DleqStatement> statements,
+                         const Scalar& x, std::span<const Scalar> nonces,
+                         std::span<DleqTranscript> out, std::span<const uint8_t> extra = {});
 
 // Verifies a Fiat–Shamir proof (recomputes and checks the challenge). The
 // transcript's commit bytes are validated (ValidateWire) before they bind

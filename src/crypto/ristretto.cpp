@@ -11,6 +11,7 @@
 #include "src/common/bytes.h"
 #include "src/common/executor.h"
 #include "src/common/status.h"
+#include "src/crypto/ristretto_internal.h"
 #include "src/crypto/sha512.h"
 
 namespace votegral {
@@ -271,11 +272,8 @@ RistrettoPoint RistrettoPoint::MulByPow2(unsigned k) const {
   }
 }
 
-namespace {
+namespace ristretto_internal {
 
-// s as 64 signed radix-16 digits e_i in [-8, 8), s = sum_i e_i * 16^i. s <
-// l < 2^253, so the top nibble is at most 1 and the last carry leaves e_63 in
-// [0, 2].
 std::array<int8_t, 64> SignedRadix16(const Scalar& s) {
   const std::array<uint8_t, 32> bytes = s.ToBytes();
   std::array<int8_t, 64> digit;
@@ -291,7 +289,9 @@ std::array<int8_t, 64> SignedRadix16(const Scalar& s) {
   return digit;
 }
 
-}  // namespace
+}  // namespace ristretto_internal
+
+using ristretto_internal::SignedRadix16;
 
 RistrettoPoint RistrettoPoint::MulLadder(const Scalar& s, const RistrettoPoint& p) {
   // Signed radix 16 over a table of P..8P: a negative digit subtracts.
@@ -547,6 +547,98 @@ void RistrettoPoint::MulEach(const RistrettoPoint& p, std::span<const Scalar> sc
       }
     }
     out[j] = total;
+  }
+}
+
+namespace ristretto_internal {
+
+void MulEachPortable(std::span<const RistrettoPoint> points, size_t k,
+                     std::span<const Scalar> scalars, std::span<RistrettoPoint> out) {
+  for (size_t j = 0; j < points.size(); ++j) {
+    RistrettoPoint::MulEach(points[j], scalars.subspan(k * j, k), out.subspan(k * j, k));
+  }
+}
+
+bool CpuHasIfma() {
+#if defined(__x86_64__)
+  // The first multiplication may run from a static initializer, before
+  // libgcc has filled in its CPU model. libgcc reports AVX-512 only when the
+  // operating system saves its registers.
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512ifma");
+#else
+  return false;
+#endif
+}
+
+namespace {
+
+// The kernel every batched MulEach in this process runs. It depends on CPUID
+// alone and is chosen on the first call.
+MulEachKernel SelectedKernel() {
+#if defined(__x86_64__)
+  static const MulEachKernel kernel = CpuHasIfma() ? MulEachIfma : MulEachPortable;
+  return kernel;
+#else
+  return MulEachPortable;
+#endif
+}
+
+}  // namespace
+
+const char* MulEachKernelName() {
+  return SelectedKernel() == MulEachPortable ? "portable" : "avx512ifma";
+}
+
+}  // namespace ristretto_internal
+
+void RistrettoPoint::MulEach(std::span<const RistrettoPoint> points, size_t k,
+                             std::span<const Scalar> scalars, std::span<RistrettoPoint> out) {
+  Require(scalars.size() == k * points.size() && out.size() == scalars.size(),
+          "MulEach: size mismatch");
+  // Points with a table read it; the rest go to the kernel in one call, in
+  // place when no point has a table (the provers' ciphertext points).
+  std::vector<size_t> rest;
+  rest.reserve(points.size());
+  for (size_t j = 0; j < points.size(); ++j) {
+    const FixedBaseTable* table = FindFixedBaseTable(points[j]);
+    if (table == nullptr) {
+      rest.push_back(j);
+      continue;
+    }
+    for (size_t s = k * j; s < k * (j + 1); ++s) {
+      out[s] = table->Mul(scalars[s]);
+    }
+  }
+  if (rest.empty()) {
+    return;
+  }
+  if (rest.size() == 1) {
+    // A lone point would pay for a whole group of eight lanes in the IFMA
+    // kernel: it takes the one-point call (a single-statement proof).
+    const size_t j = rest[0];
+    MulEach(points[j], scalars.subspan(k * j, k), out.subspan(k * j, k));
+    return;
+  }
+  const ristretto_internal::MulEachKernel kernel = ristretto_internal::SelectedKernel();
+  if (rest.size() == points.size()) {
+    kernel(points, k, scalars, out);
+    return;
+  }
+  std::vector<RistrettoPoint> rest_points;
+  std::vector<Scalar> rest_scalars;
+  rest_points.reserve(rest.size());
+  rest_scalars.reserve(k * rest.size());
+  for (size_t j : rest) {
+    rest_points.push_back(points[j]);
+    rest_scalars.insert(rest_scalars.end(), scalars.begin() + k * j,
+                        scalars.begin() + k * (j + 1));
+  }
+  std::vector<RistrettoPoint> rest_out(rest_scalars.size());
+  kernel(rest_points, k, rest_scalars, rest_out);
+  for (size_t r = 0; r < rest.size(); ++r) {
+    std::copy(rest_out.begin() + k * r, rest_out.begin() + k * (r + 1),
+              out.begin() + k * rest[r]);
   }
 }
 

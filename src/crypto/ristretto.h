@@ -25,6 +25,9 @@ namespace votegral {
 
 class CachedPoint;
 class FixedBaseTable;
+namespace ristretto_internal {
+struct Coordinates;
+}
 
 // How many registered fixed bases keep a precomputed table at once (see
 // RistrettoPoint::RegisterFixedBase): the most recent registrations win.
@@ -100,6 +103,17 @@ class RistrettoPoint {
   static void MulEach(const RistrettoPoint& p, std::span<const Scalar> scalars,
                       std::span<RistrettoPoint> out);
 
+  // out[k*j + s] = scalars[k*j + s] * points[j] for every point j and each
+  // of its k scalars (scalars and out hold k * points.size() entries), as
+  // group elements equal to the one-point MulEach's. A point with a
+  // fixed-base table reads its table. Two or more others go to one batch
+  // kernel, chosen once from CPUID: with AVX-512 IFMA they run eight per
+  // group, one per vector lane, on the one-point MulEach's rows and buckets
+  // (src/crypto/ristretto_internal.h); elsewhere each runs the one-point
+  // MulEach. A lone point without a table takes the one-point MulEach.
+  static void MulEach(std::span<const RistrettoPoint> points, size_t k,
+                      std::span<const Scalar> scalars, std::span<RistrettoPoint> out);
+
   // Gives a long-lived base (the election key) a precomputed table, so that
   // operator* on this point or any copy of it skips the ladder. The table
   // costs about four ladder multiplications to build and 60 KiB to keep; the
@@ -130,6 +144,7 @@ class RistrettoPoint {
 
   friend class CachedPoint;
   friend class FixedBaseTable;
+  friend struct ristretto_internal::Coordinates;
 
   // p + q, or p - q when `negate`.
   RistrettoPoint AddCached(const CachedPoint& q, bool negate) const;

@@ -540,29 +540,40 @@ PinnedSegment FileLedgerStore::Pin(uint64_t segment) const {
     }
     return pin;
   }
-  auto bytes = ReadFileBytes(SegmentPath(segment));
-  Require(bytes.ok(), "ledger store: sealed segment vanished under a reader");
-  auto buffer = std::make_shared<Bytes>(std::move(*bytes));
-  const uint64_t buffer_bytes = buffer->size();
-  uint64_t now = pinned_bytes_.fetch_add(buffer_bytes) + buffer_bytes;
-  uint64_t peak = peak_pinned_bytes_.load();
-  while (now > peak && !peak_pinned_bytes_.compare_exchange_weak(peak, now)) {
+  // A sealed segment is read and parsed once while any pin of it is alive;
+  // later pins share its image. Holding the lock across the read keeps two
+  // concurrent first pins from reading it twice.
+  std::lock_guard<std::mutex> lock(live_mutex_);
+  std::shared_ptr<const SealedImage> image = live_[segment].lock();
+  if (image == nullptr) {
+    auto bytes = ReadFileBytes(SegmentPath(segment));
+    Require(bytes.ok(), "ledger store: sealed segment vanished under a reader");
+    auto fresh = std::make_unique<SealedImage>();
+    fresh->bytes = std::move(*bytes);
+    fresh->views.reserve(pin.count_);
+    size_t offset = kSegmentHeaderBytes;
+    for (size_t i = 0; i < pin.count_; ++i) {
+      LedgerEntryView view;
+      Require(ParseFrameView(fresh->bytes, &offset, &view) == 1,
+              "ledger store: sealed segment changed since recovery");
+      fresh->views.push_back(view);
+    }
+    const uint64_t buffer_bytes = fresh->bytes.size();
+    uint64_t now = pinned_bytes_.fetch_add(buffer_bytes) + buffer_bytes;
+    uint64_t peak = peak_pinned_bytes_.load();
+    while (now > peak && !peak_pinned_bytes_.compare_exchange_weak(peak, now)) {
+    }
+    // Release accounting travels with the image: when the last pin drops
+    // it, the pinned-byte gauge goes back down.
+    image = std::shared_ptr<const SealedImage>(
+        fresh.release(), [buffer_bytes, this](const SealedImage* released) {
+          pinned_bytes_.fetch_sub(buffer_bytes);
+          delete released;
+        });
+    live_[segment] = image;
   }
-  // Release accounting travels with the buffer: when the last view drops it,
-  // the pinned-byte gauge goes back down.
-  std::shared_ptr<const void> backing(
-      buffer.get(), [buffer, buffer_bytes, this](const void*) mutable {
-        pinned_bytes_.fetch_sub(buffer_bytes);
-        buffer.reset();
-      });
-  size_t offset = kSegmentHeaderBytes;
-  for (size_t i = 0; i < pin.count_; ++i) {
-    LedgerEntryView view;
-    Require(ParseFrameView(*buffer, &offset, &view) == 1,
-            "ledger store: sealed segment changed since recovery");
-    pin.views_.push_back(view);
-  }
-  pin.backing_ = std::move(backing);
+  pin.views_ = image->views;
+  pin.backing_ = std::move(image);
   return pin;
 }
 
@@ -600,6 +611,9 @@ void FileLedgerStore::TamperWithPayloadForTest(uint64_t index, Bytes payload) {
   if (was_active) {
     active_out_.open(path, std::ios::binary | std::ios::app);
   }
+  // Pins alive now keep the old bytes; the next first pin reads the new ones.
+  std::lock_guard<std::mutex> lock(live_mutex_);
+  live_.erase(segment);
 }
 
 std::unique_ptr<LedgerStore> CreateFreshStore(const LedgerStorageConfig& config) {

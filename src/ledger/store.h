@@ -15,8 +15,9 @@
 //  * FileLedgerStore — one file per segment under a directory, each entry a
 //    length-prefixed frame carrying (index, topic, payload, prev_hash,
 //    entry_hash). Appends write through; sealed segments are dropped from
-//    memory and re-read on Pin(), so resident payload memory is O(segment),
-//    not O(ledger). Frames are flushed as they append; a completed segment
+//    memory and re-read on Pin() (once while any pin of the segment is
+//    alive: later pins share its bytes), so resident payload memory is
+//    O(segment), not O(ledger). Frames are flushed as they append; a completed segment
 //    is sealed by rewriting it (sealed header flag set) to a temp file and
 //    atomically renaming it over the live one. Open() recovers crash-safely:
 //    a torn frame at the tail of the *last* segment is truncated away, a
@@ -36,7 +37,9 @@
 #include <cstdint>
 #include <deque>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -201,7 +204,8 @@ class FileLedgerStore final : public LedgerStore {
 
   // Peak bytes of segment buffers pinned simultaneously since open — the
   // "ledger-resident payload memory" the streaming bench bounds against
-  // O(segment size).
+  // O(segment size). Pins of one sealed segment that are alive at once
+  // share one buffer (one file read), counted once.
   uint64_t PeakPinnedBytes() const { return peak_pinned_bytes_.load(); }
 
   // Path of segment `segment`'s file (tests corrupt/remove these).
@@ -226,6 +230,15 @@ class FileLedgerStore final : public LedgerStore {
   uint64_t active_first_ = 0;
   std::ofstream active_out_;
   RecoveryStats recovery_stats_;
+
+  // A sealed segment's bytes and entry views, shared by its live pins.
+  struct SealedImage {
+    Bytes bytes;
+    std::vector<LedgerEntryView> views;
+  };
+  // The image of each sealed segment while a pin of it is alive.
+  mutable std::mutex live_mutex_;
+  mutable std::map<uint64_t, std::weak_ptr<const SealedImage>> live_;  // guarded by live_mutex_
 
   mutable std::atomic<uint64_t> pinned_bytes_{0};
   mutable std::atomic<uint64_t> peak_pinned_bytes_{0};

@@ -231,9 +231,14 @@ std::optional<PublicLedger::RegistrationKeys> PublicLedger::ActiveRegistrationKe
   return std::move(parsed.value);
 }
 
-std::vector<RegistrationRecord> PublicLedger::ActiveRegistrations() const {
+std::vector<RegistrationRecord> PublicLedger::ActiveRegistrations(
+    std::vector<ElGamalWire>* credential_wires) const {
   std::vector<RegistrationRecord> out;
   out.reserve(registrations_by_voter_.size());
+  if (credential_wires != nullptr) {
+    credential_wires->clear();
+    credential_wires->reserve(registrations_by_voter_.size());
+  }
   // One cursor for the whole pass: voters' latest indices are read in voter
   // order, and the cursor's segment pin is reused whenever consecutive
   // records share a segment.
@@ -247,6 +252,14 @@ std::vector<RegistrationRecord> PublicLedger::ActiveRegistrations() const {
     Require(cursor.Next(&view), "ledger: registration index points past the log");
     auto record = RegistrationRecord::Parse(view.payload);
     Require(record.ok(), "ledger: stored registration record is corrupt");
+    if (credential_wires != nullptr) {
+      // The field Parse just decoded: the voter id, then c_pc's bytes.
+      ByteReader r(view.payload, "registration record");
+      r.Str();
+      const std::span<const uint8_t> credential = r.Var();
+      ElGamalWire& wire = credential_wires->emplace_back();
+      std::copy(credential.begin(), credential.end(), wire.begin());
+    }
     out.push_back(std::move(*record));
   }
   return out;

@@ -106,8 +106,12 @@ class PublicLedger {
   };
   std::optional<RegistrationKeys> ActiveRegistrationKeys(const std::string& voter_id) const;
 
-  // All currently active records (one per registered voter).
-  std::vector<RegistrationRecord> ActiveRegistrations() const;
+  // All currently active records (one per registered voter). When
+  // `credential_wires` is given it receives each record's c_pc bytes as
+  // posted, parallel to the records (Parse accepts only canonical
+  // encodings, so they are the encoding of each public_credential).
+  std::vector<RegistrationRecord> ActiveRegistrations(
+      std::vector<ElGamalWire>* credential_wires = nullptr) const;
 
   // How many times this voter has (re-)registered — the registration-event
   // notification feed of Appendix J.

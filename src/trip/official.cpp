@@ -20,16 +20,36 @@ Bytes OfficialPayload(std::string_view voter_id, const ElGamalWire& credential_w
   return w.Take();
 }
 
-// A record's σ_kot and σ_o as batch entries, both messages built from one
-// encoding of its public credential.
-std::array<SchnorrBatchEntry, 2> RecordSignatureEntries(const RegistrationRecord& record) {
-  const ElGamalWire credential = record.public_credential.Wire();
+// A record's σ_kot and σ_o as batch entries, both messages built from the
+// bytes of its public credential.
+std::array<SchnorrBatchEntry, 2> RecordSignatureEntries(const RegistrationRecord& record,
+                                                        const ElGamalWire& credential) {
   return {SchnorrBatchEntry{record.kiosk_pk,
                             CheckOutSegment::SignedPayload(record.voter_id, credential),
                             record.kiosk_sig},
           SchnorrBatchEntry{record.official_pk,
                             OfficialPayload(record.voter_id, credential, record.kiosk_sig),
                             record.official_sig}};
+}
+
+// VerifyRegistrationRecord with c_pc's bytes in hand.
+Status CheckRecord(const RegistrationRecord& record, const ElGamalWire& credential,
+                   const std::set<CompressedRistretto>& authorized_kiosks,
+                   const std::set<CompressedRistretto>& authorized_officials) {
+  if (authorized_kiosks.count(record.kiosk_pk) == 0) {
+    return Status::Error("registration record: unknown kiosk key");
+  }
+  if (authorized_officials.count(record.official_pk) == 0) {
+    return Status::Error("registration record: unknown official key");
+  }
+  const auto [kiosk, official] = RecordSignatureEntries(record, credential);
+  if (!SchnorrVerify(kiosk.public_key, kiosk.message, kiosk.signature).ok()) {
+    return Status::Error("registration record: kiosk signature invalid");
+  }
+  if (!SchnorrVerify(official.public_key, official.message, official.signature).ok()) {
+    return Status::Error("registration record: official signature invalid");
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -92,26 +112,17 @@ Status Official::CheckOut(const CheckOutSegment& checkout,
 Status VerifyRegistrationRecord(const RegistrationRecord& record,
                                 const std::set<CompressedRistretto>& authorized_kiosks,
                                 const std::set<CompressedRistretto>& authorized_officials) {
-  if (authorized_kiosks.count(record.kiosk_pk) == 0) {
-    return Status::Error("registration record: unknown kiosk key");
-  }
-  if (authorized_officials.count(record.official_pk) == 0) {
-    return Status::Error("registration record: unknown official key");
-  }
-  const auto [kiosk, official] = RecordSignatureEntries(record);
-  if (!SchnorrVerify(kiosk.public_key, kiosk.message, kiosk.signature).ok()) {
-    return Status::Error("registration record: kiosk signature invalid");
-  }
-  if (!SchnorrVerify(official.public_key, official.message, official.signature).ok()) {
-    return Status::Error("registration record: official signature invalid");
-  }
-  return Status::Ok();
+  return CheckRecord(record, record.public_credential.Wire(), authorized_kiosks,
+                     authorized_officials);
 }
 
 Status VerifyRegistrationRecords(std::span<const RegistrationRecord> records,
+                                 std::span<const ElGamalWire> credential_wires,
                                  const std::set<CompressedRistretto>& authorized_kiosks,
                                  const std::set<CompressedRistretto>& authorized_officials,
                                  Executor& executor) {
+  Require(credential_wires.size() == records.size(),
+          "VerifyRegistrationRecords: one credential encoding per record");
   std::vector<uint8_t> bad(records.size(), 0);
   const auto shards = Executor::Shards(records.size(), Executor::kRngShards);
   executor.ParallelForEach(shards.size(), [&](size_t s) {
@@ -122,7 +133,7 @@ Status VerifyRegistrationRecords(std::span<const RegistrationRecord> records,
     for (size_t i = begin; i < end; ++i) {
       if (authorized_kiosks.count(records[i].kiosk_pk) != 0 &&
           authorized_officials.count(records[i].official_pk) != 0) {
-        for (SchnorrBatchEntry& entry : RecordSignatureEntries(records[i])) {
+        for (SchnorrBatchEntry& entry : RecordSignatureEntries(records[i], credential_wires[i])) {
           signatures.push_back(std::move(entry));
         }
       } else {
@@ -134,7 +145,8 @@ Status VerifyRegistrationRecords(std::span<const RegistrationRecord> records,
                         std::span<uint8_t>(bad).subspan(begin, end - begin));
   });
   if (auto i = FirstMarked(bad); i.has_value()) {
-    return VerifyRegistrationRecord(records[*i], authorized_kiosks, authorized_officials);
+    return CheckRecord(records[*i], credential_wires[*i], authorized_kiosks,
+                       authorized_officials);
   }
   return Status::Ok();
 }

@@ -62,9 +62,13 @@ Status VerifyRegistrationRecord(const RegistrationRecord& record,
 // Checks every record as VerifyRegistrationRecord does, with the kiosk and
 // official signatures in per-shard batches (Executor::Shards(n,
 // kRngShards), one VerifySchnorrGroups group per record, weights hashed from
-// the shard's signatures). Returns OK, or VerifyRegistrationRecord's status
-// for the lowest failing record, at any thread count.
+// the shard's signatures). Both signature messages are built from
+// credential_wires[i], the bytes of records[i].public_credential as posted
+// on the board (PublicLedger::ActiveRegistrations gives them), so no point
+// is encoded. Returns OK, or VerifyRegistrationRecord's status for the
+// lowest failing record, at any thread count.
 Status VerifyRegistrationRecords(std::span<const RegistrationRecord> records,
+                                 std::span<const ElGamalWire> credential_wires,
                                  const std::set<CompressedRistretto>& authorized_kiosks,
                                  const std::set<CompressedRistretto>& authorized_officials,
                                  Executor& executor);

@@ -17,12 +17,9 @@ AuthorityClient::AuthorityClient(const ElectionAuthority& authority, RetryPolicy
   Require(policy_.max_attempts >= 1, "AuthorityClient: need at least one attempt");
 }
 
-Outcome<DecryptionShare> AuthorityClient::RequestShare(
-    size_t member, const ElGamalCiphertext& ct, Rng& rng, uint64_t ct_key,
-    const CompressedRistretto* c1_wire, ShareRequestReport* report) const {
+Outcome<FaultKind> AuthorityClient::PlanShare(size_t member, uint64_t ct_key,
+                                              ShareRequestReport& rep) const {
   VirtualClock clock;  // per-request simulated budget; never sleeps
-  ShareRequestReport local;
-  ShareRequestReport& rep = report != nullptr ? *report : local;
   rep.member_index = member;
 
   const std::string who = "authority " + std::to_string(member);
@@ -30,7 +27,7 @@ Outcome<DecryptionShare> AuthorityClient::RequestShare(
   auto fail = [&](StatusCode code, std::string reason) {
     rep.status = Status::Error(code, std::move(reason));
     rep.sim_seconds = clock.Seconds();
-    return Outcome<DecryptionShare>::Fail(rep.status);
+    return Outcome<FaultKind>::Fail(rep.status);
   };
   auto deadline_spent = [&] {
     return clock.Seconds() * 1000.0 >= static_cast<double>(policy_.deadline_ms);
@@ -67,41 +64,49 @@ Outcome<DecryptionShare> AuthorityClient::RequestShare(
         return fail(StatusCode::kTimeout,
                     who + ": delayed response missed deadline at " + point);
       }
-      // Late but within budget: the response still arrives below.
-    }
-
-    DecryptionShare share = authority_.ComputeShare(member, ct, rng, c1_wire);
-    if (fault.kind == FaultKind::kCorrupt) {
-      // A Byzantine member returns a wrong partial: the DLEQ statement no
-      // longer matches its proof, nor the point its encoding.
-      share.share = share.share + RistrettoPoint::Base();
-    }
-
-    // Arrival verification, enabled exactly when faults can occur. No-fault
-    // runs keep the one batched check of each decrypt batch instead of
-    // paying per-share verification twice.
-    if (FaultInjector::Armed()) {
-      // share_wire travels with the share into the transcript, so a cache
-      // that does not encode the point is a forged response too.
-      Status ok = share.share_wire == share.share.Encode()
-                      ? authority_.VerifyShare(ct, share)
-                      : Status::Error(StatusCode::kInvalidProof,
-                                      "share wire cache does not match the share");
-      if (!ok.ok()) {
-        // A forged response is exclusion-worthy evidence, not a transient
-        // failure: no retry.
-        return fail(StatusCode::kInvalidProof,
-                    who + ": share rejected on arrival at " + point + ": " + ok.reason());
-      }
+      // Late but within budget: the response still arrives.
     }
 
     rep.status = Status::Ok();
     rep.sim_seconds = clock.Seconds();
-    return Outcome<DecryptionShare>::Ok(std::move(share));
+    return Outcome<FaultKind>::Ok(fault.kind);
   }
   return fail(StatusCode::kExhausted, who + ": retry budget exhausted at " + point +
                                           " after " + std::to_string(rep.attempts) +
                                           " attempt(s)");
+}
+
+Outcome<DecryptionShare> AuthorityClient::ReceiveShare(const ElGamalCiphertext& ct,
+                                                       DecryptionShare share, FaultKind fault,
+                                                       ShareRequestReport& rep) const {
+  if (fault == FaultKind::kCorrupt) {
+    // A Byzantine member returns a wrong partial: the DLEQ statement no
+    // longer matches its proof, nor the point its encoding.
+    share.share = share.share + RistrettoPoint::Base();
+  }
+
+  // Arrival verification, enabled exactly when faults can occur. No-fault
+  // runs keep the one batched check of each decrypt batch instead of
+  // paying per-share verification twice.
+  if (FaultInjector::Armed()) {
+    // share_wire travels with the share into the transcript, so a cache
+    // that does not encode the point is a forged response too.
+    Status ok = share.share_wire == share.share.Encode()
+                    ? authority_.VerifyShare(ct, share)
+                    : Status::Error(StatusCode::kInvalidProof,
+                                    "share wire cache does not match the share");
+    if (!ok.ok()) {
+      // A forged response is exclusion-worthy evidence, not a transient
+      // failure: no retry.
+      rep.status = Status::Error(StatusCode::kInvalidProof,
+                                 "authority " + std::to_string(share.member_index) +
+                                     ": share rejected on arrival at " +
+                                     std::string(faults::kAuthorityComputeShare) + ": " +
+                                     ok.reason());
+      return Outcome<DecryptionShare>::Fail(rep.status);
+    }
+  }
+  return Outcome<DecryptionShare>::Ok(std::move(share));
 }
 
 }  // namespace votegral

@@ -1,13 +1,16 @@
 // AuthorityClient: the tally's fault-isolating boundary around authority
 // members.
 //
-// The decrypt stages never call ElectionAuthority::ComputeShare directly;
-// they go through this wrapper, which models the member as a remote party
-// that can crash, stall, delay or lie — the failure surface a distributed
-// deployment will have — and turns each request into either a verified
-// DecryptionShare or a *coded, localized* Status naming the member and the
-// fault point, so degradation logic upstream can exclude the member and
-// recombine over the surviving t-subset.
+// The decrypt stages never take a member's shares without this wrapper,
+// which models the member as a remote party that can crash, stall, delay or
+// lie — the failure surface a distributed deployment will have — and turns
+// each request into either a verified DecryptionShare or a *coded,
+// localized* Status naming the member and the fault point, so degradation
+// logic upstream can exclude the member and recombine over the surviving
+// t-subset. A request is planned (PlanShare: the fault decisions), the
+// member computes the shares of the requests that answer
+// (ElectionAuthority::ComputeShares, one batch per member), and each
+// response is received (ReceiveShare: corruption and arrival checks).
 //
 // Per request:
 //  * bounded retries (RetryPolicy::max_attempts) with deterministic
@@ -21,9 +24,10 @@
 //    excluded, not retried); in no-fault runs arrival verification is
 //    skipped and each decrypt batch's one batched check as it closes
 //    (VerifyShareBatch, src/crypto/dkg.h) keeps the single-pass cost,
-//  * on the no-fault path the wrapper is transparent: one ComputeShare call,
-//    identical Rng consumption, identical share bytes — the golden-digest
-//    byte-compat contract.
+//  * on the no-fault path the wrapper is transparent: every request
+//    answers, the shares are those of one ComputeShare per request with the
+//    same nonces, identical share bytes — the golden-digest byte-compat
+//    contract.
 //
 // Determinism: every decision here is a pure function of (fault plan, member
 // index, ct_key, attempt) and of the request's own local clock; nothing
@@ -37,7 +41,6 @@
 #include "src/common/clock.h"
 #include "src/common/faults.h"
 #include "src/common/outcome.h"
-#include "src/common/rng.h"
 #include "src/crypto/dkg.h"
 
 namespace votegral {
@@ -69,16 +72,22 @@ class AuthorityClient {
 
   const RetryPolicy& policy() const { return policy_; }
 
-  // Requests member `member`'s verifiable share for `ct`. `ct_key` is the
-  // caller's stable identifier for this ciphertext (unique across the whole
-  // run — the decrypt stages use epoch-tagged indices), which keys the fault
-  // schedule independently of iteration order. On failure the Outcome's
-  // status is coded and localized; `report`, when given, additionally
-  // records attempts and simulated cost.
-  Outcome<DecryptionShare> RequestShare(size_t member, const ElGamalCiphertext& ct,
-                                        Rng& rng, uint64_t ct_key,
-                                        const CompressedRistretto* c1_wire = nullptr,
-                                        ShareRequestReport* report = nullptr) const;
+  // Plans member `member`'s share request for one ciphertext: its fault
+  // decisions, taken before any share is computed (attempts, retries and
+  // the simulated clock). `ct_key` is the caller's stable identifier for
+  // the ciphertext (unique across the whole run — the decrypt stages use
+  // epoch-tagged indices), which keys the fault schedule independently of
+  // iteration order. Returns the fault that touches the answering attempt's
+  // response (none, a delay or a corruption), or the request's coded,
+  // localized failure; `report` records attempts, simulated cost and status.
+  Outcome<FaultKind> PlanShare(size_t member, uint64_t ct_key, ShareRequestReport& report) const;
+
+  // The response of a planned request that answered: `share` is the member's
+  // share of `ct`, corrupted when `fault` is kCorrupt, then checked on
+  // arrival when a fault plan is armed (a rejected share fails
+  // kInvalidProof, recorded in `report`).
+  Outcome<DecryptionShare> ReceiveShare(const ElGamalCiphertext& ct, DecryptionShare share,
+                                        FaultKind fault, ShareRequestReport& report) const;
 
  private:
   const ElectionAuthority& authority_;

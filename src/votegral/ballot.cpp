@@ -129,12 +129,13 @@ Outcome<RevoteBindingProof> RevoteBindingProof::Parse(std::span<const uint8_t> b
   return r.Finish(std::move(p));
 }
 
-Bytes RevoteBallot::BoundPayload() const {
+Bytes RevoteBallot::BoundPayload() const { return BoundPayloadFromWire(Serialize()); }
+
+Bytes RevoteBallot::BoundPayloadFromWire(std::span<const uint8_t> wire) {
+  Require(wire.size() >= kBoundBodySize, "revote ballot: wire shorter than the bound body");
   ByteWriter w;
   w.Str(kRevoteBallotDomain);
-  w.Fixed(encrypted_vote.Serialize());
-  w.Fixed(encrypted_credential.Serialize());
-  w.Fixed(encrypted_counter.Serialize());
+  w.Fixed(wire.first(kBoundBodySize));
   return w.Take();
 }
 
@@ -182,7 +183,13 @@ RevoteBallot MakeRevoteBallot(const ActivatedCredential& credential,
 }
 
 Status CheckRevoteBallot(const RevoteBallot& ballot, const RistrettoPoint& authority_pk) {
-  const Scalar e = BindingChallenge(ballot.BoundPayload(), ballot.proof.t1, ballot.proof.t2);
+  return CheckRevoteBallot(ballot, ballot.Serialize(), authority_pk);
+}
+
+Status CheckRevoteBallot(const RevoteBallot& ballot, std::span<const uint8_t> wire,
+                         const RistrettoPoint& authority_pk) {
+  const Scalar e = BindingChallenge(RevoteBallot::BoundPayloadFromWire(wire), ballot.proof.t1,
+                                    ballot.proof.t2);
   const ElGamalCiphertext& c = ballot.encrypted_credential;
   // z1*B == T1 + e*C1  and  z1*A + z2*B == T2 + e*C2.
   auto t1 = RistrettoPoint::Decode(ballot.proof.t1);

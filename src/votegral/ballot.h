@@ -139,6 +139,13 @@ struct RevoteBallot {
   // The byte string the binding proof's challenge covers (everything but the
   // proof itself).
   Bytes BoundPayload() const;
+
+  // The same byte string from a serialized revote ballot, which begins with
+  // the kBoundBodySize bytes of its three ciphertexts. Parse accepts only
+  // canonical encodings, so for a ballot parsed from `wire` this equals
+  // BoundPayload() without encoding any point again.
+  static constexpr size_t kBoundBodySize = 192;
+  static Bytes BoundPayloadFromWire(std::span<const uint8_t> wire);
 };
 
 // Forms a revote ballot for `candidate_index` with per-credential cast index
@@ -150,6 +157,13 @@ RevoteBallot MakeRevoteBallot(const ActivatedCredential& credential,
 // Structural validation of a revote ballot: parse plus the binding proof.
 // No kiosk certificate — eligibility is enforced by the tag join.
 Status CheckRevoteBallot(const RevoteBallot& ballot, const RistrettoPoint& authority_pk);
+
+// The same check for a ballot just parsed from `wire` (the ledger entry's
+// payload): the challenge hashes the posted bytes instead of encoding the
+// ciphertexts again. The struct keeps no bytes, so a ballot changed after
+// parsing is checked by the call above.
+Status CheckRevoteBallot(const RevoteBallot& ballot, std::span<const uint8_t> wire,
+                         const RistrettoPoint& authority_pk);
 
 }  // namespace votegral
 

@@ -262,7 +262,7 @@ void RevoteValidateShard(const PublicLedger& ledger, const RistrettoPoint& autho
       outcome[i] = tally_internal::kBallotBadStructure;
       continue;
     }
-    if (!CheckRevoteBallot(*ballot, authority_pk).ok()) {
+    if (!CheckRevoteBallot(*ballot, view.payload, authority_pk).ok()) {
       outcome[i] = tally_internal::kBallotBadSignature;
       continue;
     }

@@ -62,8 +62,9 @@ class TaggingService {
 
   // Fills output slots [begin, end) of a PrepareStep'd `step`: exponentiates
   // input[i] by z_member and proves the DLEQ with nonces from `child` (the
-  // forked stream for this shard), one ProveDleqFsDeriving per ciphertext,
-  // which also gives the output wire. Disjoint ranges may run concurrently.
+  // forked stream for this shard, one nonce per ciphertext in order), the
+  // range's proofs as one batched ProveDleqFsDeriving, which also gives the
+  // output wire. Disjoint ranges may run concurrently.
   //
   // `input_wire` must be the canonical bytes of `input`, one per
   // ciphertext, from a source the caller produced or validated (the previous

@@ -114,22 +114,63 @@ void DecryptShareShardRange(const TallyService& service, const AuthorityClient& 
                             DecryptBatchBuffers& buffers) {
   const ElectionAuthority& authority = service.authority();
   const size_t members = buffers.member_shares.size();
+  // Request r = (i - begin) * members + m asks member m for ciphertext i's
+  // share. First every request's fault decisions and, for each request that
+  // answers, its proof nonce, in (ciphertext, member) order: the probes and
+  // draws of one request at a time.
+  struct MemberBatch {
+    std::vector<size_t> requests;
+    std::vector<ElGamalCiphertext> cts;
+    std::vector<CompressedRistretto> c1_wire;
+    std::vector<Scalar> nonces;
+  };
+  std::vector<MemberBatch> batches(members);
+  std::vector<ShareRequestReport> reports((end - begin) * members);
+  std::vector<Outcome<FaultKind>> plans;
+  plans.reserve(reports.size());
+  for (size_t i = begin; i < end; ++i) {
+    const uint64_t ct_key = (epoch << 32) | static_cast<uint64_t>(i);
+    for (size_t m = 0; m < members; ++m) {
+      const size_t r = plans.size();
+      plans.push_back(client.PlanShare(m, ct_key, reports[r]));
+      if (plans.back().ok()) {
+        MemberBatch& batch = batches[m];
+        batch.requests.push_back(r);
+        batch.cts.push_back(cts[i]);
+        batch.c1_wire.push_back(ElGamalWireHalf(cts_wire[i], 0));
+        batch.nonces.push_back(Scalar::Random(child));
+      }
+    }
+  }
+  // Each member's shares of the shard as one batched proof: a batch never
+  // spans two parties.
+  std::vector<DecryptionShare> computed(reports.size());
+  for (size_t m = 0; m < members; ++m) {
+    MemberBatch& batch = batches[m];
+    std::vector<DecryptionShare> shares(batch.requests.size());
+    authority.ComputeShares(m, batch.cts, batch.c1_wire, batch.nonces, shares);
+    for (size_t j = 0; j < shares.size(); ++j) {
+      computed[batch.requests[j]] = std::move(shares[j]);
+    }
+  }
+  // Then, per ciphertext in order, each response's corruption and arrival
+  // check, the blame, and the combination.
   for (size_t i = begin; i < end; ++i) {
     std::vector<DecryptionShare>& shares = (*buffers.shares_out)[i];
     shares.reserve(members);
-    const CompressedRistretto c1_wire = ElGamalWireHalf(cts_wire[i], 0);
-    const uint64_t ct_key = (epoch << 32) | static_cast<uint64_t>(i);
     for (size_t m = 0; m < members; ++m) {
-      ShareRequestReport report;
-      Outcome<DecryptionShare> requested =
-          client.RequestShare(m, cts[i], child, ct_key, &c1_wire, &report);
-      if (!requested.ok()) {
+      const size_t r = (i - begin) * members + m;
+      Outcome<DecryptionShare> received =
+          plans[r].ok()
+              ? client.ReceiveShare(cts[i], std::move(computed[r]), *plans[r], reports[r])
+              : Outcome<DecryptionShare>::Fail(plans[r].status);
+      if (!received.ok()) {
         if (buffers.armed) {
-          buffers.failed[i].push_back(std::move(report));
+          buffers.failed[i].push_back(std::move(reports[r]));
         }
         continue;
       }
-      shares.push_back(std::move(*requested));
+      shares.push_back(std::move(*received));
     }
     if (shares.size() < buffers.threshold) {
       buffers.short_of_threshold[i] = 1;

@@ -122,8 +122,13 @@ struct DecryptBatchBuffers {
 // Decrypt-stage kernel: collects every live authority member's verifiable
 // share for ciphertexts [begin, end) through the retrying AuthorityClient,
 // drawing proof nonces from `child`; each share's statement hashes C1 from
-// `cts_wire`, the bytes of `cts`. Failures are captured per ciphertext when
-// a fault plan is armed. Disjoint ranges may run concurrently.
+// `cts_wire`, the bytes of `cts`. The requests are planned and their nonces
+// drawn in (ciphertext, member) order, each member's shares of the range
+// are proved as one batch (ElectionAuthority::ComputeShares), and the
+// responses are received in that order again, so the shares, the blame and
+// the random stream are those of one request at a time. Failures are
+// captured per ciphertext when a fault plan is armed. Disjoint ranges may
+// run concurrently.
 void DecryptShareShardRange(const TallyService& service, const AuthorityClient& client,
                             std::span<const ElGamalCiphertext> cts,
                             std::span<const ElGamalWire> cts_wire, uint64_t epoch,

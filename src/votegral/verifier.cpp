@@ -501,11 +501,12 @@ Status VerifyElection(const PublicLedger& ledger, const VerifierParams& params,
   // per-shard batches; first failure reported by roster position), and the
   // roster mix input must be exactly the records' credentials.
   std::vector<RegistrationRecord> roster;
+  std::vector<ElGamalWire> roster_wires;
   Check records;
   Check roster_input;
   const TaskGraph::NodeId read_roster = SubmitCheck(graph, records, [&] {
-    roster = ledger.ActiveRegistrations();
-    return VerifyRegistrationRecords(roster, params.authorized_kiosks,
+    roster = ledger.ActiveRegistrations(&roster_wires);
+    return VerifyRegistrationRecords(roster, roster_wires, params.authorized_kiosks,
                                      params.authorized_officials, executor);
   });
   SubmitCheck(

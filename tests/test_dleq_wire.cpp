@@ -343,6 +343,102 @@ TEST(DleqWire, DerivingProverMatchesTheEncodePerPointProver) {
   }
 }
 
+// A statement of tagging's shape (bases B, C1, C2; the member's commitment
+// given) or a share's (bases B, C1; the member's public share given), with
+// every given section wired.
+DleqStatement ProverShapeStatement(size_t pairs, const RistrettoPoint& given, Rng& rng) {
+  DleqStatement statement;
+  statement.bases.push_back(RistrettoPoint::Base());
+  for (size_t i = 1; i < pairs; ++i) {
+    statement.bases.push_back(RistrettoPoint::FromUniformBytes(rng.RandomBytes(64)));
+  }
+  statement.publics = {given};
+  statement.EnsureWire();
+  return statement;
+}
+
+TEST(DleqWire, BatchedProverMatchesOneStatementProofs) {
+  // N statements sharing one witness, proved in one call with nonces drawn
+  // in statement order, give the bytes, the derived publics and the stream
+  // state of N one-statement calls on the same stream. Batches of 1 to 17
+  // cover one lane group, a full one and padded ones.
+  ChaChaRng setup(103);
+  for (size_t pairs : {size_t{3}, size_t{2}}) {
+    for (size_t n : {size_t{1}, size_t{2}, size_t{7}, size_t{8}, size_t{9}, size_t{17}}) {
+      SCOPED_TRACE("pairs=" + std::to_string(pairs) + " n=" + std::to_string(n));
+      const Scalar x = Scalar::Random(setup);
+      const RistrettoPoint given = RistrettoPoint::MulBase(x);
+      std::vector<DleqStatement> one_by_one;
+      for (size_t j = 0; j < n; ++j) {
+        one_by_one.push_back(ProverShapeStatement(pairs, given, setup));
+      }
+      std::vector<DleqStatement> batched = one_by_one;
+      const Bytes seed = setup.RandomBytes(32);
+
+      ChaChaRng single_rng(seed);
+      std::vector<DleqTranscript> singles;
+      for (DleqStatement& statement : one_by_one) {
+        singles.push_back(ProveDleqFsDeriving("test/batch", statement, x, single_rng));
+      }
+      ChaChaRng batch_rng(seed);
+      std::vector<Scalar> nonces;
+      for (size_t j = 0; j < n; ++j) {
+        nonces.push_back(Scalar::Random(batch_rng));
+      }
+      std::vector<DleqTranscript> proofs(n);
+      ProveDleqFsDeriving("test/batch", batched, x, nonces, proofs);
+
+      for (size_t j = 0; j < n; ++j) {
+        EXPECT_EQ(HexEncode(proofs[j].Serialize()), HexEncode(singles[j].Serialize()))
+            << "statement " << j;
+        ASSERT_EQ(batched[j].publics.size(), pairs);
+        EXPECT_EQ(batched[j].public_wire, one_by_one[j].public_wire) << "statement " << j;
+        for (size_t i = 0; i < pairs; ++i) {
+          EXPECT_TRUE(batched[j].publics[i] == one_by_one[j].publics[i])
+              << "statement " << j << " public " << i;
+        }
+        EXPECT_TRUE(VerifyDleqFs("test/batch", batched[j], proofs[j]).ok());
+      }
+      EXPECT_EQ(batch_rng.RandomBytes(32), single_rng.RandomBytes(32));
+    }
+  }
+}
+
+TEST(DleqWire, TaggingShardMatchesOneCiphertextRanges) {
+  // ApplyShardRange proves its range as one batch. From one seeded stream
+  // its proofs, outputs and output bytes are those of one-ciphertext ranges
+  // (batches of one) taken in order, and the stream ends in the same state:
+  // the nonces are drawn one per ciphertext, in order.
+  ChaChaRng rng(104);
+  auto authority = ElectionAuthority::Create(2, rng);
+  TaggingService tagging = TaggingService::Create(2, rng);
+  std::vector<ElGamalCiphertext> input;
+  std::vector<ElGamalWire> input_wire;
+  for (int i = 0; i < 19; ++i) {
+    input.push_back(ElGamalEncrypt(authority.public_key(),
+                                   RistrettoPoint::FromUniformBytes(rng.RandomBytes(64)), rng));
+    input_wire.push_back(input.back().Wire());
+  }
+  const Bytes seed = rng.RandomBytes(32);
+  const size_t begin = 2;
+  const size_t end = input.size();
+  ChaChaRng shard_rng(seed);
+  TaggingStep shard = tagging.PrepareStep(1, input.size());
+  tagging.ApplyShardRange(1, input, input_wire, begin, end, shard_rng, shard);
+  ChaChaRng single_rng(seed);
+  TaggingStep singles = tagging.PrepareStep(1, input.size());
+  for (size_t i = begin; i < end; ++i) {
+    tagging.ApplyShardRange(1, input, input_wire, i, i + 1, single_rng, singles);
+  }
+  for (size_t i = begin; i < end; ++i) {
+    EXPECT_EQ(HexEncode(shard.proofs[i].Serialize()), HexEncode(singles.proofs[i].Serialize()))
+        << "ciphertext " << i;
+    EXPECT_EQ(shard.output_wire[i], singles.output_wire[i]) << "ciphertext " << i;
+    EXPECT_EQ(shard.output_wire[i], shard.output[i].Wire()) << "ciphertext " << i;
+  }
+  EXPECT_EQ(shard_rng.RandomBytes(32), single_rng.RandomBytes(32));
+}
+
 TEST(DleqWire, TallyProversComputeNoInverseSquareRoot) {
   // The prover side of the zero-encode rule: with wired inputs, a tagging
   // pass and a decryption share hash and keep only bytes that came from the

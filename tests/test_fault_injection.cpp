@@ -17,13 +17,20 @@
 //    recover on reopen, and appends resume on the recovered log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/faults.h"
 #include "src/crypto/drbg.h"
 #include "src/ledger/ledger.h"
+#include "src/votegral/authority_client.h"
 #include "src/votegral/election.h"
+#include "src/votegral/tally_internal.h"
 #include "tests/transcript_digest.h"
 
 namespace votegral {
@@ -517,6 +524,100 @@ TEST(ThresholdTally, DegradedTranscriptIsByteIdenticalAcrossThreadCounts) {
         EXPECT_EQ(run.digest, *reference) << "degraded transcript depends on thread count";
         EXPECT_EQ(excluded, *reference_excluded);
       }
+    }
+  }
+}
+
+// What a decrypt shard leaves for ciphertexts [begin, end): each share's
+// member and bytes, each failed request's report, and the combination.
+std::vector<std::string> DecryptShardRecord(const std::vector<std::vector<DecryptionShare>>& shares,
+                                            const std::vector<CompressedRistretto>& encoded,
+                                            const tally_internal::DecryptBatchBuffers& buffers,
+                                            size_t begin, size_t end) {
+  std::vector<std::string> record;
+  for (size_t i = begin; i < end; ++i) {
+    for (const DecryptionShare& share : shares[i]) {
+      record.push_back(std::to_string(i) + " share " + std::to_string(share.member_index) + " " +
+                       HexEncode(share.share_wire) + " " + HexEncode(share.share.Encode()) + " " +
+                       HexEncode(share.proof.Serialize()));
+    }
+    if (!buffers.failed.empty()) {
+      for (const ShareRequestReport& report : buffers.failed[i]) {
+        record.push_back(std::to_string(i) + " failed " + std::to_string(report.member_index) +
+                         " after " + std::to_string(report.attempts) + " in " +
+                         std::to_string(report.sim_seconds) + " s: " + report.status.reason());
+      }
+    }
+    record.push_back(std::to_string(i) + " short " +
+                     std::to_string(buffers.short_of_threshold[i]) + " combined " +
+                     HexEncode(encoded[i]));
+  }
+  return record;
+}
+
+TEST(ThresholdTally, DecryptShardMatchesOneCiphertextRanges) {
+  // A decrypt shard plans its requests, proves each member's shares of the
+  // range as one batch, then receives the responses. From one seeded stream
+  // its shares, their bytes, the failed requests, the combinations and the
+  // stream's end state are those of one-ciphertext ranges taken in order:
+  // fault decisions and nonces follow (ciphertext, member) order. Checked
+  // with no plan armed, and with a crashed member, timeouts, corruptions
+  // (rejected on arrival) and delays.
+  ChaChaRng rng(3006);
+  const ElectionAuthority authority = ElectionAuthority::CreateThreshold(3, 5, rng);
+  const TaggingService tagging = TaggingService::Create(2, rng);
+  const TallyService service(authority, tagging);
+  const AuthorityClient client(authority);
+  std::vector<ElGamalCiphertext> cts;
+  std::vector<ElGamalWire> cts_wire;
+  for (int i = 0; i < 21; ++i) {
+    cts.push_back(ElGamalEncrypt(authority.public_key(),
+                                 RistrettoPoint::FromUniformBytes(rng.RandomBytes(64)), rng));
+    cts_wire.push_back(cts.back().Wire());
+  }
+  const size_t begin = 2;
+  const size_t end = cts.size();
+  const Bytes seed = rng.RandomBytes(32);
+  FaultPlan plan(0x5A);
+  plan.Crash(faults::kAuthorityComputeShare, 1.0, /*scope=*/4);
+  plan.Timeout(faults::kAuthorityComputeShare, 0.2);
+  plan.Corrupt(faults::kAuthorityComputeShare, 0.15);
+  plan.Delay(faults::kAuthorityComputeShare, 0.3, 5, 60);
+  for (bool armed : {false, true}) {
+    SCOPED_TRACE(armed ? "faults armed" : "no faults");
+    std::optional<ArmedFaults> faults;
+    if (armed) {
+      faults.emplace(plan);
+    }
+    auto run = [&](bool one_at_a_time, Rng& child) {
+      std::vector<std::vector<DecryptionShare>> shares;
+      std::vector<CompressedRistretto> encoded;
+      tally_internal::DecryptBatchBuffers buffers;
+      buffers.Init(authority, cts.size(), &shares, &encoded);
+      for (size_t i = begin; i < end; i = one_at_a_time ? i + 1 : end) {
+        tally_internal::DecryptShareShardRange(service, client, cts, cts_wire,
+                                               tally_internal::kEpochVotes, i,
+                                               one_at_a_time ? i + 1 : end, child, buffers);
+      }
+      return DecryptShardRecord(shares, encoded, buffers, begin, end);
+    };
+    ChaChaRng batch_rng(seed);
+    ChaChaRng single_rng(seed);
+    const std::vector<std::string> batched = run(false, batch_rng);
+    const std::vector<std::string> singles = run(true, single_rng);
+    EXPECT_EQ(batched, singles);
+    EXPECT_EQ(batch_rng.RandomBytes(32), single_rng.RandomBytes(32));
+    if (armed) {
+      // The plan bites: some requests fail, and some ciphertexts still
+      // combine.
+      const auto has = [&](std::string_view what) {
+        return std::any_of(batched.begin(), batched.end(), [&](const std::string& line) {
+          return line.find(what) != std::string::npos;
+        });
+      };
+      EXPECT_TRUE(has("rejected on arrival"));
+      EXPECT_TRUE(has("crash injected"));
+      EXPECT_TRUE(has("short 0"));
     }
   }
 }

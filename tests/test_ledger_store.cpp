@@ -8,8 +8,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <map>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/common/files.h"
 #include "src/crypto/drbg.h"
@@ -224,6 +227,54 @@ TEST(FileLedgerStore, SealedSegmentsAreNotResident) {
   uint64_t one_segment_bytes = fs::file_size(store.SegmentPath(0));
   EXPECT_LE(store.PeakPinnedBytes(), 2 * one_segment_bytes)
       << "scan pinned more than O(segment) bytes";
+}
+
+TEST(FileLedgerStore, LivePinsOfASealedSegmentShareOneRead) {
+  // Four cursors on four threads hold pins of one sealed segment at once:
+  // they share one read of its file, and the gauge counts its bytes once.
+  ScratchDir dir("shared_pins");
+  Ledger ledger(FileConfig(dir.path, 8));
+  Fill(ledger, 64);
+  const auto& store = static_cast<const FileLedgerStore&>(ledger.store());
+  const uint64_t one_segment_bytes = fs::file_size(store.SegmentPath(1));
+  constexpr size_t kReaders = 4;
+  std::latch all_pinned(kReaders);
+  std::vector<std::string> first_payload(kReaders);
+  std::vector<size_t> seen(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      LedgerCursor cursor = ledger.Scan(8, 16);
+      LedgerEntryView view;
+      Require(cursor.Next(&view), "cursor ended early");
+      all_pinned.arrive_and_wait();  // every pin is alive here
+      first_payload[r].assign(view.payload.begin(), view.payload.end());
+      seen[r] = 1;
+      while (cursor.Next(&view)) {
+        ++seen[r];
+      }
+    });
+  }
+  for (std::thread& reader : readers) {
+    reader.join();
+  }
+  for (size_t r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(first_payload[r], "entry-8") << "reader " << r;
+    EXPECT_EQ(seen[r], 8u) << "reader " << r;
+  }
+  EXPECT_EQ(store.PeakPinnedBytes(), one_segment_bytes);
+
+  // A tamper drops the shared bytes: a pin taken before it keeps the old
+  // payload, and the next pin reads the rewritten file.
+  LedgerCursor before = ledger.Scan(8, 16);
+  LedgerEntryView old_view;
+  ASSERT_TRUE(before.Next(&old_view));
+  ledger.TamperWithPayloadForTest(8, Payload("tampered"));
+  LedgerCursor after = ledger.Scan(8, 16);
+  LedgerEntryView new_view;
+  ASSERT_TRUE(after.Next(&new_view));
+  EXPECT_EQ(std::string(old_view.payload.begin(), old_view.payload.end()), "entry-8");
+  EXPECT_EQ(std::string(new_view.payload.begin(), new_view.payload.end()), "tampered");
 }
 
 TEST(FileLedgerStore, PublicLedgerOpenRebuildsDerivedState) {

@@ -429,9 +429,9 @@ TEST(ParallelVerifier, HonestVerifyEncodesOnlyItsOwnOutputs) {
   // computes itself: each decrypted tag, counter and vote, the members'
   // public shares once per share batch, the tagging commitments once per
   // chain, and each revote dummy group's credential. A transcript point
-  // encoded again shows here. The board revalidation adds its own: each
-  // registration record's c_pc (two points) for its signature messages, and
-  // each accepted revote ballot's three ciphertexts for its binding proof.
+  // encoded again shows here. The board revalidation adds none: registration
+  // records' signature messages and revote ballots' binding challenges hash
+  // the bytes posted on the board.
   for (bool revoting : {false, true}) {
     SCOPED_TRACE(revoting ? "revoting" : "legacy");
     Fixture f(revoting);  // its constructor's verify made the one-time tables
@@ -445,8 +445,7 @@ TEST(ParallelVerifier, HonestVerifyEncodesOnlyItsOwnOutputs) {
                              share_batches * params.authority_shares.size() +
                              chains * params.tagging_commitments.size() +
                              t.revote.dummies.size();
-    const uint64_t board = 2 * t.roster_mix_input.size() + 6 * t.revote.accepted.size();
-    const uint64_t expected = outputs + board;
+    const uint64_t expected = outputs;
     for (size_t threads : {size_t{1}, size_t{8}}) {
       const uint64_t before = RistrettoEncodeInvocations();
       ASSERT_TRUE(VerifyAt(f, f.output, threads).ok());

@@ -352,6 +352,34 @@ struct AdversarialFixture {
   TallyOutput output;
 };
 
+TEST(RevoteBallotCheck, BindingChallengeHashesTheLedgerBytes) {
+  // The validate shard checks each parsed ballot's binding proof over the
+  // ledger entry's bytes: the same challenge as the in-memory check, with
+  // no point encoded. The struct keeps no bytes, so a ballot changed after
+  // parsing fails the in-memory check.
+  AdversarialFixture f;
+  const PublicLedger& ledger = f.election.ledger();
+  const RistrettoPoint& authority_pk = f.election.trip().authority().public_key();
+  LedgerCursor cursor = ledger.BallotCursor(0, ledger.BallotCount());
+  LedgerEntryView view;
+  size_t seen = 0;
+  while (cursor.Next(&view)) {
+    SCOPED_TRACE("ballot " + std::to_string(seen));
+    auto ballot = RevoteBallot::Parse(view.payload);
+    ASSERT_TRUE(ballot.ok());
+    EXPECT_EQ(RevoteBallot::BoundPayloadFromWire(view.payload), ballot->BoundPayload());
+    const uint64_t encodes = RistrettoEncodeInvocations();
+    EXPECT_TRUE(CheckRevoteBallot(*ballot, view.payload, authority_pk).ok());
+    EXPECT_EQ(RistrettoEncodeInvocations() - encodes, 0u);
+    EXPECT_TRUE(CheckRevoteBallot(*ballot, authority_pk).ok());
+    RevoteBallot changed = *ballot;
+    changed.encrypted_vote.c2 = changed.encrypted_vote.c2 + RistrettoPoint::Base();
+    EXPECT_FALSE(CheckRevoteBallot(changed, authority_pk).ok());
+    ++seen;
+  }
+  EXPECT_EQ(seen, 4u);
+}
+
 TEST(RevoteAdversarial, DroppedValidBallotLocalizedToExactLedgerIndex) {
   AdversarialFixture f;
   // A tally that silently omits the last board ballot (carol's vote).

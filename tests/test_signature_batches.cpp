@@ -500,16 +500,25 @@ class RecordSet {
   std::vector<RegistrationRecord> honest_;
 };
 
+// Each record's c_pc bytes, as the board holds them.
+std::vector<ElGamalWire> CredentialWires(const std::vector<RegistrationRecord>& records) {
+  std::vector<ElGamalWire> wires;
+  for (const RegistrationRecord& record : records) {
+    wires.push_back(record.public_credential.Wire());
+  }
+  return wires;
+}
+
 TEST(BatchedRecordCheck, NamesTheLowestFailingRecordWithItsExactReason) {
   ChaChaRng rng(2206);
   const size_t n = 4 * Executor::kRngShards + 3;
   RecordSet set(n, rng);
   for (size_t threads : {1u, 4u}) {
     Executor executor(threads);
-    EXPECT_TRUE(
-        VerifyRegistrationRecords(set.Records({}, BadRecord::kUnknownKiosk), set.kiosks(),
-                                  set.officials(), executor)
-            .ok());
+    const std::vector<RegistrationRecord> honest = set.Records({}, BadRecord::kUnknownKiosk);
+    EXPECT_TRUE(VerifyRegistrationRecords(honest, CredentialWires(honest), set.kiosks(),
+                                          set.officials(), executor)
+                    .ok());
   }
   for (const auto& [where, indices] : Placements(n)) {
     for (BadRecord kind : kAllBadRecords) {
@@ -525,8 +534,8 @@ TEST(BatchedRecordCheck, NamesTheLowestFailingRecordWithItsExactReason) {
       ASSERT_FALSE(expected.ok());
       for (size_t threads : {1u, 4u}) {
         Executor executor(threads);
-        Status got =
-            VerifyRegistrationRecords(records, set.kiosks(), set.officials(), executor);
+        Status got = VerifyRegistrationRecords(records, CredentialWires(records), set.kiosks(),
+                                               set.officials(), executor);
         EXPECT_EQ(got.reason(), expected.reason()) << "threads " << threads;
       }
     }
