@@ -84,6 +84,34 @@ void BM_RistrettoMulBase(benchmark::State& state) {
 }
 BENCHMARK(BM_RistrettoMulBase);
 
+// Sets a batched row's label to the kernel this CPU selects and its
+// `per_point` counter to the time per point of an n-point call.
+void LabelBatch(benchmark::State& state, size_t n) {
+  state.SetLabel(ristretto_internal::KernelName());
+  state.counters["per_point"] = benchmark::Counter(
+      static_cast<double>(n),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+
+// The generator's table for n scalars in one FixedBaseTable::MulEach call
+// (the mix's r*B, the provers' y*B), to set per point against
+// BM_RistrettoMulBase.
+void BM_FixedBaseMulEach(benchmark::State& state) {
+  ChaChaRng rng(33);
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<Scalar> scalars;
+  for (size_t i = 0; i < n; ++i) {
+    scalars.push_back(Scalar::Random(rng));
+  }
+  std::vector<RistrettoPoint> out(n);
+  for (auto _ : state) {
+    RistrettoPoint::MulEach(RistrettoPoint::Base(), scalars, out);
+    benchmark::DoNotOptimize(out);
+  }
+  LabelBatch(state, n);
+}
+BENCHMARK(BM_FixedBaseMulEach)->Arg(8)->Arg(64)->Unit(benchmark::kMicrosecond);
+
 void BM_RistrettoMulBaseSlow(benchmark::State& state) {
   ChaChaRng rng(4);
   Scalar s = Scalar::Random(rng);
@@ -141,10 +169,7 @@ void BM_RistrettoMulEachBatch(benchmark::State& state) {
     RistrettoPoint::MulEach(points, 2, scalars, out);
     benchmark::DoNotOptimize(out);
   }
-  state.SetLabel(ristretto_internal::MulEachKernelName());
-  state.counters["per_point"] = benchmark::Counter(
-      static_cast<double>(n),
-      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  LabelBatch(state, n);
 }
 BENCHMARK(BM_RistrettoMulEachBatch)->Arg(8)->Arg(64)->Unit(benchmark::kMicrosecond);
 
@@ -584,6 +609,35 @@ void BM_RistrettoBatchEncode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_RistrettoBatchEncode)->Arg(256)->Unit(benchmark::kMicrosecond);
+
+// One point's Encode(), and n points through BatchEncodePoints on the
+// calling thread (Executor::Serial(), as a tally shard runs it), to set per
+// point against it.
+void BM_RistrettoEncode(benchmark::State& state) {
+  ChaChaRng rng(34);
+  const RistrettoPoint p = RistrettoPoint::FromUniformBytes(rng.RandomBytes(64));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(p.Encode());
+  }
+}
+BENCHMARK(BM_RistrettoEncode);
+
+void BM_RistrettoEncodeEach(benchmark::State& state) {
+  ChaChaRng rng(35);
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<RistrettoPoint> points;
+  for (size_t i = 0; i < n; ++i) {
+    points.push_back(RistrettoPoint::FromUniformBytes(rng.RandomBytes(64)));
+  }
+  std::vector<CompressedRistretto> out(n);
+  Executor::Scope serial(Executor::Serial());
+  for (auto _ : state) {
+    BatchEncodePoints(points, out);
+    benchmark::DoNotOptimize(out);
+  }
+  LabelBatch(state, n);
+}
+BENCHMARK(BM_RistrettoEncodeEach)->Arg(8)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 // (2P).Encode() for a batch on the calling thread with one batched
 // inversion and no roots: 3 and 5 are a decryption share's and a tagging

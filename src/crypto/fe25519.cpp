@@ -205,19 +205,26 @@ SqrtRatioResult FeInvSqrt(const Fe25519& v) {
   Fe25519 v3 = FeMul(FeSquare(v), v);
   Fe25519 v7 = FeMul(FeSquare(v3), v);
   Fe25519 r = FeMul(v3, FePow2523(v7));
-  Fe25519 check = FeMul(v, FeSquare(r));
-
-  Fe25519 one = FeOne();
-  bool correct_sign_sqrt = FeEqual(check, one);
-  Fe25519 minus_one = FeNeg(one);
-  bool flipped_sign_sqrt = FeEqual(check, minus_one);
-  bool flipped_sign_sqrt_i = FeEqual(check, FeMul(minus_one, FeSqrtM1()));
-
-  Fe25519 r_prime = FeMul(r, FeSqrtM1());
-  r = FeSelect(r, r_prime, flipped_sign_sqrt || flipped_sign_sqrt_i);
-  r = FeAbs(r);
-
-  return SqrtRatioResult{correct_sign_sqrt || flipped_sign_sqrt, r};
+  return fe25519_internal::InvSqrtFinish(r, FeMul(v, FeSquare(r)));
 }
+
+namespace fe25519_internal {
+
+SqrtRatioResult InvSqrtFinish(const Fe25519& r, const Fe25519& check) {
+  // check is 0 or a fourth root of unity. Its canonical bytes are compared
+  // with those of the three roots FeInvSqrt tells apart, each encoded once.
+  static const std::array<uint8_t, 32> kOne = FeToBytes(FeOne());
+  static const std::array<uint8_t, 32> kMinusOne = FeToBytes(FeNeg(FeOne()));
+  static const std::array<uint8_t, 32> kMinusSqrtM1 = FeToBytes(FeNeg(FeSqrtM1()));
+  const std::array<uint8_t, 32> c = FeToBytes(check);
+  const bool correct_sign_sqrt = ConstantTimeEqual(c, kOne);
+  const bool flipped_sign_sqrt = ConstantTimeEqual(c, kMinusOne);
+  const bool flipped_sign_sqrt_i = ConstantTimeEqual(c, kMinusSqrtM1);
+  const Fe25519 root =
+      flipped_sign_sqrt || flipped_sign_sqrt_i ? FeMul(r, FeSqrtM1()) : r;
+  return SqrtRatioResult{correct_sign_sqrt || flipped_sign_sqrt, FeAbs(root)};
+}
+
+}  // namespace fe25519_internal
 
 }  // namespace votegral

@@ -216,6 +216,15 @@ SqrtRatioResult FeSqrtRatioM1(const Fe25519& u, const Fe25519& v);
 // recomputing them.
 SqrtRatioResult FeInvSqrt(const Fe25519& v);
 
+namespace fe25519_internal {
+
+// FeInvSqrt after its power chain, for a kernel that computes the chain
+// itself (the batched encode): given r = v^3 * (v^7)^((p-5)/8) and
+// check = v * r^2, the same result as FeInvSqrt(v).
+SqrtRatioResult InvSqrtFinish(const Fe25519& r, const Fe25519& check);
+
+}  // namespace fe25519_internal
+
 // sqrt(-1) mod p (computed once at startup as 2^((p-1)/4)).
 const Fe25519& FeSqrtM1();
 

@@ -118,13 +118,17 @@ std::optional<RistrettoPoint> RistrettoPoint::Decode(std::span<const uint8_t> by
 }
 
 std::array<uint8_t, 32> RistrettoPoint::Encode() const {
-  g_encode_invocations.fetch_add(1, std::memory_order_relaxed);
-  const RistrettoConstants& c = Consts();
-  Fe25519 u1 = FeMul(FeAdd(z_, y_), FeSub(z_, y_));  // (Z+Y)(Z-Y)
-  Fe25519 u2 = FeMul(x_, y_);
+  const Fe25519 u1 = FeMul(FeAdd(z_, y_), FeSub(z_, y_));  // (Z+Y)(Z-Y)
+  const Fe25519 u2 = FeMul(x_, y_);
   // Every valid group element makes u1*u2^2 square-or-zero; was_square is
   // deliberately ignored, matching the scalar SQRT_RATIO_M1 formulation.
-  Fe25519 inv_root = FeInvSqrt(FeMul(u1, FeSquare(u2))).root;
+  return EncodeWithRoot(u1, u2, FeInvSqrt(FeMul(u1, FeSquare(u2))).root);
+}
+
+std::array<uint8_t, 32> RistrettoPoint::EncodeWithRoot(const Fe25519& u1, const Fe25519& u2,
+                                                       const Fe25519& inv_root) const {
+  g_encode_invocations.fetch_add(1, std::memory_order_relaxed);
+  const RistrettoConstants& c = Consts();
   Fe25519 den1 = FeMul(inv_root, u1);
   Fe25519 den2 = FeMul(inv_root, u2);
   Fe25519 z_inv = FeMul(FeMul(den1, den2), t_);
@@ -323,41 +327,6 @@ RistrettoPoint RistrettoPoint::MulLadder(const Scalar& s, const RistrettoPoint& 
 
 // --- Fixed-base tables -------------------------------------------------------
 
-// Precomputed multiples of one base P: row i holds j * 16^i * P for j = 1..8
-// as affine addends (y+x, y-x, 2d*x*y). With s recoded into 64 signed
-// radix-16 digits e_i in [-8, 8), s*P = sum_i e_i * 16^i * P costs at most 64
-// mixed additions (7 multiplications each, one fewer than a CachedPoint
-// addition because Z = 1; a negative digit only swaps and negates) and no
-// doublings. 64 x 8 x 120 bytes = 60 KiB.
-class FixedBaseTable {
- public:
-  explicit FixedBaseTable(const RistrettoPoint& base);
-
-  // Exact representation: equal coordinates are the same point, so a match
-  // is always sound; an equal point represented differently just misses.
-  bool Matches(const RistrettoPoint& p) const {
-    return std::memcmp(&base_, &p, sizeof(RistrettoPoint)) == 0;
-  }
-
-  RistrettoPoint Mul(const Scalar& s) const;
-
- private:
-  struct AffineAddend {
-    Fe25519 y_plus_x;
-    Fe25519 y_minus_x;
-    Fe25519 xy2d;
-  };
-  static constexpr size_t kRows = 64;
-  static constexpr size_t kDigits = 8;
-
-  // p + q (or p - q) for an affine q: madd-2008-hwcd-3, i.e. the
-  // CachedPoint addition with Z2 = 1, seven multiplications instead of eight.
-  static RistrettoPoint AddAffine(const RistrettoPoint& p, const AffineAddend& q, bool negate);
-
-  RistrettoPoint base_;
-  std::array<std::array<AffineAddend, kDigits>, kRows> rows_;
-};
-
 static_assert(sizeof(RistrettoPoint) == 4 * sizeof(Fe25519),
               "FixedBaseTable::Matches compares the coordinates bytewise");
 
@@ -394,6 +363,21 @@ FixedBaseTable::FixedBaseTable(const RistrettoPoint& base) : base_(base) {
     rows_[k / kDigits][k % kDigits] =
         AffineAddend{FeAdd(y, x), FeSub(y, x), FeMul(FeMul(x, y), d2)};
   }
+  if (!ristretto_internal::CpuHasIfma()) {
+    return;
+  }
+  lanes_ = std::make_unique<LaneLine[]>(kRows * 3 * 5);
+  for (size_t i = 0; i < kRows; ++i) {
+    for (size_t j = 0; j < kDigits; ++j) {
+      const AffineAddend& entry = rows_[i][j];
+      const Fe25519* coords[3] = {&entry.y_plus_x, &entry.y_minus_x, &entry.xy2d};
+      for (size_t c = 0; c < 3; ++c) {
+        for (size_t l = 0; l < 5; ++l) {
+          lanes_[(i * 3 + c) * 5 + l].word[j] = coords[c]->limb[l];
+        }
+      }
+    }
+  }
 }
 
 RistrettoPoint FixedBaseTable::AddAffine(const RistrettoPoint& p, const AffineAddend& q,
@@ -423,6 +407,83 @@ RistrettoPoint FixedBaseTable::Mul(const Scalar& s) const {
     }
   }
   return acc;
+}
+
+namespace ristretto_internal {
+
+bool CpuHasIfma() {
+#if defined(__x86_64__)
+  // The first multiplication may run from a static initializer, before
+  // libgcc has filled in its CPU model. libgcc reports AVX-512 only when the
+  // operating system saves its registers.
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512ifma");
+#else
+  return false;
+#endif
+}
+
+void MulEachPortable(std::span<const RistrettoPoint> points, size_t k,
+                     std::span<const Scalar> scalars, std::span<RistrettoPoint> out) {
+  for (size_t j = 0; j < points.size(); ++j) {
+    RistrettoPoint::MulEach(points[j], scalars.subspan(k * j, k), out.subspan(k * j, k));
+  }
+}
+
+void TableMulEachPortable(const FixedBaseTable& table, std::span<const Scalar> scalars,
+                          std::span<RistrettoPoint> out) {
+  for (size_t j = 0; j < scalars.size(); ++j) {
+    out[j] = table.Mul(scalars[j]);
+  }
+}
+
+void EncodeEachPortable(std::span<const RistrettoPoint> points,
+                        std::span<CompressedRistretto> out) {
+  for (size_t j = 0; j < points.size(); ++j) {
+    out[j] = points[j].Encode();
+  }
+}
+
+namespace {
+
+// The kernels the three batch entries run in this process. They depend on
+// CPUID alone and are chosen on the first call.
+struct Kernels {
+  decltype(&MulEachPortable) mul_each;
+  decltype(&TableMulEachPortable) table_mul_each;
+  decltype(&EncodeEachPortable) encode_each;
+  const char* name;
+};
+
+const Kernels& SelectedKernels() {
+  static const Kernels kPortable = {MulEachPortable, TableMulEachPortable, EncodeEachPortable,
+                                    "portable"};
+#if defined(__x86_64__)
+  static const Kernels kIfma = {MulEachIfma, TableMulEachIfma, EncodeEachIfma, "avx512ifma"};
+  static const Kernels& kernels = CpuHasIfma() ? kIfma : kPortable;
+  return kernels;
+#else
+  return kPortable;
+#endif
+}
+
+}  // namespace
+
+const char* KernelName() { return SelectedKernels().name; }
+
+}  // namespace ristretto_internal
+
+using ristretto_internal::SelectedKernels;
+
+void FixedBaseTable::MulEach(std::span<const Scalar> scalars,
+                             std::span<RistrettoPoint> out) const {
+  Require(scalars.size() == out.size(), "FixedBaseTable::MulEach: size mismatch");
+  // A lone scalar would pay for a whole group of eight lanes.
+  if (scalars.size() < 2) {
+    ristretto_internal::TableMulEachPortable(*this, scalars, out);
+    return;
+  }
+  SelectedKernels().table_mul_each(*this, scalars, out);
 }
 
 namespace {
@@ -493,9 +554,7 @@ void RistrettoPoint::MulEach(const RistrettoPoint& p, std::span<const Scalar> sc
                              std::span<RistrettoPoint> out) {
   Require(scalars.size() == out.size(), "MulEach: size mismatch");
   if (const FixedBaseTable* table = FindFixedBaseTable(p)) {
-    for (size_t j = 0; j < scalars.size(); ++j) {
-      out[j] = table->Mul(scalars[j]);
-    }
+    table->MulEach(scalars, out);
     return;
   }
   if (scalars.size() < 2) {
@@ -550,64 +609,44 @@ void RistrettoPoint::MulEach(const RistrettoPoint& p, std::span<const Scalar> sc
   }
 }
 
-namespace ristretto_internal {
-
-void MulEachPortable(std::span<const RistrettoPoint> points, size_t k,
-                     std::span<const Scalar> scalars, std::span<RistrettoPoint> out) {
-  for (size_t j = 0; j < points.size(); ++j) {
-    RistrettoPoint::MulEach(points[j], scalars.subspan(k * j, k), out.subspan(k * j, k));
-  }
-}
-
-bool CpuHasIfma() {
-#if defined(__x86_64__)
-  // The first multiplication may run from a static initializer, before
-  // libgcc has filled in its CPU model. libgcc reports AVX-512 only when the
-  // operating system saves its registers.
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512ifma");
-#else
-  return false;
-#endif
-}
-
-namespace {
-
-// The kernel every batched MulEach in this process runs. It depends on CPUID
-// alone and is chosen on the first call.
-MulEachKernel SelectedKernel() {
-#if defined(__x86_64__)
-  static const MulEachKernel kernel = CpuHasIfma() ? MulEachIfma : MulEachPortable;
-  return kernel;
-#else
-  return MulEachPortable;
-#endif
-}
-
-}  // namespace
-
-const char* MulEachKernelName() {
-  return SelectedKernel() == MulEachPortable ? "portable" : "avx512ifma";
-}
-
-}  // namespace ristretto_internal
-
 void RistrettoPoint::MulEach(std::span<const RistrettoPoint> points, size_t k,
                              std::span<const Scalar> scalars, std::span<RistrettoPoint> out) {
   Require(scalars.size() == k * points.size() && out.size() == scalars.size(),
           "MulEach: size mismatch");
-  // Points with a table read it; the rest go to the kernel in one call, in
+  // Each table takes every scalar of its points in one call (the provers'
+  // y*B). A table is used before the next lookup, which may drop a table
+  // that a registration evicted. The rest go to the kernel in one call, in
   // place when no point has a table (the provers' ciphertext points).
   std::vector<size_t> rest;
   rest.reserve(points.size());
+  std::vector<uint8_t> done(points.size(), 0);
+  std::vector<size_t> same;
+  std::vector<Scalar> table_scalars;
+  std::vector<RistrettoPoint> table_out;
   for (size_t j = 0; j < points.size(); ++j) {
+    if (done[j] != 0) {
+      continue;
+    }
     const FixedBaseTable* table = FindFixedBaseTable(points[j]);
     if (table == nullptr) {
       rest.push_back(j);
       continue;
     }
-    for (size_t s = k * j; s < k * (j + 1); ++s) {
-      out[s] = table->Mul(scalars[s]);
+    same.clear();
+    table_scalars.clear();
+    for (size_t i = j; i < points.size(); ++i) {
+      if (done[i] == 0 && table->Matches(points[i])) {
+        done[i] = 1;
+        same.push_back(i);
+        table_scalars.insert(table_scalars.end(), scalars.begin() + k * i,
+                             scalars.begin() + k * (i + 1));
+      }
+    }
+    table_out.resize(table_scalars.size());
+    table->MulEach(table_scalars, table_out);
+    for (size_t r = 0; r < same.size(); ++r) {
+      std::copy(table_out.begin() + k * r, table_out.begin() + k * (r + 1),
+                out.begin() + k * same[r]);
     }
   }
   if (rest.empty()) {
@@ -620,7 +659,7 @@ void RistrettoPoint::MulEach(std::span<const RistrettoPoint> points, size_t k,
     MulEach(points[j], scalars.subspan(k * j, k), out.subspan(k * j, k));
     return;
   }
-  const ristretto_internal::MulEachKernel kernel = ristretto_internal::SelectedKernel();
+  const auto kernel = SelectedKernels().mul_each;
   if (rest.size() == points.size()) {
     kernel(points, k, scalars, out);
     return;
@@ -675,10 +714,17 @@ const std::array<uint8_t, 32>& RistrettoPoint::BaseWire() {
 void BatchEncodePoints(std::span<const RistrettoPoint> points,
                        std::span<CompressedRistretto> out) {
   Require(points.size() == out.size(), "BatchEncodePoints: size mismatch");
-  Executor::Current().ParallelFor(points.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      out[i] = points[i].Encode();
-    }
+  if (points.size() < 2) {
+    ristretto_internal::EncodeEachPortable(points, out);
+    return;
+  }
+  // Chunks of whole groups of eight: a chunk boundary never splits a group.
+  constexpr size_t kGroup = 8;
+  Executor::Current().ParallelFor((points.size() + kGroup - 1) / kGroup,
+                                  [&](size_t begin, size_t end) {
+    const size_t first = kGroup * begin;
+    const size_t count = std::min(points.size(), kGroup * end) - first;
+    SelectedKernels().encode_each(points.subspan(first, count), out.subspan(first, count));
   });
 }
 

@@ -95,7 +95,8 @@ class RistrettoPoint {
 
   // out[j] = scalars[j] * p for every j (the spans have equal sizes), as
   // group elements equal to operator*'s. A point with a fixed-base table
-  // reads its table and one scalar runs the ladder. Two or more share one
+  // passes every scalar to one FixedBaseTable::MulEach (eight per group on
+  // AVX-512 IFMA), and one scalar runs the ladder. Two or more share one
   // doubling chain: the rows 16^i * p (i = 0..63, 63 four-doubling chains)
   // are built once, then each scalar sorts its signed radix-16 digits' rows
   // into eight buckets by magnitude and folds them (Yao's method), about
@@ -105,12 +106,14 @@ class RistrettoPoint {
 
   // out[k*j + s] = scalars[k*j + s] * points[j] for every point j and each
   // of its k scalars (scalars and out hold k * points.size() entries), as
-  // group elements equal to the one-point MulEach's. A point with a
-  // fixed-base table reads its table. Two or more others go to one batch
-  // kernel, chosen once from CPUID: with AVX-512 IFMA they run eight per
-  // group, one per vector lane, on the one-point MulEach's rows and buckets
-  // (src/crypto/ristretto_internal.h); elsewhere each runs the one-point
-  // MulEach. A lone point without a table takes the one-point MulEach.
+  // group elements equal to the one-point MulEach's. The points with a
+  // fixed-base table read it, all the scalars of one table in one
+  // FixedBaseTable::MulEach call (the provers' many y*B). Two or more others
+  // go to one batch kernel, chosen once from CPUID: with AVX-512 IFMA they
+  // run eight per group, one per vector lane, on the one-point MulEach's
+  // rows and buckets (src/crypto/ristretto_internal.h); elsewhere each runs
+  // the one-point MulEach. A lone point without a table takes the one-point
+  // MulEach.
   static void MulEach(std::span<const RistrettoPoint> points, size_t k,
                       std::span<const Scalar> scalars, std::span<RistrettoPoint> out);
 
@@ -156,6 +159,11 @@ class RistrettoPoint {
   // field multiplication, where adding q to the identity would cost eight.
   static RistrettoPoint FromCached(const CachedPoint& q, bool negate);
 
+  // Encode after its inverse square root: u1 = (Z+Y)(Z-Y), u2 = XY and
+  // inv_root = 1/sqrt(u1 * u2^2). Counts one Encode invocation.
+  std::array<uint8_t, 32> EncodeWithRoot(const Fe25519& u1, const Fe25519& u2,
+                                         const Fe25519& inv_root) const;
+
   // One Elligator 2 evaluation (MAP of RFC 9496 §4.3.4).
   static RistrettoPoint ElligatorMap(const Fe25519& t);
 
@@ -196,19 +204,22 @@ using CompressedRistretto = std::array<uint8_t, 32>;
 
 // --- Batched canonical encode/decode ---------------------------------------
 //
-// BatchEncodePoints fans fixed-position shards out on Executor::Current()
-// (the pool bound by the enclosing protocol stage; serial under threads=1)
-// and encodes one point at a time, so the output is byte-identical to
-// element-wise Encode(). The dominant cost is each point's ~250-squaring
-// inverse square root, and for an arbitrary point it stays per point: a
-// Montgomery-style shared tree recovers only the product of the roots, never
-// the individual canonical roots, and any "validation" built naively on a
-// shared tree would accept the encoding of -P for P (re-opening the
-// challenge-grinding attack wire-cache validation exists to stop; see
-// docs/TRANSCRIPTS.md). Only a point known as a double escapes the root
-// (BatchDoubleAndEncode).
+// BatchEncodePoints fans groups of eight points out on Executor::Current()
+// (the pool bound by the enclosing protocol stage; serial under threads=1 or
+// Executor::Serial()), so the output is byte-identical to element-wise
+// Encode(). The dominant cost is each point's ~250-squaring inverse square
+// root, and for an arbitrary point it stays per point: a Montgomery-style
+// shared tree recovers only the product of the roots, never the individual
+// canonical roots, and any "validation" built naively on a shared tree would
+// accept the encoding of -P for P (re-opening the challenge-grinding attack
+// wire-cache validation exists to stop; see docs/TRANSCRIPTS.md). What a
+// batch shares is the vector unit: on AVX-512 IFMA a group's eight roots run
+// one per 64-bit lane, about four times cheaper per point than Encode(). Only
+// a point known as a double escapes the root (BatchDoubleAndEncode).
 
-// out[i] = points[i].Encode(). out.size() must equal points.size().
+// out[i] = points[i].Encode(), counted as one Encode invocation per point.
+// out.size() must equal points.size(). A lone point, and every CPU without
+// IFMA, take Encode().
 void BatchEncodePoints(std::span<const RistrettoPoint> points,
                        std::span<CompressedRistretto> out);
 

@@ -1,5 +1,6 @@
-// MulEach on AVX-512 IFMA: the one-point MulEach's rows and buckets for eight
-// points at a time, one point per 64-bit vector lane.
+// The group layer's three batch kernels on AVX-512 IFMA, eight points at a
+// time, one point per 64-bit vector lane: MulEach over many points,
+// FixedBaseTable::MulEach and the batched encode.
 //
 // Field elements keep the library's radix-2^51 limbs, one limb per vector,
 // so a vector holds limb i of eight elements. vpmadd52luq and vpmadd52huq
@@ -9,13 +10,25 @@
 // is multiplied, and every result is loosely reduced (< 2^51 + 2^13), as in
 // fe25519.h.
 //
-// Per lane the algorithm is MulEach's: the rows 16^i * P from one doubling
-// chain, each scalar's signed radix-16 digits sorted into eight buckets by
-// magnitude, then the running-suffix fold. Lanes differ only in their
-// digits. Each lane's bucket is read with masked loads, the addition
-// subtracts in the lanes whose digit is negative (masked blends), and masked
-// stores write the sum back to each lane's own bucket only, so a zero digit,
-// or a pad lane of a short last group, changes nothing.
+// MulEach: per lane the algorithm is the one-point MulEach's: the rows
+// 16^i * P from one doubling chain, each scalar's signed radix-16 digits
+// sorted into eight buckets by magnitude, then the running-suffix fold.
+// Lanes differ only in their digits. Each lane's bucket is read with masked
+// loads, the addition subtracts in the lanes whose digit is negative (masked
+// blends), and masked stores write the sum back to each lane's own bucket
+// only, so a zero digit, or a pad lane of a short last group, changes
+// nothing.
+//
+// FixedBaseTable::MulEach: per lane FixedBaseTable::Mul's 64 mixed
+// additions. Row i's eight entries sit in the table's transposed copy, one
+// vector per limb of each coordinate, so each lane takes entry |digit| - 1
+// with one vpermq per limb. A masked blend negates the lanes whose digit is
+// negative, and another keeps the old sum in the lanes whose digit is zero.
+//
+// Encode: the inverse square root, ~250 squarings, runs eight lanes at a
+// time from the coordinates through r = v^3 * (v^7)^((p-5)/8) and its check
+// v * r^2; the sign choices after it, which need canonical bytes, run per
+// point on the scalar code Encode() shares.
 //
 // The kernel code sits in a target region that comes after every include,
 // and every function in it has internal linkage: no inline function of a
@@ -81,8 +94,9 @@ struct CachedV {
 
 inline __m512i Splat(uint64_t v) { return _mm512_set1_epi64(static_cast<long long>(v)); }
 
-// Shifts by a constant. The all-lanes masked forms are the same instruction;
-// GCC 12's unmasked ones read an undefined vector and trip -Wuninitialized.
+// Shifts by a constant. The all-lanes masked forms (here and for the
+// permutes below) are the same instruction; GCC 12's unmasked ones read an
+// undefined vector and trip -Wuninitialized.
 inline __m512i ShiftLeft(__m512i x, unsigned n) { return _mm512_maskz_slli_epi64(0xFF, x, n); }
 inline __m512i ShiftRight(__m512i x, unsigned n) { return _mm512_maskz_srli_epi64(0xFF, x, n); }
 
@@ -337,16 +351,16 @@ inline CachedV ToCached(const PointV& p, const FeV& d2) {
   return {Add(p.y, p.x), Sub(p.y, p.x), p.z, Mul(p.t, d2)};
 }
 
-// RistrettoPoint::AddCached with a sign per lane: p - q in the lanes of
-// `negate`, p + q in the others.
-inline PointV AddCached(const PointV& p, const CachedV& q, __mmask8 negate) {
-  const FeV q_plus = Blend(negate, q.y_plus_x, q.y_minus_x);
-  const FeV q_minus = Blend(negate, q.y_minus_x, q.y_plus_x);
+// The addition of RistrettoPoint::AddCached and FixedBaseTable::AddAffine
+// with a sign per lane: p - q in the lanes of `negate`, p + q in the others,
+// for q given as (Y+X, Y-X, 2d*T) and d = 2 * Z_p * Z_q.
+inline PointV AddPrepared(const PointV& p, const FeV& y_plus_x, const FeV& y_minus_x,
+                          const FeV& t2d, const FeV& d, __mmask8 negate) {
+  const FeV q_plus = Blend(negate, y_plus_x, y_minus_x);
+  const FeV q_minus = Blend(negate, y_minus_x, y_plus_x);
   const FeV a = Mul(Sub(p.y, p.x), q_minus);
   const FeV b = Mul(Add(p.y, p.x), q_plus);
-  const FeV c = Mul(p.t, q.t2d);
-  const FeV zz = Mul(p.z, q.z);
-  const FeV d = Add(zz, zz);
+  const FeV c = Mul(p.t, t2d);
   const FeV d_plus_c = Add(d, c);
   const FeV d_minus_c = Sub(d, c);
   const FeV e = Sub(b, a);
@@ -354,6 +368,18 @@ inline PointV AddCached(const PointV& p, const CachedV& q, __mmask8 negate) {
   const FeV g = Blend(negate, d_plus_c, d_minus_c);
   const FeV h = Add(b, a);
   return {Mul(e, f), Mul(g, h), Mul(f, g), Mul(e, h)};
+}
+
+inline PointV AddCached(const PointV& p, const CachedV& q, __mmask8 negate) {
+  const FeV zz = Mul(p.z, q.z);
+  return AddPrepared(p, q.y_plus_x, q.y_minus_x, q.t2d, Add(zz, zz), negate);
+}
+
+inline PointV IdentityV() {
+  const __m512i zero = _mm512_setzero_si512();
+  const FeV fe_zero = {{zero, zero, zero, zero, zero}};
+  const FeV fe_one = {{Splat(1), zero, zero, zero, zero}};
+  return {fe_zero, fe_one, fe_one, fe_zero};
 }
 
 // Zeroes zmm16 to zmm31. The compiler's vzeroupper at a return clears the
@@ -383,9 +409,7 @@ void RunGroup(const uint64_t* in, const int8_t* digits, size_t k, const uint64_t
               uint64_t* buckets, uint64_t* out) {
   const __m512i zero = _mm512_setzero_si512();
   const FeV d2 = LoadFe(d2_words);
-  const FeV fe_zero = {{zero, zero, zero, zero, zero}};
-  const FeV fe_one = {{Splat(1), zero, zero, zero, zero}};
-  const PointV identity = {fe_zero, fe_one, fe_one, fe_zero};
+  const PointV identity = IdentityV();
   for (size_t b = 0; b < k * kBuckets; ++b) {
     MaskStorePoint(buckets + b * kPointWords, 0xFF, identity);
   }
@@ -431,9 +455,119 @@ void RunGroup(const uint64_t* in, const int8_t* digits, size_t k, const uint64_t
   ClearHighVectorRegisters();
 }
 
+inline PointV BlendPoint(__mmask8 take_b, const PointV& a, const PointV& b) {
+  return {Blend(take_b, a.x, b.x), Blend(take_b, a.y, b.y), Blend(take_b, a.z, b.z),
+          Blend(take_b, a.t, b.t)};
+}
+
+// Limb l of each lane's entry `entry` from the five vectors at w: word
+// l * 8 + j is limb l of entry j.
+inline FeV PermuteFe(__m512i entry, const uint64_t* w) {
+  FeV r;
+  for (size_t l = 0; l < 5; ++l) {
+    r.limb[l] = _mm512_maskz_permutexvar_epi64(0xFF, entry, _mm512_load_si512(w + l * kLanes));
+  }
+  return r;
+}
+
+// One group of FixedBaseTable::MulEach: `lanes` is the table's transposed
+// copy, `digits` the eight scalars' signed radix-16 digits (digits[i * 8 +
+// lane] is digit i of the lane's scalar), and `out` receives the eight
+// products.
+void RunTableGroup(const uint64_t* lanes, const int8_t* digits, uint64_t* out) {
+  const __m512i zero = _mm512_setzero_si512();
+  PointV acc = IdentityV();
+  for (size_t i = 0; i < kRows; ++i) {
+    const __m512i digit = _mm512_maskz_cvtepi8_epi64(
+        0xFF, _mm_loadl_epi64(reinterpret_cast<const __m128i*>(digits + i * kLanes)));
+    const __mmask8 negate = _mm512_cmplt_epi64_mask(digit, zero);
+    const __mmask8 nonzero = _mm512_cmpneq_epi64_mask(digit, zero);
+    // Entry |digit| - 1. vpermq reads the low three bits of each index, so a
+    // lane whose digit is zero reads entry 7, and its sum is dropped.
+    const __m512i entry = _mm512_sub_epi64(_mm512_maskz_abs_epi64(0xFF, digit), Splat(1));
+    const uint64_t* row = lanes + i * 3 * kFeWords;
+    const PointV sum = AddPrepared(acc, PermuteFe(entry, row), PermuteFe(entry, row + kFeWords),
+                                   PermuteFe(entry, row + 2 * kFeWords), Add(acc.z, acc.z),
+                                   negate);
+    acc = BlendPoint(nonzero, acc, sum);
+  }
+  MaskStorePoint(out, 0xFF, acc);
+  ClearHighVectorRegisters();
+}
+
+// f^(2^k) by k squarings.
+inline FeV Pow2k(FeV f, int k) {
+  while (k-- > 0) {
+    f = Square(f);
+  }
+  return f;
+}
+
+// z^((p-5)/8) = z^(2^252 - 3) by FePow2523's addition chain (fe25519.cpp).
+inline FeV Pow2523(const FeV& z) {
+  const FeV z2 = Square(z);
+  const FeV z9 = Mul(z, Pow2k(z2, 2));
+  const FeV z11 = Mul(z2, z9);
+  const FeV z31 = Mul(z9, Square(z11));
+  const FeV t10 = Mul(z31, Pow2k(z31, 5));
+  const FeV t20 = Mul(t10, Pow2k(t10, 10));
+  const FeV t40 = Mul(t20, Pow2k(t20, 20));
+  const FeV t50 = Mul(t10, Pow2k(t40, 10));
+  const FeV t100 = Mul(t50, Pow2k(t50, 50));
+  const FeV t200 = Mul(t100, Pow2k(t100, 100));
+  const FeV t250 = Mul(t50, Pow2k(t200, 50));
+  return Mul(Pow2k(t250, 2), z);
+}
+
+// One group of the batched encode: `in` holds eight points; `out` receives
+// Encode's u1 = (Z+Y)(Z-Y) and u2 = XY, then FeInvSqrt's r and check for
+// v = u1 * u2^2, four field elements of eight lanes each.
+void RunEncodeGroup(const uint64_t* in, uint64_t* out) {
+  const PointV p = LoadPoint(in);
+  const FeV u1 = Mul(Add(p.z, p.y), Sub(p.z, p.y));
+  const FeV u2 = Mul(p.x, p.y);
+  const FeV v = Mul(u1, Square(u2));
+  const FeV v3 = Mul(Square(v), v);
+  const FeV v7 = Mul(Square(v3), v);
+  const FeV r = Mul(v3, Pow2523(v7));
+  MaskStoreFe(out, 0xFF, u1);
+  MaskStoreFe(out + kFeWords, 0xFF, u2);
+  MaskStoreFe(out + 2 * kFeWords, 0xFF, r);
+  MaskStoreFe(out + 3 * kFeWords, 0xFF, Mul(v, Square(r)));
+  ClearHighVectorRegisters();
+}
+
 }  // namespace
 
 #pragma GCC pop_options
+
+namespace {
+
+// Limbs of one lane of a group's field element at w, carried to loosely
+// reduced limbs.
+Fe25519 LaneFe(const uint64_t* w, size_t lane) {
+  Fe25519 f;
+  for (size_t i = 0; i < 5; ++i) {
+    f.limb[i] = w[i * kLanes + lane];
+  }
+  return fe25519_internal::Carry(f);
+}
+
+RistrettoPoint LanePoint(const uint64_t* w, size_t lane) {
+  return Coordinates::Make(LaneFe(w, lane), LaneFe(w + kFeWords, lane),
+                           LaneFe(w + 2 * kFeWords, lane), LaneFe(w + 3 * kFeWords, lane));
+}
+
+void SetLanePoint(uint64_t* w, size_t lane, const RistrettoPoint& p) {
+  const std::array<Fe25519, 4> coords = Coordinates::Of(p);
+  for (size_t c = 0; c < 4; ++c) {
+    for (size_t i = 0; i < 5; ++i) {
+      w[(5 * c + i) * kLanes + lane] = coords[c].limb[i];
+    }
+  }
+}
+
+}  // namespace
 
 void MulEachIfma(std::span<const RistrettoPoint> points, size_t k,
                  std::span<const Scalar> scalars, std::span<RistrettoPoint> out) {
@@ -441,7 +575,6 @@ void MulEachIfma(std::span<const RistrettoPoint> points, size_t k,
     return;
   }
   static const Fe25519 kD2 = FeAdd(FeEdwardsD(), FeEdwardsD());
-  const std::array<Fe25519, 4> identity = {FeZero(), FeOne(), FeOne(), FeZero()};
   // The group's points, 2d, its buckets and its outputs, in one plain
   // allocation aligned to a cache line by hand. Over-aligned vectors go
   // through memalign, whose split-off chunks fragmented the worker threads'
@@ -459,17 +592,12 @@ void MulEachIfma(std::span<const RistrettoPoint> points, size_t k,
   for (size_t i = 0; i < 5; ++i) {
     std::fill_n(d2[i].word, kLanes, kD2.limb[i]);
   }
+  const RistrettoPoint identity;
   for (size_t first = 0; first < points.size(); first += kLanes) {
     const size_t lanes = std::min(kLanes, points.size() - first);
     // A pad lane holds the identity and zero digits.
     for (size_t lane = 0; lane < kLanes; ++lane) {
-      const std::array<Fe25519, 4> coords =
-          lane < lanes ? Coordinates::Of(points[first + lane]) : identity;
-      for (size_t c = 0; c < 4; ++c) {
-        for (size_t i = 0; i < 5; ++i) {
-          in[5 * c + i].word[lane] = coords[c].limb[i];
-        }
-      }
+      SetLanePoint(in[0].word, lane, lane < lanes ? points[first + lane] : identity);
       for (size_t s = 0; s < k; ++s) {
         const std::array<int8_t, kRows> digit =
             lane < lanes ? SignedRadix16(scalars[k * (first + lane) + s])
@@ -482,16 +610,48 @@ void MulEachIfma(std::span<const RistrettoPoint> points, size_t k,
     RunGroup(in[0].word, digits.data(), k, d2[0].word, buckets[0].word, group_out[0].word);
     for (size_t lane = 0; lane < lanes; ++lane) {
       for (size_t s = 0; s < k; ++s) {
-        std::array<Fe25519, 4> coords;
-        for (size_t c = 0; c < 4; ++c) {
-          for (size_t i = 0; i < 5; ++i) {
-            coords[c].limb[i] = group_out[s * kPointLines + 5 * c + i].word[lane];
-          }
-          coords[c] = fe25519_internal::Carry(coords[c]);
-        }
-        out[k * (first + lane) + s] =
-            Coordinates::Make(coords[0], coords[1], coords[2], coords[3]);
+        out[k * (first + lane) + s] = LanePoint(group_out[s * kPointLines].word, lane);
       }
+    }
+  }
+}
+
+void TableMulEachIfma(const FixedBaseTable& table, std::span<const Scalar> scalars,
+                      std::span<RistrettoPoint> out) {
+  alignas(64) int8_t digits[kRows * kLanes];
+  alignas(64) uint64_t group_out[kPointWords];
+  for (size_t first = 0; first < scalars.size(); first += kLanes) {
+    const size_t lanes = std::min(kLanes, scalars.size() - first);
+    // A pad lane has zero digits and keeps the identity.
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      const std::array<int8_t, kRows> digit =
+          lane < lanes ? SignedRadix16(scalars[first + lane]) : std::array<int8_t, kRows>{};
+      for (size_t i = 0; i < kRows; ++i) {
+        digits[i * kLanes + lane] = digit[i];
+      }
+    }
+    RunTableGroup(table.lanes(), digits, group_out);
+    for (size_t lane = 0; lane < lanes; ++lane) {
+      out[first + lane] = LanePoint(group_out, lane);
+    }
+  }
+}
+
+void EncodeEachIfma(std::span<const RistrettoPoint> points, std::span<CompressedRistretto> out) {
+  alignas(64) uint64_t in[kPointWords];
+  alignas(64) uint64_t roots[4 * kFeWords];  // u1, u2, r and check
+  const RistrettoPoint identity;
+  for (size_t first = 0; first < points.size(); first += kLanes) {
+    const size_t lanes = std::min(kLanes, points.size() - first);
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      SetLanePoint(in, lane, lane < lanes ? points[first + lane] : identity);
+    }
+    RunEncodeGroup(in, roots);
+    for (size_t lane = 0; lane < lanes; ++lane) {
+      const Fe25519 inv_root = fe25519_internal::InvSqrtFinish(
+          LaneFe(roots + 2 * kFeWords, lane), LaneFe(roots + 3 * kFeWords, lane)).root;
+      out[first + lane] = Coordinates::EncodeWithRoot(
+          points[first + lane], LaneFe(roots, lane), LaneFe(roots + kFeWords, lane), inv_root);
     }
   }
 }

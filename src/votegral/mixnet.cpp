@@ -133,16 +133,46 @@ void MixServer::ShuffleShardRange(const MixBatch& input, const RistrettoPoint& p
                                   size_t begin, size_t end, Rng& child, MixBatch& output) {
   Require(end <= source_.size() && output.size() == source_.size(),
           "mixnet: shard range outside prepared layer");
+  // The shard's randomness in (item, component) order, then one batched r*B,
+  // one batched r*pk and one batched encode of the re-encrypted points: the
+  // same ciphertexts and bytes as ReEncryptItem and EnsureWire item by item.
+  std::vector<Scalar> r;
   for (size_t j = begin; j < end; ++j) {
-    const MixItem& src = input[source_[j]];
-    std::vector<Scalar> randomness;
-    randomness.reserve(src.cts.size());
-    for (size_t c = 0; c < src.cts.size(); ++c) {
-      randomness.push_back(Scalar::Random(child));
+    for (size_t c = 0; c < input[source_[j]].cts.size(); ++c) {
+      r.push_back(Scalar::Random(child));
     }
-    output[j] = ReEncryptItem(src, pk, randomness);
-    output[j].EnsureWire();  // encode while the points are hot
-    randomness_[j] = std::move(randomness);
+  }
+  std::vector<RistrettoPoint> r_base(r.size());
+  std::vector<RistrettoPoint> r_pk(r.size());
+  RistrettoPoint::MulEach(RistrettoPoint::Base(), r, r_base);
+  RistrettoPoint::MulEach(pk, r, r_pk);
+  std::vector<RistrettoPoint> points;  // c1, c2 of each output ciphertext
+  points.reserve(2 * r.size());
+  for (size_t j = begin, k = 0; j < end; ++j) {
+    for (const ElGamalCiphertext& ct : input[source_[j]].cts) {
+      points.push_back(ct.c1 + r_base[k]);
+      points.push_back(ct.c2 + r_pk[k++]);
+    }
+  }
+  std::vector<CompressedRistretto> wire(points.size());
+  {
+    Executor::Scope serial(Executor::Serial());  // the shard is the unit of parallelism
+    BatchEncodePoints(points, wire);
+  }
+  for (size_t j = begin, k = 0; j < end; ++j) {
+    const size_t width = input[source_[j]].cts.size();
+    MixItem& item = output[j];
+    item.cts.resize(width);
+    item.wire.resize(64 * width);
+    for (size_t c = 0; c < width; ++c, ++k) {
+      item.cts[c] = {points[2 * k], points[2 * k + 1]};
+      for (size_t half = 0; half < 2; ++half) {
+        std::copy(wire[2 * k + half].begin(), wire[2 * k + half].end(),
+                  item.wire.begin() + static_cast<ptrdiff_t>(64 * c + 32 * half));
+      }
+    }
+    randomness_[j].assign(r.begin() + static_cast<ptrdiff_t>(k - width),
+                          r.begin() + static_cast<ptrdiff_t>(k));
   }
 }
 

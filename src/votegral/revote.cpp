@@ -95,11 +95,18 @@ void BuildRevoteDummyItems(std::span<const RevoteDummyGroup> groups,
   }
   Executor::Scope scope(executor);  // BatchEncodePoints follows this pool
   const std::vector<CounterEntry>& counters = CounterEntries();
-  // Credential column: one scalar multiplication per group (every member of
-  // a group shares d*B), encoded in one batch.
+  // Credential column: one product per group (every member of a group
+  // shares d*B), multiplied and encoded in batches.
+  std::vector<Scalar> credentials;
+  credentials.reserve(groups.size());
+  for (const RevoteDummyGroup& group : groups) {
+    credentials.push_back(group.credential);
+  }
   std::vector<RistrettoPoint> cred(groups.size());
-  executor.ParallelForEach(groups.size(), [&](size_t g) {
-    cred[g] = RistrettoPoint::MulBase(groups[g].credential);
+  executor.ParallelFor(groups.size(), [&](size_t begin, size_t end) {
+    RistrettoPoint::MulEach(RistrettoPoint::Base(),
+                            std::span(credentials).subspan(begin, end - begin),
+                            std::span(cred).subspan(begin, end - begin));
   });
   std::vector<CompressedRistretto> cred_wire(groups.size());
   BatchEncodePoints(cred, cred_wire);

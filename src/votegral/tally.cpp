@@ -154,7 +154,10 @@ void DecryptShareShardRange(const TallyService& service, const AuthorityClient& 
     }
   }
   // Then, per ciphertext in order, each response's corruption and arrival
-  // check, the blame, and the combination.
+  // check, the blame, and the combination. The decrypted points encode as
+  // one batch.
+  std::vector<size_t> decrypted_index;
+  std::vector<RistrettoPoint> decrypted;
   for (size_t i = begin; i < end; ++i) {
     std::vector<DecryptionShare>& shares = (*buffers.shares_out)[i];
     shares.reserve(members);
@@ -176,7 +179,16 @@ void DecryptShareShardRange(const TallyService& service, const AuthorityClient& 
       buffers.short_of_threshold[i] = 1;
       continue;
     }
-    (*buffers.encoded_out)[i] = authority.CombineShares(cts[i], shares).Encode();
+    decrypted_index.push_back(i);
+    decrypted.push_back(authority.CombineShares(cts[i], shares));
+  }
+  std::vector<CompressedRistretto> encoded(decrypted.size());
+  {
+    Executor::Scope serial(Executor::Serial());  // the shard is the unit of parallelism
+    BatchEncodePoints(decrypted, encoded);
+  }
+  for (size_t d = 0; d < decrypted.size(); ++d) {
+    (*buffers.encoded_out)[decrypted_index[d]] = encoded[d];
   }
 }
 

@@ -522,8 +522,11 @@ Outcome<TallyOutput> TallyService::Run(const PublicLedger& ledger,
     });
   }
 
-  // The roster is rng-free ledger state, read once before the mix draws.
-  const std::vector<RegistrationRecord> roster = ledger.ActiveRegistrations();
+  // The roster is rng-free ledger state, read once before the mix draws,
+  // with each c_pc's bytes as posted (canonical: RegistrationRecord::Parse
+  // accepts no other), which become its mix item's bytes.
+  std::vector<ElGamalWire> roster_wires;
+  const std::vector<RegistrationRecord> roster = ledger.ActiveRegistrations(&roster_wires);
 
   // ---- Build-time randomness + fault probes (steps 2-4 of the order). ----
   ChainFlow ballots;
@@ -584,7 +587,7 @@ Outcome<TallyOutput> TallyService::Run(const PublicLedger& ledger,
   SubmitChainNodes(graph, *this, roster_flow, client, clock, [&](size_t i) {
     MixItem item;
     item.cts = {roster[i].public_credential};
-    item.EnsureWire();
+    item.wire.assign(roster_wires[i].begin(), roster_wires[i].end());
     t.roster_mix_input[i] = std::move(item);
   });
   graph.Wait();

@@ -94,13 +94,13 @@ Status VerifyAndDecryptAll(const std::vector<ElGamalCiphertext>& cts,
     }
     return Status::Error("verifier: " + what + ": batched share check failed");
   }
-  std::vector<CompressedRistretto> decrypted(cts.size());
+  std::vector<RistrettoPoint> decrypted(cts.size());
   executor.ParallelForEach(cts.size(), [&](size_t i) {
-    decrypted[i] = (threshold_mode ? CombineSharesPublicThreshold(cts[i], shares[i])
-                                   : CombineSharesPublic(cts[i], shares[i], members))
-                       .Encode();
+    decrypted[i] = threshold_mode ? CombineSharesPublicThreshold(cts[i], shares[i])
+                                  : CombineSharesPublic(cts[i], shares[i], members);
   });
-  *out = std::move(decrypted);
+  out->resize(cts.size());
+  BatchEncodePoints(decrypted, *out);
   return Status::Ok();
 }
 

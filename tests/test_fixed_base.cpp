@@ -10,7 +10,8 @@
 //    and 9: the table, the ladder, and the shared rows with their buckets.
 //  * Registry: copies of a registered key (and the DKG's election key) take
 //    the table; an evicted key falls back to the ladder and stays correct;
-//    registering while four threads multiply is race-free and exact.
+//    registering while four threads multiply, one product at a time and in
+//    batched MulEach calls, is race-free and exact.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -256,14 +257,42 @@ TEST(FixedBase, RegistrationWhileFourThreadsMultiply) {
     expected[j] = (job_scalar[j] * LadderCopy(bases[job_base[j]])).Encode();
   }
 
+  // The batched MulEach looks up every point before it multiplies: each
+  // worker also runs all the jobs as one call (the generator's and each
+  // key's scalars grouped per table), and the jobs of one key as one
+  // one-point call.
+  std::vector<RistrettoPoint> job_points(kJobs);
+  for (size_t j = 0; j < kJobs; ++j) {
+    job_points[j] = bases[job_base[j]];
+  }
+
   std::atomic<size_t> mismatches{0};
   std::atomic<bool> stop{false};
   std::vector<std::thread> workers;
   for (size_t w = 0; w < 4; ++w) {
     workers.emplace_back([&, w] {
+      std::vector<RistrettoPoint> out(kJobs);
       for (size_t round = 0; !stop.load() || round < 2; ++round) {
         for (size_t j = w; j < kJobs; j += 4) {
           if ((job_scalar[j] * bases[job_base[j]]).Encode() != expected[j]) {
+            mismatches.fetch_add(1);
+          }
+        }
+        RistrettoPoint::MulEach(job_points, 1, job_scalar, out);
+        for (size_t j = 0; j < kJobs; ++j) {
+          if (out[j].Encode() != expected[j]) {
+            mismatches.fetch_add(1);
+          }
+        }
+        // Job b + i * bases.size() multiplies base b.
+        const size_t b = 1 + (round + w) % kKeys;
+        std::vector<Scalar> key_scalars;
+        for (size_t j = b; j < kJobs; j += bases.size()) {
+          key_scalars.push_back(job_scalar[j]);
+        }
+        RistrettoPoint::MulEach(bases[b], key_scalars, std::span(out).first(key_scalars.size()));
+        for (size_t i = 0, j = b; j < kJobs; ++i, j += bases.size()) {
+          if (out[i].Encode() != expected[j]) {
             mismatches.fetch_add(1);
           }
         }

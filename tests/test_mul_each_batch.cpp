@@ -1,21 +1,30 @@
-// RistrettoPoint::MulEach over many points (src/crypto/ristretto.h) and its
-// two batch kernels (src/crypto/ristretto_internal.h), each against the
-// one-point MulEach, compared by encoding:
+// The group layer's batch kernels (src/crypto/ristretto_internal.h), each
+// against its one-point path:
 //
-//  * Points: the generator and a registered key (the table path), an
-//    unregistered point, the identity, a decoded point (Z = 1), and points
-//    whose X, Y, Z or T limbs sit at the top of the loosely reduced range,
-//    where a sum left uncarried overflows the 52-bit multiplier inputs.
-//  * Scalars: 0, 1, l-1, 2^252, all-7, all-8 and all-15 nibbles and 512
-//    random ones, shared by every point of a batch or different per point.
-//  * Shapes: 1, 2 and 3 scalars per point, and batches of 0 to 17 points
-//    (an empty, a short, a full and a padded last group of eight) and 64.
+//  * MulEach over many points, against the one-point MulEach, compared by
+//    encoding. Points: the generator and a registered key (the table path),
+//    an unregistered point, the identity, a decoded point (Z = 1), and
+//    points whose X, Y, Z or T limbs sit at the top of the loosely reduced
+//    range, where a sum left uncarried overflows the 52-bit multiplier
+//    inputs. Scalars: 0, 1, l-1, 2^252, all-7, all-8 and all-15 nibbles and
+//    512 random ones, shared by every point of a batch or different per
+//    point. Shapes: 1, 2 and 3 scalars per point, and batches of 0 to 17
+//    points (an empty, a short, a full and a padded last group of eight)
+//    and 64.
+//  * FixedBaseTable::MulEach's kernels, against FixedBaseTable::Mul, on the
+//    generator's table and a registered key's, over the same scalars in
+//    batches of 0 to 17 and 64.
+//  * The batched encode's kernels, against Encode(): the identity coset's
+//    four representatives, the four representatives of random points (both
+//    of Encode's rotation branches, and negative x), the RFC 9496 small
+//    multiples 0..15 * B, and the extreme-limb points, in batches of 0 to
+//    17 and 64.
 //
 // The kernels are called directly, as the SHA-256 kernel tests call theirs:
-// the portable one everywhere, the IFMA one only where the CPU has it (the
+// the portable ones everywhere, the IFMA ones only where the CPU has it (the
 // IFMA tests report SKIPPED elsewhere, naming the missing instructions).
-// Every call writes into a span followed by sentinel points, so a pad lane
-// that leaks past the last output is seen.
+// Every call writes into a span followed by sentinels, so a pad lane that
+// leaks past the last output is seen.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -212,11 +221,185 @@ TEST(MulEachKernels, IfmaMatchesOnePointMulEach) {
   if (!ristretto_internal::CpuHasIfma()) {
     GTEST_SKIP() << "this CPU lacks AVX-512F or AVX-512 IFMA";
   }
-  EXPECT_STREQ(ristretto_internal::MulEachKernelName(), "avx512ifma");
+  EXPECT_STREQ(ristretto_internal::KernelName(), "avx512ifma");
   ExpectEveryShape(ristretto_internal::MulEachIfma);
 #else
   GTEST_SKIP() << "AVX-512 IFMA is an x86-64 extension";
 #endif
+}
+
+// The batch sizes of the one-table and encode kernels: 0 to 17, then 64.
+std::vector<size_t> KernelBatchSizes() {
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 17; ++n) {
+    sizes.push_back(n);
+  }
+  sizes.push_back(64);
+  return sizes;
+}
+
+// Runs `multiply` on every batch size over two tables, the generator's and
+// a registered key's, into a span followed by 8 sentinels, and compares
+// every output with table.Mul by encoding.
+template <typename Multiply>
+void ExpectTableMatchesMul(Multiply multiply) {
+  ChaChaRng rng(3002);
+  const std::vector<Scalar> scalar_pool = TestScalars(rng);
+  const RistrettoPoint key = RistrettoPoint::MulBase(Scalar::Random(rng));
+  RistrettoPoint::RegisterFixedBase(key);
+  const FixedBaseTable generator(RistrettoPoint::Base());
+  const FixedBaseTable registered(key);
+  const RistrettoPoint sentinel = RistrettoPoint::Base().Double();
+  for (const auto& [name, table] :
+       {std::pair<const char*, const FixedBaseTable*>{"generator", &generator},
+        {"registered key", &registered}}) {
+    // Each table takes the pool from its start: the edge scalars first.
+    size_t cursor = 0;
+    for (size_t n : KernelBatchSizes()) {
+      SCOPED_TRACE(std::string(name) + " n=" + std::to_string(n));
+      std::vector<Scalar> scalars;
+      for (size_t j = 0; j < n; ++j) {
+        scalars.push_back(scalar_pool[cursor++ % scalar_pool.size()]);
+      }
+      std::vector<RistrettoPoint> out(n + 8, sentinel);
+      multiply(*table, std::span<const Scalar>(scalars), std::span(out).first(n));
+      for (size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(out[j].Encode(), table->Mul(scalars[j]).Encode())
+            << "scalar " << j << " " << HexEncode(scalars[j].ToBytes());
+      }
+      for (size_t i = n; i < out.size(); ++i) {
+        ASSERT_TRUE(std::memcmp(&out[i], &sentinel, sizeof(sentinel)) == 0)
+            << "write past the last output at " << i;
+      }
+    }
+  }
+}
+
+TEST(TableMulEachKernels, PortableMatchesMul) {
+  ExpectTableMatchesMul(ristretto_internal::TableMulEachPortable);
+}
+
+TEST(TableMulEachKernels, IfmaMatchesMul) {
+#if defined(__x86_64__)
+  if (!ristretto_internal::CpuHasIfma()) {
+    GTEST_SKIP() << "this CPU lacks AVX-512F or AVX-512 IFMA";
+  }
+  ExpectTableMatchesMul(ristretto_internal::TableMulEachIfma);
+#else
+  GTEST_SKIP() << "AVX-512 IFMA is an x86-64 extension";
+#endif
+}
+
+// The four extended representatives of p's ristretto element: (X:Y:Z:T),
+// (-X:-Y:Z:T), and those plus the 4-torsion point (i, 0): (iY:iX:Z:-T) and
+// (-iY:-iX:Z:-T). Encode rotates on some of them and not on others.
+std::vector<RistrettoPoint> CosetRepresentatives(const RistrettoPoint& p) {
+  const auto [x, y, z, t] = Coordinates::Of(p);
+  const Fe25519 ix = FeMul(FeSqrtM1(), x);
+  const Fe25519 iy = FeMul(FeSqrtM1(), y);
+  std::vector<RistrettoPoint> reps = {p, Coordinates::Make(FeNeg(x), FeNeg(y), z, t),
+                                      Coordinates::Make(iy, ix, z, FeNeg(t)),
+                                      Coordinates::Make(FeNeg(iy), FeNeg(ix), z, FeNeg(t))};
+  for (const RistrettoPoint& rep : reps) {
+    Require(rep == p, "CosetRepresentatives: not the same element");
+  }
+  return reps;
+}
+
+std::vector<NamedPoint> EncodeTestPoints(Rng& rng) {
+  std::vector<NamedPoint> points;
+  const Fe25519 zero = FeZero();
+  const Fe25519 one = FeOne();
+  const Fe25519& i = FeSqrtM1();
+  // The identity coset: (0, 1), (0, -1), (i, 0) and (-i, 0).
+  points.push_back({"identity", Coordinates::Make(zero, one, one, zero)});
+  points.push_back({"identity (0, -1)", Coordinates::Make(zero, FeNeg(one), one, zero)});
+  points.push_back({"identity (i, 0)", Coordinates::Make(i, zero, one, zero)});
+  points.push_back({"identity (-i, 0)", Coordinates::Make(FeNeg(i), zero, one, zero)});
+  RistrettoPoint multiple;
+  for (int k = 0; k < 16; ++k) {
+    points.push_back({"B[" + std::to_string(k) + "]", multiple});
+    multiple = multiple + RistrettoPoint::Base();
+  }
+  for (int r = 0; r < 16; ++r) {
+    const std::vector<RistrettoPoint> reps = CosetRepresentatives(RandomPoint(rng));
+    for (size_t k = 0; k < reps.size(); ++k) {
+      points.push_back({"random point " + std::to_string(r) + " rep " + std::to_string(k),
+                        reps[k]});
+    }
+  }
+  const char* coordinate[] = {"X", "Y", "Z", "T"};
+  for (size_t c = 0; c < 4; ++c) {
+    const std::vector<RistrettoPoint> reps =
+        CosetRepresentatives(ExtremeLimbs(RandomPoint(rng), c));
+    points.push_back({std::string("extreme ") + coordinate[c] + " limbs", reps[0]});
+    points.push_back({std::string("extreme ") + coordinate[c] + " limbs, rotated", reps[2]});
+  }
+  return points;
+}
+
+// Runs `encode` on every batch size, the points rotating through the pool
+// so each lane position sees each kind, into a span followed by 8
+// sentinels, and compares every output with Encode().
+template <typename EncodeEach>
+void ExpectMatchesEncode(EncodeEach encode) {
+  ChaChaRng rng(3003);
+  const std::vector<NamedPoint> pool = EncodeTestPoints(rng);
+  CompressedRistretto sentinel;
+  sentinel.fill(0xA5);
+  size_t first = 0;
+  for (size_t round = 0; first < 2 * pool.size(); ++round) {
+    for (size_t n : KernelBatchSizes()) {
+      SCOPED_TRACE("round " + std::to_string(round) + " n=" + std::to_string(n));
+      std::vector<RistrettoPoint> points;
+      std::vector<std::string> names;
+      for (size_t j = 0; j < n; ++j) {
+        points.push_back(pool[(first + j) % pool.size()].point);
+        names.push_back(pool[(first + j) % pool.size()].name);
+      }
+      first += n;
+      std::vector<CompressedRistretto> out(n + 8, sentinel);
+      encode(std::span<const RistrettoPoint>(points), std::span(out).first(n));
+      for (size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(HexEncode(out[j]), HexEncode(points[j].Encode())) << names[j];
+      }
+      for (size_t i = n; i < out.size(); ++i) {
+        ASSERT_EQ(out[i], sentinel) << "write past the last output at " << i;
+      }
+    }
+  }
+}
+
+TEST(EncodeEachKernels, PortableMatchesEncode) {
+  ExpectMatchesEncode(ristretto_internal::EncodeEachPortable);
+}
+
+TEST(EncodeEachKernels, IfmaMatchesEncode) {
+#if defined(__x86_64__)
+  if (!ristretto_internal::CpuHasIfma()) {
+    GTEST_SKIP() << "this CPU lacks AVX-512F or AVX-512 IFMA";
+  }
+  ExpectMatchesEncode(ristretto_internal::EncodeEachIfma);
+#else
+  GTEST_SKIP() << "AVX-512 IFMA is an x86-64 extension";
+#endif
+}
+
+// BatchEncodePoints, over the kernel this CPU selects, counts one Encode
+// invocation per point.
+TEST(BatchEntries, EncodeCountsOneInvocationPerPoint) {
+  ChaChaRng rng(3004);
+  std::vector<RistrettoPoint> points;
+  for (int j = 0; j < 19; ++j) {
+    points.push_back(RandomPoint(rng));
+  }
+  std::vector<CompressedRistretto> out(points.size());
+  const uint64_t before = RistrettoEncodeInvocations();
+  BatchEncodePoints(points, out);
+  EXPECT_EQ(RistrettoEncodeInvocations() - before, points.size());
+  for (size_t j = 0; j < points.size(); ++j) {
+    EXPECT_EQ(out[j], points[j].Encode()) << "point " << j;
+  }
 }
 
 }  // namespace
